@@ -173,15 +173,11 @@ def build() -> str:
         _class_section(PMLSH, ["flat_tree", "save", "load"]),
         _class_section(PMLSHParams, []),
         _class_section(FlatPMTree, ["batch_range", "batch_knn"]),
-        "## Kernel dispatch\n",
+        "## Kernels\n",
         _function_section(kernels.active),
-        _function_section(kernels.set_backend),
-        _function_section(kernels.use_backend),
-        _function_section(kernels.available_backends),
-        _function_section(kernels.numba_available),
         _function_section(kernels.kernel_calls),
         _function_section(kernels.reset_kernel_calls),
-        _class_section(kernels.KernelBackend, []),
+        _class_section(kernels.KernelSet, []),
         "## Hash families\n",
         _class_section(GaussianProjection, ["project"]),
         _class_section(SampledProjection, ["project", "from_arrays"]),

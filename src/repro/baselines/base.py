@@ -161,6 +161,23 @@ class BatchResult:
         )
 
 
+def require_finite(array: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first row of *array* that holds a
+    NaN or an infinity.
+
+    Non-finite coordinates poison everything downstream silently — the
+    ``(distance, id)`` order, r_min calibration, cache keys — so every
+    entry point that takes vectors from outside rejects them here.
+    """
+    finite = np.isfinite(array)
+    if finite.all():
+        return
+    row = (
+        f" (first at row {int(np.argmin(finite.all(axis=1)))})" if array.ndim == 2 else ""
+    )
+    raise ValueError(f"{what} must be finite; found NaN or inf{row}")
+
+
 def aggregate_stats(per_query: Tuple[Dict[str, float], ...]) -> Dict[str, float]:
     """Mean of every per-query stat key, plus the query count."""
     aggregated: Dict[str, float] = {"queries": float(len(per_query))}
@@ -182,8 +199,9 @@ class ANNIndex(abc.ABC):
     dynamically.
 
     Subclasses implement :meth:`_fit` (build the structures over
-    ``self.data``) and :meth:`query`; they may override :meth:`_run_knn`
-    with a vectorised batch path, :meth:`_run_range` /
+    ``self.data``) and either :meth:`_query_one` (one validated vector)
+    or :meth:`_run_knn` (a vectorised batch path); they may override
+    :meth:`_run_range` /
     :meth:`_closest_pairs` with native sublinear paths (the defaults are
     exact brute force), and :meth:`_add` with an incremental update path
     (the default re-fits over the concatenated dataset).
@@ -287,6 +305,7 @@ class ANNIndex(abc.ABC):
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if data.ndim != 2 or data.shape[0] == 0:
             raise ValueError(f"data must be a non-empty 2-D array, got shape {data.shape}")
+        require_finite(data, "data")
         return data
 
     def _set_data(self, data: np.ndarray) -> None:
@@ -397,6 +416,7 @@ class ANNIndex(abc.ABC):
             )
         if points.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
+        require_finite(points, "new points")  # before _add touches any structure
         ids = self._add(points)
         self._index_epoch += 1
         return ids
@@ -524,9 +544,17 @@ class ANNIndex(abc.ABC):
     # querying
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def query(self, q: np.ndarray, k: int) -> QueryResult:
-        """Approximate k nearest neighbours of the single vector *q*."""
+        """Approximate k nearest neighbours of the single vector *q*.
+
+        A one-row :meth:`run`: the same validation (``k <= nlive``,
+        finite coordinates), tombstone filtering and stats as
+        ``search(q[None, :], k)[0]``.
+        """
+        q = np.asarray(q, dtype=np.float64)
+        if q.ndim != 1:
+            raise ValueError(f"query takes one (d,) vector, got shape {q.shape}")
+        return self.run(q[None, :], Knn(k=int(k)))[0]
 
     def run(self, queries: np.ndarray, spec: QuerySpec | int):
         """Answer every row of *queries* under *spec* (the polymorphic entry).
@@ -582,8 +610,7 @@ class ANNIndex(abc.ABC):
     def search(self, queries: np.ndarray, k: int) -> BatchResult:
         """Approximate k nearest neighbours of every row of *queries*.
 
-        Sugar for ``run(queries, Knn(k))``; results are identical to
-        calling :meth:`query` per row.
+        Sugar for ``run(queries, Knn(k))``.
         """
         return self.run(queries, Knn(k=int(k)))
 
@@ -663,9 +690,17 @@ class ANNIndex(abc.ABC):
     # -- subclass hooks -------------------------------------------------
 
     def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
-        """Default kNN batch path: a per-row :meth:`query` loop."""
+        """Default kNN batch path: a per-row :meth:`_query_one` loop."""
         return BatchResult.from_queries(
-            [self.query(row, spec.k) for row in queries], k=spec.k
+            [self._query_one(row, spec.k) for row in queries], k=spec.k
+        )
+
+    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
+        """k nearest neighbours of one validated ``(d,)`` float64 vector,
+        tombstones ignored (:meth:`run` over-fetches and strips them).
+        Backends with a native :meth:`_run_knn` need not implement it."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither _query_one nor _run_knn"
         )
 
     def _run_range(self, queries: np.ndarray, spec: Range) -> RangeResult:
@@ -777,6 +812,7 @@ class ANNIndex(abc.ABC):
             raise ValueError(f"query must have shape ({self.d},), got {q.shape}")
         if not 1 <= k <= self.n:
             raise ValueError(f"k must be in [1, {self.n}], got {k}")
+        require_finite(q, "query")
         return q
 
     def _validate_queries(self, queries: np.ndarray, k: int) -> np.ndarray:
@@ -800,4 +836,5 @@ class ANNIndex(abc.ABC):
             )
         if queries.shape[0] == 0:
             raise ValueError("queries must contain at least one row")
+        require_finite(queries, "queries")
         return queries

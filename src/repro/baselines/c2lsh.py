@@ -117,9 +117,7 @@ class C2LSH(ANNIndex):
         self._sorted_ids = order.T.copy()
         self._sorted_raw = np.take_along_axis(shifted, order, axis=0).T.copy()
 
-    def query(self, q: np.ndarray, k: int) -> QueryResult:
-        self._require_built()
-        q = self._validate_query(q, k)
+    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         query_shifted = (self._query_directions @ q) + self._offsets  # (m,)
         verified: List[Tuple[int, float]] = []
         verified_mask = np.zeros(self.n, dtype=bool)
@@ -157,7 +155,7 @@ class C2LSH(ANNIndex):
         )
 
     # ------------------------------------------------------------------
-    # batched kNN (the fast-backend path)
+    # batched kNN
     # ------------------------------------------------------------------
 
     #: Cap on (block queries × n) collision-matrix entries per sweep.
@@ -172,11 +170,9 @@ class C2LSH(ANNIndex):
         query, verifies all fresh threshold-crossers with one gathered
         kernel call, and applies per-query termination exactly as the
         loop does.  Query projections stay per-query GEMVs — the floored
-        cell ids must see the loop's exact bits.  Active only under the
-        ``fast`` kernel backend; byte-identical to the per-query loop.
+        cell ids must see the loop's exact bits.  Byte-identical to the
+        per-query :meth:`_query_one` loop.
         """
-        if kernels.active().name != "fast":
-            return super()._run_knn(queries, spec)
         results: List[QueryResult] = []
         block = max(1, self._BATCH_BLOCK_ENTRIES // max(1, self.n))
         for start in range(0, queries.shape[0], block):

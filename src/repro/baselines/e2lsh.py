@@ -9,10 +9,9 @@ classic reduction of §2.2 ("From (r, c)-BC to c-ANN").
 Kept primarily as the reference implementation of the scheme the rest of
 the paper improves on; it also powers tests of the (r, c)-BC semantics.
 
-Under the ``fast`` kernel backend (``REPRO_KERNELS=fast``) the kNN batch
-path pools every query's bucket candidates and runs a single gathered
-verification + top-k kernel over the pool — candidate sets, distances
-and results are byte-identical to the per-query loop.
+The kNN batch path pools every query's bucket candidates and runs a
+single gathered verification + top-k kernel over the pool — candidate
+sets, distances and results are byte-identical to the per-query loop.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ class E2LSH(ANNIndex):
     # c-ANN via the ball-cover ladder
     # ------------------------------------------------------------------
 
-    def query(self, q: np.ndarray, k: int, c: float = 2.0) -> QueryResult:
+    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         """(c, k)-ANN by collecting bucket candidates across all tables.
 
         For k > 1 the pure ladder is wasteful, so the practical variant used
@@ -111,8 +110,6 @@ class E2LSH(ANNIndex):
         verifies true distances, and falls back to the ladder radius only to
         bound the probe count.
         """
-        self._require_built()
-        q = self._validate_query(q, k)
         candidate_ids: List[int] = []
         seen = set()
         for function, table in zip(self._functions, self._tables):
@@ -132,11 +129,11 @@ class E2LSH(ANNIndex):
         )
 
     # ------------------------------------------------------------------
-    # batched kNN (the fast-backend path)
+    # batched kNN
     # ------------------------------------------------------------------
 
     def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
-        """Bucketed-hash-table batch path (``fast`` kernels only).
+        """Bucketed-hash-table batch path.
 
         Hashing stays per-query (a GEMV reduces in a different order than
         a batched GEMM, and the compound key floors those floats — bucket
@@ -144,12 +141,10 @@ class E2LSH(ANNIndex):
         win is everything after the table probes: every (query, candidate)
         pair is verified by one gathered kernel call and one ``group_topk``
         kernel applies the canonical ``(distance, id)`` cut — results,
-        distances and stats are byte-identical to the per-query loop the
-        numpy backend runs.
+        distances and stats are byte-identical to the per-query
+        :meth:`_query_one` loop.
         """
         kernel = kernels.active()
-        if kernel.name != "fast":
-            return super()._run_knn(queries, spec)
         k = spec.k
         num_queries = queries.shape[0]
         counts = np.empty(num_queries, dtype=np.int64)

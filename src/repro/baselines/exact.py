@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import ANNIndex, BatchResult, QueryResult, aggregate_stats
+from repro.baselines.base import ANNIndex, BatchResult, aggregate_stats
 from repro.datasets.distance import chunked_knn
 from repro.queries import Knn
 from repro.registry import register_index
@@ -28,20 +28,6 @@ class ExactKNN(ANNIndex):
 
     def _fit(self) -> None:
         pass  # brute force needs no structures beyond the data itself
-
-    def query(self, q: np.ndarray, k: int) -> QueryResult:
-        self._require_built()
-        q = self._validate_query(q, k)
-        if self._tombstones:
-            live = self.live_ids()
-            ids, dists = chunked_knn(q[None, :], self.data[live], min(k, live.size))
-            return QueryResult(
-                ids=live[ids[0]],
-                distances=dists[0],
-                stats={"candidates": float(live.size)},
-            )
-        ids, dists = chunked_knn(q[None, :], self.data, k)
-        return QueryResult(ids=ids[0], distances=dists[0], stats={"candidates": float(self.n)})
 
     def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
         """Vectorised multi-query path (blocked brute force over the batch).

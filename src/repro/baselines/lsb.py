@@ -134,9 +134,7 @@ class LSBForest(ANNIndex):
         shifted = np.minimum(shifted, limit)
         return interleave_bits([int(v) for v in shifted], bits=self._bits[tree_index])
 
-    def query(self, q: np.ndarray, k: int) -> QueryResult:
-        self._require_built()
-        q = self._validate_query(q, k)
+    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         budget = max(k, int(math.ceil(self.budget_fraction * self.n)))
         per_tree = max(k, budget // self.num_trees)
         seen: set = set()
@@ -184,11 +182,11 @@ class LSBForest(ANNIndex):
         return list(self._rng.choice(self.n, size=min(self.n, 4 * k), replace=False))
 
     # ------------------------------------------------------------------
-    # batched kNN (the fast-backend path)
+    # batched kNN
     # ------------------------------------------------------------------
 
     def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
-        """Sorted-array batch path (``fast`` kernels only).
+        """Sorted-array batch path.
 
         The cursor walk around a query's z-value always consumes a
         contiguous window of the z-sorted order, so the batch path
@@ -200,8 +198,6 @@ class LSBForest(ANNIndex):
         to the per-query cursor loop, ties and all.
         """
         kernel = kernels.active()
-        if kernel.name != "fast":
-            return super()._run_knn(queries, spec)
         k = spec.k
         num_queries = queries.shape[0]
         budget = max(k, int(math.ceil(self.budget_fraction * self.n)))

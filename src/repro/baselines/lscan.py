@@ -43,9 +43,7 @@ class LinearScan(ANNIndex):
         size = max(1, int(round(self.portion * self.n)))
         self._subset = np.sort(self._rng.choice(self.n, size=size, replace=False))
 
-    def query(self, q: np.ndarray, k: int) -> QueryResult:
-        self._require_built()
-        q = self._validate_query(q, k)
+    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         subset = self._subset
         if self._tombstones:
             subset = subset[~self._tombstones.contains(subset)]

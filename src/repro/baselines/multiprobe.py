@@ -180,9 +180,7 @@ class MultiProbeLSH(ANNIndex):
             keys.append(tuple(int(b) for b in bucket))
         return keys
 
-    def query(self, q: np.ndarray, k: int) -> QueryResult:
-        self._require_built()
-        q = self._validate_query(q, k)
+    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         max_candidates = max(k, int(self.max_candidates_fraction * self.n))
         seen: set = set()
         candidates: List[int] = []

@@ -167,9 +167,7 @@ class QALSH(ANNIndex):
     # query: virtual rehashing + collision counting
     # ------------------------------------------------------------------
 
-    def query(self, q: np.ndarray, k: int) -> QueryResult:
-        self._require_built()
-        q = self._validate_query(q, k)
+    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         query_proj = self.projection.project(q)  # (m,)
         collisions = np.zeros(self.n, dtype=np.int32)
         verified: List[Tuple[int, float]] = []
@@ -223,7 +221,7 @@ class QALSH(ANNIndex):
         )
 
     # ------------------------------------------------------------------
-    # batched kNN (the fast-backend path, array backend only)
+    # batched kNN (array backend only)
     # ------------------------------------------------------------------
 
     #: Cap on (block queries × n) collision-matrix entries per sweep.
@@ -238,11 +236,12 @@ class QALSH(ANNIndex):
         deltas), all fresh threshold-crossers of the round are verified
         by **one** gathered distance kernel, and per-query termination
         mirrors the loop exactly.  Projections stay per-query GEMVs —
-        window boundaries compare those exact bits.  Active only under
-        the ``fast`` kernel backend; results, distances, and stats are
-        byte-identical to the per-query loop.
+        window boundaries compare those exact bits.  Results, distances
+        and stats are byte-identical to the per-query :meth:`_query_one`
+        loop, which the B+-tree storage backend still takes (its cursors
+        have no batched form).
         """
-        if kernels.active().name != "fast" or self.backend != "array":
+        if self.backend != "array":
             return super()._run_knn(queries, spec)
         results: List[QueryResult] = []
         block = max(1, self._BATCH_BLOCK_ENTRIES // max(1, self.n))

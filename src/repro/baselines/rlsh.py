@@ -65,9 +65,7 @@ class RLSH(ANNIndex):
             seed=self._rng,
         )
 
-    def query(self, q: np.ndarray, k: int) -> QueryResult:
-        self._require_built()
-        q = self._validate_query(q, k)
+    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         params = self.params
         query_proj = self.projection.project(q)
         budget = int(np.ceil(self.solved.beta * self.n)) + k

@@ -87,9 +87,7 @@ class SRS(ANNIndex):
         self.projected = self.projection.project(self.data)
         self.tree = RTree.build(self.projected, capacity=self.rtree_capacity, method="str")
 
-    def query(self, q: np.ndarray, k: int) -> QueryResult:
-        self._require_built()
-        q = self._validate_query(q, k)
+    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         query_proj = self.projection.project(q)
         budget = max(k, int(np.ceil(self.max_fraction * self.n)))
         best = BoundedMaxHeap(k)

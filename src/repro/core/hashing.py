@@ -16,10 +16,9 @@ Three flavours; the first two match §2.2 and §3.2 of the paper:
   ``√(d/s)`` so ``E[h(o)²] = ‖o‖²`` still holds).  Selectable in PM-LSH
   via ``PMLSHParams(hash_family="sampled")`` and used by ``fit()``,
   ``add()`` and the serving cache's quantized keys alike.  The flop
-  saving only becomes wall-clock under the ``fast`` kernel backend's
-  chunked gather (the naive gather is memory-bound); at moderate d the
-  dense BLAS GEMM remains competitive — measured numbers live in
-  ``results/kernels.txt`` (see ``docs/kernels.md``).
+  saving only becomes wall-clock through the kernel's chunked gather
+  (a naive gather is memory-bound); at moderate d the dense BLAS GEMM
+  remains competitive (see ``docs/kernels.md``).
 
 :func:`collision_probability` evaluates Eq. 2 — the probability that two
 points at distance τ share a bucket of width w — in closed form.

@@ -37,12 +37,6 @@ class PMLSHParams:
     #: holding the probing budget at its m = 15 level (Fig. 6), which this
     #: knob enables.  ``None`` (default) keeps the solved β.
     beta_override: float | None = None
-    #: PM-tree traversal behind the batched query paths: ``"flat"``
-    #: (default) walks the flattened structure-of-arrays tree one whole
-    #: frontier level at a time; ``"recursive"`` walks the pointer tree
-    #: once per query.  Results are identical — the knob exists for the
-    #: traversal micro-bench and the equivalence tests.
-    traversal: str = "flat"
     #: Hash family behind the m projections: ``"dense"`` (default) is the
     #: paper's Eq. 3 Gaussian GEMM; ``"sampled"`` is the FastLSH-style
     #: structured family (each function reads ~√d sampled coordinates),
@@ -81,8 +75,6 @@ class PMLSHParams:
             raise ValueError(
                 f"beta_override must be in (0, 1), got {self.beta_override}"
             )
-        if self.traversal not in ("flat", "recursive"):
-            raise ValueError(f"unknown traversal {self.traversal!r}")
         if self.hash_family not in ("dense", "sampled"):
             raise ValueError(f"unknown hash_family {self.hash_family!r}")
         if self.hash_sample_size is not None and self.hash_sample_size <= 0:

@@ -21,27 +21,26 @@ candidate budget and approximation ratio — arrive through the
 :class:`~repro.queries.QuerySpec` layer; a per-call ``c`` re-solves the
 (t, β) pair through a small cache.
 
-Traversal backends
-------------------
+Traversal
+---------
 The pointer PM-tree built at ``fit`` time remains the insert/validate
-structure, but the batched entry points (``search``/``run``/
-``range_search``/``closest_pairs``) default to its *flattened*
-structure-of-arrays snapshot (:class:`~repro.pmtree.flat.FlatPMTree`):
-one level-synchronous traversal answers the whole query batch, pruning
-with the same Eq. 5 tests as vectorised masks and returning bit-identical
-candidate sets.  ``PMLSHParams(traversal="recursive")`` switches the
-batch paths back to per-query pointer-tree walks (the micro-bench and
-the equivalence tests compare the two).
+structure (and serves :meth:`PMLSH.ball_cover_query`), but every query
+type runs over its *flattened* structure-of-arrays snapshot
+(:class:`~repro.pmtree.flat.FlatPMTree`): one level-synchronous traversal
+answers the whole query batch, pruning with Eq. 5 as vectorised masks.
+The per-query pointer-tree walks that define the same answers live under
+``tests/oracles/`` as the differential contract.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.baselines.base import ANNIndex, BatchResult, QueryResult, aggregate_stats
 from repro.core.estimation import SolvedParameters, solve_parameters
 from repro.core.hashing import GaussianProjection, SampledProjection
@@ -53,7 +52,6 @@ from repro.core.radius import (
 )
 from repro.datasets.distance import (
     DistanceDistribution,
-    chunked_knn,
     point_to_points_distances,
     sample_distance_distribution,
 )
@@ -132,8 +130,8 @@ class PMLSH(ANNIndex):
     _honours_knn_overrides = True
     _honours_range_overrides = True
     #: Tombstones are dropped inside the probe itself: the flat traversal
-    #: masks dead leaf members, the recursive paths exclude the dead set —
-    #: so dead points never consume candidate budget or reach a result.
+    #: masks dead leaf members, so dead points never consume candidate
+    #: budget or reach a result.
     _knn_filters_tombstones = True
 
     def __init__(
@@ -255,8 +253,8 @@ class PMLSH(ANNIndex):
         :meth:`load` it starts out *unmaterialised* (the archive restores
         the flat snapshot directly, so queries never need it) and is
         rebuilt deterministically from the stored pivots on first access
-        — :meth:`add`, the recursive traversal, and
-        :meth:`ball_cover_query` all trigger that rebuild transparently.
+        — :meth:`add` and :meth:`ball_cover_query` trigger that rebuild
+        transparently.
         """
         if self._tree is None and self._lazy_pivots is not None:
             self._tree = self._build_tree(self._lazy_pivots)
@@ -306,11 +304,6 @@ class PMLSH(ANNIndex):
         if self._flat is not None:
             self._flat.set_tombstones(self._tombstones.ids())
 
-    def _dead_set(self) -> Optional[set]:
-        """The tombstoned ids as a Python set for the recursive tree's
-        ``exclude`` parameter, or None when nothing is deleted."""
-        return self._tombstones.as_set() if self._tombstones else None
-
     def candidate_budget(self, k: int, solved: SolvedParameters | None = None) -> int:
         """Algorithm 2's verification cap ⌈βn⌉ + k at the *current live* n.
 
@@ -339,8 +332,8 @@ class PMLSH(ANNIndex):
         q = self._validate_query(q, k=1)
         if r <= 0:
             raise ValueError(f"radius r must be positive, got {r}")
-        dead = self._dead_set()
-        if dead:
+        if self._tombstones:
+            dead = self._tombstones.as_set()
             exclude = dead if exclude is None else set(exclude) | dead
         projected_query = self.projection.project(q)
         budget = self.candidate_budget(1)
@@ -390,47 +383,8 @@ class PMLSH(ANNIndex):
         )
         budget = spec.budget if spec.budget is not None else default_budget
         probe_radius = solved.t * c * spec.r
-        if self.params.traversal == "recursive":
-            dead = self._dead_set()
-            results: List[QueryResult] = []
-            for q, projected_query in zip(queries, projected):
-                candidates = self.tree.range_query(
-                    projected_query, probe_radius, limit=budget, exclude=dead
-                )
-                stats = {"candidates": float(len(candidates)), "budget": float(budget)}
-                if not candidates:
-                    results.append(
-                        QueryResult(
-                            ids=np.empty(0, dtype=np.int64),
-                            distances=np.empty(0, dtype=np.float64),
-                            stats={**stats, "returned": 0.0},
-                        )
-                    )
-                    continue
-                ids = np.asarray([pid for pid, _ in candidates], dtype=np.int64)
-                true_dists = point_to_points_distances(q, self.data[ids])
-                inside = true_dists <= c * spec.r
-                ids, true_dists = ids[inside], true_dists[inside]
-                order = np.lexsort((ids, true_dists))
-                stats["returned"] = float(ids.size)
-                results.append(
-                    QueryResult(ids=ids[order], distances=true_dists[order], stats=stats)
-                )
-            return RangeResult.from_queries(results)
-        return self._run_range_flat(queries, projected, spec, c, budget, probe_radius)
-
-    def _run_range_flat(
-        self,
-        queries: np.ndarray,
-        projected: np.ndarray,
-        spec: Range,
-        c: float,
-        budget: int,
-        probe_radius: float,
-    ) -> RangeResult:
-        """Batched (r, c)-ball range search: one flat traversal at t·c·r
-        for the whole batch, one gathered verification kernel, then a
-        per-query ``(true distance, id)`` re-sort of the survivors."""
+        # One flat traversal at t·c·r per query block, one gathered
+        # verification kernel, then a per-query (true distance, id) sort.
         flat = self.flat_tree
         tree_work = _TreeWork(flat.height)
         num_queries = queries.shape[0]
@@ -453,7 +407,8 @@ class PMLSH(ANNIndex):
             if ids.size == 0:
                 continue
             rep = start + np.repeat(np.arange(stop - start, dtype=np.int64), counts)
-            true_dists = self._verify_distances(ids, rep, queries)
+            true_dists = kernels.active().verify_distances(self.data, ids, queries, rep)
+            self._c_verified.inc(ids.size)
             inside = true_dists <= c * spec.r
             query_blocks.append(rep[inside])
             id_blocks.append(ids[inside])
@@ -501,95 +456,6 @@ class PMLSH(ANNIndex):
             shrink=self.params.radius_shrink,
         )
 
-    def query(self, q: np.ndarray, k: int) -> QueryResult:
-        """Algorithm 2: the (c, k)-ANN query via radius enlargement."""
-        self._require_built()
-        q = self._validate_query(q, k)
-        projected_query = self.projection.project(q)
-        return self._probe(
-            q,
-            k,
-            budget=self.candidate_budget(k),
-            initial_radius=self._initial_radius(k),
-            fetch=self._tree_fetch(projected_query, self._dead_set()),
-        )
-
-    def _probe(
-        self,
-        q: np.ndarray,
-        k: int,
-        budget: int,
-        initial_radius: float,
-        fetch,
-        scratch: np.ndarray | None = None,
-        c: float | None = None,
-        t: float | None = None,
-    ) -> QueryResult:
-        """The radius-enlarging probe loop shared by query() and search().
-
-        ``fetch(radius, limit, seen)`` supplies the next batch of candidate
-        ids — the closest unseen points whose *projected* distance is within
-        ``radius``, capped at ``limit`` and sorted ascending.  The
-        single-query path walks the PM-tree; the batch path reads a sorted
-        projected-distance row.  Both produce the same candidate set (it is
-        defined by projected distances alone, not by tree shape), so the
-        two paths answer identically.  ``c`` and ``t`` default to the
-        index's own tunables; per-query overrides pass theirs in.
-        """
-        params = self.params
-        c = params.c if c is None else c
-        t = self.solved.t if t is None else t
-        r = initial_radius
-        seen: Set[int] = set()
-        collected: List[Tuple[int, float]] = []  # (id, true distance)
-        rounds = 0
-        for _ in range(params.max_iterations):
-            rounds += 1
-            # Termination test 1 (line 4): k verified points within c·r.
-            if self._count_within(collected, c * r) >= k:
-                break
-            ids = fetch(t * r, max(0, budget - len(seen)), seen)
-            if ids.size:
-                true_dists = self._true_distances(q, ids, scratch)
-                for pid, dist in zip(ids, true_dists):
-                    seen.add(int(pid))
-                    collected.append((int(pid), float(dist)))
-            # Termination test 2 (line 9): candidate budget exhausted.
-            if len(seen) >= budget:
-                break
-            r *= c
-        collected.sort(key=lambda pair: (pair[1], pair[0]))
-        top = collected[:k]
-        stats = {
-            "candidates": float(len(seen)),
-            "rounds": float(rounds),
-            "final_radius": float(r),
-        }
-        return QueryResult(
-            ids=np.asarray([pid for pid, _ in top], dtype=np.int64),
-            distances=np.asarray([dist for _, dist in top], dtype=np.float64),
-            stats=stats,
-        )
-
-    def _true_distances(
-        self, q: np.ndarray, ids: np.ndarray, scratch: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Original-space distances q -> data[ids], through *scratch* when a
-        large enough verification buffer is supplied (the batch hot path
-        reuses one buffer across all queries instead of allocating a fresh
-        difference matrix per round)."""
-        rows = self.data[ids]
-        self._c_verified.inc(ids.size)
-        if scratch is not None and rows.shape[0] <= scratch.shape[0]:
-            buffer = scratch[: rows.shape[0]]
-            np.subtract(rows, q, out=buffer)
-            return np.sqrt(np.einsum("ij,ij->i", buffer, buffer))
-        return point_to_points_distances(q, rows)
-
-    @staticmethod
-    def _count_within(collected: List[Tuple[int, float]], threshold: float) -> int:
-        return sum(1 for _, dist in collected if dist <= threshold)
-
     # ------------------------------------------------------------------
     # batch search (the vectorised hot path)
     # ------------------------------------------------------------------
@@ -608,26 +474,6 @@ class PMLSH(ANNIndex):
         within the sweep-entry bound on large datasets."""
         by_memory = self._BATCH_SWEEP_ENTRIES // max(1, self.n)
         return max(1, min(self._BATCH_QUERY_BLOCK, by_memory))
-
-    def _verify_distances(
-        self, ids: np.ndarray, rep: np.ndarray, queries: np.ndarray
-    ) -> np.ndarray:
-        """Original-space distances ``data[ids] → queries[rep]``.
-
-        The gather runs in row chunks capped by ``_BATCH_SWEEP_ENTRIES``
-        *elements* (rows × d), so verification memory stays ~64 MB no
-        matter how large the candidate round or the dimensionality —
-        the bounded-scratch guarantee of the old per-query path.  The
-        per-row kernel keeps the floats identical across chunkings.
-        """
-        out = np.empty(ids.size, dtype=np.float64)
-        step = max(1, self._BATCH_SWEEP_ENTRIES // max(1, self.d))
-        for start in range(0, ids.size, step):
-            rows = self.data[ids[start : start + step]]
-            np.subtract(rows, queries[rep[start : start + step]], out=rows)
-            out[start : start + step] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        self._c_verified.inc(ids.size)
-        return out
 
     def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
         """Batched Algorithm 2 through the flat PM-tree traversal.
@@ -649,11 +495,10 @@ class PMLSH(ANNIndex):
           space with one gathered kernel call, through buffers shared
           across the queries of the batch.
 
-        Results are exactly those of a per-query :meth:`query` loop.  The
-        spec's runtime knobs are honoured here: ``budget`` replaces the
-        ⌈βn⌉ + k cap, and ``c`` swaps in a re-solved (t, β) pair.  With
-        ``PMLSHParams(traversal="recursive")`` the batch becomes a
-        per-query pointer-tree loop instead.
+        Results are exactly those of a per-query pointer-tree probe
+        (``tests/oracles/recursive_probe.py``).  The spec's runtime knobs
+        are honoured here: ``budget`` replaces the ⌈βn⌉ + k cap, and ``c``
+        swaps in a re-solved (t, β) pair.
         """
         k = spec.k
         c = spec.c if spec.c is not None else self.params.c
@@ -664,24 +509,6 @@ class PMLSH(ANNIndex):
         budget = max(budget, k)  # can't answer k neighbours on fewer candidates
         initial_radius = self._initial_radius(k, solved)
         projected = np.atleast_2d(self.projection.project(queries))  # one GEMM
-        if self.params.traversal == "recursive":
-            dead = self._dead_set()
-            scratch = np.empty((min(budget, self.n), self.d), dtype=np.float64)
-            results = [
-                self._probe(
-                    q,
-                    k,
-                    budget,
-                    initial_radius,
-                    self._tree_fetch(projected_query, dead),
-                    scratch,
-                    c=c,
-                    t=solved.t,
-                )
-                for q, projected_query in zip(queries, projected)
-            ]
-            return BatchResult.from_queries(results, k=k)
-
         flat = self.flat_tree
         results = []
         tree_work = _TreeWork(flat.height)
@@ -705,20 +532,6 @@ class PMLSH(ANNIndex):
         self._c_tree_nodes.inc(tree_work.nodes)
         return batch
 
-    def _tree_fetch(self, projected_query: np.ndarray, dead: Optional[set] = None):
-        """Candidate source for the per-query pointer-tree probe: the
-        closest unseen points inside the projected ball, ascending.
-        *dead* (the tombstone set) is excluded alongside the seen set."""
-
-        def fetch(radius: float, limit: int, seen: Set[int]) -> np.ndarray:
-            exclude = seen if not dead else seen | dead
-            matches = self.tree.range_query(
-                projected_query, radius, limit=limit, exclude=exclude
-            )
-            return np.asarray([pid for pid, _ in matches], dtype=np.int64)
-
-        return fetch
-
     def _flat_probe_block(
         self,
         queries: np.ndarray,
@@ -733,10 +546,9 @@ class PMLSH(ANNIndex):
     ) -> List[QueryResult]:
         """One query block through the batched radius-enlarging loop.
 
-        Mirrors :meth:`_probe` exactly — same round structure, same
-        termination tests, same floats — but advances *every* active query
-        of the block per round with one flat traversal and one gathered
-        verification kernel.
+        Algorithm 2's round structure and termination tests, advancing
+        *every* active query of the block per round with one flat
+        traversal and one gathered verification kernel.
         """
         num_queries = queries.shape[0]
         trace = current_trace()
@@ -799,7 +611,10 @@ class PMLSH(ANNIndex):
                     else nullcontext()
                 )
                 with verify_span:
-                    true_dists = self._verify_distances(ids, rep, queries)
+                    true_dists = kernels.active().verify_distances(
+                        self.data, ids, queries, rep
+                    )
+                self._c_verified.inc(ids.size)
                 for position, q in enumerate(idx):
                     lo, hi = int(lims[position]), int(lims[position + 1])
                     if hi > lo:
@@ -845,11 +660,9 @@ class PMLSH(ANNIndex):
         original distance, so genuinely close pairs are close in R^m with
         high probability.  The join:
 
-        1. computes each point's nearest projected neighbours — by default
-           a batched exact kNN *through the flat PM-tree* (radius-doubling
-           ``batch_knn`` over the same traversal the query paths use;
-           ``traversal="recursive"`` falls back to the blocked
-           brute-force GEMM);
+        1. computes each point's nearest projected neighbours — a batched
+           exact kNN *through the flat PM-tree* (radius-doubling
+           ``batch_knn`` over the same traversal the query paths use);
         2. ranks the deduplicated candidate pairs by projected distance
            and keeps the ``budget`` best (default ⌈βn⌉ + 16·m — original
            space verification is O(d) per pair, so the floor is generous);
@@ -858,8 +671,7 @@ class PMLSH(ANNIndex):
         """
         # The self-join runs over the live points only: tombstoned rows
         # neither seed neighbourhoods nor appear as neighbours (the masked
-        # flat traversal skips them; the recursive path joins the gathered
-        # live submatrix and maps dense ids back through the live array).
+        # flat traversal skips them).
         live = self.live_ids() if self._tombstones else None
         n_live = self.nlive
         budget = (
@@ -872,32 +684,22 @@ class PMLSH(ANNIndex):
         # cap keeps the projected kNN well-defined on tiny datasets.
         per_point = min(n_live - 1, max(4, int(np.ceil(2.0 * budget / n_live))))
         source = self.projected if live is None else self.projected[live]
-        tree_stats: Dict[str, float] = {}
-        if self.params.traversal == "recursive":
-            neighbor_ids, neighbor_dists = chunked_knn(source, source, per_point + 1)
-            if live is not None:
-                neighbor_ids = live[neighbor_ids]
-        else:
-            flat = self.flat_tree
-            nodes = dist_comps = 0
-            id_blocks: List[np.ndarray] = []
-            dist_blocks: List[np.ndarray] = []
-            block = self._flat_query_block()
-            for start in range(0, n_live, block):
-                stop = min(start + block, n_live)
-                flat.reset_counters()
-                block_ids, block_dists = flat.batch_knn(
-                    source[start:stop], per_point + 1
-                )
-                id_blocks.append(block_ids)
-                dist_blocks.append(block_dists)
-                nodes += flat.node_accesses
-                dist_comps += flat.distance_computations
-            neighbor_ids = np.concatenate(id_blocks)
-            neighbor_dists = np.concatenate(dist_blocks)
-            tree_stats["tree_nodes"] = nodes / n_live
-            tree_stats["tree_dist_comps"] = dist_comps / n_live
-            self._c_tree_nodes.inc(nodes)
+        flat = self.flat_tree
+        nodes = dist_comps = 0
+        id_blocks: List[np.ndarray] = []
+        dist_blocks: List[np.ndarray] = []
+        block = self._flat_query_block()
+        for start in range(0, n_live, block):
+            stop = min(start + block, n_live)
+            flat.reset_counters()
+            block_ids, block_dists = flat.batch_knn(source[start:stop], per_point + 1)
+            id_blocks.append(block_ids)
+            dist_blocks.append(block_dists)
+            nodes += flat.node_accesses
+            dist_comps += flat.distance_computations
+        neighbor_ids = np.concatenate(id_blocks)
+        neighbor_dists = np.concatenate(dist_blocks)
+        self._c_tree_nodes.inc(nodes)
         row_src = (
             np.arange(n_live, dtype=np.int64) if live is None else live
         )
@@ -927,7 +729,8 @@ class PMLSH(ANNIndex):
                 "verified": float(pairs.shape[0]),
                 "budget": float(budget),
                 "neighbors_per_point": float(per_point),
-                **tree_stats,
+                "tree_nodes": nodes / n_live,
+                "tree_dist_comps": dist_comps / n_live,
             },
         )
 
@@ -974,7 +777,7 @@ class PMLSH(ANNIndex):
         entry fields and pivot distances are the ones queries prune
         against).  The pointer tree is only rebuilt — deterministically,
         from the stored pivots — if something later needs it (``add``,
-        the recursive traversal).
+        ``ball_cover_query``).
         """
         self._require_built()
         import json
@@ -1027,7 +830,11 @@ class PMLSH(ANNIndex):
                 if "flat_is_leaf" in archive.files
                 else None
             )
-        params = PMLSHParams(**json.loads(params_json))
+        stored = json.loads(params_json)
+        # Archives written before the recursive traversal was retired
+        # carry its selector; every other unknown key is still an error.
+        stored.pop("traversal", None)
+        params = PMLSHParams(**stored)
         index = cls(params=params, seed=0)
         index._set_data(data)
         index.projection = cls._restore_projection({**projection_arrays, "data": data})

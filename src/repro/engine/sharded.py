@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.base import ANNIndex, BatchResult, QueryResult
+from repro.baselines.base import ANNIndex, BatchResult
 from repro.engine.merge import merge_shard_range_results, merge_shard_results
 from repro.engine.router import ShardRouter, make_router
 from repro.engine.stats import EngineStats, ShardStats
@@ -474,12 +474,6 @@ class ShardedIndex(ANNIndex):
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-
-    def query(self, q: np.ndarray, k: int) -> QueryResult:
-        """Single-query path: a one-row batch through the same fan-out."""
-        self._require_built()
-        q = self._validate_query(q, k)
-        return self._run_knn(q[None, :], Knn(k=k))[0]
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:

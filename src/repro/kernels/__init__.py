@@ -1,55 +1,36 @@
-"""Runtime-dispatched hot kernels with differential-tested reference twins.
+"""The library's hot kernels: one implementation, call-counted.
 
-The library's hottest inner loops — the Eq. 5 frontier masks and leaf
-distance verification of :class:`~repro.pmtree.flat.FlatPMTree`, the
-pooled candidate cuts, batched baseline verification and the sampled
-hash projections — live here as *kernels*: small array-in/array-out
-functions that exist in two implementations.
+The hottest inner loops — the Eq. 5 frontier masks and leaf distance
+verification of :class:`~repro.pmtree.flat.FlatPMTree`, the pooled
+candidate cuts, batched baseline verification and the sampled hash
+projections — live in :mod:`repro.kernels.fast` as small
+array-in/array-out functions.  :func:`active` hands callers the one
+kernel set; every call through it increments a per-``(backend, kernel)``
+counter (:func:`kernel_calls`) that is also exported through the
+observability registry as ``kernel_calls``.
 
-``reference`` (:mod:`repro.kernels.reference`) is the NumPy semantic
-contract, extracted verbatim from the previously inlined hot paths.
-``fast`` (:mod:`repro.kernels.fast`) reorganizes control flow (chunking,
-staged mask narrowing, vectorized rank cuts, optional numba jits) and
-must return **byte-identical** arrays; ``tests/kernels/`` asserts that
-for every kernel under adversarial shapes.  The fast backend also
-unlocks the flat tree's budget-aware admission pass (results unchanged,
-work counters smaller — see :mod:`repro.pmtree.flat`).
-
-Select a backend with the ``REPRO_KERNELS`` environment variable
-(``numpy`` — the default — or ``fast``), programmatically via
-:func:`set_backend`, or scoped via :func:`use_backend`::
-
-    with repro.kernels.use_backend("fast"):
-        index.search(queries, k=10)
-
-numba is auto-detected inside the fast backend and falls back cleanly
-(never a hard dependency); :func:`numba_available` reports the outcome.
-Every dispatched call increments a per-``(backend, kernel)`` counter
-exported through the observability registry as ``kernel_calls``.
+The straight-line NumPy definitions these kernels must equal byte for
+byte live under ``tests/oracles/`` — they are the differential contract
+(``tests/kernels/``), not product code.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.kernels import _numba, fast, reference
+from repro.kernels import fast
 
 __all__ = [
     "KERNEL_NAMES",
-    "KernelBackend",
+    "KernelSet",
     "active",
-    "available_backends",
     "kernel_calls",
     "numba_available",
     "reset_kernel_calls",
-    "set_backend",
-    "use_backend",
 ]
 
-#: The dispatched kernel surface; each name exists in both backends and
-#: is differential-tested in ``tests/kernels/``.
+#: The kernel surface; each name is a function of :mod:`repro.kernels.fast`
+#: and has a reference twin in ``tests/oracles/kernels_reference.py``.
 KERNEL_NAMES: Tuple[str, ...] = (
     "leaf_prune",
     "inner_prune",
@@ -60,9 +41,7 @@ KERNEL_NAMES: Tuple[str, ...] = (
     "sampled_project",
 )
 
-_MODULES = {"numpy": reference, "fast": fast}
-
-#: Per-(backend, kernel) dispatch counts for this process.
+#: Per-(backend, kernel) call counts for this process.
 _CALLS: Dict[Tuple[str, str], int] = {}
 
 
@@ -99,86 +78,43 @@ def _counted(backend: str, kernel: str, fn):
     return wrapper
 
 
-class KernelBackend:
-    """One resolved kernel set: ``name`` plus a callable per kernel.
+class KernelSet:
+    """The kernel set: ``name`` plus one counted callable per kernel.
 
-    ``supports_admission`` tells the flat-tree traversal whether this
-    backend may tighten the per-pair search radius to the running k-th
-    candidate distance (the budget-aware admission pass).  Kernel
-    attributes are counted wrappers around the backend module's
-    functions, so dispatch adds one dict increment per *batch-level*
-    call — never per element.
+    Kernel attributes wrap :mod:`repro.kernels.fast`'s functions, so a
+    call adds one dict increment per *batch-level* invocation — never
+    per element.
     """
 
-    def __init__(self, name: str, module) -> None:
-        self.name = name
-        self.supports_admission = bool(module.SUPPORTS_ADMISSION)
+    name = "fast"
+
+    def __init__(self) -> None:
         for kernel in KERNEL_NAMES:
-            setattr(self, kernel, _counted(name, kernel, getattr(module, kernel)))
+            setattr(self, kernel, _counted(self.name, kernel, getattr(fast, kernel)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KernelBackend({self.name!r})"
+        return f"KernelSet({self.name!r})"
 
 
-_backends: Dict[str, KernelBackend] = {}
-_active: Optional[KernelBackend] = None
+_KERNELS = KernelSet()
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Names accepted by :func:`set_backend` / ``REPRO_KERNELS``."""
-    return tuple(sorted(_MODULES))
+def active() -> KernelSet:
+    """The process's kernel set."""
+    return _KERNELS
 
 
 def numba_available() -> bool:
-    """Whether the fast backend found an importable numba."""
-    return _numba.available()
-
-
-def _resolve(name: str) -> KernelBackend:
-    key = (name or "").strip().lower()
-    if key not in _MODULES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of "
-            f"{', '.join(available_backends())} (REPRO_KERNELS)"
-        )
-    if key not in _backends:
-        _backends[key] = KernelBackend(key, _MODULES[key])
-    return _backends[key]
-
-
-def active() -> KernelBackend:
-    """The currently dispatched backend (resolving ``REPRO_KERNELS`` on
-    first use; unset means ``numpy``, the reference)."""
-    global _active
-    if _active is None:
-        _active = _resolve(os.environ.get("REPRO_KERNELS") or "numpy")
-    return _active
-
-
-def set_backend(name: str) -> KernelBackend:
-    """Switch the process-wide kernel backend; returns it."""
-    global _active
-    _active = _resolve(name)
-    return _active
-
-
-@contextmanager
-def use_backend(name: str):
-    """Scoped backend switch: restores the previous backend on exit."""
-    global _active
-    previous = active()
-    _active = _resolve(name)
-    try:
-        yield _active
-    finally:
-        _active = previous
+    # Only caller: bench_e2e/worker.py::fingerprint (frozen).  No numba
+    # code path exists any more.
+    return False
 
 
 def kernel_calls() -> Dict[Tuple[str, str], int]:
-    """Snapshot of per-``(backend, kernel)`` dispatch counts."""
+    """Snapshot of per-``(backend, kernel)`` call counts."""
     return dict(_CALLS)
 
 
 def reset_kernel_calls() -> None:
-    """Zero the in-module dispatch counts (obs counters keep running)."""
+    """Zero the in-module call counts (obs counters keep running)."""
     _CALLS.clear()

@@ -1,8 +1,9 @@
-"""Fused / reorganized hot kernels — byte-identical to the reference.
+"""The hot kernels: fused, chunked, shape-adaptive NumPy.
 
-Every function here returns exactly the bytes its
-:mod:`repro.kernels.reference` twin returns; only the control flow
-differs:
+Every function here is pinned byte for byte to a straight-line
+reference definition kept under ``tests/oracles/kernels_reference.py``
+(``tests/kernels/`` drives both with adversarial inputs).  What makes
+these the fast form of that contract:
 
 - Pruning masks work on *compressed survivor indices* (one
   ``flatnonzero`` after the cheap parent test, then per-pivot column
@@ -11,17 +12,16 @@ differs:
 - Distance kernels evaluate in cache-sized chunks; each row's
   ``subtract``/``einsum``/``sqrt`` reduction is independent, so chunking
   cannot change a bit.
-- The budget cut replaces the per-query Python loop with a single
-  stable ``lexsort`` + rank threshold over the whole pooled batch.
+- The candidate cuts pick between a per-group selection and one stable
+  ``lexsort`` + rank threshold over the whole pooled batch from the
+  shape of the pool.
 
-This backend also advertises ``SUPPORTS_ADMISSION``: the flat-tree
-traversal may tighten the per-pair radius to its running k-th candidate
-distance (a pure subset filter whose dropped rows provably cannot make
-the canonical ``(distance, id)`` cut), so the full ball is never
-materialized before the ``⌈βn⌉+k`` cap.  When numba is importable the
-routing-entry filter additionally dispatches to a jitted twin
-(:mod:`repro.kernels._numba`) that self-verifies against this module on
-first use and falls back cleanly on any mismatch.
+Conventions:
+
+- ``radius`` arguments accept a scalar or a per-pair ``(P,)`` vector
+  (the flat tree's budget-aware admission tightens the radius per pair).
+- Candidate cuts are canonical by ``(distance, id)`` — the same tie
+  order as the exact brute-force oracle.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-
-from repro.kernels import _numba
-
-SUPPORTS_ADMISSION = True
 
 #: Rows per block for chunked distance evaluation: large enough to keep
 #: the einsum efficient, small enough that (rows × d) stays in cache.
@@ -50,7 +46,14 @@ def leaf_prune(
     radius,
     use_parent_filter: bool,
 ) -> np.ndarray:
-    """Reference twin of ``reference.leaf_prune`` on compressed indices."""
+    """Eq. 5 leaf-member filters: parent-distance test, then ring tests.
+
+    One row per live (query, leaf-member) pair; returns the keep mask.
+    The parent-distance filter (``|d(q, par) − o.PD| ≤ r``) runs first —
+    two scalar gathers — so the ring gathers only touch its survivors;
+    the ring filter (``∀i |d(q, p_i) − d(o, p_i)| ≤ r``) narrows the
+    survivor set one pivot at a time.
+    """
     vec = isinstance(radius, np.ndarray)
     if use_parent_filter and rep_pd is not None:
         # NaN parent distances (root leaves) compare False; re-admit them
@@ -89,51 +92,13 @@ def inner_prune(
     radius,
     use_parent_filter: bool,
 ) -> np.ndarray:
-    """Reference twin of ``reference.inner_prune``; parent test first,
-    ring intervals only on its survivors, one pivot column at a time."""
-    if _numba.enabled():
-        result = _numba.inner_prune(
-            eidx=eidx,
-            rep_q=rep_q,
-            rep_pd=rep_pd,
-            entry_pd=entry_pd,
-            entry_radius=entry_radius,
-            hr_min=hr_min,
-            hr_max=hr_max,
-            query_rings=query_rings,
-            radius=radius,
-            use_parent_filter=use_parent_filter,
-            verify_against=_inner_prune_numpy,
-        )
-        if result is not None:
-            return result
-    return _inner_prune_numpy(
-        eidx=eidx,
-        rep_q=rep_q,
-        rep_pd=rep_pd,
-        entry_pd=entry_pd,
-        entry_radius=entry_radius,
-        hr_min=hr_min,
-        hr_max=hr_max,
-        query_rings=query_rings,
-        radius=radius,
-        use_parent_filter=use_parent_filter,
-    )
+    """Eq. 5 routing-entry filters: parent-distance test, then hyper-ring
+    interval tests (only on its survivors, one pivot column at a time),
+    over one row per (query, routing-entry) pair.
 
-
-def _inner_prune_numpy(
-    *,
-    eidx: np.ndarray,
-    rep_q: np.ndarray,
-    rep_pd: Optional[np.ndarray],
-    entry_pd: np.ndarray,
-    entry_radius: np.ndarray,
-    hr_min: np.ndarray,
-    hr_max: np.ndarray,
-    query_rings: Optional[np.ndarray],
-    radius,
-    use_parent_filter: bool,
-) -> np.ndarray:
+    Survivors still owe a centre-distance computation and the sphere
+    test, which the caller performs (it charges ``dist_comps``).
+    """
     vec = isinstance(radius, np.ndarray)
     if use_parent_filter and rep_pd is not None:
         inside = (
@@ -160,7 +125,10 @@ def _inner_prune_numpy(
 
 
 def pair_distances(rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
-    """Chunked twin of ``reference.pair_distances`` (consumes *rows*)."""
+    """Euclidean distance per (point-row, query-row) pair, chunked.
+
+    *rows* is consumed (clobbered in place) — callers pass a fresh gather.
+    """
     total = rows.shape[0]
     if total <= _DIST_CHUNK:
         np.subtract(rows, query_rows, out=rows)
@@ -180,8 +148,12 @@ def verify_distances(
     queries: np.ndarray,
     rep_q: np.ndarray,
 ) -> np.ndarray:
-    """Chunked gather + in-place subtract twin of
-    ``reference.verify_distances``."""
+    """Gathered candidate verification: ``‖data[ids[i]] − queries[rep_q[i]]‖``.
+
+    Chunked gather + in-place subtract.  The row-wise reduction matches
+    :func:`repro.datasets.distance.point_to_points_distances` bit for bit,
+    so batched verification equals a per-query loop.
+    """
     total = ids.shape[0]
     out = np.empty(total, dtype=np.result_type(data, queries))
     for lo in range(0, total, _DIST_CHUNK):
@@ -198,10 +170,33 @@ def _rank_in_group(counts: np.ndarray, total: int) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
-#: Capped-group count above which the lexsort rank cut beats per-group
-#: selection: the per-group path costs one Python iteration + argpartition
-#: per capped query, the lexsort path one 3-key sort of the whole pool.
+#: Group count above which one lexsort rank cut over the whole pool beats
+#: per-group selection: the per-group path costs one Python iteration per
+#: group, the lexsort path one 3-key sort of the whole pool.
 _LEXSORT_MIN_GROUPS = 1024
+
+
+def closest_mask(dists: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k entries smallest by ``(distance, id)``.
+
+    Selection (argpartition) plus an id-ordered resolution of the ties at
+    the k-th distance — the same canonical boundary cut as the exact
+    brute-force oracle, without sorting the whole slice.
+    """
+    mask = np.zeros(dists.size, dtype=bool)
+    if k <= 0:
+        return mask
+    if k >= dists.size:
+        mask[:] = True
+        return mask
+    kth = float(np.max(dists[np.argpartition(dists, k - 1)[:k]]))
+    below = dists < kth
+    mask[below] = True
+    missing = k - int(below.sum())
+    if missing > 0:
+        tied = np.flatnonzero(dists == kth)
+        mask[tied[np.argsort(ids[tied], kind="stable")[:missing]]] = True
+    return mask
 
 
 def budget_cut(
@@ -212,27 +207,27 @@ def budget_cut(
     lims: np.ndarray,
     limits: np.ndarray,
 ) -> Optional[np.ndarray]:
-    """Shape-adaptive twin of ``reference.budget_cut``.
+    """Per-query candidate-limit cut over a pooled, query-grouped batch.
+
+    Keeps each over-budget query's ``limits[q]`` closest matches by the
+    canonical ``(distance, id)`` order (Algorithm 2's ``⌈βn⌉+k`` cap).
+    Returns a keep mask over the pool, or ``None`` when no query exceeds
+    its limit.  Input must be grouped by query (``lims`` CSR offsets).
 
     Few capped groups (the flat-traversal regime: tens of queries with
-    large pools) use the reference's O(pool) per-group boundary cut —
-    argpartition, no full sort.  Many tiny groups (high-Q serving
-    batches) amortize one stable ``(q, distance, id)`` lexsort and a
-    rank-below-limit threshold instead of paying Python dispatch per
-    group.  Both branches produce the canonical cut, byte for byte.
+    large pools) take an O(pool) per-group boundary cut — argpartition,
+    no full sort.  Many tiny groups (high-Q serving batches) amortize one
+    stable ``(q, distance, id)`` lexsort and a rank-below-limit threshold
+    instead of paying Python dispatch per group.
     """
     capped = np.flatnonzero(counts > limits)
     if capped.size == 0:
         return None
     if capped.size < _LEXSORT_MIN_GROUPS:
-        from repro.kernels import reference
-
         keep = np.ones(q.size, dtype=bool)
         for query in capped:
             lo, hi = int(lims[query]), int(lims[query + 1])
-            keep[lo:hi] = reference.closest_mask(
-                dists[lo:hi], ids[lo:hi], int(limits[query])
-            )
+            keep[lo:hi] = closest_mask(dists[lo:hi], ids[lo:hi], int(limits[query]))
         return keep
     order = np.lexsort((ids, dists, q))
     rank = _rank_in_group(counts, q.size)
@@ -250,25 +245,35 @@ def group_topk(
     num_queries: int,
     k: int,
 ):
-    """Shape-adaptive twin of ``reference.group_topk``.
+    """Per-query k smallest candidates by ``(distance, id)``, sorted.
+
+    Input is one pooled candidate list grouped by query (ascending ``q``);
+    output is CSR ``(lims, ids, dists)`` with each query's survivors in
+    canonical order.  This is the final cut of every batched baseline.
 
     Many tiny groups (high-Q batches with a handful of candidates each)
     amortize one global stable ``(q, distance, id)`` lexsort + rank
-    threshold; otherwise the per-group sort is cheaper than a 3-key sort
-    of the whole pool and the reference path runs as-is.  Either branch
-    returns the canonical CSR cut, byte for byte.
+    threshold; otherwise a per-group sort is cheaper than a 3-key sort
+    of the whole pool.
     """
-    if num_queries < _LEXSORT_MIN_GROUPS or q.size > 8 * num_queries:
-        from repro.kernels import reference
-
-        return reference.group_topk(q, ids, dists, num_queries, k)
     counts = np.bincount(q, minlength=num_queries)
     taken = np.minimum(counts, k)
     lims = np.concatenate([[0], np.cumsum(taken)]).astype(np.int64)
-    order = np.lexsort((ids, dists, q))
-    rank = _rank_in_group(counts, q.size)
-    take = order[rank < np.repeat(taken, counts)]
-    return lims, ids[take], dists[take]
+    if num_queries >= _LEXSORT_MIN_GROUPS and q.size <= 8 * num_queries:
+        order = np.lexsort((ids, dists, q))
+        rank = _rank_in_group(counts, q.size)
+        take = order[rank < np.repeat(taken, counts)]
+        return lims, ids[take], dists[take]
+    lims_in = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    out_ids = np.empty(int(lims[-1]), dtype=ids.dtype)
+    out_dists = np.empty(int(lims[-1]), dtype=dists.dtype)
+    for query in np.flatnonzero(counts):
+        lo, hi = int(lims_in[query]), int(lims_in[query + 1])
+        order = np.lexsort((ids[lo:hi], dists[lo:hi]))[: int(taken[query])]
+        olo, ohi = int(lims[query]), int(lims[query + 1])
+        out_ids[olo:ohi] = ids[lo:hi][order]
+        out_dists[olo:ohi] = dists[lo:hi][order]
+    return lims, out_ids, out_dists
 
 
 def sampled_project(
@@ -276,13 +281,16 @@ def sampled_project(
     sample_idx: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """Chunked ``np.take``-gather twin of ``reference.sampled_project``.
+    """FastLSH-style sampled projection: each of the m hash functions
+    reads only ``s`` sampled coordinates (``sample_idx``/``weights`` are
+    ``(m, s)``), cutting per-point hashing from O(d·m) toward O(s·m).
 
-    ``take`` on a raveled index is faster than the reference's fancy
-    index + copy, and each chunk lands on the same C-contiguous
-    ``(rows, m, s)`` tensor the reference builds — the einsum contracts
-    identical operands row by row, so chunking cannot change a bit.
-    Keeping the gathered tensor cache-sized roughly halves the cost of
+    Each chunk is a ``np.take`` gather on the raveled index into a
+    C-contiguous ``(rows, m, s)`` tensor, contracted by
+    ``einsum("nms,ms->nm")``.  einsum's reduction order follows memory
+    layout, so pinning the layout is what pins the bits; identical
+    operands contract row by row, so chunking cannot change a bit, and
+    keeping the gathered tensor cache-sized roughly halves the cost of
     the big-n projection versus one monolithic gather.
     """
     points = np.atleast_2d(points)

@@ -18,17 +18,17 @@ whole frontier as array masks, so the per-node Python recursion of the
 pointer tree disappears; candidate ids and distances accumulate into
 buffers shared across the queries of the batch.
 
-The mask and distance arithmetic is dispatched through
-:mod:`repro.kernels`: under the default ``numpy`` backend the traversal
-visits exactly the nodes the recursive ``range_query`` visits and
-computes exactly the same distances with the same float64 kernels, so
-results — and the node-access / distance-computation counters — are
-identical to the pointer tree's (``tests/pmtree/test_flatten.py``
-asserts both).  Under the ``fast`` backend results are still
-byte-identical, but capped traversals additionally run a *budget-aware
-admission pass* (see :class:`_Admission`), so the work counters shrink:
-the flat path stops computing the full ball before cutting each query
-to its ``⌈βn⌉+k`` candidate limit.
+The mask and distance arithmetic lives in :mod:`repro.kernels`.  An
+uncapped traversal visits exactly the nodes the pointer tree's
+``range_query`` visits and computes exactly the same distances with the
+same float64 kernels, so results — and the node-access /
+distance-computation counters — are identical to the pointer tree's
+(``tests/pmtree/test_flatten.py`` asserts both).  A capped traversal
+(``limits``) whose pooled leaf frontier is large additionally runs a
+*budget-aware admission pass* (see :class:`_Admission`): results stay
+byte-identical but the work counters shrink, because the flat path stops
+computing the full ball before cutting each query to its ``⌈βn⌉+k``
+candidate limit.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.kernels.reference import closest_mask as _closest_mask  # noqa: F401  (re-export)
 
 
 @dataclass(frozen=True)
@@ -57,14 +56,22 @@ class TraversalStats:
     level_visits: np.ndarray
 
 
-#: Leaf (query, member) pairs verified per admission chunk under the
-#: fast backend: small enough that the running k-th candidate distance
-#: tightens between chunks, large enough to keep each chunk vectorized.
+#: Leaf (query, member) pairs verified per admission chunk: small enough
+#: that the running k-th candidate distance tightens between chunks,
+#: large enough to keep each chunk vectorized.
 _LEAF_ADMIT_CHUNK = 8192
+
+#: Pooled leaf (query, member) pairs up to which a capped traversal still
+#: expands its leaf frontier in one pass.  Chunked admission costs a dozen
+#: small NumPy calls plus threshold bookkeeping per chunk and buys
+#: cache-sized temporaries and a tightening radius; measured on 25k–100k
+#: point trees the two break even at 0.2–0.5 M pairs (one-row and
+#: few-row blocks sit below, 32-row blocks over 100k points above).
+_SINGLE_PASS_PAIRS = 32 * _LEAF_ADMIT_CHUNK
 
 
 class _Admission:
-    """Per-query radius tightening for capped fast-backend traversals.
+    """Per-query radius tightening for capped traversals.
 
     Tracks, per query, the ``limits[q]``-th smallest *admitted* candidate
     distance seen so far (``thr``); the effective search radius of every
@@ -449,11 +456,14 @@ class FlatPMTree:
         One traversal serves the whole batch: the frontier holds every
         live ``(query, node)`` pair and advances one tree level per step,
         applying the Eq. 5 parent-distance / ring / sphere tests as masks
-        over the packed entry arrays.  The mask and distance arithmetic
-        dispatches through :mod:`repro.kernels`; when the active backend
-        supports it and ``limits`` is given, a budget-aware admission
-        pass tightens each query's radius to its running ``limits[i]``-th
-        candidate distance (identical results, less work).
+        over the packed entry arrays (:mod:`repro.kernels`).  When
+        ``limits`` is given and the pooled leaf frontier exceeds
+        ``_SINGLE_PASS_PAIRS`` (query, member) pairs, the leaf level runs
+        in chunks and a budget-aware admission pass tightens each query's
+        radius to its running ``limits[i]``-th candidate distance
+        (identical results, less work, bounded temporaries); a smaller
+        frontier (one-row and few-row blocks) is verified in a single
+        pass, where per-chunk overhead outweighs what tightening saves.
         """
         kernel = _kernels.active()
         queries = np.ascontiguousarray(np.atleast_2d(queries))
@@ -469,7 +479,10 @@ class FlatPMTree:
         admission = None
         if limits is not None:
             limits = np.asarray(limits, dtype=np.int64)
-            if kernel.supports_admission:
+            # The leaf frontier pools at most rows × indexed points pairs:
+            # a block that cannot reach the chunked side skips the
+            # admission bookkeeping on the inner levels too.
+            if num_queries * self.leaf_ids.size > _SINGLE_PASS_PAIRS:
                 admission = _Admission(num_queries, limits)
 
         # Frontier: one row per live (query, node) pair.  pd = distance
@@ -564,10 +577,12 @@ class FlatPMTree:
                 rep_pd = rep_pd[alive]
             if member.size == 0:
                 return
-        # Without admission the whole frontier verifies in one kernel
-        # call; with it, chunking lets each query's threshold tighten
-        # between chunks so later pairs see a smaller effective radius.
+        # A small pooled frontier verifies in one kernel call; a large
+        # capped one runs in chunks, so each query's threshold tightens
+        # between chunks and later pairs see a smaller effective radius.
         total = member.size
+        if total <= _SINGLE_PASS_PAIRS:
+            admission = None
         step = total if admission is None else _LEAF_ADMIT_CHUNK
         for lo in range(0, total, step):
             hi = min(lo + step, total)

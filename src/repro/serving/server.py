@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.base import ANNIndex, QueryResult
+from repro.baselines.base import ANNIndex, QueryResult, require_finite
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import Trace, Tracer, use_trace
@@ -389,6 +389,9 @@ class AsyncSearchServer:
             raise ValueError(
                 f"submit takes one (d,) query vector, got shape {vector.shape}"
             )
+        # Rejected here, not in index.run(): a NaN row must fail its own
+        # request, never the batch it would have been coalesced into.
+        require_finite(vector, "query")
         self._requests_submitted.inc()
         self._maybe_tick()
         enqueued_at = self._now()

@@ -1,14 +1,15 @@
-"""Cross-backend contract sweep: registry × query type × kernel backend.
+"""Cross-backend contract sweep: registry × query type × {product, oracle}.
 
-Every registered index answers kNN, range and closest-pair queries under
-both kernel dispatch modes (``REPRO_KERNELS=numpy`` and ``fast``), on a
-dataset with a planted duplicate triple so exact distance ties exercise
-the canonical ``(distance, id)`` cut everywhere.  The assertion is byte
-equality between modes — for indexes without a fast path this pins that
-dispatch is transparent; for indexes with one (PM-LSH, QALSH, C2LSH,
-E2LSH, LSB-Forest) it pins that the batch kernels change nothing but
-speed.  Fresh same-seed indexes are built per mode: the rng-consuming
-fallbacks would otherwise drift between runs.
+Every registered index answers kNN, range and closest-pair queries with
+the product kernels and again with the reference kernels swapped onto
+the kernel set (``tests.oracles.reference_kernels``), on a dataset with
+a planted duplicate triple so exact distance ties exercise the canonical
+``(distance, id)`` cut everywhere.  The assertion is byte equality — for
+indexes that call no kernel this pins that the swap is transparent; for
+those that do (PM-LSH, QALSH, C2LSH, E2LSH, LSB-Forest) it pins that the
+fused kernels change nothing but speed.  Fresh same-seed indexes are
+built per mode: the rng-consuming fallbacks would otherwise drift
+between runs.
 """
 
 from __future__ import annotations
@@ -16,8 +17,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import create_index, kernels
+from contextlib import nullcontext
+
+from repro import create_index
 from repro.queries import Knn, Range
+from tests.oracles import reference_kernels
+
+MODES = {"product": nullcontext, "oracle": reference_kernels}
 
 ALL_NAMES = [
     "c2lsh",
@@ -73,15 +79,15 @@ def test_backend_times_query_times_dispatch(name, spec_kind):
     data = _dataset()
     queries = _queries(data)
     outputs = {}
-    for mode in ("numpy", "fast"):
-        with kernels.use_backend(mode):
+    for mode, swapped in MODES.items():
+        with swapped():
             index = create_index(name, **KWARGS[name]).fit(data)
             try:
                 outputs[mode] = _sweep(index, queries, spec_kind)
             finally:
                 if hasattr(index, "close"):
                     index.close()
-    for got, want in zip(outputs["fast"], outputs["numpy"]):
+    for got, want in zip(outputs["product"], outputs["oracle"]):
         got, want = np.asarray(got), np.asarray(want)
         assert got.dtype == want.dtype
         assert got.shape == want.shape
@@ -91,11 +97,11 @@ def test_backend_times_query_times_dispatch(name, spec_kind):
 @pytest.mark.parametrize("name", ["exact", "e2lsh", "pm-lsh", "lsb-forest"])
 def test_duplicate_tie_returned_in_id_order(name):
     """When the duplicate triple makes the cut, its members appear in
-    ascending id order under both dispatch modes."""
+    ascending id order with product and oracle kernels alike."""
     data = _dataset()
     queries = data[10][None, :]
-    for mode in ("numpy", "fast"):
-        with kernels.use_backend(mode):
+    for mode, swapped in MODES.items():
+        with swapped():
             index = create_index(name, **KWARGS[name]).fit(data)
             row = index.run(queries, Knn(k=8)).ids[0]
             tied = [int(i) for i in row if int(i) in {10, 50, 51}]

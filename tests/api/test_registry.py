@@ -100,7 +100,7 @@ class TestRegistration:
 
             @register_index("pm-lsh")
             class Impostor(ANNIndex):  # pragma: no cover - never instantiated
-                def query(self, q, k):
+                def _query_one(self, q, k):
                     raise NotImplementedError
 
     def test_reregistering_same_class_is_noop(self):
@@ -116,8 +116,7 @@ class TestRegistration:
             def _fit(self):
                 pass
 
-            def query(self, q, k):
-                q = self._validate_query(q, k)
+            def _query_one(self, q, k):
                 dists = np.linalg.norm(self.data - q, axis=1)
                 order = np.argsort(dists, kind="stable")[:k]
                 return QueryResult(ids=order, distances=dists[order])

@@ -41,8 +41,7 @@ class _Dummy(ANNIndex):
     def _fit(self):
         pass
 
-    def query(self, q, k):
-        q = self._validate_query(q, k)
+    def _query_one(self, q, k):
         dists = np.linalg.norm(self.data - q, axis=1)
         order = np.argsort(dists)[:k]
         return QueryResult(ids=order, distances=dists[order])

@@ -1,11 +1,11 @@
-"""Flat vs recursive PM-tree traversal: byte-identical query answers.
+"""Flat traversal vs the recursive oracle: byte-identical query answers.
 
-``PMLSHParams(traversal=...)`` switches the batched query paths between
-the flattened structure-of-arrays traversal (default) and per-query
-pointer-tree walks.  Every query type — the kNN adaptive-radius loop,
-the (r, c)-ball range probe, the closest-pair self-join — must answer
-identically under both, including per-query stats, runtime-knob
-overrides, and after dynamic growth.
+``PMLSH`` answers every query type through the flattened
+structure-of-arrays traversal; ``tests/oracles/recursive_probe.py``
+answers the same queries by per-query pointer-tree walks.  Every query
+type — the kNN adaptive-radius loop, the (r, c)-ball range probe, the
+closest-pair self-join — must agree byte for byte, including per-query
+stats, runtime-knob overrides, and after dynamic growth.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from repro import PMLSH, PMLSHParams, ShardedIndex
 from repro.datasets.synthetic import gaussian_mixture
 from repro.queries import Knn, Range
+from tests.oracles import recursive_probe
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +25,8 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
-def pair(dataset):
-    flat = PMLSH(params=PMLSHParams(node_capacity=32), seed=3).fit(dataset)
-    recursive = PMLSH(
-        params=PMLSHParams(node_capacity=32, traversal="recursive"), seed=3
-    ).fit(dataset)
-    return flat, recursive
+def index(dataset):
+    return PMLSH(params=PMLSHParams(node_capacity=32), seed=3).fit(dataset)
 
 
 def _assert_batches_identical(a, b):
@@ -39,42 +36,37 @@ def _assert_batches_identical(a, b):
 
 
 class TestKnnEquivalence:
-    def test_search_identical(self, pair, dataset):
-        flat, recursive = pair
+    def test_search_identical(self, index, dataset):
         queries = dataset[:40] + 0.01
-        _assert_batches_identical(flat.search(queries, 10), recursive.search(queries, 10))
+        _assert_batches_identical(
+            index.search(queries, 10), recursive_probe.knn(index, queries, 10)
+        )
 
-    def test_search_matches_query_loop(self, pair, dataset):
-        flat, _ = pair
+    def test_search_matches_query_loop(self, index, dataset):
         queries = dataset[:12] + 0.01
-        batch = flat.search(queries, 7)
+        batch = index.search(queries, 7)
         for i, q in enumerate(queries):
-            single = flat.query(q, 7)
+            single = index.query(q, 7)
             valid = batch.ids[i] >= 0
             np.testing.assert_array_equal(batch.ids[i][valid], single.ids)
             np.testing.assert_array_equal(batch.distances[i][valid], single.distances)
             assert batch.per_query_stats[i] == single.stats
 
-    def test_knob_overrides_identical(self, pair, dataset):
-        flat, recursive = pair
+    def test_knob_overrides_identical(self, index, dataset):
         queries = dataset[:15] + 0.01
         for spec in (Knn(k=5, budget=30), Knn(k=5, c=2.5), Knn(k=8, budget=2000)):
             _assert_batches_identical(
-                flat.run(queries, spec), recursive.run(queries, spec)
+                index.run(queries, spec), recursive_probe.knn(index, queries, spec)
             )
 
     def test_capped_fetch_ties_resolve_canonically(self, dataset):
-        """Duplicates straddling a budget cut pick the smallest ids under
-        BOTH traversals — the canonical (distance, id) boundary rule."""
+        """Duplicates straddling a budget cut pick the smallest ids in the
+        product AND the oracle — the canonical (distance, id) boundary rule."""
         data = np.vstack([dataset[:300], np.repeat(dataset[:1], 40, axis=0)])
         spec = Knn(k=5, budget=10)
-        results = []
-        for traversal in ("flat", "recursive"):
-            index = PMLSH(
-                params=PMLSHParams(node_capacity=32, traversal=traversal), seed=11
-            ).fit(data)
-            results.append(index.run(dataset[:1], spec))
-        flat_result, recursive_result = results
+        index = PMLSH(params=PMLSHParams(node_capacity=32), seed=11).fit(data)
+        flat_result = index.run(dataset[:1], spec)
+        recursive_result = recursive_probe.knn(index, dataset[:1], spec)
         np.testing.assert_array_equal(flat_result.ids, recursive_result.ids)
         np.testing.assert_array_equal(
             flat_result.distances, recursive_result.distances
@@ -84,9 +76,8 @@ class TestKnnEquivalence:
         np.testing.assert_array_equal(flat_result.ids[0], [0, 300, 301, 302, 303])
         np.testing.assert_array_equal(flat_result.distances[0], np.zeros(5))
 
-    def test_tree_work_reported_in_batch_stats(self, pair, dataset):
-        flat, recursive = pair
-        batch = flat.search(dataset[:10] + 0.01, 5)
+    def test_tree_work_reported_in_batch_stats(self, index, dataset):
+        batch = index.search(dataset[:10] + 0.01, 5)
         assert batch.stats["tree_nodes"] > 0
         assert batch.stats["tree_dist_comps"] > 0
         assert batch.stats["tree_levels"] >= 1
@@ -94,45 +85,38 @@ class TestKnnEquivalence:
         levels = int(batch.stats["tree_levels"])
         per_level = [batch.stats[f"tree_visits_l{d}"] for d in range(levels)]
         assert sum(per_level) == pytest.approx(batch.stats["tree_nodes"])
-        # The recursive path reports no tree keys (no flat traversal ran).
-        rec = recursive.search(dataset[:10] + 0.01, 5)
-        assert "tree_nodes" not in rec.stats
 
 
 class TestRangeEquivalence:
-    def test_range_identical(self, pair, dataset):
-        flat, recursive = pair
+    def test_range_identical(self, index, dataset):
         queries = dataset[:25] + 0.01
-        radius = float(np.quantile(flat.distance_distribution.samples, 0.03))
-        a = flat.range_search(queries, radius)
-        b = recursive.range_search(queries, radius)
+        radius = float(np.quantile(index.distance_distribution.samples, 0.03))
+        a = index.range_search(queries, radius)
+        b = recursive_probe.range_search(index, queries, Range(r=radius))
         np.testing.assert_array_equal(a.lims, b.lims)
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.distances, b.distances)
         assert a.per_query_stats == b.per_query_stats
         assert a.stats["tree_nodes"] > 0
 
-    def test_range_knob_overrides_identical(self, pair, dataset):
-        flat, recursive = pair
+    def test_range_knob_overrides_identical(self, index, dataset):
         queries = dataset[:10] + 0.01
-        radius = float(np.quantile(flat.distance_distribution.samples, 0.03))
+        radius = float(np.quantile(index.distance_distribution.samples, 0.03))
         for spec in (Range(r=radius, budget=40), Range(r=radius, c=2.0)):
-            a = flat.run(queries, spec)
-            b = recursive.run(queries, spec)
+            a = index.run(queries, spec)
+            b = recursive_probe.range_search(index, queries, spec)
             np.testing.assert_array_equal(a.lims, b.lims)
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.distances, b.distances)
 
 
 class TestClosestPairEquivalence:
-    def test_closest_pairs_identical(self, pair):
-        flat, recursive = pair
-        a = flat.closest_pairs(12)
-        b = recursive.closest_pairs(12)
+    def test_closest_pairs_identical(self, index):
+        a = index.closest_pairs(12)
+        b = recursive_probe.closest_pairs(index, 12)
         np.testing.assert_array_equal(a.pairs, b.pairs)
         np.testing.assert_array_equal(a.distances, b.distances)
         assert a.stats["tree_nodes"] > 0
-        assert "tree_nodes" not in b.stats
 
     def test_planted_duplicates_recovered(self, dataset):
         data = np.vstack([dataset, dataset[:6]])  # six distance-0 pairs
@@ -147,18 +131,18 @@ class TestClosestPairEquivalence:
 
 class TestDynamicGrowth:
     def test_add_invalidates_and_stays_identical(self, dataset):
-        flat = PMLSH(params=PMLSHParams(node_capacity=32), seed=7).fit(dataset[:700])
-        recursive = PMLSH(
-            params=PMLSHParams(node_capacity=32, traversal="recursive"), seed=7
-        ).fit(dataset[:700])
+        index = PMLSH(params=PMLSHParams(node_capacity=32), seed=7).fit(dataset[:700])
         queries = dataset[:20] + 0.01
-        _assert_batches_identical(flat.search(queries, 6), recursive.search(queries, 6))
-        snapshot = flat.flat_tree
-        flat.add(dataset[700:])
-        recursive.add(dataset[700:])
-        assert flat.flat_tree is not snapshot  # stale snapshot replaced
-        assert len(flat.flat_tree) == dataset.shape[0]
-        _assert_batches_identical(flat.search(queries, 6), recursive.search(queries, 6))
+        _assert_batches_identical(
+            index.search(queries, 6), recursive_probe.knn(index, queries, 6)
+        )
+        snapshot = index.flat_tree
+        index.add(dataset[700:])
+        assert index.flat_tree is not snapshot  # stale snapshot replaced
+        assert len(index.flat_tree) == dataset.shape[0]
+        _assert_batches_identical(
+            index.search(queries, 6), recursive_probe.knn(index, queries, 6)
+        )
 
 
 class TestShardedTreeStats:

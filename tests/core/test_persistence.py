@@ -197,6 +197,32 @@ class TestFlatTreePersistence:
             restored.query(q, 5).ids, index.query(q, 5).ids
         )
 
+    def test_archive_with_retired_traversal_key_still_loads(
+        self, index, small_clustered, tmp_path
+    ):
+        """Archives written while ``PMLSHParams`` had a ``traversal`` field
+        carry it in ``params_json``; loading drops it — and only it."""
+        import json
+
+        path = str(tmp_path / "current.npz")
+        index.save(path)
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        params = json.loads(bytes(arrays["params_json"]).decode("utf-8"))
+        for extra, loads in (("traversal", True), ("no_such_knob", False)):
+            doctored = json.dumps({**params, extra: "flat"}).encode("utf-8")
+            arrays["params_json"] = np.frombuffer(doctored, dtype=np.uint8)
+            old_path = str(tmp_path / f"with_{extra}.npz")
+            np.savez_compressed(old_path, **arrays)
+            if not loads:
+                with pytest.raises(TypeError):
+                    PMLSH.load(old_path)
+                continue
+            q = small_clustered[3] + 0.01
+            np.testing.assert_array_equal(
+                PMLSH.load(old_path).query(q, 5).ids, index.query(q, 5).ids
+            )
+
     def test_lazy_pointer_tree_materialises_for_add(
         self, index, small_clustered, tmp_path
     ):

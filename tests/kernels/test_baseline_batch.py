@@ -1,13 +1,13 @@
 """Baseline batch paths equal their per-query loops, byte for byte.
 
-Under ``REPRO_KERNELS=fast`` the QALSH / C2LSH / E2LSH / LSB-Forest kNN
-batch entry points leave the per-query Python loop for bucketed /
-round-synchronous batch implementations ending in one gathered
-``verify_distances`` + ``group_topk``.  The contract is byte-identity
-with the numpy backend's loop — ids, distances *and* stats — including
+The QALSH / C2LSH / E2LSH / LSB-Forest kNN batch entry points are
+bucketed / round-synchronous batch implementations ending in one
+gathered ``verify_distances`` + ``group_topk``.  The contract is
+byte-identity with the per-query ``_query_one`` loop (the base class's
+default ``_run_knn``) — ids, distances *and* stats — including
 exact-duplicate ties and tombstoned ids.
 
-Every comparison builds a fresh same-seed index per backend: E2LSH and
+Every comparison builds a fresh same-seed index per path: E2LSH and
 LSB consume their shared fallback generator during queries, so reusing
 one index across two runs would drift the rng state, not test identity.
 """
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import create_index, kernels
+from repro.baselines.base import ANNIndex
 from repro.queries import Knn
 
 
@@ -46,20 +47,21 @@ BASELINES = {
 }
 
 
-def _run(name, kwargs, data, queries, backend, delete=None):
-    with kernels.use_backend(backend):
-        index = create_index(name, **kwargs).fit(data)
-        if delete is not None:
-            index.delete(delete)
-        return index.run(queries, Knn(k=10))
+def _run(name, kwargs, data, queries, path, delete=None):
+    index = create_index(name, **kwargs).fit(data)
+    if delete is not None:
+        index.delete(delete)
+    if path == "loop":  # the base class's per-row _query_one loop
+        index._run_knn = lambda block, spec: ANNIndex._run_knn(index, block, spec)
+    return index.run(queries, Knn(k=10))
 
 
 @pytest.mark.parametrize("name", sorted(BASELINES))
 def test_batch_equals_loop_bytes(name):
     data = _dataset()
     queries = _queries(data)
-    loop = _run(name, BASELINES[name], data, queries, "numpy")
-    batch = _run(name, BASELINES[name], data, queries, "fast")
+    loop = _run(name, BASELINES[name], data, queries, "loop")
+    batch = _run(name, BASELINES[name], data, queries, "batch")
     assert batch.ids.tobytes() == loop.ids.tobytes()
     assert batch.distances.tobytes() == loop.distances.tobytes()
     assert batch.stats == loop.stats
@@ -71,8 +73,8 @@ def test_batch_equals_loop_under_tombstones(name):
     data = _dataset(seed=8)
     queries = _queries(data)
     dead = list(range(0, 150, 2))
-    loop = _run(name, BASELINES[name], data, queries, "numpy", delete=dead)
-    batch = _run(name, BASELINES[name], data, queries, "fast", delete=dead)
+    loop = _run(name, BASELINES[name], data, queries, "loop", delete=dead)
+    batch = _run(name, BASELINES[name], data, queries, "batch", delete=dead)
     assert batch.ids.tobytes() == loop.ids.tobytes()
     assert batch.distances.tobytes() == loop.distances.tobytes()
     returned = set(batch.ids.ravel().tolist()) - {-1}
@@ -86,9 +88,8 @@ def test_qalsh_bptree_backend_stays_on_loop_and_agrees():
     queries = _queries(data)
     results = {}
     for storage in ("array", "bptree"):
-        with kernels.use_backend("fast"):
-            index = create_index("qalsh", backend=storage, seed=3).fit(data)
-            results[storage] = index.run(queries, Knn(k=10))
+        index = create_index("qalsh", backend=storage, seed=3).fit(data)
+        results[storage] = index.run(queries, Knn(k=10))
     assert results["bptree"].ids.tobytes() == results["array"].ids.tobytes()
     assert (
         results["bptree"].distances.tobytes()
@@ -98,11 +99,11 @@ def test_qalsh_bptree_backend_stays_on_loop_and_agrees():
 
 def test_duplicate_ties_cut_in_id_order():
     """The planted duplicate triple has identical distances; both
-    backends must order the tie by ascending id (the canonical cut)."""
+    paths must order the tie by ascending id (the canonical cut)."""
     data = _dataset()
     queries = data[10][None, :]
-    for backend in ("numpy", "fast"):
-        result = _run("e2lsh", BASELINES["e2lsh"], data, queries, backend)
+    for path in ("loop", "batch"):
+        result = _run("e2lsh", BASELINES["e2lsh"], data, queries, path)
         row = result.ids[0]
         tied = [int(i) for i in row if int(i) in {10, 50, 51}]
         assert tied == sorted(tied)
@@ -114,10 +115,9 @@ def test_batch_pools_one_verification_kernel_call():
     call (plus one group_topk), not one call per query."""
     data = _dataset()
     queries = _queries(data)
-    with kernels.use_backend("fast"):
-        index = create_index("e2lsh", seed=3).fit(data)
-        kernels.reset_kernel_calls()
-        index.run(queries, Knn(k=10))
-        calls = kernels.kernel_calls()
+    index = create_index("e2lsh", seed=3).fit(data)
+    kernels.reset_kernel_calls()
+    index.run(queries, Knn(k=10))
+    calls = kernels.kernel_calls()
     assert calls[("fast", "verify_distances")] == 1
     assert calls[("fast", "group_topk")] == 1

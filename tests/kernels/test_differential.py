@@ -1,8 +1,8 @@
-"""The differential harness: fast kernels are byte-identical to reference.
+"""The differential harness: product kernels are byte-identical to the oracle.
 
-Every kernel in :data:`repro.kernels.KERNEL_NAMES` exists twice — the
-NumPy reference (the semantic contract) and the fast reorganization.
-These property tests drive both with hypothesis-generated adversarial
+Every kernel in :data:`repro.kernels.KERNEL_NAMES` has a straight-line
+reference twin in ``tests/oracles/kernels_reference.py`` (the semantic
+contract).  These property tests drive both with hypothesis-generated adversarial
 inputs (d=1, n<k, empty pools, duplicate distances, float32/float64,
 NaN parent distances, tiny chunk sizes) and assert the outputs match to
 the byte, not to a tolerance.  Byte-identity is what makes the fast
@@ -15,15 +15,17 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import fast, reference
+from repro.kernels import fast
+from tests.oracles import kernels_reference as reference
 
 
 @contextmanager
 def dist_chunk(chunk: int):
-    """Shrink the fast backend's distance chunk so hypothesis-sized
+    """Shrink the kernels' distance chunk so hypothesis-sized
     inputs actually exercise multi-chunk evaluation.  Restores on exit
     (a plain save/restore, not a fixture — hypothesis re-runs the test
     body per example and function-scoped fixtures would not reset)."""
@@ -33,6 +35,19 @@ def dist_chunk(chunk: int):
         yield
     finally:
         fast._DIST_CHUNK = previous
+
+
+@contextmanager
+def lexsort_min_groups(groups: int):
+    """Lower the group count at which the cut kernels switch from
+    per-group selection to one pooled lexsort, so hypothesis-sized pools
+    reach both branches."""
+    previous = fast._LEXSORT_MIN_GROUPS
+    fast._LEXSORT_MIN_GROUPS = int(groups)
+    try:
+        yield
+    finally:
+        fast._LEXSORT_MIN_GROUPS = previous
 
 
 def assert_bytes_equal(got, want):
@@ -115,25 +130,27 @@ def grouped_pool(draw):
     return num_queries, counts.astype(np.int64), q, ids, dists
 
 
-@given(grouped_pool(), st.integers(min_value=0, max_value=50))
+@given(grouped_pool(), st.integers(min_value=0, max_value=50), st.sampled_from([1, 1024]))
 @settings(max_examples=80, deadline=None)
-def test_group_topk(pool, k):
+def test_group_topk(pool, k, min_groups):
     num_queries, _, q, ids, dists = pool
     want = reference.group_topk(q, ids, dists, num_queries, k)
-    got = fast.group_topk(q, ids, dists, num_queries, k)
+    with lexsort_min_groups(min_groups):
+        got = fast.group_topk(q, ids, dists, num_queries, k)
     for w, g in zip(want, got):
         assert_bytes_equal(g, w)
 
 
-@given(grouped_pool(), st.integers(min_value=0, max_value=30))
+@given(grouped_pool(), st.integers(min_value=0, max_value=30), st.sampled_from([1, 1024]))
 @settings(max_examples=80, deadline=None)
-def test_budget_cut(pool, limit):
+def test_budget_cut(pool, limit, min_groups):
     num_queries, counts, q, ids, dists = pool
     lims = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     rng = np.random.default_rng(int(counts.sum()) + limit)
     limits = rng.integers(0, max(1, limit + 1), size=num_queries).astype(np.int64)
     want = reference.budget_cut(q, ids, dists, counts, lims, limits)
-    got = fast.budget_cut(q, ids, dists, counts, lims, limits)
+    with lexsort_min_groups(min_groups):
+        got = fast.budget_cut(q, ids, dists, counts, lims, limits)
     assert_bytes_equal(got, want)
     if want is not None:
         # The cut really enforces the per-query limits.
@@ -144,14 +161,13 @@ def test_budget_cut(pool, limit):
 @given(grouped_pool(), st.integers(min_value=1, max_value=40))
 @settings(max_examples=40, deadline=None)
 def test_closest_mask_matches_canonical_order(pool, k):
-    """closest_mask (the reference's boundary cut) == full (dist, id) sort."""
+    """closest_mask (the selection-based boundary cut) == full (dist, id) sort."""
     _, _, _, ids, dists = pool
     if dists.size == 0:
         return
-    mask = reference.closest_mask(dists, ids, k)
-    want = np.zeros(dists.size, dtype=bool)
-    want[np.lexsort((ids, dists))[:k]] = True
-    assert_bytes_equal(mask, want)
+    assert_bytes_equal(
+        fast.closest_mask(dists, ids, k), reference.closest_mask(dists, ids, k)
+    )
 
 
 @st.composite
@@ -268,12 +284,14 @@ def test_sampled_project(inputs):
 
 
 class TestPinnedCorners:
-    def test_group_topk_k_exceeds_every_count(self):
+    @pytest.mark.parametrize("min_groups", [1, 1024], ids=["lexsort", "per-group"])
+    def test_group_topk_k_exceeds_every_count(self, min_groups):
         q = np.array([0, 0, 2], dtype=np.int64)  # query 1 empty
         ids = np.array([5, 3, 9], dtype=np.int64)
         dists = np.array([1.0, 1.0, 0.5])  # exact tie within query 0
         want = reference.group_topk(q, ids, dists, 3, 10)
-        got = fast.group_topk(q, ids, dists, 3, 10)
+        with lexsort_min_groups(min_groups):
+            got = fast.group_topk(q, ids, dists, 3, 10)
         for w, g in zip(want, got):
             assert_bytes_equal(g, w)
         np.testing.assert_array_equal(got[1], [3, 5, 9])  # tie -> id order
@@ -299,9 +317,9 @@ class TestPinnedCorners:
     def test_closest_mask_k_zero_and_k_ge_n(self):
         dists = np.array([0.3, 0.1])
         ids = np.array([1, 0], dtype=np.int64)
-        assert not reference.closest_mask(dists, ids, 0).any()
-        assert reference.closest_mask(dists, ids, 2).all()
-        assert reference.closest_mask(dists, ids, 5).all()
+        assert not fast.closest_mask(dists, ids, 0).any()
+        assert fast.closest_mask(dists, ids, 2).all()
+        assert fast.closest_mask(dists, ids, 5).all()
 
     def test_pair_distances_d1_float32(self):
         rows = np.array([[1.0], [2.0]], dtype=np.float32)

@@ -1,10 +1,10 @@
-"""Runtime dispatch: REPRO_KERNELS resolution, scoped switching, counters.
+"""The kernel set: surface, call counters, obs export.
 
-The dispatch layer is what lets one process run reference and fast
-kernels side by side (the differential harness depends on it), so its
-own contract gets tested: environment resolution, programmatic and
-scoped switching, rejection of unknown names, the clean numba fallback,
-and the per-``(backend, kernel)`` call counters exported to obs.
+There is one kernel implementation and nothing to select, so what is
+left to pin is that ``kernels.active()`` exposes exactly the
+``KERNEL_NAMES`` surface over :mod:`repro.kernels.fast`, that every call
+through it is counted per ``(backend, kernel)``, and that the surface the
+frozen benchmark reads (``name``, ``numba_available``) stays put.
 """
 
 from __future__ import annotations
@@ -13,155 +13,71 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.kernels import _numba, fast, reference
+from repro.kernels import fast
+from tests.oracles import kernels_reference, reference_kernels
 
 
-@pytest.fixture
-def fresh_dispatch(monkeypatch):
-    """Reset the resolved backend so each test re-resolves from scratch."""
-    monkeypatch.setattr(kernels, "_active", None)
-    yield
-    kernels.set_backend("numpy")
-
-
-class TestResolution:
-    def test_default_is_numpy(self, fresh_dispatch, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        assert kernels.active().name == "numpy"
-
-    def test_env_selects_fast(self, fresh_dispatch, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "fast")
+class TestSurface:
+    def test_one_kernel_set_named_fast(self):
+        assert kernels.active() is kernels.active()
         assert kernels.active().name == "fast"
+        assert kernels.numba_available() is False
 
-    def test_env_is_case_and_space_insensitive(self, fresh_dispatch, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "  FAST ")
-        assert kernels.active().name == "fast"
+    def test_every_kernel_name_wraps_the_module_function(self):
+        kernel_set = kernels.active()
+        for name in kernels.KERNEL_NAMES:
+            assert getattr(kernel_set, name).__wrapped__ is getattr(fast, name)
 
-    def test_empty_env_means_numpy(self, fresh_dispatch, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "")
-        assert kernels.active().name == "numpy"
+    def test_oracle_covers_the_same_surface(self):
+        for name in kernels.KERNEL_NAMES:
+            assert callable(getattr(kernels_reference, name))
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="REPRO_KERNELS"):
-            kernels.set_backend("cuda")
+    def test_nothing_selects_a_backend(self):
+        for gone in ("set_backend", "use_backend", "available_backends"):
+            assert not hasattr(kernels, gone)
+        assert not hasattr(kernels.active(), "supports_admission")
+        for module in ("repro.kernels.reference", "repro.kernels._numba"):
+            with pytest.raises(ModuleNotFoundError):
+                __import__(module)
 
-    def test_available_backends(self):
-        assert kernels.available_backends() == ("fast", "numpy")
-
-
-class TestSwitching:
-    def test_set_backend_switches_process_wide(self, fresh_dispatch):
-        backend = kernels.set_backend("fast")
-        assert backend is kernels.active()
-        assert kernels.active().name == "fast"
-
-    def test_use_backend_restores_previous(self, fresh_dispatch):
-        kernels.set_backend("numpy")
-        with kernels.use_backend("fast") as backend:
-            assert backend.name == "fast"
-            assert kernels.active().name == "fast"
-        assert kernels.active().name == "numpy"
-
-    def test_use_backend_restores_after_exception(self, fresh_dispatch):
-        kernels.set_backend("numpy")
-        with pytest.raises(RuntimeError):
-            with kernels.use_backend("fast"):
-                raise RuntimeError("boom")
-        assert kernels.active().name == "numpy"
-
-    def test_backends_are_cached(self):
-        with kernels.use_backend("fast") as first:
-            pass
-        with kernels.use_backend("fast") as second:
-            pass
-        assert first is second
-
-    def test_supports_admission_flags(self):
-        with kernels.use_backend("numpy") as ref:
-            assert ref.supports_admission is False
-        with kernels.use_backend("fast") as fst:
-            assert fst.supports_admission is True
-
-
-class TestNumbaFallback:
-    def test_numba_absence_is_not_an_error(self):
-        # The container has no numba; the fast backend must still work.
-        assert kernels.numba_available() in (False, True)
-
-    def test_fast_kernels_work_without_numba(self, monkeypatch):
-        monkeypatch.setattr(
-            _numba, "_state", {"disabled": True, "verified": False, "jit": None}
-        )
-        assert _numba.enabled() is False
-        kwargs = dict(
-            eidx=np.array([0, 1], dtype=np.int64),
-            rep_q=np.array([0, 0], dtype=np.int64),
-            rep_pd=np.array([0.5, np.nan]),
-            entry_pd=np.array([0.4, 0.9]),
-            entry_radius=np.array([0.1, 0.1]),
-            hr_min=np.array([[0.0], [0.5]]),
-            hr_max=np.array([[1.0], [0.9]]),
-            query_rings=np.array([[0.4]]),
-            radius=0.3,
-            use_parent_filter=True,
-        )
-        got = fast.inner_prune(**kwargs)
-        want = reference.inner_prune(**kwargs)
-        assert got.tobytes() == want.tobytes()
+    def test_reference_kernels_swap_is_scoped(self):
+        kernel_set = kernels.active()
+        before = kernel_set.leaf_prune
+        with reference_kernels():
+            assert kernel_set.leaf_prune is kernels_reference.leaf_prune
+        assert kernel_set.leaf_prune is before
 
 
 class TestCallCounters:
-    def test_dispatch_increments_kernel_calls(self):
+    def test_calls_are_counted_per_kernel(self):
         kernels.reset_kernel_calls()
-        with kernels.use_backend("fast") as backend:
-            backend.verify_distances(
-                np.eye(3),
-                np.array([0, 2], dtype=np.int64),
-                np.zeros((1, 3)),
-                np.array([0, 0], dtype=np.int64),
-            )
-            backend.verify_distances(
-                np.eye(3),
-                np.array([1], dtype=np.int64),
-                np.zeros((1, 3)),
-                np.array([0], dtype=np.int64),
-            )
-        calls = kernels.kernel_calls()
-        assert calls[("fast", "verify_distances")] == 2
-        assert ("numpy", "verify_distances") not in calls
-
-    def test_counters_are_per_backend(self):
-        kernels.reset_kernel_calls()
-        data = np.eye(2)
-        ids = np.array([0], dtype=np.int64)
-        rep = np.array([0], dtype=np.int64)
-        for name in ("numpy", "fast"):
-            with kernels.use_backend(name) as backend:
-                backend.verify_distances(data, ids, np.zeros((1, 2)), rep)
-        calls = kernels.kernel_calls()
-        assert calls[("numpy", "verify_distances")] == 1
-        assert calls[("fast", "verify_distances")] == 1
+        verify = kernels.active().verify_distances
+        verify(
+            np.eye(3),
+            np.array([0, 2], dtype=np.int64),
+            np.zeros((1, 3)),
+            np.array([0, 0], dtype=np.int64),
+        )
+        verify(
+            np.eye(3),
+            np.array([1], dtype=np.int64),
+            np.zeros((1, 3)),
+            np.array([0], dtype=np.int64),
+        )
+        assert kernels.kernel_calls() == {("fast", "verify_distances"): 2}
 
     def test_reset_zeroes_counts(self):
-        with kernels.use_backend("numpy") as backend:
-            backend.pair_distances(np.zeros((1, 2)), np.zeros((1, 2)))
+        kernels.active().pair_distances(np.zeros((1, 2)), np.zeros((1, 2)))
         kernels.reset_kernel_calls()
         assert kernels.kernel_calls() == {}
 
     def test_obs_counter_exported(self):
         from repro.obs.metrics import default_registry
 
-        with kernels.use_backend("numpy") as backend:
-            backend.pair_distances(np.zeros((1, 2)), np.zeros((1, 2)))
+        kernels.active().pair_distances(np.zeros((1, 2)), np.zeros((1, 2)))
         instruments = default_registry().collect()
         assert any(
             instrument.name == "kernel_calls"
             and instrument.label_dict().get("kernel") == "pair_distances"
             for instrument in instruments
         )
-
-    def test_every_kernel_name_is_dispatched(self):
-        for name in ("numpy", "fast"):
-            with kernels.use_backend(name) as backend:
-                for kernel in kernels.KERNEL_NAMES:
-                    assert callable(getattr(backend, kernel))

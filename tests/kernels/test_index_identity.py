@@ -1,11 +1,18 @@
-"""End-to-end byte-identity: whole-index results under numpy vs fast.
+"""End-to-end byte-identity: whole-index results, product vs oracle.
 
 The differential harness pins each kernel in isolation; these tests pin
 the composition — a full PM-LSH index (flat-tree traversal, Eq. 5
 pruning, budget cut, verification) answering kNN / range / closest-pair
-queries must return byte-identical ids, distances and result stats under
-both kernel backends, including after deletes that fully tombstone
-leaves and under the sampled hash family.
+queries must return byte-identical ids, distances and result stats with
+the reference kernels swapped onto the kernel set, including after
+deletes that fully tombstone leaves and under the sampled hash family.
+
+The second half pins the one choice the traversal makes from its input:
+a capped ``batch_range`` expands a small pooled leaf frontier in one
+pass and a large one in admission chunks.  Both sides must return the
+pointer tree's capped set — with tombstones and planted distance ties —
+and the chunked side must do strictly less distance work than the full
+ball.
 """
 
 from __future__ import annotations
@@ -13,7 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import PMLSH, PMLSHParams, kernels
+import repro.pmtree.flat as flat_module
+from repro import PMLSH, PMLSHParams
+from repro.pmtree.tree import PMTree
+from tests.oracles import reference_kernels
 
 
 def _dataset():
@@ -57,15 +67,13 @@ def _deleted_knn(index, queries):
     "runner", [_knn, _range, _closest_pairs, _deleted_knn],
     ids=["knn", "range", "closest-pairs", "knn-after-delete"],
 )
-def test_pmlsh_numpy_vs_fast_byte_identical(runner, hash_family):
+def test_pmlsh_product_vs_reference_kernels_byte_identical(runner, hash_family):
     data = _dataset()
     queries = np.vstack([data[:8] + 0.01, data[10][None, :]])  # one exact hit
-    outputs = {}
-    for backend in ("numpy", "fast"):
-        with kernels.use_backend(backend):
-            index = _build(data, hash_family)  # fresh same-seed build per mode
-            outputs[backend] = runner(index, queries)
-    for got, want in zip(outputs["fast"], outputs["numpy"]):
+    product = runner(_build(data, hash_family), queries)
+    with reference_kernels():  # fresh same-seed build under the oracle too
+        oracle = runner(_build(data, hash_family), queries)
+    for got, want in zip(product, oracle):
         if isinstance(got, tuple):  # per_query_stats
             assert got == want
         else:
@@ -74,35 +82,9 @@ def test_pmlsh_numpy_vs_fast_byte_identical(runner, hash_family):
             assert got.tobytes() == want.tobytes()
 
 
-def test_fast_admission_reduces_distance_computations(monkeypatch):
-    """The fast backend's admission pass is a pure work reduction: same
-    bytes out, strictly fewer verified leaf distances.  The chunk size is
-    shrunk so the test-sized dataset spans several admission chunks (at
-    the default 8192 a 900-point tree fits one chunk and never tightens).
-    """
-    import repro.pmtree.flat as flat
-
-    monkeypatch.setattr(flat, "_LEAF_ADMIT_CHUNK", 64)
-    data = _dataset()
-    queries = data[:16] + 0.01
-    comps = {}
-    results = {}
-    for backend in ("numpy", "fast"):
-        with kernels.use_backend(backend):
-            index = _build(data)
-            results[backend] = index.search(queries, k=10)
-            comps[backend] = index.flat_tree.distance_computations
-    assert results["fast"].ids.tobytes() == results["numpy"].ids.tobytes()
-    assert (
-        results["fast"].distances.tobytes() == results["numpy"].distances.tobytes()
-    )
-    assert comps["fast"] < comps["numpy"]
-
-
 def test_sampled_family_differs_from_dense_but_is_self_consistent():
     """hash_family='sampled' is a different estimator (different hashes),
-    not a different answer contract: both families return k results and
-    each family is backend-independent."""
+    not a different answer contract: both families return k results."""
     data = _dataset()
     dense = _build(data, "dense").search(data[:4] + 0.01, k=5)
     sampled = _build(data, "sampled").search(data[:4] + 0.01, k=5)
@@ -112,3 +94,68 @@ def test_sampled_family_differs_from_dense_but_is_self_consistent():
     assert dense.stats != sampled.stats or not np.array_equal(
         dense.ids, sampled.ids
     )
+
+
+# ----------------------------------------------------------------------
+# Both sides of the single-pass / chunked-admission choice
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def capped_tree():
+    """A 3 000-point tree with a duplicate block (distance ties at the
+    budget cut) and a tombstoned id range that kills whole leaves."""
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(3000, 6))
+    points[100:140] = points[100]  # 40 exact duplicates
+    tree = PMTree.build(points, num_pivots=3, capacity=16, seed=4)
+    flat = tree.flatten()
+    dead = np.arange(200, 420, dtype=np.int64)
+    flat.set_tombstones(dead)
+    queries = np.vstack([points[100][None, :], points[:31] + 0.05])  # 32 rows
+    return tree, flat, set(dead.tolist()), queries
+
+
+def _oracle_capped(tree, dead, query, radius, limit):
+    """The pointer tree's closest-``limit`` live set inside the ball."""
+    expected = tree.range_query(query, radius, limit=limit, exclude=dead)
+    return sorted((dist, pid) for pid, dist in expected)
+
+
+@pytest.mark.parametrize("rows", [1, 32], ids=["one-row", "32-row"])
+def test_capped_batch_range_matches_pointer_tree(capped_tree, rows, monkeypatch):
+    tree, flat, dead, queries = capped_tree
+    # Test-sized frontiers: 32 rows pool ~50k leaf pairs, one row ~1.5k.
+    # Scale the rule's constants so the two block shapes land on
+    # opposite sides of it, with several chunks on the chunked side.
+    monkeypatch.setattr(flat_module, "_LEAF_ADMIT_CHUNK", 256)
+    monkeypatch.setattr(flat_module, "_SINGLE_PASS_PAIRS", 8192)
+    calls = []
+    real_observe = flat_module._Admission.observe
+
+    def counting_observe(self, q, dists):
+        calls.append(q.size)
+        real_observe(self, q, dists)
+
+    monkeypatch.setattr(flat_module._Admission, "observe", counting_observe)
+    block = queries[:rows]
+    radius, limit = 2.5, 25
+    lims, ids, dists, stats = flat.batch_range(
+        block, radius, limits=np.full(rows, limit, dtype=np.int64)
+    )
+    assert bool(calls) == (rows == 32)  # which side of the choice ran
+    for i, query in enumerate(block):
+        expected = _oracle_capped(tree, dead, query, radius, limit)
+        got = list(zip(dists[lims[i] : lims[i + 1]], ids[lims[i] : lims[i + 1]]))
+        assert got == expected  # same floats, same ids, same tie order
+        assert not dead & set(ids[lims[i] : lims[i + 1]].tolist())
+    # Row 0 sits on the duplicate block: the cut keeps the smallest ids.
+    np.testing.assert_array_equal(ids[: lims[1]][:25], np.arange(100, 125))
+    # The uncapped traversal computes the whole ball (its counters equal
+    # the pointer tree's — tests/pmtree/test_flatten.py); the chunked side
+    # must beat it, the single pass must match it.
+    full_ball = int(flat.batch_range(block, radius)[3].dist_comps.sum())
+    if rows == 32:
+        assert int(stats.dist_comps.sum()) < full_ball
+    else:
+        assert int(stats.dist_comps.sum()) == full_ball

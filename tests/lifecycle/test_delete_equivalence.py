@@ -6,7 +6,7 @@ exact, and the shared range / closest-pair fallbacks) the contract is
 byte-identity — distances AND tie order — with the dense reference ids
 mapped back through the sorted live-id array.  For PM-LSH's native
 approximate paths the contract is: no dead id ever surfaces, and results
-stay deterministic across traversals.
+equal the recursive pointer-tree oracle's over the same tombstoned index.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro import ExactKNN, LinearScan, PMLSH, PMLSHParams, Range, ShardedIndex
+from tests.oracles import recursive_probe
 
 GENERIC_BACKENDS = sorted(
     set(repro.available_indexes()) - {"sharded", "process-sharded"}
@@ -122,6 +123,42 @@ class TestScanBackends:
         assert not np.isin(returned, dead_ids).any(), f"{name} leaked dead ids"
 
 
+class TestSingleQueryEntry:
+    """``query()`` is a one-row ``run()``: after deletes it must equal
+    ``search()[0]`` byte for byte, never yield a dead id, and validate k
+    against the live count — on every registry backend."""
+
+    @pytest.mark.parametrize("name", sorted(repro.available_indexes()))
+    def test_query_equals_search_row_after_deletes(self, name, data, queries):
+        dead = np.arange(0, 240)  # heavy deletes: dead ids crowd every window
+
+        def build():  # fresh per entry point: some fallbacks consume rng state
+            index = (
+                repro.create_index(name)
+                if name == "exact"
+                else repro.create_index(name, seed=3)
+            )
+            index.fit(data)
+            index.delete(dead)
+            return index
+
+        via_search, via_query = build(), build()
+        try:
+            for q in queries[:4]:
+                want = via_search.search(q[None, :], k=10)[0]
+                got = via_query.query(q, k=10)
+                assert got.ids.tobytes() == want.ids.tobytes()
+                assert got.distances.tobytes() == want.distances.tobytes()
+                assert got.stats == want.stats
+                assert not np.isin(got.ids, dead).any(), f"{name} leaked dead ids"
+            with pytest.raises(ValueError, match="k must be in"):
+                via_query.query(queries[0], k=61)  # 60 live points
+        finally:
+            for index in (via_search, via_query):
+                if hasattr(index, "close"):
+                    index.close()
+
+
 class TestFallbackQueryTypes:
     """Range and closest-pair ride the exact base fallbacks on most
     backends — there the equivalence is byte-identity for every backend."""
@@ -164,45 +201,37 @@ class TestFallbackQueryTypes:
 
 class TestPMLSHNative:
     """PM-LSH filters inside its probe: dead ids never enter the
-    verification window, in either tree traversal."""
+    verification window, and the flat traversal's masked leaves answer
+    exactly like the pointer-tree oracle excluding the dead set."""
 
-    @pytest.mark.parametrize("traversal", ["flat", "recursive"])
-    def test_knn_no_dead_ids_and_deterministic(
-        self, traversal, data, dead_ids, queries
-    ):
-        def build():
-            index = PMLSH(
-                params=PMLSHParams(node_capacity=32, traversal=traversal), seed=3
-            ).fit(data)
-            index.delete(dead_ids)
-            return index
-
-        first = build().search(queries, k=10)
-        second = build().search(queries, k=10)
-        assert not np.isin(first.ids, dead_ids).any()
-        np.testing.assert_array_equal(first.ids, second.ids)
-        np.testing.assert_array_equal(first.distances, second.distances)
-
-    @pytest.mark.parametrize("traversal", ["flat", "recursive"])
-    def test_self_queries_hit_live_selves(self, traversal, data, dead_ids, live_ids):
-        index = PMLSH(
-            params=PMLSHParams(node_capacity=32, traversal=traversal), seed=3
-        ).fit(data)
+    @pytest.fixture()
+    def index(self, data, dead_ids):
+        index = PMLSH(params=PMLSHParams(node_capacity=32), seed=3).fit(data)
         index.delete(dead_ids)
+        return index
+
+    def test_knn_no_dead_ids_and_matches_oracle(self, index, dead_ids, queries):
+        got = index.search(queries, k=10)
+        want = recursive_probe.knn(index, queries, 10)
+        assert not np.isin(got.ids, dead_ids).any()
+        np.testing.assert_array_equal(got.ids, want.ids)
+        np.testing.assert_array_equal(got.distances, want.distances)
+        assert got.per_query_stats == want.per_query_stats
+
+    def test_self_queries_hit_live_selves(self, index, live_ids):
         # querying live points exactly: nearest neighbour is the point itself
         probe = live_ids[:10]
         batch = index.search(index.data[probe], k=1)
         np.testing.assert_array_equal(batch.ids[:, 0], probe)
         np.testing.assert_allclose(batch.distances[:, 0], 0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("traversal", ["flat", "recursive"])
-    def test_range_no_dead_ids(self, traversal, data, dead_ids, queries):
-        index = PMLSH(
-            params=PMLSHParams(node_capacity=32, traversal=traversal), seed=3
-        ).fit(data)
-        index.delete(dead_ids)
-        ragged = index.run(queries, Range(r=4.0))
-        assert not np.isin(ragged.ids, dead_ids).any()
+    def test_range_no_dead_ids_and_matches_oracle(self, index, dead_ids, queries):
+        got = index.run(queries, Range(r=4.0))
+        want = recursive_probe.range_search(index, queries, Range(r=4.0))
+        assert not np.isin(got.ids, dead_ids).any()
+        np.testing.assert_array_equal(got.lims, want.lims)
+        np.testing.assert_array_equal(got.ids, want.ids)
+        np.testing.assert_array_equal(got.distances, want.distances)
 
     def test_closest_pairs_no_dead_ids(self, data, dead_ids):
         index = PMLSH(params=PMLSHParams(node_capacity=32), seed=3).fit(data)

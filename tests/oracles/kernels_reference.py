@@ -1,23 +1,11 @@
-"""NumPy reference implementation of every hot kernel.
+"""Straight-line NumPy definition of every hot kernel — the test oracle.
 
-This module is the *semantic contract* of :mod:`repro.kernels`: each
-function here is the arithmetic previously inlined in the hot paths
-(``FlatPMTree`` traversal, candidate verification, budget cuts, hash
-projection), lifted out verbatim.  The ``fast`` backend reorganizes
-control flow — chunking, staged mask narrowing, vectorized rank cuts —
-but must return **byte-identical** arrays for every kernel; the
-differential harness in ``tests/kernels/`` enforces that, which is what
-makes the compiled layer safe to grow.
-
-Conventions shared by both backends:
-
-- ``radius`` arguments accept a scalar or a per-pair ``(P,)`` vector
-  (the fast path's budget-aware admission tightens the radius per pair).
-- Distance kernels reduce each row independently with the same
-  ``subtract`` + ``einsum("ij,ij->i")`` + ``sqrt`` pattern, so any
-  regrouping of rows (chunking, gathering) cannot change a single bit.
-- Candidate cuts are canonical by ``(distance, id)`` — the same tie
-  order as the exact brute-force oracle.
+Each function is the arithmetic of one :mod:`repro.kernels.fast` kernel
+written the obvious way (full-width masks, one gather, per-group Python
+loops).  ``tests/kernels/test_differential.py`` asserts the product
+kernels return these bytes exactly; index-level tests monkeypatch these
+functions onto ``repro.kernels.active()`` to pin the composition.  Not
+importable from ``src/`` — product code has one implementation.
 """
 
 from __future__ import annotations
@@ -25,11 +13,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-
-#: ``True`` on backends whose traversal may apply the budget-aware
-#: admission pass (tightening the search radius to the running k-th
-#: candidate distance).  The reference backend computes the full ball.
-SUPPORTS_ADMISSION = False
 
 
 def _radius_rows(radius, index: np.ndarray):
@@ -40,25 +23,10 @@ def _radius_rows(radius, index: np.ndarray):
 
 
 def closest_mask(dists: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the k entries smallest by ``(distance, id)``.
-
-    Selection (argpartition) plus an id-ordered resolution of the ties at
-    the k-th distance — the same canonical boundary cut as the exact
-    brute-force oracle, without sorting the whole slice.
-    """
+    """Boolean mask of the k entries smallest by ``(distance, id)`` — a
+    full canonical sort, the definition the product's selection must equal."""
     mask = np.zeros(dists.size, dtype=bool)
-    if k <= 0:
-        return mask
-    if k >= dists.size:
-        mask[:] = True
-        return mask
-    kth = float(np.max(dists[np.argpartition(dists, k - 1)[:k]]))
-    below = dists < kth
-    mask[below] = True
-    missing = k - int(below.sum())
-    if missing > 0:
-        tied = np.flatnonzero(dists == kth)
-        mask[tied[np.argsort(ids[tied], kind="stable")[:missing]]] = True
+    mask[np.lexsort((ids, dists))[: max(k, 0)]] = True
     return mask
 
 

@@ -122,7 +122,12 @@ def build() -> str:
         publish_arrays,
     )
     from repro.obs.tracing import Trace, Tracer, current_trace, use_trace
-    from repro.persistence import snapshot_epoch
+    from repro.persistence import (
+        SnapshotError,
+        export_state,
+        restore_state,
+        snapshot_epoch,
+    )
     from repro.pmtree.flat import FlatPMTree
     from repro.queries import ClosestPairResult, Knn, Range, RangeResult
     from repro.serving.admission import (
@@ -143,6 +148,9 @@ def build() -> str:
         _function_section(repro.create_index),
         _function_section(repro.available_indexes),
         _function_section(repro.load_index),
+        _class_section(SnapshotError, []),
+        _function_section(export_state),
+        _function_section(restore_state),
         "## The index interface\n",
         _class_section(
             ANNIndex,
@@ -156,6 +164,10 @@ def build() -> str:
                 "range_search",
                 "closest_pairs",
                 "query",
+                "save",
+                "load",
+                "state_arrays",
+                "from_state_arrays",
                 "ntotal",
                 "nlive",
                 "epoch",
@@ -170,7 +182,7 @@ def build() -> str:
         _class_section(RangeResult, ["counts"]),
         _class_section(ClosestPairResult, []),
         "## PM-LSH\n",
-        _class_section(PMLSH, ["flat_tree", "save", "load"]),
+        _class_section(PMLSH, ["flat_tree", "state_arrays", "from_state_arrays"]),
         _class_section(PMLSHParams, []),
         _class_section(FlatPMTree, ["batch_range", "batch_knn"]),
         "## Kernels\n",

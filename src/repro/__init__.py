@@ -9,7 +9,7 @@ version's workloads.  The package provides:
 * every baseline it is evaluated against (:mod:`repro.baselines`);
 * a central registry (:mod:`repro.registry`) so any algorithm can be
   constructed by name through :func:`create_index`, and a unified
-  persistence entry (:func:`load_index`);
+  persistence entry (:func:`load_index`, :class:`SnapshotError`);
 * a polymorphic query model (:mod:`repro.queries`): ``run(queries, spec)``
   answers kNN (:class:`Knn`) and ragged (r, c)-ball range queries
   (:class:`Range`) with per-query runtime knobs, and
@@ -119,7 +119,7 @@ from repro.obs import (
     default_registry,
     use_trace,
 )
-from repro.persistence import load_index, snapshot_epoch
+from repro.persistence import SnapshotError, load_index, snapshot_epoch
 from repro.pmtree import PMTree
 from repro.queries import (
     ClosestPairResult,
@@ -190,6 +190,7 @@ __all__ = [
     "ServingStats",
     "ShardedIndex",
     "SlowQueryLog",
+    "SnapshotError",
     "TieredQueryCache",
     "TombstoneSet",
     "Trace",

@@ -28,12 +28,13 @@ from __future__ import annotations
 import abc
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.lifecycle.compaction import CompactionResult, dense_id_map
 from repro.lifecycle.tombstones import TombstoneSet
+from repro.persistence import SnapshotError, load_index, save_index
 from repro.queries import (
     ClosestPairResult,
     Knn,
@@ -501,44 +502,58 @@ class ANNIndex(abc.ABC):
         )
 
     # ------------------------------------------------------------------
-    # shared-memory snapshots
+    # snapshots (repro.persistence holds the transports)
     # ------------------------------------------------------------------
 
-    def to_shm(self) -> Tuple[Dict[str, np.ndarray], Dict]:
-        """Export the index as ``(arrays, state)`` for shared-memory serving.
-
-        The counterpart of ``save()``'s ``to_arrays`` machinery for the
-        process-pool engine (:mod:`repro.parallel`): *arrays* is a flat
-        ``{key: ndarray}`` mapping holding everything bulky (published
-        once into a named segment), *state* a small picklable dict with
-        the rest (parameters, epoch, fit cardinality).  :meth:`from_shm`
-        must rebuild an equivalent read-only index from zero-copy views
-        over those arrays — no dataset copy, no structure rebuild.
-
-        Backends without an implementation cannot serve behind
-        ``ShardedIndex(..., backend="process")``; PM-LSH and the exact
-        oracle implement it, everything else keeps the thread fan-out.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the shared-memory "
-            "snapshot protocol (to_shm/from_shm), so it cannot serve behind "
-            "the process-pool engine — use the thread fan-out "
-            '(pool_backend="thread") or a backend that does (pm-lsh, exact)'
-        )
+    #: :meth:`state_arrays` keys the file transport leaves out because
+    #: :meth:`from_state_arrays` re-derives them when absent.
+    _rederivable_arrays: Tuple[str, ...] = ()
 
     @classmethod
-    def from_shm(cls, arrays: Dict[str, np.ndarray], state: Dict) -> "ANNIndex":
-        """Rebuild a read-only replica from :meth:`to_shm` output.
+    def require_snapshot_support(cls) -> None:
+        """Raise the one typed error for a backend without the snapshot
+        protocol: it cannot be saved, nor serve behind the process pool."""
+        if cls.state_arrays is ANNIndex.state_arrays:
+            raise NotImplementedError(
+                f"{cls.__name__} does not implement the snapshot protocol "
+                "(state_arrays/from_state_arrays), so it cannot be saved or "
+                "published to the process pool; the backends that do are "
+                "pm-lsh and exact"
+            )
 
-        *arrays* values are typically read-only shared-memory views; the
-        restored index must treat them as immutable (serving replicas
-        never ``fit``/``add`` — writes happen in the parent, which then
-        re-publishes the snapshot under a bumped epoch).
-        """
-        raise NotImplementedError(
-            f"{cls.__name__} does not implement the shared-memory snapshot "
-            "protocol (to_shm/from_shm)"
-        )
+    def state_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict]:
+        """Export the built index as ``(arrays, params)``: a flat
+        ``{key: ndarray}`` of everything bulky, handed out **without
+        copying**, and a JSON-able dict of the rest.  Lifecycle state
+        (epoch, tombstones, ``fitted_n``) is not the backend's business —
+        :mod:`repro.persistence` stamps and re-applies it."""
+        self.require_snapshot_support()
+
+    @classmethod
+    def from_state_arrays(cls, arrays: Mapping[str, np.ndarray], params: Dict) -> "ANNIndex":
+        """Rebuild an index from :meth:`state_arrays` output.  *arrays*
+        may be read-only views into a shared-memory segment: keep them as
+        they are — no copy, no write; ``_rederivable_arrays`` keys may be
+        absent.  :func:`repro.persistence.restore_state` then marks the
+        result built and re-applies the lifecycle state."""
+        cls.require_snapshot_support()
+
+    def save(self, path) -> None:
+        """Persist the index as one ``.npz`` archive at exactly *path*
+        (``str`` or ``os.PathLike``; no suffix is appended), replacing any
+        previous archive atomically.  :func:`repro.load_index` restores it."""
+        save_index(self, path)
+
+    @classmethod
+    def load(cls, path) -> "ANNIndex":
+        """:func:`repro.load_index`, plus a check that the archive holds
+        an index of this class."""
+        index = load_index(path)
+        if not isinstance(index, cls):
+            raise SnapshotError(
+                f"{str(path)!r} holds a {type(index).__name__}, not a {cls.__name__}"
+            )
+        return index
 
     # ------------------------------------------------------------------
     # querying

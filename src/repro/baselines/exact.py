@@ -54,63 +54,15 @@ class ExactKNN(ANNIndex):
         )
 
     # ------------------------------------------------------------------
-    # persistence
+    # snapshots
     # ------------------------------------------------------------------
 
-    def save(self, path: str) -> None:
-        """Persist to ``.npz``: the dataset, the registry name (so
-        :func:`repro.load_index` can dispatch back to this class), and the
-        lifecycle state (epoch, tombstones, fit-time cardinality)."""
-        self._require_built()
-        from repro.persistence import lifecycle_arrays
-
-        np.savez_compressed(
-            path,
-            data=self.data,
-            registry_name=np.asarray(self.registry_name),
-            **lifecycle_arrays(self),
-        )
+    def state_arrays(self):
+        """Brute force *is* its dataset; there are no parameters."""
+        return {"data": self.data}, {}
 
     @classmethod
-    def load(cls, path: str) -> "ExactKNN":
-        """Restore an index persisted with :meth:`save`, deletes included."""
-        from repro.persistence import apply_lifecycle_state, read_lifecycle_state
-
-        with np.load(path) as archive:
-            data = archive["data"]
-            state = read_lifecycle_state(archive)
-        index = cls().fit(data)
-        apply_lifecycle_state(index, state)
-        return index
-
-    # ------------------------------------------------------------------
-    # shared-memory snapshots
-    # ------------------------------------------------------------------
-
-    def to_shm(self):
-        """Export ``(arrays, state)`` for shared-memory serving replicas —
-        brute force needs only the dataset and the lifecycle state."""
-        self._require_built()
-        arrays = {"data": self.data, "tombstone_ids": self._tombstones.ids()}
-        state = {"epoch": self.epoch, "fitted_n": self.fitted_n}
-        return arrays, state
-
-    @classmethod
-    def from_shm(cls, arrays, state) -> "ExactKNN":
-        """Rebuild a replica over (read-only) :meth:`to_shm` views; the
-        dataset stays a zero-copy view into the shared segment."""
-        from repro.persistence import apply_lifecycle_state
-
+    def from_state_arrays(cls, arrays, params) -> "ExactKNN":
         index = cls()
-        index._set_data(arrays["data"])
-        index._built = True
-        index._fitted_n = index.ntotal
-        apply_lifecycle_state(
-            index,
-            {
-                "epoch": int(state["epoch"]),
-                "fitted_n": int(state["fitted_n"]),
-                "tombstone_ids": np.asarray(arrays["tombstone_ids"], dtype=np.int64),
-            },
-        )
+        index._set_data(arrays["data"])  # stays a view when already float64
         return index

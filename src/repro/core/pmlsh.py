@@ -35,7 +35,7 @@ The per-query pointer-tree walks that define the same answers live under
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -147,8 +147,9 @@ class PMLSH(ANNIndex):
         self.projected: Optional[np.ndarray] = None
         self._tree: Optional[PMTree] = None
         #: pivots to rebuild the pointer tree from lazily — set by
-        #: :meth:`load`, which restores the flat snapshot directly and
-        #: only materialises the pointer tree if something needs it.
+        #: :meth:`from_state_arrays`, which restores the flat snapshot
+        #: directly and only materialises the pointer tree if something
+        #: needs it.
         self._lazy_pivots: Optional[np.ndarray] = None
         #: lazily flattened snapshot of ``tree`` (see :attr:`flat_tree`).
         self._flat: Optional[FlatPMTree] = None
@@ -249,9 +250,9 @@ class PMLSH(ANNIndex):
     def tree(self) -> Optional[PMTree]:
         """The pointer PM-tree — the build/insert/validate structure.
 
-        After :meth:`fit` it is the tree that was just built.  After
-        :meth:`load` it starts out *unmaterialised* (the archive restores
-        the flat snapshot directly, so queries never need it) and is
+        After :meth:`fit` it is the tree that was just built.  After a
+        snapshot restore it starts out *unmaterialised* (the flat tree is
+        restored directly, so queries never need it) and is
         rebuilt deterministically from the stored pivots on first access
         — :meth:`add` and :meth:`ball_cover_query` trigger that rebuild
         transparently.
@@ -266,7 +267,7 @@ class PMLSH(ANNIndex):
 
     def _build_tree(self, pivots: np.ndarray) -> PMTree:
         """Deterministic pointer-tree (re)build over ``self.projected``
-        with fixed *pivots* — the restore path of :meth:`load`."""
+        with fixed *pivots* — the restore path of :meth:`from_state_arrays`."""
         params = self.params
         return PMTree.build(
             self.projected,
@@ -288,7 +289,7 @@ class PMLSH(ANNIndex):
 
         Taken lazily from the pointer tree and re-taken after any
         structural mutation (:meth:`add` invalidates it) — or restored
-        directly from a saved archive by :meth:`load` — so every build
+        directly by :meth:`from_state_arrays` — so every build
         path serves from arrays that mirror the current tree exactly.
         """
         self._require_built()
@@ -735,197 +736,74 @@ class PMLSH(ANNIndex):
         )
 
     # ------------------------------------------------------------------
-    # persistence
+    # snapshots
     # ------------------------------------------------------------------
 
-    def _projection_arrays(self) -> Dict[str, np.ndarray]:
-        """The arrays that reconstruct ``self.projection`` exactly.
+    #: One n×d×m GEMM re-derives the projected matrix, so archives leave
+    #: it out; shared memory carries it (workers attach with no numeric work).
+    _rederivable_arrays = ("projected",)
 
-        Dense banks store their direction matrix; sampled banks store
-        ``sample_idx``/``weights`` (never a densified equivalent — exact
-        arrays are what keep reloaded projections bit-identical)."""
+    def state_arrays(self):
+        """The index as arrays: dataset, projected points, hash functions
+        (dense ``directions``, or the sampled family's exact
+        ``hash_sample_idx``/``hash_weights`` — never densified), pivots,
+        the F(x) sample behind r_min and the flat tree
+        (:meth:`FlatPMTree.to_arrays`: the matrices queries prune against,
+        so a restore traverses bit-identically); the parameter bundle is
+        the JSON state."""
+        flat = self.flat_tree
         if isinstance(self.projection, SampledProjection):
-            return {
+            hash_arrays = {
                 "hash_sample_idx": self.projection.sample_idx,
                 "hash_weights": self.projection.weights,
             }
-        return {"directions": self.projection.directions}
-
-    @staticmethod
-    def _restore_projection(arrays) -> GaussianProjection | SampledProjection:
-        """Invert :meth:`_projection_arrays` from an archive/shm mapping
-        (*arrays* needs ``in`` and ``[]`` plus a ``data`` entry for d)."""
-        if "hash_sample_idx" in arrays:
-            return SampledProjection.from_arrays(
-                arrays["hash_sample_idx"],
-                arrays["hash_weights"],
-                dim=np.asarray(arrays["data"]).shape[1],
-            )
-        return GaussianProjection.from_directions(arrays["directions"])
-
-    def save(self, path: str) -> None:
-        """Persist the index to a ``.npz`` archive (no pickle involved).
-
-        Stored: the registry name (so :func:`repro.load_index` can
-        dispatch), the dataset, the projection bank (dense directions, or
-        the sampled family's index/weight arrays), the PM-tree
-        pivots, the F(x) sample behind r_min selection, the parameter
-        bundle as JSON — and the **flat-tree arrays**
-        (:meth:`FlatPMTree.to_arrays`), so :meth:`load` restores the
-        batched hot path directly from the archive: no pointer-tree
-        rebuild, no re-flatten, and bit-identical traversal (the stored
-        entry fields and pivot distances are the ones queries prune
-        against).  The pointer tree is only rebuilt — deterministically,
-        from the stored pivots — if something later needs it (``add``,
-        ``ball_cover_query``).
-        """
-        self._require_built()
-        import json
-        from dataclasses import asdict
-
-        from repro.persistence import lifecycle_arrays
-
-        flat = self.flat_tree
-        params_json = json.dumps(asdict(self.params))
-        np.savez_compressed(
-            path,
-            registry_name=np.asarray(self.registry_name),
-            data=self.data,
-            **self._projection_arrays(),
-            pivots=flat.pivots,
-            distance_samples=self.distance_distribution.samples,
-            params_json=np.frombuffer(params_json.encode("utf-8"), dtype=np.uint8),
-            **lifecycle_arrays(self),
+        else:
+            hash_arrays = {"directions": self.projection.directions}
+        arrays = {
+            "data": self.data,
+            "projected": self.projected,
+            **hash_arrays,
+            "pivots": flat.pivots,
+            "distance_samples": self.distance_distribution.samples,
             **flat.to_arrays(),
-        )
+        }
+        return arrays, asdict(self.params)
 
     @classmethod
-    def load(cls, path: str) -> "PMLSH":
-        """Restore an index persisted with :meth:`save`.
-
-        Archives written since the flat arrays were added restore the
-        :class:`FlatPMTree` snapshot directly — queries serve with no
-        tree rebuild and no re-flatten; the pointer tree materialises
-        lazily from the stored pivots only when needed.  Older archives
-        (no ``flat_*`` keys) fall back to the eager deterministic
-        rebuild.
+    def from_state_arrays(cls, arrays, params) -> "PMLSH":
+        """Restore over *arrays* as they are (already contiguous float64,
+        so no coercion below copies): the flat tree serves at once and the
+        pointer tree stays lazy until ``add``/``ball_cover_query`` need
+        it.  Legacy input: no ``projected`` → re-project; no ``flat_*`` →
+        eager deterministic tree rebuild; a ``traversal`` parameter (the
+        retired selector) is dropped, any other unknown key still raises.
         """
-        import json
-
-        from repro.persistence import apply_lifecycle_state, read_lifecycle_state
-
-        with np.load(path) as archive:
-            data = archive["data"]
-            projection_arrays = {
-                key: archive[key]
-                for key in ("directions", "hash_sample_idx", "hash_weights")
-                if key in archive.files
-            }
-            pivots = archive["pivots"]
-            samples = archive["distance_samples"]
-            params_json = bytes(archive["params_json"]).decode("utf-8")
-            state = read_lifecycle_state(archive)
-            flat_arrays = (
-                {key: archive[key] for key in archive.files if key.startswith("flat_")}
-                if "flat_is_leaf" in archive.files
-                else None
-            )
-        stored = json.loads(params_json)
-        # Archives written before the recursive traversal was retired
-        # carry its selector; every other unknown key is still an error.
-        stored.pop("traversal", None)
-        params = PMLSHParams(**stored)
+        params = PMLSHParams(**{k: v for k, v in params.items() if k != "traversal"})
         index = cls(params=params, seed=0)
-        index._set_data(data)
-        index.projection = cls._restore_projection({**projection_arrays, "data": data})
-        index.projected = index.projection.project(index.data)
-        index._lazy_pivots = np.asarray(pivots, dtype=np.float64)
-        if flat_arrays is not None:
+        index._set_data(arrays["data"])
+        if "hash_sample_idx" in arrays:
+            index.projection = SampledProjection.from_arrays(
+                arrays["hash_sample_idx"], arrays["hash_weights"], dim=index.d
+            )
+        else:
+            index.projection = GaussianProjection.from_directions(arrays["directions"])
+        index.projected = (
+            np.asarray(arrays["projected"], dtype=np.float64)
+            if "projected" in arrays
+            else index.projection.project(index.data)
+        )
+        index._lazy_pivots = np.asarray(arrays["pivots"], dtype=np.float64)
+        if "flat_is_leaf" in arrays:
             index._flat = FlatPMTree.from_arrays(
-                flat_arrays,
+                arrays,
                 points=index.projected,
                 pivots=index._lazy_pivots,
                 use_rings=params.use_rings,
                 use_parent_filter=params.use_parent_filter,
             )
-        else:  # legacy archive: rebuild the pointer tree eagerly
+        else:
             index._tree = index._build_tree(index._lazy_pivots)
-        index.distance_distribution = DistanceDistribution(samples)
-        index._built = True
-        index._fitted_n = index.ntotal  # legacy default; the stored value wins
-        apply_lifecycle_state(index, state)
-        return index
-
-    def to_shm(self):
-        """Export ``(arrays, state)`` for shared-memory serving replicas.
-
-        Everything :meth:`save` persists rides along — plus ``projected``
-        itself, which ``load`` re-derives with a GEMM: a worker process
-        attaching the snapshot does **zero** numerical work.  The flat
-        arrays are the exact matrices queries prune against, so a replica
-        restored by :meth:`from_shm` traverses bit-identically to this
-        index.
-        """
-        self._require_built()
-        import json
-        from dataclasses import asdict
-
-        flat = self.flat_tree
-        arrays = {
-            "data": self.data,
-            "projected": self.projected,
-            **self._projection_arrays(),
-            "pivots": flat.pivots,
-            "distance_samples": self.distance_distribution.samples,
-            "tombstone_ids": self._tombstones.ids(),
-            **flat.to_arrays(),
-        }
-        state = {
-            "params_json": json.dumps(asdict(self.params)),
-            "epoch": self.epoch,
-            "fitted_n": self.fitted_n,
-        }
-        return arrays, state
-
-    @classmethod
-    def from_shm(cls, arrays, state) -> "PMLSH":
-        """Rebuild a serving replica over (read-only) :meth:`to_shm` views.
-
-        The :meth:`load` restore path minus every copy: ``data``,
-        ``projected``, the flat-tree arrays and the F(x) sample stay
-        zero-copy views into the shared segment (all already contiguous
-        float64, so the dtype coercions below are no-ops); only the
-        per-replica leaf re-packs (``leaf_points``) materialise privately.
-        The pointer tree stays lazy and is never needed read-only.
-        """
-        import json
-
-        from repro.persistence import apply_lifecycle_state
-
-        params = PMLSHParams(**json.loads(state["params_json"]))
-        index = cls(params=params, seed=0)
-        index._set_data(arrays["data"])
-        index.projection = cls._restore_projection(arrays)
-        index.projected = np.asarray(arrays["projected"], dtype=np.float64)
-        index._lazy_pivots = np.asarray(arrays["pivots"], dtype=np.float64)
-        index._flat = FlatPMTree.from_arrays(
-            arrays,
-            points=index.projected,
-            pivots=index._lazy_pivots,
-            use_rings=params.use_rings,
-            use_parent_filter=params.use_parent_filter,
-        )
         index.distance_distribution = DistanceDistribution(arrays["distance_samples"])
-        index._built = True
-        index._fitted_n = index.ntotal  # legacy default; the stored value wins
-        apply_lifecycle_state(
-            index,
-            {
-                "epoch": int(state["epoch"]),
-                "fitted_n": int(state["fitted_n"]),
-                "tombstone_ids": np.asarray(arrays["tombstone_ids"], dtype=np.int64),
-            },
-        )
         return index
 
     # ------------------------------------------------------------------

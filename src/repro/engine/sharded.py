@@ -10,11 +10,11 @@ fan-out pools are available:
 * ``pool_backend="thread"`` (default) — an in-process thread pool.
   NumPy's GEMM-heavy kernels drop the GIL, but the Python traversal
   around them does not, so shards only partially overlap.
-* ``pool_backend="process"`` (alias ``backend="process"``, registry name
-  ``"process-sharded"``) — a :class:`~repro.parallel.pool.WorkerPool` of
-  worker processes, each attached **read-only** to its shards' snapshots
-  through ``multiprocessing.shared_memory`` (the ``to_shm()/from_shm()``
-  protocol).  Queries ship only (Q, spec); results return as compact
+* ``pool_backend="process"`` (registry name ``"process-sharded"``) — a
+  :class:`~repro.parallel.pool.WorkerPool` of worker processes, each
+  attached **read-only** to its shards' snapshots through
+  ``multiprocessing.shared_memory`` (the ``state_arrays()`` export a
+  file would hold).  Queries ship only (Q, spec); results return as compact
   arrays; the deterministic merge stays in the parent, so results are
   byte-identical to the thread pool and to a single index.  Writes
   (``add``/``delete``/``compact``) re-publish the affected shards under
@@ -116,10 +116,10 @@ class ShardedIndex(ANNIndex):
         ``"thread"`` (default) fans out through an in-process pool;
         ``"process"`` through a shared-memory worker-process pool
         (:mod:`repro.parallel`) — real multi-core parallelism with
-        byte-identical results.  The shorthand ``backend="process"`` /
-        ``backend="thread"`` selects the pool with the default pm-lsh
-        shard algorithm, and the ``"process-sharded"`` registry alias
-        pins the process pool by name.
+        byte-identical results; the ``"process-sharded"`` registry alias
+        pins it by name.  The shard backend must implement the snapshot
+        protocol (pm-lsh and exact do) — anything else raises
+        ``NotImplementedError`` here, before any worker exists.
     mp_context:
         Start method for the process pool (``"fork"``, ``"spawn"``,
         ``"forkserver"``); platform default when None.
@@ -156,13 +156,6 @@ class ShardedIndex(ANNIndex):
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if num_workers is not None and num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        # ``backend="process"`` / ``backend="thread"`` select the fan-out
-        # pool (with the default pm-lsh shard algorithm) rather than a
-        # shard backend — the spelling the registry alias and the issue
-        # docs use: ``ShardedIndex(..., backend="process")``.
-        if isinstance(backend, str) and backend.strip().lower() in _POOL_BACKENDS:
-            pool_backend = backend.strip().lower()
-            backend = "pm-lsh"
         if pool_backend not in _POOL_BACKENDS:
             raise ValueError(
                 f"pool_backend must be one of {_POOL_BACKENDS}, got {pool_backend!r}"
@@ -170,6 +163,8 @@ class ShardedIndex(ANNIndex):
         self._pool_backend = pool_backend
         self._mp_context = mp_context
         self._backend_cls = _resolve_backend(backend)
+        if pool_backend == "process":
+            self._backend_cls.require_snapshot_support()
         self._backend_name = getattr(
             self._backend_cls, "registry_name", self._backend_cls.__name__
         )
@@ -531,7 +526,7 @@ class ShardedIndex(ANNIndex):
             self._published_epochs = {}
         for s, shard in enumerate(self._shards):
             if self._published_epochs.get(s) != shard.epoch:
-                self._worker_pool.publish(s, shard, registry_name=self._backend_name)
+                self._worker_pool.publish(s, shard)
                 self._published_epochs[s] = shard.epoch
         return self._worker_pool
 
@@ -997,8 +992,8 @@ class ProcessShardedIndex(ShardedIndex):
     >>> import repro
     >>> engine = repro.create_index("process-sharded", num_shards=4)   # doctest: +SKIP
 
-    Shard backends must implement the ``to_shm()/from_shm()`` snapshot
-    protocol (PM-LSH — the default — and the exact oracle do).
+    Shard backends must implement the snapshot protocol (PM-LSH — the
+    default — and the exact oracle do).
     """
 
     def __init__(

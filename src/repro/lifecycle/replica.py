@@ -5,10 +5,10 @@ authoritative index (absorbing ``add``/``delete``/``compact``) and
 periodically ``save()``s it; reader processes each hold a
 :class:`Replica` and poll :meth:`Replica.refresh` against the snapshot
 path.  ``save()`` stamps every archive with the index's monotonically
-increasing epoch, so a refresh is a cheap peek at the stored epoch
-(:func:`repro.persistence.snapshot_epoch`) followed — only when the
-snapshot is genuinely newer — by the zero-rebuild ``load()`` path and an
-atomic swap of the served object.
+increasing epoch and replaces the file atomically, so a refresh opens
+the archive once (:func:`repro.persistence.open_snapshot`): a cheap peek
+at the stored epoch, then — only when the snapshot is genuinely newer —
+the zero-rebuild restore and an atomic swap of the served object.
 
 Attached to an :class:`~repro.serving.server.AsyncSearchServer`, the
 swap goes through :meth:`~repro.serving.server.AsyncSearchServer.swap_index`,
@@ -44,14 +44,17 @@ class Replica:
         "Newer" means the archive's stored epoch strictly exceeds the
         epoch of the replica's current index — re-shipping an old or
         identical snapshot is a no-op, so the swap order is monotonic no
-        matter how snapshots arrive.
+        matter how snapshots arrive.  An archive that cannot be restored
+        raises :class:`~repro.persistence.SnapshotError` and changes
+        nothing: the replica (and its server) keep serving what they had.
         """
-        from repro.persistence import load_index, snapshot_epoch
+        from repro.persistence import open_snapshot
 
-        epoch = snapshot_epoch(path)
-        if self.index is not None and epoch <= self.epoch:
-            return False
-        self.index = load_index(path)
+        with open_snapshot(path) as (header, load):
+            if self.index is not None and header["epoch"] <= self.epoch:
+                return False
+            index = load()
+        self.index = index
         self.epoch = int(self.index.epoch)
         self.path = str(path)
         self.refreshes += 1

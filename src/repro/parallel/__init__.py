@@ -19,7 +19,7 @@ This package provides the process-level alternative:
   reporting pool health into :mod:`repro.obs`.
 
 The sharded engine exposes all of this as
-``ShardedIndex(..., backend="process")`` (or the ``"process-sharded"``
+``ShardedIndex(..., pool_backend="process")`` (or the ``"process-sharded"``
 registry alias); see :doc:`docs/parallelism` for the protocol.
 """
 

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.parallel.shm import PublishedSegment, publish_arrays
 from repro.parallel.worker import worker_main
+from repro.persistence import export_state
 
 
 def default_start_method() -> str:
@@ -160,21 +161,20 @@ class WorkerPool:
         """The worker that serves *shard_id*."""
         return int(shard_id) % self.num_workers
 
-    def publish(self, shard_id: int, index, *, registry_name: str | None = None) -> None:
+    def publish(self, shard_id: int, index) -> None:
         """Publish *index*'s snapshot for *shard_id* and re-attach its owner.
 
-        The snapshot comes from the index's ``to_shm()`` export; the old
+        The snapshot is :func:`repro.persistence.export_state` — what a
+        file would hold, plus the arrays a file re-derives; the old
         segment (if any) is unlinked only after the owner acknowledged
         the new one, so the worker never observes a torn shard.
         """
+        arrays, state = export_state(index)  # before start(): unsupported spawns nothing
         self.start()
-        arrays, state = index.to_shm()
-        name = registry_name or type(index).registry_name
         segment = publish_arrays(arrays)
         try:
             self._request(
-                self.owner(shard_id),
-                ("attach", int(shard_id), segment.handle, state, name),
+                self.owner(shard_id), ("attach", int(shard_id), segment.handle, state)
             )
         except Exception:
             segment.close()

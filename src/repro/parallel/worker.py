@@ -1,14 +1,14 @@
 """The worker-process main loop of the process-pool shard backend.
 
 A worker owns a fixed subset of shards (shard s belongs to worker
-``s % num_workers``) and holds, per shard, an index replica restored via
-``from_shm()`` over read-only shared-memory views — no dataset copy, no
-rebuild.  The parent drives it over one duplex pipe with small tuple
-messages:
+``s % num_workers``) and holds, per shard, an index replica restored by
+:func:`repro.persistence.restore_state` over read-only shared-memory
+views — no dataset copy, no rebuild.  The parent drives it over one
+duplex pipe with small tuple messages:
 
-``("attach", shard_id, handle, state, registry_name)``
+``("attach", shard_id, handle, state)``
     (Re)attach the shard: map the named segment, restore the replica
-    through the registry class's ``from_shm``, drop any previous replica
+    from its views and the stamped *state*, drop any previous replica
     for that shard id and unmap its old segment.  This is both the
     bootstrap and the epoch re-attach path — the parent sends it again
     whenever the shard's epoch bumps.  Reply ``("ok", shard_id)``.
@@ -37,15 +37,17 @@ from typing import Any, Dict, List, Tuple
 
 from repro.parallel import jobs
 from repro.parallel.shm import AttachedSegment, SegmentHandle, attach_segment
+from repro.persistence import restore_state
 
 
-def _restore(handle: SegmentHandle, state: Dict[str, Any], registry_name: str):
+def _restore(handle: SegmentHandle, state: Dict[str, Any]):
     """Attach the segment and rebuild the shard replica from its views."""
-    from repro.registry import get_index_class
-
     attachment = attach_segment(handle)
-    index = get_index_class(registry_name).from_shm(attachment.arrays, state)
-    return attachment, index
+    try:
+        return attachment, restore_state(attachment.arrays, state)
+    except BaseException:
+        attachment.close()  # a failed restore must not pin the segment
+        raise
 
 
 def _run_jobs(
@@ -94,8 +96,8 @@ def worker_main(worker_id: int, conn) -> None:
                 break
             try:
                 if op == "attach":
-                    _, shard_id, handle, state, registry_name = message
-                    attachment, index = _restore(handle, state, registry_name)
+                    _, shard_id, handle, state = message
+                    attachment, index = _restore(handle, state)
                     shards[shard_id] = index
                     stale = segments.pop(shard_id, None)
                     segments[shard_id] = attachment

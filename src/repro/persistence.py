@@ -1,34 +1,40 @@
-"""Unified persistence entry point.
+"""The snapshot protocol: one export, one restore, three transports.
 
-Indexes that implement ``save(path)`` record their registry name inside
-the ``.npz`` archive (key ``registry_name``); :func:`load_index` reads
-that name back, resolves the implementation class through the registry,
-and dispatches to its ``load`` classmethod — so callers restore any
-saved index without knowing which class wrote it:
+A backend with state worth shipping implements ``state_arrays()`` /
+``from_state_arrays()`` on :class:`~repro.baselines.base.ANNIndex`
+(PM-LSH and the exact oracle do).  Everything that is not
+backend-specific lives here: :func:`export_state` stamps that export with
+the lifecycle state (registry name, :data:`FORMAT_VERSION`, epoch,
+fit-time cardinality, tombstones) and :func:`restore_state` turns it back
+into a built index that answers exactly like the exported one.  Shared
+memory (:meth:`repro.parallel.pool.WorkerPool.publish`) ships that pair
+as it is; the file transport — ``index.save(path)`` /
+``repro.load_index(path)`` — writes it as one ``.npz`` archive,
+atomically, and reads it back with every failure typed:
 
 >>> import repro
 >>> repro.create_index("pm-lsh", seed=0).fit(data).save("index.npz")  # doctest: +SKIP
 >>> index = repro.load_index("index.npz")                             # doctest: +SKIP
 
-Snapshot format versioning
---------------------------
-Archives carry a ``format_version`` stamp (:data:`FORMAT_VERSION`).
-:func:`load_index` refuses archives written by a *newer* library with a
-clear error instead of silently dropping fields it does not understand;
-archives from *older* libraries (no stamp at all, or a lower version)
-keep loading — missing lifecycle state defaults to "no deletes, epoch 0".
-
-Lifecycle state (:mod:`repro.lifecycle`) rides along in every archive:
-the monotonically increasing index epoch, the tombstone set, and the
-fit-time cardinality — enough for :class:`~repro.lifecycle.Replica` to
-order snapshots and for a restored index to answer exactly like the one
-that was saved, deletes included.
+Archives are forward-refusing, backward-tolerant: one stamped by a newer
+library is refused instead of silently misread; older ones (no stamp, no
+lifecycle keys) load as "no deletes, epoch 0".  ``docs/lifecycle.md``
+has the contract.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import secrets
+import zipfile
+import zlib
+from contextlib import contextmanager, suppress
+from typing import Any, Callable, Dict, Iterator, Mapping, Tuple
+
 import numpy as np
 
+from repro.lifecycle.tombstones import TombstoneSet
 from repro.registry import get_index_class
 
 #: Version stamp written into every archive.  Bump when the archive
@@ -38,114 +44,159 @@ from repro.registry import get_index_class
 #: archives are version 0 (pre-lifecycle) and stay loadable.
 FORMAT_VERSION = 1
 
-#: Archive keys that carry lifecycle state (see :func:`lifecycle_arrays`).
-_LIFECYCLE_KEYS = ("format_version", "index_epoch", "tombstone_ids", "fitted_n")
+#: Archive entries that hold snapshot *state* rather than backend arrays.
+_STATE_KEYS = ("registry_name", "format_version", "index_epoch", "fitted_n", "params_json")
 
 
-def lifecycle_arrays(index) -> dict:
-    """The lifecycle archive entries for *index*: format version, epoch,
-    tombstone ids and fit-time cardinality.  Index ``save()``
-    implementations splat this into their ``np.savez`` call."""
-    return {
-        "format_version": np.asarray(FORMAT_VERSION, dtype=np.int64),
-        "index_epoch": np.asarray(index.epoch, dtype=np.int64),
-        "tombstone_ids": index.tombstones.ids(),
-        "fitted_n": np.asarray(index.fitted_n, dtype=np.int64),
-    }
+class SnapshotError(ValueError):
+    """A snapshot that cannot be restored: not an archive, truncated,
+    corrupt, missing a required entry, or written by a newer library."""
 
 
-def read_lifecycle_state(archive) -> dict:
-    """Lifecycle state out of an open archive; legacy defaults when absent."""
-    files = set(archive.files)
-    return {
-        "epoch": int(archive["index_epoch"]) if "index_epoch" in files else 0,
-        "tombstone_ids": (
-            np.asarray(archive["tombstone_ids"], dtype=np.int64)
-            if "tombstone_ids" in files
-            else np.empty(0, dtype=np.int64)
-        ),
-        "fitted_n": int(archive["fitted_n"]) if "fitted_n" in files else None,
-    }
+def export_state(index) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    """The stamped snapshot of a built *index*: ``(arrays, state)``.
 
-
-def apply_lifecycle_state(index, state: dict) -> None:
-    """Install :func:`read_lifecycle_state` output on a restored index.
-
-    Runs after the index is otherwise fully built: it resets the epoch to
-    the stored one, re-marks the tombstones, and fires the index's
-    ``_on_delete`` hook so structure-level filters (the flat tree's dead
-    mask) match the saved index exactly.
+    *arrays* are the backend's own (not copied — treat as read-only) plus
+    ``tombstone_ids``; *state* is JSON: ``registry_name``,
+    ``format_version``, ``epoch``, ``fitted_n`` and the backend's
+    ``params``.  ``NotImplementedError`` for a backend without the protocol.
     """
-    from repro.lifecycle.tombstones import TombstoneSet
+    index._require_built()
+    arrays, params = index.state_arrays()
+    state = {
+        "registry_name": type(index).registry_name,
+        "format_version": FORMAT_VERSION,
+        "epoch": index.epoch,
+        "fitted_n": index.fitted_n,
+        "params": params,
+    }
+    return {**arrays, "tombstone_ids": index.tombstones.ids()}, state
 
+
+def restore_state(arrays: Mapping[str, np.ndarray], state: Mapping[str, Any]):
+    """Rebuild the index :func:`export_state` described.
+
+    *arrays* may be read-only views (a shared-memory segment); the
+    restored index keeps them without copying.  Legacy input — no
+    ``tombstone_ids``, a ``fitted_n`` of None — means "no deletes, fitted
+    at the stored cardinality".
+    """
+    cls = get_index_class(state["registry_name"])
+    try:
+        index = cls.from_state_arrays(arrays, state["params"])
+    except KeyError as error:
+        raise SnapshotError(f"missing required array {error}") from error
+    index._built = True
     index._index_epoch = int(state["epoch"])
-    if state["fitted_n"] is not None:
-        index._fitted_n = int(state["fitted_n"])
-    dead = state["tombstone_ids"]
+    fitted_n = state["fitted_n"]
+    index._fitted_n = index.ntotal if fitted_n is None else int(fitted_n)
+    dead = np.asarray(arrays.get("tombstone_ids", ()), dtype=np.int64)
     if dead.size:
         index._tombstones = TombstoneSet(dead)
-        index._on_delete(dead)
+        index._on_delete(dead)  # structure-level filters (the flat dead mask)
+    return index
 
 
-def _archive_format_version(archive) -> int:
-    return (
-        int(archive["format_version"]) if "format_version" in archive.files else 0
-    )
+def save_index(index, path) -> None:
+    """Write *index*'s snapshot to exactly *path*, atomically: compressed
+    into a sibling temp file, flushed, then renamed over *path* — a reader
+    or a crash sees the previous archive or the complete new one.  Arrays
+    the backend lists as re-derivable are left out."""
+    arrays, state = export_state(index)
+    entries = {
+        key: value
+        for key, value in arrays.items()
+        if key not in type(index)._rederivable_arrays
+    }
+    entries["registry_name"] = np.asarray(state["registry_name"])
+    entries["format_version"] = np.asarray(state["format_version"], dtype=np.int64)
+    entries["index_epoch"] = np.asarray(state["epoch"], dtype=np.int64)
+    entries["fitted_n"] = np.asarray(state["fitted_n"], dtype=np.int64)
+    if state["params"]:
+        encoded = json.dumps(state["params"]).encode("utf-8")
+        entries["params_json"] = np.frombuffer(encoded, dtype=np.uint8)
+    path = os.fspath(path)
+    temp = f"{path}.{os.getpid()}-{secrets.token_hex(4)}.tmp"
+    try:
+        with open(temp, "wb") as handle:
+            np.savez_compressed(handle, **entries)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    finally:
+        with suppress(FileNotFoundError):  # gone after a successful replace
+            os.remove(temp)
 
 
-def saved_registry_name(path: str) -> str:
-    """The registry name stored in a saved index archive at *path*."""
-    with np.load(path) as archive:
-        if "registry_name" not in archive:
-            raise ValueError(
-                f"{path!r} has no 'registry_name' entry — it was not written by "
-                "an ANNIndex.save() that supports load_index() dispatch "
-                "(archives saved before v2.0 must be loaded through their "
-                "class's load() directly)"
-            )
-        return str(archive["registry_name"])
+@contextmanager
+def open_snapshot(path) -> Iterator[Tuple[Dict[str, Any], Callable[[], Any]]]:
+    """Open the archive at *path* once: yields ``(header, load)``.
 
-
-def snapshot_epoch(path: str) -> int:
-    """The index epoch stamped into the archive at *path* (0 for legacy
-    pre-lifecycle archives) — the cheap newer-than test behind
-    :meth:`repro.lifecycle.Replica.refresh`."""
-    with np.load(path) as archive:
-        return int(archive["index_epoch"]) if "index_epoch" in archive.files else 0
-
-
-def load_index(path: str):
-    """Restore a saved index, dispatching on the registry name it recorded.
-
-    Reads the ``registry_name`` stored by ``save()``, resolves the class
-    through :func:`repro.registry.get_index_class`, and returns
-    ``cls.load(path)``.  Raises ``ValueError`` for archives without a
-    recorded name, for archives whose ``format_version`` is newer than
-    this library's :data:`FORMAT_VERSION` (a newer library wrote them),
-    and ``TypeError`` when the resolved class has no ``load``
-    classmethod.  Legacy archives without a version stamp load normally.
+    *header* is the stamped state minus ``params`` (legacy archives read
+    as epoch 0); ``load()`` restores the index from the same open file.
+    Whatever a bad archive raises inside the block surfaces as
+    :class:`SnapshotError` naming *path* and the cause; a missing file
+    stays ``FileNotFoundError``.
     """
-    with np.load(path) as archive:
-        if "registry_name" not in archive:
-            raise ValueError(
-                f"{path!r} has no 'registry_name' entry — it was not written by "
-                "an ANNIndex.save() that supports load_index() dispatch "
-                "(archives saved before v2.0 must be loaded through their "
-                "class's load() directly)"
-            )
-        name = str(archive["registry_name"])
-        version = _archive_format_version(archive)
-    if version > FORMAT_VERSION:
-        raise ValueError(
-            f"{path!r} has snapshot format version {version}, newer than this "
-            f"library's {FORMAT_VERSION} — it was written by a newer release; "
-            "upgrade the library to load it"
-        )
-    cls = get_index_class(name)
-    loader = getattr(cls, "load", None)
-    if loader is None:
-        raise TypeError(
-            f"index class {cls.__name__} (registry name {name!r}) does not "
-            "implement load()"
-        )
-    return loader(path)
+    path = os.fspath(path)
+    try:
+        with open(path, "rb") as handle:
+            archive = np.load(handle)
+            files = set(getattr(archive, "files", ()))  # a bare .npy has none
+            if "registry_name" not in files:
+                raise SnapshotError(
+                    "no 'registry_name' entry — not an archive written by "
+                    "ANNIndex.save()"
+                )
+            header = {
+                "registry_name": str(archive["registry_name"]),
+                "format_version": (
+                    int(archive["format_version"]) if "format_version" in files else 0
+                ),
+                "epoch": int(archive["index_epoch"]) if "index_epoch" in files else 0,
+                "fitted_n": int(archive["fitted_n"]) if "fitted_n" in files else None,
+            }
+            if header["format_version"] > FORMAT_VERSION:
+                raise SnapshotError(
+                    f"snapshot format version {header['format_version']} is newer "
+                    f"than this library's {FORMAT_VERSION} — it was written by a "
+                    "newer release; upgrade the library to load it"
+                )
+
+            def load():
+                params = (
+                    json.loads(bytes(archive["params_json"]).decode("utf-8"))
+                    if "params_json" in files
+                    else {}
+                )
+                arrays = {key: archive[key] for key in files.difference(_STATE_KEYS)}
+                return restore_state(arrays, {**header, "params": params})
+
+            yield header, load
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as error:
+        raise SnapshotError(f"cannot load snapshot {path!r}: {error}") from error
+
+
+def saved_registry_name(path) -> str:
+    """The registry name stored in the archive at *path*."""
+    with open_snapshot(path) as (header, _):
+        return header["registry_name"]
+
+
+def snapshot_epoch(path) -> int:
+    """The index epoch stamped into the archive at *path* (0 for legacy
+    pre-lifecycle archives), read without restoring it."""
+    with open_snapshot(path) as (header, _):
+        return header["epoch"]
+
+
+def load_index(path):
+    """Restore the index saved at *path*, whichever class wrote it.
+
+    Raises :class:`SnapshotError` (a ``ValueError``) for a file that is
+    not a snapshot archive, is truncated or fails its CRC, lacks
+    ``registry_name`` or a required array, or carries a
+    ``format_version`` newer than :data:`FORMAT_VERSION`.
+    """
+    with open_snapshot(path) as (_, load):
+        return load()

@@ -1,15 +1,13 @@
-"""Replica snapshots: epoch stamping, tombstone round-trips, format
-versioning, and the Replica hot-swap loop."""
+"""Replica snapshots: epoch stamping, format versioning, and the Replica
+hot-swap loop.  Round trips (tombstones and epoch included) are proved
+per transport and backend in ``tests/persistence/test_snapshot_protocol.py``."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
-import repro
-from repro import ExactKNN, PMLSH, PMLSHParams, Replica, load_index, snapshot_epoch
+from repro import ExactKNN, Replica, load_index, snapshot_epoch
 from repro.persistence import FORMAT_VERSION
 
 
@@ -23,39 +21,7 @@ def snap(tmp_path):
     return str(tmp_path / "index.npz")
 
 
-class TestRoundTrip:
-    def test_exact_preserves_tombstones_and_epoch(self, data, snap):
-        index = ExactKNN().fit(data)
-        index.delete([3, 7, 11])
-        index.save(snap)
-        restored = load_index(snap)
-        assert isinstance(restored, ExactKNN)
-        assert restored.epoch == index.epoch
-        assert restored.ntotal == index.ntotal
-        assert restored.num_tombstones == 3
-        np.testing.assert_array_equal(
-            restored.tombstones.ids(), index.tombstones.ids()
-        )
-        queries = data[:6] + 0.01
-        got = restored.search(queries, k=8)
-        want = index.search(queries, k=8)
-        np.testing.assert_array_equal(got.ids, want.ids)
-        np.testing.assert_array_equal(got.distances, want.distances)
-
-    def test_pmlsh_preserves_tombstones_and_epoch(self, data, snap):
-        index = PMLSH(params=PMLSHParams(node_capacity=32), seed=3).fit(data)
-        index.delete(np.arange(40))
-        index.save(snap)
-        restored = load_index(snap)
-        assert restored.epoch == index.epoch
-        assert restored.num_tombstones == 40
-        assert restored.fitted_n == index.fitted_n
-        queries = data[:6] + 0.01
-        got = restored.search(queries, k=8)
-        want = index.search(queries, k=8)
-        np.testing.assert_array_equal(got.ids, want.ids)
-        assert not (got.ids < 40).any()  # dead ids stay dead after restore
-
+class TestEpochStamp:
     def test_epoch_stamp_readable_without_loading(self, data, snap):
         index = ExactKNN().fit(data)
         index.delete([0])
@@ -63,17 +29,6 @@ class TestRoundTrip:
         index.save(snap)
         assert snapshot_epoch(snap) == index.epoch
         assert index.epoch == 3  # fit + delete + add
-
-    def test_save_after_compact_restores_dense(self, data, snap):
-        index = ExactKNN().fit(data)
-        index.delete(np.arange(50))
-        index.compact()
-        index.save(snap)
-        restored = load_index(snap)
-        assert restored.ntotal == 200
-        assert restored.num_tombstones == 0
-        assert restored.epoch == index.epoch
-
 
 class TestFormatVersioning:
     def test_newer_version_rejected_with_clear_error(self, data, snap):
@@ -154,26 +109,3 @@ class TestReplica:
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             Replica().refresh(str(tmp_path / "nope.npz"))
-
-
-class TestRegistrySaveLoadStillUniform:
-    def test_every_persistable_backend_round_trips_deletes(self, data, snap):
-        # only backends implementing save() participate
-        for name in sorted(repro.available_indexes()):
-            try:
-                index = repro.create_index(name, seed=3)
-            except TypeError:
-                # parameter-free constructors (the exact oracle, ad-hoc
-                # backends registered by other test modules)
-                index = repro.create_index(name)
-            if not hasattr(type(index), "save") or type(index).save is None:
-                continue
-            try:
-                index.fit(data).delete([1, 2])
-                index.save(snap)
-            except (NotImplementedError, AttributeError):
-                continue
-            restored = load_index(snap)
-            assert restored.num_tombstones == 2, name
-            assert restored.epoch == index.epoch, name
-            os.remove(snap)

@@ -73,19 +73,6 @@ class TestByteIdentity:
             serial.close()
         assert leaked_segments() == ()
 
-    def test_backend_string_shorthand(self, dataset, queries):
-        """``backend="process"`` selects pm-lsh shards behind the pool."""
-        process = create_index(
-            "sharded", backend="process", num_shards=3, num_workers=2, seed=5
-        ).fit(dataset)
-        explicit = _build(dataset, pool_backend="process")
-        try:
-            assert process.pool_backend == "process"
-            _assert_knn_equal(process, explicit, queries)
-        finally:
-            process.close()
-            explicit.close()
-
     def test_registry_alias(self, dataset, queries):
         alias = create_index(
             "process-sharded", num_shards=3, num_workers=2, seed=5

@@ -13,7 +13,9 @@ so a clean run leaves ``/dev/shm`` with no matching entries.  Exit 1
 ``--quick-smoke`` additionally runs a tiny 2-worker process-backend
 round first — publish, query, byte-identity against the serial engine,
 shutdown — so the gate exercises the pool even when the preceding steps
-were skipped.
+were skipped, and checks that a process engine over a backend without
+the snapshot protocol is refused at construction, before any worker
+exists.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import sys
 
 
 def _quick_smoke() -> None:
+    import multiprocessing
+
     import numpy as np
 
     from repro import create_index
@@ -44,6 +48,15 @@ def _quick_smoke() -> None:
         process.close()
         serial.close()
     print("quick smoke: process backend == serial engine on 2 shards / 2 workers")
+    try:
+        create_index("process-sharded", backend="qalsh", num_shards=2, num_workers=2)
+    except NotImplementedError:
+        pass
+    else:
+        raise SystemExit("process engine accepted a backend it cannot publish")
+    if multiprocessing.active_children():
+        raise SystemExit("refusing an unsupported backend left worker processes behind")
+    print("quick smoke: unsupported shard backend refused at construction, no workers")
 
 
 def main(argv=None) -> int:

@@ -55,6 +55,7 @@ from repro.datasets.distance import (
     point_to_points_distances,
     sample_distance_distribution,
 )
+from repro.kernels.fast import closest_mask
 from repro.obs.tracing import current_trace
 from repro.pmtree.flat import FlatPMTree
 from repro.pmtree.tree import PMTree
@@ -558,8 +559,10 @@ class PMLSH(ANNIndex):
         rounds = np.zeros(num_queries, dtype=np.int64)
         final_radius = np.full(num_queries, schedule[-1])
         active = np.ones(num_queries, dtype=bool)
-        collected_ids: List[List[np.ndarray]] = [[] for _ in range(num_queries)]
-        collected_dists: List[List[np.ndarray]] = [[] for _ in range(num_queries)]
+        # One pooled (owner query, id, true distance) triple per round.
+        owners: List[np.ndarray] = []
+        found_ids: List[np.ndarray] = []
+        found_dists: List[np.ndarray] = []
         previous_fetch: Optional[float] = None
         for round_index in range(self.params.max_iterations):
             idx = np.flatnonzero(active)
@@ -569,17 +572,16 @@ class PMLSH(ANNIndex):
             rounds[idx] += 1
             self._c_rounds.inc()
             # Termination test 1 (line 4): k verified points within c·r.
-            threshold = c * r
-            for q in idx:
-                within = sum(
-                    int((chunk <= threshold).sum()) for chunk in collected_dists[q]
-                )
-                if within >= k:
-                    final_radius[q] = r
-                    active[q] = False
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
+            if owners:
+                within = np.zeros(num_queries, dtype=np.int64)
+                for owner, dists in zip(owners, found_dists):
+                    within += np.bincount(owner[dists <= c * r], minlength=num_queries)
+                done = idx[within[idx] >= k]
+                final_radius[done] = r
+                active[done] = False
+                idx = idx[within[idx] < k]
+                if idx.size == 0:
+                    break
             limits = np.maximum(budget - seen[idx], 0)
             traversal_span = (
                 trace.span(
@@ -601,11 +603,13 @@ class PMLSH(ANNIndex):
                 # One gathered verification kernel for the whole round —
                 # float-identical to the per-query scratch-buffer kernel.
                 # Candidates are re-ordered by id within each query slice
-                # first: the big (candidates × d) gather then walks the
-                # dataset near-sequentially instead of at random.
+                # first (ids are distinct per query, so a plain sort): the
+                # big (candidates × d) gather then walks the dataset
+                # near-sequentially instead of at random.
+                bounds = lims.tolist()
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    ids[lo:hi].sort()
                 rep = np.repeat(idx, counts)
-                id_order = np.lexsort((ids, rep))
-                rep, ids = rep[id_order], ids[id_order]
                 verify_span = (
                     trace.span("verification", round=round_index, candidates=int(ids.size))
                     if trace is not None
@@ -616,31 +620,41 @@ class PMLSH(ANNIndex):
                         self.data, ids, queries, rep
                     )
                 self._c_verified.inc(ids.size)
-                for position, q in enumerate(idx):
-                    lo, hi = int(lims[position]), int(lims[position + 1])
-                    if hi > lo:
-                        collected_ids[q].append(ids[lo:hi])
-                        collected_dists[q].append(true_dists[lo:hi])
+                owners.append(rep)
+                found_ids.append(ids)
+                found_dists.append(true_dists)
                 seen[idx] += counts
             # Termination test 2 (line 9): candidate budget exhausted.
             exhausted = idx[seen[idx] >= budget]
             final_radius[exhausted] = r
             active[exhausted] = False
             previous_fetch = t * r
+        # Group the rounds' pools by query (each is query-major already)
+        # and cut every query to its k best by (true distance, id).
+        if owners:
+            owner = np.concatenate(owners)
+            all_ids = np.concatenate(found_ids)
+            all_dists = np.concatenate(found_dists)
+            if len(owners) > 1:
+                order = np.argsort(owner, kind="stable")
+                owner, all_ids, all_dists = owner[order], all_ids[order], all_dists[order]
+            starts = np.concatenate(
+                [[0], np.cumsum(np.bincount(owner, minlength=num_queries))]
+            ).tolist()
+        else:
+            all_ids = np.empty(0, dtype=np.int64)
+            all_dists = np.empty(0, dtype=np.float64)
+            starts = [0] * (num_queries + 1)
         results: List[QueryResult] = []
         for q in range(num_queries):
-            if collected_ids[q]:
-                all_ids = np.concatenate(collected_ids[q])
-                all_dists = np.concatenate(collected_dists[q])
-                order = np.lexsort((all_ids, all_dists))[:k]
-                top_ids, top_dists = all_ids[order], all_dists[order]
-            else:
-                top_ids = np.empty(0, dtype=np.int64)
-                top_dists = np.empty(0, dtype=np.float64)
+            q_ids = all_ids[starts[q] : starts[q + 1]]
+            q_dists = all_dists[starts[q] : starts[q + 1]]
+            best = np.flatnonzero(closest_mask(q_dists, q_ids, k))
+            best = best[np.lexsort((q_ids[best], q_dists[best]))]
             results.append(
                 QueryResult(
-                    ids=top_ids,
-                    distances=top_dists,
+                    ids=q_ids[best],
+                    distances=q_dists[best],
                     stats={
                         "candidates": float(seen[q]),
                         "rounds": float(rounds[q]),

@@ -18,8 +18,8 @@ these the fast form of that contract:
 
 Conventions:
 
-- ``radius`` arguments accept a scalar or a per-pair ``(P,)`` vector
-  (the flat tree's budget-aware admission tightens the radius per pair).
+- ``radius`` is one scalar per call: a traversal probes every query of
+  its block at the same radius.
 - Candidate cuts are canonical by ``(distance, id)`` — the same tie
   order as the exact brute-force oracle.
 """
@@ -43,7 +43,7 @@ def leaf_prune(
     leaf_pd: np.ndarray,
     ring_cols: List[np.ndarray],
     query_rings: Optional[np.ndarray],
-    radius,
+    radius: float,
     use_parent_filter: bool,
 ) -> np.ndarray:
     """Eq. 5 leaf-member filters: parent-distance test, then ring tests.
@@ -54,7 +54,6 @@ def leaf_prune(
     the ring filter (``∀i |d(q, p_i) − d(o, p_i)| ≤ r``) narrows the
     survivor set one pivot at a time.
     """
-    vec = isinstance(radius, np.ndarray)
     if use_parent_filter and rep_pd is not None:
         # NaN parent distances (root leaves) compare False; re-admit them
         # explicitly instead of sub-indexing by the known mask.
@@ -66,12 +65,11 @@ def leaf_prune(
         for pivot in range(len(ring_cols)):
             if sub.size == 0:
                 break
-            r_sub = radius[sub] if vec else radius
             ring_ok = (
                 np.abs(
                     ring_cols[pivot][member[sub]] - query_rings[rep_q[sub], pivot]
                 )
-                <= r_sub
+                <= radius
             )
             sub = sub[ring_ok]
     keep = np.zeros(member.size, dtype=bool)
@@ -89,7 +87,7 @@ def inner_prune(
     hr_min: np.ndarray,
     hr_max: np.ndarray,
     query_rings: Optional[np.ndarray],
-    radius,
+    radius: float,
     use_parent_filter: bool,
 ) -> np.ndarray:
     """Eq. 5 routing-entry filters: parent-distance test, then hyper-ring
@@ -99,7 +97,6 @@ def inner_prune(
     Survivors still owe a centre-distance computation and the sphere
     test, which the caller performs (it charges ``dist_comps``).
     """
-    vec = isinstance(radius, np.ndarray)
     if use_parent_filter and rep_pd is not None:
         inside = (
             np.abs(entry_pd[eidx] - rep_pd) <= radius + entry_radius[eidx]
@@ -112,11 +109,10 @@ def inner_prune(
         for pivot in range(num_pivots):
             if sub.size == 0:
                 break
-            r_sub = radius[sub] if vec else radius
             sub_e = eidx[sub]
             rq = query_rings[rep_q[sub], pivot]
-            ring_ok = (hr_min[sub_e, pivot] <= rq + r_sub) & (
-                hr_max[sub_e, pivot] >= rq - r_sub
+            ring_ok = (hr_min[sub_e, pivot] <= rq + radius) & (
+                hr_max[sub_e, pivot] >= rq - radius
             )
             sub = sub[ring_ok]
     keep = np.zeros(eidx.size, dtype=bool)

@@ -23,12 +23,25 @@ uncapped traversal visits exactly the nodes the pointer tree's
 ``range_query`` visits and computes exactly the same distances with the
 same float64 kernels, so results — and the node-access /
 distance-computation counters — are identical to the pointer tree's
-(``tests/pmtree/test_flatten.py`` asserts both).  A capped traversal
-(``limits``) whose pooled leaf frontier is large additionally runs a
-*budget-aware admission pass* (see :class:`_Admission`): results stay
-byte-identical but the work counters shrink, because the flat path stops
-computing the full ball before cutting each query to its ``⌈βn⌉+k``
-candidate limit.
+(``tests/pmtree/test_flatten.py`` asserts both).  That is one of two ways
+the leaf level is answered: when the leaves the inner levels reached
+already hold a large share of the indexed points — Algorithm 2's first
+round at the default β always does — gathering and filtering member by
+member is pure overhead, and the leaf level instead scores the whole
+reached slot range as blocked GEMMs and re-scores only the survivors
+exactly (see ``FlatPMTree._dense_leaves``).  Results are byte-identical
+either way and only ``dist_comps`` says which side ran — with one
+exception, at a filter boundary.  The dense side emits every member of
+the slot range whose exact distance is within ``radius``; the per-pair
+side emits those that also pass the Eq. 5 filters.  In exact arithmetic
+the filters are implied by the distance test, but they difference
+separately rounded distances (and the pivot distances come from the
+norm expansion, which loses digits away from the origin), so a member
+within a few ulps of a filter boundary — ``radius`` 0 with the query a
+copy of an indexed point is the reproducible case — can be dropped by
+the per-pair side and kept by the dense one.  Dense ⊇ per-pair always,
+and both ⊆ the true ball (``tests/pmtree/test_dense_pass.py`` pins the
+chain; ROADMAP, correctness, has the filter fix).
 """
 
 from __future__ import annotations
@@ -49,6 +62,14 @@ class TraversalStats:
     point/centre distance evaluations attributed to each query — and
     ``level_visits`` is a ``(height,)`` array of (query, node) frontier
     pairs expanded per depth level, summed over the batch.
+
+    Both leaf-level strategies count the same frontier: ``nodes`` and
+    ``level_visits`` are the inner nodes plus the leaves the inner levels
+    reached, whichever way their members are then scored.  ``dist_comps``
+    charges what was scored — on the traversal side the members that
+    survive the Eq. 5 filters, on the dense side (see
+    ``_DENSE_COVERAGE``) every live member of the slot range the pass
+    streams, once per query.
     """
 
     nodes: np.ndarray
@@ -56,72 +77,26 @@ class TraversalStats:
     level_visits: np.ndarray
 
 
-#: Leaf (query, member) pairs verified per admission chunk: small enough
-#: that the running k-th candidate distance tightens between chunks,
-#: large enough to keep each chunk vectorized.
-_LEAF_ADMIT_CHUNK = 8192
+#: The leaf level scores the whole reached slot range as blocked GEMMs,
+#: instead of gathering per (query, member) pair, when the reached leaves
+#: hold at least this share of ``(rows + _DENSE_LOAD_ROWS) × slots``.
+#: Streaming a slot costs ~14× less than gathering a pair, but the exact
+#: re-score of the survivors is common to both sides and the Eq. 5 parent
+#: filter already drops most pairs cheaply, so the measured break-even
+#: sits at 7 % coverage for wide blocks.  ``tools/crossover.py`` → the
+#: table in docs/tuning.md; not a knob.
+_DENSE_COVERAGE = 0.07
 
-#: Pooled leaf (query, member) pairs up to which a capped traversal still
-#: expands its leaf frontier in one pass.  Chunked admission costs a dozen
-#: small NumPy calls plus threshold bookkeeping per chunk and buys
-#: cache-sized temporaries and a tightening radius; measured on 25k–100k
-#: point trees the two break even at 0.2–0.5 M pairs (one-row and
-#: few-row blocks sit below, 32-row blocks over 100k points above).
-_SINGLE_PASS_PAIRS = 32 * _LEAF_ADMIT_CHUNK
+#: Reading the slot range once is memory-bound and shared by a row block:
+#: it costs what scoring ~3.5 more query rows would, which is why a
+#: one-row call breaks even at ~30 % coverage and a 32-row call at ~8 %.
+_DENSE_LOAD_ROWS = 3.5
 
+#: Score entries (rows × columns, float64) per dense block: 8 MB.
+_DENSE_BLOCK = 1 << 20
 
-class _Admission:
-    """Per-query radius tightening for capped traversals.
-
-    Tracks, per query, the ``limits[q]``-th smallest *admitted* candidate
-    distance seen so far (``thr``); the effective search radius of every
-    later (query, node/member) pair becomes ``min(radius, thr[q])``.
-    This is a pure subset filter with unchanged results: the threshold
-    from a partial candidate pool is always ≥ the final pool's k-th
-    distance, comparisons stay inclusive (``≤``) so boundary ties
-    survive, and therefore every dropped pair has a distance strictly
-    greater than the final k-th — it could never be kept by the
-    canonical ``(distance, id)`` budget cut.  Only the work counters
-    (``TraversalStats``, ``dist_comps``) shrink.
-    """
-
-    __slots__ = ("limits", "thr", "_pools")
-
-    def __init__(self, num_queries: int, limits: np.ndarray) -> None:
-        self.limits = np.asarray(limits, dtype=np.int64)
-        # limit == 0 admits nothing: the budget cut would discard it all.
-        self.thr = np.where(self.limits > 0, np.inf, -np.inf)
-        self._pools: List[Optional[List[np.ndarray]]] = [None] * num_queries
-
-    def effective(self, radius: float, q: np.ndarray):
-        """Per-pair effective radius ``min(radius, thr[q])``."""
-        return np.minimum(radius, self.thr[q])
-
-    def observe(self, q: np.ndarray, dists: np.ndarray) -> None:
-        """Fold freshly admitted matches into the per-query thresholds.
-
-        *q* is ascending (frontier expansion is query-major), so each
-        query's slice of *dists* is contiguous.
-        """
-        if q.size == 0:
-            return
-        unique_q, first = np.unique(q, return_index=True)
-        bounds = np.append(first, q.size)
-        for i in range(unique_q.size):
-            query = int(unique_q[i])
-            limit = int(self.limits[query])
-            if limit <= 0:
-                continue
-            pool = self._pools[query]
-            if pool is None:
-                pool = []
-                self._pools[query] = pool
-            pool.append(dists[bounds[i] : bounds[i + 1]])
-            total = sum(chunk.size for chunk in pool)
-            if total >= limit:
-                merged = pool[0] if len(pool) == 1 else np.concatenate(pool)
-                self._pools[query] = [merged]
-                self.thr[query] = float(np.partition(merged, limit - 1)[limit - 1])
+#: Safety factor on the dense filter's float64 error bound (below).
+_DENSE_SLACK = 4.0
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -192,6 +167,8 @@ class FlatPMTree:
         # rows are copies of the same float64 values, so distances computed
         # from them are bit-identical to the pointer tree's.
         self.leaf_points = np.ascontiguousarray(points[leaf_ids])
+        #: ‖p‖² per leaf slot, the constant term of the dense pass's scores.
+        self.leaf_sqnorm = np.einsum("ij,ij->i", self.leaf_points, self.leaf_points)
         #: one contiguous per-pivot column, so the staged ring filter reads
         #: sequential memory per pivot (only built when the filter can run).
         self.leaf_ring_cols = (
@@ -456,14 +433,12 @@ class FlatPMTree:
         One traversal serves the whole batch: the frontier holds every
         live ``(query, node)`` pair and advances one tree level per step,
         applying the Eq. 5 parent-distance / ring / sphere tests as masks
-        over the packed entry arrays (:mod:`repro.kernels`).  When
-        ``limits`` is given and the pooled leaf frontier exceeds
-        ``_SINGLE_PASS_PAIRS`` (query, member) pairs, the leaf level runs
-        in chunks and a budget-aware admission pass tightens each query's
-        radius to its running ``limits[i]``-th candidate distance
-        (identical results, less work, bounded temporaries); a smaller
-        frontier (one-row and few-row blocks) is verified in a single
-        pass, where per-chunk overhead outweighs what tightening saves.
+        over the packed entry arrays (:mod:`repro.kernels`).  The leaf
+        level then takes one of two routes to the same matches, chosen
+        from how much of ``rows × slots`` the reached leaves cover
+        (``_DENSE_COVERAGE``): member-by-member Eq. 5 filters and gathered
+        distances when the ball is small, one dense scoring pass over the
+        reached slot range when it is not (:meth:`_dense_leaves`).
         """
         kernel = _kernels.active()
         queries = np.ascontiguousarray(np.atleast_2d(queries))
@@ -476,14 +451,8 @@ class FlatPMTree:
         nodes = np.zeros(num_queries, dtype=np.int64)
         dist_comps = np.zeros(num_queries, dtype=np.int64)
         level_visits = np.zeros(self.height, dtype=np.int64)
-        admission = None
         if limits is not None:
             limits = np.asarray(limits, dtype=np.int64)
-            # The leaf frontier pools at most rows × indexed points pairs:
-            # a block that cannot reach the chunked side skips the
-            # admission bookkeeping on the inner levels too.
-            if num_queries * self.leaf_ids.size > _SINGLE_PASS_PAIRS:
-                admission = _Admission(num_queries, limits)
 
         # Frontier: one row per live (query, node) pair.  pd = distance
         # from the query to the node's routing object (NaN at the root,
@@ -510,6 +479,7 @@ class FlatPMTree:
                     query_rings,
                     radius,
                     lower,
+                    limits,
                     frontier_q[leaf_mask],
                     frontier_node[leaf_mask],
                     frontier_pd[leaf_mask],
@@ -518,7 +488,6 @@ class FlatPMTree:
                     out_id,
                     out_dist,
                     kernel,
-                    admission,
                 )
 
             # ---- inner rows: prune children, descend survivors ----
@@ -534,7 +503,6 @@ class FlatPMTree:
                 frontier_pd[inner],
                 dist_comps,
                 kernel,
-                admission,
             )
 
         lims, ids, dists = self._assemble(
@@ -550,6 +518,7 @@ class FlatPMTree:
         query_rings: Optional[np.ndarray],
         radius: float,
         lower: Optional[float],
+        limits: Optional[np.ndarray],
         lq: np.ndarray,
         lnode: np.ndarray,
         lpd: np.ndarray,
@@ -558,13 +527,27 @@ class FlatPMTree:
         out_id: List[np.ndarray],
         out_dist: List[np.ndarray],
         kernel,
-        admission: Optional[_Admission],
     ) -> None:
         starts = self.span_start[lnode]
-        counts = self.span_end[lnode] - starts
-        member = _concat_ranges(starts, counts)
-        if member.size == 0:
+        ends = self.span_end[lnode]
+        counts = ends - starts
+        pairs = int(counts.sum())
+        if pairs == 0:
             return
+        # The frontier is query-major: distinct queries are its run heads.
+        # Breadth-first packing makes one level's leaves a contiguous slot
+        # range, so [slot_lo, slot_hi) holds every reached member and no
+        # member of a leaf on another level.
+        rows_q = lq[np.flatnonzero(np.diff(lq, prepend=-1))]
+        slot_lo, slot_hi = int(starts.min()), int(ends.max())
+        streamed = (rows_q.size + _DENSE_LOAD_ROWS) * (slot_hi - slot_lo)
+        if pairs >= _DENSE_COVERAGE * streamed:
+            self._dense_leaves(
+                queries, radius, lower, limits, rows_q, slot_lo, slot_hi,
+                dist_comps, out_q, out_id, out_dist, kernel,
+            )
+            return
+        member = _concat_ranges(starts, counts)
         rep_q = np.repeat(lq, counts)
         rep_pd = np.repeat(lpd, counts) if self.use_parent_filter else None
         # Tombstoned members drop out first, before any filter or distance
@@ -577,47 +560,141 @@ class FlatPMTree:
                 rep_pd = rep_pd[alive]
             if member.size == 0:
                 return
-        # A small pooled frontier verifies in one kernel call; a large
-        # capped one runs in chunks, so each query's threshold tightens
-        # between chunks and later pairs see a smaller effective radius.
-        total = member.size
-        if total <= _SINGLE_PASS_PAIRS:
-            admission = None
-        step = total if admission is None else _LEAF_ADMIT_CHUNK
-        for lo in range(0, total, step):
-            hi = min(lo + step, total)
-            c_member = member[lo:hi]
-            c_q = rep_q[lo:hi]
-            c_pd = rep_pd[lo:hi] if rep_pd is not None else None
-            eff_r = radius if admission is None else admission.effective(radius, c_q)
-            # Eq. 5 parent-distance + ring filters (fused in the kernel).
-            keep = kernel.leaf_prune(
-                member=c_member,
-                rep_q=c_q,
-                rep_pd=c_pd,
-                leaf_pd=self.leaf_pd,
-                ring_cols=self.leaf_ring_cols,
-                query_rings=query_rings,
-                radius=eff_r,
-                use_parent_filter=self.use_parent_filter,
-            )
-            if not np.any(keep):
+        # Eq. 5 parent-distance + ring filters (fused in the kernel).
+        keep = kernel.leaf_prune(
+            member=member,
+            rep_q=rep_q,
+            rep_pd=rep_pd,
+            leaf_pd=self.leaf_pd,
+            ring_cols=self.leaf_ring_cols,
+            query_rings=query_rings,
+            radius=radius,
+            use_parent_filter=self.use_parent_filter,
+        )
+        if not np.any(keep):
+            return
+        surv_q = rep_q[keep]
+        member = member[keep]
+        dists = kernel.pair_distances(self.leaf_points[member], queries[surv_q])
+        dist_comps += np.bincount(surv_q, minlength=dist_comps.size)
+        inside = dists <= radius
+        if lower is not None:
+            inside &= dists > lower
+        out_q.append(surv_q[inside])
+        out_id.append(self.leaf_ids[member[inside]])
+        out_dist.append(dists[inside])
+
+    def _dense_leaves(
+        self,
+        queries: np.ndarray,
+        radius: float,
+        lower: Optional[float],
+        limits: Optional[np.ndarray],
+        rows_q: np.ndarray,
+        slot_lo: int,
+        slot_hi: int,
+        dist_comps: np.ndarray,
+        out_q: List[np.ndarray],
+        out_id: List[np.ndarray],
+        out_dist: List[np.ndarray],
+        kernel,
+    ) -> None:
+        """The leaf level as blocked GEMMs over ``leaf_points[slot_lo:slot_hi]``.
+
+        Produces the matches the per-pair path produces, for the queries
+        *rows_q*: a score ``s = ‖p‖² − 2·q·p`` per (query, slot) — the
+        squared distance less the row constant ``‖q‖²`` — picks a
+        superset of the ball, and only that superset is re-scored with
+        ``pair_distances`` and put to the same ``≤ radius`` / ``> lower``
+        tests.  What is emitted is therefore decided by the exact kernel
+        alone; the scores can only cost time.  The Eq. 5 member filters
+        are *not* run here: they are implied by the distance test except
+        within rounding of their own boundaries (module docstring), which
+        is the one place this route can keep a match the other drops.
+
+        Error bound (float64, eps = 2u, first order).  ``‖p‖²``, ``‖q‖²``
+        and ``q·p`` are m-term sums, each within m·u of its absolute
+        terms: together at most 2m·u·(‖p‖² + ‖q‖²) on ``‖p‖² − 2q·p +
+        ‖q‖²``.  Adding them and forming the threshold takes three more
+        roundings of values ≤ 2(‖p‖² + ‖q‖²): 6u·(‖p‖² + ‖q‖²).  So
+        ``|s + ‖q‖² − d²| ≤ (m + 3)·eps·(‖p‖² + ‖q‖²)``.  On the other
+        side, the exact kernel's ``fl(√(Σ fl(p−q)²))`` is within relative
+        (m + 5)·u of d, so what it accepts has d² ≤ radius²·(1 + (m +
+        3)·eps).  ``tol`` is ``_DENSE_SLACK`` × (m + 3)·eps·(max‖p‖² +
+        ‖q‖² + radius²), and the filter keeps ``s + ‖q‖² ≤ radius² + tol``
+        (and ``≥ lower² − tol``).  Data far from the origin inflates
+        ``tol`` until everything passes — slower, never different.
+
+        With ``limits`` and no annulus, a query holding more than its
+        limit L of survivors is pre-cut at its L-th smallest score + 2·tol.
+        Either all L of those are true matches, so the final L-th
+        distance² is ≤ that score + tol and everything the budget cut can
+        keep (ties included) scores within another tol; or one is not,
+        its score is then already within tol of radius², and the cut
+        keeps every match.
+        """
+        points = self.leaf_points[slot_lo:slot_hi]
+        sqnorm = self.leaf_sqnorm[slot_lo:slot_hi]
+        alive = None if self.leaf_alive is None else self.leaf_alive[slot_lo:slot_hi]
+        span = slot_hi - slot_lo
+        dist_comps[rows_q] += span if alive is None else int(alive.sum())
+        block = queries[rows_q]
+        q_sqnorm = np.einsum("ij,ij->i", block, block)
+        r2 = radius * radius
+        eps = np.finfo(np.float64).eps
+        tol = _DENSE_SLACK * (block.shape[1] + 3) * eps * (sqnorm.max() + q_sqnorm + r2)
+        upper = r2 + tol - q_sqnorm
+        floor = None if lower is None else lower * lower - tol - q_sqnorm
+        row_limits = None
+        if limits is not None:
+            row_limits = limits[rows_q]
+            upper[row_limits <= 0] = -np.inf  # the budget cut keeps nothing
+        precut = row_limits is not None and lower is None
+        neg2q = -2.0 * block
+        num_rows = rows_q.size
+        # Column blocks of every row at once: the slot range is read from
+        # memory once per call however many rows share it.
+        width = min(span, max(1, _DENSE_BLOCK // num_rows))
+        buffer = np.empty((num_rows, width), dtype=np.float64)
+        hit_slots: List[List[np.ndarray]] = [[] for _ in range(num_rows)]
+        hit_scores: List[List[np.ndarray]] = [[] for _ in range(num_rows)]
+        for lo in range(0, span, width):
+            hi = min(lo + width, span)
+            # ``.T`` is a view: BLAS reads the point rows transposed.
+            scores = np.matmul(neg2q, points[lo:hi].T, out=buffer[:, : hi - lo])
+            scores += sqnorm[lo:hi]
+            hit = scores <= upper[:, None]
+            if floor is not None:
+                hit &= scores >= floor[:, None]
+            if alive is not None:
+                hit &= alive[lo:hi]
+            for i in range(num_rows):
+                slots = np.flatnonzero(hit[i])  # ascending leaf slot
+                if slots.size:
+                    if precut:
+                        hit_scores[i].append(scores[i, slots])
+                    slots += lo
+                    hit_slots[i].append(slots)
+        for i in range(num_rows):
+            if not hit_slots[i]:
                 continue
-            surv_q = c_q[keep]
-            surv_ids = self.leaf_ids[c_member[keep]]
-            rows = self.leaf_points[c_member[keep]]
-            dists = kernel.pair_distances(rows, queries[surv_q])
-            dist_comps += np.bincount(surv_q, minlength=dist_comps.size)
-            r_surv = eff_r[keep] if isinstance(eff_r, np.ndarray) else eff_r
-            inside = dists <= r_surv
+            member = np.concatenate(hit_slots[i])
+            if precut and member.size > row_limits[i]:
+                kept = np.concatenate(hit_scores[i])
+                limit = int(row_limits[i])
+                kth = np.partition(kept, limit - 1)[limit - 1]
+                member = member[kept <= kth + 2.0 * tol[i]]
+            query = queries[rows_q[i]]
+            dists = kernel.pair_distances(
+                points[member], np.broadcast_to(query, (member.size, query.size))
+            )
+            inside = dists <= radius
             if lower is not None:
                 inside &= dists > lower
-            if np.any(inside):
-                out_q.append(surv_q[inside])
-                out_id.append(surv_ids[inside])
-                out_dist.append(dists[inside])
-                if admission is not None:
-                    admission.observe(surv_q[inside], dists[inside])
+            member = member[inside]
+            out_q.append(np.full(member.size, rows_q[i], dtype=np.int64))
+            out_id.append(self.leaf_ids[slot_lo + member])
+            out_dist.append(dists[inside])
 
     def _expand_inner(
         self,
@@ -629,14 +706,12 @@ class FlatPMTree:
         ipd: np.ndarray,
         dist_comps: np.ndarray,
         kernel,
-        admission: Optional[_Admission],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         starts = self.span_start[inode]
         counts = self.span_end[inode] - starts
         eidx = _concat_ranges(starts, counts)
         rep_q = np.repeat(iq, counts)
         rep_pd = np.repeat(ipd, counts) if self.use_parent_filter else None
-        eff_r = radius if admission is None else admission.effective(radius, rep_q)
         # Eq. 5 parent-distance + hyper-ring interval tests (fused in the
         # kernel); survivors owe a centre distance and the sphere test.
         keep = kernel.inner_prune(
@@ -648,7 +723,7 @@ class FlatPMTree:
             hr_min=self.entry_hr_min,
             hr_max=self.entry_hr_max,
             query_rings=query_rings,
-            radius=eff_r,
+            radius=radius,
             use_parent_filter=self.use_parent_filter,
         )
         cand = np.flatnonzero(keep)
@@ -663,8 +738,7 @@ class FlatPMTree:
         centers = self.entry_center[cand_e]  # fancy index: already a copy
         dists = kernel.pair_distances(centers, queries[cand_q])
         dist_comps += np.bincount(cand_q, minlength=dist_comps.size)
-        r_cand = eff_r[cand] if isinstance(eff_r, np.ndarray) else eff_r
-        surviving = np.maximum(dists - self.entry_radius[cand_e], 0.0) <= r_cand
+        surviving = np.maximum(dists - self.entry_radius[cand_e], 0.0) <= radius
         return (
             cand_q[surviving],
             self.entry_child[cand_e[surviving]],

@@ -187,10 +187,7 @@ def leaf_prune_inputs(draw):
     query_rings = (
         rng.uniform(0, 2, size=(num_queries, num_pivots)) if num_pivots else None
     )
-    if draw(st.booleans()):
-        radius = rng.uniform(0, 1.5, size=num_members)
-    else:
-        radius = float(rng.uniform(0, 1.5))
+    radius = float(rng.uniform(0, 1.5))
     use_parent = draw(st.booleans())
     return dict(
         member=member,
@@ -227,10 +224,7 @@ def inner_prune_inputs(draw):
     query_rings = (
         rng.uniform(0, 2, size=(num_queries, num_pivots)) if num_pivots else None
     )
-    if draw(st.booleans()):
-        radius = rng.uniform(0, 1.5, size=num_pairs)
-    else:
-        radius = float(rng.uniform(0, 1.5))
+    radius = float(rng.uniform(0, 1.5))
     return dict(
         eidx=eidx,
         rep_q=rep_q,

@@ -8,14 +8,15 @@ the reference kernels swapped onto the kernel set, including after
 deletes that fully tombstone leaves and under the sampled hash family.
 
 The second half pins the one choice the traversal makes from its input:
-a capped ``batch_range`` expands a small pooled leaf frontier in one
-pass and a large one in admission chunks.  Both sides must return the
+a capped ``batch_range`` scores its leaf level pair by pair or as one
+dense pass over the reached slot range.  Both sides must return the
 pointer tree's capped set — with tombstones and planted distance ties —
-and the chunked side must do strictly less distance work than the full
-ball.
+and charge ``dist_comps`` for what they scored.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_sampled_family_differs_from_dense_but_is_self_consistent():
 
 
 # ----------------------------------------------------------------------
-# Both sides of the single-pass / chunked-admission choice
+# Both sides of the per-pair / dense-pass choice
 # ----------------------------------------------------------------------
 
 
@@ -125,25 +126,14 @@ def _oracle_capped(tree, dead, query, radius, limit):
 @pytest.mark.parametrize("rows", [1, 32], ids=["one-row", "32-row"])
 def test_capped_batch_range_matches_pointer_tree(capped_tree, rows, monkeypatch):
     tree, flat, dead, queries = capped_tree
-    # Test-sized frontiers: 32 rows pool ~50k leaf pairs, one row ~1.5k.
-    # Scale the rule's constants so the two block shapes land on
-    # opposite sides of it, with several chunks on the chunked side.
-    monkeypatch.setattr(flat_module, "_LEAF_ADMIT_CHUNK", 256)
-    monkeypatch.setattr(flat_module, "_SINGLE_PASS_PAIRS", 8192)
-    calls = []
-    real_observe = flat_module._Admission.observe
-
-    def counting_observe(self, q, dists):
-        calls.append(q.size)
-        real_observe(self, q, dists)
-
-    monkeypatch.setattr(flat_module._Admission, "observe", counting_observe)
+    # Pinned to the per-pair side of the leaf-level choice (the dense
+    # side: next test).
+    monkeypatch.setattr(flat_module, "_DENSE_COVERAGE", math.inf)
     block = queries[:rows]
     radius, limit = 2.5, 25
     lims, ids, dists, stats = flat.batch_range(
         block, radius, limits=np.full(rows, limit, dtype=np.int64)
     )
-    assert bool(calls) == (rows == 32)  # which side of the choice ran
     for i, query in enumerate(block):
         expected = _oracle_capped(tree, dead, query, radius, limit)
         got = list(zip(dists[lims[i] : lims[i + 1]], ids[lims[i] : lims[i + 1]]))
@@ -151,11 +141,39 @@ def test_capped_batch_range_matches_pointer_tree(capped_tree, rows, monkeypatch)
         assert not dead & set(ids[lims[i] : lims[i + 1]].tolist())
     # Row 0 sits on the duplicate block: the cut keeps the smallest ids.
     np.testing.assert_array_equal(ids[: lims[1]][:25], np.arange(100, 125))
-    # The uncapped traversal computes the whole ball (its counters equal
-    # the pointer tree's — tests/pmtree/test_flatten.py); the chunked side
-    # must beat it, the single pass must match it.
-    full_ball = int(flat.batch_range(block, radius)[3].dist_comps.sum())
-    if rows == 32:
-        assert int(stats.dist_comps.sum()) < full_ball
-    else:
-        assert int(stats.dist_comps.sum()) == full_ball
+    # The cap is applied after the ball is computed: the work counters
+    # equal the uncapped traversal's (and so the pointer tree's —
+    # tests/pmtree/test_flatten.py).
+    full_ball = flat.batch_range(block, radius)[3]
+    np.testing.assert_array_equal(stats.dist_comps, full_ball.dist_comps)
+
+
+@pytest.mark.parametrize("rows", [1, 32], ids=["one-row", "32-row"])
+def test_capped_dense_pass_matches_pointer_tree(capped_tree, rows, monkeypatch):
+    """The other side of the leaf-level choice: same answers, and every
+    live member of the streamed slot range charged once per query."""
+    tree, flat, dead, queries = capped_tree
+    monkeypatch.setattr(flat_module, "_DENSE_COVERAGE", 0.0)
+    charged = []
+    real_dense = flat_module.FlatPMTree._dense_leaves
+
+    def spying_dense(self, queries, radius, lower, limits, rows_q, lo, hi, dist_comps, *rest):
+        before = dist_comps.copy()
+        real_dense(self, queries, radius, lower, limits, rows_q, lo, hi, dist_comps, *rest)
+        charged.append((rows_q, int(self.leaf_alive[lo:hi].sum()), dist_comps - before))
+
+    monkeypatch.setattr(flat_module.FlatPMTree, "_dense_leaves", spying_dense)
+    block = queries[:rows]
+    radius, limit = 2.5, 25
+    lims, ids, dists, _ = flat.batch_range(
+        block, radius, limits=np.full(rows, limit, dtype=np.int64)
+    )
+    for i, query in enumerate(block):
+        expected = _oracle_capped(tree, dead, query, radius, limit)
+        got = list(zip(dists[lims[i] : lims[i + 1]], ids[lims[i] : lims[i + 1]]))
+        assert got == expected
+    np.testing.assert_array_equal(ids[: lims[1]][:25], np.arange(100, 125))
+    (rows_q, live, delta), = charged
+    assert 0 < live <= flat.num_live
+    np.testing.assert_array_equal(delta[rows_q], live)
+    assert int(delta.sum()) == live * rows_q.size

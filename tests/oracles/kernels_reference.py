@@ -15,13 +15,6 @@ from typing import List, Optional
 import numpy as np
 
 
-def _radius_rows(radius, index: np.ndarray):
-    """Gather a per-pair radius for *index*, passing scalars through."""
-    if isinstance(radius, np.ndarray):
-        return radius[index]
-    return radius
-
-
 def closest_mask(dists: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k entries smallest by ``(distance, id)`` — a
     full canonical sort, the definition the product's selection must equal."""
@@ -38,7 +31,7 @@ def leaf_prune(
     leaf_pd: np.ndarray,
     ring_cols: List[np.ndarray],
     query_rings: Optional[np.ndarray],
-    radius,
+    radius: float,
     use_parent_filter: bool,
 ) -> np.ndarray:
     """Eq. 5 leaf-member filters: parent-distance test, then ring tests.
@@ -52,8 +45,7 @@ def leaf_prune(
     keep = np.ones(member.size, dtype=bool)
     if use_parent_filter and rep_pd is not None:
         known = ~np.isnan(rep_pd)
-        r_known = radius[known] if isinstance(radius, np.ndarray) else radius
-        keep[known] &= np.abs(leaf_pd[member[known]] - rep_pd[known]) <= r_known
+        keep[known] &= np.abs(leaf_pd[member[known]] - rep_pd[known]) <= radius
     if query_rings is not None:
         sub = np.flatnonzero(keep)
         for pivot in range(len(ring_cols)):
@@ -63,7 +55,7 @@ def leaf_prune(
                 np.abs(
                     ring_cols[pivot][member[sub]] - query_rings[rep_q[sub], pivot]
                 )
-                <= _radius_rows(radius, sub)
+                <= radius
             )
             keep[sub[~ring_ok]] = False
             sub = sub[ring_ok]
@@ -80,7 +72,7 @@ def inner_prune(
     hr_min: np.ndarray,
     hr_max: np.ndarray,
     query_rings: Optional[np.ndarray],
-    radius,
+    radius: float,
     use_parent_filter: bool,
 ) -> np.ndarray:
     """Eq. 5 routing-entry filters: parent-distance test, then hyper-ring
@@ -92,16 +84,14 @@ def inner_prune(
     keep = np.ones(eidx.size, dtype=bool)
     if use_parent_filter and rep_pd is not None:
         known = ~np.isnan(rep_pd)
-        r_known = radius[known] if isinstance(radius, np.ndarray) else radius
         keep[known] &= (
             np.abs(entry_pd[eidx[known]] - rep_pd[known])
-            <= r_known + entry_radius[eidx[known]]
+            <= radius + entry_radius[eidx[known]]
         )
     if query_rings is not None:
         rings_q = query_rings[rep_q]
-        r_col = radius[:, None] if isinstance(radius, np.ndarray) else radius
-        ring_ok = (hr_min[eidx] <= rings_q + r_col) & (
-            hr_max[eidx] >= rings_q - r_col
+        ring_ok = (hr_min[eidx] <= rings_q + radius) & (
+            hr_max[eidx] >= rings_q - radius
         )
         keep &= ring_ok.all(axis=1)
     return keep

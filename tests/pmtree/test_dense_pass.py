@@ -1,0 +1,286 @@
+"""Dense leaf pass vs per-pair traversal: one tree, one block, two routes.
+
+``FlatPMTree.batch_range`` scores its leaf level either pair by pair
+(Eq. 5 member filters, gathered distances) or as blocked GEMMs over the
+reached slot range, chosen from the frontier's coverage against
+``_DENSE_COVERAGE``.  The dense scores are only a superset filter — what
+is emitted is decided by the same exact kernel — so forcing the constant
+to "always" and to "never" must give the same *bytes*: ids, projected
+distances, ``(distance, id)`` tie order at the budget cut and the
+``sort=False`` emission order.  The hard cases are drawn on purpose:
+tombstones, duplicate blocks at the cut, a point exactly at ``radius``
+and one exactly at ``lower``, a single-leaf tree, an insert-built tree,
+and data 10⁶–10⁸ away from the origin, where the GEMM scores lose every
+digit and the filter must degrade to pass-all rather than to a wrong
+answer.
+"""
+
+from __future__ import annotations
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import PMLSH, Knn, PMLSHParams, Range, create_index
+from repro.parallel.shm import leaked_segments
+from repro.pmtree import flat as flat_module
+from repro.pmtree.tree import PMTree
+
+
+def _never():
+    return mock.patch.object(flat_module, "_DENSE_COVERAGE", math.inf)
+
+
+def _always():
+    return mock.patch.object(flat_module, "_DENSE_COVERAGE", 0.0)
+
+
+def _exact_distances(points: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Distances with the traversal's own reduction (``pair_distances``)."""
+    diff = points - query
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+@st.composite
+def scenario(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    n = draw(st.sampled_from([12, 150, 700]))
+    dim = draw(st.integers(min_value=2, max_value=8))
+    points = rng.normal(size=(n, dim)) * draw(st.sampled_from([0.5, 5.0]))
+    # A duplicate block: distance ties the budget cut must break by id.
+    points[n // 3 : n // 3 + 6] = points[n // 3]
+    offset = draw(st.sampled_from([0.0, 1e6, 1e8]))  # worst cancellation
+    points += offset
+    capacity = draw(st.sampled_from([4, 16, 1024]))  # 1024: a single leaf
+    # The pointer tree derives its pivot-distance matrix from the
+    # ‖a‖² − 2a·b + ‖b‖² expansion with no error bound, so far from the
+    # origin the hyper-ring tests (inner levels included) drop true
+    # matches — found while writing this test; ROADMAP, correctness item.
+    # Offset data is therefore indexed without pivots: parent distances
+    # and covering radii come from differences and stay sound.
+    num_pivots = 0 if offset else draw(st.integers(min_value=0, max_value=3))
+    tree = PMTree.build(
+        points,
+        num_pivots=num_pivots,
+        capacity=capacity,
+        method=draw(st.sampled_from(["bulk", "insert"])),
+        seed=1,
+    )
+    flat = tree.flatten()
+    dead = rng.choice(n, size=n // 5, replace=False) if draw(st.booleans()) else None
+    if dead is not None:
+        flat.set_tombstones(dead)
+    rows = draw(st.sampled_from([1, 7, 64]))
+    queries = points[rng.choice(n, size=rows)] + rng.normal(size=(rows, dim)) * 0.05
+    if rows > 1:
+        queries[0] = points[n // 3]  # sits on the duplicate block
+    # Radius and lower bound are *computed distances* of real members to
+    # the last (off-sample, so radius > 0) query: one point exactly on
+    # each boundary.  A zero radius has its own test below — there the
+    # traversal's Eq. 5 filters, which difference separately rounded
+    # distances, can drop an exact duplicate that the dense pass keeps.
+    ranked = np.sort(_exact_distances(points, queries[-1]))
+    radius = float(ranked[draw(st.sampled_from([1, n // 10, n // 2, n - 1]))])
+    lower = draw(st.sampled_from([None, float(ranked[draw(st.integers(0, n // 12))])]))
+    ball = int(np.searchsorted(ranked, radius, side="right"))
+    limit = draw(st.sampled_from([None, 0, 3, max(1, ball // 2), n + 5]))
+    limits = None if limit is None else np.full(rows, limit, dtype=np.int64)
+    if limits is not None and rows > 1:
+        limits[1] = draw(st.sampled_from([0, 1, n]))  # per-query limits differ
+    return points, dead, flat, queries, radius, lower, limits, draw(st.booleans())
+
+
+def _oracle(points, dead, query, radius, lower, limit):
+    """The ball by brute force, cut to *limit* by ``(distance, id)``."""
+    dists = _exact_distances(points, query)
+    inside = dists <= radius
+    if lower is not None:
+        inside &= dists > lower
+    if dead is not None:
+        inside[dead] = False
+    ids = np.flatnonzero(inside)
+    order = np.lexsort((ids, dists[ids]))
+    ids = ids[order] if limit is None else ids[order][: max(limit, 0)]
+    return list(zip(dists[ids].tolist(), ids.tolist()))
+
+
+@given(scenario())
+@settings(max_examples=120, deadline=None)
+def test_dense_pass_equals_the_ball_and_the_traversal(case):
+    points, dead, flat, queries, radius, lower, limits, sort = case
+    with _always():
+        dense = flat.batch_range(queries, radius, limits=limits, lower=lower, sort=sort)
+    lims, ids, dists, stats = dense
+    for i, query in enumerate(queries):
+        got = list(zip(dists[lims[i] : lims[i + 1]].tolist(), ids[lims[i] : lims[i + 1]].tolist()))
+        limit = None if limits is None else int(limits[i])
+        expected = _oracle(points, dead, query, radius, lower, limit)
+        assert (got if sort else sorted(got)) == expected
+    with _never():
+        walked = flat.batch_range(queries, radius, limits=limits, lower=lower, sort=sort)
+    for name, a, b in zip(("lims", "ids", "dists"), walked[:3], dense[:3]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # Same frontier, whichever way its members were scored.
+    np.testing.assert_array_equal(walked[3].nodes, stats.nodes)
+    np.testing.assert_array_equal(walked[3].level_visits, stats.level_visits)
+
+
+def test_offset_data_degrades_the_filter_not_the_answer():
+    """At +10⁸ per coordinate ‖p‖² ≈ m·10¹⁶, the scores are off by more
+    than radius² and so is their error bound: every live member survives
+    the filter and is re-scored exactly, and the result is the true ball."""
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(400, 6)) + 1e8
+    flat = PMTree.build(points, num_pivots=0, capacity=16, seed=2).flatten()
+    queries = points[:5] + 0.01
+    scored = []
+    real = flat_module._kernels.active().pair_distances
+
+    def counting(rows, query_rows):
+        scored.append(rows.shape[0])
+        return real(rows, query_rows)
+
+    with _never():
+        walked = flat.batch_range(queries, 1.5)
+    with _always(), mock.patch.object(flat_module._kernels.active(), "pair_distances", counting):
+        dense = flat.batch_range(queries, 1.5)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(walked[:3], dense[:3]))
+    for i, query in enumerate(queries):
+        expected = _oracle(points, None, query, 1.5, None, None)
+        assert dense[1][dense[0][i] : dense[0][i + 1]].tolist() == [pid for _, pid in expected]
+    assert 0 < dense[0][-1] < 5 * 400  # a real ball, not everything
+    assert scored[-5:] == [400] * 5  # pass-all: each query re-scored every member
+
+
+def _matches(result, i: int) -> set:
+    """Query i's ``(distance, id)`` pairs out of a ``batch_range`` result."""
+    lims, ids, dists = result[:3]
+    return set(zip(dists[lims[i] : lims[i + 1]].tolist(), ids[lims[i] : lims[i + 1]].tolist()))
+
+
+def test_filter_boundary_dense_keeps_what_the_filters_drop():
+    """The one place the two routes may differ (docs/kernels.md): a radius
+    of zero with queries that are copies of indexed points.  The Eq. 5
+    filters difference separately rounded distances — pivot distances
+    from the norm expansion, 50 away from the origin — and drop exact
+    duplicates; the dense pass does not run them on leaf members.  What
+    must hold at any radius: per-pair ⊆ dense ⊆ the true ball, with the
+    exact kernel's distances on both."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(600, 8)) + 50.0
+        points[100:104] = points[100]
+        flat = PMTree.build(points, num_pivots=5, capacity=16, seed=seed).flatten()
+        queries = points[96:128].copy()
+        for radius in (0.0, 1e-12, 1e-9):
+            with _never():
+                walked = flat.batch_range(queries, radius)
+            with _always():
+                dense = flat.batch_range(queries, radius)
+            for i, query in enumerate(queries):
+                ball = set(_oracle(points, None, query, radius, None, None))
+                assert _matches(walked, i) <= _matches(dense, i) <= ball, (seed, radius, i)
+
+
+def test_shipped_constant_takes_both_sides():
+    """The rule as shipped: a ball over most of the tree streams, a small
+    one gathers — observed through which leaf kernel runs."""
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(4000, 6))
+    flat = PMTree.build(points, num_pivots=3, capacity=16, seed=3).flatten()
+    calls = []
+    real = flat_module.FlatPMTree._dense_leaves
+
+    def spy(self, *args):
+        calls.append(args[4].size)  # rows_q
+        return real(self, *args)
+
+    with mock.patch.object(flat_module.FlatPMTree, "_dense_leaves", spy):
+        flat.batch_range(points[:8] + 0.01, 0.3)
+        assert calls == []
+        flat.batch_range(points[:8] + 0.01, 6.0)
+        assert calls == [8]
+
+
+# ----------------------------------------------------------------------
+# Through the index: every query type, and across the process boundary
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def index_and_queries():
+    rng = np.random.default_rng(21)
+    data = rng.normal(size=(1500, 24))
+    data[300:310] = data[300]
+    index = PMLSH(params=PMLSHParams(node_capacity=16), seed=3).fit(data)
+    index.delete(np.arange(40, 90))
+    return index, data[:12] + rng.normal(size=(12, 24)) * 0.02
+
+
+def test_knn_is_identical_on_both_sides(index_and_queries):
+    index, queries = index_and_queries
+    with _never():
+        walked = index.run(queries, Knn(10))
+    with _always():
+        dense = index.run(queries, Knn(10))
+    assert walked.ids.tobytes() == dense.ids.tobytes()
+    assert walked.distances.tobytes() == dense.distances.tobytes()
+    for key in ("candidates", "rounds", "final_radius", "tree_nodes"):
+        assert walked.stats[key] == dense.stats[key], key
+
+
+def test_range_is_identical_on_both_sides(index_and_queries):
+    index, queries = index_and_queries
+    for radius in (3.0, 6.5):
+        with _never():
+            walked = index.run(queries, Range(radius))
+        with _always():
+            dense = index.run(queries, Range(radius))
+        for field in ("lims", "ids", "distances"):
+            assert getattr(walked, field).tobytes() == getattr(dense, field).tobytes()
+        assert walked.stats["candidates"] == dense.stats["candidates"]
+
+
+def test_closest_pairs_are_identical_on_both_sides(index_and_queries):
+    index, _ = index_and_queries
+    with _never():
+        walked = index.closest_pairs(15)
+    with _always():
+        dense = index.closest_pairs(15)
+    assert walked.pairs.tobytes() == dense.pairs.tobytes()
+    assert walked.distances.tobytes() == dense.distances.tobytes()
+
+
+def test_sharded_thread_traversal_equals_process_default():
+    """Four shards: the thread pool pinned to the traversal in this
+    process against the process pool, whose spawned workers import the
+    module afresh and so run the shipped rule."""
+    rng = np.random.default_rng(33)
+    data = rng.normal(size=(1200, 20))
+    data[700] = data[15]
+    queries = data[:9] + rng.normal(size=(9, 20)) * 0.02
+
+    def build(pool_backend):
+        return create_index(
+            "sharded", backend="pm-lsh", pool_backend=pool_backend,
+            num_shards=4, num_workers=2, seed=5,
+        ).fit(data)
+
+    thread, process = build("thread"), build("process")
+    try:
+        with _never():
+            walked = thread.search(queries, 8), thread.range_search(queries, 5.0)
+        pooled = process.search(queries, 8), process.range_search(queries, 5.0)
+        assert walked[0].ids.tobytes() == pooled[0].ids.tobytes()
+        assert walked[0].distances.tobytes() == pooled[0].distances.tobytes()
+        for field in ("lims", "ids", "distances"):
+            assert getattr(walked[1], field).tobytes() == getattr(pooled[1], field).tobytes()
+    finally:
+        process.close()
+        thread.close()
+    assert leaked_segments() == ()

@@ -13,11 +13,15 @@ Two families of guarantees:
 
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pmtree import flat as flat_module
 from repro.pmtree.tree import PMTree
 
 
@@ -109,7 +113,9 @@ def test_flatten_round_trips_the_pointer_tree(points, num_pivots, capacity, meth
 def test_flat_range_matches_recursive_results_and_counters(
     points, num_pivots, method, radius
 ):
-    """Same matches, same floats, same node-visit and distance counters."""
+    """Same matches, same floats, same node-visit and distance counters —
+    on the traversal side of the leaf-level choice, which is the side that
+    mirrors the pointer tree's work (the dense side: next test)."""
     num_pivots = min(num_pivots, points.shape[0])
     tree = PMTree.build(
         points, num_pivots=num_pivots, capacity=8, method=method, seed=1
@@ -118,7 +124,8 @@ def test_flat_range_matches_recursive_results_and_counters(
     queries = np.stack([points[0] + 0.25, points[-1] * 0.5, points[0] - 1.0])
     tree.reset_counters()
     flat.reset_counters()
-    lims, ids, dists, stats = flat.batch_range(queries, radius)
+    with mock.patch.object(flat_module, "_DENSE_COVERAGE", math.inf):
+        lims, ids, dists, stats = flat.batch_range(queries, radius)
     for i, q in enumerate(queries):
         expected = sorted((d, pid) for pid, d in tree.range_query(q, radius))
         got = list(
@@ -134,6 +141,50 @@ def test_flat_range_matches_recursive_results_and_counters(
     assert int(stats.level_visits.sum()) == flat.node_accesses
     assert int(stats.nodes.sum()) == flat.node_accesses
     assert int(stats.dist_comps.sum()) == flat.distance_computations
+
+
+@given(
+    point_cloud(),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from(["bulk", "insert"]),
+    st.floats(min_value=0.0, max_value=10.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_dense_range_matches_recursive_results_and_charges_live_members(
+    points, num_pivots, method, radius
+):
+    """The dense side: same matches and floats as the pointer tree, the
+    same frontier counters as the traversal side, and ``dist_comps`` =
+    the inner levels' centre distances + every live member streamed."""
+    num_pivots = min(num_pivots, points.shape[0])
+    tree = PMTree.build(
+        points, num_pivots=num_pivots, capacity=8, method=method, seed=1
+    )
+    flat = tree.flatten()
+    dead = np.arange(0, points.shape[0], 7, dtype=np.int64)
+    flat.set_tombstones(dead)
+    queries = np.stack([points[0] + 0.25, points[-1] * 0.5, points[0] - 1.0])
+    with mock.patch.object(flat_module, "_DENSE_COVERAGE", math.inf):
+        _, _, _, walked = flat.batch_range(queries, radius)
+    with mock.patch.object(flat_module, "_DENSE_COVERAGE", 0.0):
+        lims, ids, dists, stats = flat.batch_range(queries, radius)
+        _, _, _, everything = flat.batch_range(queries, 1e9)
+    dead_set = set(dead.tolist())
+    for i, q in enumerate(queries):
+        expected = sorted(
+            (d, pid) for pid, d in tree.range_query(q, radius, exclude=dead_set)
+        )
+        got = list(zip(dists[lims[i] : lims[i + 1]], ids[lims[i] : lims[i + 1]]))
+        assert got == expected
+    np.testing.assert_array_equal(stats.nodes, walked.nodes)
+    np.testing.assert_array_equal(stats.level_visits, walked.level_visits)
+    # Queries that reach no leaf are charged nothing at the leaf level;
+    # the others at least what the per-pair side scored.
+    assert np.all(stats.dist_comps >= walked.dist_comps)
+    # A ball that holds everything reaches every routing entry and leaf.
+    np.testing.assert_array_equal(
+        everything.dist_comps, flat.entry_radius.size + flat.num_live
+    )
 
 
 class TestCappedAndAnnulusFetch:

@@ -24,8 +24,9 @@ candidate budget and approximation ratio — arrive through the
 Traversal
 ---------
 The pointer PM-tree built at ``fit`` time remains the insert/validate
-structure (and serves :meth:`PMLSH.ball_cover_query`), but every query
-type runs over its *flattened* structure-of-arrays snapshot
+structure, but every query type — Algorithm 1's
+:meth:`PMLSH.ball_cover_query` included — runs over its *flattened*
+structure-of-arrays snapshot
 (:class:`~repro.pmtree.flat.FlatPMTree`): one level-synchronous traversal
 answers the whole query batch, pruning with Eq. 5 as vectorised masks.
 The per-query pointer-tree walks that define the same answers live under
@@ -334,21 +335,23 @@ class PMLSH(ANNIndex):
         q = self._validate_query(q, k=1)
         if r <= 0:
             raise ValueError(f"radius r must be positive, got {r}")
-        if self._tombstones:
-            dead = self._tombstones.as_set()
-            exclude = dead if exclude is None else set(exclude) | dead
-        projected_query = self.projection.project(q)
         budget = self.candidate_budget(1)
-        candidates = self.tree.range_query(
-            projected_query, self.solved.t * r, limit=budget, exclude=exclude
+        # The closest `budget` collisions inside the projected ball, like
+        # every other probe: the flat tree masks tombstones itself, and
+        # over-fetching by len(exclude) leaves `budget` after dropping them.
+        skip = np.fromiter(exclude or (), dtype=np.int64)
+        _, ids, _, _ = self.flat_tree.batch_range(
+            np.atleast_2d(self.projection.project(q)),
+            self.solved.t * r,
+            limits=[budget + skip.size],
         )
-        if not candidates:
+        ids = ids[~np.isin(ids, skip)][:budget]
+        if ids.size == 0:
             return None
-        ids = np.asarray([pid for pid, _ in candidates], dtype=np.int64)
         true_dists = point_to_points_distances(q, self.data[ids])
         best = int(np.argmin(true_dists))
         best_id, best_dist = int(ids[best]), float(true_dists[best])
-        if len(candidates) >= budget:
+        if ids.size >= budget:
             # ≥ βn + 1 collisions: E2 guarantees one of them lies in B(q, cr).
             return best_id, best_dist
         if best_dist <= self.params.c * r:
@@ -787,10 +790,10 @@ class PMLSH(ANNIndex):
     def from_state_arrays(cls, arrays, params) -> "PMLSH":
         """Restore over *arrays* as they are (already contiguous float64,
         so no coercion below copies): the flat tree serves at once and the
-        pointer tree stays lazy until ``add``/``ball_cover_query`` need
-        it.  Legacy input: no ``projected`` → re-project; no ``flat_*`` →
-        eager deterministic tree rebuild; a ``traversal`` parameter (the
-        retired selector) is dropped, any other unknown key still raises.
+        pointer tree stays lazy until ``add`` needs it.  Legacy input: no
+        ``projected`` → re-project; no ``flat_*`` → eager deterministic
+        tree rebuild; a ``traversal`` parameter (the retired selector) is
+        dropped, any other unknown key still raises.
         """
         params = PMLSHParams(**{k: v for k, v in params.items() if k != "traversal"})
         index = cls(params=params, seed=0)

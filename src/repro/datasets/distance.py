@@ -159,6 +159,10 @@ class DistanceDistribution:
         return float(self.samples.mean())
 
 
+#: Pairs gathered per step of :func:`sample_distance_distribution`.
+_PAIR_BLOCK = 4096
+
+
 def sample_distance_distribution(
     points: np.ndarray,
     num_pairs: int = 100_000,
@@ -177,8 +181,14 @@ def sample_distance_distribution(
     while np.any(collisions):
         right[collisions] = rng.integers(0, n, size=int(collisions.sum()))
         collisions = left == right
-    diff = points[left] - points[right]
-    distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    # Blocked over the pair list: the whole (num_pairs, d) gather and its
+    # two temporaries were fit()'s RSS high-water mark; the reduction is
+    # row-wise, so the blocks change no bit.
+    distances = np.empty(num_pairs, dtype=np.float64)
+    for lo in range(0, num_pairs, _PAIR_BLOCK):
+        hi = lo + _PAIR_BLOCK
+        diff = points[left[lo:hi]] - points[right[lo:hi]]
+        distances[lo:hi] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return DistanceDistribution(np.sort(distances))
 
 

@@ -4,12 +4,15 @@ The engine partitions the dataset across S shards, each an independent
 registry-constructed :class:`~repro.baselines.base.ANNIndex` (PM-LSH by
 default, but any registered algorithm works as a backend).  A query batch
 fans out to every shard and the per-shard answers are merged into one
-global result through a stable global → (shard, local) id mapping.  Two
-fan-out pools are available:
+global result through a stable global → (shard, local) id mapping.  The
+engine describes every round as a ``(kind, payload)`` pair
+(:mod:`repro.parallel.jobs`) and hands it to one *carrier*, picked once
+at construction; which carrier it is changes nothing the engine does:
 
-* ``pool_backend="thread"`` (default) — an in-process thread pool.
-  NumPy's GEMM-heavy kernels drop the GIL, but the Python traversal
-  around them does not, so shards only partially overlap.
+* ``pool_backend="thread"`` (default) — :class:`~repro.parallel.pool.
+  LocalPool`: the engine's own shard objects, inline with one worker,
+  on a thread pool otherwise.  NumPy's GEMM-heavy kernels drop the GIL,
+  the Python around them does not.
 * ``pool_backend="process"`` (registry name ``"process-sharded"``) — a
   :class:`~repro.parallel.pool.WorkerPool` of worker processes, each
   attached **read-only** to its shards' snapshots through
@@ -47,8 +50,7 @@ from __future__ import annotations
 import inspect
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -58,19 +60,17 @@ from repro.engine.router import ShardRouter, make_router
 from repro.engine.stats import EngineStats, ShardStats
 from repro.lifecycle.compaction import CompactionResult, dense_id_map
 from repro.lifecycle.tombstones import TombstoneSet
-from repro.obs.tracing import current_trace, use_trace
-from repro.parallel.jobs import shard_closest_pairs, shard_knn, shard_range, shard_sweep
+from repro.obs.tracing import current_trace
+from repro.parallel.pool import LocalPool, WorkerPool
 from repro.queries import ClosestPairResult, Knn, Range, RangeResult, sort_pairs
 from repro.registry import get_index_class, register_index
 from repro.utils.rng import RandomState, spawn_generators
 
-T = TypeVar("T")
-
-#: Fan-out pool flavours: ``"thread"`` is the classic in-process pool
-#: (NumPy kernels drop the GIL, everything else contends); ``"process"``
-#: runs shard searches in worker processes attached to shared-memory
-#: snapshots (see :mod:`repro.parallel`) — real core parallelism, at the
-#: cost of one IPC round-trip per batch.
+#: Carrier flavours: ``"thread"`` runs shard jobs in-process (NumPy
+#: kernels drop the GIL, everything else contends); ``"process"`` runs
+#: them in worker processes attached to shared-memory snapshots (see
+#: :mod:`repro.parallel`) — real core parallelism, at the cost of one IPC
+#: round-trip per batch.
 _POOL_BACKENDS = ("thread", "process")
 
 
@@ -161,10 +161,7 @@ class ShardedIndex(ANNIndex):
                 f"pool_backend must be one of {_POOL_BACKENDS}, got {pool_backend!r}"
             )
         self._pool_backend = pool_backend
-        self._mp_context = mp_context
         self._backend_cls = _resolve_backend(backend)
-        if pool_backend == "process":
-            self._backend_cls.require_snapshot_support()
         self._backend_name = getattr(
             self._backend_cls, "registry_name", self._backend_cls.__name__
         )
@@ -185,9 +182,18 @@ class ShardedIndex(ANNIndex):
         self._backend_params: Dict[str, Any] = dict(backend_params or {})
         self._seed = seed
         self._router = make_router(router)
-        self.name = f"Sharded[{self._backend_name}x{self.num_shards}]" + (
-            "/process" if self._pool_backend == "process" else ""
-        )
+        self.name = f"Sharded[{self._backend_name}x{self.num_shards}]"
+        # The one place the pool flavour decides anything: which carrier
+        # class :meth:`_carrier` builds (lazily, and again after close()).
+        width = min(self.num_workers, self.num_shards)
+        if pool_backend == "process":
+            self._backend_cls.require_snapshot_support()
+            self.name += "/process"
+            self._new_carrier = lambda registry, labels: WorkerPool(
+                width, mp_context=mp_context, registry=registry, labels=labels
+            )
+        else:
+            self._new_carrier = lambda registry, labels: LocalPool(width)
 
         self._shards: List[ANNIndex] = []
         #: per shard: local id -> global id (append-only after fit).
@@ -195,12 +201,8 @@ class ShardedIndex(ANNIndex):
         #: per global id: owning shard / local id within it (append-only).
         self._global_shard = np.empty(0, dtype=np.int64)
         self._global_local = np.empty(0, dtype=np.int64)
-        self._executor: Optional[ThreadPoolExecutor] = None
-        #: The process pool (lazy, ``pool_backend="process"`` only) and the
-        #: per-shard epochs last published into shared memory — the staleness
-        #: check behind the epoch re-attach protocol.
-        self._worker_pool = None
-        self._published_epochs: Dict[int, int] = {}
+        #: The live carrier (lazy; None until the first round and after close()).
+        self._pool: LocalPool | WorkerPool | None = None
         self._reset_counters()
 
     # -- metrics plumbing ----------------------------------------------
@@ -264,9 +266,8 @@ class ShardedIndex(ANNIndex):
         # the baselines' overfetch path) regardless of backend.
         for shard in getattr(self, "_shards", ()):  # may precede first fit
             shard.metrics = registry
-        pool = getattr(self, "_worker_pool", None)  # may precede __init__ tail
-        if pool is not None:
-            pool.rebind_metrics(registry, scope)
+        if self.worker_pool is not None:
+            self.worker_pool.rebind_metrics(registry, scope)
 
     def _reset_counters(self) -> None:
         self.metrics  # bind the default registry (and instruments) if needed
@@ -325,10 +326,6 @@ class ShardedIndex(ANNIndex):
         self._global_shard = np.arange(n, dtype=np.int64) % self.num_shards
         self._global_local = np.arange(n, dtype=np.int64) // self.num_shards
         self._router.reset([shard.ntotal for shard in self._shards])
-        # A refit replaces every shard object, so nothing published into
-        # shared memory is current any more — even where the fresh shard's
-        # epoch number happens to match the old one.
-        self._published_epochs = {}
         self._reset_counters()
 
     # ------------------------------------------------------------------
@@ -470,13 +467,10 @@ class ShardedIndex(ANNIndex):
     # querying
     # ------------------------------------------------------------------
 
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(self.num_workers, self.num_shards),
-                thread_name_prefix="repro-shard",
-            )
-        return self._executor
+    def _carrier(self) -> LocalPool | WorkerPool:
+        if self._pool is None:
+            self._pool = self._new_carrier(self.metrics, self._obs_labels)
+        return self._pool
 
     @property
     def pool_backend(self) -> str:
@@ -484,12 +478,12 @@ class ShardedIndex(ANNIndex):
         return self._pool_backend
 
     @property
-    def worker_pool(self):
+    def worker_pool(self) -> WorkerPool | None:
         """The live :class:`~repro.parallel.pool.WorkerPool`, or None when
         the engine runs on threads / has not served a process batch yet."""
-        return self._worker_pool
+        return self._pool if isinstance(self._pool, WorkerPool) else None
 
-    def start_pool(self):
+    def start_pool(self) -> WorkerPool:
         """Start the process pool and publish every shard snapshot now.
 
         Implicit before every process-backend batch; calling it
@@ -498,126 +492,47 @@ class ShardedIndex(ANNIndex):
         ``fork`` (forking from a worker thread is best avoided).
         """
         self._require_built()
-        if self._pool_backend != "process":
+        pool = self._carrier()
+        if not isinstance(pool, WorkerPool):
             raise RuntimeError(
                 f"{self.name}: start_pool() needs pool_backend='process' "
-                f"(this engine runs {self._pool_backend!r} fan-out)"
+                f"(this engine runs {self.pool_backend!r} fan-out)"
             )
-        return self._sync_pool()
-
-    def _sync_pool(self):
-        """The epoch re-attach protocol: make the pool match the shards.
-
-        Starts the pool on first use, then (re)publishes every shard
-        whose epoch differs from the last snapshot published for it —
-        after ``add``/``delete``/``compact`` bumped it, or after a refit
-        cleared the table.  Workers re-attach on receipt, and the old
-        segment is unlinked only after they acknowledged.
-        """
-        if self._worker_pool is None:
-            from repro.parallel.pool import WorkerPool
-
-            self._worker_pool = WorkerPool(
-                min(self.num_workers, self.num_shards),
-                mp_context=self._mp_context,
-                registry=self.metrics,
-                labels=self._obs_labels,
-            ).start()
-            self._published_epochs = {}
-        for s, shard in enumerate(self._shards):
-            if self._published_epochs.get(s) != shard.epoch:
-                self._worker_pool.publish(s, shard)
-                self._published_epochs[s] = shard.epoch
-        return self._worker_pool
+        return pool.sync(self._shards)
 
     def close(self) -> None:
-        """Shut down the fan-out pools (idempotent; the index stays usable —
-        thread and process pools are both recreated on the next search).
+        """Shut down the fan-out carrier (idempotent; the index stays
+        usable — a fresh carrier is built on the next search).
 
-        Covers the thread executor *and* the process worker pool: workers
-        get a clean stop, and every shared-memory segment is unlinked —
-        nothing is left for a ``/dev/shm`` leak check to find.
+        Thread pool or worker processes alike: workers get a clean stop,
+        and every shared-memory segment is unlinked — nothing is left for
+        a ``/dev/shm`` leak check to find.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-            self._worker_pool = None
-            self._published_epochs = {}
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
 
     def __del__(self) -> None:  # best-effort cleanup; never raises
         try:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-        except Exception:
-            pass
-        try:
-            pool = getattr(self, "_worker_pool", None)
+            pool = getattr(self, "_pool", None)
             if pool is not None:  # no waiting at interpreter exit
                 pool.terminate()
         except Exception:
             pass
 
-    def _fan_out_process(
+    def _fan_out(
         self, kind: str, payload: Dict[str, Any]
     ) -> Tuple[List[Any], List[float]]:
-        """Run one job round through the worker pool, in shard order.
-
-        The per-shard wall times come from the workers' own clocks; the
-        round itself appears as a single ``process_fan_out`` span under a
-        sampled trace (worker-side spans cannot join a parent-process
-        trace — the per-shard timings in the result stats stand in).
-        """
-        pool = self._sync_pool()
-        trace = current_trace()
-        if trace is not None:
-            with trace.span(
-                "process_fan_out", workers=pool.num_workers, shards=self.num_shards
-            ):
-                outcome = pool.run(kind, payload)
-        else:
-            outcome = pool.run(kind, payload)
-        results = [outcome[s][0] for s in range(self.num_shards)]
-        shard_ms = [outcome[s][1] for s in range(self.num_shards)]
-        return results, shard_ms
-
-    def _fan_out(
-        self, job: Callable[[ANNIndex], T]
-    ) -> Tuple[List[T], List[float]]:
-        """Run *job* on every shard (worker pool when configured), returning
+        """Run one ``(kind, payload)`` round on every shard, returning
         per-shard results and wall times in shard order.
 
-        The calling thread's active trace (if any) is carried into the
-        pool workers, each shard's work wrapped in a ``shard_search``
-        span anchored under the caller's open span — so a sampled
-        request's tree shows every shard's probe nested in place.
+        The carrier gets the live shard list on every call — it runs the
+        jobs on those very objects, or keeps its replicas in step with
+        them — so whatever sits in ``self._shards`` now is what answers.
         """
-        trace = current_trace()
-
-        def timed(item: Tuple[int, ANNIndex]) -> Tuple[T, float]:
-            idx, shard = item
-            start = time.perf_counter()
-            if trace is not None:
-                with use_trace(trace), trace.span("shard_search", shard=idx):
-                    result = job(shard)
-            else:
-                result = job(shard)
-            return result, (time.perf_counter() - start) * 1e3
-
-        items = list(enumerate(self._shards))
-        parallel = min(self.num_workers, self.num_shards) > 1
-        if trace is not None:
-            with trace.anchored(trace.current_span()):
-                if parallel:
-                    outcomes = list(self._pool().map(timed, items))
-                else:
-                    outcomes = [timed(item) for item in items]
-        elif parallel:
-            outcomes = list(self._pool().map(timed, items))
-        else:
-            outcomes = [timed(item) for item in items]
-        return [result for result, _ in outcomes], [elapsed for _, elapsed in outcomes]
+        outcome = self._carrier().run(kind, payload, self._shards)
+        results, shard_ms = zip(*(outcome[s] for s in range(self.num_shards)))
+        return list(results), list(shard_ms)
 
     def _record_batch(
         self,
@@ -643,39 +558,35 @@ class ShardedIndex(ANNIndex):
             for batch in shard_stats_batches
         ]
 
-    def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
-        """Fan the batch out to every shard, then merge the local top-k.
+    def _run_batch(
+        self,
+        kind: str,
+        queries: np.ndarray,
+        spec: Knn | Range,
+        merge: Callable[[List[Any], List[np.ndarray]], Any],
+        **merge_meta: int,
+    ):
+        """Fan the batch out to every shard, then *merge* the answers.
 
-        The spec travels to the shards verbatim apart from k, which is
-        clamped to each shard's cardinality — so per-query runtime knobs
-        (budget, c) apply inside every shard.
+        The spec travels to the shards with the payload, so per-query
+        runtime knobs (budget, c) apply inside every shard; what each
+        kind does to it there (the kNN k clamp) is the job table's.
         """
         wall_start = time.perf_counter()
-
-        # The per-shard semantics (LIVE-count clamp, empty block for a dead
-        # shard) live in repro.parallel.jobs so the thread closures here and
-        # the process workers execute literally the same code.
-        if self._pool_backend == "process":
-            shard_batches, shard_ms = self._fan_out_process(
-                "knn", {"queries": queries, "spec": spec}
-            )
-        else:
-            shard_batches, shard_ms = self._fan_out(
-                lambda shard: shard_knn(shard, queries, spec)
-            )
+        shard_results, shard_ms = self._fan_out(kind, {"queries": queries, "spec": spec})
 
         trace = current_trace()
         merge_start = time.perf_counter()
         if trace is not None:
-            with trace.span("merge", num_shards=self.num_shards, k=spec.k):
-                merged = merge_shard_results(shard_batches, self._id_maps, spec.k)
+            with trace.span("merge", num_shards=self.num_shards, **merge_meta):
+                merged = merge(shard_results, self._id_maps)
         else:
-            merged = merge_shard_results(shard_batches, self._id_maps, spec.k)
+            merged = merge(shard_results, self._id_maps)
         merge_ms = (time.perf_counter() - merge_start) * 1e3
         wall_ms = (time.perf_counter() - wall_start) * 1e3
 
         num_queries = queries.shape[0]
-        self._record_batch(num_queries, wall_ms, shard_ms, shard_batches)
+        self._record_batch(num_queries, wall_ms, shard_ms, shard_results)
         merged.stats.update(
             {
                 "num_shards": float(self.num_shards),
@@ -689,47 +600,22 @@ class ShardedIndex(ANNIndex):
         )
         return merged
 
-    def _run_range(self, queries: np.ndarray, spec: Range) -> RangeResult:
-        """Fan a range batch out to every shard and merge the ragged answers.
-
-        Every shard match survives (there is no k cut), so the merge is a
-        per-query concatenation re-sorted by ``(distance, global id)`` —
-        deterministic across shard and worker counts.
-        """
-        wall_start = time.perf_counter()
-        if self._pool_backend == "process":
-            shard_results, shard_ms = self._fan_out_process(
-                "range", {"queries": queries, "spec": spec}
-            )
-        else:
-            shard_results, shard_ms = self._fan_out(
-                lambda shard: shard_range(shard, queries, spec)
-            )
-
-        trace = current_trace()
-        merge_start = time.perf_counter()
-        if trace is not None:
-            with trace.span("merge", num_shards=self.num_shards):
-                merged = merge_shard_range_results(shard_results, self._id_maps)
-        else:
-            merged = merge_shard_range_results(shard_results, self._id_maps)
-        merge_ms = (time.perf_counter() - merge_start) * 1e3
-        wall_ms = (time.perf_counter() - wall_start) * 1e3
-
-        num_queries = queries.shape[0]
-        self._record_batch(num_queries, wall_ms, shard_ms, shard_results)
-        self._range_queries_served.inc(num_queries)
-        merged.stats.update(
-            {
-                "num_shards": float(self.num_shards),
-                "num_workers": float(min(self.num_workers, self.num_shards)),
-                "shard_time_ms_max": float(np.max(shard_ms)),
-                "shard_time_ms_mean": float(np.mean(shard_ms)),
-                "merge_time_ms": merge_ms,
-                "batch_time_ms": wall_ms,
-                "batch_qps": num_queries / (wall_ms / 1e3) if wall_ms > 0 else 0.0,
-            }
+    def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
+        """Per-shard top-k, merged by ``(distance, global id)`` and cut at k."""
+        return self._run_batch(
+            "knn",
+            queries,
+            spec,
+            lambda results, id_maps: merge_shard_results(results, id_maps, spec.k),
+            k=spec.k,
         )
+
+    def _run_range(self, queries: np.ndarray, spec: Range) -> RangeResult:
+        """Every shard match survives (there is no k cut), so the merge is a
+        per-query concatenation re-sorted by ``(distance, global id)`` —
+        deterministic across shard and worker counts."""
+        merged = self._run_batch("range", queries, spec, merge_shard_range_results)
+        self._range_queries_served.inc(queries.shape[0])
         return merged
 
     def _closest_pairs(self, m: int, budget: int | None = None) -> ClosestPairResult:
@@ -752,31 +638,15 @@ class ShardedIndex(ANNIndex):
         """
         self._closest_pair_calls.inc()
 
-        if self._pool_backend == "process":
-            intra_results, _ = self._fan_out_process("cp", {"m": m, "budget": budget})
-        else:
-            intra_results, _ = self._fan_out(
-                lambda shard: shard_closest_pairs(shard, m, budget)
-            )
-        pair_blocks: List[np.ndarray] = []
-        dist_blocks: List[np.ndarray] = []
-        for s, result in enumerate(intra_results):
-            if len(result) == 0:
-                continue
-            global_pairs = self._id_maps[s][result.pairs]
-            global_pairs = np.sort(global_pairs, axis=1)
-            pair_blocks.append(global_pairs)
-            dist_blocks.append(result.distances)
-        intra_pairs = (
-            np.concatenate(pair_blocks)
-            if pair_blocks
-            else np.empty((0, 2), dtype=np.int64)
+        intra_results, _ = self._fan_out("cp", {"m": m, "budget": budget})
+        # (an empty shard answer is a (0, 2) / (0,) pair of arrays: it concatenates away)
+        intra_pairs = np.concatenate(
+            [
+                np.sort(self._id_maps[s][result.pairs], axis=1)
+                for s, result in enumerate(intra_results)
+            ]
         )
-        intra_dists = (
-            np.concatenate(dist_blocks)
-            if dist_blocks
-            else np.empty(0, dtype=np.float64)
-        )
+        intra_dists = np.concatenate([result.distances for result in intra_results])
         intra_pairs, intra_dists = sort_pairs(intra_pairs, intra_dists)
         if intra_dists.size < m:
             # Not enough intra-shard pairs to bound the sweep radius; the
@@ -790,77 +660,48 @@ class ShardedIndex(ANNIndex):
         sweep_radius = max(delta, float(np.finfo(np.float64).tiny))
 
         # One sweep job per TARGET shard (all earlier shards' points against
-        # it), so the jobs parallelise through the worker pool while each
+        # it), so the jobs parallelise like any other round while each
         # shard object still serves exactly one querying thread — the same
         # concurrency contract as the kNN/range fan-outs.  Source points are
         # each earlier shard's LIVE rows only (the target shard filters its
         # own tombstones inside range_search); the (source, local ids)
-        # bookkeeping stays in the parent either way.
-        targets = list(range(1, self.num_shards))
-        sweep_blocks: Dict[int, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
-        for t in targets:
-            if self._shards[t].nlive == 0:
-                continue
-            blocks = [
-                (s, src_local, self._shards[s].data[src_local])
-                for s in range(t)
-                for src_local in (self._shards[s].live_ids(),)
-                if src_local.size
-            ]
-            if blocks:
-                sweep_blocks[t] = blocks
-
-        def rejoin(t: int, swept: List[Tuple[int, RangeResult]]):
-            return [
-                (s, src_local, result)
-                for (s, src_local, _), (_, result) in zip(sweep_blocks[t], swept)
-            ]
-
-        if self._pool_backend == "process":
-            payload = {
-                "targets": {
-                    t: [(s, points) for s, _, points in blocks]
-                    for t, blocks in sweep_blocks.items()
-                },
-                "radius": sweep_radius,
-                "budget": budget,
-            }
-            outcome = self._sync_pool().run("sweep", payload) if sweep_blocks else {}
-            swept_lists = [
-                rejoin(t, outcome[t][0]) if t in outcome else [] for t in targets
-            ]
-        else:
-
-            def sweep_target(t: int) -> List[Tuple[int, np.ndarray, RangeResult]]:
-                blocks = sweep_blocks.get(t, [])
-                swept = shard_sweep(
-                    self._shards[t],
-                    [(s, points) for s, _, points in blocks],
-                    sweep_radius,
-                    budget,
-                )
-                return rejoin(t, swept) if blocks else []
-
-            if min(self.num_workers, self.num_shards) > 1 and len(targets) > 1:
-                swept_lists = list(self._pool().map(sweep_target, targets))
-            else:
-                swept_lists = [sweep_target(t) for t in targets]
+        # bookkeeping stays in the parent.
+        sources = [
+            (s, src_local, shard.data[src_local])
+            for s, shard in enumerate(self._shards)
+            for src_local in (shard.live_ids(),)
+            if src_local.size
+        ]
+        sweep_sources = {
+            t: [source for source in sources if source[0] < t]
+            for t in range(1, self.num_shards)
+            if self._shards[t].nlive
+        }
+        payload = {
+            "targets": {
+                t: [points for _, _, points in blocks]
+                for t, blocks in sweep_sources.items()
+            },
+            "radius": sweep_radius,
+            "budget": budget,
+        }
+        swept, _ = self._fan_out("sweep", payload)
 
         cross_pairs: List[np.ndarray] = []
         cross_dists: List[np.ndarray] = []
         verified = 0
-        for t, sweeps in zip(targets, swept_lists):
-            for s, src_local, swept in sweeps:
-                verified += int(swept.lims[-1])
-                gid_s = np.repeat(self._id_maps[s][src_local], swept.counts)
-                gid_t = self._id_maps[t][swept.ids]
+        for t, blocks in sweep_sources.items():
+            for (s, src_local, _), hits in zip(blocks, swept[t]):
+                verified += int(hits.lims[-1])
+                gid_s = np.repeat(self._id_maps[s][src_local], hits.counts)
+                gid_t = self._id_maps[t][hits.ids]
                 if gid_s.size == 0:
                     continue
                 pairs = np.column_stack(
                     [np.minimum(gid_s, gid_t), np.maximum(gid_s, gid_t)]
                 )
                 cross_pairs.append(pairs)
-                cross_dists.append(swept.distances)
+                cross_dists.append(hits.distances)
 
         all_pairs = np.concatenate([intra_pairs] + cross_pairs)
         all_dists = np.concatenate([intra_dists] + cross_dists)
@@ -898,10 +739,9 @@ class ShardedIndex(ANNIndex):
         gauge("engine_process_pool", "1 when the fan-out runs worker processes").set(
             1.0 if self._pool_backend == "process" else 0.0
         )
+        pool = self.worker_pool
         gauge("engine_pool_workers_alive", "Live process-pool workers").set(
-            self._worker_pool.num_workers
-            if self._worker_pool is not None and self._worker_pool.running
-            else 0
+            pool.num_workers if pool is not None and pool.running else 0
         )
         search_ms = self._search_time_ms.value
         gauge("engine_qps", "Lifetime queries per second of search wall time").set(

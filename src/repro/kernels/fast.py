@@ -9,7 +9,7 @@ these the fast form of that contract:
   ``flatnonzero`` after the cheap parent test, then per-pivot column
   narrowing) instead of full-width boolean writes, so each gather only
   touches rows the previous filters kept.
-- Distance kernels evaluate in cache-sized chunks; each row's
+- Distance kernels evaluate in cache-sized blocks; each row's
   ``subtract``/``einsum``/``sqrt`` reduction is independent, so chunking
   cannot change a bit.
 - The candidate cuts pick between a per-group selection and one stable
@@ -30,9 +30,21 @@ from typing import List, Optional
 
 import numpy as np
 
-#: Rows per block for chunked distance evaluation: large enough to keep
-#: the einsum efficient, small enough that (rows × d) stays in cache.
-_DIST_CHUNK = 65536
+#: Bytes per gathered block in the chunked distance kernels: a block is
+#: ``max(64, _BLOCK_BYTES // row_bytes)`` rows, so (rows × d) stays in
+#: cache whatever d is.  ``verify_distances`` alone, ms, median of 15 on
+#: the 2-core bench host ("rows" = the 65 536-row block this replaced):
+#:
+#:   data, query rows / candidates    rows  64 kB  128 kB  256 kB  512 kB  1 MB
+#:   100k×128,  1 /   9.7k            5.53   2.78    2.37    2.17    2.53  3.37
+#:    25k×96,  32 /  78k             53.7   18.2    16.4    14.5    17.7  23.2
+#:   100k×32,  32 / 310k             44.7   36.5    31.2    30.7    40.1  47.2
+#:    60k×64,   1 /   6k              1.24   0.98    0.87    0.78    0.86  1.13
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(row_bytes: int) -> int:
+    return max(64, _BLOCK_BYTES // max(1, row_bytes))
 
 
 def leaf_prune(
@@ -126,12 +138,10 @@ def pair_distances(rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
     *rows* is consumed (clobbered in place) — callers pass a fresh gather.
     """
     total = rows.shape[0]
-    if total <= _DIST_CHUNK:
-        np.subtract(rows, query_rows, out=rows)
-        return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    step = _block_rows(rows.shape[1] * rows.itemsize)
     out = np.empty(total, dtype=rows.dtype)
-    for lo in range(0, total, _DIST_CHUNK):
-        hi = min(lo + _DIST_CHUNK, total)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
         block = rows[lo:hi]
         np.subtract(block, query_rows[lo:hi], out=block)
         out[lo:hi] = np.sqrt(np.einsum("ij,ij->i", block, block))
@@ -152,8 +162,9 @@ def verify_distances(
     """
     total = ids.shape[0]
     out = np.empty(total, dtype=np.result_type(data, queries))
-    for lo in range(0, total, _DIST_CHUNK):
-        hi = min(lo + _DIST_CHUNK, total)
+    step = _block_rows(data.shape[1] * out.itemsize)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
         rows = data[ids[lo:hi]]
         np.subtract(rows, queries[rep_q[lo:hi]], out=rows)
         out[lo:hi] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
@@ -293,11 +304,8 @@ def sampled_project(
     n = points.shape[0]
     m, s = sample_idx.shape
     flat_idx = sample_idx.ravel()
-    if n * m * s <= _DIST_CHUNK:
-        gathered = np.take(points, flat_idx, axis=1).reshape(n, m, s)
-        return np.einsum("nms,ms->nm", gathered, weights)
+    rows = _block_rows(m * s * points.itemsize)
     out = np.empty((n, m), dtype=np.result_type(points, weights))
-    rows = max(1, _DIST_CHUNK // max(1, m * s))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         gathered = np.take(points[lo:hi], flat_idx, axis=1).reshape(hi - lo, m, s)

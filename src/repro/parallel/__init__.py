@@ -1,29 +1,30 @@
-"""Process-parallel query execution on shared-memory snapshots.
+"""What a shard round is, and the two carriers that can run one.
 
-The GIL caps what the thread-pool fan-out in :mod:`repro.engine` can buy:
-shard searches overlap only while NumPy holds the GIL dropped, and
-`results/engine_scaling.txt` measured the net effect as a *slowdown*.
-This package provides the process-level alternative:
+:mod:`repro.engine` describes every fan-out as a ``(kind, payload)``
+round and hands it to a carrier; this package is everything behind that
+seam:
 
+* :mod:`repro.parallel.jobs` — the one ``kind → job`` table (k clamping,
+  empty-shard blocks, pair-count caps, sweep targets): what a shard does
+  for a round, whoever carries it there;
+* :mod:`repro.parallel.pool` — the carriers.  :class:`LocalPool` runs
+  the jobs on the engine's own shard objects (inline or on threads);
+  :class:`WorkerPool` runs them in N worker processes over pipes, keeps
+  their shared-memory replicas in step with the shards, respawns a dead
+  worker, and reports pool health into :mod:`repro.obs`;
+* :mod:`repro.parallel.worker` — the worker-process main loop: attach
+  read-only to shard snapshots, answer rounds, re-attach on epoch bumps;
 * :mod:`repro.parallel.shm` — publish a dict of NumPy arrays into one
   named ``multiprocessing.shared_memory`` segment and re-attach them
-  zero-copy from another process;
-* :mod:`repro.parallel.jobs` — the per-shard job semantics (k clamping,
-  empty-shard blocks, pair-count caps) shared by the thread and process
-  fan-outs, so both backends execute literally the same code per shard;
-* :mod:`repro.parallel.worker` — the worker-process main loop: attach
-  read-only to shard snapshots, answer query jobs, re-attach on epoch
-  bumps;
-* :mod:`repro.parallel.pool` — the parent-side :class:`WorkerPool`
-  driving N workers over pipes, publishing shard snapshots, and
-  reporting pool health into :mod:`repro.obs`.
+  zero-copy from another process.
 
-The sharded engine exposes all of this as
-``ShardedIndex(..., pool_backend="process")`` (or the ``"process-sharded"``
-registry alias); see :doc:`docs/parallelism` for the protocol.
+``ShardedIndex(..., pool_backend="process")`` (or the
+``"process-sharded"`` registry alias) selects the process carrier; which
+one is faster is measured by ``bench_e2e``'s ``parallel.vs_thread_ratio``.
+See :doc:`docs/parallelism` for the contract and the protocol.
 """
 
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import LocalPool, WorkerPool
 from repro.parallel.shm import (
     SEGMENT_PREFIX,
     AttachedSegment,
@@ -37,6 +38,7 @@ from repro.parallel.shm import (
 __all__ = [
     "SEGMENT_PREFIX",
     "AttachedSegment",
+    "LocalPool",
     "PublishedSegment",
     "SegmentHandle",
     "WorkerPool",

@@ -13,11 +13,9 @@ duplex pipe with small tuple messages:
     bootstrap and the epoch re-attach path — the parent sends it again
     whenever the shard's epoch bumps.  Reply ``("ok", shard_id)``.
 ``("run", kind, payload)``
-    Run one job over every owned shard in ascending shard order; reply
-    ``("ok", [(shard_id, elapsed_ms, result), ...])``.  Kinds map to
-    :mod:`repro.parallel.jobs`: ``"knn"``, ``"range"``, ``"cp"`` hit all
-    owned shards; ``"sweep"`` hits only the owned shards named in the
-    payload's target table.
+    Run one round over every owned shard in ascending shard order; reply
+    ``("ok", {shard_id: (result, elapsed_ms), ...})``.  What a kind does
+    is :func:`repro.parallel.jobs.run_job`'s business, not the worker's.
 ``("ping",)``
     Liveness probe; reply ``("ok", worker_id)``.
 ``("stop",)``
@@ -31,11 +29,10 @@ as the ordinary (compact, array-backed) result dataclasses.
 
 from __future__ import annotations
 
-import time
 import traceback
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.parallel import jobs
+from repro.parallel.jobs import run_job
 from repro.parallel.shm import AttachedSegment, SegmentHandle, attach_segment
 from repro.persistence import restore_state
 
@@ -52,28 +49,11 @@ def _restore(handle: SegmentHandle, state: Dict[str, Any]):
 
 def _run_jobs(
     shards: Dict[int, Any], kind: str, payload: Dict[str, Any]
-) -> List[Tuple[int, float, Any]]:
-    replies: List[Tuple[int, float, Any]] = []
-    for shard_id in sorted(shards):
-        shard = shards[shard_id]
-        start = time.perf_counter()
-        if kind == "knn":
-            result = jobs.shard_knn(shard, payload["queries"], payload["spec"])
-        elif kind == "range":
-            result = jobs.shard_range(shard, payload["queries"], payload["spec"])
-        elif kind == "cp":
-            result = jobs.shard_closest_pairs(shard, payload["m"], payload["budget"])
-        elif kind == "sweep":
-            blocks = payload["targets"].get(shard_id)
-            if blocks is None:
-                continue  # this worker's shard is not a sweep target
-            result = jobs.shard_sweep(
-                shard, blocks, payload["radius"], payload["budget"]
-            )
-        else:
-            raise ValueError(f"unknown job kind {kind!r}")
-        replies.append((shard_id, (time.perf_counter() - start) * 1e3, result))
-    return replies
+) -> Dict[int, Tuple[Any, float]]:
+    return {
+        shard_id: run_job(kind, shard_id, shards[shard_id], payload)
+        for shard_id in sorted(shards)
+    }
 
 
 def worker_main(worker_id: int, conn) -> None:

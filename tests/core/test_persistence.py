@@ -71,6 +71,19 @@ class TestSaveLoad:
         if a is not None:
             assert a[0] == b[0]
 
+    def test_ball_cover_on_a_restored_index_builds_no_pointer_tree(
+        self, index, small_clustered, tmp_path
+    ):
+        """Algorithm 1 probes the flat snapshot like every other query: a
+        loaded index (a replica, a pool worker) answers it without first
+        re-inserting every point into a pointer tree."""
+        path = str(tmp_path / "bc_flat.npz")
+        index.save(path)
+        restored = PMLSH.load(path)
+        hit = restored.ball_cover_query(small_clustered[7] + 1e-3, r=1.0)
+        assert hit is not None and hit[0] == 7
+        assert restored._tree is None
+
     def test_unbuilt_index_cannot_save(self, tmp_path):
         fresh = PMLSH(seed=0)
         with pytest.raises(RuntimeError):

@@ -148,6 +148,26 @@ class TestSampleDistanceDistribution:
         with pytest.raises(ValueError):
             sample_distance_distribution(np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("d", [32, 64, 96, 128])
+    def test_blocked_gather_equals_one_shot(self, d):
+        """The pair list is walked in blocks to cap fit()'s peak memory;
+        the sample (hence r_min and every snapshot) must not move a bit."""
+        from repro.utils.rng import as_generator
+
+        points = np.random.default_rng(d).normal(size=(500, d))
+        num_pairs = 10_000  # three blocks, the last one ragged
+        got = sample_distance_distribution(points, num_pairs=num_pairs, seed=7)
+        rng = as_generator(7)
+        left = rng.integers(0, 500, size=num_pairs)
+        right = rng.integers(0, 500, size=num_pairs)
+        collisions = left == right
+        while np.any(collisions):
+            right[collisions] = rng.integers(0, 500, size=int(collisions.sum()))
+            collisions = left == right
+        diff = points[left] - points[right]
+        want = np.sort(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+        assert np.array_equal(got.samples, want)
+
 
 class TestMarginalDistribution:
     def test_cdf_per_dimension(self):

@@ -83,20 +83,6 @@ class TestDeterminism:
         np.testing.assert_array_equal(first.ids, second.ids)
         np.testing.assert_allclose(first.distances, second.distances, rtol=1e-12)
 
-    def test_worker_count_does_not_change_results(self, small_clustered, queries):
-        results = []
-        for workers in (1, 2, 4):
-            engine = create_index(
-                "sharded",
-                backend="pm-lsh",
-                num_shards=4,
-                num_workers=workers,
-                seed=9,
-            ).fit(small_clustered)
-            results.append(engine.search(queries, k=10))
-        np.testing.assert_array_equal(results[0].ids, results[1].ids)
-        np.testing.assert_array_equal(results[0].ids, results[2].ids)
-
     def test_shard_seeds_differ_under_one_master_seed(self, small_clustered):
         engine = create_index(
             "sharded", backend="pm-lsh", num_shards=2, seed=3

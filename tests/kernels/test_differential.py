@@ -25,16 +25,17 @@ from tests.oracles import kernels_reference as reference
 
 @contextmanager
 def dist_chunk(chunk: int):
-    """Shrink the kernels' distance chunk so hypothesis-sized
-    inputs actually exercise multi-chunk evaluation.  Restores on exit
-    (a plain save/restore, not a fixture — hypothesis re-runs the test
-    body per example and function-scoped fixtures would not reset)."""
-    previous = fast._DIST_CHUNK
-    fast._DIST_CHUNK = int(chunk)
+    """Shrink the kernels' distance block (to its 64-row floor) so
+    hypothesis-sized inputs actually exercise multi-block evaluation.
+    Restores on exit (a plain save/restore, not a fixture — hypothesis
+    re-runs the test body per example and function-scoped fixtures would
+    not reset)."""
+    previous = fast._BLOCK_BYTES
+    fast._BLOCK_BYTES = int(chunk)
     try:
         yield
     finally:
-        fast._DIST_CHUNK = previous
+        fast._BLOCK_BYTES = previous
 
 
 @contextmanager

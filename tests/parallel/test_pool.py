@@ -101,6 +101,89 @@ class TestQueries:
             pool.run("no-such-kind", {})
 
 
+class TestCarrierContract:
+    """``run(kind, payload, shards)``: the pool keeps its replicas in step
+    with the shard objects it is handed, keyed on object + epoch."""
+
+    def test_run_with_shards_publishes_only_what_is_stale(self, pool, data):
+        shards = [repro.create_index("exact").fit(data[s::3]) for s in range(3)]
+        payload = {"queries": data[:4], "spec": Knn(k=3)}
+        before = pool._c_publishes.value  # the default registry is shared
+        publishes = lambda: pool._c_publishes.value - before  # noqa: E731
+        assert set(pool.run("knn", payload, shards)) == {0, 1, 2}
+        assert publishes() == 3.0
+        pool.run("knn", payload, shards)
+        assert publishes() == 3.0  # same objects, same epochs: nothing to do
+        shards[1].delete([0])
+        outcome = pool.run("knn", payload, shards)
+        assert publishes() == 4.0  # the bumped epoch
+        assert not np.isin(outcome[1][0].ids, [0]).any()
+        # A refit builds a new object whose epoch number may match the old one.
+        shards[2] = repro.create_index("exact").fit(data[2::3][:40])
+        outcome = pool.run("knn", payload, shards)
+        assert publishes() == 5.0
+        assert outcome[2][0].ids.max() < 40
+
+    def test_local_pool_speaks_the_same_contract(self, pool, data):
+        from repro.parallel.pool import LocalPool
+
+        shards = [repro.create_index("exact").fit(data[s::2]) for s in range(2)]
+        payload = {"queries": data[:4], "spec": Knn(k=3)}
+        remote = pool.run("knn", payload, shards)
+        for width in (1, 2):
+            local = LocalPool(width)
+            try:
+                got = local.run("knn", payload, shards)
+            finally:
+                local.close()
+            assert list(got) == [0, 1]
+            for shard_id, (result, elapsed_ms) in got.items():
+                assert result.ids.tobytes() == remote[shard_id][0].ids.tobytes()
+                assert elapsed_ms >= 0.0
+        with pytest.raises(ValueError, match="unknown job kind"):
+            LocalPool(1).run("no-such-kind", {}, shards)
+
+
+class TestRecovery:
+    def test_second_failure_raises_and_the_pool_starts_over(self, data, monkeypatch):
+        """A worker that dies again right after its respawn is not retried
+        twice; what is left cannot be trusted to be in step, so the pool
+        drops to idle and the next synced round rebuilds it."""
+        import os
+        import signal
+
+        from repro.parallel import pool as pool_module
+
+        from repro.obs import MetricsRegistry
+
+        pool = WorkerPool(2, registry=MetricsRegistry())
+        if pool.start_method != "fork":
+            pytest.skip("the failure is injected by forking a patched worker loop")
+        shards = [repro.create_index("exact").fit(data[s::2]) for s in range(2)]
+        payload = {"queries": data[:4], "spec": Knn(k=3)}
+        try:
+            want = pool.run("knn", payload, shards)
+            victim = pool._workers[0][0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            with monkeypatch.context() as patched:
+                patched.setattr(pool_module, "worker_main", lambda *_: os._exit(3))
+                with pytest.raises(RuntimeError, match="died mid-request"):
+                    pool.run("knn", payload, shards)
+            assert not pool.running
+            assert leaked_segments() == ()
+            with pytest.raises(RuntimeError, match="not running"):
+                pool.run("knn", payload)
+            got = pool.run("knn", payload, shards)
+            assert pool.ping() == [0, 1]
+            for shard_id in (0, 1):
+                assert got[shard_id][0].ids.tobytes() == want[shard_id][0].ids.tobytes()
+            assert pool._c_restarts.value == 1.0
+        finally:
+            pool.close()
+        assert leaked_segments() == ()
+
+
 class TestMetrics:
     def test_counters_accumulate(self, data):
         from repro.obs import MetricsRegistry

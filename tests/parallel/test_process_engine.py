@@ -1,10 +1,14 @@
-"""Process-backend engine tests: byte-identity with serial and thread
-fan-out, epoch re-attach after lifecycle operations, and clean teardown
-(no leaked shared-memory segments)."""
+"""Process-backend engine tests: the registry alias, the exact oracle,
+tombstones across the pipe, dead-worker recovery, clean teardown (no
+leaked shared-memory segments) and diagnostics.  Byte-identity with the
+serial and thread carriers, fresh and after writes or a refit, is
+``tests/engine/test_carriers.py``."""
 
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -56,23 +60,6 @@ def _assert_cp_equal(a, b, m=10):
 
 
 class TestByteIdentity:
-    def test_process_matches_serial_and_thread(self, dataset, queries):
-        serial = _build(dataset, pool_backend="thread", num_workers=1)
-        thread = _build(dataset, pool_backend="thread")
-        process = _build(dataset, pool_backend="process")
-        try:
-            _assert_knn_equal(serial, process, queries)
-            _assert_range_equal(serial, process, queries)
-            _assert_cp_equal(serial, process)
-            _assert_knn_equal(thread, process, queries)
-            _assert_range_equal(thread, process, queries)
-            _assert_cp_equal(thread, process)
-        finally:
-            process.close()
-            thread.close()
-            serial.close()
-        assert leaked_segments() == ()
-
     def test_registry_alias(self, dataset, queries):
         alias = create_index(
             "process-sharded", num_shards=3, num_workers=2, seed=5
@@ -99,30 +86,6 @@ class TestByteIdentity:
 
 
 class TestLifecycle:
-    def test_epoch_bumps_republish(self, dataset, queries):
-        serial = _build(dataset, pool_backend="thread", num_workers=1)
-        process = _build(dataset, pool_backend="process")
-        rng = np.random.default_rng(40)
-        extra = rng.normal(size=(30, dataset.shape[1]))
-        try:
-            process.search(queries, 3)  # force the initial publish round
-            for engine in (serial, process):
-                engine.add(extra)
-                engine.delete([2, 7, 150, 420])
-                engine.add(extra + 0.5)
-                engine.compact()
-            _assert_knn_equal(serial, process, queries)
-            _assert_range_equal(serial, process, queries)
-            _assert_cp_equal(serial, process)
-            reattaches = process.metrics.value(
-                "pool_reattaches", process._obs_labels
-            )
-            assert reattaches > 0.0
-        finally:
-            process.close()
-            serial.close()
-        assert leaked_segments() == ()
-
     def test_deleted_ids_never_returned(self, dataset, queries):
         process = _build(dataset, pool_backend="process")
         try:
@@ -132,15 +95,45 @@ class TestLifecycle:
         finally:
             process.close()
 
-    def test_refit_invalidates_snapshots(self, dataset, queries):
+
+class TestRecovery:
+    def test_worker_killed_between_rounds_is_respawned(self, dataset, queries):
+        thread = _build(dataset, pool_backend="thread")
         process = _build(dataset, pool_backend="process")
         try:
-            process.search(queries, 4)
-            process.fit(dataset[:400])
-            result = process.search(queries, 4)
-            assert result.ids.max() < 400
+            process.search(queries, 8)
+            victim = process.worker_pool._workers[0][0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            _assert_knn_equal(thread, process, queries)
+            _assert_range_equal(thread, process, queries)
+            labels = process._obs_labels
+            assert process.metrics.value("pool_worker_restarts", labels) == 1.0
+            assert process.metrics.value("pool_workers", labels) == 2.0
+            assert process.worker_pool.ping() == [0, 1]
         finally:
             process.close()
+            thread.close()
+        assert leaked_segments() == ()
+
+    def test_worker_killed_before_a_republish_is_respawned(self, dataset, queries):
+        """The dead pipe is met by ``attach``, not ``run``: the new worker
+        gets the shards it owned, then the snapshot being published."""
+        thread = _build(dataset, pool_backend="thread")
+        process = _build(dataset, pool_backend="process")
+        try:
+            process.search(queries, 8)
+            victim = process.worker_pool._workers[1][0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            for engine in (thread, process):
+                engine.delete([1, 4, 10])
+            _assert_knn_equal(thread, process, queries)
+            labels = process._obs_labels
+            assert process.metrics.value("pool_worker_restarts", labels) == 1.0
+        finally:
+            process.close()
+            thread.close()
         assert leaked_segments() == ()
 
 

@@ -5,7 +5,6 @@ Not a paper table, but the design-choice study DESIGN.md calls out:
 * hyper-rings on/off and parent-distance filter on/off (the two pruning
   tests that distinguish the PM-tree from a plain M-tree): results must be
   identical, distance computations must drop when each filter is enabled;
-* bulk vs insert construction: same query answers, different build cost;
 * pivot selection policies (maxsep vs random): ring tightness.
 """
 
@@ -76,48 +75,6 @@ def test_ablation_pruning_filters(cache, write_result, benchmark):
     # Rings must reduce distance computations (the PM-tree's raison d'etre).
     assert costs[(True, True)] <= costs[(False, True)]
     assert costs[(True, False)] <= costs[(False, False)]
-
-
-def test_ablation_build_methods(cache, write_result, benchmark):
-    workload = cache.workload("Audio")
-    projection = GaussianProjection(workload.d, 15, seed=bench_seed(3))
-    projected = projection.project(workload.data)
-    radius = float(
-        np.quantile(np.linalg.norm(projected - projected[0], axis=1), 0.1)
-    )
-    queries = _query_workload(projected, radius)
-    rows = []
-
-    def run_build_comparison():
-        rows.clear()
-        answers = {}
-        for method in ("bulk", "insert"):
-            start = time.perf_counter()
-            tree = PMTree.build(
-                projected, num_pivots=5, capacity=32, method=method, seed=bench_seed(6)
-            )
-            build_ms = (time.perf_counter() - start) * 1e3
-            tree.reset_counters()
-            start = time.perf_counter()
-            results = [
-                sorted(pid for pid, _ in tree.range_query(query, radius))
-                for query in queries
-            ]
-            query_ms = (time.perf_counter() - start) * 1e3 / len(queries)
-            answers[method] = results
-            rows.append(
-                [method, build_ms, query_ms, tree.distance_computations / len(queries)]
-            )
-        assert answers["bulk"] == answers["insert"], "build method changed results"
-
-    benchmark.pedantic(run_build_comparison, rounds=1, iterations=1)
-    table = format_table(
-        "Ablation: bulk vs insert construction (Audio)",
-        ["Build method", "Build time (ms)", "Query time (ms)", "Distance comps / query"],
-        rows,
-        note="Both builds answer identically; bulk loading is the default.",
-    )
-    write_result("ablation_build", table)
 
 
 def test_ablation_pivot_selection(cache, write_result, benchmark):

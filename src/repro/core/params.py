@@ -23,10 +23,7 @@ class PMLSHParams:
     node_capacity: int = 128
     radius_shrink: float = 0.95
     radius_sample_pairs: int = 50_000
-    build_method: str = "bulk"
     pivot_method: str = "maxsep"
-    split_promotion: str = "mm_rad"
-    split_partition: str = "balanced"
     use_rings: bool = True
     use_parent_filter: bool = True
     #: Hard cap on radius-enlarging iterations; a safety net, not a tuning
@@ -63,12 +60,8 @@ class PMLSHParams:
             raise ValueError(f"node_capacity must be at least 4, got {self.node_capacity}")
         if not 0.0 < self.radius_shrink <= 1.0:
             raise ValueError(f"radius_shrink must be in (0, 1], got {self.radius_shrink}")
-        if self.build_method not in ("bulk", "insert"):
-            raise ValueError(f"unknown build_method {self.build_method!r}")
         if self.pivot_method not in ("maxsep", "random", "variance"):
             raise ValueError(f"unknown pivot_method {self.pivot_method!r}")
-        if self.split_promotion not in ("mm_rad", "random"):
-            raise ValueError(f"unknown split_promotion {self.split_promotion!r}")
         if self.max_iterations <= 0:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
         if self.beta_override is not None and not 0.0 < self.beta_override < 1.0:

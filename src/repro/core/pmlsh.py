@@ -23,14 +23,24 @@ candidate budget and approximation ratio — arrive through the
 
 Traversal
 ---------
-The pointer PM-tree built at ``fit`` time remains the insert/validate
-structure, but every query type — Algorithm 1's
+The pointer PM-tree is only ever bulk-built (at ``fit``, at a fold, or
+lazily for validation); every query type — Algorithm 1's
 :meth:`PMLSH.ball_cover_query` included — runs over its *flattened*
 structure-of-arrays snapshot
 (:class:`~repro.pmtree.flat.FlatPMTree`): one level-synchronous traversal
 answers the whole query batch, pruning with Eq. 5 as vectorised masks.
 The per-query pointer-tree walks that define the same answers live under
 ``tests/oracles/`` as the differential contract.
+
+Writes
+------
+A candidate set is defined by projected distances alone, so how a point
+reached the index cannot change an answer.  :meth:`PMLSH.add` therefore
+never inserts: it appends the projected rows to the flat tree's
+*unindexed tail*, which every query scores with the dense pass it already
+runs over the leaves, and re-clusters the whole matrix (``_build_tree``
++ ``flatten()``) once the tail would outgrow the indexed prefix
+(``_TAIL_FOLD_RATIO``).
 """
 
 from __future__ import annotations
@@ -70,6 +80,15 @@ from repro.queries import (
 )
 from repro.registry import register_index
 from repro.utils.rng import RandomState, as_generator
+
+
+#: ``add`` folds the tail into a fresh bulk build when it would hold more
+#: than this many rows per indexed row.  Every kNN at the default β scores
+#: every leaf slot densely, and a tail row costs a query what a leaf slot
+#: does, so at 1.0 the dense work per query never more than doubles
+#: between folds; each fold at least doubles the indexed prefix, so the
+#: rebuilds stay linear in the rows added.  Not a parameter.
+_TAIL_FOLD_RATIO = 1.0
 
 
 class _TreeWork:
@@ -147,13 +166,10 @@ class PMLSH(ANNIndex):
         self._rng = as_generator(seed)
         self.projection: Optional[GaussianProjection | SampledProjection] = None
         self.projected: Optional[np.ndarray] = None
+        #: the pointer tree behind ``_flat``'s indexed prefix; None after a
+        #: snapshot restore until :attr:`tree` is read.
         self._tree: Optional[PMTree] = None
-        #: pivots to rebuild the pointer tree from lazily — set by
-        #: :meth:`from_state_arrays`, which restores the flat snapshot
-        #: directly and only materialises the pointer tree if something
-        #: needs it.
-        self._lazy_pivots: Optional[np.ndarray] = None
-        #: lazily flattened snapshot of ``tree`` (see :attr:`flat_tree`).
+        #: the flat snapshot every query traverses (see :attr:`flat_tree`).
         self._flat: Optional[FlatPMTree] = None
         self.solved: SolvedParameters = self._solve_for(self.params.c)
         #: (t, β) re-solved per approximation ratio — per-query ``c``
@@ -222,24 +238,23 @@ class PMLSH(ANNIndex):
         return GaussianProjection(self.d, params.m, seed=self._rng)
 
     def _fit(self) -> None:
-        """Project the dataset, build the PM-tree, estimate F(x)."""
+        """Project the dataset, bulk-build the PM-tree, estimate F(x)."""
         params = self.params
+        # A re-fit (compact) lets go of the previous structures first, so
+        # its peak does not hold two indexes' arrays.
+        self._tree = self._flat = self.projected = None
         self.projection = self._make_projection()
         self.projected = self.projection.project(self.data)
         self._tree = PMTree.build(
             self.projected,
             num_pivots=params.num_pivots,
             capacity=params.node_capacity,
-            method=params.build_method,
             pivot_method=params.pivot_method,
-            split_promotion=params.split_promotion,
-            split_partition=params.split_partition,
             use_rings=params.use_rings,
             use_parent_filter=params.use_parent_filter,
             seed=self._rng,
         )
-        self._lazy_pivots = None
-        self._flat = None
+        self._flat = self._tree.flatten()
         # F(x) over ORIGINAL distances drives r_min selection (§4.5); the HV
         # statistic being ≈ 1 is what licenses reusing it for every query.
         self.distance_distribution = sample_distance_distribution(
@@ -250,35 +265,33 @@ class PMLSH(ANNIndex):
 
     @property
     def tree(self) -> Optional[PMTree]:
-        """The pointer PM-tree — the build/insert/validate structure.
+        """The pointer PM-tree over the *indexed* rows — the bulk builder's
+        output, for validation and as the reference traversal.
 
-        After :meth:`fit` it is the tree that was just built.  After a
-        snapshot restore it starts out *unmaterialised* (the flat tree is
-        restored directly, so queries never need it) and is
-        rebuilt deterministically from the stored pivots on first access
-        — :meth:`add` and :meth:`ball_cover_query` trigger that rebuild
-        transparently.
+        Rows :meth:`add` appended since the last build are in the flat
+        tree's tail, not here.  After :meth:`fit` or a fold it is the tree
+        that was just built.  After a snapshot restore it starts out
+        *unmaterialised* (the flat tree is restored directly, and nothing
+        the index does needs the pointer tree) and is rebuilt
+        deterministically from the stored pivots on first access.
         """
-        if self._tree is None and self._lazy_pivots is not None:
-            self._tree = self._build_tree(self._lazy_pivots)
+        if self._tree is None and self._flat is not None:
+            flat = self._flat
+            self._tree = self._build_tree(
+                self.projected[: flat.leaf_ids.size], flat.pivots
+            )
         return self._tree
 
-    @tree.setter
-    def tree(self, value: Optional[PMTree]) -> None:
-        self._tree = value
-
-    def _build_tree(self, pivots: np.ndarray) -> PMTree:
-        """Deterministic pointer-tree (re)build over ``self.projected``
-        with fixed *pivots* — the restore path of :meth:`from_state_arrays`."""
+    def _build_tree(self, points: np.ndarray, pivots: np.ndarray) -> PMTree:
+        """Deterministic bulk build over *points* with fixed *pivots*: the
+        fold of :meth:`_add`, the lazy :attr:`tree` and the legacy restore
+        of :meth:`from_state_arrays`."""
         params = self.params
         return PMTree.build(
-            self.projected,
+            points,
             num_pivots=pivots.shape[0],
             capacity=params.node_capacity,
-            method=params.build_method,
             pivot_method=params.pivot_method,
-            split_promotion=params.split_promotion,
-            split_partition=params.split_partition,
             use_rings=params.use_rings,
             use_parent_filter=params.use_parent_filter,
             seed=0,
@@ -289,23 +302,17 @@ class PMLSH(ANNIndex):
     def flat_tree(self) -> FlatPMTree:
         """The flattened PM-tree snapshot the batched paths traverse.
 
-        Taken lazily from the pointer tree and re-taken after any
-        structural mutation (:meth:`add` invalidates it) — or restored
-        directly by :meth:`from_state_arrays` — so every build
-        path serves from arrays that mirror the current tree exactly.
+        Taken at :meth:`fit` (or restored directly by
+        :meth:`from_state_arrays`) and kept across writes: :meth:`add`
+        extends its tail in place and :meth:`delete` updates its dead
+        mask; only a fold replaces it.
         """
         self._require_built()
-        if self._flat is None:
-            self._flat = self.tree.flatten()
-            if self._tombstones:
-                self._flat.set_tombstones(self._tombstones.ids())
         return self._flat
 
     def _on_delete(self, ids: np.ndarray) -> None:
-        """Push the grown dead set into the flat snapshot (if one exists;
-        a later lazy flatten picks the set up in :attr:`flat_tree`)."""
-        if self._flat is not None:
-            self._flat.set_tombstones(self._tombstones.ids())
+        """Push the grown dead set into the flat snapshot."""
+        self._flat.set_tombstones(self._tombstones.ids())
 
     def candidate_budget(self, k: int, solved: SolvedParameters | None = None) -> int:
         """Algorithm 2's verification cap ⌈βn⌉ + k at the *current live* n.
@@ -759,6 +766,10 @@ class PMLSH(ANNIndex):
     #: One n×d×m GEMM re-derives the projected matrix, so archives leave
     #: it out; shared memory carries it (workers attach with no numeric work).
     _rederivable_arrays = ("projected",)
+    #: ``PMLSHParams`` fields older archives carry: the traversal selector,
+    #: and the insert path's build/split choices (an archive whose tree
+    #: was grown by inserts restores as the flat arrays it stored).
+    _RETIRED_PARAMS = ("traversal", "build_method", "split_promotion", "split_partition")
 
     def state_arrays(self):
         """The index as arrays: dataset, projected points, hash functions
@@ -789,13 +800,16 @@ class PMLSH(ANNIndex):
     @classmethod
     def from_state_arrays(cls, arrays, params) -> "PMLSH":
         """Restore over *arrays* as they are (already contiguous float64,
-        so no coercion below copies): the flat tree serves at once and the
-        pointer tree stays lazy until ``add`` needs it.  Legacy input: no
-        ``projected`` → re-project; no ``flat_*`` → eager deterministic
-        tree rebuild; a ``traversal`` parameter (the retired selector) is
-        dropped, any other unknown key still raises.
+        so no coercion below copies): the flat tree — rows past its
+        ``flat_leaf_ids`` are the unindexed tail — serves at once and the
+        pointer tree stays unbuilt.  Legacy input: no ``projected`` →
+        re-project; no ``flat_*`` → eager deterministic tree rebuild; the
+        retired parameters (``_RETIRED_PARAMS``) are dropped, any other
+        unknown key still raises.
         """
-        params = PMLSHParams(**{k: v for k, v in params.items() if k != "traversal"})
+        params = PMLSHParams(
+            **{k: v for k, v in params.items() if k not in cls._RETIRED_PARAMS}
+        )
         index = cls(params=params, seed=0)
         index._set_data(arrays["data"])
         if "hash_sample_idx" in arrays:
@@ -809,17 +823,18 @@ class PMLSH(ANNIndex):
             if "projected" in arrays
             else index.projection.project(index.data)
         )
-        index._lazy_pivots = np.asarray(arrays["pivots"], dtype=np.float64)
+        pivots = np.asarray(arrays["pivots"], dtype=np.float64)
         if "flat_is_leaf" in arrays:
             index._flat = FlatPMTree.from_arrays(
                 arrays,
                 points=index.projected,
-                pivots=index._lazy_pivots,
+                pivots=pivots,
                 use_rings=params.use_rings,
                 use_parent_filter=params.use_parent_filter,
             )
         else:
-            index._tree = index._build_tree(index._lazy_pivots)
+            index._tree = index._build_tree(index.projected, pivots)
+            index._flat = index._tree.flatten()
         index.distance_distribution = DistanceDistribution(arrays["distance_samples"])
         return index
 
@@ -829,18 +844,29 @@ class PMLSH(ANNIndex):
 
     def _add(self, new_points: np.ndarray) -> np.ndarray:
         """Incremental growth: project with the existing hash functions and
-        insert into the PM-tree through the ordinary insertion path; the
+        append the rows to the flat tree's unindexed tail — or, when the
+        tail would outgrow the indexed prefix (``_TAIL_FOLD_RATIO``),
+        bulk-build one tree over everything with the same pivots.  The
         r_min distance distribution keeps serving (it drifts only as much
         as the data distribution does, which HV ≈ 1 keeps small).  Every
         n-dependent quantity (the ⌈βn⌉ + k candidate budget, r_min's target
         mass) is evaluated per query from the grown ``self.n``, so queries
-        stay consistent after growth."""
-        projected_new = self.projection.project(new_points)
-        new_ids = self.tree.append_points(projected_new)
-        self._set_data(np.vstack([self.data, new_points]))
-        self.projected = self.tree.points
-        self._flat = None  # the snapshot is stale; re-flatten lazily
-        return new_ids
+        stay consistent after growth.  Nothing is assigned until every
+        array is built: a failed add leaves the index as it was."""
+        start = self.n
+        data = np.vstack([self.data, new_points])
+        projected = np.vstack([self.projected, self.projection.project(new_points)])
+        flat = self._flat
+        indexed = flat.leaf_ids.size
+        if projected.shape[0] - indexed > _TAIL_FOLD_RATIO * indexed:
+            tree = self._build_tree(projected, flat.pivots)
+            flat = tree.flatten()
+            flat.set_tombstones(self._tombstones.ids())
+            self._tree, self._flat = tree, flat
+        else:
+            flat.extend(projected)
+        self.data, self.projected = data, projected
+        return np.arange(start, data.shape[0], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -10,12 +10,12 @@ PM-LSH adopts it over the R-tree (§4.1–4.2 of the paper).
 
 Public surface:
 
-* :class:`~repro.pmtree.tree.PMTree` — build (bulk or insert), range query
+* :class:`~repro.pmtree.tree.PMTree` — bulk build, range query
   with early termination, best-first kNN, distance-computation counters.
 * :class:`~repro.pmtree.flat.FlatPMTree` — ``PMTree.flatten()``'s
   structure-of-arrays snapshot: batched, level-synchronous traversal
   (the serving hot path; identical results and counters to the pointer
-  tree).
+  tree) plus the unindexed tail that appended rows join.
 * :func:`~repro.pmtree.pivots.select_pivots` — pivot selection strategies.
 * :func:`~repro.pmtree.validate.check_invariants` — structural validator.
 """

@@ -11,8 +11,9 @@ The layout mirrors Fig. 4(b) of the paper:
   parent routing object; per-point pivot distances live in one shared
   ``(n, s)`` matrix owned by the tree, so the leaf only keeps ids.
 
-Nodes cache vectorised views (centre matrix, radii vector, HR stacks) that
-are rebuilt lazily after structural changes; queries touch only numpy.
+Nodes cache vectorised views (centre matrix, radii vector, HR stacks),
+built on first use after the bulk load last touched the node (nothing
+mutates a finished tree); queries touch only numpy.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ class LeafNode:
         self.parent_distances: List[float] = []
         self._ids_array: Optional[np.ndarray] = None
         self._pd_array: Optional[np.ndarray] = None
-
-    def add(self, point_id: int, parent_distance: float) -> None:
-        self.ids.append(int(point_id))
-        self.parent_distances.append(float(parent_distance))
-        self.invalidate()
 
     def invalidate(self) -> None:
         self._ids_array = None

@@ -1,7 +1,7 @@
 """Flat structure-of-arrays PM-tree: the vectorized batched hot path.
 
-The pointer :class:`~repro.pmtree.tree.PMTree` stays the *build* structure
-— insertion, splits and the structural validator all operate on it — but
+The pointer :class:`~repro.pmtree.tree.PMTree` is the *bulk builder* —
+the clustering and the structural validator operate on it — but
 walking it one Python node at a time is the dominant cost of Algorithm
 1/2 queries.  ``PMTree.flatten()`` packs the finished tree into this
 module's :class:`FlatPMTree`: every routing entry's fields (routing-object
@@ -9,6 +9,15 @@ coordinates, covering radius, parent distance, hyper-ring intervals,
 child pointer) live in contiguous NumPy arrays, nodes are numbered in
 breadth-first order so each depth level is one contiguous id range, and
 leaf membership is two flat arrays sliced per leaf.
+
+The tree indexes a *prefix* of its point matrix.  Rows appended later
+(:meth:`FlatPMTree.extend`) form an unindexed **tail**: point ids are
+append-only, so the tail is always the contiguous suffix ``points[
+leaf_ids.size:]``, and every query scores it with the same dense pass
+that answers a widely covered leaf level.  A match is defined by its
+projected distance alone, so a row answers the same from the tail as
+from a leaf; the owner re-clusters (bulk build + ``flatten()``) when the
+tail has grown enough to matter.
 
 Traversal is *level-synchronous and batched*: one call answers a whole
 ``(Q, m)`` query block by expanding the entire frontier — every surviving
@@ -69,7 +78,8 @@ class TraversalStats:
     charges what was scored — on the traversal side the members that
     survive the Eq. 5 filters, on the dense side (see
     ``_DENSE_COVERAGE``) every live member of the slot range the pass
-    streams, once per query.
+    streams, once per query; the live rows of the unindexed tail are
+    charged to every query the same way.
     """
 
     nodes: np.ndarray
@@ -118,9 +128,13 @@ class FlatPMTree:
     ``span[v]`` slices the ``entry_*`` arrays; for a leaf it slices
     ``leaf_ids`` / ``leaf_pd``.
 
-    The snapshot *references* the owning tree's point matrix and
-    pivot-distance matrix rather than copying them; it goes stale when
-    the pointer tree mutates (``PMLSH`` re-flattens after ``add``).
+    The snapshot *references* its point matrix rather than copying it.
+    ``leaf_ids`` is a permutation of the indexed prefix ``0 ..
+    leaf_ids.size``; ``points`` may hold more rows than that — the
+    unindexed tail, grown in place by :meth:`extend` — and the per-slot
+    arrays (``slot_ids``, ``leaf_points``, ``leaf_sqnorm``,
+    ``leaf_alive``) cover both: leaf slots first, then one slot per tail
+    row in id order.
     """
 
     def __init__(
@@ -162,12 +176,16 @@ class FlatPMTree:
         self.entry_child = entry_child
         self.leaf_ids = leaf_ids
         self.leaf_pd = leaf_pd
-        # Leaf members re-packed in traversal order: the leaf-level gathers
-        # read (near-)contiguous ranges instead of random point ids.  The
+        #: point id per slot: the leaf members in traversal order, then the
+        #: unindexed tail rows (``leaf_ids`` itself while there is no tail).
+        tail = np.arange(leaf_ids.size, points.shape[0], dtype=np.int64)
+        self.slot_ids = np.concatenate([leaf_ids, tail]) if tail.size else leaf_ids
+        # Points re-packed in slot order: the leaf-level gathers read
+        # (near-)contiguous ranges instead of random point ids.  The
         # rows are copies of the same float64 values, so distances computed
         # from them are bit-identical to the pointer tree's.
-        self.leaf_points = np.ascontiguousarray(points[leaf_ids])
-        #: ‖p‖² per leaf slot, the constant term of the dense pass's scores.
+        self.leaf_points = np.ascontiguousarray(points[self.slot_ids])
+        #: ‖p‖² per slot, the constant term of the dense pass's scores.
         self.leaf_sqnorm = np.einsum("ij,ij->i", self.leaf_points, self.leaf_points)
         #: one contiguous per-pivot column, so the staged ring filter reads
         #: sequential memory per pivot (only built when the filter can run).
@@ -183,7 +201,7 @@ class FlatPMTree:
         #: ``PMTree.node_accesses`` (summed over batches since last reset)
         self.distance_computations = 0
         self.node_accesses = 0
-        #: per-leaf-slot liveness mask (parallel to ``leaf_ids``), or None
+        #: per-slot liveness mask (parallel to ``slot_ids``), or None
         #: when no point is tombstoned.  Installed by :meth:`set_tombstones`;
         #: dead members drop out of every traversal before any distance
         #: computation or candidate-limit cut.
@@ -330,7 +348,8 @@ class FlatPMTree:
         ``.npz`` archive holding those keys) — no pointer tree involved.
 
         *points* must be the same projected matrix the snapshot was taken
-        over (same values, same order); the stored pivot-distance matrix
+        over (same values, same order) — rows past the stored ``leaf_ids``
+        are the unindexed tail; the stored pivot-distance matrix
         keeps the ring filters bit-identical to the saved tree's.
         """
         return cls(
@@ -369,24 +388,47 @@ class FlatPMTree:
         return len(self.levels)
 
     def __len__(self) -> int:
-        return int(self.leaf_ids.size)
+        return int(self.slot_ids.size)
 
     @property
     def num_live(self) -> int:
-        """Leaf members that are not tombstoned."""
+        """Points (leaf members and tail rows) that are not tombstoned."""
         if self.leaf_alive is None:
-            return int(self.leaf_ids.size)
+            return int(self.slot_ids.size)
         return int(self.leaf_alive.sum())
 
+    def extend(self, points: np.ndarray) -> None:
+        """Adopt *points* — the current matrix plus appended rows — in place.
+
+        The new rows join the unindexed tail (ids continue from
+        ``len(self)``, alive); the tree arrays are untouched.  Every
+        array is built before the first is assigned, so a failure leaves
+        the snapshot as it was.
+        """
+        start = self.slot_ids.size
+        fresh = points[start:]
+        slot_ids = np.concatenate(
+            [self.slot_ids, np.arange(start, points.shape[0], dtype=np.int64)]
+        )
+        leaf_points = np.concatenate([self.leaf_points, fresh])
+        leaf_sqnorm = np.concatenate(
+            [self.leaf_sqnorm, np.einsum("ij,ij->i", fresh, fresh)]
+        )
+        leaf_alive = self.leaf_alive
+        if leaf_alive is not None:
+            leaf_alive = np.concatenate([leaf_alive, np.ones(fresh.shape[0], dtype=bool)])
+        self.points, self.slot_ids, self.leaf_alive = points, slot_ids, leaf_alive
+        self.leaf_points, self.leaf_sqnorm = leaf_points, leaf_sqnorm
+
     def set_tombstones(self, dead_ids: np.ndarray) -> None:
-        """Install the dead-id set; traversals skip those leaf members.
+        """Install the dead-id set; traversals skip those points.
 
         *dead_ids* are global point ids (the owner's tombstone array);
         passing an empty array clears the mask and restores the
         tombstone-free fast path.
         """
         dead = np.asarray(dead_ids, dtype=np.int64)
-        self.leaf_alive = None if dead.size == 0 else ~np.isin(self.leaf_ids, dead)
+        self.leaf_alive = None if dead.size == 0 else ~np.isin(self.slot_ids, dead)
 
     def reset_counters(self) -> None:
         self.distance_computations = 0
@@ -417,7 +459,8 @@ class FlatPMTree:
         Returns CSR-style ``(lims, ids, dists, stats)``: query i's matches
         are ``ids[lims[i]:lims[i+1]]`` with their projected distances,
         sorted by ``(distance, id)``.  The result set per query is exactly
-        the recursive ``PMTree.range_query(q, radius)`` set.
+        the recursive ``PMTree.range_query(q, radius)`` set of a tree over
+        every row of ``points``, indexed or tail.
 
         ``limits`` (per-query) keeps only each query's *closest* ``limits[i]``
         matches — the capped candidate fetch of Algorithm 2, equal to the
@@ -438,7 +481,11 @@ class FlatPMTree:
         from how much of ``rows × slots`` the reached leaves cover
         (``_DENSE_COVERAGE``): member-by-member Eq. 5 filters and gathered
         distances when the ball is small, one dense scoring pass over the
-        reached slot range when it is not (:meth:`_dense_leaves`).
+        reached slot range when it is not (:meth:`_dense_leaves`).  The
+        unindexed tail, if any, always takes the dense pass — the leaf
+        level's own when that runs up to the last leaf slot (the tail's
+        slots follow on), one more otherwise — and its matches are pooled
+        with the tree's before the one limit cut.
         """
         kernel = _kernels.active()
         queries = np.ascontiguousarray(np.atleast_2d(queries))
@@ -464,6 +511,8 @@ class FlatPMTree:
         out_q: List[np.ndarray] = []
         out_id: List[np.ndarray] = []
         out_dist: List[np.ndarray] = []
+        # Queries that have not scored the unindexed tail yet.
+        owes_tail = np.full(num_queries, self.slot_ids.size > self.leaf_ids.size)
 
         for depth in range(self.height):
             if frontier_q.size == 0:
@@ -484,6 +533,7 @@ class FlatPMTree:
                     frontier_node[leaf_mask],
                     frontier_pd[leaf_mask],
                     dist_comps,
+                    owes_tail,
                     out_q,
                     out_id,
                     out_dist,
@@ -505,6 +555,13 @@ class FlatPMTree:
                 kernel,
             )
 
+        if owes_tail.any():  # no node to prune the tail by: every query scores it
+            self._dense_leaves(
+                queries, radius, lower, limits, np.flatnonzero(owes_tail),
+                self.leaf_ids.size, self.slot_ids.size,
+                dist_comps, out_q, out_id, out_dist, kernel,
+            )
+
         lims, ids, dists = self._assemble(
             num_queries, out_q, out_id, out_dist, limits, sort, kernel
         )
@@ -523,6 +580,7 @@ class FlatPMTree:
         lnode: np.ndarray,
         lpd: np.ndarray,
         dist_comps: np.ndarray,
+        owes_tail: np.ndarray,
         out_q: List[np.ndarray],
         out_id: List[np.ndarray],
         out_dist: List[np.ndarray],
@@ -542,6 +600,11 @@ class FlatPMTree:
         slot_lo, slot_hi = int(starts.min()), int(ends.max())
         streamed = (rows_q.size + _DENSE_LOAD_ROWS) * (slot_hi - slot_lo)
         if pairs >= _DENSE_COVERAGE * streamed:
+            if slot_hi == self.leaf_ids.size:
+                # The tail's slots follow the last leaf slot: one pass (one
+                # pre-cut, one pool per row) scores both.
+                slot_hi = self.slot_ids.size
+                owes_tail[rows_q] = False
             self._dense_leaves(
                 queries, radius, lower, limits, rows_q, slot_lo, slot_hi,
                 dist_comps, out_q, out_id, out_dist, kernel,
@@ -599,7 +662,8 @@ class FlatPMTree:
         out_dist: List[np.ndarray],
         kernel,
     ) -> None:
-        """The leaf level as blocked GEMMs over ``leaf_points[slot_lo:slot_hi]``.
+        """Slots ``[slot_lo, slot_hi)`` — a leaf level's reached range, or the
+        unindexed tail — as blocked GEMMs over ``leaf_points``.
 
         Produces the matches the per-pair path produces, for the queries
         *rows_q*: a score ``s = ‖p‖² − 2·q·p`` per (query, slot) — the
@@ -693,7 +757,7 @@ class FlatPMTree:
                 inside &= dists > lower
             member = member[inside]
             out_q.append(np.full(member.size, rows_q[i], dtype=np.int64))
-            out_id.append(self.leaf_ids[slot_lo + member])
+            out_id.append(self.slot_ids[slot_lo + member])
             out_dist.append(dists[inside])
 
     def _expand_inner(
@@ -761,7 +825,8 @@ class FlatPMTree:
         Frontier expansion is query-major, so each pooled chunk arrives
         already grouped by query — and a balanced tree produces exactly
         one leaf-level chunk — which makes grouping free in the common
-        case; a stable argsort backstops lopsided trees.
+        case; a stable argsort backstops lopsided trees and a tail scored
+        in a pass of its own.
         """
         if not out_q:
             return (
@@ -836,5 +901,5 @@ class FlatPMTree:
         if cover <= 0.0:
             return float(np.finfo(np.float64).tiny) * 1e10
         m = self.points.shape[1]
-        fraction = (k / max(1, self.leaf_ids.size)) ** (1.0 / max(1, m))
+        fraction = (k / max(1, len(self))) ** (1.0 / max(1, m))
         return max(cover * fraction, cover * 1e-6)

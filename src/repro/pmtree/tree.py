@@ -5,7 +5,14 @@ Indexing model
 The tree indexes *row ids* of one fixed ``(n, m)`` float64 matrix (for
 PM-LSH this is the projected dataset).  A ``(n, s)`` matrix of distances
 from every point to the ``s`` global pivots is precomputed once; hyper-ring
-maintenance and leaf-level ring filtering are numpy gathers against it.
+construction and leaf-level ring filtering are numpy gathers against it.
+
+There is one way to build it — :meth:`PMTree.build`'s bulk clustering —
+and no way to grow it: PM-LSH appends new rows to the flat snapshot's
+unindexed tail (:meth:`repro.pmtree.flat.FlatPMTree.extend`) and bulk-builds
+again when the tail has grown.  This class is the builder, the
+``range_query``/``knn_within`` reference the flat traversal is tested
+against, and what ``flatten()`` packs.
 
 Pruning tests for a range query ``range(q, r)`` on a routing entry ``e``
 (Eq. 5 of the paper):
@@ -28,7 +35,6 @@ import numpy as np
 
 from repro.pmtree.entries import InnerNode, LeafNode, Node, RoutingEntry
 from repro.pmtree.pivots import select_pivots
-from repro.pmtree.split import partition_members, promote_mm_rad, promote_random
 from repro.utils.heap import BoundedMaxHeap, MinHeap
 from repro.utils.rng import RandomState, as_generator
 
@@ -43,10 +49,8 @@ class PMTree:
     num_pivots:
         The paper's ``s``; 0 yields a plain M-tree.
     capacity:
-        Maximum entries per node; minimum fill after a split is
-        ``capacity // 2`` under balanced partitioning.
-    split_promotion / split_partition:
-        Split policies (see :mod:`repro.pmtree.split`).
+        Maximum entries per node; the bulk load fills every leaf to at
+        least ``capacity // 2``.
     pivot_method:
         Pivot selection strategy (see :mod:`repro.pmtree.pivots`).
     use_rings / use_parent_filter:
@@ -58,8 +62,6 @@ class PMTree:
         points: np.ndarray,
         num_pivots: int = 5,
         capacity: int = 32,
-        split_promotion: str = "mm_rad",
-        split_partition: str = "balanced",
         pivot_method: str = "maxsep",
         use_rings: bool = True,
         use_parent_filter: bool = True,
@@ -71,12 +73,8 @@ class PMTree:
             raise ValueError(f"points must be a non-empty 2-D array, got shape {points.shape}")
         if capacity < 4:
             raise ValueError(f"capacity must be at least 4, got {capacity}")
-        if split_promotion not in ("mm_rad", "random"):
-            raise ValueError(f"unknown promotion policy {split_promotion!r}")
         self.points = points
         self.capacity = capacity
-        self.split_promotion = split_promotion
-        self.split_partition = split_partition
         self.pivot_method = pivot_method
         self.use_rings = use_rings
         self.use_parent_filter = use_parent_filter
@@ -118,26 +116,15 @@ class PMTree:
         points: np.ndarray,
         num_pivots: int = 5,
         capacity: int = 32,
-        method: str = "bulk",
         seed: RandomState = None,
         **kwargs: object,
     ) -> "PMTree":
-        """Build a PM-tree over all rows of *points*.
-
-        ``method='bulk'`` uses recursive clustering (fast, well-shaped);
-        ``method='insert'`` performs one-by-one insertion through the full
-        M-tree split machinery.
-        """
+        """Bulk-build a PM-tree over all rows of *points* (recursive
+        clustering: fast, well-shaped, every leaf at the same depth)."""
         tree = cls(points, num_pivots=num_pivots, capacity=capacity, seed=seed, **kwargs)
         ids = np.arange(points.shape[0], dtype=np.int64)
-        if method == "bulk":
-            tree._root = tree._bulk_build(ids)
-            tree._count = int(ids.size)
-        elif method == "insert":
-            for point_id in ids:
-                tree.insert(int(point_id))
-        else:
-            raise ValueError(f"unknown build method {method!r}")
+        tree._root = tree._bulk_build(ids)
+        tree._count = int(ids.size)
         return tree
 
     def _bulk_build(self, ids: np.ndarray) -> Node:
@@ -165,8 +152,10 @@ class PMTree:
         while len(level) > 1:
             level = self._pack_level(level)
         root = level[0].child
-        if not root.is_leaf:
-            self._refresh_parent_distances(root, parent_center=None)
+        if not root.is_leaf:  # the root has no parent routing object
+            for entry in root.entries:
+                entry.parent_distance = 0.0
+            root.invalidate()
         return root
 
     def _balanced_leaf_groups(self, ids: np.ndarray) -> List[np.ndarray]:
@@ -242,177 +231,12 @@ class PMTree:
                 hr = np.empty((0, 2), dtype=np.float64)
         return RoutingEntry(center, radius, child, parent_distance, hr)
 
-    def _refresh_parent_distances(self, node: InnerNode, parent_center: Optional[np.ndarray]) -> None:
-        """Set PD of *node*'s entries relative to *parent_center* (root: 0)."""
-        if parent_center is None:
-            for entry in node.entries:
-                entry.parent_distance = 0.0
-        else:
-            dists = _distances_to(node.centers, parent_center)
-            for entry, dist in zip(node.entries, dists):
-                entry.parent_distance = float(dist)
-        node.invalidate()
-
-    # ------------------------------------------------------------------
-    # insertion
-    # ------------------------------------------------------------------
-
-    def insert(self, point_id: int) -> None:
-        """Insert one row id (M-tree descent + overflow splits)."""
-        if not 0 <= point_id < self.points.shape[0]:
-            raise IndexError(f"point_id {point_id} out of range")
-        point = self.points[point_id]
-        if self._root is None:
-            root = LeafNode()
-            root.add(point_id, 0.0)
-            self._root = root
-            self._count = 1
-            return
-        outcome = self._insert_into(self._root, point_id, point, parent_center=None)
-        if outcome is not None:
-            entry_a, entry_b = outcome
-            new_root = InnerNode()
-            new_root.add(entry_a)
-            new_root.add(entry_b)
-            self._refresh_parent_distances(new_root, parent_center=None)
-            self._root = new_root
-        self._count += 1
-
-    def _insert_into(
-        self,
-        node: Node,
-        point_id: int,
-        point: np.ndarray,
-        parent_center: Optional[np.ndarray],
-    ) -> Optional[Tuple[RoutingEntry, RoutingEntry]]:
-        """Insert into the subtree at *node*.
-
-        Returns ``None`` when the subtree absorbed the point, or the two
-        replacement entries when *node* itself had to split (the caller
-        swaps them in).
-        """
-        if node.is_leaf:
-            parent_distance = (
-                float(np.linalg.norm(point - parent_center)) if parent_center is not None else 0.0
-            )
-            node.add(point_id, parent_distance)
-            if len(node) > self.capacity:
-                return self._split_leaf(node, parent_center)
-            return None
-
-        # Choose the subtree: prefer entries whose sphere already covers the
-        # point (minimum distance); otherwise minimum radius enlargement.
-        dists = _distances_to(node.centers, point)
-        covering = dists <= node.radii
-        if np.any(covering):
-            best = int(np.flatnonzero(covering)[np.argmin(dists[covering])])
-        else:
-            enlargement = dists - node.radii
-            best = int(np.argmin(enlargement))
-        entry = node.entries[best]
-        if dists[best] > entry.radius:
-            entry.radius = float(dists[best])
-        if self.num_pivots:
-            point_rings = self.pivot_dists[point_id]
-            np.minimum(entry.hr[:, 0], point_rings, out=entry.hr[:, 0])
-            np.maximum(entry.hr[:, 1], point_rings, out=entry.hr[:, 1])
-        node.invalidate()
-
-        outcome = self._insert_into(entry.child, point_id, point, entry.center)
-        if outcome is None:
-            return None
-        entry_a, entry_b = outcome
-        node.entries.pop(best)
-        node.entries.append(entry_a)
-        node.entries.append(entry_b)
-        if parent_center is not None:
-            entry_a.parent_distance = float(np.linalg.norm(entry_a.center - parent_center))
-            entry_b.parent_distance = float(np.linalg.norm(entry_b.center - parent_center))
-        node.invalidate()
-        if len(node) > self.capacity:
-            return self._split_inner(node, parent_center)
-        return None
-
-    def _split_leaf(
-        self, node: LeafNode, parent_center: Optional[np.ndarray]
-    ) -> Tuple[RoutingEntry, RoutingEntry]:
-        ids = node.ids_array
-        coords = self.points[ids]
-        dist_matrix = _pairwise(coords)
-        promoted = self._promote(dist_matrix)
-        group_a, group_b = partition_members(
-            dist_matrix, *promoted, method=self.split_partition
-        )
-        entries = []
-        for group, promoted_index in ((group_a, promoted[0]), (group_b, promoted[1])):
-            leaf = LeafNode()
-            leaf.ids = [int(ids[i]) for i in group]
-            leaf.parent_distances = [0.0] * len(group)
-            center = coords[promoted_index].copy()
-            parent_distance = (
-                float(np.linalg.norm(center - parent_center)) if parent_center is not None else 0.0
-            )
-            entries.append(self._make_entry(center, leaf, parent_distance))
-        return entries[0], entries[1]
-
-    def _split_inner(
-        self, node: InnerNode, parent_center: Optional[np.ndarray]
-    ) -> Tuple[RoutingEntry, RoutingEntry]:
-        centers = node.centers
-        dist_matrix = _pairwise(centers)
-        promoted = self._promote(dist_matrix)
-        group_a, group_b = partition_members(
-            dist_matrix, *promoted, method=self.split_partition
-        )
-        results = []
-        for group, promoted_index in ((group_a, promoted[0]), (group_b, promoted[1])):
-            inner = InnerNode()
-            for member in group:
-                inner.add(node.entries[member])
-            center = centers[promoted_index].copy()
-            parent_distance = (
-                float(np.linalg.norm(center - parent_center)) if parent_center is not None else 0.0
-            )
-            results.append(self._make_entry(center, inner, parent_distance))
-        return results[0], results[1]
-
-    def _promote(self, dist_matrix: np.ndarray) -> Tuple[int, int]:
-        if self.split_promotion == "mm_rad":
-            return promote_mm_rad(dist_matrix, partition=self.split_partition, seed=self._rng)
-        return promote_random(dist_matrix, seed=self._rng)
-
-    def append_points(self, new_points: np.ndarray) -> np.ndarray:
-        """Grow the indexed matrix by *new_points* rows and insert them.
-
-        Supports dynamic workloads (e.g. streaming archives): the point
-        matrix and the pivot-distance matrix are extended, then each new
-        row goes through the ordinary M-tree insertion path, so all
-        invariants (covering radii, rings, parent distances, balance) are
-        maintained.  Returns the ids assigned to the new rows.
-        """
-        new_points = np.atleast_2d(np.asarray(new_points, dtype=np.float64))
-        if new_points.shape[1] != self.points.shape[1]:
-            raise ValueError(
-                f"new points have dimension {new_points.shape[1]}, "
-                f"expected {self.points.shape[1]}"
-            )
-        start = self.points.shape[0]
-        self.points = np.ascontiguousarray(np.vstack([self.points, new_points]))
-        if self.num_pivots:
-            new_rings = _cross_distances(new_points, self.pivots)
-            self.pivot_dists = np.vstack([self.pivot_dists, new_rings])
-        new_ids = np.arange(start, start + new_points.shape[0], dtype=np.int64)
-        for point_id in new_ids:
-            self.insert(int(point_id))
-        return new_ids
-
     def flatten(self):
         """Pack the built tree into a :class:`~repro.pmtree.flat.FlatPMTree`.
 
         The flat snapshot shares this tree's point and pivot-distance
         matrices and answers batched range queries with identical results
-        and counters; it must be re-taken after any mutation (``insert`` /
-        ``append_points``).
+        and counters.
         """
         from repro.pmtree.flat import FlatPMTree
 
@@ -674,7 +498,3 @@ def _cross_distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     matrix = sq_points[:, None] + sq_anchors[None, :] - 2.0 * (points @ anchors.T)
     np.maximum(matrix, 0.0, out=matrix)
     return np.sqrt(matrix)
-
-
-def _nearest_assignment(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return np.argmin(_cross_distances(points, centers), axis=1)

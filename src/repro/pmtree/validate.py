@@ -1,8 +1,8 @@
 """Structural invariant checker for the PM-tree.
 
 Used by the test suite (including the hypothesis property tests) to assert
-that every build path — bulk load, incremental insert, splits at every
-level — leaves the tree in a state where all pruning tests are *safe*:
+that the bulk load — at fit, at a fold, on a lazy rebuild — leaves the
+tree in a state where all pruning tests are *safe*:
 
 * every indexed point appears in exactly one leaf;
 * every covering sphere actually covers its subtree;

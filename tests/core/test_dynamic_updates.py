@@ -1,50 +1,234 @@
-"""Tests for dynamic updates: PMTree.append_points and PMLSH.add."""
+"""Tests for dynamic updates: ``PMLSH.add`` appends to the flat tree's
+unindexed tail and folds it by a bulk build — it never inserts.
+
+How a row reached the index cannot change an answer (candidate sets are
+defined by projected distances alone), so the contract is *identity*:
+``fit(A).add(B)`` answers with the bytes of the same index after its
+tail is folded, and of a pointer tree bulk-built over A∪B with the same
+pivots (``tests/oracles/recursive_probe.py``).
+"""
 
 from __future__ import annotations
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro import kernels
+from repro.core import pmlsh as pmlsh_module
 from repro.core.params import PMLSHParams
 from repro.core.pmlsh import PMLSH
+from repro.pmtree import flat as flat_module
+from repro.pmtree.flat import FlatPMTree
 from repro.pmtree.tree import PMTree
 from repro.pmtree.validate import check_invariants
+from repro.queries import Knn, Range
+from tests.oracles import recursive_probe
+
+SPLIT = 500  # rows fitted; the rest arrive through add()
 
 
-class TestPMTreeAppend:
-    def test_appended_points_are_findable(self, projected_points):
-        base, extra = projected_points[:800], projected_points[800:]
-        tree = PMTree.build(base, num_pivots=4, capacity=16, seed=0)
-        new_ids = tree.append_points(extra)
-        assert list(new_ids) == list(range(800, 1000))
-        assert len(tree) == 1000
+def _grown(data, *, fold, dead=(), **params):
+    """``fit(data[:SPLIT])``, deletes, ``add(rest)`` in two calls, more
+    deletes — with the tail kept (``fold=False``) or folded at each add."""
+    index = PMLSH(params=PMLSHParams(node_capacity=16, **params), seed=3).fit(data[:SPLIT])
+    dead = np.asarray(dead, dtype=np.int64)
+    index.delete(dead[dead < SPLIT])
+    with mock.patch.object(pmlsh_module, "_TAIL_FOLD_RATIO", 0.0 if fold else math.inf):
+        index.add(data[SPLIT : SPLIT + 100])
+        index.add(data[SPLIT + 100 :])
+    index.delete(dead[dead >= SPLIT])
+    assert index.flat_tree.leaf_ids.size == (data.shape[0] if fold else SPLIT)
+    return index
+
+
+def _assert_same_bytes(got, want, fields, stat="candidates"):
+    for field in fields:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert [s[stat] for s in got.per_query_stats] == [s[stat] for s in want.per_query_stats]
+
+
+#: no deletes / dead rows among the fitted rows and in both add() blocks
+#: (705 is a planted duplicate of 31: a distance-0 tie across tree and tail)
+DEAD = [(), (3, 31, 77, 499, 500, 555, 640, 799)]
+
+
+@pytest.fixture(scope="module")
+def grown_data(small_clustered):
+    data = small_clustered.copy()
+    data[705] = data[31]
+    return data
+
+
+@pytest.fixture(scope="module", params=DEAD, ids=["no deletes", "dead in tree and tail"])
+def trio(request, grown_data):
+    """(index with a 300-row tail, the same index folded, queries)."""
+    queries = np.vstack([grown_data[31:32], grown_data[[5, 520, 700]] * 1.01])
+    return (
+        _grown(grown_data, fold=False, dead=request.param),
+        _grown(grown_data, fold=True, dead=request.param),
+        queries,
+    )
+
+
+class TestTailIdentity:
+    """tail == folded == bulk-built oracle, for every query type."""
+
+    def test_knn_dense_route(self, trio):
+        tail, folded, queries = trio
+        kernels.reset_kernel_calls()
+        got = tail.run(queries, Knn(10))
+        assert kernels.kernel_calls().get(("fast", "leaf_prune"), 0) == 0  # dense
+        _assert_same_bytes(got, folded.run(queries, Knn(10)), ("ids", "distances"))
+        _assert_same_bytes(got, recursive_probe.knn(tail, queries, 10), ("ids", "distances"))
+
+    def test_range_per_pair_route(self, trio):
+        """Leaves filtered pair by pair (what a small ball over a large
+        tree takes; pinned here), the tail scored densely all the same."""
+        tail, folded, queries = trio
+        spec = Range(r=4.0)
+        kernels.reset_kernel_calls()
+        with mock.patch.object(flat_module, "_DENSE_COVERAGE", math.inf):
+            got = tail.run(queries, spec)
+            want = folded.run(queries, spec)
+        assert kernels.kernel_calls()[("fast", "leaf_prune")] > 0
+        assert np.diff(got.lims).min() >= 5
+        fields = ("lims", "ids", "distances")
+        _assert_same_bytes(got, want, fields)
+        _assert_same_bytes(got, recursive_probe.range_search(tail, queries, spec), fields)
+
+    def test_multi_round_annulus(self, grown_data, trio):
+        """A tiny r_min: several radius-enlarging rounds, each fetching the
+        fresh annulus (``lower``) under the budget left (``limits``)."""
+        dead = trio[0].tombstones.ids()
+        tail = _grown(grown_data, fold=False, dead=dead, radius_shrink=0.02)
+        folded = _grown(grown_data, fold=True, dead=dead, radius_shrink=0.02)
+        queries = trio[2]
+        got = tail.run(queries, Knn(10))
+        assert min(s["rounds"] for s in got.per_query_stats) >= 3
+        want = folded.run(queries, Knn(10))
+        _assert_same_bytes(got, want, ("ids", "distances"))
+        _assert_same_bytes(got, want, (), stat="final_radius")
+        _assert_same_bytes(got, recursive_probe.knn(tail, queries, 10), ("ids", "distances"))
+
+    def test_closest_pairs(self, trio):
+        tail, folded, _ = trio
+        got, want = tail.closest_pairs(12), folded.closest_pairs(12)
+        oracle = recursive_probe.closest_pairs(tail, 12)
+        for other in (want, oracle):
+            assert got.pairs.tobytes() == other.pairs.tobytes()
+            assert got.distances.tobytes() == other.distances.tobytes()
+            assert got.stats["candidate_pairs"] == other.stats["candidate_pairs"]
+        if not tail.num_tombstones:
+            assert got.pairs[0].tolist() == [31, 705] and got.distances[0] == 0.0
+
+    def test_ball_cover_query(self, trio):
+        tail, folded, queries = trio
+        tree = recursive_probe.full_tree(tail)
+        dead = tail.tombstones.as_set()
+        for q in queries:
+            for r in (0.5, 2.0, 6.0):
+                got = tail.ball_cover_query(q, r)
+                assert got == folded.ball_cover_query(q, r)
+                fetched = tree.range_query(
+                    tail.projection.project(q), tail.solved.t * r,
+                    limit=tail.candidate_budget(1), exclude=dead,
+                )
+                if not fetched:
+                    assert got is None
+                    continue
+                ids = np.asarray([pid for pid, _ in fetched])
+                true = np.linalg.norm(tail.data[ids] - q, axis=1)
+                hit = len(fetched) >= tail.candidate_budget(1) or true.min() <= tail.params.c * r
+                assert (got is not None) == hit
+                if hit:
+                    assert got[1] == pytest.approx(true.min(), rel=1e-12)
+
+
+class TestTailBookkeeping:
+    """The tail is counted wherever the leaves are."""
+
+    def test_add_keeps_the_snapshot_and_a_valid_pointer_tree(self, small_clustered):
+        index = PMLSH(params=PMLSHParams(node_capacity=16), seed=0).fit(small_clustered[:400])
+        flat, tree = index.flat_tree, index.tree
+        with mock.patch.object(PMTree, "build", side_effect=AssertionError("rebuilt")):
+            index.add(small_clustered[400:600])
+        assert index.flat_tree is flat and index.tree is tree
+        assert (len(flat), flat.leaf_ids.size, len(tree)) == (600, 400, 400)
         check_invariants(tree)
-        # Range queries now see the appended rows.
-        query = extra[0]
-        got = {pid for pid, _ in tree.range_query(query, 1e-9)}
-        assert 800 in got
+        assert len(FlatPMTree.from_tree(tree)) == 400
+        np.testing.assert_array_equal(flat.points, index.projected)
 
-    def test_append_preserves_exactness(self, projected_points):
-        base, extra = projected_points[:700], projected_points[700:900]
-        tree = PMTree.build(base, num_pivots=3, capacity=16, seed=1)
-        tree.append_points(extra)
-        all_points = projected_points[:900]
-        query = all_points[123] + 0.1
-        got = {pid for pid, _ in tree.range_query(query, 3.0)}
-        dists = np.linalg.norm(all_points - query, axis=1)
-        expected = {int(i) for i in np.flatnonzero(dists <= 3.0)}
-        assert got == expected
+    def test_delete_in_tail(self, small_clustered):
+        index = PMLSH(seed=0).fit(small_clustered[:400])
+        new_ids = index.add(small_clustered[400:500])
+        assert int(index.query(small_clustered[450], k=1).ids[0]) == 450
+        index.delete([450, 7])
+        assert index.flat_tree.num_live == index.nlive == 498
+        assert 450 not in index.search(small_clustered[450:451], 20).ids
+        index.add(small_clustered[500:510])  # the dead mask grows with the tail
+        assert index.flat_tree.num_live == index.nlive == 508
+        got = index.search(small_clustered[440:460], 5)
+        assert not np.isin(got.ids, [450, 7]).any()
+        assert np.isin(new_ids[[49, 51]], got.ids).all()
 
-    def test_dimension_mismatch(self, projected_points):
-        tree = PMTree.build(projected_points[:100], capacity=16, seed=0)
+    def test_k_equal_to_nlive_with_half_the_points_in_the_tail(self, small_clustered):
+        index = PMLSH(seed=0).fit(small_clustered[:60])
+        index.add(small_clustered[60:120])  # tail == indexed: not folded
+        assert index.flat_tree.leaf_ids.size == 60
+        index.delete([10, 100])
+        live = index.live_ids()
+        got = index.search(small_clustered[:3], index.nlive)
+        assert all(sorted(row.tolist()) == live.tolist() for row in got.ids)
+        ids, _ = index.flat_tree.batch_knn(index.projected[:3], index.nlive)
+        assert all(sorted(row.tolist()) == live.tolist() for row in ids)
         with pytest.raises(ValueError):
-            tree.append_points(np.zeros((2, 3)))
+            index.search(small_clustered[:3], index.nlive + 1)
 
-    def test_single_row_append(self, projected_points):
-        tree = PMTree.build(projected_points[:50], capacity=8, seed=0)
-        new_ids = tree.append_points(projected_points[50])
-        assert list(new_ids) == [50]
-        check_invariants(tree)
+    def test_add_of_one_row(self, small_clustered):
+        index = PMLSH(seed=0).fit(small_clustered[:300])
+        assert index.add(small_clustered[300]).tolist() == [300]
+        assert len(index.flat_tree) == 301
+        hit = index.query(small_clustered[300], k=1)
+        assert (int(hit.ids[0]), float(hit.distances[0])) == (300, 0.0)
+
+    def test_add_crossing_the_fold_threshold_mid_call(self, small_clustered):
+        """100 indexed + 60 in the tail; 50 more would make the tail the
+        larger part, so the whole call lands in one fresh bulk build."""
+        index = PMLSH(params=PMLSHParams(node_capacity=16), seed=0).fit(small_clustered[:100])
+        index.add(small_clustered[100:160])
+        index.delete([5, 130])
+        flat, pivots = index.flat_tree, index.flat_tree.pivots
+        assert flat.leaf_ids.size == 100
+        assert index.add(small_clustered[160:210]).tolist() == list(range(160, 210))
+        folded = index.flat_tree
+        assert folded is not flat and folded.leaf_ids.size == len(folded) == 210
+        assert folded.num_live == 208
+        np.testing.assert_array_equal(folded.pivots, pivots)
+        check_invariants(index.tree)
+        assert len(index.tree) == 210
+        queries = small_clustered[[5, 130, 200]] + 0.01
+        got = index.search(queries, 8)
+        assert not np.isin(got.ids, [5, 130]).any()
+        _assert_same_bytes(got, recursive_probe.knn(index, queries, 8), ("ids", "distances"))
+
+    @pytest.mark.parametrize("rows, failing", [(10, "extend"), (400, "from_tree")])
+    def test_failed_add_leaves_the_index_as_it_was(self, small_clustered, rows, failing):
+        index = PMLSH(seed=0).fit(small_clustered[:300])
+        index.add(small_clustered[300:320])
+        queries = small_clustered[:5] + 0.01
+        before = (index.data, index.projected, index.flat_tree, index.tree, index.epoch)
+        want = index.search(queries, 5)
+        with mock.patch.object(FlatPMTree, failing, side_effect=MemoryError("no room")):
+            with pytest.raises(MemoryError):
+                index.add(small_clustered[320 : 320 + rows])
+        after = (index.data, index.projected, index.flat_tree, index.tree, index.epoch)
+        assert all(a is b or a == b for a, b in zip(after, before))
+        assert len(index.flat_tree) == index.ntotal == 320
+        _assert_same_bytes(index.search(queries, 5), want, ("ids", "distances"))
 
 
 class TestPMLSHAdd:

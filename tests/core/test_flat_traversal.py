@@ -130,7 +130,7 @@ class TestClosestPairEquivalence:
 
 
 class TestDynamicGrowth:
-    def test_add_invalidates_and_stays_identical(self, dataset):
+    def test_add_extends_the_snapshot_and_stays_identical(self, dataset):
         index = PMLSH(params=PMLSHParams(node_capacity=32), seed=7).fit(dataset[:700])
         queries = dataset[:20] + 0.01
         _assert_batches_identical(
@@ -138,7 +138,7 @@ class TestDynamicGrowth:
         )
         snapshot = index.flat_tree
         index.add(dataset[700:])
-        assert index.flat_tree is not snapshot  # stale snapshot replaced
+        assert index.flat_tree is snapshot  # grown in place, never re-flattened
         assert len(index.flat_tree) == dataset.shape[0]
         _assert_batches_identical(
             index.search(queries, 6), recursive_probe.knn(index, queries, 6)

@@ -30,7 +30,7 @@ def test_defaults_match_paper():
         {"node_capacity": 2},
         {"radius_shrink": 0.0},
         {"radius_shrink": 1.5},
-        {"build_method": "magic"},
+        {"pivot_method": "magic"},
         {"max_iterations": 0},
     ],
 )
@@ -47,7 +47,7 @@ def test_frozen():
 
 def test_custom_values_accepted():
     params = PMLSHParams(m=10, num_pivots=0, c=2.0, node_capacity=16,
-                         build_method="insert", use_rings=False)
+                         pivot_method="variance", use_rings=False)
     assert params.m == 10
     assert params.num_pivots == 0
     assert not params.use_rings

@@ -124,11 +124,12 @@ class TestFlatTreePersistence:
             restored.query(q, 5).ids, index.query(q, 5).ids
         )
 
-    def test_archive_with_retired_traversal_key_still_loads(
+    def test_archive_with_retired_parameter_keys_still_loads(
         self, index, small_clustered, tmp_path
     ):
-        """Archives written while ``PMLSHParams`` had a ``traversal`` field
-        carry it in ``params_json``; loading drops it — and only it."""
+        """Archives written while ``PMLSHParams`` had a ``traversal``
+        field, or the insert path's three, carry them in ``params_json``;
+        loading drops them — and only them."""
         import json
 
         path = str(tmp_path / "current.npz")
@@ -136,7 +137,13 @@ class TestFlatTreePersistence:
         with np.load(path) as archive:
             arrays = {key: archive[key] for key in archive.files}
         params = json.loads(bytes(arrays["params_json"]).decode("utf-8"))
-        for extra, loads in (("traversal", True), ("no_such_knob", False)):
+        for extra, loads in (
+            ("traversal", True),
+            ("build_method", True),
+            ("split_promotion", True),
+            ("split_partition", True),
+            ("no_such_knob", False),
+        ):
             doctored = json.dumps({**params, extra: "flat"}).encode("utf-8")
             arrays["params_json"] = np.frombuffer(doctored, dtype=np.uint8)
             old_path = str(tmp_path / f"with_{extra}.npz")
@@ -150,7 +157,7 @@ class TestFlatTreePersistence:
                 PMLSH.load(old_path).query(q, 5).ids, index.query(q, 5).ids
             )
 
-    def test_lazy_pointer_tree_materialises_for_add(
+    def test_lazy_pointer_tree_materialises_on_read_not_for_add(
         self, index, small_clustered, tmp_path
     ):
         path = str(tmp_path / "lazygrow.npz")
@@ -158,7 +165,8 @@ class TestFlatTreePersistence:
         restored = PMLSH.load(path)
         assert restored._tree is None
         new_ids = restored.add(small_clustered[500:510])
-        assert restored._tree is not None
-        check_invariants(restored.tree)
+        assert restored._tree is None  # the rows went to the flat tree's tail
         hit = restored.query(small_clustered[503], k=1)
         assert int(hit.ids[0]) == int(new_ids[3])
+        check_invariants(restored.tree)  # over the indexed rows, on demand
+        assert len(restored.tree) == restored.flat_tree.leaf_ids.size == index.n

@@ -122,13 +122,6 @@ class TestEstimatedDistance:
 
 
 class TestConfigurations:
-    @pytest.mark.parametrize("build_method", ["bulk", "insert"])
-    def test_build_methods_work(self, small_clustered, build_method):
-        params = PMLSHParams(node_capacity=16, build_method=build_method)
-        index = PMLSH(params=params, seed=1).fit(small_clustered[:300])
-        result = index.query(small_clustered[0], k=5)
-        assert len(result) == 5
-
     def test_zero_pivots(self, small_clustered):
         params = PMLSHParams(num_pivots=0, node_capacity=32)
         index = PMLSH(params=params, seed=1).fit(small_clustered[:300])

@@ -1,8 +1,8 @@
 """The carrier matrix: one engine, three ways to carry a round.
 
 {serial, thread, process} × {kNN, range, closest pairs, the CP
-cross-shard fallback} × {fresh, after interleaved writes, after a
-refit}: the bytes of every answer and the keys of every stats dict must
+cross-shard fallback} × {fresh, after interleaved writes, with added
+rows still in the shards' unindexed tails, after a refit}: the bytes of every answer and the keys of every stats dict must
 not depend on the carrier.  Plus the two things that *are* carrier
 specific — the span tree a sampled trace shows, and that an in-process
 carrier runs the objects sitting in ``engine._shards`` at call time.
@@ -23,7 +23,7 @@ CARRIERS = {
     "thread": dict(pool_backend="thread", num_workers=3),
     "process": dict(pool_backend="process", num_workers=2),
 }
-STATES = ("fresh", "written", "refit")
+STATES = ("fresh", "written", "tailed", "refit")
 
 
 def _dataset() -> np.ndarray:
@@ -50,6 +50,9 @@ def _build(carrier: str, state: str):
         engine.delete([2, 7, 150, 171])
         engine.add(extra + 0.5)
         engine.compact()
+    elif state == "tailed":  # no compaction: the added rows stay in the tails
+        engine.add(np.random.default_rng(41).normal(size=(30, data.shape[1])))
+        engine.delete([2, 150, 181, 209])  # fitted rows and tail rows
     else:
         engine.fit(data[:120])
     return engine
@@ -113,6 +116,21 @@ def test_the_state_is_the_one_the_cell_claims(engines):
         ids = engine.search(_queries(_dataset()), 8).ids
         if state == "written":
             assert engine.ntotal == 180 + 60 - 4 and engine.num_tombstones == 0
+        elif state == "tailed":
+            merged, dead_in_tree, dead_in_tail = [], 0, 0
+            for shard, global_ids in zip(engine._shards, engine._id_maps):
+                flat = shard.flat_tree
+                assert flat.leaf_ids.size == 60 and len(flat) == 70
+                dead_in_tree += int((shard.tombstones.ids() < 60).sum())
+                dead_in_tail += int((shard.tombstones.ids() >= 60).sum())
+                own = shard.search(_queries(_dataset()), 8)  # the shard, unsharded
+                merged.append((own.distances, global_ids[own.ids]))
+            assert (dead_in_tree, dead_in_tail) == (2, 2)
+            dists = np.hstack([d for d, _ in merged])
+            gids = np.hstack([g for _, g in merged])
+            for row in range(ids.shape[0]):
+                best = np.lexsort((gids[row], dists[row]))[:8]
+                assert ids[row].tolist() == gids[row][best].tolist()
         elif state == "refit":
             assert ids.max() < 120
         pairs = engine.closest_pairs(10)  # the planted pair: only the sweep sees it

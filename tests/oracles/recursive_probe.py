@@ -5,8 +5,9 @@ flat level-synchronous path: Algorithm 2's radius-enlarging probe, the
 (r, c)-ball range probe and the closest-pair join, each walking the
 pointer :class:`~repro.pmtree.tree.PMTree` (or brute force) one query at
 a time.  The candidate sets are defined by projected distances alone, not
-by tree shape, so the product's batched flat path must answer with the
-same bytes — ids, distances and per-query stats.
+by tree shape — nor by whether a row is in the tree or in the flat
+snapshot's unindexed tail — so the product's batched flat path must
+answer with the same bytes — ids, distances and per-query stats.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from repro.baselines.base import BatchResult, QueryResult
 from repro.core.radius import range_candidate_budget
 from repro.datasets.distance import chunked_knn, point_to_points_distances
+from repro.pmtree.tree import PMTree
 from repro.queries import Knn, Range, RangeResult
 
 
@@ -26,7 +28,24 @@ def _dead_set(index):
     return index.tombstones.as_set() if index.tombstones else None
 
 
-def _probe(index, q, projected_query, k, budget, initial_radius, c, t) -> QueryResult:
+def full_tree(index) -> PMTree:
+    """A pointer tree over *every* row: ``index.tree`` itself, or — when
+    ``add`` left rows in the tail — a bulk build over the indexed rows
+    and the tail together, with the index's pivots."""
+    tree = index.tree
+    if len(tree) == index.ntotal:
+        return tree
+    return PMTree.build(
+        index.projected,
+        capacity=index.params.node_capacity,
+        use_rings=index.params.use_rings,
+        use_parent_filter=index.params.use_parent_filter,
+        pivots=tree.pivots,
+        seed=0,
+    )
+
+
+def _probe(index, tree, q, projected_query, k, budget, initial_radius, c, t) -> QueryResult:
     """Algorithm 2 for one query: fetch the closest unseen points inside
     the enlarged projected ball, verify, test the two stop conditions."""
     dead = _dead_set(index)
@@ -39,7 +58,7 @@ def _probe(index, q, projected_query, k, budget, initial_radius, c, t) -> QueryR
         # Termination test 1 (line 4): k verified points within c·r.
         if sum(1 for _, dist in collected if dist <= c * r) >= k:
             break
-        matches = index.tree.range_query(
+        matches = tree.range_query(
             projected_query,
             t * r,
             limit=max(0, budget - len(seen)),
@@ -79,9 +98,10 @@ def knn(index, queries: np.ndarray, spec: Knn | int) -> BatchResult:
     budget = max(budget, k)
     initial_radius = index._initial_radius(k, solved)
     projected = np.atleast_2d(index.projection.project(queries))
+    tree = full_tree(index)
     return BatchResult.from_queries(
         [
-            _probe(index, q, pq, k, budget, initial_radius, c, solved.t)
+            _probe(index, tree, q, pq, k, budget, initial_radius, c, solved.t)
             for q, pq in zip(queries, projected)
         ],
         k=k,
@@ -102,9 +122,10 @@ def range_search(index, queries: np.ndarray, spec: Range) -> RangeResult:
         )
     )
     dead = _dead_set(index)
+    tree = full_tree(index)
     results: List[QueryResult] = []
     for q, projected_query in zip(queries, projected):
-        candidates = index.tree.range_query(
+        candidates = tree.range_query(
             projected_query, solved.t * c * spec.r, limit=budget, exclude=dead
         )
         ids = np.asarray([pid for pid, _ in candidates], dtype=np.int64)

@@ -1,8 +1,8 @@
 """The snapshot protocol, proved once for every transport and backend.
 
 ``state_arrays()`` / ``from_state_arrays()`` is the one export/restore
-pair; the file, shared memory and the raw ``(arrays, state)`` pair only
-differ in where the bytes go.  The contract under test: a restored index
+pair; the file, shared memory, the raw ``(arrays, state)`` pair and a
+``Replica`` polling the file only differ in where the bytes go.  The contract under test: a restored index
 answers **byte-identically** — tie order, tombstones, epoch and
 ``fitted_n`` included — without rebuilding any structure.
 """
@@ -59,7 +59,7 @@ def index(request, data):
     return BACKENDS[request.param]().fit(data)
 
 
-@pytest.fixture(params=["file", "shm", "raw"])
+@pytest.fixture(params=["file", "shm", "raw", "replica"])
 def ship(request, tmp_path):
     """``ship(index) -> restored`` through one transport; the shm
     transport's segments are released — and checked for leaks — afterwards."""
@@ -85,7 +85,16 @@ def ship(request, tmp_path):
         arrays, state = export_state(index)
         return restore_state(arrays, through_json(state))
 
-    ship = {"file": ship_file, "shm": ship_shm, "raw": ship_raw}[request.param]
+    def ship_replica(index):
+        path = tmp_path / "replica.npz"
+        index.save(path)
+        replica = Replica()
+        assert replica.refresh(path) is True and replica.epoch == index.epoch
+        return replica.index
+
+    ship = {"file": ship_file, "shm": ship_shm, "raw": ship_raw, "replica": ship_replica}[
+        request.param
+    ]
     ship.transport = request.param
     yield ship
     for handle in opened:
@@ -93,7 +102,7 @@ def ship(request, tmp_path):
     assert leaked_segments() == ()
 
 
-def assert_answers_identically(restored, index, queries, same_tree=True):
+def assert_answers_identically(restored, index, queries):
     """kNN + range byte identity (tie order included) and equal lifecycle state."""
     assert type(restored) is type(index)
     assert restored.is_built
@@ -107,13 +116,14 @@ def assert_answers_identically(restored, index, queries, same_tree=True):
     np.testing.assert_array_equal(got_r.lims, want_r.lims)
     np.testing.assert_array_equal(got_r.ids, want_r.ids)
     np.testing.assert_array_equal(got_r.distances, want_r.distances)
-    if same_tree and "tree_nodes" in want.stats:  # same nodes visited, same work
+    if "tree_nodes" in want.stats:  # same nodes visited, same work
         assert got.stats["tree_nodes"] == want.stats["tree_nodes"]
         assert got_r.stats["tree_dist_comps"] == want_r.stats["tree_dist_comps"]
 
 
 class TestRoundTrip:
-    """transport ∈ {file, shm, raw} × backend ∈ {pm-lsh dense, pm-lsh sampled, exact}."""
+    """transport ∈ {file, shm, raw, replica} × backend ∈ {pm-lsh dense,
+    pm-lsh sampled, exact}."""
 
     def test_fresh_index(self, ship, index, queries):
         assert_answers_identically(ship(index), index, queries)
@@ -134,6 +144,19 @@ class TestRoundTrip:
         assert restored.ntotal == data.shape[0] - 50 + 5
         assert_answers_identically(restored, index, queries)
 
+    def test_tail_with_a_tombstoned_tail_row(self, ship, index, data, queries):
+        """Rows ``add`` left in PM-LSH's unindexed tail travel as what
+        they are: same prefix indexed, same tail, same dead mask."""
+        tail_ids = index.add(data[:30] * 0.98)
+        index.delete([6, int(tail_ids[0]), int(tail_ids[17])])
+        restored = ship(index)
+        assert_answers_identically(restored, index, queries)
+        assert tail_ids[1] in restored.run(data[1:2] * 0.98, Knn(k=3)).ids
+        if isinstance(index, PMLSH):
+            flat = restored.flat_tree
+            assert (flat.leaf_ids.size, len(flat)) == (data.shape[0], data.shape[0] + 30)
+            assert flat.num_live == index.nlive
+
     def test_restored_index_keeps_growing_or_stays_read_only(
         self, ship, index, data, queries
     ):
@@ -149,9 +172,7 @@ class TestRoundTrip:
             return
         extra = data[:20] * 0.99
         np.testing.assert_array_equal(restored.add(extra), index.add(extra))
-        # add() materialised the restored pointer tree from the stored
-        # pivots: same answers, not necessarily the same node layout.
-        assert_answers_identically(restored, index, queries, same_tree=False)
+        assert_answers_identically(restored, index, queries)
 
     def test_restore_rebuilds_nothing(self, ship, index, queries, monkeypatch):
         """The flat tree travels as arrays: no pointer-tree rebuild and no
@@ -173,9 +194,48 @@ class TestRoundTrip:
 
 
 class TestCompatibility:
-    """Both ways with ``c9593d6``, the last commit with per-class save/load."""
+    """Both ways with ``c9593d6``, the last commit with per-class save/load,
+    and forward from ``ba8c345``, the last commit whose ``add`` inserted."""
 
     FIXTURE = DATA_DIR / "snapshot_c9593d6_pmlsh.npz"
+
+    def test_archive_of_a_tree_grown_by_inserts_at_ba8c345_answers_identically(self):
+        """``fit(150)`` + two ``add`` calls through the M-tree insert and
+        split path, deletes among fitted and added rows (one of a planted
+        duplicate pair), saved by ``ba8c345`` with the answers it gave.
+        The archive carries the three retired parameters and a flat tree
+        no bulk build would produce; it loads, and every query type
+        answers with the same bytes."""
+        restored = load_index(DATA_DIR / "snapshot_ba8c345_pmlsh_grown.npz")
+        flat = restored.flat_tree
+        assert flat.leaf_ids.size == len(flat) == restored.ntotal == 260  # no tail
+        with np.load(DATA_DIR / "snapshot_ba8c345_pmlsh_grown_answers.npz") as want:
+            for attr in ("epoch", "nlive", "fitted_n"):
+                assert getattr(restored, attr) == int(want[attr]), attr
+            queries = want["queries"]
+            knn = restored.search(queries, want["knn_ids"].shape[1])
+            np.testing.assert_array_equal(knn.ids, want["knn_ids"])
+            np.testing.assert_array_equal(knn.distances, want["knn_distances"])
+            np.testing.assert_array_equal(
+                [s["candidates"] for s in knn.per_query_stats], want["knn_candidates"]
+            )
+            ranged = restored.range_search(queries, 2.5)
+            np.testing.assert_array_equal(ranged.lims, want["range_lims"])
+            np.testing.assert_array_equal(ranged.ids, want["range_ids"])
+            np.testing.assert_array_equal(ranged.distances, want["range_distances"])
+            np.testing.assert_array_equal(
+                [s["candidates"] for s in ranged.per_query_stats], want["range_candidates"]
+            )
+            pairs = restored.closest_pairs(6)
+            np.testing.assert_array_equal(pairs.pairs, want["pair_ids"])
+            np.testing.assert_array_equal(pairs.distances, want["pair_distances"])
+            cover = [restored.ball_cover_query(q, 1.5) for q in queries]
+            np.testing.assert_array_equal(
+                [-1 if hit is None else hit[0] for hit in cover], want["cover_ids"]
+            )
+            np.testing.assert_array_equal(
+                [np.nan if hit is None else hit[1] for hit in cover], want["cover_distances"]
+            )
 
     def test_archive_written_by_c9593d6_loads_and_answers_identically(self):
         restored = load_index(self.FIXTURE)
@@ -198,8 +258,15 @@ class TestCompatibility:
             assert set(new.files) == set(old.files)
             assert int(new["format_version"]) == FORMAT_VERSION == 1
             for key in old.files:
-                np.testing.assert_array_equal(new[key], old[key], err_msg=key)
                 assert new[key].dtype == old[key].dtype, key
+                if key == "params_json":  # minus the retired parameters, nothing else
+                    was, now = (json.loads(bytes(a[key]).decode("utf-8")) for a in (old, new))
+                    assert set(was) - set(now) == {
+                        "build_method", "split_promotion", "split_partition"
+                    }
+                    assert now == {k: was[k] for k in now}
+                    continue
+                np.testing.assert_array_equal(new[key], old[key], err_msg=key)
 
     def test_key_sets_per_backend(self, index, tmp_path):
         """Today's names exactly; ``projected`` is re-derived, not stored."""

@@ -9,8 +9,9 @@ to "always" and to "never" must give the same *bytes*: ids, projected
 distances, ``(distance, id)`` tie order at the budget cut and the
 ``sort=False`` emission order.  The hard cases are drawn on purpose:
 tombstones, duplicate blocks at the cut, a point exactly at ``radius``
-and one exactly at ``lower``, a single-leaf tree, an insert-built tree,
-and data 10⁶–10⁸ away from the origin, where the GEMM scores lose every
+and one exactly at ``lower``, a single-leaf tree, a tree whose last rows
+sit in the unindexed tail (scored densely on both sides, dead rows
+included), and data 10⁶–10⁸ away from the origin, where the GEMM scores lose every
 digit and the filter must degrade to pass-all rather than to a wrong
 answer.
 """
@@ -64,14 +65,14 @@ def scenario(draw):
     # Offset data is therefore indexed without pivots: parent distances
     # and covering radii come from differences and stay sound.
     num_pivots = 0 if offset else draw(st.integers(min_value=0, max_value=3))
+    # The tree indexes a prefix; the rest arrives as add() delivers it.
+    indexed = draw(st.sampled_from([n, n - 1, n // 2 + 1]))
     tree = PMTree.build(
-        points,
-        num_pivots=num_pivots,
-        capacity=capacity,
-        method=draw(st.sampled_from(["bulk", "insert"])),
-        seed=1,
+        points[:indexed], num_pivots=num_pivots, capacity=capacity, seed=1
     )
     flat = tree.flatten()
+    for stop in sorted({(indexed + n) // 2, n} - {indexed}):
+        flat.extend(points[:stop])
     dead = rng.choice(n, size=n // 5, replace=False) if draw(st.booleans()) else None
     if dead is not None:
         flat.set_tombstones(dead)

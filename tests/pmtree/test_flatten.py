@@ -60,14 +60,11 @@ def _walk_pairs(tree):
     point_cloud(),
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=4, max_value=16),
-    st.sampled_from(["bulk", "insert"]),
 )
 @settings(max_examples=30, deadline=None)
-def test_flatten_round_trips_the_pointer_tree(points, num_pivots, capacity, method):
+def test_flatten_round_trips_the_pointer_tree(points, num_pivots, capacity):
     num_pivots = min(num_pivots, points.shape[0])
-    tree = PMTree.build(
-        points, num_pivots=num_pivots, capacity=capacity, method=method, seed=0
-    )
+    tree = PMTree.build(points, num_pivots=num_pivots, capacity=capacity, seed=0)
     flat = tree.flatten()
     assert len(flat) == len(tree)
     assert flat.height == tree.height()
@@ -106,20 +103,17 @@ def test_flatten_round_trips_the_pointer_tree(points, num_pivots, capacity, meth
 @given(
     point_cloud(),
     st.integers(min_value=0, max_value=4),
-    st.sampled_from(["bulk", "insert"]),
     st.floats(min_value=0.0, max_value=10.0),
 )
 @settings(max_examples=30, deadline=None)
 def test_flat_range_matches_recursive_results_and_counters(
-    points, num_pivots, method, radius
+    points, num_pivots, radius
 ):
     """Same matches, same floats, same node-visit and distance counters —
     on the traversal side of the leaf-level choice, which is the side that
     mirrors the pointer tree's work (the dense side: next test)."""
     num_pivots = min(num_pivots, points.shape[0])
-    tree = PMTree.build(
-        points, num_pivots=num_pivots, capacity=8, method=method, seed=1
-    )
+    tree = PMTree.build(points, num_pivots=num_pivots, capacity=8, seed=1)
     flat = tree.flatten()
     queries = np.stack([points[0] + 0.25, points[-1] * 0.5, points[0] - 1.0])
     tree.reset_counters()
@@ -146,20 +140,17 @@ def test_flat_range_matches_recursive_results_and_counters(
 @given(
     point_cloud(),
     st.integers(min_value=0, max_value=4),
-    st.sampled_from(["bulk", "insert"]),
     st.floats(min_value=0.0, max_value=10.0),
 )
 @settings(max_examples=30, deadline=None)
 def test_dense_range_matches_recursive_results_and_charges_live_members(
-    points, num_pivots, method, radius
+    points, num_pivots, radius
 ):
     """The dense side: same matches and floats as the pointer tree, the
     same frontier counters as the traversal side, and ``dist_comps`` =
     the inner levels' centre distances + every live member streamed."""
     num_pivots = min(num_pivots, points.shape[0])
-    tree = PMTree.build(
-        points, num_pivots=num_pivots, capacity=8, method=method, seed=1
-    )
+    tree = PMTree.build(points, num_pivots=num_pivots, capacity=8, seed=1)
     flat = tree.flatten()
     dead = np.arange(0, points.shape[0], 7, dtype=np.int64)
     flat.set_tombstones(dead)

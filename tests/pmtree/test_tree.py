@@ -9,11 +9,9 @@ from repro.pmtree.tree import PMTree
 from repro.pmtree.validate import check_invariants
 
 
-@pytest.fixture(scope="module", params=["bulk", "insert"])
-def built_tree(request, projected_points):
-    return PMTree.build(
-        projected_points, num_pivots=5, capacity=16, method=request.param, seed=9
-    )
+@pytest.fixture(scope="module")
+def built_tree(projected_points):
+    return PMTree.build(projected_points, num_pivots=5, capacity=16, seed=9)
 
 
 def brute_range(points, query, radius):
@@ -32,14 +30,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PMTree(projected_points, capacity=2)
 
-    def test_unknown_build_method(self, projected_points):
-        with pytest.raises(ValueError):
-            PMTree.build(projected_points, method="osmosis")
-
-    def test_unknown_promotion(self, projected_points):
-        with pytest.raises(ValueError):
-            PMTree(projected_points, split_promotion="best")
-
     def test_zero_pivots_is_mtree(self, projected_points):
         tree = PMTree.build(projected_points, num_pivots=0, capacity=16, seed=0)
         check_invariants(tree)
@@ -55,13 +45,8 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PMTree(np.empty((0, 3)))
 
-    def test_insert_out_of_range(self, projected_points):
-        tree = PMTree(projected_points, capacity=8, seed=0)
-        with pytest.raises(IndexError):
-            tree.insert(projected_points.shape[0] + 5)
-
     def test_height_grows(self, projected_points):
-        tree = PMTree.build(projected_points, capacity=8, method="bulk", seed=0)
+        tree = PMTree.build(projected_points, capacity=8, seed=0)
         assert tree.height() >= 2
 
 

@@ -11,6 +11,20 @@ Query pipeline (Fig. 2's three components):
    its true distance, until k points within c·r are known or βn + k
    candidates have been inspected.
 
+Exact arithmetic where a decision is made
+------------------------------------------
+Algorithm 2's answer depends on exact distances at five boundaries
+only: the projected ball's radius, the annulus floor, the L-th
+candidate of the budget, termination test 1's c·r and the k-th best.
+Both distance stages therefore estimate first — the flat tree's dense
+pass in the projected space, and here ``‖x‖² − 2·x·q + ‖q‖²`` over the
+stored row norms ``sqnorm`` in the original space — and compute exact
+distances only for the rows whose estimate lies within its proven error
+band of a boundary (docs/kernels.md, "The band contract").  Ids,
+distances, ties and stats are those of verifying every candidate;
+``stats["rescored"]`` and the ``candidates_rescored`` counter say how
+many exact re-scores the bands cost.
+
 Beyond (c, k)-ANN the same machinery answers the VLDBJ extension's other
 workloads: :meth:`PMLSH._run_range` routes (r, c)-ball range queries
 through a single projected range probe at radius t·c·r, and
@@ -66,7 +80,7 @@ from repro.datasets.distance import (
     point_to_points_distances,
     sample_distance_distribution,
 )
-from repro.kernels.fast import closest_mask
+from repro.kernels.fast import closest_mask, expansion_tol, limit_band, sq_distance_estimates
 from repro.obs.tracing import current_trace
 from repro.pmtree.flat import FlatPMTree
 from repro.pmtree.tree import PMTree
@@ -91,34 +105,80 @@ from repro.utils.rng import RandomState, as_generator
 _TAIL_FOLD_RATIO = 1.0
 
 
+def _row_sqnorms(points: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", points, points)
+
+
 class _TreeWork:
-    """Accumulates flat-traversal counters across rounds and query blocks.
+    """Accumulates a probe's counters across rounds and query blocks.
 
     ``into_stats`` publishes them as per-query means on a batch-level
     stats dict: total node accesses (``tree_nodes``), distance
-    evaluations (``tree_dist_comps``), the tree height (``tree_levels``)
-    and one ``tree_visits_l{d}`` counter per depth level — the per-level
-    frontier work the sharded engine surfaces per shard.
+    evaluations (``tree_dist_comps``), the tree height (``tree_levels``),
+    one ``tree_visits_l{d}`` counter per depth level — the per-level
+    frontier work the sharded engine surfaces per shard — and the exact
+    re-scores an error band forced (``rescored``: the traversal's
+    projected ones plus the caller's original-space ones).
     """
 
     def __init__(self, height: int) -> None:
         self.height = height
         self.nodes = 0
         self.dist_comps = 0
+        self.rescored = 0
         self.level_visits = np.zeros(height, dtype=np.int64)
 
     def add(self, stats) -> None:
         self.nodes += int(stats.nodes.sum())
         self.dist_comps += int(stats.dist_comps.sum())
+        self.rescored += int(stats.rescored.sum())
         self.level_visits[: stats.level_visits.size] += stats.level_visits
 
     def into_stats(self, target: Dict[str, float], num_queries: int) -> None:
         per_query = max(1, num_queries)
         target["tree_nodes"] = self.nodes / per_query
         target["tree_dist_comps"] = self.dist_comps / per_query
+        target["rescored"] = self.rescored / per_query
         target["tree_levels"] = float(self.height)
         for depth in range(self.height):
             target[f"tree_visits_l{depth}"] = float(self.level_visits[depth]) / per_query
+
+
+class _Round:
+    """One probe round's candidates, grouped by query (``lims`` over the
+    block's query rows): owner row, id, norm-expansion estimate of d², and
+    the exact distances a band asked for — ``None`` until one did, NaN
+    where none was computed."""
+
+    __slots__ = ("owner", "lims", "ids", "keys", "exact")
+
+    def __init__(self, idx, lims, ids, keys, num_queries: int) -> None:
+        counts = np.zeros(num_queries, dtype=np.int64)
+        counts[idx] = np.diff(lims)
+        self.owner = np.repeat(idx, counts[idx])
+        self.lims = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        self.ids, self.keys = ids, keys
+        self.exact: Optional[np.ndarray] = None
+
+    @staticmethod
+    def rows_of(pool: List["_Round"], q: int):
+        """Query *q*'s ``(ids, keys, exact or None)`` over every round —
+        views when one round holds them all."""
+        spans = [(part, part.lims[q], part.lims[q + 1]) for part in pool]
+        spans = [span for span in spans if span[2] > span[1]]
+        if len(spans) == 1:
+            part, lo, hi = spans[0]
+            exact = None if part.exact is None else part.exact[lo:hi]
+            return part.ids[lo:hi], part.keys[lo:hi], exact
+        ids = np.concatenate([part.ids[lo:hi] for part, lo, hi in spans] or [np.empty(0, np.int64)])
+        keys = np.concatenate([part.keys[lo:hi] for part, lo, hi in spans] or [np.empty(0)])
+        if all(part.exact is None for part, _, _ in spans):
+            return ids, keys, None
+        exact = [
+            np.full(hi - lo, np.nan) if part.exact is None else part.exact[lo:hi]
+            for part, lo, hi in spans
+        ]
+        return ids, keys, np.concatenate(exact)
 
 
 @register_index("pm-lsh")
@@ -166,6 +226,9 @@ class PMLSH(ANNIndex):
         self._rng = as_generator(seed)
         self.projection: Optional[GaussianProjection | SampledProjection] = None
         self.projected: Optional[np.ndarray] = None
+        #: ‖x‖² per data row: the constant term of the original-space
+        #: estimates verification ranks candidates by (8 bytes a row).
+        self.sqnorm: Optional[np.ndarray] = None
         #: the pointer tree behind ``_flat``'s indexed prefix; None after a
         #: snapshot restore until :attr:`tree` is read.
         self._tree: Optional[PMTree] = None
@@ -190,7 +253,11 @@ class PMLSH(ANNIndex):
             "tree_nodes_visited", "PM-tree nodes visited by flat traversals"
         )
         self._c_verified = registry.counter(
-            "candidates_verified", "Candidates verified by original-space distance"
+            "candidates_verified", "Candidates scored by original-space distance"
+        )
+        self._c_rescored = registry.counter(
+            "candidates_rescored",
+            "Exact distances computed because an estimate fell in an error band",
         )
         self._c_rounds = registry.counter(
             "probe_rounds", "Radius-enlarging probe rounds executed"
@@ -242,9 +309,10 @@ class PMLSH(ANNIndex):
         params = self.params
         # A re-fit (compact) lets go of the previous structures first, so
         # its peak does not hold two indexes' arrays.
-        self._tree = self._flat = self.projected = None
+        self._tree = self._flat = self.projected = self.sqnorm = None
         self.projection = self._make_projection()
         self.projected = self.projection.project(self.data)
+        self.sqnorm = _row_sqnorms(self.data)
         self._tree = PMTree.build(
             self.projected,
             num_pivots=params.num_pivots,
@@ -309,6 +377,12 @@ class PMLSH(ANNIndex):
         """
         self._require_built()
         return self._flat
+
+    def _publish_work(self, work: _TreeWork, target: Dict[str, float], num_queries: int) -> None:
+        """A probe's counters onto its result stats and the registry."""
+        work.into_stats(target, num_queries)
+        self._c_tree_nodes.inc(work.nodes)
+        self._c_rescored.inc(work.rescored)
 
     def _on_delete(self, ids: np.ndarray) -> None:
         """Push the grown dead set into the flat snapshot."""
@@ -377,8 +451,9 @@ class PMLSH(ANNIndex):
         on a constant-probability guarantee: candidates are the points
         whose projected distance is within t·c·r (the PM-tree range
         query, capped at a budget of ⌈βn⌉ collisions plus the expected
-        ball population n·F(c·r)); each is verified in the original space
-        and reported iff its true distance is at most c·r.  A point at
+        ball population n·F(c·r), both sized on the *live* n like kNN's
+        budget); each is verified in the original space and reported iff
+        its true distance is at most c·r.  A point at
         true distance s ≤ r has projected distance s·√(χ²_m), so it
         collides with probability CDF_{χ²(m)}(t²c²/ (s/r)²) ≥
         CDF_{χ²(m)}(t²c²) — e.g. ≈ 0.998 at the paper's defaults
@@ -391,7 +466,7 @@ class PMLSH(ANNIndex):
         solved = self.solved_for(spec.c)
         projected = np.atleast_2d(self.projection.project(queries))
         default_budget = range_candidate_budget(
-            self.distance_distribution, self.n, solved.beta, c * spec.r
+            self.distance_distribution, self.nlive, solved.beta, c * spec.r
         )
         budget = spec.budget if spec.budget is not None else default_budget
         probe_radius = solved.t * c * spec.r
@@ -451,9 +526,32 @@ class PMLSH(ANNIndex):
             stats=aggregate_stats(per_query),
             per_query_stats=per_query,
         )
-        tree_work.into_stats(result.stats, num_queries)
-        self._c_tree_nodes.inc(tree_work.nodes)
+        self._publish_work(tree_work, result.stats, num_queries)
         return result
+
+    def _estimates(
+        self,
+        queries: np.ndarray,
+        q_sqnorm: np.ndarray,
+        rows: np.ndarray,
+        ids: np.ndarray,
+        lims: np.ndarray,
+    ) -> np.ndarray:
+        """Norm-expansion estimates of d² for a query-grouped candidate
+        pool: slice j (``lims[j]:lims[j+1]``) against query row ``rows[j]``.
+
+        Each slice is first sorted by id in place (ids are distinct per
+        query): the (candidates × d) gather then walks the dataset
+        near-sequentially instead of at random.
+        """
+        keys = np.empty(ids.size, dtype=np.float64)
+        bounds = lims.tolist()
+        for query, lo, hi in zip(rows.tolist(), bounds[:-1], bounds[1:]):
+            ids[lo:hi].sort()
+            keys[lo:hi] = sq_distance_estimates(
+                self.data, self.sqnorm, ids[lo:hi], queries[query], q_sqnorm[query]
+            )
+        return keys
 
     # ------------------------------------------------------------------
     # Algorithm 2: the (c, k)-ANN query
@@ -503,9 +601,10 @@ class PMLSH(ANNIndex):
         * the initial radius r_min — a quantile of the shared F(x) sample,
           identical for every query at fixed (n, β, k) — is solved once,
           and the whole radius ladder is laid out up front;
-        * all of a round's fresh candidates are verified in the original
-          space with one gathered kernel call, through buffers shared
-          across the queries of the batch.
+        * a round's fresh candidates are *estimated* in the original
+          space (one gather + GEMV per query row) and verified exactly
+          only where a termination test or the final top-k cannot be
+          decided from the estimates (:meth:`_flat_probe_block`).
 
         Results are exactly those of a per-query pointer-tree probe
         (``tests/oracles/recursive_probe.py``).  The spec's runtime knobs
@@ -540,8 +639,7 @@ class PMLSH(ANNIndex):
                 )
             )
         batch = BatchResult.from_queries(results, k=k)
-        tree_work.into_stats(batch.stats, queries.shape[0])
-        self._c_tree_nodes.inc(tree_work.nodes)
+        self._publish_work(tree_work, batch.stats, queries.shape[0])
         return batch
 
     def _flat_probe_block(
@@ -560,7 +658,15 @@ class PMLSH(ANNIndex):
 
         Algorithm 2's round structure and termination tests, advancing
         *every* active query of the block per round with one flat
-        traversal and one gathered verification kernel.
+        traversal.  A candidate's original-space distance is first
+        *estimated*, ``‖x‖² − 2·x·q + ‖q‖²`` from the stored ``sqnorm``
+        (one gather + GEMV per row, within ``tol`` of the exact kernel's
+        d²: :func:`~repro.kernels.fast.expansion_tol`), and computed
+        exactly with ``verify_distances`` only where a decision needs it:
+        termination test 1 verifies the rows within ``tol`` of (c·r)², and
+        the final top-k the rows within 2·tol of the k-th estimate — the k
+        answers among them.  Every decision is the exact kernel's, so ids,
+        distances, ties and stats are those of verifying every candidate.
         """
         num_queries = queries.shape[0]
         trace = current_trace()
@@ -569,10 +675,11 @@ class PMLSH(ANNIndex):
         rounds = np.zeros(num_queries, dtype=np.int64)
         final_radius = np.full(num_queries, schedule[-1])
         active = np.ones(num_queries, dtype=bool)
-        # One pooled (owner query, id, true distance) triple per round.
-        owners: List[np.ndarray] = []
-        found_ids: List[np.ndarray] = []
-        found_dists: List[np.ndarray] = []
+        q_sqnorm = _row_sqnorms(queries)
+        scale = float(self.sqnorm.max()) + q_sqnorm
+        tol = expansion_tol(self.d, scale)
+        verify = kernels.active().verify_distances
+        pool: List[_Round] = []
         previous_fetch: Optional[float] = None
         for round_index in range(self.params.max_iterations):
             idx = np.flatnonzero(active)
@@ -582,10 +689,29 @@ class PMLSH(ANNIndex):
             rounds[idx] += 1
             self._c_rounds.inc()
             # Termination test 1 (line 4): k verified points within c·r.
-            if owners:
-                within = np.zeros(num_queries, dtype=np.int64)
-                for owner, dists in zip(owners, found_dists):
-                    within += np.bincount(owner[dists <= c * r], minlength=num_queries)
+            if pool:
+                bound = c * r
+                square = bound * bound
+                margin = expansion_tol(self.d, scale + square)
+                within = np.zeros(num_queries, dtype=np.float64)
+                for part in pool:
+                    row_margin = margin[part.owner]
+                    hit = part.keys <= square - row_margin
+                    band = ~hit & (part.keys <= square + row_margin)
+                    if part.exact is not None:
+                        known = ~np.isnan(part.exact)
+                        hit = np.where(known, part.exact <= bound, hit)
+                        band &= ~known
+                    band = np.flatnonzero(band & active[part.owner])
+                    if band.size:
+                        if part.exact is None:
+                            part.exact = np.full(part.ids.size, np.nan)
+                        part.exact[band] = verify(
+                            self.data, part.ids[band], queries, part.owner[band]
+                        )
+                        tree_work.rescored += band.size
+                        hit[band] = part.exact[band] <= bound
+                    within += np.bincount(part.owner, weights=hit, minlength=num_queries)
                 done = idx[within[idx] >= k]
                 final_radius[done] = r
                 active[done] = False
@@ -610,55 +736,49 @@ class PMLSH(ANNIndex):
             tree_work.add(stats)
             counts = np.diff(lims)
             if ids.size:
-                # One gathered verification kernel for the whole round —
-                # float-identical to the per-query scratch-buffer kernel.
-                # Candidates are re-ordered by id within each query slice
-                # first (ids are distinct per query, so a plain sort): the
-                # big (candidates × d) gather then walks the dataset
-                # near-sequentially instead of at random.
-                bounds = lims.tolist()
-                for lo, hi in zip(bounds[:-1], bounds[1:]):
-                    ids[lo:hi].sort()
-                rep = np.repeat(idx, counts)
                 verify_span = (
                     trace.span("verification", round=round_index, candidates=int(ids.size))
                     if trace is not None
                     else nullcontext()
                 )
                 with verify_span:
-                    true_dists = kernels.active().verify_distances(
-                        self.data, ids, queries, rep
-                    )
+                    keys = self._estimates(queries, q_sqnorm, idx, ids, lims)
                 self._c_verified.inc(ids.size)
-                owners.append(rep)
-                found_ids.append(ids)
-                found_dists.append(true_dists)
+                pool.append(_Round(idx, lims, ids, keys, num_queries))
                 seen[idx] += counts
             # Termination test 2 (line 9): candidate budget exhausted.
             exhausted = idx[seen[idx] >= budget]
             final_radius[exhausted] = r
             active[exhausted] = False
             previous_fetch = t * r
-        # Group the rounds' pools by query (each is query-major already)
-        # and cut every query to its k best by (true distance, id).
-        if owners:
-            owner = np.concatenate(owners)
-            all_ids = np.concatenate(found_ids)
-            all_dists = np.concatenate(found_dists)
-            if len(owners) > 1:
-                order = np.argsort(owner, kind="stable")
-                owner, all_ids, all_dists = owner[order], all_ids[order], all_dists[order]
-            starts = np.concatenate(
-                [[0], np.cumsum(np.bincount(owner, minlength=num_queries))]
-            ).tolist()
-        else:
-            all_ids = np.empty(0, dtype=np.int64)
-            all_dists = np.empty(0, dtype=np.float64)
-            starts = [0] * (num_queries + 1)
+        # The k best by estimate, plus the band at the k-th, get an exact
+        # distance (one pooled kernel call); the cut is then exact.
+        listed_ids: List[np.ndarray] = []
+        listed_exact: List[np.ndarray] = []
+        for q in range(num_queries):
+            ids, keys, exact = _Round.rows_of(pool, q)
+            below, above = limit_band(keys, float(tol[q]), k)
+            listed = np.flatnonzero(keys <= above)
+            near = keys.take(listed) >= below
+            exact = np.full(listed.size, np.nan) if exact is None else exact.take(listed)
+            if np.count_nonzero(near) > k - np.count_nonzero(~near):  # the band decides
+                tree_work.rescored += int(np.count_nonzero(np.isnan(exact[near])))
+            listed_ids.append(ids.take(listed))
+            listed_exact.append(exact)
+        fresh = [np.flatnonzero(np.isnan(exact)) for exact in listed_exact]
+        sizes = [rows.size for rows in fresh]
+        if sum(sizes):
+            dists = verify(
+                self.data,
+                np.concatenate([ids[rows] for ids, rows in zip(listed_ids, fresh)]),
+                queries,
+                np.repeat(np.arange(num_queries), sizes),
+            )
+            for exact, rows, part in zip(listed_exact, fresh, np.split(dists, np.cumsum(sizes))):
+                exact[rows] = part
         results: List[QueryResult] = []
         for q in range(num_queries):
-            q_ids = all_ids[starts[q] : starts[q + 1]]
-            q_dists = all_dists[starts[q] : starts[q + 1]]
+            q_ids, q_dists = listed_ids[q], listed_exact[q]
             best = np.flatnonzero(closest_mask(q_dists, q_ids, k))
             best = best[np.lexsort((q_ids[best], q_dists[best]))]
             results.append(
@@ -763,17 +883,18 @@ class PMLSH(ANNIndex):
     # snapshots
     # ------------------------------------------------------------------
 
-    #: One n×d×m GEMM re-derives the projected matrix, so archives leave
-    #: it out; shared memory carries it (workers attach with no numeric work).
-    _rederivable_arrays = ("projected",)
+    #: One n×d×m GEMM re-derives the projected matrix and one pass over the
+    #: data the row norms, so archives leave them out; shared memory carries
+    #: them (workers attach with no numeric work).
+    _rederivable_arrays = ("projected", "sqnorm")
     #: ``PMLSHParams`` fields older archives carry: the traversal selector,
     #: and the insert path's build/split choices (an archive whose tree
     #: was grown by inserts restores as the flat arrays it stored).
     _RETIRED_PARAMS = ("traversal", "build_method", "split_promotion", "split_partition")
 
     def state_arrays(self):
-        """The index as arrays: dataset, projected points, hash functions
-        (dense ``directions``, or the sampled family's exact
+        """The index as arrays: dataset, projected points, row norms, hash
+        functions (dense ``directions``, or the sampled family's exact
         ``hash_sample_idx``/``hash_weights`` — never densified), pivots,
         the F(x) sample behind r_min and the flat tree
         (:meth:`FlatPMTree.to_arrays`: the matrices queries prune against,
@@ -790,6 +911,7 @@ class PMLSH(ANNIndex):
         arrays = {
             "data": self.data,
             "projected": self.projected,
+            "sqnorm": self.sqnorm,
             **hash_arrays,
             "pivots": flat.pivots,
             "distance_samples": self.distance_distribution.samples,
@@ -802,8 +924,9 @@ class PMLSH(ANNIndex):
         """Restore over *arrays* as they are (already contiguous float64,
         so no coercion below copies): the flat tree — rows past its
         ``flat_leaf_ids`` are the unindexed tail — serves at once and the
-        pointer tree stays unbuilt.  Legacy input: no ``projected`` →
-        re-project; no ``flat_*`` → eager deterministic tree rebuild; the
+        pointer tree stays unbuilt.  No ``projected`` / ``sqnorm`` (every
+        archive) → re-project / recompute; no ``flat_*`` (legacy) → eager
+        deterministic tree rebuild; the
         retired parameters (``_RETIRED_PARAMS``) are dropped, any other
         unknown key still raises.
         """
@@ -822,6 +945,11 @@ class PMLSH(ANNIndex):
             np.asarray(arrays["projected"], dtype=np.float64)
             if "projected" in arrays
             else index.projection.project(index.data)
+        )
+        index.sqnorm = (
+            np.asarray(arrays["sqnorm"], dtype=np.float64)
+            if "sqnorm" in arrays
+            else _row_sqnorms(index.data)
         )
         pivots = np.asarray(arrays["pivots"], dtype=np.float64)
         if "flat_is_leaf" in arrays:
@@ -856,6 +984,7 @@ class PMLSH(ANNIndex):
         start = self.n
         data = np.vstack([self.data, new_points])
         projected = np.vstack([self.projected, self.projection.project(new_points)])
+        sqnorm = np.concatenate([self.sqnorm, _row_sqnorms(data[start:])])
         flat = self._flat
         indexed = flat.leaf_ids.size
         if projected.shape[0] - indexed > _TAIL_FOLD_RATIO * indexed:
@@ -865,7 +994,7 @@ class PMLSH(ANNIndex):
             self._tree, self._flat = tree, flat
         else:
             flat.extend(projected)
-        self.data, self.projected = data, projected
+        self.data, self.projected, self.sqnorm = data, projected, sqnorm
         return np.arange(start, data.shape[0], dtype=np.int64)
 
     # ------------------------------------------------------------------

@@ -171,6 +171,74 @@ def verify_distances(
     return out
 
 
+#: Safety factor on the norm-expansion error bound (``expansion_tol``).
+_BAND_SLACK = 4.0
+
+
+def expansion_tol(dim: int, scale):
+    """Bound on ``|e − D²|`` for a norm-expansion estimate e of a squared
+    distance in *dim* dimensions and the exact kernel's distance D.
+
+    *scale* is ``max‖x‖² + ‖q‖²`` (plus the squared threshold the estimate
+    is compared against, whose rounding the bound must also cover).  In
+    float64, first order: ``‖x‖²``, ``‖q‖²`` and ``x·q`` are dim-term sums
+    and three more roundings combine them, so ``|e − d²| ≤ (dim + 3)·eps·
+    (‖x‖² + ‖q‖²)``; the exact kernel's ``fl(√(Σ fl(x−q)²))`` is within
+    relative ``(dim + 5)·eps/2`` of d, and ``d² ≤ 2(‖x‖² + ‖q‖²)``.  Four
+    times ``(dim + 3)·eps·scale`` covers both.  docs/kernels.md, "The band
+    contract".
+    """
+    return _BAND_SLACK * (dim + 3) * np.finfo(np.float64).eps * scale
+
+
+def sq_distance_estimates(
+    data: np.ndarray,
+    sqnorm: np.ndarray,
+    ids: np.ndarray,
+    query: np.ndarray,
+    q_sqnorm: float,
+) -> np.ndarray:
+    """``‖data[ids[i]] − query‖²`` by the norm expansion
+    ``sqnorm[ids] − 2·data[ids]·query + ‖query‖²``, within
+    :func:`expansion_tol` of the exact kernel's squared distance.
+
+    A gather + GEMV per cache-sized block of rows: no subtraction is
+    written back and no query row is repeated.  The GEMV's reduction
+    order may depend on a row's place in its block, so the estimate is
+    pinned by its error bound, not by its bits — it only ever decides
+    which rows the exact kernel must see.
+    """
+    out = np.empty(ids.size, dtype=np.float64)
+    step = _block_rows(data.shape[1] * data.itemsize)
+    for lo in range(0, ids.size, step):
+        hi = min(lo + step, ids.size)
+        np.matmul(data[ids[lo:hi]], query, out=out[lo:hi])
+    out *= -2.0
+    out += sqnorm[ids]
+    out += q_sqnorm
+    return out
+
+
+def limit_band(keys: np.ndarray, tol: float, limit: int):
+    """The band of a cut to the *limit* smallest by exact distance, for a
+    pool known only by keys within *tol* of each exact squared distance.
+
+    Returns ``(lo, hi)``.  With K the limit-th smallest key (one
+    selection), a key below ``lo = K − 2·tol`` is certainly kept
+    (everything better than it keys below K too, and fewer than *limit*
+    do) and a key above ``hi = K + 2·tol`` certainly cut (*limit* rows
+    are closer); the band ``[lo, hi]``, K's own row included, only exact
+    distances can order.  A *limit* of 0 keeps nothing (``-inf``); a
+    pool within its limit keeps everything (``inf``).
+    """
+    if limit <= 0:
+        return -np.inf, -np.inf
+    if limit >= keys.size:
+        return np.inf, np.inf
+    kth = float(np.partition(keys, limit - 1)[limit - 1])
+    return kth - 2.0 * tol, kth + 2.0 * tol
+
+
 def _rank_in_group(counts: np.ndarray, total: int) -> np.ndarray:
     """0-based rank of each sorted position within its query group."""
     starts = np.concatenate([[0], np.cumsum(counts[:-1])]).astype(np.int64)

@@ -37,10 +37,17 @@ the leaf level is answered: when the leaves the inner levels reached
 already hold a large share of the indexed points — Algorithm 2's first
 round at the default β always does — gathering and filtering member by
 member is pure overhead, and the leaf level instead scores the whole
-reached slot range as blocked GEMMs and re-scores only the survivors
-exactly (see ``FlatPMTree._dense_leaves``).  Results are byte-identical
-either way and only ``dist_comps`` says which side ran — with one
-exception, at a filter boundary.  The dense side emits every member of
+reached slot range as blocked GEMMs (see ``FlatPMTree._dense_leaves``).
+Those scores are estimates of the squared distance with a proven error
+bound, and the exact kernel runs only where a score is too close to a
+boundary to decide — ``radius``, ``lower``, or the L-th place of the
+limit cut (:meth:`FlatPMTree._cut`, the one canonical cut every chunk
+of matches goes through).  So every decision is the exact kernel's, and
+most matches never get an exact distance: ``batch_range(sort=False)``
+returns the match *set* and no distances, ``sort=True`` computes them
+for the output rows only.  Results are the same either way and only
+the counters (``dist_comps``, ``rescored``) say which side ran — with
+one exception, at a filter boundary.  The dense side emits every member of
 the slot range whose exact distance is within ``radius``; the per-pair
 side emits those that also pass the Eq. 5 filters.  In exact arithmetic
 the filters are implied by the distance test, but they difference
@@ -61,6 +68,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import kernels as _kernels
+from repro.kernels.fast import expansion_tol, limit_band
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,47 @@ class TraversalStats:
     nodes: np.ndarray
     dist_comps: np.ndarray
     level_visits: np.ndarray
+    #: ``(Q,)`` exact projected distances computed to settle a decision
+    #: the dense pass's estimates could not: a member within ``tol`` of
+    #: ``radius`` or ``lower``, or the band around a query's limit-th
+    #: estimate.  Distances computed only to report them (``sort=True``)
+    #: are not counted.
+    rescored: np.ndarray
+
+
+class _Matches:
+    """The match chunks of one :meth:`FlatPMTree.batch_range` call, with
+    what its one canonical cut needs to decide on them.
+
+    Per chunk: query row, point id, a squared-distance ``key`` (the dense
+    pass's estimate, or ``fl(d²)`` of an exact distance) and the exact
+    projected distance where one was computed (NaN otherwise; ``None``
+    for a chunk with none).  Per query: ``tol`` bounds ``|key − d²|``
+    over all its chunks (0 while every chunk is exact), and ``rescored``
+    counts its decision re-scores.
+    """
+
+    def __init__(self, num_queries: int) -> None:
+        self.q: List[np.ndarray] = []
+        self.ids: List[np.ndarray] = []
+        self.keys: List[np.ndarray] = []
+        self.exact: List[Optional[np.ndarray]] = []
+        self.tol = np.zeros(num_queries, dtype=np.float64)
+        self.rescored = np.zeros(num_queries, dtype=np.int64)
+
+    def add(self, q: np.ndarray, ids: np.ndarray, keys: np.ndarray, exact) -> None:
+        self.q.append(q)
+        self.ids.append(ids)
+        self.keys.append(keys)
+        self.exact.append(exact)
+
+    def pooled_keys(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, exact)`` of every chunk, in chunk order."""
+        exact = [
+            np.full(ids.size, np.nan) if chunk is None else chunk
+            for ids, chunk in zip(self.ids, self.exact)
+        ]
+        return np.concatenate(self.keys), np.concatenate(exact)
 
 
 #: The leaf level scores the whole reached slot range as blocked GEMMs,
@@ -104,9 +153,6 @@ _DENSE_LOAD_ROWS = 3.5
 
 #: Score entries (rows × columns, float64) per dense block: 8 MB.
 _DENSE_BLOCK = 1 << 20
-
-#: Safety factor on the dense filter's float64 error bound (below).
-_DENSE_SLACK = 4.0
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -453,7 +499,7 @@ class FlatPMTree:
         limits: Optional[np.ndarray] = None,
         lower: Optional[float] = None,
         sort: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, TraversalStats]:
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], TraversalStats]:
         """Projected-space range query for every row of *queries* at once.
 
         Returns CSR-style ``(lims, ids, dists, stats)``: query i's matches
@@ -469,9 +515,10 @@ class FlatPMTree:
         drops matches with distance ≤ lower: the radius-enlarging loop
         fetches each round's *fresh annulus*, because every point inside
         the previous radius is already in its ``seen`` set.  ``sort=False``
-        skips the per-query ``(distance, id)`` ordering of the output (the
-        match *set* is unchanged) — the probe loops use it because they
-        re-rank candidates by original-space distance anyway.
+        returns each query's match *set*, in no promised order, and
+        ``dists=None`` — the probe loops use it because they re-rank
+        candidates by original-space distance anyway, and most matches
+        then never need an exact projected distance at all.
 
         One traversal serves the whole batch: the frontier holds every
         live ``(query, node)`` pair and advances one tree level per step,
@@ -485,7 +532,7 @@ class FlatPMTree:
         unindexed tail, if any, always takes the dense pass — the leaf
         level's own when that runs up to the last leaf slot (the tail's
         slots follow on), one more otherwise — and its matches are pooled
-        with the tree's before the one limit cut.
+        with the tree's before the one limit cut (:meth:`_cut`).
         """
         kernel = _kernels.active()
         queries = np.ascontiguousarray(np.atleast_2d(queries))
@@ -508,9 +555,7 @@ class FlatPMTree:
         frontier_node = np.zeros(num_queries, dtype=np.int64)
         frontier_pd = np.full(num_queries, np.nan)
         # Candidate buffers shared across all queries of the batch.
-        out_q: List[np.ndarray] = []
-        out_id: List[np.ndarray] = []
-        out_dist: List[np.ndarray] = []
+        matches = _Matches(num_queries)
         # Queries that have not scored the unindexed tail yet.
         owes_tail = np.full(num_queries, self.slot_ids.size > self.leaf_ids.size)
 
@@ -534,9 +579,7 @@ class FlatPMTree:
                     frontier_pd[leaf_mask],
                     dist_comps,
                     owes_tail,
-                    out_q,
-                    out_id,
-                    out_dist,
+                    matches,
                     kernel,
                 )
 
@@ -559,15 +602,14 @@ class FlatPMTree:
             self._dense_leaves(
                 queries, radius, lower, limits, np.flatnonzero(owes_tail),
                 self.leaf_ids.size, self.slot_ids.size,
-                dist_comps, out_q, out_id, out_dist, kernel,
+                dist_comps, matches, kernel,
             )
 
-        lims, ids, dists = self._assemble(
-            num_queries, out_q, out_id, out_dist, limits, sort, kernel
-        )
+        lims, ids, dists = self._assemble(queries, matches, limits, sort, kernel)
         self.node_accesses += int(nodes.sum())
         self.distance_computations += int(dist_comps.sum())
-        return lims, ids, dists, TraversalStats(nodes, dist_comps, level_visits)
+        stats = TraversalStats(nodes, dist_comps, level_visits, matches.rescored)
+        return lims, ids, dists, stats
 
     def _expand_leaves(
         self,
@@ -581,9 +623,7 @@ class FlatPMTree:
         lpd: np.ndarray,
         dist_comps: np.ndarray,
         owes_tail: np.ndarray,
-        out_q: List[np.ndarray],
-        out_id: List[np.ndarray],
-        out_dist: List[np.ndarray],
+        matches: _Matches,
         kernel,
     ) -> None:
         starts = self.span_start[lnode]
@@ -607,7 +647,7 @@ class FlatPMTree:
                 owes_tail[rows_q] = False
             self._dense_leaves(
                 queries, radius, lower, limits, rows_q, slot_lo, slot_hi,
-                dist_comps, out_q, out_id, out_dist, kernel,
+                dist_comps, matches, kernel,
             )
             return
         member = _concat_ranges(starts, counts)
@@ -643,9 +683,8 @@ class FlatPMTree:
         inside = dists <= radius
         if lower is not None:
             inside &= dists > lower
-        out_q.append(surv_q[inside])
-        out_id.append(self.leaf_ids[member[inside]])
-        out_dist.append(dists[inside])
+        dists = dists[inside]
+        matches.add(surv_q[inside], self.leaf_ids[member[inside]], dists * dists, dists)
 
     def _dense_leaves(
         self,
@@ -657,45 +696,34 @@ class FlatPMTree:
         slot_lo: int,
         slot_hi: int,
         dist_comps: np.ndarray,
-        out_q: List[np.ndarray],
-        out_id: List[np.ndarray],
-        out_dist: List[np.ndarray],
+        matches: _Matches,
         kernel,
     ) -> None:
         """Slots ``[slot_lo, slot_hi)`` — a leaf level's reached range, or the
         unindexed tail — as blocked GEMMs over ``leaf_points``.
 
         Produces the matches the per-pair path produces, for the queries
-        *rows_q*: a score ``s = ‖p‖² − 2·q·p`` per (query, slot) — the
-        squared distance less the row constant ``‖q‖²`` — picks a
-        superset of the ball, and only that superset is re-scored with
-        ``pair_distances`` and put to the same ``≤ radius`` / ``> lower``
-        tests.  What is emitted is therefore decided by the exact kernel
-        alone; the scores can only cost time.  The Eq. 5 member filters
-        are *not* run here: they are implied by the distance test except
-        within rounding of their own boundaries (module docstring), which
-        is the one place this route can keep a match the other drops.
+        *rows_q*, and computes an exact distance only where a decision
+        needs one.  A score ``s = ‖p‖² − 2·q·p`` per (query, slot) — the
+        squared distance less the row constant ``‖q‖²`` — is within
+        ``tol`` of the exact kernel's d² (``expansion_tol``: ``|s + ‖q‖² −
+        d²| ≤ (m + 3)·eps·(‖p‖² + ‖q‖²)`` and the kernel's own rounding,
+        ×4, over ``max‖p‖² + ‖q‖² + radius²``).  So a slot scoring more
+        than ``tol`` inside ``radius²`` (and outside ``lower²``) is a
+        match, one scoring more than ``tol`` beyond is not, and only the
+        slots in between are re-scored with ``pair_distances`` and put to
+        the per-pair side's ``≤ radius`` / ``> lower`` tests.  Then, when
+        a query holds more than its limit L, the one canonical cut
+        (:meth:`_cut`) keeps what scores more than 2·tol below the L-th
+        score and re-scores only the band around it.  What is emitted is
+        decided by the exact kernel alone; the scores only choose what it
+        must see.  Data far from the origin inflates ``tol`` until every
+        slot is in a band — slower, never different.
 
-        Error bound (float64, eps = 2u, first order).  ``‖p‖²``, ``‖q‖²``
-        and ``q·p`` are m-term sums, each within m·u of its absolute
-        terms: together at most 2m·u·(‖p‖² + ‖q‖²) on ``‖p‖² − 2q·p +
-        ‖q‖²``.  Adding them and forming the threshold takes three more
-        roundings of values ≤ 2(‖p‖² + ‖q‖²): 6u·(‖p‖² + ‖q‖²).  So
-        ``|s + ‖q‖² − d²| ≤ (m + 3)·eps·(‖p‖² + ‖q‖²)``.  On the other
-        side, the exact kernel's ``fl(√(Σ fl(p−q)²))`` is within relative
-        (m + 5)·u of d, so what it accepts has d² ≤ radius²·(1 + (m +
-        3)·eps).  ``tol`` is ``_DENSE_SLACK`` × (m + 3)·eps·(max‖p‖² +
-        ‖q‖² + radius²), and the filter keeps ``s + ‖q‖² ≤ radius² + tol``
-        (and ``≥ lower² − tol``).  Data far from the origin inflates
-        ``tol`` until everything passes — slower, never different.
-
-        With ``limits`` and no annulus, a query holding more than its
-        limit L of survivors is pre-cut at its L-th smallest score + 2·tol.
-        Either all L of those are true matches, so the final L-th
-        distance² is ≤ that score + tol and everything the budget cut can
-        keep (ties included) scores within another tol; or one is not,
-        its score is then already within tol of radius², and the cut
-        keeps every match.
+        The Eq. 5 member filters are *not* run here: they are implied by
+        the distance test except within rounding of their own boundaries
+        (module docstring), which is the one place this route can keep a
+        match the other drops.
         """
         points = self.leaf_points[slot_lo:slot_hi]
         sqnorm = self.leaf_sqnorm[slot_lo:slot_hi]
@@ -705,15 +733,18 @@ class FlatPMTree:
         block = queries[rows_q]
         q_sqnorm = np.einsum("ij,ij->i", block, block)
         r2 = radius * radius
-        eps = np.finfo(np.float64).eps
-        tol = _DENSE_SLACK * (block.shape[1] + 3) * eps * (sqnorm.max() + q_sqnorm + r2)
+        tol = expansion_tol(block.shape[1], sqnorm.max() + q_sqnorm + r2)
+        matches.tol[rows_q] = np.maximum(matches.tol[rows_q], tol)
         upper = r2 + tol - q_sqnorm
-        floor = None if lower is None else lower * lower - tol - q_sqnorm
+        inner = r2 - tol - q_sqnorm  # scores at or below: certainly inside
+        floor = ceil = None
+        if lower is not None:
+            floor = lower * lower - tol - q_sqnorm
+            ceil = lower * lower + tol - q_sqnorm  # above: certainly past lower
         row_limits = None
         if limits is not None:
             row_limits = limits[rows_q]
-            upper[row_limits <= 0] = -np.inf  # the budget cut keeps nothing
-        precut = row_limits is not None and lower is None
+            upper[row_limits <= 0] = -np.inf  # the limit cut keeps nothing
         neg2q = -2.0 * block
         num_rows = rows_q.size
         # Column blocks of every row at once: the slot range is read from
@@ -735,30 +766,122 @@ class FlatPMTree:
             for i in range(num_rows):
                 slots = np.flatnonzero(hit[i])  # ascending leaf slot
                 if slots.size:
-                    if precut:
-                        hit_scores[i].append(scores[i, slots])
+                    hit_scores[i].append(scores[i, slots])
                     slots += lo
                     hit_slots[i].append(slots)
         for i in range(num_rows):
             if not hit_slots[i]:
                 continue
+            row = rows_q[i]
             member = np.concatenate(hit_slots[i])
-            if precut and member.size > row_limits[i]:
-                kept = np.concatenate(hit_scores[i])
-                limit = int(row_limits[i])
-                kth = np.partition(kept, limit - 1)[limit - 1]
-                member = member[kept <= kth + 2.0 * tol[i]]
-            query = queries[rows_q[i]]
-            dists = kernel.pair_distances(
-                points[member], np.broadcast_to(query, (member.size, query.size))
-            )
-            inside = dists <= radius
-            if lower is not None:
-                inside &= dists > lower
-            member = member[inside]
-            out_q.append(np.full(member.size, rows_q[i], dtype=np.int64))
-            out_id.append(self.slot_ids[slot_lo + member])
-            out_dist.append(dists[inside])
+            score = np.concatenate(hit_scores[i])
+            exact = None
+            band = score > inner[i]
+            if ceil is not None:
+                band |= score <= ceil[i]
+            settle = np.flatnonzero(band)
+            if settle.size:
+                query = queries[row]
+                dists = kernel.pair_distances(
+                    points[member[settle]], np.broadcast_to(query, (settle.size, query.size))
+                )
+                matches.rescored[row] += settle.size
+                inside = dists <= radius
+                if lower is not None:
+                    inside &= dists > lower
+                exact = np.full(member.size, np.nan)
+                exact[settle] = dists
+                if not inside.all():
+                    drop = settle[~inside]
+                    member, score = np.delete(member, drop), np.delete(score, drop)
+                    exact = np.delete(exact, drop)
+            ids = self.slot_ids.take(slot_lo + member)
+            score += q_sqnorm[i]  # the key: an estimate of d² itself
+            if row_limits is not None and ids.size > row_limits[i]:
+                keep, exact = self._cut(
+                    queries, rows_q[i : i + 1], ids, score, exact,
+                    np.array([0, ids.size]), tol[i : i + 1], row_limits[i : i + 1],
+                    matches.rescored, kernel,
+                )
+                kept = np.flatnonzero(keep)
+                ids, score = ids.take(kept), score.take(kept)
+                exact = None if exact is None else exact.take(kept)
+            matches.add(np.full(ids.size, row, dtype=np.int64), ids, score, exact)
+
+    def _cut(
+        self,
+        queries: np.ndarray,
+        group_rows: np.ndarray,
+        ids: np.ndarray,
+        keys: np.ndarray,
+        exact: Optional[np.ndarray],
+        lims: np.ndarray,
+        tol: np.ndarray,
+        limits: np.ndarray,
+        rescored: np.ndarray,
+        kernel,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The one canonical limit cut: keep mask over a grouped pool, and
+        the pool's exact distances (allocated here if it needed some).
+
+        Group g is ``lims[g]:lims[g+1]``, the matches of query row
+        ``group_rows[g]``; each over its limit keeps its ``limits[g]``
+        closest by ``(exact distance, id)``.  ``keys`` are within
+        ``tol[g]`` of each exact d² — dense-pass estimates, or ``fl(d²)``
+        of a known distance.  :func:`~repro.kernels.fast.limit_band`
+        keeps what keys more than 2·tol below the L-th key and drops what
+        keys more than 2·tol above; the band between is settled by exact
+        distances — computed here (into ``exact``, NaN where unknown,
+        ``None`` for none known) only when the band holds more rows than
+        places left — and the
+        ``budget_cut`` kernel.  A group whose distances are all exact
+        (``tol`` 0: per-pair chunks only) is one band as a whole, so the
+        kernel settles every such group in one call.
+        """
+        counts = np.diff(lims)
+        capped = np.flatnonzero(counts > limits)
+        keep = np.ones(ids.size, dtype=bool)
+        whole = capped[tol[capped] == 0.0]
+        bands = [_concat_ranges(lims[whole], counts[whole])]
+        keep[bands[0]] = False
+        owners = [group_rows[whole]]
+        sizes = [counts[whole]]
+        places = [limits[whole]]
+        for g in capped[tol[capped] > 0.0]:
+            lo, hi = int(lims[g]), int(lims[g + 1])
+            below, above = limit_band(keys[lo:hi], float(tol[g]), int(limits[g]))
+            listed = np.less_equal(keys[lo:hi], above, out=keep[lo:hi])
+            near = lo + np.flatnonzero(listed & (keys[lo:hi] >= below))
+            room = int(limits[g]) - (int(np.count_nonzero(listed)) - near.size)
+            if near.size > room:
+                keep[near] = False
+                owners.append(group_rows[g : g + 1])
+                bands.append(near)
+                sizes.append(np.array([near.size]))
+                places.append(np.array([room]))
+            # else: as many places as rows in the band, nothing to decide
+        sizes = np.concatenate(sizes).astype(np.int64)
+        if sizes.size == 0:
+            return keep, exact
+        band = np.concatenate(bands)
+        owner = np.repeat(np.concatenate(owners).astype(np.int64), sizes)
+        if exact is None:
+            exact = np.full(ids.size, np.nan)
+        fresh = np.flatnonzero(np.isnan(exact[band]))
+        if fresh.size:
+            where = band[fresh]
+            exact[where] = kernel.pair_distances(self.points[ids[where]], queries[owner[fresh]])
+            rescored += np.bincount(owner[fresh], minlength=rescored.size)
+        chosen = kernel.budget_cut(
+            np.repeat(np.arange(sizes.size, dtype=np.int64), sizes),
+            ids[band],
+            exact[band],
+            sizes,
+            np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+            np.concatenate(places).astype(np.int64),
+        )
+        keep[band if chosen is None else band[chosen]] = True
+        return keep, exact
 
     def _expand_inner(
         self,
@@ -809,18 +932,18 @@ class FlatPMTree:
             dists[surviving],
         )
 
-    @staticmethod
     def _assemble(
-        num_queries: int,
-        out_q: List[np.ndarray],
-        out_id: List[np.ndarray],
-        out_dist: List[np.ndarray],
+        self,
+        queries: np.ndarray,
+        matches: _Matches,
         limits: Optional[np.ndarray],
         sort: bool,
         kernel,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Group the pooled matches by query, apply the per-query limits as
-        canonical ``(distance, id)`` cuts, and optionally sort each group.
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Group the pooled matches by query, cut each query still over its
+        limit (:meth:`_cut` — a query the dense pass already cut in one
+        chunk is not), and, for ``sort``, compute the exact distances the
+        output still lacks and order each group by ``(distance, id)``.
 
         Frontier expansion is query-major, so each pooled chunk arrives
         already grouped by query — and a balanced tree produces exactly
@@ -828,31 +951,40 @@ class FlatPMTree:
         case; a stable argsort backstops lopsided trees and a tail scored
         in a pass of its own.
         """
-        if not out_q:
-            return (
-                np.zeros(num_queries + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
-        q = np.concatenate(out_q)
-        ids = np.concatenate(out_id)
-        dists = np.concatenate(out_dist)
-        if len(out_q) > 1 and np.any(np.diff(q) < 0):
+        num_queries = matches.tol.size
+        if not matches.q:
+            empty = np.empty(0, dtype=np.float64) if sort else None
+            return np.zeros(num_queries + 1, dtype=np.int64), np.empty(0, dtype=np.int64), empty
+        q = np.concatenate(matches.q)
+        ids = np.concatenate(matches.ids)
+        order = None
+        if len(matches.q) > 1 and np.any(np.diff(q) < 0):
             order = np.argsort(q, kind="stable")
-            q, ids, dists = q[order], ids[order], dists[order]
+            q, ids = q[order], ids[order]
         counts = np.bincount(q, minlength=num_queries)
         lims = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        if limits is not None:
-            limits = np.asarray(limits, dtype=np.int64)
-            keep = kernel.budget_cut(q, ids, dists, counts, lims, limits)
-            if keep is not None:
-                q, ids, dists = q[keep], ids[keep], dists[keep]
-                counts = np.bincount(q, minlength=num_queries)
-                lims = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        if sort and ids.size:
-            order = np.lexsort((ids, dists, q))
-            ids, dists = ids[order], dists[order]
-        return lims, ids, dists
+        capped = limits is not None and bool(np.any(counts > limits))
+        if not (capped or sort):
+            return lims, ids, None
+        keys, exact = matches.pooled_keys()
+        if order is not None:
+            keys, exact = keys[order], exact[order]
+        if capped:
+            keep, exact = self._cut(
+                queries, np.arange(num_queries), ids, keys, exact, lims,
+                matches.tol, limits, matches.rescored, kernel,
+            )
+            kept = np.flatnonzero(keep)
+            q, ids, exact = q.take(kept), ids.take(kept), exact.take(kept)
+            counts = np.bincount(q, minlength=num_queries)
+            lims = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        if not sort:
+            return lims, ids, None
+        unknown = np.flatnonzero(np.isnan(exact))
+        if unknown.size:  # reported, not decided on: not a re-score
+            exact[unknown] = kernel.pair_distances(self.points[ids[unknown]], queries[q[unknown]])
+        order = np.lexsort((ids, exact, q))
+        return lims, ids[order], exact[order]
 
     # ------------------------------------------------------------------
     # batched exact kNN in the indexed (projected) space
@@ -861,12 +993,14 @@ class FlatPMTree:
     def batch_knn(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Exact k nearest indexed points per query row, via the tree.
 
-        Radius-doubling over :meth:`batch_range`: start from a density
-        guess, re-probe the queries whose ball holds fewer than k points
-        at twice the radius, and cut each finished query to its k best by
-        ``(distance, id)`` — the same canonical tie order as the exact
-        brute-force oracle.  This is the traversal behind PM-LSH's
-        closest-pair self-join (each point's projected neighbourhood).
+        Radius-doubling over :meth:`batch_range` with a limit of k: start
+        from a density guess, re-probe the queries whose ball holds fewer
+        than k points at twice the radius; a finished query's limit cut
+        is its k best by ``(distance, id)`` — the same canonical tie order
+        as the exact brute-force oracle — and only those k (and the band
+        at the k-th) get an exact distance.  This is the traversal behind
+        PM-LSH's closest-pair self-join (each point's projected
+        neighbourhood).
         """
         queries = np.ascontiguousarray(np.atleast_2d(queries))
         num_queries = queries.shape[0]
@@ -878,9 +1012,10 @@ class FlatPMTree:
         active = np.arange(num_queries, dtype=np.int64)
         radius = self._knn_seed_radius(k)
         while active.size:
-            lims, ids, dists, _ = self.batch_range(queries[active], radius)
-            counts = np.diff(lims)
-            done = counts >= k
+            lims, ids, dists, _ = self.batch_range(
+                queries[active], radius, limits=np.full(active.size, k)
+            )
+            done = np.diff(lims) >= k
             if np.any(done):
                 take = _concat_ranges(
                     lims[:-1][done], np.full(int(done.sum()), k, dtype=np.int64)

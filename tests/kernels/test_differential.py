@@ -172,6 +172,64 @@ def test_closest_mask_matches_canonical_order(pool, k):
 
 
 @st.composite
+def estimate_inputs(draw):
+    """(data, sqnorm, ids, query) for the norm-expansion estimates: any d,
+    repeated ids, duplicate rows, and offsets up to 10⁸ where the
+    expansion cancels every digit it has."""
+    n = draw(st.integers(min_value=1, max_value=150))
+    d = draw(st.integers(min_value=1, max_value=140))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    scale = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e6, 1e8]))
+    data = rng.normal(size=(n, d)) * scale + offset
+    if n >= 2 and draw(st.booleans()):
+        data[1] = data[0]
+    query = data[rng.integers(n)] + rng.normal(size=d) * scale * draw(st.sampled_from([0, 1e-9, 1]))
+    ids = rng.integers(0, n, size=draw(st.integers(min_value=0, max_value=300)))
+    return data, np.einsum("ij,ij->i", data, data), ids, query
+
+
+@given(estimate_inputs(), st.integers(min_value=1, max_value=64))
+@settings(max_examples=80, deadline=None)
+def test_sq_distance_estimates_within_their_band(inputs, chunk):
+    """Not pinned by bytes — a GEMV's reduction order may follow a row's
+    place in its block — but by the contract every caller relies on: the
+    estimate is within ``expansion_tol`` of the exact kernel's d², and
+    within it of the straight-line reference too."""
+    data, sqnorm, ids, query = inputs
+    q_sqnorm = float(query @ query)
+    with dist_chunk(chunk):
+        got = fast.sq_distance_estimates(data, sqnorm, ids, query, q_sqnorm)
+    want = reference.sq_distance_estimates(data, sqnorm, ids, query, q_sqnorm)
+    exact = fast.verify_distances(data, ids, query[None, :], np.zeros(ids.size, dtype=np.int64))
+    tol = fast.expansion_tol(data.shape[1], sqnorm.max() + q_sqnorm)
+    assert got.dtype == np.float64 and got.shape == ids.shape
+    assert np.all(np.abs(got - exact * exact) <= tol)
+    assert np.all(np.abs(got - want) <= tol)
+
+
+@given(grouped_pool(), st.integers(min_value=-2, max_value=50), st.sampled_from([0.0, 0.05, 1.0]))
+@settings(max_examples=80, deadline=None)
+def test_limit_band(pool, limit, tol):
+    """Selection (np.partition) == full sort, and the band keeps exactly
+    what the canonical cut can keep: a key under ``lo`` is in the
+    ``limit`` best for any exact values within ``tol`` of the keys, a
+    key over ``hi`` in none of them."""
+    _, _, _, ids, keys = pool
+    lo, hi = fast.limit_band(keys, tol, limit)
+    assert (lo, hi) == reference.limit_band(keys, tol, limit)
+    if keys.size == 0:
+        return
+    rng = np.random.default_rng(keys.size + limit)
+    for _ in range(5):  # exact values anywhere the band allows
+        exact = keys + rng.uniform(-tol, tol, size=keys.size)
+        best = reference.closest_mask(exact, ids, limit)
+        assert best[keys < lo].all()
+        assert not best[keys > hi].any()
+
+
+@st.composite
 def leaf_prune_inputs(draw):
     num_members = draw(st.integers(min_value=0, max_value=120))
     num_leaf_rows = draw(st.integers(min_value=1, max_value=200))
@@ -315,6 +373,14 @@ class TestPinnedCorners:
         assert not fast.closest_mask(dists, ids, 0).any()
         assert fast.closest_mask(dists, ids, 2).all()
         assert fast.closest_mask(dists, ids, 5).all()
+
+    def test_limit_band_edges(self):
+        keys = np.array([0.3, 0.1, 0.1, 0.7])
+        assert fast.limit_band(keys, 0.0, 0) == (-np.inf, -np.inf)  # keeps nothing
+        assert fast.limit_band(keys, 0.0, 4) == (np.inf, np.inf)  # within its limit
+        assert fast.limit_band(keys, 0.0, 2) == (0.1, 0.1)  # the tie is the band
+        lo, hi = fast.limit_band(keys, 0.05, 3)
+        assert (lo, hi) == pytest.approx((0.2, 0.4))
 
     def test_pair_distances_d1_float32(self):
         rows = np.array([[1.0], [2.0]], dtype=np.float32)

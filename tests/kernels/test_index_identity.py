@@ -7,7 +7,14 @@ queries must return byte-identical ids, distances and result stats with
 the reference kernels swapped onto the kernel set, including after
 deletes that fully tombstone leaves and under the sampled hash family.
 
-The second half pins the one choice the traversal makes from its input:
+The middle part draws indexes where an estimate could decide wrongly —
+ties planted exactly at the k-th answer and at the L-th candidate, a
+budget equal to k, data 10⁶ away from the origin (the bands swallow
+rows), tombstones, unindexed tail rows, multi-round ladders — and holds
+every answer to the per-query pointer-tree probes of
+``tests/oracles/recursive_probe.py``: ids, distances and stats.
+
+The last part pins the one choice the traversal makes from its input:
 a capped ``batch_range`` scores its leaf level pair by pair or as one
 dense pass over the reached slot range.  Both sides must return the
 pointer tree's capped set — with tombstones and planted distance ties —
@@ -20,11 +27,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.pmtree.flat as flat_module
 from repro import PMLSH, PMLSHParams
 from repro.pmtree.tree import PMTree
-from tests.oracles import reference_kernels
+from repro.queries import Knn, Range
+from tests.oracles import recursive_probe, reference_kernels
 
 
 def _dataset():
@@ -95,6 +105,107 @@ def test_sampled_family_differs_from_dense_but_is_self_consistent():
     assert dense.stats != sampled.stats or not np.array_equal(
         dense.ids, sampled.ids
     )
+
+
+# ----------------------------------------------------------------------
+# Where an estimate could decide wrongly, against the per-query oracle
+# ----------------------------------------------------------------------
+
+
+def _distances(points, query):
+    diff = points - query
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+@st.composite
+def banded_index(draw):
+    """An index and a spec drawn at the places the bands must get right."""
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    n, d = draw(st.sampled_from([150, 400])), draw(st.integers(min_value=2, max_value=24))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    data = rng.normal(size=(n, d))
+    queries = data[rng.choice(n, size=4, replace=False)] + rng.normal(size=(4, d)) * 0.05
+    k = draw(st.sampled_from([1, 5, 10]))
+    tied = None
+    if draw(st.booleans()):  # copies of query 0's (k-1)-th neighbour: ties at the k-th
+        order = np.argsort(_distances(data, queries[0]))
+        tied = order[max(0, k - 2)]
+        data[rng.choice(order[k + 2 :], size=4, replace=False)] = data[tied]
+    data += offset
+    queries += offset
+    fitted = draw(st.sampled_from([n, n - n // 4]))  # the rest arrives by add()
+    params = PMLSHParams(
+        node_capacity=draw(st.sampled_from([8, 32])),
+        # Pivot distances come from the norm expansion with no error bound
+        # (ROADMAP, correctness): offset data is indexed without pivots.
+        num_pivots=0 if offset else draw(st.sampled_from([0, 3])),
+        radius_shrink=draw(st.sampled_from([1.0, 0.05])),  # 0.05: many rounds
+    )
+    index = PMLSH(params=params, seed=seed).fit(data[:fitted])
+    if fitted < n:
+        index.add(data[fitted:])
+    if draw(st.booleans()):
+        index.delete(rng.choice(n, size=n // 8, replace=False))
+    budget = draw(st.sampled_from([None, "k", "ties"]))
+    if budget == "k":  # the candidate count equals k
+        budget = k
+    elif budget == "ties":  # the L-th candidate: one of the copies, if planted
+        projected = _distances(index.projected, index.projection.project(queries[0]))
+        at = projected[tied] if tied is not None else np.sort(projected)[k + 3]
+        budget = max(k, int(np.count_nonzero(projected < at)) + 2)
+    return index, queries, k, budget
+
+
+@given(banded_index())
+@settings(max_examples=60, deadline=None)
+def test_knn_range_and_pairs_equal_the_recursive_oracle(case):
+    index, queries, k, budget = case
+    spec = Knn(k, budget=budget)
+    got, want = index.run(queries, spec), recursive_probe.knn(index, queries, spec)
+    for field in ("ids", "distances"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert got.per_query_stats == want.per_query_stats
+    radius = float(np.median(want.distances[:, -1]))
+    ranged = Range(radius, budget=budget)
+    got, want = index.run(queries, ranged), recursive_probe.range_search(index, queries, ranged)
+    for field in ("lims", "ids", "distances"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert got.per_query_stats == want.per_query_stats
+    got, want = index.closest_pairs(4), recursive_probe.closest_pairs(index, 4)
+    assert got.pairs.tobytes() == want.pairs.tobytes()
+    assert got.distances.tobytes() == want.distances.tobytes()
+
+
+@pytest.mark.parametrize("shrink", [1.0, 0.05], ids=["one-round", "many-rounds"])
+def test_far_from_the_origin_every_candidate_is_rescored(shrink):
+    """At +10⁸ the original-space estimates cannot tell any two candidates
+    apart, so every kNN candidate lands in a band and gets an exact
+    distance — ``stats["rescored"]`` says so — and the answers, rounds
+    and final radii (termination test 1, with a short ladder start) are
+    still the oracle's; near the origin the band holds next to nothing."""
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=(500, 8))
+    queries = data[:6] + rng.normal(size=(6, 8)) * 0.05
+    for offset, many in ((0.0, False), (1e8, True)):
+        params = PMLSHParams(num_pivots=0, radius_shrink=shrink)
+        index = PMLSH(params=params, seed=4).fit(data + offset)
+        before = index.metrics.total("candidates_rescored")
+        got = index.run(queries + offset, Knn(5))
+        # The registry counter is the same count, unlabeled, in total.
+        assert index.metrics.total("candidates_rescored") - before == pytest.approx(
+            got.stats["rescored"] * queries.shape[0]
+        )
+        want = recursive_probe.knn(index, queries + offset, Knn(5))
+        assert got.ids.tobytes() == want.ids.tobytes()
+        assert got.distances.tobytes() == want.distances.tobytes()
+        assert got.per_query_stats == want.per_query_stats
+        if many:
+            assert got.stats["rescored"] >= got.stats["candidates"]
+        else:
+            assert got.stats["rescored"] <= 1.0
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro import ExactKNN, LinearScan, PMLSH, PMLSHParams, Range, ShardedIndex
+from repro.core.radius import range_candidate_budget
 from tests.oracles import recursive_probe
 
 GENERIC_BACKENDS = sorted(
@@ -244,6 +245,22 @@ class TestPMLSHNative:
         full_budget = index.candidate_budget(10)
         index.delete(dead_ids)
         assert index.candidate_budget(10) < full_budget
+
+    def test_range_budget_is_sized_on_the_live_rows(self, data, queries):
+        """Like kNN's ⌈βn⌉ + k: a half-deleted index sizes its default range
+        budget — ⌈βn⌉ plus the expected ball population n·F(c·r) — on the
+        rows that can still be candidates, not on every row it ever held."""
+        index = PMLSH(params=PMLSHParams(node_capacity=32), seed=3).fit(data)
+        index.delete(np.arange(0, data.shape[0], 2))
+        r = 4.0
+        want = range_candidate_budget(
+            index.distance_distribution, index.nlive, index.solved.beta, index.params.c * r
+        )
+        assert index.nlive == data.shape[0] // 2
+        assert index.run(queries, Range(r=r)).stats["budget"] == float(want)
+        assert want < range_candidate_budget(
+            index.distance_distribution, index.ntotal, index.solved.beta, index.params.c * r
+        )
 
 
 class TestKnnOverfetchPath:

@@ -23,6 +23,34 @@ def closest_mask(dists: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
+# The band helpers below are uncounted like ``closest_mask``: the product
+# imports them from ``repro.kernels.fast`` directly.
+
+
+def sq_distance_estimates(
+    data: np.ndarray,
+    sqnorm: np.ndarray,
+    ids: np.ndarray,
+    query: np.ndarray,
+    q_sqnorm: float,
+) -> np.ndarray:
+    """``‖x‖² − 2·x·q + ‖q‖²`` per gathered row: one gather, one GEMV."""
+    return sqnorm[ids] - 2.0 * (data[ids] @ query) + q_sqnorm
+
+
+def limit_band(keys: np.ndarray, tol: float, limit: int):
+    """``(lo, hi)`` of a cut to *limit* on keys within *tol* of the exact
+    squared distances — by a full sort: K is the limit-th smallest key,
+    the band is ``[K − 2·tol, K + 2·tol]``; nothing is kept at a limit of
+    0 and everything at a limit the pool does not exceed."""
+    if limit <= 0:
+        return -np.inf, -np.inf
+    if limit >= keys.size:
+        return np.inf, np.inf
+    kth = float(np.sort(keys)[limit - 1])
+    return kth - 2.0 * tol, kth + 2.0 * tol
+
+
 def leaf_prune(
     *,
     member: np.ndarray,

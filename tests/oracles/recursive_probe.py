@@ -118,7 +118,7 @@ def range_search(index, queries: np.ndarray, spec: Range) -> RangeResult:
         spec.budget
         if spec.budget is not None
         else range_candidate_budget(
-            index.distance_distribution, index.n, solved.beta, c * spec.r
+            index.distance_distribution, index.nlive, solved.beta, c * spec.r
         )
     )
     dead = _dead_set(index)

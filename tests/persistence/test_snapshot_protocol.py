@@ -20,6 +20,7 @@ import pytest
 
 import repro
 from repro import ExactKNN, PMLSH, PMLSHParams, Replica, SnapshotError, load_index
+from repro.core.radius import range_candidate_budget
 from repro.parallel import WorkerPool, attach_segment, leaked_segments, publish_arrays
 from repro.persistence import (
     FORMAT_VERSION,
@@ -219,7 +220,14 @@ class TestCompatibility:
             np.testing.assert_array_equal(
                 [s["candidates"] for s in knn.per_query_stats], want["knn_candidates"]
             )
-            ranged = restored.range_search(queries, 2.5)
+            # The writer sized the default range budget on every row,
+            # tombstoned ones included; today's default sizes it on the
+            # live rows, so the writer's budget is passed explicitly.
+            writer_budget = range_candidate_budget(
+                restored.distance_distribution, restored.ntotal,
+                restored.solved.beta, restored.params.c * 2.5,
+            )
+            ranged = restored.run(queries, Range(2.5, budget=writer_budget))
             np.testing.assert_array_equal(ranged.lims, want["range_lims"])
             np.testing.assert_array_equal(ranged.ids, want["range_ids"])
             np.testing.assert_array_equal(ranged.distances, want["range_distances"])

@@ -3,17 +3,22 @@
 ``FlatPMTree.batch_range`` scores its leaf level either pair by pair
 (Eq. 5 member filters, gathered distances) or as blocked GEMMs over the
 reached slot range, chosen from the frontier's coverage against
-``_DENSE_COVERAGE``.  The dense scores are only a superset filter — what
-is emitted is decided by the same exact kernel — so forcing the constant
-to "always" and to "never" must give the same *bytes*: ids, projected
-distances, ``(distance, id)`` tie order at the budget cut and the
-``sort=False`` emission order.  The hard cases are drawn on purpose:
-tombstones, duplicate blocks at the cut, a point exactly at ``radius``
-and one exactly at ``lower``, a single-leaf tree, a tree whose last rows
-sit in the unindexed tail (scored densely on both sides, dead rows
-included), and data 10⁶–10⁸ away from the origin, where the GEMM scores lose every
-digit and the filter must degrade to pass-all rather than to a wrong
-answer.
+``_DENSE_COVERAGE``.  The dense scores are estimates with a proven error
+band — a slot is re-scored by the exact kernel only when its score lies
+within the band of ``radius``, of ``lower`` or of a query's L-th score —
+so every decision is the exact kernel's, and forcing the constant to
+"always" and to "never" must give the same answers: with ``sort=True``
+the same *bytes* (ids, projected distances, ``(distance, id)`` tie order
+at the limit cut), with ``sort=False`` the same id *set* per query (that
+call returns no distances).  The hard cases are drawn on purpose:
+tombstones, duplicate blocks exactly at the L-th place, a limit equal to
+a query's match count and a limit of 0, a point exactly at ``radius`` and
+one exactly at ``lower``, a single-leaf tree, a tree whose last rows sit
+in the unindexed tail (scored densely on both sides, dead rows included,
+so the per-pair side's matches arrive in two chunks: leaves, then the
+tail pass), and data 10⁶–10⁸ away from the origin, where the GEMM scores
+lose every digit and the band must swallow rows rather than decide them
+wrongly.
 """
 
 from __future__ import annotations
@@ -88,12 +93,33 @@ def scenario(draw):
     ranked = np.sort(_exact_distances(points, queries[-1]))
     radius = float(ranked[draw(st.sampled_from([1, n // 10, n // 2, n - 1]))])
     lower = draw(st.sampled_from([None, float(ranked[draw(st.integers(0, n // 12))])]))
-    ball = int(np.searchsorted(ranked, radius, side="right"))
-    limit = draw(st.sampled_from([None, 0, 3, max(1, ball // 2), n + 5]))
-    limits = None if limit is None else np.full(rows, limit, dtype=np.int64)
-    if limits is not None and rows > 1:
-        limits[1] = draw(st.sampled_from([0, 1, n]))  # per-query limits differ
+    limits = _draw_limits(draw, points, dead, queries, radius, lower)
     return points, dead, flat, queries, radius, lower, limits, draw(st.booleans())
+
+
+def _draw_limits(draw, points, dead, queries, radius, lower):
+    """Per-query limits: none, 0, a few, half the ball, more than n, every
+    query's exact match count (the limit equals the candidate count), or
+    the duplicate block's place plus 3 (the L-th match is one of six
+    copies, so the cut is decided by id among equal distances)."""
+    n, rows = points.shape[0], queries.shape[0]
+    kind = draw(st.sampled_from(["none", "zero", "few", "half", "over", "exact", "ties"]))
+    if kind == "none":
+        return None
+    ball = np.array([len(_oracle(points, dead, q, radius, lower, None)) for q in queries])
+    if kind == "ties":
+        dup = _exact_distances(points[n // 3][None, :], queries)  # (rows,) per query
+        inside = [_oracle(points, dead, q, radius, lower, None) for q in queries]
+        limits = np.array([sum(d < dup[i] for d, _ in inside[i]) + 3 for i in range(rows)])
+    else:
+        limits = {
+            "zero": np.zeros(rows), "few": np.full(rows, 3), "half": np.maximum(1, ball // 2),
+            "over": np.full(rows, n + 5), "exact": ball,
+        }[kind]
+    limits = np.asarray(limits, dtype=np.int64)
+    if rows > 1:
+        limits[1] = draw(st.sampled_from([0, 1, n]))  # per-query limits differ
+    return limits
 
 
 def _oracle(points, dead, query, radius, lower, limit):
@@ -110,52 +136,115 @@ def _oracle(points, dead, query, radius, lower, limit):
     return list(zip(dists[ids].tolist(), ids.tolist()))
 
 
+def _assert_answers(result, points, dead, queries, radius, lower, limits, sort):
+    """Each query's matches against the brute-force ball: the exact
+    ``(distance, id)`` list with ``sort``, the id set without (and no
+    distances: ``sort=False`` returns ``None``)."""
+    lims, ids, dists, _ = result
+    for i, query in enumerate(queries):
+        limit = None if limits is None else int(limits[i])
+        expected = _oracle(points, dead, query, radius, lower, limit)
+        got_ids = ids[lims[i] : lims[i + 1]].tolist()
+        if sort:
+            assert list(zip(dists[lims[i] : lims[i + 1]].tolist(), got_ids)) == expected
+        else:
+            assert dists is None
+            assert sorted(got_ids) == sorted(pid for _, pid in expected)
+
+
+def _assert_same(walked, dense, sort):
+    """The two routes: same bytes with ``sort``, same id sets without."""
+    lims = walked[0]
+    assert walked[0].tobytes() == dense[0].tobytes()
+    if sort:
+        for name, a, b in zip(("ids", "dists"), walked[1:3], dense[1:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    else:
+        for i in range(lims.size - 1):
+            a, b = (np.sort(r[1][lims[i] : lims[i + 1]]) for r in (walked, dense))
+            assert a.tobytes() == b.tobytes(), i
+    # Same frontier, whichever way its members were scored.
+    np.testing.assert_array_equal(walked[3].nodes, dense[3].nodes)
+    np.testing.assert_array_equal(walked[3].level_visits, dense[3].level_visits)
+
+
 @given(scenario())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_dense_pass_equals_the_ball_and_the_traversal(case):
     points, dead, flat, queries, radius, lower, limits, sort = case
     with _always():
         dense = flat.batch_range(queries, radius, limits=limits, lower=lower, sort=sort)
-    lims, ids, dists, stats = dense
-    for i, query in enumerate(queries):
-        got = list(zip(dists[lims[i] : lims[i + 1]].tolist(), ids[lims[i] : lims[i + 1]].tolist()))
-        limit = None if limits is None else int(limits[i])
-        expected = _oracle(points, dead, query, radius, lower, limit)
-        assert (got if sort else sorted(got)) == expected
+    _assert_answers(dense, points, dead, queries, radius, lower, limits, sort)
     with _never():
         walked = flat.batch_range(queries, radius, limits=limits, lower=lower, sort=sort)
-    for name, a, b in zip(("lims", "ids", "dists"), walked[:3], dense[:3]):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    # Same frontier, whichever way its members were scored.
-    np.testing.assert_array_equal(walked[3].nodes, stats.nodes)
-    np.testing.assert_array_equal(walked[3].level_visits, stats.level_visits)
+    _assert_answers(walked, points, dead, queries, radius, lower, limits, sort)
+    _assert_same(walked, dense, sort)
 
 
-def test_offset_data_degrades_the_filter_not_the_answer():
+@given(scenario(), st.integers(min_value=2, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_annulus_ladder_with_a_member_on_every_boundary(case, steps):
+    """Algorithm 2's rounds: each fetches the fresh annulus (lower = the
+    previous radius) capped at what is left of a budget, and every radius
+    of the ladder is the exact distance of a member — the ball and the
+    annulus band are both hit on every round, on both routes."""
+    points, dead, flat, queries, _, _, _, sort = case
+    n = points.shape[0]
+    ranked = np.sort(_exact_distances(points, queries[-1]))
+    ladder = ranked[np.linspace(n // 8, n - 1, steps).astype(int)]
+    budget = np.full(queries.shape[0], max(1, n // 3), dtype=np.int64)
+    seen = np.zeros_like(budget)
+    lower = None
+    for radius in ladder.tolist():
+        limits = np.maximum(budget - seen, 0)
+        with _always():
+            dense = flat.batch_range(queries, radius, limits=limits, lower=lower, sort=sort)
+        with _never():
+            walked = flat.batch_range(queries, radius, limits=limits, lower=lower, sort=sort)
+        _assert_answers(dense, points, dead, queries, radius, lower, limits, sort)
+        _assert_same(walked, dense, sort)
+        seen += np.diff(dense[0])
+        lower = radius
+
+
+@pytest.mark.parametrize("limit", [None, 30])
+def test_offset_data_degrades_the_filter_not_the_answer(limit):
     """At +10⁸ per coordinate ‖p‖² ≈ m·10¹⁶, the scores are off by more
-    than radius² and so is their error bound: every live member survives
-    the filter and is re-scored exactly, and the result is the true ball."""
+    than radius² and so is their error bound: every live member lands in
+    the band of ``radius`` and is re-scored exactly — ``rescored`` counts
+    all of them — and the result is the true ball, cut exactly."""
     rng = np.random.default_rng(4)
     points = rng.normal(size=(400, 6)) + 1e8
     flat = PMTree.build(points, num_pivots=0, capacity=16, seed=2).flatten()
     queries = points[:5] + 0.01
-    scored = []
-    real = flat_module._kernels.active().pair_distances
-
-    def counting(rows, query_rows):
-        scored.append(rows.shape[0])
-        return real(rows, query_rows)
-
+    limits = None if limit is None else np.full(5, limit)
     with _never():
-        walked = flat.batch_range(queries, 1.5)
-    with _always(), mock.patch.object(flat_module._kernels.active(), "pair_distances", counting):
-        dense = flat.batch_range(queries, 1.5)
+        walked = flat.batch_range(queries, 1.5, limits=limits)
+    with _always():
+        dense = flat.batch_range(queries, 1.5, limits=limits)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(walked[:3], dense[:3]))
     for i, query in enumerate(queries):
-        expected = _oracle(points, None, query, 1.5, None, None)
+        expected = _oracle(points, None, query, 1.5, None, limit)
         assert dense[1][dense[0][i] : dense[0][i + 1]].tolist() == [pid for _, pid in expected]
     assert 0 < dense[0][-1] < 5 * 400  # a real ball, not everything
-    assert scored[-5:] == [400] * 5  # pass-all: each query re-scored every member
+    assert dense[3].rescored.tolist() == [400] * 5  # pass-all: every member re-scored
+    assert walked[3].rescored.tolist() == [0] * 5  # the per-pair side estimates nothing
+
+
+def test_near_the_origin_the_band_is_tiny():
+    """The other end: unit-scale data, a big capped ball — the dense pass
+    re-scores next to nothing, and never anything it is not asked to decide."""
+    rng = np.random.default_rng(9)
+    points = rng.normal(size=(3000, 8))
+    flat = PMTree.build(points, num_pivots=3, capacity=16, seed=1).flatten()
+    queries = points[:16] + 0.01
+    with _always():
+        lims, ids, dists, stats = flat.batch_range(queries, 4.0, limits=np.full(16, 200))
+    assert np.all(np.diff(lims) == 200)  # every ball holds more than the limit
+    for i, query in enumerate(queries):
+        expected = _oracle(points, None, query, 4.0, None, 200)
+        assert list(zip(dists[lims[i] : lims[i + 1]], ids[lims[i] : lims[i + 1]])) == expected
+    assert stats.rescored.sum() <= 16  # ≪ the 16 balls' rows
 
 
 def _matches(result, i: int) -> set:

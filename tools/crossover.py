@@ -3,10 +3,10 @@
 ``FlatPMTree.batch_range`` answers its leaf level one of two ways: the
 per-pair traversal (Eq. 5 member filters, then a gathered distance per
 survivor) or the dense pass (blocked GEMM scores over the reached slot
-range, exact re-score of the survivors).  Both return the same bytes;
-``repro.pmtree.flat._DENSE_COVERAGE`` and ``_DENSE_LOAD_ROWS`` decide
-which from the share of ``rows × slots`` the reached leaves hold.  This
-script is where those two numbers come from::
+range, exact re-scores only in the error bands).  Both return the same
+matches; ``repro.pmtree.flat._DENSE_COVERAGE`` and ``_DENSE_LOAD_ROWS``
+decide which from the share of ``rows × slots`` the reached leaves hold.
+This script is where those two numbers come from::
 
     PYTHONPATH=src python tools/crossover.py                 # the docs/tuning.md table
     PYTHONPATH=src python tools/crossover.py --quick --check # CI: identity only, seconds
@@ -14,17 +14,23 @@ script is where those two numbers come from::
 Every cell builds a PM-tree over an m = 15 Gaussian projection of a
 clustered dataset (256 tight clusters, so that small balls reach few
 leaves), picks the radius whose ball holds the given quantile of the
-points, and runs the same capped query block (``limits`` = ⌈βn⌉ + k, the
-way PM-LSH calls it) with the rule forced to "never" and to "always".
-It asserts ``lims/ids/dists`` equal by ``tobytes()``, then reports the
-coverage, both wall times, which side the shipped rule takes and —
-beside the observed traversal-side distance computations — what
-``repro.costmodel.pm_tree_computation_cost`` predicts for them.
+points, and runs the same capped query block (``limits`` = ⌈βn⌉ + k,
+``sort=False``, the way PM-LSH calls it) with the rule forced to "never"
+and to "always".  ``sort=False`` returns no distances, so identity is
+checked on what it does return: ``lims``, each query's id set, and the
+exact projected distances of those ids (computed here, with the
+traversal's own reduction).  Each cell is run a second time with the
+data and queries shifted 10⁸ from the origin, where the dense pass's
+error band swallows every slot and every decision falls to the exact
+kernel.  Then it reports the coverage, both wall times, which side the
+shipped rule takes and — beside the observed traversal-side distance
+computations — what ``repro.costmodel.pm_tree_computation_cost``
+predicts for them.
 
-``--check`` exits non-zero unless every cell was byte-identical and the
-shipped rule takes the faster side wherever the two differ by more than
-``--margin`` (``--quick`` times nothing worth judging: identity is its
-gate).
+``--check`` exits non-zero unless every cell was identical on both data
+placements and the shipped rule takes the faster side wherever the two
+differ by more than ``--margin`` (``--quick`` times nothing worth
+judging: identity is its gate).
 """
 
 from __future__ import annotations
@@ -53,25 +59,65 @@ from repro.pmtree.tree import PMTree  # noqa: E402
 M = 15  # projected dimensions (registry default)
 BETA = 0.097  # candidate-budget share at registry defaults
 K = 10
+#: Where every dense score is inside its error band.
+FAR = 1e8
 
 
-def build(n: int, capacity: int, seed: int):
-    """A PM-tree over projected clustered data, plus 64 held-out queries."""
+def build(n: int, capacity: int, seed: int, shift: float = 0.0):
+    """A PM-tree over projected clustered data, plus 64 held-out queries.
+
+    Shifted data is indexed without pivots: the pivot-distance matrix
+    comes from the norm expansion with no error bound, so far from the
+    origin the ring filters themselves drop true matches (ROADMAP,
+    correctness) — a traversal fault, not the dense pass's."""
     points = gaussian_mixture(
         n + 64, 64, num_clusters=256, cluster_std=0.3, center_box=2.0, seed=seed
     )
-    projected = GaussianProjection(64, M, seed=seed).project(points)
+    projected = GaussianProjection(64, M, seed=seed).project(points) + shift
     data, queries = np.ascontiguousarray(projected[:n]), projected[n:]
-    tree = PMTree.build(data, num_pivots=5, capacity=capacity, seed=seed)
+    tree = PMTree.build(data, num_pivots=0 if shift else 5, capacity=capacity, seed=seed)
     return tree, tree.flatten(), queries
+
+
+def capped_ball(flat, block, radius: float, limits) -> List[np.ndarray]:
+    """Each query's ``limits[i]`` closest points within *radius*, by
+    ``(distance, id)``, by brute force with the traversal's reduction —
+    the exact projected distances the ``sort=False`` results are held to."""
+    expected = []
+    for query, limit in zip(block, limits):
+        diff = flat.points - query
+        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        inside = np.flatnonzero(dists <= radius)
+        order = np.lexsort((inside, dists[inside]))
+        expected.append(np.sort(inside[order][:limit]))
+    return expected
+
+
+def same_sets(result, expected) -> bool:
+    """``sort=False`` output: per-query id sets equal to *expected*."""
+    lims, ids = result[0], result[1]
+    return all(
+        np.sort(ids[lims[i] : lims[i + 1]]).tobytes() == want.tobytes()
+        for i, want in enumerate(expected)
+    )
+
+
+def both_sides_exact(flat, block, radius: float, limits) -> bool:
+    """One untimed call per side, each held to the brute-force capped ball."""
+    expected = capped_ball(flat, block, radius, limits)
+    return all(
+        same_sets(run_side(flat, coverage, block, radius, limits, 1, 0.0)[0], expected)
+        for coverage in (math.inf, 0.0)
+    )
 
 
 def quantile_radius(flat, queries: np.ndarray, quantile: float) -> float:
     """Radius whose ball holds *quantile* of the points, median over queries."""
-    sample = queries[:16]
-    diff = flat.leaf_points[None, :, :] - sample[:, None, :]
-    dists = np.sqrt(np.einsum("qnm,qnm->qn", diff, diff))
-    return float(np.median(np.quantile(dists, quantile, axis=1)))
+    per_query = []
+    for query in queries[:16]:  # one (n, m) temporary at a time
+        diff = flat.points - query
+        per_query.append(np.quantile(np.sqrt(np.einsum("ij,ij->i", diff, diff)), quantile))
+    return float(np.median(per_query))
 
 
 def run_side(flat, coverage: float, block, radius, limits, repeats: int, min_seconds: float):
@@ -119,9 +165,10 @@ def shipped_choice(flat, block, radius, limits):
 def cells(sizes, capacities, quantiles, row_counts, repeats, min_seconds, seed) -> Iterator[dict]:
     for n in sizes:
         for capacity in capacities:
+            budget = int(math.ceil(BETA * n)) + K
             tree, flat, queries = build(n, capacity, seed)
             distribution = sample_distance_distribution(flat.points, num_pairs=20000, seed=seed)
-            budget = int(math.ceil(BETA * n)) + K
+            measured = []
             for quantile in quantiles:
                 radius = quantile_radius(flat, queries, quantile)
                 predicted = pm_tree_computation_cost(tree, distribution, radius)
@@ -133,7 +180,8 @@ def cells(sizes, capacities, quantiles, row_counts, repeats, min_seconds, seed) 
                         flat, math.inf, block, radius, limits, repeats, min_seconds
                     )
                     fast, dense_s = run_side(flat, 0.0, block, radius, limits, repeats, min_seconds)
-                    yield {
+                    expected = capped_ball(flat, block, radius, limits)
+                    measured.append({
                         "n": n,
                         "capacity": capacity,
                         "quantile": quantile,
@@ -142,12 +190,23 @@ def cells(sizes, capacities, quantiles, row_counts, repeats, min_seconds, seed) 
                         "picks_dense": picks_dense,
                         "traversal_ms": traversal_s / rows * 1e3,
                         "dense_ms": dense_s / rows * 1e3,
-                        "identical": all(
-                            a.tobytes() == b.tobytes() for a, b in zip(slow[:3], fast[:3])
-                        ),
+                        "identical": slow[0].tobytes() == fast[0].tobytes()
+                        and same_sets(slow, expected)
+                        and same_sets(fast, expected),
                         "observed_dc": float(slow[3].dist_comps.mean()),
                         "predicted_dc": predicted,
-                    }
+                    })
+            # The same cells far from the origin (one tree at a time in memory).
+            del tree, flat
+            _, far, far_queries = build(n, capacity, seed, shift=FAR)
+            for cell in measured:
+                radius = quantile_radius(far, far_queries, cell["quantile"])
+                limits = np.full(cell["rows"], budget, dtype=np.int64)
+                cell["identical_far"] = both_sides_exact(
+                    far, far_queries[: cell["rows"]], radius, limits
+                )
+                yield cell
+            del far
 
 
 HEADER = (
@@ -188,6 +247,8 @@ def main(argv: List[str] | None = None) -> int:
         label = "n={n} cap={capacity} rows={rows} ball={quantile}".format(**cell)
         if not cell["identical"]:
             failures.append(f"{label}: dense and traversal results differ")
+        if not cell["identical_far"]:
+            failures.append(f"{label}: far from the origin, a side misses the capped ball")
         if args.quick:
             continue
         ratio = cell["dense_ms"] / cell["traversal_ms"]

@@ -42,10 +42,12 @@ use ``spawn``.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs.tracing import current_trace, use_trace
 from repro.parallel.jobs import run_job
@@ -70,10 +72,31 @@ class _Published(NamedTuple):
     epoch: int
 
 
+def _spread_thread(slots: Iterator[int]) -> None:
+    """Start the calling pool thread on a CPU of its own.
+
+    A new thread starts on its creator's CPU, and where the scheduler
+    does not balance load (a cpuset with ``sched_load_balance`` off)
+    every shard thread stays there, time-sharing one core until the
+    kernel happens to move one.  Pinning the thread for an instant to CPU
+    ``slot mod allowed`` moves it; the full mask comes back at once, so
+    the scheduler stays free to move it afterwards.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        cpus = sorted(allowed)
+        os.sched_setaffinity(0, {cpus[next(slots) % len(cpus)]})
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
 class LocalPool:
     """The in-process carrier: jobs run on the caller's own shard objects,
     inline when there is one worker, on a ``repro-shard`` thread pool
-    otherwise.
+    otherwise, whose i-th thread starts on the i-th allowed CPU.
 
     The calling thread's active trace (if any) is carried into the pool
     threads, each shard's work wrapped in a ``shard_search`` span
@@ -102,7 +125,10 @@ class LocalPool:
         else:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=self.num_workers, thread_name_prefix="repro-shard"
+                    max_workers=self.num_workers,
+                    thread_name_prefix="repro-shard",
+                    initializer=_spread_thread,
+                    initargs=(itertools.count(),),
                 )
             spread = self._executor.map
         if trace is None:

@@ -143,6 +143,41 @@ class TestCarrierContract:
         with pytest.raises(ValueError, match="unknown job kind"):
             LocalPool(1).run("no-such-kind", {}, shards)
 
+    def test_local_pool_threads_start_on_distinct_cpus_unpinned(self, data, monkeypatch):
+        """Thread i is moved to the i-th allowed CPU once, then handed the
+        full mask back: placement, not a pin."""
+        import os
+        import threading
+
+        from repro.parallel import pool as pool_module
+
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        allowed = os.sched_getaffinity(0)
+        masks = []
+        real = os.sched_setaffinity
+
+        def recording(pid, mask):
+            masks.append((threading.get_ident(), set(mask)))
+            real(pid, mask)
+
+        monkeypatch.setattr(pool_module.os, "sched_setaffinity", recording)
+        shards = [repro.create_index("exact").fit(data[s::2]) for s in range(2)]
+        local = pool_module.LocalPool(2)
+        try:
+            for _ in range(3):
+                local.run("knn", {"queries": data[:4], "spec": Knn(k=3)}, shards)
+            threads = [t for t in threading.enumerate() if t.name.startswith("repro-shard")]
+            for thread in threads:
+                assert os.sched_getaffinity(thread.native_id) == allowed
+        finally:
+            local.close()
+        cpus = sorted(allowed)
+        placed = [mask for _, mask in masks[0::2]]
+        assert placed == [{cpus[i % len(cpus)]} for i in range(len(placed))]
+        assert [mask for _, mask in masks[1::2]] == [allowed] * len(placed)
+        assert 1 <= len({ident for ident, _ in masks}) == len(placed) <= 2
+
 
 class TestRecovery:
     def test_second_failure_raises_and_the_pool_starts_over(self, data, monkeypatch):

@@ -27,7 +27,8 @@ def main() -> None:
     data = centers[rng.integers(0, 20, size=5000)] + rng.normal(size=(5000, 128))
 
     # 2. Construct by registry name and fit.  Defaults follow the paper's
-    #    §6.1: m = 15 projections, s = 5 pivots, c = 1.5, alpha1 = 1/e.
+    #    §6.1 (s = 5 pivots, c = 1.5, alpha1 = 1/e); the number of
+    #    projections m is picked from n at fit (15 here, at 5,000 points).
     print(f"registered algorithms: {', '.join(repro.available_indexes())}")
     index = repro.create_index("pm-lsh", seed=42).fit(data)
     print(f"indexed {index.n} points in {index.d} dimensions")

@@ -39,7 +39,12 @@ class RLSH(ANNIndex):
         seed: RandomState = None,
     ) -> None:
         super().__init__()
-        self.params = params or PMLSHParams()
+        params = params or PMLSHParams()
+        if params.m is None:
+            # Table 4's comparison baseline keeps the paper's m = 15 rather
+            # than PM-LSH's size rule.
+            params = replace(params, m=15)
+        self.params = params
         self._rng = as_generator(seed)
         self.solved = solve_parameters(
             m=self.params.m,

@@ -11,6 +11,16 @@ Query pipeline (Fig. 2's three components):
    its true distance, until k points within c·r are known or βn + k
    candidates have been inspected.
 
+The operating point
+-------------------
+A query costs about n·m — the projected pass over every point — plus
+β(m)·n·d for the candidate gather, and Eq. 10's β(m) falls fast as m
+grows.  So m is not fixed at the paper's 15: unless ``params.m`` is
+set, ``fit`` picks it from n by
+:func:`~repro.core.params.hash_count_for` and solves (t, β) for it, which
+keeps Theorem 1 at whatever m it picks.  From then on ``params`` holds
+the resolved int (docs/tuning.md, "How many hash functions").
+
 Exact arithmetic where a decision is made
 ------------------------------------------
 Algorithm 2's answer depends on exact distances at five boundaries
@@ -69,7 +79,7 @@ from repro import kernels
 from repro.baselines.base import ANNIndex, BatchResult, QueryResult, aggregate_stats
 from repro.core.estimation import SolvedParameters, solve_parameters
 from repro.core.hashing import GaussianProjection, SampledProjection
-from repro.core.params import PMLSHParams
+from repro.core.params import HASH_COUNT_RANGE, PMLSHParams, hash_count_for
 from repro.core.radius import (
     radius_schedule,
     range_candidate_budget,
@@ -264,8 +274,10 @@ class PMLSH(ANNIndex):
         )
 
     def _solve_for(self, c: float) -> SolvedParameters:
+        # Until ``fit`` resolves a rule-chosen m: the rule's low end.
+        m = self.params.m if self.params.m is not None else HASH_COUNT_RANGE[0]
         solved = solve_parameters(
-            m=self.params.m,
+            m=m,
             c=c,
             alpha1=self.params.alpha1,
             beta_multiplier=self.params.beta_multiplier,
@@ -304,8 +316,22 @@ class PMLSH(ANNIndex):
             )
         return GaussianProjection(self.d, params.m, seed=self._rng)
 
+    def _resolve_hash_count(self) -> None:
+        """Fix a rule-chosen m (``params.m is None``) for this dataset size
+        (:func:`~repro.core.params.hash_count_for`) and re-solve (t, β) for
+        it.  From here ``params`` holds the int — and so do snapshots and
+        the constructor arguments a compaction clones from — so the index
+        keeps its m through ``add()``, compaction and restores."""
+        if self.params.m is not None:
+            return
+        self.params = replace(self.params, m=hash_count_for(self.n, self.params))
+        self.solved = self._solve_for(self.params.c)
+        self._solved_cache = {self.params.c: self.solved}
+        self._init_kwargs = {**(self._init_kwargs or {}), "params": self.params}
+
     def _fit(self) -> None:
-        """Project the dataset, bulk-build the PM-tree, estimate F(x)."""
+        """Fix m, project the dataset, bulk-build the PM-tree, estimate F(x)."""
+        self._resolve_hash_count()
         params = self.params
         # A re-fit (compact) lets go of the previous structures first, so
         # its peak does not hold two indexes' arrays.

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.fast import expansion_tol, group_topk, verify_distances
 from repro.utils.rng import RandomState, as_generator
 
 #: Chunk size (rows) for blocked brute-force distance computation; keeps the
@@ -31,10 +32,14 @@ def point_to_points_distances(query: np.ndarray, points: np.ndarray) -> np.ndarr
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Dense Euclidean distance matrix between rows of *a* and rows of *b*.
+    """Dense Euclidean distance *estimates* between rows of *a* and *b*.
 
     Uses the ‖a‖² + ‖b‖² − 2a·b expansion in float64, clamped at zero before
-    the square root to absorb rounding noise.
+    the square root to absorb rounding noise.  The expansion carries no
+    error bound relative to the distances (it loses every digit far from
+    the origin), so its callers only rank or summarise — pivot selection,
+    the LID / RC statistics.  Exact answers come from differences
+    (:func:`point_to_points_distances`, :func:`chunked_knn`).
     """
     a = np.asarray(a, dtype=np.float64)
     b = a if b is None else np.asarray(b, dtype=np.float64)
@@ -71,47 +76,42 @@ def chunked_knn(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact k nearest neighbours for each query row, by blocked brute force.
 
-    Returns ``(ids, distances)`` with shapes ``(q, k)``; rows are sorted by
-    ascending distance.  This is the ground-truth oracle for the evaluation
-    harness; correctness is what matters, so it stays simple.
+    Returns ``(ids, distances)`` with shapes ``(q, k)``, each row sorted by
+    ``(distance, id)`` — the canonical tie order of every index.  This is
+    the ground-truth oracle of the evaluation harness and the ``exact``
+    backend, so its answers equal a difference-based brute force
+    (``‖p − q‖`` per row, as :func:`point_to_points_distances`) byte for
+    byte at any offset from the origin.
+
+    It follows the band contract (docs/kernels.md): a GEMM scores each
+    block as ``‖p‖² − 2·q·p``, an estimate of ``d² − ‖q‖²`` within
+    :func:`~repro.kernels.fast.expansion_tol`; every point scoring within
+    2·tol of a row's k-th score, or below it, gets its distance from
+    differences; the canonical ``(distance, id)`` cut runs on those.  Near
+    the origin that is about k rows per query; far from it the band
+    widens (slower, never different).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    sq_points = np.einsum("ij,ij->i", points, points)
+    max_sq = float(sq_points.max())
     all_ids = np.empty((queries.shape[0], k), dtype=np.int64)
     all_dists = np.empty((queries.shape[0], k), dtype=np.float64)
     for start in range(0, queries.shape[0], _CHUNK_ROWS):
         block = queries[start : start + _CHUNK_ROWS]
-        dists = pairwise_distances(block, points)
-        if k < n:
-            part = np.argpartition(dists, k - 1, axis=1)[:, :k]
-        else:
-            part = np.tile(np.arange(n), (block.shape[0], 1))
-        part_d = np.take_along_axis(dists, part, axis=1)
-        # (distance, id) order — two stable sorts, id first — so exact
-        # results break ties exactly like the sharded engine's merge.
-        id_order = np.argsort(part, axis=1, kind="stable")
-        part = np.take_along_axis(part, id_order, axis=1)
-        part_d = np.take_along_axis(part_d, id_order, axis=1)
-        order = np.argsort(part_d, axis=1, kind="stable")
-        block_ids = np.take_along_axis(part, order, axis=1)
-        block_d = np.take_along_axis(part_d, order, axis=1)
-        if k < n:
-            # argpartition picks an ARBITRARY subset among points tied at
-            # the k-th distance; rows where ties straddle the boundary get
-            # a deterministic per-row re-selection (all ties kept, then
-            # the (distance, id) cut) so the k-th rank stays canonical.
-            kth = block_d[:, -1]
-            tied_total = (dists <= kth[:, None]).sum(axis=1)
-            for row in np.flatnonzero(tied_total > k):
-                candidates = np.flatnonzero(dists[row] <= kth[row])
-                row_order = np.lexsort((candidates, dists[row][candidates]))[:k]
-                block_ids[row] = candidates[row_order]
-                block_d[row] = dists[row][candidates[row_order]]
-        all_ids[start : start + block.shape[0]] = block_ids
-        all_dists[start : start + block.shape[0]] = block_d
+        scores = block @ points.T
+        scores *= -2.0
+        scores += sq_points
+        tol = expansion_tol(points.shape[1], max_sq + np.einsum("ij,ij->i", block, block))
+        kth = np.partition(scores, k - 1, axis=1)[:, k - 1]
+        rows, ids = np.nonzero(scores <= (kth + 2.0 * tol)[:, None])
+        dists = verify_distances(points, ids, block, rows)
+        _, block_ids, block_d = group_topk(rows, ids, dists, block.shape[0], k)
+        all_ids[start : start + block.shape[0]] = block_ids.reshape(-1, k)
+        all_dists[start : start + block.shape[0]] = block_d.reshape(-1, k)
     return all_ids, all_dists
 
 

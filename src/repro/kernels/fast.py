@@ -47,6 +47,18 @@ def _block_rows(row_bytes: int) -> int:
     return max(64, _BLOCK_BYTES // max(1, row_bytes))
 
 
+def filter_slack(dim: int) -> float:
+    """Relative slack u of every Eq. 5 filter over *dim*-dimensional
+    distances: a test ``|a − b| ≤ r`` passes at ``|a − b| ≤ r + u·(a + b +
+    r)``, and the one-sided forms alike.  a and b are separately rounded
+    distances — each within relative ``(dim + 5)·eps/2`` of its value —
+    so without it two copies of one point can fail a test at r = 0.  The
+    slack only admits more rows to the exact distance test, which still
+    decides alone.  docs/kernels.md, "The filters' slack".
+    """
+    return (dim + 5) * np.finfo(np.float64).eps
+
+
 def leaf_prune(
     *,
     member: np.ndarray,
@@ -57,6 +69,7 @@ def leaf_prune(
     query_rings: Optional[np.ndarray],
     radius: float,
     use_parent_filter: bool,
+    dim: int,
 ) -> np.ndarray:
     """Eq. 5 leaf-member filters: parent-distance test, then ring tests.
 
@@ -64,12 +77,15 @@ def leaf_prune(
     The parent-distance filter (``|d(q, par) − o.PD| ≤ r``) runs first —
     two scalar gathers — so the ring gathers only touch its survivors;
     the ring filter (``∀i |d(q, p_i) − d(o, p_i)| ≤ r``) narrows the
-    survivor set one pivot at a time.
+    survivor set one pivot at a time.  Each test carries the
+    :func:`filter_slack` of *dim*.
     """
+    u = filter_slack(dim)
     if use_parent_filter and rep_pd is not None:
         # NaN parent distances (root leaves) compare False; re-admit them
         # explicitly instead of sub-indexing by the known mask.
-        inside = np.abs(leaf_pd[member] - rep_pd) <= radius
+        pd = leaf_pd[member]
+        inside = np.abs(pd - rep_pd) <= radius + u * (pd + rep_pd + radius)
         sub = np.flatnonzero(inside | np.isnan(rep_pd))
     else:
         sub = np.arange(member.size, dtype=np.int64)
@@ -77,12 +93,9 @@ def leaf_prune(
         for pivot in range(len(ring_cols)):
             if sub.size == 0:
                 break
-            ring_ok = (
-                np.abs(
-                    ring_cols[pivot][member[sub]] - query_rings[rep_q[sub], pivot]
-                )
-                <= radius
-            )
+            ring = ring_cols[pivot][member[sub]]
+            rq = query_rings[rep_q[sub], pivot]
+            ring_ok = np.abs(ring - rq) <= radius + u * (ring + rq + radius)
             sub = sub[ring_ok]
     keep = np.zeros(member.size, dtype=bool)
     keep[sub] = True
@@ -101,18 +114,21 @@ def inner_prune(
     query_rings: Optional[np.ndarray],
     radius: float,
     use_parent_filter: bool,
+    dim: int,
 ) -> np.ndarray:
     """Eq. 5 routing-entry filters: parent-distance test, then hyper-ring
     interval tests (only on its survivors, one pivot column at a time),
-    over one row per (query, routing-entry) pair.
+    over one row per (query, routing-entry) pair, each with the
+    :func:`filter_slack` of *dim*.
 
     Survivors still owe a centre-distance computation and the sphere
     test, which the caller performs (it charges ``dist_comps``).
     """
+    u = filter_slack(dim)
     if use_parent_filter and rep_pd is not None:
-        inside = (
-            np.abs(entry_pd[eidx] - rep_pd) <= radius + entry_radius[eidx]
-        )
+        pd = entry_pd[eidx]
+        reach = radius + entry_radius[eidx]
+        inside = np.abs(pd - rep_pd) <= reach + u * (pd + rep_pd + reach)
         sub = np.flatnonzero(inside | np.isnan(rep_pd))
     else:
         sub = np.arange(eidx.size, dtype=np.int64)
@@ -123,8 +139,9 @@ def inner_prune(
                 break
             sub_e = eidx[sub]
             rq = query_rings[rep_q[sub], pivot]
-            ring_ok = (hr_min[sub_e, pivot] <= rq + radius) & (
-                hr_max[sub_e, pivot] >= rq - radius
+            lo, hi = hr_min[sub_e, pivot], hr_max[sub_e, pivot]
+            ring_ok = (lo <= rq + radius + u * (lo + rq + radius)) & (
+                hi >= rq - radius - u * (hi + rq + radius)
             )
             sub = sub[ring_ok]
     keep = np.zeros(eidx.size, dtype=bool)
@@ -175,9 +192,10 @@ def verify_distances(
 _BAND_SLACK = 4.0
 
 
-def expansion_tol(dim: int, scale):
+def expansion_tol(dim: int, scale, dtype=np.float64):
     """Bound on ``|e − D²|`` for a norm-expansion estimate e of a squared
-    distance in *dim* dimensions and the exact kernel's distance D.
+    distance in *dim* dimensions, scored in *dtype*, and the exact
+    (float64) kernel's distance D.
 
     *scale* is ``max‖x‖² + ‖q‖²`` (plus the squared threshold the estimate
     is compared against, whose rounding the bound must also cover).  In
@@ -185,10 +203,12 @@ def expansion_tol(dim: int, scale):
     and three more roundings combine them, so ``|e − d²| ≤ (dim + 3)·eps·
     (‖x‖² + ‖q‖²)``; the exact kernel's ``fl(√(Σ fl(x−q)²))`` is within
     relative ``(dim + 5)·eps/2`` of d, and ``d² ≤ 2(‖x‖² + ‖q‖²)``.  Four
-    times ``(dim + 3)·eps·scale`` covers both.  docs/kernels.md, "The band
-    contract".
+    times ``(dim + 3)·eps·scale`` covers both.  A float32 score of float64
+    inputs adds the two conversions' roundings: ``(dim + 5)·eps/2`` at
+    float32's eps in all, still inside the same form.  docs/kernels.md,
+    "The band contract".
     """
-    return _BAND_SLACK * (dim + 3) * np.finfo(np.float64).eps * scale
+    return _BAND_SLACK * (dim + 3) * np.finfo(dtype).eps * scale
 
 
 def sq_distance_estimates(

@@ -38,26 +38,30 @@ already hold a large share of the indexed points — Algorithm 2's first
 round at the default β always does — gathering and filtering member by
 member is pure overhead, and the leaf level instead scores the whole
 reached slot range as blocked GEMMs (see ``FlatPMTree._dense_leaves``).
-Those scores are estimates of the squared distance with a proven error
-bound, and the exact kernel runs only where a score is too close to a
-boundary to decide — ``radius``, ``lower``, or the L-th place of the
-limit cut (:meth:`FlatPMTree._cut`, the one canonical cut every chunk
-of matches goes through).  So every decision is the exact kernel's, and
-most matches never get an exact distance: ``batch_range(sort=False)``
-returns the match *set* and no distances, ``sort=True`` computes them
-for the output rows only.  Results are the same either way and only
-the counters (``dist_comps``, ``rescored``) say which side ran — with
-one exception, at a filter boundary.  The dense side emits every member of
-the slot range whose exact distance is within ``radius``; the per-pair
-side emits those that also pass the Eq. 5 filters.  In exact arithmetic
-the filters are implied by the distance test, but they difference
-separately rounded distances (and the pivot distances come from the
-norm expansion, which loses digits away from the origin), so a member
-within a few ulps of a filter boundary — ``radius`` 0 with the query a
-copy of an indexed point is the reproducible case — can be dropped by
-the per-pair side and kept by the dense one.  Dense ⊇ per-pair always,
-and both ⊆ the true ball (``tests/pmtree/test_dense_pass.py`` pins the
-chain; ROADMAP, correctness, has the filter fix).
+Those scores come from a float32 copy of the slot rows (``leaf_points``)
+and are estimates of the squared distance with a proven error
+bound; the exact kernel runs — over the float64 ``points`` — only where
+a score is too close to a boundary to decide: ``radius``, ``lower``, or
+the L-th place of the limit cut (:meth:`FlatPMTree._cut`, the one
+canonical cut every chunk of matches goes through).  So every decision
+is the exact kernel's, and most matches never get an exact distance:
+``batch_range(sort=False)`` returns the match *set* and no distances,
+``sort=True`` computes them for the output rows only.  Results are the
+same either way and only the counters (``dist_comps``, ``rescored``)
+say which side ran.  The dense side emits every member of the slot
+range whose exact distance is within ``radius``; the per-pair side
+emits those that also pass the Eq. 5 filters.  In exact arithmetic the
+filters are implied by the distance test; in floating point each
+differences two separately rounded distances, so every filter test
+carries a relative ulp slack (:func:`~repro.kernels.fast.filter_slack`)
+that covers that rounding — copies of an indexed point pass at
+``radius`` 0.  What the slack does not cover is the pivot-distance
+matrix's own error: ``PMTree`` derives it by the norm expansion, which
+loses digits far from the origin, where a member within a few ulps of a
+ring boundary can still be dropped by the per-pair side and kept by the
+dense one.  Dense ⊇ per-pair always, and both ⊆ the true ball
+(``tests/pmtree/test_dense_pass.py`` pins the chain; docs/kernels.md,
+"The one exception").
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.kernels.fast import expansion_tol, limit_band
+from repro.kernels.fast import expansion_tol, filter_slack, limit_band
 
 
 @dataclass(frozen=True)
@@ -139,20 +143,53 @@ class _Matches:
 #: The leaf level scores the whole reached slot range as blocked GEMMs,
 #: instead of gathering per (query, member) pair, when the reached leaves
 #: hold at least this share of ``(rows + _DENSE_LOAD_ROWS) × slots``.
-#: Streaming a slot costs ~14× less than gathering a pair, but the exact
+#: Streaming a slot costs far less than gathering a pair, but the exact
 #: re-score of the survivors is common to both sides and the Eq. 5 parent
 #: filter already drops most pairs cheaply, so the measured break-even
-#: sits at 7 % coverage for wide blocks.  ``tools/crossover.py`` → the
+#: sits at 2–3 % coverage for wide blocks.  ``tools/crossover.py`` → the
 #: table in docs/tuning.md; not a knob.
-_DENSE_COVERAGE = 0.07
+_DENSE_COVERAGE = 0.02
 
 #: Reading the slot range once is memory-bound and shared by a row block:
-#: it costs what scoring ~3.5 more query rows would, which is why a
-#: one-row call breaks even at ~30 % coverage and a 32-row call at ~8 %.
-_DENSE_LOAD_ROWS = 3.5
+#: it costs what scoring ~10 more query rows would, which is why a
+#: one-row call breaks even at ~22 % coverage and a 32-row call at ~3 %.
+_DENSE_LOAD_ROWS = 10.0
 
-#: Score entries (rows × columns, float64) per dense block: 8 MB.
-_DENSE_BLOCK = 1 << 20
+#: Bytes of scores per dense block: 2^20 float32 (rows × columns) entries.
+_DENSE_BLOCK_BYTES = 1 << 22
+
+#: The dtype of ``leaf_points`` / ``leaf_sqnorm``, which only the dense
+#: pass reads: float32 halves the bytes it streams, and its error is
+#: inside ``expansion_tol`` for that dtype (docs/kernels.md, "The band
+#: contract").  Exact distances always read the float64 ``points``.
+_SCORE_DTYPE = np.float32
+
+
+def _score_rows(points: np.ndarray, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``points[ids]`` and their squared norms as ``_SCORE_DTYPE`` copies,
+    gathered in blocks so no float64 ``len(ids) × m`` temporary exists.
+    The norms are summed in float64, then rounded once."""
+    rows = np.empty((ids.size, points.shape[1]), dtype=_SCORE_DTYPE)
+    sqnorm = np.empty(ids.size, dtype=_SCORE_DTYPE)
+    step = max(1, _DENSE_BLOCK_BYTES // (8 * max(1, points.shape[1])))
+    for lo in range(0, ids.size, step):
+        block = points[ids[lo : lo + step]]
+        rows[lo : lo + step] = block
+        sqnorm[lo : lo + step] = np.einsum("ij,ij->i", block, block)
+    if not np.isfinite(sqnorm).all():
+        raise ValueError("projected points exceed the float32 range of the dense pass")
+    return rows, sqnorm
+
+
+def _round_out(bounds: np.ndarray, toward: float) -> np.ndarray:
+    """Float64 score *bounds* as ``_SCORE_DTYPE``, each rounded toward
+    *toward* (±inf): a float32 score passes the rounded bound whenever it
+    passes the float64 one (at worst one more float32 value does, and it
+    lands in a band)."""
+    with np.errstate(over="ignore"):
+        rounded = bounds.astype(_SCORE_DTYPE)
+    off = rounded < bounds if toward > 0 else rounded > bounds
+    return np.where(off, np.nextafter(rounded, _SCORE_DTYPE(toward)), rounded)
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -226,13 +263,12 @@ class FlatPMTree:
         #: unindexed tail rows (``leaf_ids`` itself while there is no tail).
         tail = np.arange(leaf_ids.size, points.shape[0], dtype=np.int64)
         self.slot_ids = np.concatenate([leaf_ids, tail]) if tail.size else leaf_ids
-        # Points re-packed in slot order: the leaf-level gathers read
-        # (near-)contiguous ranges instead of random point ids.  The
-        # rows are copies of the same float64 values, so distances computed
-        # from them are bit-identical to the pointer tree's.
-        self.leaf_points = np.ascontiguousarray(points[self.slot_ids])
-        #: ‖p‖² per slot, the constant term of the dense pass's scores.
-        self.leaf_sqnorm = np.einsum("ij,ij->i", self.leaf_points, self.leaf_points)
+        # Points re-packed in slot order, as float32, and ‖p‖² per slot
+        # (the constant term of the dense scores): the one copy the dense
+        # pass streams.  Nothing exact reads it — every distance is
+        # computed from the float64 ``points[slot_ids[…]]``, so distances
+        # are bit-identical to the pointer tree's.
+        self.leaf_points, self.leaf_sqnorm = _score_rows(points, self.slot_ids)
         #: one contiguous per-pivot column, so the staged ring filter reads
         #: sequential memory per pivot (only built when the filter can run).
         self.leaf_ring_cols = (
@@ -452,17 +488,14 @@ class FlatPMTree:
         the snapshot as it was.
         """
         start = self.slot_ids.size
-        fresh = points[start:]
-        slot_ids = np.concatenate(
-            [self.slot_ids, np.arange(start, points.shape[0], dtype=np.int64)]
-        )
-        leaf_points = np.concatenate([self.leaf_points, fresh])
-        leaf_sqnorm = np.concatenate(
-            [self.leaf_sqnorm, np.einsum("ij,ij->i", fresh, fresh)]
-        )
+        fresh = np.arange(start, points.shape[0], dtype=np.int64)
+        slot_ids = np.concatenate([self.slot_ids, fresh])
+        rows, sqnorm = _score_rows(points, fresh)
+        leaf_points = np.concatenate([self.leaf_points, rows])
+        leaf_sqnorm = np.concatenate([self.leaf_sqnorm, sqnorm])
         leaf_alive = self.leaf_alive
         if leaf_alive is not None:
-            leaf_alive = np.concatenate([leaf_alive, np.ones(fresh.shape[0], dtype=bool)])
+            leaf_alive = np.concatenate([leaf_alive, np.ones(fresh.size, dtype=bool)])
         self.points, self.slot_ids, self.leaf_alive = points, slot_ids, leaf_alive
         self.leaf_points, self.leaf_sqnorm = leaf_points, leaf_sqnorm
 
@@ -673,18 +706,19 @@ class FlatPMTree:
             query_rings=query_rings,
             radius=radius,
             use_parent_filter=self.use_parent_filter,
+            dim=queries.shape[1],
         )
         if not np.any(keep):
             return
         surv_q = rep_q[keep]
-        member = member[keep]
-        dists = kernel.pair_distances(self.leaf_points[member], queries[surv_q])
+        ids = self.leaf_ids[member[keep]]
+        dists = kernel.pair_distances(self.points[ids], queries[surv_q])
         dist_comps += np.bincount(surv_q, minlength=dist_comps.size)
         inside = dists <= radius
         if lower is not None:
             inside &= dists > lower
         dists = dists[inside]
-        matches.add(surv_q[inside], self.leaf_ids[member[inside]], dists * dists, dists)
+        matches.add(surv_q[inside], ids[inside], dists * dists, dists)
 
     def _dense_leaves(
         self,
@@ -700,30 +734,31 @@ class FlatPMTree:
         kernel,
     ) -> None:
         """Slots ``[slot_lo, slot_hi)`` — a leaf level's reached range, or the
-        unindexed tail — as blocked GEMMs over ``leaf_points``.
+        unindexed tail — as blocked float32 GEMMs over ``leaf_points``.
 
         Produces the matches the per-pair path produces, for the queries
         *rows_q*, and computes an exact distance only where a decision
         needs one.  A score ``s = ‖p‖² − 2·q·p`` per (query, slot) — the
-        squared distance less the row constant ``‖q‖²`` — is within
-        ``tol`` of the exact kernel's d² (``expansion_tol``: ``|s + ‖q‖² −
-        d²| ≤ (m + 3)·eps·(‖p‖² + ‖q‖²)`` and the kernel's own rounding,
-        ×4, over ``max‖p‖² + ‖q‖² + radius²``).  So a slot scoring more
-        than ``tol`` inside ``radius²`` (and outside ``lower²``) is a
-        match, one scoring more than ``tol`` beyond is not, and only the
-        slots in between are re-scored with ``pair_distances`` and put to
-        the per-pair side's ``≤ radius`` / ``> lower`` tests.  Then, when
-        a query holds more than its limit L, the one canonical cut
-        (:meth:`_cut`) keeps what scores more than 2·tol below the L-th
-        score and re-scores only the band around it.  What is emitted is
-        decided by the exact kernel alone; the scores only choose what it
-        must see.  Data far from the origin inflates ``tol`` until every
-        slot is in a band — slower, never different.
+        squared distance less the row constant ``‖q‖²``, from the float32
+        slot copy — is within ``tol`` of the exact kernel's d²
+        (``expansion_tol`` at float32's eps: ``|s + ‖q‖² − d²| ≤ (m + 5)·
+        eps/2·(‖p‖² + ‖q‖²)`` counting the two float32 conversions, and the
+        kernel's own rounding, well inside 4·(m + 3)·eps over ``max‖p‖² +
+        ‖q‖² + radius²``; docs/kernels.md).  So a slot scoring more than
+        ``tol`` inside ``radius²`` (and outside ``lower²``) is a match, one
+        scoring more than ``tol`` beyond is not, and only the slots in
+        between are re-scored with ``pair_distances`` over the float64
+        ``points`` and put to the per-pair side's ``≤ radius`` / ``> lower``
+        tests.  Then, when a query holds more than its limit L, the one
+        canonical cut (:meth:`_cut`) keeps what scores more than 2·tol
+        below the L-th score and re-scores only the band around it.  What
+        is emitted is decided by the exact kernel alone; the scores only
+        choose what it must see.  Data far from the origin inflates
+        ``tol`` until every slot is in a band — slower, never different.
 
         The Eq. 5 member filters are *not* run here: they are implied by
-        the distance test except within rounding of their own boundaries
-        (module docstring), which is the one place this route can keep a
-        match the other drops.
+        the distance test up to their ulp slack (module docstring), so
+        this route keeps every match the other does.
         """
         points = self.leaf_points[slot_lo:slot_hi]
         sqnorm = self.leaf_sqnorm[slot_lo:slot_hi]
@@ -733,24 +768,26 @@ class FlatPMTree:
         block = queries[rows_q]
         q_sqnorm = np.einsum("ij,ij->i", block, block)
         r2 = radius * radius
-        tol = expansion_tol(block.shape[1], sqnorm.max() + q_sqnorm + r2)
+        tol = expansion_tol(block.shape[1], float(sqnorm.max()) + q_sqnorm + r2, _SCORE_DTYPE)
         matches.tol[rows_q] = np.maximum(matches.tol[rows_q], tol)
         upper = r2 + tol - q_sqnorm
         inner = r2 - tol - q_sqnorm  # scores at or below: certainly inside
         floor = ceil = None
         if lower is not None:
-            floor = lower * lower - tol - q_sqnorm
+            floor = _round_out(lower * lower - tol - q_sqnorm, -np.inf)
             ceil = lower * lower + tol - q_sqnorm  # above: certainly past lower
         row_limits = None
         if limits is not None:
             row_limits = limits[rows_q]
             upper[row_limits <= 0] = -np.inf  # the limit cut keeps nothing
-        neg2q = -2.0 * block
+        upper = _round_out(upper, np.inf)
+        neg2q = (-2.0 * block).astype(_SCORE_DTYPE)
         num_rows = rows_q.size
         # Column blocks of every row at once: the slot range is read from
         # memory once per call however many rows share it.
-        width = min(span, max(1, _DENSE_BLOCK // num_rows))
-        buffer = np.empty((num_rows, width), dtype=np.float64)
+        itemsize = np.dtype(_SCORE_DTYPE).itemsize
+        width = min(span, max(1, _DENSE_BLOCK_BYTES // (itemsize * num_rows)))
+        buffer = np.empty((num_rows, width), dtype=_SCORE_DTYPE)
         hit_slots: List[List[np.ndarray]] = [[] for _ in range(num_rows)]
         hit_scores: List[List[np.ndarray]] = [[] for _ in range(num_rows)]
         for lo in range(0, span, width):
@@ -769,44 +806,68 @@ class FlatPMTree:
                     hit_scores[i].append(scores[i, slots])
                     slots += lo
                     hit_slots[i].append(slots)
+        # One pool over every row, so the exact re-scores and the limit cut
+        # run once per call.  A row over its limit first drops what that
+        # cut certainly drops — keys more than 2·tol above its L-th key
+        # (``limit_band``) — which keeps the pool near L rows per query.
+        # That is the cut's own decision only while no band row, which the
+        # exact test may still remove, keys at or below that line (else
+        # the L-th key could move), so a row with one stays whole.
+        pool_rows: List[np.ndarray] = []
+        pool_slots: List[np.ndarray] = []
+        pool_score: List[np.ndarray] = []
+        pool_band: List[np.ndarray] = []
         for i in range(num_rows):
             if not hit_slots[i]:
                 continue
-            row = rows_q[i]
-            member = np.concatenate(hit_slots[i])
-            score = np.concatenate(hit_scores[i])
-            exact = None
+            slots = np.concatenate(hit_slots[i])
+            score = np.concatenate(hit_scores[i]).astype(np.float64)
             band = score > inner[i]
             if ceil is not None:
                 band |= score <= ceil[i]
-            settle = np.flatnonzero(band)
-            if settle.size:
-                query = queries[row]
-                dists = kernel.pair_distances(
-                    points[member[settle]], np.broadcast_to(query, (settle.size, query.size))
-                )
-                matches.rescored[row] += settle.size
-                inside = dists <= radius
-                if lower is not None:
-                    inside &= dists > lower
-                exact = np.full(member.size, np.nan)
-                exact[settle] = dists
-                if not inside.all():
-                    drop = settle[~inside]
-                    member, score = np.delete(member, drop), np.delete(score, drop)
-                    exact = np.delete(exact, drop)
-            ids = self.slot_ids.take(slot_lo + member)
             score += q_sqnorm[i]  # the key: an estimate of d² itself
-            if row_limits is not None and ids.size > row_limits[i]:
+            if row_limits is not None and score.size > row_limits[i]:
+                _, above = limit_band(score, float(tol[i]), int(row_limits[i]))
+                listed = score <= above
+                if not (band.any() and np.any(band & listed)):
+                    listed = np.flatnonzero(listed)
+                    slots, score, band = slots.take(listed), score.take(listed), band.take(listed)
+            pool_rows.append(np.full(slots.size, i, dtype=np.int64))
+            pool_slots.append(slots)
+            pool_score.append(score)
+            pool_band.append(band)
+        if not pool_rows:
+            return
+        owner = np.concatenate(pool_rows)
+        ids = self.slot_ids.take(slot_lo + np.concatenate(pool_slots))
+        score = np.concatenate(pool_score)
+        exact = None
+        settle = np.flatnonzero(np.concatenate(pool_band))
+        if settle.size:
+            settle_q = rows_q[owner[settle]]
+            dists = kernel.pair_distances(self.points[ids[settle]], queries[settle_q])
+            matches.rescored += np.bincount(settle_q, minlength=matches.rescored.size)
+            inside = dists <= radius
+            if lower is not None:
+                inside &= dists > lower
+            exact = np.full(ids.size, np.nan)
+            exact[settle] = dists
+            if not inside.all():
+                kept = np.ones(ids.size, dtype=bool)
+                kept[settle[~inside]] = False
+                owner, ids, score, exact = owner[kept], ids[kept], score[kept], exact[kept]
+        if row_limits is not None:
+            counts = np.bincount(owner, minlength=num_rows)
+            if np.any(counts > row_limits):
+                lims = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
                 keep, exact = self._cut(
-                    queries, rows_q[i : i + 1], ids, score, exact,
-                    np.array([0, ids.size]), tol[i : i + 1], row_limits[i : i + 1],
+                    queries, rows_q, ids, score, exact, lims, tol, row_limits,
                     matches.rescored, kernel,
                 )
                 kept = np.flatnonzero(keep)
-                ids, score = ids.take(kept), score.take(kept)
+                owner, ids, score = owner.take(kept), ids.take(kept), score.take(kept)
                 exact = None if exact is None else exact.take(kept)
-            matches.add(np.full(ids.size, row, dtype=np.int64), ids, score, exact)
+        matches.add(rows_q[owner], ids, score, exact)
 
     def _cut(
         self,
@@ -912,6 +973,7 @@ class FlatPMTree:
             query_rings=query_rings,
             radius=radius,
             use_parent_filter=self.use_parent_filter,
+            dim=queries.shape[1],
         )
         cand = np.flatnonzero(keep)
         if cand.size == 0:
@@ -925,7 +987,10 @@ class FlatPMTree:
         centers = self.entry_center[cand_e]  # fancy index: already a copy
         dists = kernel.pair_distances(centers, queries[cand_q])
         dist_comps += np.bincount(cand_q, minlength=dist_comps.size)
-        surviving = np.maximum(dists - self.entry_radius[cand_e], 0.0) <= radius
+        # The sphere test, with the filters' ulp slack.
+        reach = self.entry_radius[cand_e]
+        u = filter_slack(queries.shape[1])
+        surviving = dists - reach <= radius + u * (dists + reach + radius)
         return (
             cand_q[surviving],
             self.entry_child[cand_e[surviving]],

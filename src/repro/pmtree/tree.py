@@ -33,6 +33,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.kernels.fast import filter_slack
 from repro.pmtree.entries import InnerNode, LeafNode, Node, RoutingEntry
 from repro.pmtree.pivots import select_pivots
 from repro.utils.heap import BoundedMaxHeap, MinHeap
@@ -93,6 +94,8 @@ class PMTree:
                 points, num_pivots, method=pivot_method, seed=self._rng
             )
         self.num_pivots = self.pivots.shape[0]
+        #: the Eq. 5 filters' relative ulp slack (``kernels.fast.filter_slack``)
+        self._slack = filter_slack(points.shape[1])
         # (n, s) distances from every point to every pivot; the backbone of
         # both HR maintenance and leaf-level ring filtering.
         if self.num_pivots:
@@ -165,8 +168,12 @@ class PMTree:
         coords = self.points[ids]
         anchor = coords[int(self._rng.integers(0, ids.size))]
         seed_a = coords[int(np.argmax(_distances_to(coords, anchor)))]
-        seed_b = coords[int(np.argmax(_distances_to(coords, seed_a)))]
-        side = _distances_to(coords, seed_a) - _distances_to(coords, seed_b)
+        to_a = _distances_to(coords, seed_a)
+        seed_b = coords[int(np.argmax(to_a))]
+        side = to_a - _distances_to(coords, seed_b)
+        # Let go of this level's gather before the recursion: the
+        # path from the root holds one id array per level, not n × m floats.
+        del coords, anchor, seed_a, seed_b, to_a
         order = np.argsort(side, kind="stable")
         half = ids.size // 2
         left, right = ids[order[:half]], ids[order[half:]]
@@ -286,14 +293,9 @@ class PMTree:
                 ids = node.ids_array
                 if ids.size == 0:
                     continue
-                keep = np.ones(ids.size, dtype=bool)
-                # Parent-distance filter: |d(q, par) − o.PD| ≤ r.
-                if self.use_parent_filter and dist_to_parent is not None:
-                    keep &= np.abs(node.pd_array - dist_to_parent) <= radius
-                # Ring filter: ∀i |d(q,p_i) − d(o,p_i)| ≤ r.
-                if self.use_rings and self.num_pivots:
-                    gaps = np.abs(self.pivot_dists[ids] - query_rings)
-                    keep &= (gaps <= radius).all(axis=1)
+                # Parent-distance filter |d(q, par) − o.PD| ≤ r, then the
+                # ring filter ∀i |d(q,p_i) − d(o,p_i)| ≤ r.
+                keep = self._member_filters(node, ids, query_rings, radius, dist_to_parent)
                 survivors = ids[keep]
                 if survivors.size == 0:
                     continue
@@ -345,19 +347,14 @@ class PMTree:
         while frontier:
             bound, (node, dist_to_parent) = frontier.pop()
             admission = min(radius, best.bound)
-            if bound > admission:
+            if bound > admission * (1.0 + self._slack):
                 break
             self.node_accesses += 1
             if node.is_leaf:
                 ids = node.ids_array
                 if ids.size == 0:
                     continue
-                keep = np.ones(ids.size, dtype=bool)
-                if self.use_parent_filter and dist_to_parent is not None:
-                    keep &= np.abs(node.pd_array - dist_to_parent) <= admission
-                if self.use_rings and self.num_pivots:
-                    gaps = np.abs(self.pivot_dists[ids] - query_rings)
-                    keep &= (gaps <= admission).all(axis=1)
+                keep = self._member_filters(node, ids, query_rings, admission, dist_to_parent)
                 survivors = ids[keep]
                 if survivors.size == 0:
                     continue
@@ -373,7 +370,7 @@ class PMTree:
                 for entry_index, center_dist, child_bound in self._surviving_children(
                     node, query, query_rings, admission, dist_to_parent, with_bounds=True
                 ):
-                    if child_bound <= min(radius, best.bound):
+                    if child_bound <= min(radius, best.bound) * (1.0 + self._slack):
                         frontier.push(
                             child_bound, (node.entries[entry_index].child, center_dist)
                         )
@@ -388,6 +385,28 @@ class PMTree:
         """
         return self.knn_within(query, k, radius=np.inf)
 
+    def _member_filters(
+        self,
+        node: LeafNode,
+        ids: np.ndarray,
+        query_rings: np.ndarray,
+        radius: float,
+        dist_to_parent: Optional[float],
+    ) -> np.ndarray:
+        """Eq. 5's leaf-member filters as a keep mask over *ids*, in
+        :func:`~repro.kernels.fast.leaf_prune`'s form: ``|a − b| ≤ r +
+        u·(a + b + r)``."""
+        u = self._slack
+        keep = np.ones(ids.size, dtype=bool)
+        if self.use_parent_filter and dist_to_parent is not None:
+            pd = node.pd_array
+            keep &= np.abs(pd - dist_to_parent) <= radius + u * (pd + dist_to_parent + radius)
+        if self.use_rings and self.num_pivots:
+            rings = self.pivot_dists[ids]
+            gaps = np.abs(rings - query_rings)
+            keep &= (gaps <= radius + u * (rings + query_rings + radius)).all(axis=1)
+        return keep
+
     def _surviving_children(
         self,
         node: InnerNode,
@@ -401,16 +420,23 @@ class PMTree:
 
         Yields ``(entry_index, centre_distance)`` for every child whose
         region can intersect B(q, radius); with ``with_bounds=True`` a third
-        element carries the child's distance lower bound (sphere ∨ rings).
-        The parent-distance prefilter runs first because it costs no new
-        distance computation.
+        element carries the child's distance lower bound (sphere ∨ rings,
+        each less its ulp slack).  The parent-distance prefilter runs first
+        because it costs no new distance computation.  Every test has
+        :func:`~repro.kernels.fast.inner_prune`'s form and slack, so the
+        flat traversal prunes exactly the same children.
         """
+        u = self._slack
         keep = np.ones(len(node), dtype=bool)
         if self.use_parent_filter and dist_to_parent is not None:
-            keep &= np.abs(node.pds - dist_to_parent) <= radius + node.radii
+            reach = radius + node.radii
+            keep &= np.abs(node.pds - dist_to_parent) <= reach + u * (
+                node.pds + dist_to_parent + reach
+            )
         if self.use_rings and self.num_pivots:
-            ring_ok = (node.hr_min <= query_rings + radius) & (
-                node.hr_max >= query_rings - radius
+            lo, hi = node.hr_min, node.hr_max
+            ring_ok = (lo <= query_rings + radius + u * (lo + query_rings + radius)) & (
+                hi >= query_rings - radius - u * (hi + query_rings + radius)
             )
             keep &= ring_ok.all(axis=1)
         candidates = np.flatnonzero(keep)
@@ -418,16 +444,15 @@ class PMTree:
             return
         dists = _distances_to(node.centers[candidates], query)
         self.distance_computations += int(candidates.size)
-        sphere_bounds = np.maximum(dists - node.radii[candidates], 0.0)
-        if with_bounds and self.use_rings and self.num_pivots:
-            below = np.maximum(node.hr_min[candidates] - query_rings, 0.0)
-            above = np.maximum(query_rings - node.hr_max[candidates], 0.0)
-            ring_bounds = np.maximum(below, above).max(axis=1)
-            bounds = np.maximum(sphere_bounds, ring_bounds)
-        else:
-            bounds = sphere_bounds
-        surviving = bounds <= radius
+        radii = node.radii[candidates]
+        surviving = dists - radii <= radius + u * (dists + radii + radius)
         if with_bounds:
+            bounds = np.maximum(dists - radii - u * (dists + radii), 0.0)
+            if self.use_rings and self.num_pivots:
+                lo, hi = node.hr_min[candidates], node.hr_max[candidates]
+                below = lo - query_rings - u * (lo + query_rings)
+                above = query_rings - hi - u * (hi + query_rings)
+                bounds = np.maximum(bounds, np.maximum(below, above).max(axis=1))
             for entry_index, center_dist, bound in zip(
                 candidates[surviving], dists[surviving], bounds[surviving]
             ):
@@ -480,9 +505,23 @@ class PMTree:
 # ----------------------------------------------------------------------
 
 
+#: Bytes of the difference block :func:`_distances_to` reuses.
+_DIFF_BLOCK_BYTES = 1 << 18
+
+
 def _distances_to(rows: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    diff = rows - anchor
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """``‖row − anchor‖`` per row, through one reused cache-sized block:
+    each row reduces independently, so the blocks change no bit, and a
+    bulk build's splits never hold an n × m difference matrix."""
+    num_rows, dim = rows.shape
+    out = np.empty(num_rows, dtype=np.float64)
+    step = max(64, _DIFF_BLOCK_BYTES // (8 * max(1, dim)))
+    diff = np.empty((min(step, num_rows), dim), dtype=np.float64)
+    for lo in range(0, num_rows, step):
+        hi = min(lo + step, num_rows)
+        block = np.subtract(rows[lo:hi], anchor, out=diff[: hi - lo])
+        np.einsum("ij,ij->i", block, block, out=out[lo:hi])
+    return np.sqrt(out, out=out)
 
 
 def _pairwise(coords: np.ndarray) -> np.ndarray:

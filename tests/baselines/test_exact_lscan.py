@@ -32,6 +32,22 @@ class TestExactKNN:
         with pytest.raises(ValueError):
             index.search(np.zeros((2, 3)), k=1)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_equals_difference_brute_force_far_from_the_origin(self, offset):
+        """The norm expansion alone loses every digit far out (recall 0.03
+        at +1e8); the scan's band re-scores by differences, so ids and
+        distances equal a per-row ‖p − q‖ brute force byte for byte."""
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(2000, 32)) + offset
+        queries = data[:16] + rng.normal(size=(16, 32)) * 0.1
+        got = ExactKNN().fit(data).search(queries, k=10)
+        for row, q in enumerate(queries):
+            diff = data - q
+            dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            order = np.lexsort((np.arange(data.shape[0]), dists))[:10]
+            assert got.ids[row].tobytes() == order.tobytes()
+            assert got.distances[row].tobytes() == dists[order].tobytes()
+
 
 class TestLinearScan:
     def test_scans_requested_portion(self, small_clustered):

@@ -76,6 +76,19 @@ class TestKnnEquivalence:
         np.testing.assert_array_equal(flat_result.ids[0], [0, 300, 301, 302, 303])
         np.testing.assert_array_equal(flat_result.distances[0], np.zeros(5))
 
+    def test_capped_fetch_ties_at_a_wider_projection(self, dataset):
+        """The same duplicates at m = 24.  Once the budget holds only
+        copies, the oracle's admission radius is 0, and its Eq. 5 filters
+        compare separately rounded distances; without their ulp slack they
+        dropped the copies there and returned [319 … 323]."""
+        data = np.vstack([dataset[:300], np.repeat(dataset[:1], 40, axis=0)])
+        spec = Knn(k=5, budget=10)
+        index = PMLSH(params=PMLSHParams(m=24, node_capacity=32), seed=11).fit(data)
+        flat_result = index.run(dataset[:1], spec)
+        recursive_result = recursive_probe.knn(index, dataset[:1], spec)
+        np.testing.assert_array_equal(flat_result.ids, recursive_result.ids)
+        np.testing.assert_array_equal(flat_result.ids[0], [0, 300, 301, 302, 303])
+
     def test_tree_work_reported_in_batch_stats(self, index, dataset):
         batch = index.search(dataset[:10] + 0.01, 5)
         assert batch.stats["tree_nodes"] > 0

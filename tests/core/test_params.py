@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.params import PMLSHParams
+from repro.core.params import PMLSHParams, hash_count_for
 
 
 def test_defaults_match_paper():
+    """§6.1's values, except m: ``fit`` picks it by the size rule, which
+    gives the paper's 15 up to 45k points and 19 from 68k."""
     params = PMLSHParams()
-    assert params.m == 15
+    assert params.m is None
+    assert hash_count_for(25_000, params) == 15
+    assert hash_count_for(100_000, params) == 19
     assert params.num_pivots == 5
     assert params.c == 1.5
     assert params.alpha1 == pytest.approx(1 / np.e)

@@ -56,10 +56,15 @@ class TestBetaOverride:
             PMLSHParams(beta_override=1.0)
 
     def test_none_keeps_solved(self):
+        """No override: β is Eq. 10's at the m the size rule picked."""
         from repro.core.estimation import solve_parameters
+        from repro.core.params import hash_count_for
 
-        index = PMLSH(seed=0)
-        expected = solve_parameters(m=15, c=1.5).beta
+        data = np.random.default_rng(0).normal(size=(60_000, 4))
+        index = PMLSH(seed=0).fit(data)
+        m = hash_count_for(data.shape[0], PMLSHParams())
+        assert index.params.m == m == 18
+        expected = solve_parameters(m=m, c=1.5).beta
         assert index.solved.beta == pytest.approx(expected)
 
 

@@ -57,6 +57,50 @@ class TestTheorem1:
         assert np.mean(per_query_ok) >= 0.5 - 1 / np.e
 
 
+class TestTheorem1AcrossHashDraws:
+    """Theorem 1's probability is over the hash draw, so it is tested over
+    30 index seeds at the m the size rule picks (15 at 25k points, 19 at
+    100k; each shard of the sharded engine resolves its own n / 4), through the
+    three ways a query reaches the probe: one row per call, a 32-row
+    block, and the 4-shard engine.  A query succeeds when every one of
+    its k answers is within c² of the true neighbour at that rank; the
+    success rate must clear 1/2 − 1/e by a one-sided binomial test at
+    α = 0.01 (in practice it is near 1)."""
+
+    SEEDS = 30
+    QUERIES = 16
+    K = 10
+
+    @pytest.mark.parametrize("n", [25_000, 100_000])
+    def test_c_squared_success_rate_per_entry_point(self, n):
+        from scipy.stats import binom
+
+        from repro import create_index
+        from repro.core.params import hash_count_for
+
+        data = gaussian_mixture(n + self.QUERIES, 16, num_clusters=20, cluster_std=0.8, seed=9)
+        data, queries = data[:n], data[n:]
+        truth = ExactKNN().fit(data).search(queries, self.K).distances
+        successes = {"one-row": 0, "block": 0, "sharded": 0}
+        for seed in range(self.SEEDS):
+            index = PMLSH(seed=seed).fit(data)
+            assert index.params.m == hash_count_for(n, PMLSHParams())
+            engine = create_index("sharded", backend="pm-lsh", num_shards=4, seed=seed).fit(data)
+            answers = {
+                "one-row": np.vstack([index.search(q[None, :], self.K).distances for q in queries]),
+                "block": index.search(queries, self.K).distances,
+                "sharded": engine.search(queries, self.K).distances,
+            }
+            for entry, got in answers.items():
+                within = got <= index.params.c ** 2 * truth + 1e-9
+                successes[entry] += int(within.all(axis=1).sum())
+        trials = self.SEEDS * self.QUERIES
+        floor = 0.5 - 1 / np.e
+        for entry, hits in successes.items():
+            # P(≥ hits successes | rate = floor) < 0.01: the rate is above it.
+            assert binom.sf(hits - 1, trials, floor) < 0.01, (entry, hits, trials)
+
+
 class TestLemma4Empirical:
     """E1: points inside B(q, r) project within t·r with prob ≥ 1 − α1."""
 

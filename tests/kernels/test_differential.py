@@ -257,6 +257,7 @@ def leaf_prune_inputs(draw):
         query_rings=query_rings,
         radius=radius,
         use_parent_filter=use_parent,
+        dim=draw(st.integers(min_value=1, max_value=32)),
     )
 
 
@@ -295,6 +296,7 @@ def inner_prune_inputs(draw):
         query_rings=query_rings,
         radius=radius,
         use_parent_filter=draw(st.booleans()),
+        dim=draw(st.integers(min_value=1, max_value=32)),
     )
 
 
@@ -390,6 +392,28 @@ class TestPinnedCorners:
         assert_bytes_equal(got, want)
         assert got.dtype == np.float32
 
+    def test_filters_keep_rounding_level_gaps_at_radius_zero(self):
+        """Two copies of a point whose distances to a pivot were rounded
+        apart by a few ulps pass every Eq. 5 test at radius 0; a gap a
+        thousand times wider than the slack still fails them."""
+        a = np.array([1.0, 1.0, 1.0])
+        b = np.array([1.0, np.nextafter(np.nextafter(1.0, 2.0), 2.0), 1.0 + 1e-9])
+        member = np.arange(3, dtype=np.int64)
+        leaf = dict(
+            member=member, rep_q=member, rep_pd=b, leaf_pd=a,
+            ring_cols=[a], query_rings=b[:, None], radius=0.0,
+            use_parent_filter=True, dim=24,
+        )
+        inner = dict(
+            eidx=member, rep_q=member, rep_pd=b, entry_pd=a,
+            entry_radius=np.zeros(3), hr_min=a[:, None], hr_max=a[:, None],
+            query_rings=b[:, None], radius=0.0, use_parent_filter=True, dim=24,
+        )
+        for kernel, kwargs in ((fast.leaf_prune, leaf), (fast.inner_prune, inner)):
+            assert kernel(**kwargs).tolist() == [True, True, False]
+        assert_bytes_equal(fast.leaf_prune(**leaf), reference.leaf_prune(**leaf))
+        assert_bytes_equal(fast.inner_prune(**inner), reference.inner_prune(**inner))
+
     def test_leaf_prune_all_rows_nan_parent(self):
         kwargs = dict(
             member=np.array([0, 1], dtype=np.int64),
@@ -400,6 +424,7 @@ class TestPinnedCorners:
             query_rings=np.array([[0.4]]),
             radius=0.3,
             use_parent_filter=True,
+            dim=15,
         )
         assert_bytes_equal(
             fast.leaf_prune(**kwargs), reference.leaf_prune(**kwargs)

@@ -179,6 +179,22 @@ def test_knn_range_and_pairs_equal_the_recursive_oracle(case):
     assert got.distances.tobytes() == want.distances.tobytes()
 
 
+def test_closest_pairs_oracle_at_an_offset():
+    """The draw that once turned the test above red: at +10⁶ the oracle's
+    projected neighbourhoods came from the norm expansion, which put
+    (41, 106) ahead of the product's 4th pair (145, 345).  The product was
+    right — its budget leaves (41, 106) unverified, which the (c, k)
+    contract allows — and the sound scan now agrees with it."""
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=(400, 14)) + 1e6
+    params = PMLSHParams(node_capacity=8, num_pivots=0)
+    index = PMLSH(params=params, seed=12).fit(data)
+    got, want = index.closest_pairs(4), recursive_probe.closest_pairs(index, 4)
+    assert got.pairs.tobytes() == want.pairs.tobytes()
+    assert got.distances.tobytes() == want.distances.tobytes()
+    assert got.pairs[3].tolist() == [145, 345]
+
+
 @pytest.mark.parametrize("shrink", [1.0, 0.05], ids=["one-round", "many-rounds"])
 def test_far_from_the_origin_every_candidate_is_rescored(shrink):
     """At +10⁸ the original-space estimates cannot tell any two candidates

@@ -61,8 +61,11 @@ def leaf_prune(
     query_rings: Optional[np.ndarray],
     radius: float,
     use_parent_filter: bool,
+    dim: int,
 ) -> np.ndarray:
-    """Eq. 5 leaf-member filters: parent-distance test, then ring tests.
+    """Eq. 5 leaf-member filters: parent-distance test, then ring tests,
+    each ``|a − b| ≤ r`` read as ``|a − b| ≤ r + u·(a + b + r)`` with
+    ``u = (dim + 5)·eps``.
 
     One row per live (query, leaf-member) pair; returns the keep mask.
     The parent-distance filter (``|d(q, par) − o.PD| ≤ r``) runs first —
@@ -70,21 +73,20 @@ def leaf_prune(
     the ring filter (``∀i |d(q, p_i) − d(o, p_i)| ≤ r``) narrows the
     survivor set one pivot at a time.
     """
+    u = (dim + 5) * np.finfo(np.float64).eps
     keep = np.ones(member.size, dtype=bool)
     if use_parent_filter and rep_pd is not None:
         known = ~np.isnan(rep_pd)
-        keep[known] &= np.abs(leaf_pd[member[known]] - rep_pd[known]) <= radius
+        a, b = leaf_pd[member[known]], rep_pd[known]
+        keep[known] &= np.abs(a - b) <= radius + u * (a + b + radius)
     if query_rings is not None:
         sub = np.flatnonzero(keep)
         for pivot in range(len(ring_cols)):
             if sub.size == 0:
                 break
-            ring_ok = (
-                np.abs(
-                    ring_cols[pivot][member[sub]] - query_rings[rep_q[sub], pivot]
-                )
-                <= radius
-            )
+            a = ring_cols[pivot][member[sub]]
+            b = query_rings[rep_q[sub], pivot]
+            ring_ok = np.abs(a - b) <= radius + u * (a + b + radius)
             keep[sub[~ring_ok]] = False
             sub = sub[ring_ok]
     return keep
@@ -102,24 +104,27 @@ def inner_prune(
     query_rings: Optional[np.ndarray],
     radius: float,
     use_parent_filter: bool,
+    dim: int,
 ) -> np.ndarray:
     """Eq. 5 routing-entry filters: parent-distance test, then hyper-ring
-    interval tests, over one row per (query, routing-entry) pair.
+    interval tests, over one row per (query, routing-entry) pair, with
+    the same ``u = (dim + 5)·eps`` slack as :func:`leaf_prune`.
 
     Survivors still owe a centre-distance computation and the sphere
     test, which the caller performs (it charges ``dist_comps``).
     """
+    u = (dim + 5) * np.finfo(np.float64).eps
     keep = np.ones(eidx.size, dtype=bool)
     if use_parent_filter and rep_pd is not None:
         known = ~np.isnan(rep_pd)
-        keep[known] &= (
-            np.abs(entry_pd[eidx[known]] - rep_pd[known])
-            <= radius + entry_radius[eidx[known]]
-        )
+        a, b = entry_pd[eidx[known]], rep_pd[known]
+        reach = radius + entry_radius[eidx[known]]
+        keep[known] &= np.abs(a - b) <= reach + u * (a + b + reach)
     if query_rings is not None:
         rings_q = query_rings[rep_q]
-        ring_ok = (hr_min[eidx] <= rings_q + radius) & (
-            hr_max[eidx] >= rings_q - radius
+        lo, hi = hr_min[eidx], hr_max[eidx]
+        ring_ok = (lo <= rings_q + radius + u * (lo + rings_q + radius)) & (
+            hi >= rings_q - radius - u * (hi + rings_q + radius)
         )
         keep &= ring_ok.all(axis=1)
     return keep

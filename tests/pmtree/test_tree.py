@@ -49,6 +49,26 @@ class TestConstruction:
         tree = PMTree.build(projected_points, capacity=8, seed=0)
         assert tree.height() >= 2
 
+    @pytest.mark.parametrize("n, m", [(3000, 7), (9000, 24)])
+    def test_blocked_distances_build_the_same_bytes(self, n, m, monkeypatch):
+        """The bulk build's distances run through one reused block; against
+        a one-shot difference matrix every flat array is byte-equal."""
+        from repro.pmtree import tree as tree_module
+
+        def one_shot(rows, anchor):
+            diff = rows - anchor
+            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+        points = np.random.default_rng(n).normal(size=(n, m)) * 3.0
+        blocked = PMTree.build(points, num_pivots=5, capacity=32, seed=1).flatten()
+        monkeypatch.setattr(tree_module, "_distances_to", one_shot)
+        reference = PMTree.build(points, num_pivots=5, capacity=32, seed=1).flatten()
+        got, want = blocked.to_arrays(), reference.to_arrays()
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            assert got[key].tobytes() == want[key].tobytes(), key
+
 
 class TestRangeQuery:
     def test_matches_brute_force(self, built_tree, projected_points):

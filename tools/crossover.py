@@ -11,9 +11,10 @@ This script is where those two numbers come from::
     PYTHONPATH=src python tools/crossover.py                 # the docs/tuning.md table
     PYTHONPATH=src python tools/crossover.py --quick --check # CI: identity only, seconds
 
-Every cell builds a PM-tree over an m = 15 Gaussian projection of a
-clustered dataset (256 tight clusters, so that small balls reach few
-leaves), picks the radius whose ball holds the given quantile of the
+Every cell builds a PM-tree over a Gaussian projection of a clustered
+dataset (256 tight clusters, so that small balls reach few leaves), at
+the m and β a default PM-LSH index over n points runs at
+(``repro.core.params.hash_count_for``), picks the radius whose ball holds the given quantile of the
 points, and runs the same capped query block (``limits`` = ⌈βn⌉ + k,
 ``sort=False``, the way PM-LSH calls it) with the rule forced to "never"
 and to "always".  ``sort=False`` returns no distances, so identity is
@@ -49,18 +50,25 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
+from repro.core.estimation import solve_parameters  # noqa: E402
 from repro.core.hashing import GaussianProjection  # noqa: E402
+from repro.core.params import PMLSHParams, hash_count_for  # noqa: E402
 from repro.costmodel import pm_tree_computation_cost  # noqa: E402
 from repro.datasets.distance import sample_distance_distribution  # noqa: E402
 from repro.datasets.synthetic import gaussian_mixture  # noqa: E402
 from repro.pmtree import flat as flat_module  # noqa: E402
 from repro.pmtree.tree import PMTree  # noqa: E402
 
-M = 15  # projected dimensions (registry default)
-BETA = 0.097  # candidate-budget share at registry defaults
 K = 10
 #: Where every dense score is inside its error band.
 FAR = 1e8
+
+
+def operating_point(n: int):
+    """``(m, β)`` of a default PM-LSH index over *n* points."""
+    params = PMLSHParams()
+    m = hash_count_for(n, params)
+    return m, solve_parameters(m=m, c=params.c).beta
 
 
 def build(n: int, capacity: int, seed: int, shift: float = 0.0):
@@ -73,7 +81,7 @@ def build(n: int, capacity: int, seed: int, shift: float = 0.0):
     points = gaussian_mixture(
         n + 64, 64, num_clusters=256, cluster_std=0.3, center_box=2.0, seed=seed
     )
-    projected = GaussianProjection(64, M, seed=seed).project(points) + shift
+    projected = GaussianProjection(64, operating_point(n)[0], seed=seed).project(points) + shift
     data, queries = np.ascontiguousarray(projected[:n]), projected[n:]
     tree = PMTree.build(data, num_pivots=0 if shift else 5, capacity=capacity, seed=seed)
     return tree, tree.flatten(), queries
@@ -165,7 +173,7 @@ def shipped_choice(flat, block, radius, limits):
 def cells(sizes, capacities, quantiles, row_counts, repeats, min_seconds, seed) -> Iterator[dict]:
     for n in sizes:
         for capacity in capacities:
-            budget = int(math.ceil(BETA * n)) + K
+            budget = int(math.ceil(operating_point(n)[1] * n)) + K
             tree, flat, queries = build(n, capacity, seed)
             distribution = sample_distance_distribution(flat.points, num_pairs=20000, seed=seed)
             measured = []
@@ -238,7 +246,9 @@ def main(argv: List[str] | None = None) -> int:
     failures: List[str] = []
     print(
         f"_DENSE_COVERAGE = {flat_module._DENSE_COVERAGE}, "
-        f"_DENSE_LOAD_ROWS = {flat_module._DENSE_LOAD_ROWS}"
+        f"_DENSE_LOAD_ROWS = {flat_module._DENSE_LOAD_ROWS}, "
+        "(m, β) per n: "
+        + ", ".join(f"{n}: ({m}, {beta:.3f})" for n in sizes for m, beta in [operating_point(n)])
     )
     print(HEADER)
     grid = ([16, 128], [0.0001, 0.001, 0.01, 0.1], [1, 32])

@@ -13,7 +13,7 @@ earlier answers) against a grid of batching configs — no batching
 size/deadline windows — at two offered loads calibrated against the
 measured single-request service time (≈ capacity, and ≈ 4× capacity,
 where queueing discipline decides throughput).  A second table replays a
-hot/repeated request mix with the projected-locality cache on and off.
+hot/repeated request mix with the exact-repeat cache on and off.
 A third table re-runs the 4x-overload cell against the sharded engine
 with both fan-out pools — in-process threads vs the shared-memory worker
 pool (``pool_backend="process"``) — asserting the two serve identical
@@ -231,7 +231,7 @@ def test_bench_serving_microbatch(write_result, write_json, benchmark):
         f"cache speedup {cache_qps['on'] / cache_qps['off']:.2f}x."
     )
     cache_table = format_table(
-        "Async serving: projected-locality cache on a repeated-query mix",
+        "Async serving: exact-repeat cache on a repeated-query mix",
         ["Cache", "QPS", "p50 (ms)", "p99 (ms)", "Hit rate"],
         cache_rows,
         note=cache_note,

@@ -136,9 +136,8 @@ def build() -> str:
         QueueFull,
         ShedRecord,
     )
-    from repro.serving.cache import ProjectedQueryCache, TieredQueryCache
+    from repro.serving.cache import QueryCache
     from repro.serving.clock import Clock, LoopClock, VirtualClock
-    from repro.serving.controller import AdaptiveBatchController, ControllerConfig
     from repro.serving.server import AsyncSearchServer
     from repro.serving.stats import ServingStats
 
@@ -228,13 +227,10 @@ def build() -> str:
                 "queue_depth",
             ],
         ),
-        _class_section(ProjectedQueryCache, ["get", "put", "invalidate", "key_for"]),
-        _class_section(TieredQueryCache, ["get", "put", "invalidate"]),
+        _class_section(QueryCache, ["get", "put", "invalidate", "key_for"]),
         _class_section(ServingStats, ["cache_hit_rate", "as_dict", "as_table"]),
         _class_section(LatencyWindow, ["record", "percentile", "snapshot", "reset"]),
-        "## Self-tuning and admission control\n",
-        _class_section(AdaptiveBatchController, ["tick", "bind", "decision_log", "window", "delay_ms", "adjustments"]),
-        _class_section(ControllerConfig, []),
+        "## Admission control\n",
         _class_section(AdmissionControl, ["expired", "overflowing", "record_shed"]),
         _class_section(DeadlineExceeded, []),
         _class_section(QueueFull, []),

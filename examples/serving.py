@@ -6,8 +6,8 @@ way ``docs/serving.md`` describes.  A 4-shard PM-LSH engine sits behind
 an :class:`~repro.serving.AsyncSearchServer`: requests arrive open-loop
 (Poisson arrivals that do not wait for earlier answers, like real
 clients), the deadline-based micro-batcher coalesces them into the large
-batches the flat PM-tree hot path was built for, and a
-projected-locality cache short-circuits repeated lookups.  Mid-stream,
+batches the flat PM-tree hot path was built for, and an exact-repeat
+cache short-circuits repeated lookups.  Mid-stream,
 ingest batches run through the epoch-interleaved write path — never in
 the middle of an in-flight batch — and the demo verifies fresh points
 are immediately findable.
@@ -48,7 +48,7 @@ async def serve(seed_size: int, requests: int) -> None:
 
     # Query traffic: perturbed copies of indexed points, ~10% of them
     # exact repeats of earlier requests (hot items getting looked up
-    # again) so the projected-locality cache has something to do.  The
+    # again) so the exact-repeat cache has something to do.  The
     # repeats live inside the final, ingest-free stretch of the stream —
     # every add() deliberately clears the cache, so only repeats with no
     # write between source and repeat can hit.

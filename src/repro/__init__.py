@@ -21,11 +21,8 @@ version's workloads.  The package provides:
 * an async serving front-end (:mod:`repro.serving`):
   :class:`AsyncSearchServer` coalesces concurrent requests into batches
   with a deadline-based micro-batcher, interleaves writes epoch-style,
-  and caches answers by projected locality
-  (:class:`ProjectedQueryCache`) with an optional exact-hit LRU tier
-  (:class:`TieredQueryCache`); it self-tunes its batching window under
-  load (:class:`AdaptiveBatchController`), enforces per-request
-  deadlines and bounded-queue admission control
+  answers byte-identical repeat queries from a cache, enforces
+  per-request deadlines and bounded-queue admission control
   (:class:`DeadlineExceeded`, :class:`QueueFull`), and runs on an
   injectable clock (:class:`VirtualClock` for deterministic tests);
 * a unified observability layer (:mod:`repro.obs`): a process-wide
@@ -136,15 +133,11 @@ from repro.registry import (
 )
 from repro.rtree import RTree
 from repro.serving import (
-    AdaptiveBatchController,
     AsyncSearchServer,
-    ControllerConfig,
     DeadlineExceeded,
-    ProjectedQueryCache,
     QueueFull,
     ServingRejected,
     ServingStats,
-    TieredQueryCache,
     VirtualClock,
 )
 
@@ -152,9 +145,7 @@ __version__ = "2.0.0"
 
 __all__ = [
     "ANNIndex",
-    "AdaptiveBatchController",
     "AsyncSearchServer",
-    "ControllerConfig",
     "DeadlineExceeded",
     "BatchResult",
     "C2LSH",
@@ -175,7 +166,6 @@ __all__ = [
     "PMLSH",
     "PMLSHParams",
     "PMTree",
-    "ProjectedQueryCache",
     "QALSH",
     "QueryResult",
     "QuerySpec",
@@ -191,7 +181,6 @@ __all__ = [
     "ShardedIndex",
     "SlowQueryLog",
     "SnapshotError",
-    "TieredQueryCache",
     "TombstoneSet",
     "Trace",
     "Tracer",

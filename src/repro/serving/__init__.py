@@ -1,9 +1,9 @@
-"""Async serving subsystem: self-tuning micro-batching over any index.
+"""Async serving subsystem: static micro-batching over any index.
 
 The front-end that turns many small independent requests — the realistic
 serving traffic shape — into exactly the large batches PM-LSH's
-vectorised hot paths were built for, and keeps itself safe and tuned
-under production traffic:
+vectorised hot paths were built for, and keeps itself safe under
+production traffic:
 
 * :mod:`repro.serving.server` — :class:`AsyncSearchServer`, the asyncio
   micro-batcher (queue → coalesce → ``run()`` → scatter) with an
@@ -11,23 +11,19 @@ under production traffic:
   lanes, and a single-worker executor bridge, plus
   :func:`open_loop_arrivals`, the Poisson traffic driver the example and
   benchmark share;
-* :mod:`repro.serving.controller` — :class:`AdaptiveBatchController`,
-  the AIMD loop that replaces static ``max_batch`` / ``max_delay_ms``
-  with clamped, hysteretic self-tuning off the metrics registry;
 * :mod:`repro.serving.admission` — admission control: typed
   :class:`DeadlineExceeded` / :class:`QueueFull` refusals, the bounded
   queue and its shed policies;
-* :mod:`repro.serving.cache` — :class:`ProjectedQueryCache` (projected-
-  locality tier) and :class:`TieredQueryCache` (exact-hit LRU stacked in
-  front, sharing one invalidation epoch);
+* :mod:`repro.serving.cache` — :class:`QueryCache`, the LRU of answers
+  keyed on the spec and the query's bytes, cleared on every write;
 * :mod:`repro.serving.clock` — the injectable :class:`Clock` seam
   (:class:`LoopClock` in production, :class:`VirtualClock` for
   deterministic time-driven tests);
 * :mod:`repro.serving.stats` — :class:`ServingStats`, the snapshot
   ``AsyncSearchServer.stats()`` returns.
 
-See ``docs/serving.md`` for the handbook (including the "Self-tuning &
-overload" chapter).
+See ``docs/serving.md`` for the handbook (including the "Overload"
+chapter).
 """
 
 from repro.serving.admission import (
@@ -36,30 +32,21 @@ from repro.serving.admission import (
     QueueFull,
     ServingRejected,
 )
-from repro.serving.cache import ProjectedQueryCache, TieredQueryCache
+from repro.serving.cache import QueryCache
 from repro.serving.clock import Clock, LoopClock, VirtualClock
-from repro.serving.controller import (
-    AdaptiveBatchController,
-    ControllerConfig,
-    ControllerDecision,
-)
 from repro.serving.server import AsyncSearchServer, open_loop_arrivals
 from repro.serving.stats import ServingStats
 
 __all__ = [
-    "AdaptiveBatchController",
     "AdmissionControl",
     "AsyncSearchServer",
     "Clock",
-    "ControllerConfig",
-    "ControllerDecision",
     "DeadlineExceeded",
     "LoopClock",
-    "ProjectedQueryCache",
+    "QueryCache",
     "QueueFull",
     "ServingRejected",
     "ServingStats",
-    "TieredQueryCache",
     "VirtualClock",
     "open_loop_arrivals",
 ]

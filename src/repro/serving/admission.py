@@ -31,8 +31,8 @@ queueing delay.  The admission layer makes overload explicit and cheap:
   first, and the shed scan above eats from the lowest priority upward.
 
 Every shed and rejection is counted in the server's metrics
-(``requests_shed``, ``requests_rejected``) and recorded in the
-controller-visible :attr:`AdmissionControl.shed_log` so tests can prove
+(``requests_shed``, ``requests_rejected``) and recorded in
+:attr:`AdmissionControl.shed_log` so tests can prove
 no satisfiable request was ever dropped.
 """
 

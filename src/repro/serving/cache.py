@@ -1,44 +1,29 @@
-"""Projected-locality query-result cache for the serving front-end.
+"""Exact-repeat query-result cache for the serving front-end.
 
-Repeated — and, at coarser resolutions, *near-duplicate* — queries are
-the realistic serving shape (the same hot items get looked up again and
-again), and a verified PM-LSH answer is expensive relative to a
-dictionary probe.  The cache keys each request on
+Hot items get looked up again and again, and a verified PM-LSH answer
+costs orders of magnitude more than a dictionary probe.  The cache keys
+each request on
 
 * the spec's :attr:`~repro.queries.QuerySpec.merge_key` (a ``Knn(10)``
   answer must never serve a ``Knn(5)`` or a ``Range(2.0)`` request), and
-* the query's **quantized projected coordinates**: the vector is mapped
-  through the index's existing hash layer (the projection bank PM-LSH
-  already owns — the dense Gaussian family, or the sampled structured
-  family under ``PMLSHParams(hash_family="sampled")``, whose ~√d-
-  coordinate functions make the per-request key GEMM correspondingly
-  cheaper) and snapped to a grid of edge ``resolution`` in
-  projected space.  Lemma 2 makes projected distance track original
-  distance, so two queries landing in the same cell are close in the
-  original space too — at the default (tiny) resolution the cache only
-  collapses byte-duplicate queries; widening it trades exactness for hit
-  rate, which is the ROADMAP's "near-duplicate reuse" knob.
+* the query's float64 **bytes** — no projection, no quantization — so a
+  hit is only ever a byte-identical repeat, and the answer it returns is
+  exactly what a direct ``index.run()`` of that query returns.
 
-Writes invalidate: :meth:`ProjectedQueryCache.invalidate` bumps the cache
-epoch and clears every entry, and a ``put`` tagged with a pre-bump epoch
-is dropped — so an answer computed against pre-``add()`` data can never
-be served after the write, even if its batch was in flight while the
-write landed.
+Entries are stored as read-only copies: the first caller keeps its own
+mutable arrays, and a caller that writes into a cached answer gets a
+``ValueError`` instead of poisoning the next hit.
 
-:class:`TieredQueryCache` stacks an **exact-hit LRU** in front of the
-projected cache: tier 1 keys on the raw query bytes (no projection GEMM,
-no quantization — one dict probe), tier 2 is the projected cache above
-with its near-duplicate semantics; a tier-2 hit is promoted into tier 1.
-Both tiers share one epoch — ``invalidate()`` clears them together and a
-stale ``put`` is dropped from both — so the write-safety story is
-unchanged.  The server builds one when ``exact_cache=<capacity>`` is
-passed next to ``cache=...``.
+The cache keeps no write epoch of its own.  The server owns the one
+epoch: every write bumps it and calls :meth:`QueryCache.invalidate`, and
+the server drops any answer whose batch was dispatched before the bump
+instead of putting it here.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,52 +31,37 @@ from repro.baselines.base import QueryResult
 from repro.queries import QuerySpec
 
 
-class ProjectedQueryCache:
-    """LRU cache of per-request :class:`QueryResult`s keyed by projected locality.
+def _frozen(array: np.ndarray) -> np.ndarray:
+    copy = np.array(array)
+    copy.flags.writeable = False
+    return copy
+
+
+class QueryCache:
+    """LRU of per-request answers (:class:`QueryResult`) keyed on the query's bytes.
 
     Parameters
     ----------
     capacity:
         Maximum retained entries; the least recently used entry is evicted
         first.
-    resolution:
-        Edge length of the quantization cell in projected space.  The
-        default ``1e-9`` collapses only (numerically) identical queries;
-        raise it to let near-duplicates share answers.
-    projector:
-        Maps a ``(d,)`` query vector into the space the key is quantized
-        in.  The server passes the index's own projection when it has one
-        (``index.projection.project``); ``None`` quantizes the raw vector,
-        which keeps the cache exact-duplicate-correct for any backend.
     """
 
-    def __init__(
-        self,
-        *,
-        capacity: int = 1024,
-        resolution: float = 1e-9,
-        projector: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not resolution > 0.0:
-            raise ValueError(f"resolution must be positive, got {resolution}")
         self.capacity = int(capacity)
-        self.resolution = float(resolution)
-        self._projector = projector
         self._entries: "OrderedDict[Tuple, QueryResult]" = OrderedDict()
-        self.epoch = 0
         self.hits = 0
         self.misses = 0
         self._c_evictions = None
         self._c_invalidations = None
-        self._c_stale_puts = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def bind_metrics(self, registry, labels=None) -> None:
-        """Publish eviction/invalidation/stale-put counters into *registry*.
+        """Publish eviction/invalidation counters into *registry*.
 
         Hit/miss totals stay plain attributes (the server exports them as
         gauges); the counters here are the events only the cache sees.
@@ -103,17 +73,11 @@ class ProjectedQueryCache:
         self._c_invalidations = registry.counter(
             "cache_invalidations", "Epoch bumps that dropped every entry", labels
         )
-        self._c_stale_puts = registry.counter(
-            "cache_stale_puts", "Answers dropped for being computed pre-write", labels
-        )
 
-    def key_for(self, query: np.ndarray, spec: QuerySpec) -> Tuple:
-        """The ``(merge key, quantized projected cell)`` key of one request."""
-        vector = np.asarray(query, dtype=np.float64)
-        if self._projector is not None:
-            vector = np.asarray(self._projector(vector), dtype=np.float64)
-        cell = np.round(vector / self.resolution).astype(np.int64)
-        return (spec.merge_key, cell.tobytes())
+    @staticmethod
+    def key_for(query: np.ndarray, spec: QuerySpec) -> Tuple:
+        """The ``(merge key, float64 query bytes)`` key of one request."""
+        return (spec.merge_key, np.asarray(query, dtype=np.float64).tobytes())
 
     def get(self, query: np.ndarray, spec: QuerySpec) -> Optional[QueryResult]:
         """The cached answer for this request, or ``None`` (counted as hit/miss)."""
@@ -126,169 +90,22 @@ class ProjectedQueryCache:
         self.hits += 1
         return entry
 
-    def put(
-        self, query: np.ndarray, spec: QuerySpec, result: QueryResult, epoch: int
-    ) -> bool:
-        """Store *result* unless *epoch* is stale (pre-invalidation data).
-
-        *epoch* is the cache epoch captured when the answering batch was
-        dispatched; a mismatch means a write landed while the batch was in
-        flight, so the answer reflects pre-write data and is dropped.
-        Returns whether the entry was stored.
-        """
-        if epoch != self.epoch:
-            if self._c_stale_puts is not None:
-                self._c_stale_puts.inc()
-            return False
+    def put(self, query: np.ndarray, spec: QuerySpec, result: QueryResult) -> None:
+        """Store a read-only copy of *result*, evicting the LRU entry if full."""
         key = self.key_for(query, spec)
-        self._entries[key] = result
+        self._entries[key] = QueryResult(
+            ids=_frozen(result.ids),
+            distances=_frozen(result.distances),
+            stats=dict(result.stats),
+        )
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             if self._c_evictions is not None:
                 self._c_evictions.inc()
-        return True
 
     def invalidate(self) -> None:
-        """Drop every entry and bump the epoch (called on every ``add()``)."""
+        """Drop every entry (the server calls this on every write)."""
         self._entries.clear()
-        self.epoch += 1
         if self._c_invalidations is not None:
             self._c_invalidations.inc()
-
-
-class TieredQueryCache:
-    """Two-tier result cache: exact-hit LRU over a projected-locality tier.
-
-    Tier 1 answers byte-identical repeat queries with a single dict
-    probe — no projection, no quantization — which is the dominant case
-    on hot-item traffic.  Tier 2 is an ordinary
-    :class:`ProjectedQueryCache` (optional): near-duplicate queries that
-    miss tier 1 can still share an answer through projected-cell
-    quantization, and its hit is *promoted* into tier 1 so the next
-    identical repeat stays on the fast path.
-
-    The tiers share one epoch (the projected tier's, when present):
-    :meth:`invalidate` clears both together, and :meth:`put` drops
-    stale answers from both — the server's write-safety contract is a
-    single decision, not two.
-
-    ``hits`` / ``misses`` aggregate across tiers (an exact hit never
-    double-counts in tier 2; a total miss counts once), so the serving
-    gauges and hit-rate math work unchanged.
-    """
-
-    def __init__(
-        self,
-        *,
-        exact_capacity: int = 1024,
-        projected: Optional[ProjectedQueryCache] = None,
-    ) -> None:
-        if exact_capacity < 1:
-            raise ValueError(f"exact_capacity must be >= 1, got {exact_capacity}")
-        self.exact_capacity = int(exact_capacity)
-        self.projected = projected
-        self._exact: "OrderedDict[Tuple, QueryResult]" = OrderedDict()
-        self._own_epoch = 0  # used only when there is no projected tier
-        self.exact_hits = 0
-        self._exact_only_misses = 0  # misses counted when projected is None
-        self._c_stale_puts = None
-        self._c_evictions = None
-
-    def __len__(self) -> int:
-        # NB: "is not None" everywhere — an *empty* projected tier is
-        # falsy (it defines __len__), so plain truthiness would skip it.
-        return len(self._exact) + (
-            len(self.projected) if self.projected is not None else 0
-        )
-
-    @property
-    def capacity(self) -> int:
-        """Total retained entries across both tiers (repr/diagnostics)."""
-        return self.exact_capacity + (
-            self.projected.capacity if self.projected is not None else 0
-        )
-
-    @property
-    def epoch(self) -> int:
-        """The shared write epoch (the projected tier's when present)."""
-        return self.projected.epoch if self.projected is not None else self._own_epoch
-
-    @property
-    def hits(self) -> int:
-        """Aggregate hits: exact-tier plus projected-tier."""
-        return self.exact_hits + (
-            self.projected.hits if self.projected is not None else 0
-        )
-
-    @property
-    def misses(self) -> int:
-        """Aggregate misses (a request missing both tiers counts once)."""
-        if self.projected is not None:
-            # Every exact miss falls through to the projected tier, whose
-            # miss count is therefore the both-tiers miss total.
-            return self.projected.misses
-        return self._exact_only_misses
-
-    def bind_metrics(self, registry, labels=None) -> None:
-        """Publish tier counters; forwards to the projected tier too."""
-        labels = labels or {}
-        self._c_evictions = registry.counter(
-            "cache_exact_evictions", "Exact-tier entries evicted by LRU pressure", labels
-        )
-        self._c_stale_puts = registry.counter(
-            "cache_stale_puts", "Answers dropped for being computed pre-write", labels
-        )
-        if self.projected is not None:
-            self.projected.bind_metrics(registry, labels)
-
-    def _exact_key(self, query: np.ndarray, spec: QuerySpec) -> Tuple:
-        vector = np.ascontiguousarray(np.asarray(query, dtype=np.float64))
-        return (spec.merge_key, vector.tobytes())
-
-    def get(self, query: np.ndarray, spec: QuerySpec) -> Optional[QueryResult]:
-        """Tier-1 probe, then tier-2; a tier-2 hit is promoted to tier 1."""
-        key = self._exact_key(query, spec)
-        entry = self._exact.get(key)
-        if entry is not None:
-            self._exact.move_to_end(key)
-            self.exact_hits += 1
-            return entry
-        if self.projected is None:
-            self._exact_only_misses += 1
-            return None
-        entry = self.projected.get(query, spec)
-        if entry is not None:
-            self._store_exact(key, entry)
-        return entry
-
-    def put(
-        self, query: np.ndarray, spec: QuerySpec, result: QueryResult, epoch: int
-    ) -> bool:
-        """Store in both tiers unless *epoch* is stale (then drop from both)."""
-        if epoch != self.epoch:
-            if self.projected is not None:
-                self.projected.put(query, spec, result, epoch)  # counts the stale put
-            elif self._c_stale_puts is not None:
-                self._c_stale_puts.inc()
-            return False
-        self._store_exact(self._exact_key(query, spec), result)
-        if self.projected is not None:
-            self.projected.put(query, spec, result, epoch)
-        return True
-
-    def _store_exact(self, key: Tuple, result: QueryResult) -> None:
-        self._exact[key] = result
-        self._exact.move_to_end(key)
-        while len(self._exact) > self.exact_capacity:
-            self._exact.popitem(last=False)
-            if self._c_evictions is not None:
-                self._c_evictions.inc()
-
-    def invalidate(self) -> None:
-        """Drop both tiers and bump the shared epoch (every write does)."""
-        self._exact.clear()
-        if self.projected is not None:
-            self.projected.invalidate()
-        else:
-            self._own_epoch += 1

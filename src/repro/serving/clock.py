@@ -1,15 +1,14 @@
 """Injectable time for the serving subsystem: real loop time or virtual.
 
 Every time-dependent decision the serving layer makes — deadline timers,
-per-request deadlines, controller tick intervals, latency measurement —
-goes through one :class:`Clock` seam instead of calling ``loop.time()``
-directly.  Production uses :class:`LoopClock` (a thin view over the
-running event loop's monotonic clock, so behavior is unchanged);
-tests and deterministic benchmarks inject a :class:`VirtualClock` and
-*advance time explicitly*, which makes every deadline flush, shed
-decision and controller adjustment reproducible with **zero wall-clock
-sleeps** — the test suite's virtual-time harness
-(``tests/serving/_clock.py``) and the CI smoke in
+per-request deadlines, latency measurement — goes through one
+:class:`Clock` seam instead of calling ``loop.time()`` directly.
+Production uses :class:`LoopClock` (a thin view over the running event
+loop's monotonic clock, so behavior is unchanged); tests and
+deterministic benchmarks inject a :class:`VirtualClock` and *advance
+time explicitly*, which makes every deadline flush and shed decision
+reproducible with **zero wall-clock sleeps** — the test suite's
+virtual-time harness (``tests/serving/_clock.py``) and the CI smoke in
 ``benchmarks/bench_serving.py`` both ride on it.
 
 The contract is deliberately tiny:

@@ -34,9 +34,9 @@ Life of a request
 
 Writes interleave epoch-style: ``add(points)`` and ``delete(ids)`` first
 drain every pending queue (requests already submitted are answered
-against pre-write data), bump the epoch — invalidating the
-:class:`~repro.serving.cache.ProjectedQueryCache` — and then run the
-index mutation through the same single-worker executor, strictly *after*
+against pre-write data), bump the server's one write epoch — clearing
+the :class:`~repro.serving.cache.QueryCache` — and then run the index
+mutation through the same single-worker executor, strictly *after*
 the drained batches.  An in-flight batch is therefore never torpedoed by
 an ingest, and a cached answer computed before a write is never served
 after it.
@@ -66,9 +66,8 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import Trace, Tracer, use_trace
 from repro.queries import QuerySpec, as_query_spec
 from repro.serving.admission import AdmissionControl, DeadlineExceeded, QueueFull
-from repro.serving.cache import ProjectedQueryCache, TieredQueryCache
+from repro.serving.cache import QueryCache
 from repro.serving.clock import Clock, LoopClock
-from repro.serving.controller import AdaptiveBatchController
 from repro.serving.stats import ServingStats
 
 
@@ -130,12 +129,9 @@ class AsyncSearchServer:
         the next event-loop pass — same-tick bursts (one ``gather``)
         still coalesce, but nothing waits beyond the current iteration.
     cache:
-        ``None`` (no caching), an int (capacity of a
-        :class:`~repro.serving.cache.ProjectedQueryCache` built over the
-        index's own projection layer when it has one), or a pre-built
-        cache instance.
-    cache_resolution:
-        Quantization cell edge forwarded when *cache* is an int.
+        ``None`` (no caching) or the capacity of a
+        :class:`~repro.serving.cache.QueryCache`, which answers
+        byte-identical repeats of a query under the same spec.
     executor:
         Override for the bridge executor.  Must run jobs **in submission
         order on one worker** (the default single-thread pool does):
@@ -157,26 +153,14 @@ class AsyncSearchServer:
         A :class:`~repro.obs.slowlog.SlowQueryLog` fed every request's
         queue-to-answer latency (with the span tree when sampled).  Its
         rolling-p99 trigger reads the server's own latency window.
-    exact_cache:
-        Capacity of an exact-hit LRU tier stacked *in front of* the
-        configured cache (a :class:`~repro.serving.cache.TieredQueryCache`
-        is built around it).  ``None`` (default) keeps the single-tier
-        behavior; combine with ``cache=<capacity>`` for the full
-        exact-then-projected hierarchy sharing one epoch.
     clock:
         The :class:`~repro.serving.clock.Clock` every time decision reads
-        (deadline timers, per-request deadlines, controller cadence,
-        latency measurement).  ``None`` (default) binds a
+        (deadline timers, per-request deadlines, latency
+        measurement).  ``None`` (default) binds a
         :class:`~repro.serving.clock.LoopClock` over the running event
         loop; tests inject a
         :class:`~repro.serving.clock.VirtualClock` and advance time
         explicitly — zero wall-clock sleeps, fully deterministic.
-    controller:
-        An :class:`~repro.serving.controller.AdaptiveBatchController`
-        that replaces the static ``max_batch`` / ``max_delay_ms`` with a
-        closed AIMD loop over the serving metrics; the effective knobs
-        are :attr:`effective_max_batch` / :attr:`effective_delay_ms` and
-        its decisions surface in :meth:`stats` and the registry.
     max_queue_depth / shed_policy:
         Admission control: the bounded pending-queue depth and what to
         do when it overflows (``"reject-newest"`` refuses the arrival
@@ -207,16 +191,13 @@ class AsyncSearchServer:
         *,
         max_batch: int = 32,
         max_delay_ms: float = 2.0,
-        cache: ProjectedQueryCache | int | None = None,
-        cache_resolution: float = 1e-9,
-        exact_cache: Optional[int] = None,
+        cache: Optional[int] = None,
         executor: Optional[Executor] = None,
         latency_capacity: int = 4096,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         slow_log: Optional[SlowQueryLog] = None,
         clock: Optional[Clock] = None,
-        controller: Optional[AdaptiveBatchController] = None,
         max_queue_depth: Optional[int] = None,
         shed_policy: str = "reject-newest",
     ) -> None:
@@ -232,15 +213,7 @@ class AsyncSearchServer:
         self.admission = AdmissionControl(
             max_queue_depth=max_queue_depth, shed_policy=shed_policy
         )
-        self.cache = (
-            self._build_cache(index, cache, cache_resolution)
-            if isinstance(cache, int)
-            else cache
-        )
-        if exact_cache is not None:
-            self.cache = TieredQueryCache(
-                exact_capacity=exact_cache, projected=self.cache
-            )
+        self.cache = QueryCache(cache) if cache is not None else None
         self._executor: Executor = executor or ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serving"
         )
@@ -285,9 +258,6 @@ class AsyncSearchServer:
         self._requests_rejected = counter(
             "requests_rejected", "Requests refused with QueueFull (bounded queue)"
         )
-        self._g_queue_depth = self.metrics_registry.gauge(
-            "queue_depth", "Requests queued, not yet dispatched", scope
-        )
         self._latency_hist = self.metrics_registry.histogram(
             "request_latency_ms",
             "Queue-to-answer latency per served request",
@@ -300,55 +270,17 @@ class AsyncSearchServer:
             slow_log.bind_window(self._latency)
         if self.cache is not None:
             self.cache.bind_metrics(self.metrics_registry, scope)
+            self._cache_stale_puts = counter(
+                "cache_stale_puts", "Answers dropped for being computed pre-write"
+            )
         # The served index publishes into the same registry (covers the
         # sharded engine, PM-LSH's probe counters, the overfetch path).
         if hasattr(index, "metrics"):
             index.metrics = self.metrics_registry
-        # The adaptive controller closes the loop over the instruments
-        # above: it reads queue depth / flush counters / the latency
-        # window and steers the *effective* max_batch / max_delay_ms
-        # between its clamps, overriding the static knobs.
-        self.controller = controller
-        if controller is not None:
-            controller.bind(self.metrics_registry, scope, self._latency)
-
-    @staticmethod
-    def _build_cache(
-        index: ANNIndex, capacity: int, resolution: float
-    ) -> ProjectedQueryCache:
-        """Cache over the index's own hash layer when it has one.
-
-        PM-LSH exposes ``projection.project``; backends without one (the
-        exact oracle, the sharded engine) fall back to quantizing the raw
-        vector, which still collapses duplicate queries exactly.
-        """
-        projection = getattr(index, "projection", None)
-        projector = projection.project if projection is not None else None
-        return ProjectedQueryCache(
-            capacity=capacity, resolution=resolution, projector=projector
-        )
 
     # ------------------------------------------------------------------
     # the read path
     # ------------------------------------------------------------------
-
-    @property
-    def effective_max_batch(self) -> int:
-        """The size threshold in force right now (controller-driven or static)."""
-        return self.controller.window if self.controller is not None else self.max_batch
-
-    @property
-    def effective_delay_ms(self) -> float:
-        """The deadline window in force right now (controller-driven or static)."""
-        return (
-            self.controller.delay_ms if self.controller is not None else self.max_delay_ms
-        )
-
-    def _maybe_tick(self) -> None:
-        """Give the adaptive controller one (rate-limited) look at the world."""
-        if self.controller is not None:
-            self._g_queue_depth.set(self.queue_depth)
-            self.controller.tick(self._now())
 
     async def submit(
         self,
@@ -393,7 +325,6 @@ class AsyncSearchServer:
         # request, never the batch it would have been coalesced into.
         require_finite(vector, "query")
         self._requests_submitted.inc()
-        self._maybe_tick()
         enqueued_at = self._now()
         deadline = (
             enqueued_at + float(deadline_ms) / 1e3 if deadline_ms is not None else None
@@ -440,18 +371,18 @@ class AsyncSearchServer:
         if batch is None:
             batch = _PendingBatch(spec, int(priority))
             self._queues[key] = batch
-            if self.effective_max_batch > 1:
+            if self.max_batch > 1:
                 # A zero window still goes through call_later(0): the
                 # callback runs on the next loop pass, so a burst of
                 # submits issued in the same tick (one gather) coalesces
                 # while nothing ever waits beyond the current iteration.
                 batch.timer = self._clock.call_later(
-                    self.effective_delay_ms / 1e3, self._deadline_callback(key)
+                    self.max_delay_ms / 1e3, self._deadline_callback(key)
                 )
         batch.requests.append(
             _PendingRequest(vector, future, enqueued_at, deadline, trace)
         )
-        if len(batch.requests) >= self.effective_max_batch:
+        if len(batch.requests) >= self.max_batch:
             self._dispatch(key, "size")
         return await future
 
@@ -537,17 +468,14 @@ class AsyncSearchServer:
         Epoch-style interleaving: every pending queue drains first (their
         executor jobs are enqueued ahead of the write, so requests
         submitted before the ``add`` are answered against pre-write
-        data), the cache epoch bumps, and only then does the mutation run
+        data), the write epoch bumps, and only then does the mutation run
         on the executor — never in the middle of a dispatched batch.
         """
         self._require_open()
         self._require_not_compacting("add")
         loop = self._bind_loop()
         points = np.asarray(points, dtype=np.float64)
-        self.flush()
-        self._epoch += 1
-        if self.cache is not None:
-            self.cache.invalidate()
+        self._next_epoch()
         ids = await loop.run_in_executor(self._executor, self.index.add, points)
         self._points_added.inc(int(ids.size))
         return ids
@@ -564,10 +492,7 @@ class AsyncSearchServer:
         self._require_open()
         self._require_not_compacting("delete")
         loop = self._bind_loop()
-        self.flush()
-        self._epoch += 1
-        if self.cache is not None:
-            self.cache.invalidate()
+        self._next_epoch()
         deleted = await loop.run_in_executor(self._executor, self.index.delete, ids)
         self._points_deleted.inc(int(deleted.size))
         return deleted
@@ -581,14 +506,23 @@ class AsyncSearchServer:
         compaction and by :class:`~repro.lifecycle.Replica` refreshes.
         """
         self._require_open()
-        self.flush()
-        self._epoch += 1
-        if self.cache is not None:
-            self.cache.invalidate()
+        self._next_epoch()
         self.index = new_index
         if hasattr(new_index, "metrics"):
             new_index.metrics = self.metrics_registry
         self._index_swaps.inc()
+
+    def _next_epoch(self) -> None:
+        """Drain pending queues, bump the write epoch, clear the cache.
+
+        The epoch is the server's only write epoch: a batch dispatched
+        before the bump still answers its callers (against pre-write
+        data), but :meth:`_scatter` keeps its answers out of the cache.
+        """
+        self.flush()
+        self._epoch += 1
+        if self.cache is not None:
+            self.cache.invalidate()
 
     async def compact(self, policy=None):
         """Rebuild the served index without deleted points, in the background.
@@ -686,10 +620,6 @@ class AsyncSearchServer:
         loop = self._loop
         queries = np.stack([request.query for request in batch.requests])
         dispatched_at = now
-        # The *cache's* epoch (not the server's) tags the eventual puts:
-        # a pre-built or reused cache may start at any epoch, and only
-        # its own counter decides staleness.
-        cache_epoch = self.cache.epoch if self.cache is not None else 0
         # One shared batch trace carries the engine-side spans when any
         # member of the batch was sampled; its subtree is grafted into
         # every sampled request at scatter.  Unsampled batches submit the
@@ -718,9 +648,7 @@ class AsyncSearchServer:
                 self._executor, self.index.run, queries, batch.spec
             )
         task = loop.create_task(
-            self._scatter(
-                batch, run_future, self._epoch, cache_epoch, dispatched_at, batch_trace
-            )
+            self._scatter(batch, run_future, self._epoch, dispatched_at, batch_trace)
         )
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
@@ -730,7 +658,6 @@ class AsyncSearchServer:
         batch: _PendingBatch,
         run_future: "asyncio.Future",
         epoch: int,
-        cache_epoch: int,
         dispatched_at: float,
         batch_trace: Optional[Trace] = None,
     ) -> None:
@@ -753,12 +680,18 @@ class AsyncSearchServer:
         self._batches_served.inc()
         self._requests_batched.inc(len(requests))
         spec_repr = repr(batch.spec) if self.slow_log is not None else ""
+        # A write landed while this batch was in flight: its answers are
+        # still right for its callers, but not for anyone after the write.
+        cache = self.cache
+        if cache is not None and epoch != self._epoch:
+            self._cache_stale_puts.inc(len(requests))
+            cache = None
         for i, request in enumerate(requests):
             answer = result[i]
             answer.stats["serving_batch_size"] = float(len(requests))
             answer.stats["serving_wait_ms"] = waits_ms[i]
-            if self.cache is not None:
-                self.cache.put(request.query, batch.spec, answer, cache_epoch)
+            if cache is not None:
+                cache.put(request.query, batch.spec, answer)
             self._requests_served.inc()
             latency_ms = (now - request.enqueued_at) * 1e3
             self._latency_hist.observe(latency_ms)
@@ -781,9 +714,6 @@ class AsyncSearchServer:
                 )
             if not request.future.cancelled():
                 request.future.set_result(answer)
-        # A completed batch is a natural observation point: occupancy and
-        # flush counters just moved, so let the controller look.
-        self._maybe_tick()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -870,9 +800,6 @@ class AsyncSearchServer:
         gauge("cache_misses", "Cache misses (lifetime)").set(
             self.cache.misses if self.cache is not None else 0
         )
-        gauge("cache_exact_hits", "Exact-tier (tier 1) cache hits").set(
-            getattr(self.cache, "exact_hits", 0) if self.cache is not None else 0
-        )
         batches = self._batches_served.value
         gauge("mean_occupancy", "Mean requests per served batch").set(
             self._requests_batched.value / batches if batches else float("nan")
@@ -919,18 +846,6 @@ class AsyncSearchServer:
             index_swaps=int(self._index_swaps.value),
             requests_shed=int(self._requests_shed.value),
             requests_rejected=int(self._requests_rejected.value),
-            exact_cache_hits=int(
-                getattr(self.cache, "exact_hits", 0) if self.cache is not None else 0
-            ),
-            controller_window=(
-                float(self.controller.window) if self.controller is not None else float("nan")
-            ),
-            controller_delay_ms=(
-                self.controller.delay_ms if self.controller is not None else float("nan")
-            ),
-            controller_adjustments=(
-                self.controller.adjustments if self.controller is not None else 0
-            ),
         )
 
     async def metrics(self, format: str = "prometheus") -> str | Dict:
@@ -952,13 +867,9 @@ class AsyncSearchServer:
 
     def __repr__(self) -> str:
         cache = "off" if self.cache is None else f"cap={self.cache.capacity}"
-        knobs = (
-            f"controller={self.controller!r}"
-            if self.controller is not None
-            else f"max_batch={self.max_batch}, max_delay_ms={self.max_delay_ms}"
-        )
         return (
-            f"{type(self).__name__}(index={self.index!r}, {knobs}, cache={cache})"
+            f"{type(self).__name__}(index={self.index!r}, max_batch={self.max_batch}, "
+            f"max_delay_ms={self.max_delay_ms}, cache={cache})"
         )
 
 

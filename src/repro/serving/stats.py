@@ -57,14 +57,6 @@ class ServingStats:
     #: ``QueueFull`` (the bounded queue was at ``max_queue_depth``).
     requests_shed: int = 0
     requests_rejected: int = 0
-    #: Tier-1 (exact-hit LRU) hits when a ``TieredQueryCache`` is in
-    #: front; included in ``cache_hits`` too.
-    exact_cache_hits: int = 0
-    #: The adaptive controller's current effective knobs and how many
-    #: knob changes it has applied; NaN / 0 when no controller is wired.
-    controller_window: float = float("nan")
-    controller_delay_ms: float = float("nan")
-    controller_adjustments: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -99,21 +91,10 @@ class ServingStats:
             "index_swaps": float(self.index_swaps),
             "requests_shed": float(self.requests_shed),
             "requests_rejected": float(self.requests_rejected),
-            "exact_cache_hits": float(self.exact_cache_hits),
-            "controller_window": float(self.controller_window),
-            "controller_delay_ms": float(self.controller_delay_ms),
-            "controller_adjustments": float(self.controller_adjustments),
         }
 
     def as_table(self) -> str:
         """One-row monospace summary plus a flush/cache footer line."""
-        controller = (
-            f" | controller: window={self.controller_window:.0f} "
-            f"delay={self.controller_delay_ms:.2g}ms "
-            f"adjustments={self.controller_adjustments}"
-            if self.controller_window == self.controller_window  # not NaN
-            else ""
-        )
         note = (
             f"flushes: size={self.size_flushes} deadline={self.deadline_flushes} "
             f"drain={self.drain_flushes} | cache: hits={self.cache_hits} "
@@ -122,7 +103,7 @@ class ServingStats:
             f"swaps={self.index_swaps} epoch={self.epoch} "
             f"queue={self.queue_depth} inflight={self.inflight_batches} | "
             f"admission: shed={self.requests_shed} "
-            f"rejected={self.requests_rejected}{controller}"
+            f"rejected={self.requests_rejected}"
         )
         return format_table(
             "Serving stats (async micro-batcher)",

@@ -92,9 +92,8 @@ class CostedIndex:
     fixed dispatch overhead amortized over the rows).  Combined with
     :class:`ImmediateExecutor` (so ``run()`` executes synchronously
     inside the dispatch), this turns the whole server into a
-    deterministic discrete-event simulation: queueing, deadline expiry
-    and controller decisions all unfold in virtual time, identically on
-    every host.  Advancing the clock inside a dispatch can fire other
+    deterministic discrete-event simulation: queueing and deadline
+    expiry unfold in virtual time, identically on every host.  Advancing the clock inside a dispatch can fire other
     lanes' deadline timers — that is the simulation working, not a bug:
     a long-running batch really does push later lanes past their
     deadlines.

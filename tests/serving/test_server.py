@@ -14,14 +14,22 @@ explicitly, so the whole file passes with zero wall-clock sleeps.
 from __future__ import annotations
 
 import asyncio
+import inspect
 
 import numpy as np
 import pytest
 
 from repro import Knn, Range, create_index
+from repro.obs import MetricsRegistry
 from repro.serving import AsyncSearchServer, open_loop_arrivals
 
-from tests.serving._clock import VirtualClock, advance, settle
+from tests.serving._clock import (
+    ImmediateExecutor,
+    RecordingIndex,
+    VirtualClock,
+    advance,
+    settle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +206,88 @@ class TestBatchingPolicy:
         assert stats.mean_occupancy == 1.0
 
 
+class TestStaticBatching:
+    """``max_batch`` and ``max_delay_ms`` are the whole policy: no load
+    history moves either of them."""
+
+    def test_every_burst_batches_the_same_way(self, exact_index, small_clustered):
+        recorder = RecordingIndex(exact_index)
+
+        async def serve():
+            clock = VirtualClock()
+            server = AsyncSearchServer(
+                recorder,
+                max_batch=8,
+                max_delay_ms=2.0,
+                clock=clock,
+                executor=ImmediateExecutor(),
+            )
+            waits = []
+            for burst in range(3):
+                pending = [
+                    asyncio.ensure_future(server.submit(q, Knn(k=2)))
+                    for q in small_clustered[burst * 20 : burst * 20 + 20]
+                ]
+                await settle()
+                await advance(clock, 0.002)  # the 4 stragglers' deadline
+                results = await asyncio.gather(*pending)
+                waits.append([r.stats["serving_wait_ms"] for r in results[16:]])
+            stats = server.stats()
+            await server.close()
+            return waits, stats
+
+        waits, stats = asyncio.run(serve())
+        assert [batch.shape[0] for batch in recorder.batches] == [8, 8, 4] * 3
+        assert waits == [[2.0] * 4] * 3
+        assert (stats.size_flushes, stats.deadline_flushes) == (6, 3)
+
+    def test_idle_gap_leaves_the_window_alone(self, exact_index, small_clustered):
+        """A lone request after a long idle stretch still waits exactly
+        ``max_delay_ms`` — the window is not narrowed by quiet traffic."""
+
+        async def serve():
+            clock = VirtualClock()
+            server = AsyncSearchServer(
+                exact_index,
+                max_batch=8,
+                max_delay_ms=3.0,
+                clock=clock,
+                executor=ImmediateExecutor(),
+            )
+            await server.submit_many(small_clustered[:8], Knn(k=2))
+            await advance(clock, 10.0)
+            pending = asyncio.ensure_future(server.submit(small_clustered[9], Knn(k=2)))
+            await settle()
+            assert await advance(clock, 0.0029) == 0  # not yet
+            assert await advance(clock, 0.001) == 1
+            result = await pending
+            knobs = (server.max_batch, server.max_delay_ms)
+            await server.close()
+            return result, knobs
+
+        result, knobs = asyncio.run(serve())
+        assert result.stats["serving_batch_size"] == 1.0
+        assert result.stats["serving_wait_ms"] == pytest.approx(3.0)
+        assert knobs == (8, 3.0)
+
+    def test_constructor_takes_the_eleven_serving_knobs(self):
+        params = list(inspect.signature(AsyncSearchServer).parameters)
+        assert params == [
+            "index",
+            "max_batch",
+            "max_delay_ms",
+            "cache",
+            "executor",
+            "latency_capacity",
+            "metrics",
+            "tracer",
+            "slow_log",
+            "clock",
+            "max_queue_depth",
+            "shed_policy",
+        ]
+
+
 class TestWritePath:
     def test_add_grows_index_and_new_points_findable(self, small_clustered):
         index = create_index("pm-lsh", seed=3).fit(small_clustered[:300])
@@ -323,6 +413,54 @@ class TestValidationAndStats:
         assert as_dict["mean_occupancy"] == 4.0
         table = stats.as_table()
         assert "Serving stats" in table and "Occupancy" in table
+
+    def test_stats_fields_are_counters_of_the_static_server(self, exact_index):
+        async def serve():
+            async with AsyncSearchServer(exact_index, max_batch=4, cache=8) as server:
+                return server.stats()
+
+        assert set(asyncio.run(serve()).as_dict()) == {
+            "requests_submitted",
+            "requests_served",
+            "batches_served",
+            "queue_depth",
+            "inflight_batches",
+            "size_flushes",
+            "deadline_flushes",
+            "drain_flushes",
+            "cache_hits",
+            "cache_misses",
+            "cache_hit_rate",
+            "points_added",
+            "epoch",
+            "mean_occupancy",
+            "latency_p50_ms",
+            "latency_p99_ms",
+            "latency_mean_ms",
+            "points_deleted",
+            "compactions",
+            "index_swaps",
+            "requests_shed",
+            "requests_rejected",
+        }
+
+    def test_metrics_export_has_one_cache_and_no_controller(
+        self, exact_index, small_clustered
+    ):
+        registry = MetricsRegistry()
+
+        async def serve():
+            async with AsyncSearchServer(
+                exact_index, max_batch=2, cache=8, metrics=registry
+            ) as server:
+                await server.submit_many(small_clustered[:4], Knn(k=2))
+                await server.submit_many(small_clustered[:4], Knn(k=2))
+                return await server.metrics()
+
+        text = asyncio.run(serve())
+        assert "cache_hits" in text and "cache_evictions" in text
+        assert "controller_" not in text
+        assert "cache_exact" not in text
 
     def test_open_loop_driver_preserves_arrival_order(
         self, exact_index, small_clustered

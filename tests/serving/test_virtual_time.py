@@ -130,7 +130,7 @@ class TestDeterministicServing:
         records = [record.as_dict() for record in slow_log.records()]
         await server.close()
         waits = [result.stats["serving_wait_ms"] for result in results]
-        # NaN-valued fields (no controller wired) would break ==; map
+        # NaN-valued fields (the hit rate: no cache here) would break ==; map
         # them to None so two runs can be compared for exact equality.
         flat = {
             key: (None if value != value else value)

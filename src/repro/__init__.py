@@ -36,8 +36,8 @@ version's workloads.  The package provides:
   compaction (:class:`CompactionPolicy`, ``index.compact()``,
   :func:`compact_index`) and epoch-stamped replica snapshots
   (:class:`Replica`, :func:`snapshot_epoch`);
-* the substrates: PM-tree (:mod:`repro.pmtree`), R-tree
-  (:mod:`repro.rtree`), B+-tree (:mod:`repro.bptree`);
+* the substrates: PM-tree (:mod:`repro.pmtree`) and R-tree
+  (:mod:`repro.rtree`);
 * synthetic dataset emulations and hardness statistics
   (:mod:`repro.datasets`);
 * the §4.2 cost models (:mod:`repro.costmodel`) and the §6 evaluation

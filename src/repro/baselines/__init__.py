@@ -7,7 +7,7 @@ treats them uniformly:
 * :class:`~repro.baselines.srs.SRS` — metric-indexing baseline (R-tree +
   incremental NN in the projected space, χ² early termination).
 * :class:`~repro.baselines.qalsh.QALSH` — radius-enlarging baseline with
-  query-aware hashes over B+-trees and virtual rehashing.
+  query-aware hashes over sorted projections and virtual rehashing.
 * :class:`~repro.baselines.multiprobe.MultiProbeLSH` — probing-sequence
   baseline with query-directed perturbation sets.
 * :class:`~repro.baselines.rlsh.RLSH` — PM-LSH's algorithm with the R-tree
@@ -19,6 +19,13 @@ treats them uniformly:
   other radius-enlarging method §3.1 describes.
 * :class:`~repro.baselines.lsb.LSBForest` — Z-order LSB-trees, the third
   radius-enlarging method §3.1 describes.
+
+Each baseline has one kNN path.  C2LSH, E2LSH, LSB-Forest and QALSH
+answer a whole query matrix in one vectorised ``_run_knn`` (C2LSH and
+QALSH share their round loop through
+:class:`~repro.baselines.base.CollisionCountingLSH`); the others answer
+row by row through ``_query_one``.  ``tests/oracles/baseline_loops.py``
+keeps per-query references for the four batch paths.
 """
 
 from repro.baselines.base import ANNIndex, BatchResult, QueryResult

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import abc
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.lifecycle.compaction import CompactionResult, dense_id_map
 from repro.lifecycle.tombstones import TombstoneSet
 from repro.persistence import SnapshotError, load_index, save_index
@@ -44,6 +46,7 @@ from repro.queries import (
     as_query_spec,
     sort_pairs,
 )
+from repro.utils.rng import RandomState, as_generator
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,36 @@ def require_finite(array: np.ndarray, what: str) -> None:
     raise ValueError(f"{what} must be finite; found NaN or inf{row}")
 
 
+def topk_batch(
+    rep_q: np.ndarray,
+    ids: np.ndarray,
+    dists: np.ndarray,
+    k: int,
+    per_query: Tuple[Dict[str, float], ...],
+) -> BatchResult:
+    """The padded :class:`BatchResult` of a pooled candidate list grouped
+    by query (*rep_q* ascending): each query's k smallest
+    ``(distance, id)`` pairs by one ``group_topk`` kernel call, ids ``-1``
+    and distances ``inf`` past a short row."""
+    num_queries = len(per_query)
+    lims, top_ids, top_dists = kernels.active().group_topk(
+        rep_q, ids, dists, num_queries, k
+    )
+    taken = np.diff(lims)
+    rows = np.repeat(np.arange(num_queries), taken)
+    cols = np.arange(rows.size) - np.repeat(lims[:-1], taken)
+    out_ids = np.full((num_queries, k), -1, dtype=np.int64)
+    out_dists = np.full((num_queries, k), np.inf, dtype=np.float64)
+    out_ids[rows, cols] = top_ids
+    out_dists[rows, cols] = top_dists
+    return BatchResult(
+        ids=out_ids,
+        distances=out_dists,
+        stats=aggregate_stats(per_query),
+        per_query_stats=per_query,
+    )
+
+
 def aggregate_stats(per_query: Tuple[Dict[str, float], ...]) -> Dict[str, float]:
     """Mean of every per-query stat key, plus the query count."""
     aggregated: Dict[str, float] = {"queries": float(len(per_query))}
@@ -200,12 +233,13 @@ class ANNIndex(abc.ABC):
     dynamically.
 
     Subclasses implement :meth:`_fit` (build the structures over
-    ``self.data``) and either :meth:`_query_one` (one validated vector)
-    or :meth:`_run_knn` (a vectorised batch path); they may override
-    :meth:`_run_range` /
-    :meth:`_closest_pairs` with native sublinear paths (the defaults are
-    exact brute force), and :meth:`_add` with an incremental update path
-    (the default re-fits over the concatenated dataset).
+    ``self.data``) and exactly one kNN path: :meth:`_query_one` (one
+    validated vector; the default :meth:`_run_knn` loops it over the
+    rows) or :meth:`_run_knn` (a vectorised batch path).  They may
+    override :meth:`_run_range` / :meth:`_closest_pairs` with native
+    sublinear paths (the defaults are exact brute force), and
+    :meth:`_add` with an incremental update path (the default re-fits
+    over the concatenated dataset).
     """
 
     #: Human-readable algorithm name (used in result tables).
@@ -705,18 +739,49 @@ class ANNIndex(abc.ABC):
     # -- subclass hooks -------------------------------------------------
 
     def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
-        """Default kNN batch path: a per-row :meth:`_query_one` loop."""
+        """Default kNN batch path: a per-row :meth:`_query_one` loop.
+        Backends that override it have no per-query path."""
         return BatchResult.from_queries(
             [self._query_one(row, spec.k) for row in queries], k=spec.k
         )
 
     def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         """k nearest neighbours of one validated ``(d,)`` float64 vector,
-        tombstones ignored (:meth:`run` over-fetches and strips them).
-        Backends with a native :meth:`_run_knn` need not implement it."""
+        tombstones ignored (:meth:`run` over-fetches and strips them)."""
         raise NotImplementedError(
             f"{type(self).__name__} implements neither _query_one nor _run_knn"
         )
+
+    # -- shared by the bucketed baselines ---------------------------------
+
+    def _fallback_candidates(self, k: int) -> np.ndarray:
+        """Degenerate miss (no probe found anything): ``4k`` random ids
+        from the backend's shared generator ``self._rng``, so the contract
+        (k results when nlive ≥ k) holds.  Drawn from the *live* ids under
+        tombstones, so a bucketed overfetch bound stays structural; without
+        tombstones the draw is bit-identical to sampling ``range(n)``."""
+        if self._tombstones:
+            live = self.live_ids()
+            return self._rng.choice(live, size=min(live.size, 4 * k), replace=False)
+        return self._rng.choice(self.n, size=min(self.n, 4 * k), replace=False)
+
+    def _verify_pooled(self, queries: np.ndarray, k: int, candidates_of) -> BatchResult:
+        """kNN over per-query candidate sets: ``candidates_of(q)`` gives
+        each row's distinct ids (an empty set takes
+        :meth:`_fallback_candidates`, drawn in row order), and every
+        (query, candidate) pair is verified by one gathered kernel call
+        before :func:`topk_batch`'s canonical cut.  Per-query stats:
+        ``candidates``."""
+        blocks = []
+        for q in queries:
+            ids = candidates_of(q)
+            blocks.append(ids if ids.size else self._fallback_candidates(k))
+        counts = np.asarray([block.size for block in blocks], dtype=np.int64)
+        ids = np.concatenate(blocks).astype(np.int64, copy=False)
+        rep_q = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        dists = kernels.active().verify_distances(self.data, ids, queries, rep_q)
+        per_query = tuple({"candidates": float(count)} for count in counts)
+        return topk_batch(rep_q, ids, dists, k, per_query)
 
     def _run_range(self, queries: np.ndarray, spec: Range) -> RangeResult:
         """Exact fallback: blocked brute-force scan of the whole dataset.
@@ -853,3 +918,119 @@ class ANNIndex(abc.ABC):
             raise ValueError("queries must contain at least one row")
         require_finite(queries, "queries")
         return queries
+
+
+class CollisionCountingLSH(ANNIndex):
+    """kNN by collision counting over a radius ladder: the round loop of
+    C2LSH and QALSH, §3.1's radius-enlarging methods.
+
+    Round r counts, for every still-active query, in how many of the m
+    hash functions each point collides with it at the ladder's r-th
+    radius.  Points reaching ``collision_threshold`` are verified once,
+    in the original space, by one gathered kernel call per round.  A
+    query stops once k verified points lie within the round's stop
+    distance or ``⌈β·n⌉ + k`` points are verified (64 rounds at most),
+    and answers with the canonical ``(distance, id)`` cut of everything
+    it verified.  Subclasses say how a round counts (:meth:`_ladder`,
+    :meth:`_round_counter`) and set ``m``, ``alpha``, ``beta`` and
+    ``collision_threshold`` in ``_fit``.
+
+    Both recipes take error probability ``delta`` ∈ (0, 1) and
+    false-positive fraction β = ``false_positive_base`` / n.
+    """
+
+    #: Cap on (block queries × n) collision-matrix entries per sweep.
+    _BATCH_BLOCK_ENTRIES = 8_000_000
+
+    #: Ladder rounds a query may take before it answers with what it has.
+    _MAX_ROUNDS = 64
+
+    def __init__(
+        self, *, c: float, delta: float, false_positive_base: float, seed: RandomState
+    ) -> None:
+        super().__init__()
+        if c <= 1.0:
+            raise ValueError(f"approximation ratio c must exceed 1, got {c}")
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"error probability delta must be in (0, 1), got {delta}")
+        if false_positive_base <= 0:
+            raise ValueError(
+                f"false_positive_base must be positive, got {false_positive_base}"
+            )
+        self.c = float(c)
+        self.delta = float(delta)
+        self.false_positive_base = float(false_positive_base)
+        self._rng = as_generator(seed)
+        # β, m, α and the collision threshold depend on n, so they are
+        # derived in _fit() (and re-derived whenever add()'s re-fit grows
+        # the dataset).
+        self.beta: float | None = None
+        self.m: int | None = None
+        self.alpha: float | None = None
+        self.collision_threshold: int | None = None
+
+    @abc.abstractmethod
+    def _ladder(self):
+        """Endless ``(radius, stop distance)`` pairs, one per round."""
+
+    @abc.abstractmethod
+    def _round_counter(self, queries: np.ndarray):
+        """A ``count(idx, radius)`` over this block of *queries*: the
+        ``(idx.size, n)`` collision counts of the rows *idx* at *radius*."""
+
+    def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
+        k = spec.k
+        num_queries = queries.shape[0]
+        budget = int(math.ceil(self.beta * self.n)) + k
+        rounds = np.zeros(num_queries, dtype=np.int64)
+        block = max(1, self._BATCH_BLOCK_ENTRIES // max(1, self.n))
+        pools = [
+            self._knn_block(
+                queries, np.arange(start, min(start + block, num_queries)), k, budget, rounds
+            )
+            for start in range(0, num_queries, block)
+        ]
+        rep_q, ids, dists = (np.concatenate(parts) for parts in zip(*pools))
+        order = np.argsort(rep_q, kind="stable")  # round-major -> grouped
+        rep_q, ids, dists = rep_q[order], ids[order], dists[order]
+        verified = np.bincount(rep_q, minlength=num_queries)
+        per_query = tuple(
+            {
+                "candidates": float(verified[q]),
+                "m": float(self.m),
+                "rounds": float(rounds[q]),
+            }
+            for q in range(num_queries)
+        )
+        return topk_batch(rep_q, ids, dists, k, per_query)
+
+    def _knn_block(
+        self, queries: np.ndarray, rows: np.ndarray, k: int, budget: int, rounds: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the ladder for the query *rows*; returns their verified
+        ``(query, id, distance)`` pool and bumps ``rounds`` in place."""
+        kernel = kernels.active()
+        count = self._round_counter(queries[rows])
+        seen = np.zeros((rows.size, self.n), dtype=bool)
+        active = np.ones(rows.size, dtype=bool)
+        pool_q = np.empty(0, dtype=np.int64)
+        pool_ids = np.empty(0, dtype=np.int64)
+        pool_dists = np.empty(0, dtype=np.float64)
+        for _, (radius, stop) in zip(range(self._MAX_ROUNDS), self._ladder()):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            rounds[rows[idx]] += 1
+            counts = count(idx, radius)
+            pos, fresh = np.nonzero((counts >= self.collision_threshold) & ~seen[idx])
+            if fresh.size:
+                owner = idx[pos]
+                seen[owner, fresh] = True
+                dists = kernel.verify_distances(self.data, fresh, queries, rows[owner])
+                pool_q = np.concatenate([pool_q, owner])
+                pool_ids = np.concatenate([pool_ids, fresh])
+                pool_dists = np.concatenate([pool_dists, dists])
+            within = np.bincount(pool_q[pool_dists <= stop], minlength=rows.size)
+            verified = np.bincount(pool_q, minlength=rows.size)
+            active &= (within < k) & (verified < budget)
+        return rows[pool_q], pool_ids, pool_dists

@@ -19,22 +19,23 @@ Parameters follow the published recipe: false-positive fraction
 β = 100/n, error probability δ = 1/e, collision threshold percentage α
 between p2 and p1 chosen to close both Chernoff tails, and
 m = ⌈(√(ln(1/δ)) + √(ln(2/β)))² / (2(p1 − p2)²)⌉ hash functions.
+
+The round loop — fresh-candidate verification, termination and the final
+``(distance, id)`` cut — is :class:`~repro.baselines.base.CollisionCountingLSH`'s,
+shared with QALSH; this module says only how a round counts collisions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro import kernels
-from repro.baselines.base import ANNIndex, BatchResult, QueryResult
+from repro.baselines.base import CollisionCountingLSH
 from repro.core.hashing import collision_probability
-from repro.datasets.distance import point_to_points_distances
-from repro.queries import Knn
 from repro.registry import register_index
-from repro.utils.rng import RandomState, as_generator
+from repro.utils.rng import RandomState
 
 
 def derive_parameters(
@@ -49,6 +50,8 @@ def derive_parameters(
         raise ValueError(f"n must be positive, got {n}")
     if c <= 1.0:
         raise ValueError(f"approximation ratio c must exceed 1, got {c}")
+    if not 0.0 < delta < 1.0 or not 0.0 < beta < 1.0:
+        raise ValueError(f"delta and beta must be in (0, 1), got {delta}, {beta}")
     p1 = collision_probability(1.0, w)
     p2 = collision_probability(c, w)
     ln_inv_delta = math.log(1.0 / delta)
@@ -63,7 +66,7 @@ def derive_parameters(
 
 
 @register_index("c2lsh")
-class C2LSH(ANNIndex):
+class C2LSH(CollisionCountingLSH):
     """Collision-counting LSH over bucket-aligned virtual rehashing."""
 
     name = "C2LSH"
@@ -77,22 +80,12 @@ class C2LSH(ANNIndex):
         false_positive_base: float = 100.0,
         seed: RandomState = None,
     ) -> None:
-        super().__init__()
-        if c <= 1.0:
-            raise ValueError(f"approximation ratio c must exceed 1, got {c}")
+        super().__init__(
+            c=c, delta=delta, false_positive_base=false_positive_base, seed=seed
+        )
         if w <= 0:
             raise ValueError(f"bucket width w must be positive, got {w}")
-        self.c = float(c)
         self.w = float(w)
-        self.delta = float(delta)
-        self.false_positive_base = float(false_positive_base)
-        self._rng = as_generator(seed)
-        # β, m, α and the collision threshold depend on n; derived in _fit()
-        # (and re-derived whenever add()'s re-fit grows the dataset).
-        self.beta: float | None = None
-        self.m: int | None = None
-        self.alpha: float | None = None
-        self.collision_threshold: int | None = None
         # Raw shifted projections a_i·o + b_i, sorted per hash function.
         self._sorted_raw: np.ndarray | None = None  # (m, n)
         self._sorted_ids: np.ndarray | None = None  # (m, n)
@@ -117,169 +110,34 @@ class C2LSH(ANNIndex):
         self._sorted_ids = order.T.copy()
         self._sorted_raw = np.take_along_axis(shifted, order, axis=0).T.copy()
 
-    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
-        query_shifted = (self._query_directions @ q) + self._offsets  # (m,)
-        verified: List[Tuple[int, float]] = []
-        verified_mask = np.zeros(self.n, dtype=bool)
-        budget = int(math.ceil(self.beta * self.n)) + k
-        scale = 1.0  # radius multiplier R = 1, c, c², ... in spread units
-        rounds = 0
-        for _ in range(64):
-            rounds += 1
-            cell_width = self._unit_width * scale
-            counts = self._count_collisions(query_shifted, cell_width)
-            fresh = np.flatnonzero(
-                (counts >= self.collision_threshold) & ~verified_mask
-            )
-            if fresh.size:
-                verified_mask[fresh] = True
-                dists = point_to_points_distances(q, self.data[fresh])
-                verified.extend(
-                    (int(pid), float(dist)) for pid, dist in zip(fresh, dists)
-                )
-            radius_now = self._unit_width * scale / self.w  # grid cell ~ w·R
-            within = sum(1 for _, dist in verified if dist <= self.c * radius_now)
-            if within >= k or len(verified) >= budget:
-                break
-            scale *= self.c
-        verified.sort(key=lambda pair: (pair[1], pair[0]))
-        top = verified[:k]
-        return QueryResult(
-            ids=np.asarray([pid for pid, _ in top], dtype=np.int64),
-            distances=np.asarray([dist for _, dist in top], dtype=np.float64),
-            stats={
-                "candidates": float(len(verified)),
-                "m": float(self.m),
-                "rounds": float(rounds),
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # batched kNN
-    # ------------------------------------------------------------------
-
-    #: Cap on (block queries × n) collision-matrix entries per sweep.
-    _BATCH_BLOCK_ENTRIES = 8_000_000
-
-    def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
-        """Round-synchronous batch path over the sorted projections.
-
-        C2LSH's rounds count collisions from scratch (grid cells for R
-        and c·R are not nested), so the batch path recounts per round
-        with vectorised cell-boundary ``searchsorted``s for every active
-        query, verifies all fresh threshold-crossers with one gathered
-        kernel call, and applies per-query termination exactly as the
-        loop does.  Query projections stay per-query GEMVs — the floored
-        cell ids must see the loop's exact bits.  Byte-identical to the
-        per-query :meth:`_query_one` loop.
-        """
-        results: List[QueryResult] = []
-        block = max(1, self._BATCH_BLOCK_ENTRIES // max(1, self.n))
-        for start in range(0, queries.shape[0], block):
-            results.extend(self._knn_block(queries[start : start + block], spec.k))
-        return BatchResult.from_queries(results, k=spec.k)
-
-    def _knn_block(self, queries: np.ndarray, k: int) -> List[QueryResult]:
-        kernel = kernels.active()
-        num_queries = queries.shape[0]
-        query_shifted = np.stack(
-            [(self._query_directions @ q) + self._offsets for q in queries]
-        )
-        budget = int(math.ceil(self.beta * self.n)) + k
-        verified_mask = np.zeros((num_queries, self.n), dtype=bool)
-        pool_ids: List[List[np.ndarray]] = [[] for _ in range(num_queries)]
-        pool_dists: List[List[np.ndarray]] = [[] for _ in range(num_queries)]
-        verified_count = np.zeros(num_queries, dtype=np.int64)
-        rounds = np.zeros(num_queries, dtype=np.int64)
-        active = np.ones(num_queries, dtype=bool)
+    def _ladder(self):
+        # R = 1, c, c², … in spread units; a grid cell is ~ w·R wide.
         scale = 1.0
-        for _ in range(64):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            rounds[idx] += 1
+        while True:
+            yield scale, self.c * (self._unit_width * scale / self.w)
+            scale *= self.c
+
+    def _round_counter(self, queries: np.ndarray):
+        # Per-row GEMVs: the floored cell ids a row sees must not depend
+        # on which batch it arrived in.
+        shifted = np.stack([(self._query_directions @ q) + self._offsets for q in queries])
+
+        def count(idx: np.ndarray, scale: float) -> np.ndarray:
+            """A point collides on hash i iff it shares the query's grid
+            cell, ``⌊x/cell⌋ == ⌊q/cell⌋``: an interval of the sorted
+            projections, recounted from scratch every round."""
             cell_width = self._unit_width * scale
             counts = np.zeros((idx.size, self.n), dtype=np.int32)
             for i in range(self.m):
                 keys = self._sorted_raw[i]
                 ids_i = self._sorted_ids[i]
-                cell = np.floor(query_shifted[idx, i] / cell_width)
-                lo = cell * cell_width
+                lo = np.floor(shifted[idx, i] / cell_width) * cell_width
                 start = np.searchsorted(keys, lo, side="left")
                 stop = np.searchsorted(keys, lo + cell_width, side="left")
                 # Cell slices hold distinct ids per hash: fancy-index add
                 # is exact and far cheaper than np.add.at.
-                for pos in range(idx.size):
-                    if stop[pos] > start[pos]:
-                        counts[pos, ids_i[start[pos] : stop[pos]]] += 1
-            fresh_q: List[np.ndarray] = []
-            fresh_ids: List[np.ndarray] = []
-            for pos, a in enumerate(idx):
-                fresh = np.flatnonzero(
-                    (counts[pos] >= self.collision_threshold) & ~verified_mask[a]
-                )
-                if fresh.size:
-                    verified_mask[a, fresh] = True
-                    fresh_q.append(np.full(fresh.size, a, dtype=np.int64))
-                    fresh_ids.append(fresh)
-            if fresh_ids:
-                rep_q = np.concatenate(fresh_q)
-                ids = np.concatenate(fresh_ids)
-                dists = kernel.verify_distances(self.data, ids, queries, rep_q)
-                offset = 0
-                for chunk_q, chunk_ids in zip(fresh_q, fresh_ids):
-                    a = int(chunk_q[0])
-                    pool_ids[a].append(chunk_ids)
-                    pool_dists[a].append(dists[offset : offset + chunk_ids.size])
-                    offset += chunk_ids.size
-                    verified_count[a] += chunk_ids.size
-            radius_now = self._unit_width * scale / self.w
-            threshold = self.c * radius_now
-            for a in idx:
-                within = sum(
-                    int((chunk <= threshold).sum()) for chunk in pool_dists[a]
-                )
-                if within >= k or verified_count[a] >= budget:
-                    active[a] = False
-            scale *= self.c
-        results: List[QueryResult] = []
-        for a in range(num_queries):
-            if pool_ids[a]:
-                all_ids = np.concatenate(pool_ids[a])
-                all_dists = np.concatenate(pool_dists[a])
-                order = np.lexsort((all_ids, all_dists))[:k]
-                top_ids, top_dists = all_ids[order], all_dists[order]
-            else:
-                top_ids = np.empty(0, dtype=np.int64)
-                top_dists = np.empty(0, dtype=np.float64)
-            results.append(
-                QueryResult(
-                    ids=top_ids,
-                    distances=top_dists,
-                    stats={
-                        "candidates": float(verified_count[a]),
-                        "m": float(self.m),
-                        "rounds": float(rounds[a]),
-                    },
-                )
-            )
-        return results
+                for pos in np.flatnonzero(stop > start):
+                    counts[pos, ids_i[start[pos] : stop[pos]]] += 1
+            return counts
 
-    def _count_collisions(self, query_shifted: np.ndarray, cell_width: float) -> np.ndarray:
-        """Collision counts for the bucket-aligned cells of width *cell_width*.
-
-        A point collides on hash i iff it falls into the same grid cell as
-        the query: ``⌊x/cell⌋ == ⌊q/cell⌋`` — an interval scan on the
-        sorted projections.
-        """
-        counts = np.zeros(self.n, dtype=np.int32)
-        for i in range(self.m):
-            cell = math.floor(query_shifted[i] / cell_width)
-            lo = cell * cell_width
-            hi = lo + cell_width
-            keys = self._sorted_raw[i]
-            start = int(np.searchsorted(keys, lo, side="left"))
-            stop = int(np.searchsorted(keys, hi, side="left"))
-            if stop > start:
-                counts[self._sorted_ids[i][start:stop]] += 1
-        return counts
+        return count

@@ -9,19 +9,19 @@ classic reduction of §2.2 ("From (r, c)-BC to c-ANN").
 Kept primarily as the reference implementation of the scheme the rest of
 the paper improves on; it also powers tests of the (r, c)-BC semantics.
 
-The kNN batch path pools every query's bucket candidates and runs a
-single gathered verification + top-k kernel over the pool — candidate
-sets, distances and results are byte-identical to the per-query loop.
+kNN pools every query's bucket candidates and runs one gathered
+verification + top-k kernel over the pool
+(:meth:`~repro.baselines.base.ANNIndex._verify_pooled`).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro import kernels
-from repro.baselines.base import ANNIndex, BatchResult, QueryResult, aggregate_stats
+from repro.baselines.base import ANNIndex, BatchResult
 from repro.core.hashing import LSHFunction
 from repro.datasets.distance import point_to_points_distances
 from repro.queries import Knn
@@ -99,102 +99,24 @@ class E2LSH(ANNIndex):
         return best
 
     # ------------------------------------------------------------------
-    # c-ANN via the ball-cover ladder
-    # ------------------------------------------------------------------
-
-    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
-        """(c, k)-ANN by collecting bucket candidates across all tables.
-
-        For k > 1 the pure ladder is wasteful, so the practical variant used
-        here gathers every point sharing a bucket with q in any table,
-        verifies true distances, and falls back to the ladder radius only to
-        bound the probe count.
-        """
-        candidate_ids: List[int] = []
-        seen = set()
-        for function, table in zip(self._functions, self._tables):
-            for point_id in table.get(function.compound_key(q), []):
-                if point_id not in seen:
-                    seen.add(point_id)
-                    candidate_ids.append(point_id)
-        if not candidate_ids:
-            candidate_ids = self._fallback_candidates(k)
-        ids = np.asarray(candidate_ids, dtype=np.int64)
-        dists = point_to_points_distances(q, self.data[ids])
-        order = np.lexsort((ids, dists))[:k]
-        return QueryResult(
-            ids=ids[order],
-            distances=dists[order],
-            stats={"candidates": float(ids.size)},
-        )
-
-    # ------------------------------------------------------------------
-    # batched kNN
+    # kNN
     # ------------------------------------------------------------------
 
     def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
-        """Bucketed-hash-table batch path.
+        """(c, k)-ANN over every point sharing a bucket with the query in
+        any table, verified by true distance.  For k > 1 the pure
+        ball-cover ladder is wasteful, so this practical variant verifies
+        the whole union.  Hashing stays per-row: the compound key floors
+        one GEMV's floats, so a row's buckets must not depend on its
+        batch."""
+        return self._verify_pooled(queries, spec.k, self._bucket_candidates)
 
-        Hashing stays per-query (a GEMV reduces in a different order than
-        a batched GEMM, and the compound key floors those floats — bucket
-        boundaries must see the exact bits the loop path sees); the batch
-        win is everything after the table probes: every (query, candidate)
-        pair is verified by one gathered kernel call and one ``group_topk``
-        kernel applies the canonical ``(distance, id)`` cut — results,
-        distances and stats are byte-identical to the per-query
-        :meth:`_query_one` loop.
-        """
-        kernel = kernels.active()
-        k = spec.k
-        num_queries = queries.shape[0]
-        counts = np.empty(num_queries, dtype=np.int64)
-        id_blocks: List[np.ndarray] = []
-        for qi in range(num_queries):
-            seen: set = set()
-            candidate_ids: List[int] = []
-            for function, table in zip(self._functions, self._tables):
-                for point_id in table.get(function.compound_key(queries[qi]), []):
-                    if point_id not in seen:
-                        seen.add(point_id)
-                        candidate_ids.append(point_id)
-            if not candidate_ids:
-                # rng draws happen in query order — the same order the
-                # per-query loop consumes the shared generator in.
-                candidate_ids = self._fallback_candidates(k)
-            counts[qi] = len(candidate_ids)
-            id_blocks.append(np.asarray(candidate_ids, dtype=np.int64))
-        ids = np.concatenate(id_blocks) if id_blocks else np.empty(0, dtype=np.int64)
-        rep_q = np.repeat(np.arange(num_queries, dtype=np.int64), counts)
-        dists = kernel.verify_distances(self.data, ids, queries, rep_q)
-        lims, top_ids, top_dists = kernel.group_topk(
-            rep_q, ids, dists, num_queries, k
-        )
-        out_ids = np.full((num_queries, k), -1, dtype=np.int64)
-        out_dists = np.full((num_queries, k), np.inf, dtype=np.float64)
-        per_query = []
-        for qi in range(num_queries):
-            lo, hi = int(lims[qi]), int(lims[qi + 1])
-            out_ids[qi, : hi - lo] = top_ids[lo:hi]
-            out_dists[qi, : hi - lo] = top_dists[lo:hi]
-            per_query.append({"candidates": float(counts[qi])})
-        return BatchResult(
-            ids=out_ids,
-            distances=out_dists,
-            stats=aggregate_stats(tuple(per_query)),
-            per_query_stats=tuple(per_query),
-        )
-
-    def _fallback_candidates(self, k: int) -> List[int]:
-        """Degenerate miss (no colliding bucket at all): a random probe so
-        the contract (k results when nlive ≥ k) holds.  Drawn from the
-        *live* ids under tombstones, so the overfetch bound stays
-        bucket-structural; without tombstones the draw is bit-identical
-        to sampling ``range(n)``."""
-        rng = as_generator(self._rng)
-        if self._tombstones:
-            live = self.live_ids()
-            return list(rng.choice(live, size=min(live.size, 4 * k), replace=False))
-        return list(rng.choice(self.n, size=min(self.n, 4 * k), replace=False))
+    def _bucket_candidates(self, q: np.ndarray) -> np.ndarray:
+        buckets = [
+            table.get(function.compound_key(q), ())
+            for function, table in zip(self._functions, self._tables)
+        ]
+        return np.unique(np.fromiter(chain.from_iterable(buckets), dtype=np.int64))
 
     def _tombstone_overfetch(self, k: int) -> int:
         """Dead ids reachable by any single query: at most the worst

@@ -11,6 +11,12 @@ at coarse radii — the Z-order walk *is* the virtual rehashing.
 Per the paper's taxonomy (§3.2) the LSB-tree estimates distances at
 bucket-to-bucket granularity, which caps its accuracy; the forest of L
 trees compensates by union-ing candidates over independent hash draws.
+
+Each tree is kept as its sorted ``(z-value, id)`` arrays, the B-tree's leaf
+level: a cursor walk always consumes a contiguous window of that order, so
+kNN finds each walk's window by rank arithmetic instead of walking
+(:meth:`LSBForest._window_ids`); ``tests/oracles/baseline_loops.py`` walks
+the B+-tree cursors as the test reference.
 """
 
 from __future__ import annotations
@@ -20,11 +26,8 @@ from typing import List
 
 import numpy as np
 
-from repro import kernels
-from repro.baselines.base import ANNIndex, BatchResult, QueryResult, aggregate_stats
-from repro.bptree.tree import BPlusTree
+from repro.baselines.base import ANNIndex, BatchResult
 from repro.core.hashing import LSHFunction
-from repro.datasets.distance import point_to_points_distances
 from repro.queries import Knn
 from repro.registry import register_index
 from repro.utils.rng import RandomState, as_generator, spawn_generators
@@ -58,7 +61,6 @@ class LSBForest(ANNIndex):
         m: int = 8,
         w: float | None = None,
         budget_fraction: float = 0.12,
-        bptree_order: int = 64,
         seed: RandomState = None,
     ) -> None:
         super().__init__()
@@ -73,14 +75,12 @@ class LSBForest(ANNIndex):
         self.w = None if w is None else float(w)
         self._w_explicit = w is not None
         self.budget_fraction = float(budget_fraction)
-        self.bptree_order = bptree_order
         self._rng = as_generator(seed)
         self._functions: List[LSHFunction] = []
-        self._trees: List[BPlusTree] = []
         self._grid_mins: List[np.ndarray] = []
         self._bits: List[int] = []
-        # Sorted (z-value, id) mirrors of the trees for the batch path:
-        # object dtype because Morton values are arbitrary-precision ints.
+        # Sorted (z-value, id) arrays, one pair per tree: object dtype
+        # because Morton values are arbitrary-precision ints.
         self._sorted_z: List[np.ndarray] = []
         self._sorted_z_ids: List[np.ndarray] = []
 
@@ -100,7 +100,6 @@ class LSBForest(ANNIndex):
             LSHFunction(self.d, self.m, w=self.w, seed=child)
             for child in spawn_generators(self._rng, self.num_trees)
         ]
-        self._trees = []
         self._grid_mins = []
         self._bits = []
         self._sorted_z = []
@@ -111,15 +110,10 @@ class LSBForest(ANNIndex):
             shifted = grid - grid_min
             bits = max(1, int(shifted.max()).bit_length() + 1)  # +1 headroom for queries
             z_values = zorder_values(shifted, bits=bits)
-            self._trees.append(
-                BPlusTree.from_items(zip(z_values, range(self.n)), order=self.bptree_order)
-            )
             self._grid_mins.append(grid_min)
             self._bits.append(bits)
-            # Stable sort: equal z-values keep id order, which is exactly
-            # the duplicate-key order ``from_items``'s stable sort gives
-            # the B-tree — the cursor walk and the array walk see the
-            # same sequence.
+            # Stable sort: equal z-values keep id order, the duplicate-key
+            # order of a B-tree bulk-loaded from (z-value, id) pairs.
             z_arr = np.asarray(z_values, dtype=object)
             order = np.argsort(z_arr, kind="stable")
             self._sorted_z.append(z_arr[order])
@@ -134,112 +128,31 @@ class LSBForest(ANNIndex):
         shifted = np.minimum(shifted, limit)
         return interleave_bits([int(v) for v in shifted], bits=self._bits[tree_index])
 
-    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
-        budget = max(k, int(math.ceil(self.budget_fraction * self.n)))
-        per_tree = max(k, budget // self.num_trees)
-        seen: set = set()
-        candidates: List[int] = []
-        for tree_index, tree in enumerate(self._trees):
-            z_query = self._query_zvalue(tree_index, q)
-            cursor = tree.cursor(z_query)
-            taken = 0
-            # Alternate the cursor outward: the entries nearest in Z-order
-            # are the likeliest hash collisions at the coarsest radii.
-            while taken < per_tree:
-                left = cursor.peek_left()
-                right = cursor.peek_right()
-                if left is None and right is None:
-                    break
-                if right is None or (
-                    left is not None and (z_query - left[0]) <= (right[0] - z_query)
-                ):
-                    entry = cursor.move_left()
-                else:
-                    entry = cursor.move_right()
-                taken += 1
-                point_id = entry[1]
-                if point_id not in seen:
-                    seen.add(point_id)
-                    candidates.append(point_id)
-        if not candidates:
-            candidates = self._fallback_candidates(k)
-        ids = np.asarray(candidates, dtype=np.int64)
-        dists = point_to_points_distances(q, self.data[ids])
-        order = np.lexsort((ids, dists))[:k]
-        return QueryResult(
-            ids=ids[order],
-            distances=dists[order],
-            stats={"candidates": float(ids.size)},
-        )
-
-    def _fallback_candidates(self, k: int) -> List[int]:
-        """Degenerate miss (every tree empty-walked): a random probe so
-        the contract holds — drawn from the live ids under tombstones,
-        bit-identical to sampling ``range(n)`` without them."""
-        if self._tombstones:
-            live = self.live_ids()
-            return list(self._rng.choice(live, size=min(live.size, 4 * k), replace=False))
-        return list(self._rng.choice(self.n, size=min(self.n, 4 * k), replace=False))
-
-    # ------------------------------------------------------------------
-    # batched kNN
-    # ------------------------------------------------------------------
-
     def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
-        """Sorted-array batch path.
-
-        The cursor walk around a query's z-value always consumes a
-        contiguous window of the z-sorted order, so the batch path
-        replaces each walk with a merge-selection over two sorted
-        distance sequences (``searchsorted`` rank arithmetic picks how
-        many entries each side of the query contributes), unions the
-        per-tree windows, and finishes with one gathered verification +
-        ``group_topk`` kernel over the pooled candidates — byte-identical
-        to the per-query cursor loop, ties and all.
-        """
-        kernel = kernels.active()
+        """Union each tree's cursor window around the query's z-value, then
+        verify the pool (:meth:`~repro.baselines.base.ANNIndex._verify_pooled`)."""
         k = spec.k
-        num_queries = queries.shape[0]
         budget = max(k, int(math.ceil(self.budget_fraction * self.n)))
         per_tree = max(k, budget // self.num_trees)
-        counts = np.empty(num_queries, dtype=np.int64)
-        id_blocks: List[np.ndarray] = []
-        for qi in range(num_queries):
-            windows = [
-                self._window_ids(
-                    tree_index, self._query_zvalue(tree_index, queries[qi]), per_tree
+
+        def candidates(q: np.ndarray) -> np.ndarray:
+            return np.unique(
+                np.concatenate(
+                    [
+                        self._window_ids(t, self._query_zvalue(t, q), per_tree)
+                        for t in range(self.num_trees)
+                    ]
                 )
-                for tree_index in range(self.num_trees)
-            ]
-            candidates = np.unique(np.concatenate(windows))
-            if candidates.size == 0:
-                candidates = np.asarray(self._fallback_candidates(k), dtype=np.int64)
-            counts[qi] = candidates.size
-            id_blocks.append(candidates)
-        ids = np.concatenate(id_blocks) if id_blocks else np.empty(0, dtype=np.int64)
-        rep_q = np.repeat(np.arange(num_queries, dtype=np.int64), counts)
-        dists = kernel.verify_distances(self.data, ids, queries, rep_q)
-        lims, top_ids, top_dists = kernel.group_topk(rep_q, ids, dists, num_queries, k)
-        out_ids = np.full((num_queries, k), -1, dtype=np.int64)
-        out_dists = np.full((num_queries, k), np.inf, dtype=np.float64)
-        per_query = []
-        for qi in range(num_queries):
-            lo, hi = int(lims[qi]), int(lims[qi + 1])
-            out_ids[qi, : hi - lo] = top_ids[lo:hi]
-            out_dists[qi, : hi - lo] = top_dists[lo:hi]
-            per_query.append({"candidates": float(counts[qi])})
-        return BatchResult(
-            ids=out_ids,
-            distances=out_dists,
-            stats=aggregate_stats(tuple(per_query)),
-            per_query_stats=tuple(per_query),
-        )
+            )
+
+        return self._verify_pooled(queries, k, candidates)
 
     def _window_ids(self, tree_index: int, z_query: int, per_tree: int) -> np.ndarray:
-        """The ids the alternating cursor walk takes from one tree —
-        computed by merge-rank arithmetic over the two sorted distance
-        sequences instead of walking the cursor.  Returned in positional
-        (not walk) order: the callers only union the ids and cut by the
+        """The ids a cursor walk takes from one tree: *per_tree* steps
+        outward from *z_query*, each to the nearer side in Z-order (a tie
+        goes left) — computed by merge-rank arithmetic over the two sorted
+        distance sequences instead of walking.  Returned in positional
+        (not walk) order: the caller only unions the ids and cuts by the
         canonical ``(distance, id)`` order, so the walk order is
         irrelevant to the result.
         """

@@ -205,17 +205,6 @@ class MultiProbeLSH(ANNIndex):
             stats={"candidates": float(ids.size)},
         )
 
-    def _fallback_candidates(self, k: int) -> List[int]:
-        """Degenerate miss (no probed bucket held anything): a random probe
-        so the contract holds — drawn from the live ids under tombstones so
-        the overfetch bound stays bucket-structural; without tombstones the
-        draw is bit-identical to sampling ``range(n)``."""
-        rng = as_generator(self._rng)
-        if self._tombstones:
-            live = self.live_ids()
-            return list(rng.choice(live, size=min(live.size, 4 * k), replace=False))
-        return list(rng.choice(self.n, size=min(self.n, 4 * k), replace=False))
-
     def _tombstone_overfetch(self, k: int) -> int:
         """Dead ids reachable by one query: per table, the ``num_probes``
         worst dead-bucket counts (one probed bucket each), summed over

@@ -78,6 +78,14 @@ class TestC2LSHIndex:
         with pytest.raises(ValueError):
             C2LSH(w=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"delta": 0.0}, {"delta": 1.0}, {"delta": 1.5}, {"false_positive_base": 0}],
+    )
+    def test_rejects_bad_delta_and_beta_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            C2LSH(**kwargs)
+
     def test_bucket_alignment_differs_from_query_centering(self, index, data):
         """C2LSH's cells are grid-aligned: the query need not be centred in
         its own cell (the 'bucket-to-bucket' granularity weakness)."""

@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.exact import ExactKNN
 from repro.baselines.lsb import LSBForest
+from tests.oracles import baseline_loops
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +27,11 @@ class TestLSBForest:
         assert np.all(np.diff(result.distances) >= -1e-12)
 
     def test_trees_built(self, index):
-        assert len(index._trees) == 4
-        for tree in index._trees:
+        """The sorted (z-value, id) arrays load into valid B+-trees: the
+        structure the reference cursor walk runs over."""
+        trees = baseline_loops.lsb_trees(index)
+        assert len(trees) == 4
+        for tree in trees:
             assert len(tree) == index.n
             tree.check_invariants()
 

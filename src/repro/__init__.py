@@ -16,13 +16,14 @@ version's workloads.  The package provides:
   ``closest_pairs(m)`` answers closest-pair search — on every backend;
 * a sharded parallel query engine (:mod:`repro.engine`) that partitions
   any registered backend across shards and serves kNN / range /
-  closest-pair through a worker pool —
+  closest-pair through a thread pool or, with ``pool_backend="process"``,
+  shared-memory worker processes —
   ``create_index("sharded", backend="pm-lsh", ...)``;
 * an async serving front-end (:mod:`repro.serving`):
   :class:`AsyncSearchServer` coalesces concurrent requests into batches
   with a deadline-based micro-batcher, interleaves writes epoch-style,
   answers byte-identical repeat queries from a cache, enforces
-  per-request deadlines and bounded-queue admission control
+  per-request deadlines and a bound on admitted-but-unanswered requests
   (:class:`DeadlineExceeded`, :class:`QueueFull`), and runs on an
   injectable clock (:class:`VirtualClock` for deterministic tests);
 * a unified observability layer (:mod:`repro.obs`): a process-wide

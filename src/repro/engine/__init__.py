@@ -2,8 +2,9 @@
 unified index API.
 
 * :mod:`repro.engine.sharded` — :class:`ShardedIndex`, the data-partitioned
-  engine (registered as ``"sharded"`` in the index registry);
-* :mod:`repro.engine.router` — shard routing policies for ``add()``;
+  engine (registered as ``"sharded"`` in the index registry): ``fit``
+  stripes rows over the shards, ``add()`` continues the stripe
+  round-robin, and ``pool_backend`` picks thread or process fan-out;
 * :mod:`repro.engine.merge` — vectorised per-shard top-k merging;
 * :mod:`repro.engine.stats` — per-shard and engine-level serving stats.
 """
@@ -13,26 +14,14 @@ from repro.engine.merge import (
     merge_shard_results,
     translate_ids,
 )
-from repro.engine.router import (
-    LeastLoadedRouter,
-    ROUTERS,
-    RoundRobinRouter,
-    ShardRouter,
-    make_router,
-)
 from repro.engine.sharded import ShardedIndex
 from repro.engine.stats import EngineStats, LatencyWindow, ShardStats
 
 __all__ = [
     "EngineStats",
     "LatencyWindow",
-    "LeastLoadedRouter",
-    "ROUTERS",
-    "RoundRobinRouter",
-    "ShardRouter",
     "ShardStats",
     "ShardedIndex",
-    "make_router",
     "merge_shard_range_results",
     "merge_shard_results",
     "translate_ids",

@@ -13,7 +13,7 @@ at construction; which carrier it is changes nothing the engine does:
   LocalPool`: the engine's own shard objects, inline with one worker,
   on a thread pool otherwise.  NumPy's GEMM-heavy kernels drop the GIL,
   the Python around them does not.
-* ``pool_backend="process"`` (registry name ``"process-sharded"``) — a
+* ``pool_backend="process"`` — a
   :class:`~repro.parallel.pool.WorkerPool` of worker processes, each
   attached **read-only** to its shards' snapshots through
   ``multiprocessing.shared_memory`` (the ``state_arrays()`` export a
@@ -40,8 +40,8 @@ The engine is itself an :class:`ANNIndex`, registered as ``"sharded"``:
 >>> engine.fit(data).search(queries, k=10)            # doctest: +SKIP
 
 so the evaluation harness, the benchmarks and the examples drive it with
-no special-casing.  ``add()`` routes new points to shards round-robin (or
-to the least-loaded shard), exercising each backend's n-dependent
+no special-casing.  ``add()`` routes new points to shards round-robin,
+continuing the ``fit`` stripe and exercising each backend's n-dependent
 parameter re-derivation, while global ids stay append-only and stable.
 """
 
@@ -56,7 +56,6 @@ import numpy as np
 
 from repro.baselines.base import ANNIndex, BatchResult
 from repro.engine.merge import merge_shard_range_results, merge_shard_results
-from repro.engine.router import ShardRouter, make_router
 from repro.engine.stats import EngineStats, ShardStats
 from repro.lifecycle.compaction import CompactionResult, dense_id_map
 from repro.lifecycle.tombstones import TombstoneSet
@@ -101,9 +100,6 @@ class ShardedIndex(ANNIndex):
         Thread-pool width for the per-shard fan-out.  Defaults to
         ``min(num_shards, cpu_count)``; 1 runs shards serially in the
         calling thread.
-    router:
-        ``"round-robin"`` (default) or ``"least-loaded"`` — the
-        :meth:`add` routing policy (see :mod:`repro.engine.router`).
     backend_params:
         Keyword arguments forwarded to every shard's constructor.  A
         ``"seed"`` entry here takes the master-seed role below (it is
@@ -116,13 +112,9 @@ class ShardedIndex(ANNIndex):
         ``"thread"`` (default) fans out through an in-process pool;
         ``"process"`` through a shared-memory worker-process pool
         (:mod:`repro.parallel`) — real multi-core parallelism with
-        byte-identical results; the ``"process-sharded"`` registry alias
-        pins it by name.  The shard backend must implement the snapshot
-        protocol (pm-lsh and exact do) — anything else raises
+        byte-identical results.  The shard backend must implement the
+        snapshot protocol (pm-lsh and exact do) — anything else raises
         ``NotImplementedError`` here, before any worker exists.
-    mp_context:
-        Start method for the process pool (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); platform default when None.
 
     Notes
     -----
@@ -145,11 +137,9 @@ class ShardedIndex(ANNIndex):
         backend: str | type = "pm-lsh",
         num_shards: int = 4,
         num_workers: int | None = None,
-        router: str | ShardRouter = "round-robin",
         backend_params: Mapping[str, Any] | None = None,
         seed: RandomState = None,
         pool_backend: str = "thread",
-        mp_context: str | None = None,
     ) -> None:
         super().__init__()
         if num_shards < 1:
@@ -181,7 +171,9 @@ class ShardedIndex(ANNIndex):
         )
         self._backend_params: Dict[str, Any] = dict(backend_params or {})
         self._seed = seed
-        self._router = make_router(router)
+        #: The shard the next added point goes to: ``add()`` continues the
+        #: round-robin stripe ``fit`` laid down (row i on shard i mod S).
+        self._cursor = 0
         self.name = f"Sharded[{self._backend_name}x{self.num_shards}]"
         # The one place the pool flavour decides anything: which carrier
         # class :meth:`_carrier` builds (lazily, and again after close()).
@@ -190,7 +182,7 @@ class ShardedIndex(ANNIndex):
             self._backend_cls.require_snapshot_support()
             self.name += "/process"
             self._new_carrier = lambda registry, labels: WorkerPool(
-                width, mp_context=mp_context, registry=registry, labels=labels
+                width, registry=registry, labels=labels
             )
         else:
             self._new_carrier = lambda registry, labels: LocalPool(width)
@@ -325,7 +317,7 @@ class ShardedIndex(ANNIndex):
             self._id_maps.append(global_ids)
         self._global_shard = np.arange(n, dtype=np.int64) % self.num_shards
         self._global_local = np.arange(n, dtype=np.int64) // self.num_shards
-        self._router.reset([shard.ntotal for shard in self._shards])
+        self._cursor = n % self.num_shards
         self._reset_counters()
 
     # ------------------------------------------------------------------
@@ -351,7 +343,7 @@ class ShardedIndex(ANNIndex):
 
     @property
     def shard_live_sizes(self) -> Tuple[int, ...]:
-        """Per-shard live counts — what the add() routing balances on."""
+        """Per-shard live counts."""
         return tuple(shard.nlive for shard in self._shards)
 
     # ------------------------------------------------------------------
@@ -359,7 +351,8 @@ class ShardedIndex(ANNIndex):
     # ------------------------------------------------------------------
 
     def _add(self, points: np.ndarray) -> np.ndarray:
-        """Route new points to shards; global ids stay append-only.
+        """Route new points to shards round-robin; global ids stay
+        append-only.
 
         The engine keeps the global ``self.data`` view alongside the
         per-shard copies (the ANNIndex contract: ``n``/``d``/``data`` are
@@ -369,13 +362,11 @@ class ShardedIndex(ANNIndex):
         """
         start = self.n
         count = points.shape[0]
-        # Routing balances on LIVE counts — a shard whose rows were mostly
-        # tombstoned is genuinely light no matter what its raw ntotal says —
-        # while local id positions still append after the raw sizes
-        # (deleted local slots are never reused).
-        loads = np.asarray([shard.nlive for shard in self._shards], dtype=np.int64)
+        # Local ids append after each shard's raw size: deleted local
+        # slots are never reused.
         sizes = np.asarray([shard.ntotal for shard in self._shards], dtype=np.int64)
-        assignment = self._router.route(count, loads)
+        assignment = (self._cursor + np.arange(count, dtype=np.int64)) % self.num_shards
+        self._cursor = int((self._cursor + count) % self.num_shards)
         local_ids = np.empty(count, dtype=np.int64)
         for s in range(self.num_shards):
             rows = np.flatnonzero(assignment == s)
@@ -385,9 +376,7 @@ class ShardedIndex(ANNIndex):
             self._shards[s].add(points[rows])
             local_ids[rows] = sizes[s] + np.arange(rows.size, dtype=np.int64)
             self._id_maps[s] = np.concatenate([self._id_maps[s], start + rows])
-        self._global_shard = np.concatenate(
-            [self._global_shard, assignment.astype(np.int64)]
-        )
+        self._global_shard = np.concatenate([self._global_shard, assignment])
         self._global_local = np.concatenate([self._global_local, local_ids])
         self._set_data(np.vstack([self.data, points]))
         self._points_added.inc(count)
@@ -417,10 +406,10 @@ class ShardedIndex(ANNIndex):
 
         Surviving global ids renumber densely (in their original order);
         each shard keeps exactly its surviving points, so the per-shard
-        rebuilds are independent and the routing tables re-base on the new
-        live counts.  If some shard lost *every* point, the engine instead
-        re-stripes the live rows across all shards (a full re-fit) so no
-        shard is left empty.
+        rebuilds are independent, and the ``add()`` cursor restarts from
+        the new live count.  If some shard lost *every* point, the engine
+        instead re-stripes the live rows across all shards (a full re-fit)
+        so no shard is left empty.
         """
         self._require_built()
         live = self.live_ids()
@@ -453,7 +442,7 @@ class ShardedIndex(ANNIndex):
             self._tombstones = TombstoneSet()
             self._fitted_n = self.n
             self._index_epoch += 1
-            self._router.reset([shard.nlive for shard in self._shards])
+            self._cursor = self.nlive % self.num_shards
         self._compactions.inc()
         return CompactionResult(
             id_map=dense_id_map(live, before),
@@ -791,7 +780,6 @@ class ShardedIndex(ANNIndex):
         return EngineStats(
             num_shards=self.num_shards,
             num_workers=min(self.num_workers, self.num_shards),
-            router=self._router.policy,
             pool_backend=self._pool_backend,
             ntotal=self.ntotal,
             batches_served=int(self._batches_served.value),
@@ -819,41 +807,3 @@ class ShardedIndex(ANNIndex):
             return base + ", unfitted)"
         state = "built" if self._built else "unbuilt"
         return base + f", d={self.d}, ntotal={self.ntotal}, {state})"
-
-
-@register_index("process-sharded", "process-engine")
-class ProcessShardedIndex(ShardedIndex):
-    """:class:`ShardedIndex` pinned to the process-pool fan-out.
-
-    Sugar for ``ShardedIndex(..., pool_backend="process")`` under its own
-    registry name, so harness configs and benchmarks can select the
-    shared-memory engine by name:
-
-    >>> import repro
-    >>> engine = repro.create_index("process-sharded", num_shards=4)   # doctest: +SKIP
-
-    Shard backends must implement the snapshot protocol (PM-LSH — the
-    default — and the exact oracle do).
-    """
-
-    def __init__(
-        self,
-        *,
-        backend: str | type = "pm-lsh",
-        num_shards: int = 4,
-        num_workers: int | None = None,
-        router: str | ShardRouter = "round-robin",
-        backend_params: Mapping[str, Any] | None = None,
-        seed: RandomState = None,
-        mp_context: str | None = None,
-    ) -> None:
-        super().__init__(
-            backend=backend,
-            num_shards=num_shards,
-            num_workers=num_workers,
-            router=router,
-            backend_params=backend_params,
-            seed=seed,
-            pool_backend="process",
-            mp_context=mp_context,
-        )

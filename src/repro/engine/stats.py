@@ -82,7 +82,6 @@ class EngineStats:
 
     num_shards: int
     num_workers: int
-    router: str
     ntotal: int
     batches_served: int
     queries_served: int
@@ -149,7 +148,6 @@ class EngineStats:
         rows = [shard.as_row() for shard in self.shards]
         note = (
             f"workers={self.num_workers} ({self.pool_backend}) "
-            f"router={self.router} "
             f"ntotal={self.ntotal} nlive={self.nlive} "
             f"tombstones={self.tombstones} batches={self.batches_served} "
             f"queries={self.queries_served} (range={self.range_queries_served}) "

@@ -18,9 +18,8 @@ seam:
   named ``multiprocessing.shared_memory`` segment and re-attach them
   zero-copy from another process.
 
-``ShardedIndex(..., pool_backend="process")`` (or the
-``"process-sharded"`` registry alias) selects the process carrier; which
-one is faster is measured by ``bench_e2e``'s ``parallel.vs_thread_ratio``.
+``ShardedIndex(..., pool_backend="process")`` selects the process
+carrier; which one is faster is measured by ``bench_e2e``'s ``parallel.vs_thread_ratio``.
 See :doc:`docs/parallelism` for the contract and the protocol.
 """
 

@@ -32,12 +32,12 @@ one the engine and serving layer use):
   labels) — shard wall time inside the last round, absolute and as a
   fraction of the round.
 
-Start-method note: the default context is ``fork`` where available
-(cheap, instant bootstrap) and ``spawn`` elsewhere; pass
-``mp_context="spawn"`` / ``"forkserver"`` to choose explicitly.  Fork
-duplicates the calling process — create the pool (first query) from the
-thread that owns the index, before handing it to an async server, or
-use ``spawn``.
+Start-method note: the pool starts workers with
+:func:`default_start_method` — ``fork`` where the platform offers it
+(cheap, instant bootstrap), ``spawn`` elsewhere.  Fork duplicates the
+calling process — create the pool (first query, or
+``ShardedIndex.start_pool()``) from the thread that owns the index,
+before handing it to an async server.
 """
 
 from __future__ import annotations
@@ -155,9 +155,6 @@ class WorkerPool:
     num_workers:
         Worker process count (>= 1).  Shard s belongs to worker
         ``s % num_workers``.
-    mp_context:
-        Start method name (``"fork"``, ``"spawn"``, ``"forkserver"``);
-        defaults to :func:`default_start_method`.
     registry:
         Metrics registry for pool health; the process default when None.
     labels:
@@ -169,14 +166,13 @@ class WorkerPool:
         self,
         num_workers: int,
         *,
-        mp_context: str | None = None,
         registry=None,
         labels: Dict[str, str] | None = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = int(num_workers)
-        self._ctx = multiprocessing.get_context(mp_context or default_start_method())
+        self._ctx = multiprocessing.get_context(default_start_method())
         self.start_method = self._ctx.get_start_method()
         if registry is None:
             from repro.obs.metrics import default_registry

@@ -55,8 +55,9 @@ the rebuild.  :class:`~repro.lifecycle.Replica` uses the same
 from __future__ import annotations
 
 import asyncio
+import math
 from concurrent.futures import Executor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +66,7 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import Trace, Tracer, use_trace
 from repro.queries import QuerySpec, as_query_spec
-from repro.serving.admission import AdmissionControl, DeadlineExceeded, QueueFull
+from repro.serving.admission import DeadlineExceeded, QueueFull, expired
 from repro.serving.cache import QueryCache
 from repro.serving.clock import Clock, LoopClock
 from repro.serving.stats import ServingStats
@@ -93,15 +94,18 @@ class _PendingRequest:
         self.trace = trace
 
 
+#: Retained samples of the per-request latency window.
+_LATENCY_WINDOW = 4096
+
+
 class _PendingBatch:
-    """The open queue of one (merge key, priority) lane: requests plus
-    the armed deadline timer."""
+    """The open queue of one merge key: requests plus the armed deadline
+    timer."""
 
-    __slots__ = ("spec", "priority", "requests", "timer")
+    __slots__ = ("spec", "requests", "timer")
 
-    def __init__(self, spec: QuerySpec, priority: int = 0) -> None:
+    def __init__(self, spec: QuerySpec) -> None:
         self.spec = spec
-        self.priority = priority
         self.requests: List[_PendingRequest] = []
         self.timer = None  # asyncio.TimerHandle or a virtual-clock timer
 
@@ -137,8 +141,6 @@ class AsyncSearchServer:
         order on one worker** (the default single-thread pool does):
         write-after-read ordering and the index's one-caller contract
         both ride on it.
-    latency_capacity:
-        Retained samples of the per-request latency window.
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` the server
         publishes into (defaults to the process-global registry).  The
@@ -161,12 +163,12 @@ class AsyncSearchServer:
         loop; tests inject a
         :class:`~repro.serving.clock.VirtualClock` and advance time
         explicitly — zero wall-clock sleeps, fully deterministic.
-    max_queue_depth / shed_policy:
-        Admission control: the bounded pending-queue depth and what to
-        do when it overflows (``"reject-newest"`` refuses the arrival
-        with :class:`~repro.serving.admission.QueueFull`;
-        ``"drop-oldest-expired"`` first sheds queued requests whose
-        deadlines already passed).  See :mod:`repro.serving.admission`.
+    max_queue_depth:
+        Admission control: the most requests admitted but not yet
+        answered (queued plus in dispatched batches); an arrival beyond
+        it is refused with :class:`~repro.serving.admission.QueueFull`.
+        ``None`` (default) leaves the backlog unbounded.  See
+        :mod:`repro.serving.admission`.
 
     Examples
     --------
@@ -193,33 +195,35 @@ class AsyncSearchServer:
         max_delay_ms: float = 2.0,
         cache: Optional[int] = None,
         executor: Optional[Executor] = None,
-        latency_capacity: int = 4096,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         slow_log: Optional[SlowQueryLog] = None,
         clock: Optional[Clock] = None,
         max_queue_depth: Optional[int] = None,
-        shed_policy: str = "reject-newest",
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay_ms < 0.0:
             raise ValueError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
+        if max_queue_depth is not None and max_queue_depth < 1:
+            raise ValueError(
+                f"max_queue_depth must be >= 1 or None, got {max_queue_depth}"
+            )
         self.index = index
         self.max_batch = int(max_batch)
         self.max_delay_ms = float(max_delay_ms)
         self.metrics_registry = metrics if metrics is not None else default_registry()
         self.tracer = tracer
-        self.admission = AdmissionControl(
-            max_queue_depth=max_queue_depth, shed_policy=shed_policy
-        )
+        self.max_queue_depth = max_queue_depth
         self.cache = QueryCache(cache) if cache is not None else None
         self._executor: Executor = executor or ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serving"
         )
         self._owns_executor = executor is None
-        self._queues: Dict[Tuple, _PendingBatch] = {}
+        self._queues: Dict[tuple, _PendingBatch] = {}
         self._inflight: set = set()
+        #: Requests in dispatched batches that have not scattered yet.
+        self._inflight_requests = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._clock: Optional[Clock] = clock
         self._closed = False
@@ -262,7 +266,7 @@ class AsyncSearchServer:
             "request_latency_ms",
             "Queue-to-answer latency per served request",
             scope,
-            window_capacity=latency_capacity,
+            window_capacity=_LATENCY_WINDOW,
         )
         self._latency = self._latency_hist.window
         self.slow_log = slow_log
@@ -288,7 +292,6 @@ class AsyncSearchServer:
         spec: QuerySpec | int,
         *,
         deadline_ms: Optional[float] = None,
-        priority: int = 0,
     ) -> QueryResult:
         """Answer one query vector under *spec*, coalesced with its peers.
 
@@ -297,20 +300,18 @@ class AsyncSearchServer:
         direct ``index.run()`` over the same queries.  A cache hit (when
         caching is enabled) short-circuits the batcher entirely.
 
-        *deadline_ms* is this request's latency budget: if the deadline
-        has already passed when its batch dispatches (or at submit time,
-        for a non-positive budget), the request is **shed** — the await
-        raises :class:`~repro.serving.admission.DeadlineExceeded` and the
-        query never reaches the index.  A request whose deadline is still
-        in the future is never shed on deadline grounds.
+        *deadline_ms* is this request's latency budget: a non-positive
+        budget is **shed** at submit, before the cache or a queue sees
+        it, and a request whose deadline has passed when its batch
+        dispatches is shed then — the await raises
+        :class:`~repro.serving.admission.DeadlineExceeded` and the query
+        never reaches the index.  A request whose deadline is still in
+        the future is never shed on deadline grounds.  A NaN budget
+        raises ``ValueError``.
 
-        *priority* selects the request's lane within its spec's merge
-        key: lanes only coalesce with equal priority, and higher
-        priorities dispatch first under contention (drains, writes,
-        shutdown).  When the bounded queue (``max_queue_depth``) is full,
-        the configured shed policy decides between refusing this request
-        (:class:`~repro.serving.admission.QueueFull`) and first evicting
-        queued requests whose deadlines already expired.
+        When ``max_queue_depth`` requests are already admitted and not
+        yet answered, this one is refused with
+        :class:`~repro.serving.admission.QueueFull`.
         """
         spec = as_query_spec(spec)
         self._require_open()
@@ -324,14 +325,21 @@ class AsyncSearchServer:
         # Rejected here, not in index.run(): a NaN row must fail its own
         # request, never the batch it would have been coalesced into.
         require_finite(vector, "query")
+        if deadline_ms is not None:
+            deadline_ms = float(deadline_ms)
+            if math.isnan(deadline_ms):
+                raise ValueError("deadline_ms must be a number or None, got NaN")
         self._requests_submitted.inc()
         enqueued_at = self._now()
-        deadline = (
-            enqueued_at + float(deadline_ms) / 1e3 if deadline_ms is not None else None
-        )
+        deadline = enqueued_at + deadline_ms / 1e3 if deadline_ms is not None else None
         trace = self.tracer.start("request") if self.tracer is not None else None
         if trace is not None:
             trace.meta["spec"] = repr(spec)
+        # A budget with no time left is shed before the cache or a queue
+        # sees it.
+        if deadline_ms is not None and deadline_ms <= 0.0:
+            self._shed(trace, enqueued_at, "submit")
+            raise DeadlineExceeded(abs(deadline_ms), deadline_ms)  # late by -budget
         if self.cache is not None:
             cached = self.cache.get(vector, spec)
             if cached is not None:
@@ -350,26 +358,18 @@ class AsyncSearchServer:
                     distances=cached.distances,
                     stats={**cached.stats, "served_from_cache": 1.0},
                 )
-        # Admission: a dead-on-arrival budget is shed before it queues …
-        if self.admission.expired(deadline, enqueued_at):
-            self._shed(trace, deadline, enqueued_at, "submit", priority)
-            raise DeadlineExceeded((enqueued_at - deadline) * 1e3, deadline_ms)
-        # … and a full bounded queue either frees expired entries or
-        # refuses the newcomer, per the shed policy.
-        if self.admission.overflowing(self.queue_depth):
-            if self.admission.shed_policy == "drop-oldest-expired":
-                self._shed_expired_queued(enqueued_at)
-            if self.admission.overflowing(self.queue_depth):
-                self._requests_rejected.inc()
-                if trace is not None:
-                    trace.add_span("rejected", enqueued_at, enqueued_at)
-                    self.tracer.finish(trace)
-                raise QueueFull(self.queue_depth, self.admission.max_queue_depth)
+        # Admission: a full backlog refuses the newcomer.
+        if self.max_queue_depth is not None and self.queue_depth >= self.max_queue_depth:
+            self._requests_rejected.inc()
+            if trace is not None:
+                trace.add_span("rejected", enqueued_at, enqueued_at)
+                self.tracer.finish(trace)
+            raise QueueFull(self.queue_depth, self.max_queue_depth)
         future: "asyncio.Future[QueryResult]" = loop.create_future()
-        key = (spec.merge_key, int(priority))
+        key = spec.merge_key
         batch = self._queues.get(key)
         if batch is None:
-            batch = _PendingBatch(spec, int(priority))
+            batch = _PendingBatch(spec)
             self._queues[key] = batch
             if self.max_batch > 1:
                 # A zero window still goes through call_later(0): the
@@ -392,71 +392,24 @@ class AsyncSearchServer:
         spec: QuerySpec | int,
         *,
         deadline_ms: Optional[float] = None,
-        priority: int = 0,
     ) -> List[QueryResult]:
         """Submit every row of *queries* concurrently; results in row order."""
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         return list(
             await asyncio.gather(
                 *(
-                    self.submit(row, spec, deadline_ms=deadline_ms, priority=priority)
+                    self.submit(row, spec, deadline_ms=deadline_ms)
                     for row in queries
                 )
             )
         )
 
-    # ------------------------------------------------------------------
-    # admission: deadline shedding and the bounded queue
-    # ------------------------------------------------------------------
-
-    def _shed(
-        self,
-        trace: Optional[Trace],
-        deadline: float,
-        now: float,
-        stage: str,
-        priority: int = 0,
-    ) -> None:
-        """Account one shed decision (counter, shed log, trace close)."""
+    def _shed(self, trace: Optional[Trace], now: float, stage: str) -> None:
+        """Account one shed decision (counter, trace close)."""
         self._requests_shed.inc()
-        self.admission.record_shed(deadline, now, stage, priority)
         if trace is not None:
             trace.add_span("shed", now, now, stage=stage)
             self.tracer.finish(trace)
-
-    def _shed_expired_queued(self, now: float) -> int:
-        """Evict queued requests whose deadlines already passed.
-
-        Lanes are scanned lowest priority first (then arrival order), so
-        backpressure eats stale low-priority work before anything else;
-        requests with live (or no) deadlines are never touched.  Returns
-        the number of requests shed.
-        """
-        shed = 0
-        for key in sorted(self._queues, key=lambda k: k[1]):
-            batch = self._queues.get(key)
-            if batch is None:
-                continue
-            keep: List[_PendingRequest] = []
-            for request in batch.requests:
-                if self.admission.expired(request.deadline, now):
-                    shed += 1
-                    self._shed(
-                        request.trace, request.deadline, now, "overflow", batch.priority
-                    )
-                    if not request.future.cancelled():
-                        request.future.set_exception(
-                            DeadlineExceeded((now - request.deadline) * 1e3)
-                        )
-                else:
-                    keep.append(request)
-            if len(keep) != len(batch.requests):
-                batch.requests = keep
-                if not keep:
-                    if batch.timer is not None:
-                        batch.timer.cancel()
-                    del self._queues[key]
-        return shed
 
     # ------------------------------------------------------------------
     # the write path
@@ -568,21 +521,19 @@ class AsyncSearchServer:
     def flush(self) -> int:
         """Dispatch every pending queue now; returns the number dispatched.
 
-        Lanes drain **highest priority first** (arrival order within a
-        priority): the single-worker executor runs jobs in submission
-        order, so under contention the high-priority batches reach the
-        index — and their callers — ahead of everything else.
+        Queues drain in the order they opened, and the single-worker
+        executor runs their batches in that order.
         """
-        keys = sorted(self._queues, key=lambda k: -k[1])
+        keys = list(self._queues)
         for key in keys:
             self._dispatch(key, "drain")
         return len(keys)
 
-    def _deadline_callback(self, key: Tuple):
-        """The zero-arg timer callback for one lane's deadline flush."""
+    def _deadline_callback(self, key: tuple):
+        """The zero-arg timer callback for one queue's deadline flush."""
         return lambda: self._dispatch(key, "deadline")
 
-    def _dispatch(self, key: Tuple, reason: str) -> None:
+    def _dispatch(self, key: tuple, reason: str) -> None:
         """Move one queue into execution: shed expired requests, stack
         the rest, submit to the executor, and hand the scatter to a
         task.  The executor submission happens *here*, synchronously, so
@@ -600,8 +551,8 @@ class AsyncSearchServer:
         # (whose deadlines are all still satisfiable) forms the batch.
         live: List[_PendingRequest] = []
         for request in batch.requests:
-            if self.admission.expired(request.deadline, now):
-                self._shed(request.trace, request.deadline, now, "dispatch", batch.priority)
+            if expired(request.deadline, now):
+                self._shed(request.trace, now, "dispatch")
                 if not request.future.cancelled():
                     request.future.set_exception(
                         DeadlineExceeded((now - request.deadline) * 1e3)
@@ -618,6 +569,7 @@ class AsyncSearchServer:
         else:
             self._drain_flushes.inc()
         loop = self._loop
+        self._inflight_requests += len(live)
         queries = np.stack([request.query for request in batch.requests])
         dispatched_at = now
         # One shared batch trace carries the engine-side spans when any
@@ -670,6 +622,8 @@ class AsyncSearchServer:
                 if not request.future.cancelled():
                     request.future.set_exception(exc)
             return
+        finally:
+            self._inflight_requests -= len(requests)
         now = self._now()
         waits_ms = [(dispatched_at - request.enqueued_at) * 1e3 for request in requests]
         result.stats["serving_batch_size"] = float(len(requests))
@@ -777,8 +731,11 @@ class AsyncSearchServer:
 
     @property
     def queue_depth(self) -> int:
-        """Requests currently queued and not yet dispatched."""
-        return sum(len(batch.requests) for batch in self._queues.values())
+        """Requests admitted and not yet answered: queued, or in a
+        dispatched batch that has not scattered — what
+        ``max_queue_depth`` bounds."""
+        queued = sum(len(batch.requests) for batch in self._queues.values())
+        return queued + self._inflight_requests
 
     def _refresh_gauges(self) -> None:
         """Publish the point-in-time serving values into the registry.
@@ -789,7 +746,7 @@ class AsyncSearchServer:
         snapshot/scrape and :meth:`stats` read the same numbers.
         """
         gauge = lambda name, help: self.metrics_registry.gauge(name, help, self._labels)  # noqa: E731
-        gauge("queue_depth", "Requests queued, not yet dispatched").set(self.queue_depth)
+        gauge("queue_depth", "Requests admitted, not yet answered").set(self.queue_depth)
         gauge("inflight_batches", "Dispatched batches not yet scattered").set(
             len(self._inflight)
         )

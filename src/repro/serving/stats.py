@@ -21,8 +21,9 @@ from repro.evaluation.tables import format_table
 class ServingStats:
     """Snapshot of an :class:`~repro.serving.server.AsyncSearchServer`.
 
-    Counters are lifetime (since construction); ``queue_depth`` and
-    ``inflight_batches`` are instantaneous; latency percentiles cover the
+    Counters are lifetime (since construction); ``queue_depth`` (requests
+    admitted and not yet answered) and ``inflight_batches`` are
+    instantaneous; latency percentiles cover the
     retained window of recent requests (queue → answer, milliseconds).
     ``size_flushes`` / ``deadline_flushes`` / ``drain_flushes`` break the
     batches down by what triggered them: the batch-size threshold, the
@@ -52,9 +53,10 @@ class ServingStats:
     points_deleted: int = 0
     compactions: int = 0
     index_swaps: int = 0
-    #: Admission control: requests shed with ``DeadlineExceeded`` (their
-    #: deadline passed before the batch ran) and requests refused with
-    #: ``QueueFull`` (the bounded queue was at ``max_queue_depth``).
+    #: Admission control: requests shed with ``DeadlineExceeded`` (a
+    #: non-positive budget at submit, or a deadline passed at dispatch)
+    #: and requests refused with ``QueueFull`` (``max_queue_depth``
+    #: requests were already admitted and unanswered).
     requests_shed: int = 0
     requests_rejected: int = 0
 

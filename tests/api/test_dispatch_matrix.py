@@ -40,12 +40,23 @@ ALL_NAMES = [
     "srs",
 ]
 
-#: Constructor kwargs per registry name, sized for a fast sweep.
+#: Constructor kwargs per case, sized for a fast sweep.  The case name is
+#: the registry name, except "process-sharded": the sharded engine over
+#: the worker-process pool.
 KWARGS = {name: {"seed": 3} for name in ALL_NAMES}
 KWARGS["exact"] = {}
 KWARGS["lsb-forest"] = {"num_trees": 3, "m": 6, "seed": 3}
 KWARGS["sharded"] = {"num_shards": 2, "seed": 3}
-KWARGS["process-sharded"] = {"num_shards": 2, "num_workers": 2, "seed": 3}
+KWARGS["process-sharded"] = {
+    "num_shards": 2,
+    "num_workers": 2,
+    "seed": 3,
+    "pool_backend": "process",
+}
+
+
+def _create(name):
+    return create_index("sharded" if name == "process-sharded" else name, **KWARGS[name])
 
 
 def _dataset():
@@ -81,7 +92,7 @@ def test_backend_times_query_times_dispatch(name, spec_kind):
     outputs = {}
     for mode, swapped in MODES.items():
         with swapped():
-            index = create_index(name, **KWARGS[name]).fit(data)
+            index = _create(name).fit(data)
             try:
                 outputs[mode] = _sweep(index, queries, spec_kind)
             finally:

@@ -19,12 +19,18 @@ import repro
 from repro import Knn, Range
 from repro.serving import AsyncSearchServer
 
-NAMES = sorted(repro.available_indexes())
+#: Every registry name, plus "process-sharded": the sharded engine over
+#: the worker-process pool.
+NAMES = sorted(repro.available_indexes()) + ["process-sharded"]
 BAD_VALUES = [np.nan, np.inf, -np.inf]
 
 
 def _make(name):
-    return repro.create_index(name) if name == "exact" else repro.create_index(name, seed=3)
+    if name == "exact":
+        return repro.create_index(name)
+    if name == "process-sharded":
+        return repro.create_index("sharded", pool_backend="process", seed=3)
+    return repro.create_index(name, seed=3)
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ ALL_NAMES = [
     "lscan",
     "multi-probe",
     "pm-lsh",
-    "process-sharded",
     "qalsh",
     "r-lsh",
     "sharded",
@@ -51,13 +50,21 @@ class TestResolution:
         assert get_index_class(variant) is repro.PMLSH
 
     def test_aliases_resolve(self):
-        from repro.engine.sharded import ProcessShardedIndex
-
         assert get_index_class("lsb") is repro.LSBForest
         assert get_index_class("brute-force") is repro.ExactKNN
         assert get_index_class("linear-scan") is repro.LinearScan
         assert get_index_class("engine") is repro.ShardedIndex
-        assert get_index_class("process-engine") is ProcessShardedIndex
+
+    @pytest.mark.parametrize("name", ["process-sharded", "process-engine"])
+    def test_process_engine_is_a_keyword_not_a_name(self, name):
+        """The process-backed engine is ``create_index("sharded",
+        pool_backend="process")``; it has no registry name of its own."""
+        assert name not in available_indexes()
+        with pytest.raises(KeyError, match="unknown index"):
+            get_index_class(name)
+        engine = create_index("sharded", pool_backend="process")
+        assert isinstance(engine, repro.ShardedIndex)
+        assert engine.pool_backend == "process"
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="pm-lsh"):

@@ -12,6 +12,8 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -154,14 +156,32 @@ class TestAddRouting:
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == engine.ntotal
 
-    def test_least_loaded_rebalances(self, tiny_uniform):
-        engine = create_index(
-            "sharded", backend="exact", num_shards=4, router="least-loaded"
-        ).fit(tiny_uniform)  # 200 points stripe evenly: 50 per shard
-        engine.shards  # noqa: B018  (just materialise the tuple)
-        engine.add(tiny_uniform[:6])
-        sizes = engine.shard_sizes
-        assert max(sizes) - min(sizes) <= 1
+    def test_add_cycles_through_shards(self, tiny_uniform):
+        engine = create_index("sharded", backend="exact", num_shards=3).fit(
+            tiny_uniform[:9]
+        )  # 9 rows stripe evenly: the cursor starts back at shard 0
+        ids = engine.add(tiny_uniform[9:16])
+        homes = [engine.locate(int(gid))[0] for gid in ids]
+        assert homes == [0, 1, 2, 0, 1, 2, 0]
+
+    def test_cursor_persists_across_adds(self, tiny_uniform):
+        engine = create_index("sharded", backend="exact", num_shards=3).fit(
+            tiny_uniform[:9]
+        )
+        engine.add(tiny_uniform[9:11])
+        ids = engine.add(tiny_uniform[11:14])
+        assert [engine.locate(int(gid))[0] for gid in ids] == [2, 0, 1]
+
+    def test_add_continues_the_fit_stripe(self, tiny_uniform):
+        """Row i of fit lands on shard i mod S, and add() picks up where
+        the stripe stopped: after 10 rows over 4 shards, row 10 belongs
+        on shard 10 mod 4 = 2."""
+        engine = create_index("sharded", backend="exact", num_shards=4).fit(
+            tiny_uniform[:10]
+        )  # shards hold 3, 3, 2, 2
+        assert engine.shard_sizes == (3, 3, 2, 2)
+        ids = engine.add(tiny_uniform[10:12])
+        assert [engine.locate(int(gid))[0] for gid in ids] == [2, 3]
 
     def test_fresh_points_immediately_findable(self, small_clustered):
         engine = create_index(
@@ -190,6 +210,18 @@ class TestStats:
         assert stats.qps > 0
         assert stats.last_batch_queries == 8
         assert sum(shard.ntotal for shard in stats.shards) == engine.ntotal
+
+    def test_engine_stats_carry_no_router(self, tiny_uniform):
+        """Routing is the fixed round-robin stripe: no stats field,
+        export or table line names a routing policy."""
+        engine = create_index("sharded", backend="exact", num_shards=2).fit(
+            tiny_uniform
+        )
+        stats = engine.stats()
+        assert "router" not in {f.name for f in dataclasses.fields(EngineStats)}
+        assert not any("router" in key for key in stats.as_dict())
+        assert "router" not in stats.as_table()
+        assert "router" not in repr(engine)
 
     def test_per_shard_stats_surface_repr_and_ntotal(self, small_clustered, queries):
         engine = create_index(
@@ -230,10 +262,13 @@ class TestValidationAndLifecycle:
             ShardedIndex(num_workers=0)
         with pytest.raises(TypeError, match="backend"):
             ShardedIndex(backend=42)
-        with pytest.raises(ValueError, match="unknown router policy"):
-            ShardedIndex(router="no-such-policy")
         with pytest.raises(KeyError, match="unknown index"):
             ShardedIndex(backend="no-such-backend")
+
+    @pytest.mark.parametrize("knob", ["router", "mp_context"])
+    def test_removed_knobs_are_not_accepted(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            ShardedIndex(backend="exact", num_shards=2, **{knob: None})
 
     def test_fit_requires_one_point_per_shard(self):
         data = np.random.default_rng(0).normal(size=(3, 4))

@@ -177,19 +177,17 @@ class TestShardedCompact:
         np.testing.assert_array_equal(got.ids, want.ids)
         np.testing.assert_allclose(got.distances, want.distances, rtol=1e-9)
 
-    def test_compact_rebalances_router_loads(self, data):
-        index = ShardedIndex(
-            backend="exact", num_shards=3, router="least-loaded", seed=3
-        ).fit(data)
-        # hollow out shard 0 (the striped fit puts global i in shard i%3)
-        index.delete(np.arange(0, 240, 3))
+    def test_compact_restarts_the_cursor_from_the_live_count(self, data):
+        """Compaction re-packs each shard, so the stripe restarts from the
+        live count: with 14 live rows over 4 shards, the next point goes
+        to shard 14 mod 4 = 2."""
+        index = ShardedIndex(backend="exact", num_shards=4, seed=3).fit(data[:15])
+        index.delete([0])
         index.compact()
-        sizes = index.shard_live_sizes
-        assert min(sizes) >= 1
-        # subsequent adds go to the now-least-loaded shard
-        lightest = int(np.argmin(sizes))
-        index.add(data[:5])
-        assert index.shard_live_sizes[lightest] == sizes[lightest] + 5
+        (new_id,) = index.add(data[15:16])
+        assert index.locate(int(new_id))[0] == 14 % 4
+        (next_id,) = index.add(data[16:17])
+        assert index.locate(int(next_id))[0] == 15 % 4
 
     def test_counters_survive_compaction(self, data):
         index = ShardedIndex(backend="exact", num_shards=3, seed=3).fit(data)

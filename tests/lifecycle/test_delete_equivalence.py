@@ -20,7 +20,7 @@ from repro.core.radius import range_candidate_budget
 from tests.oracles import recursive_probe
 
 GENERIC_BACKENDS = sorted(
-    set(repro.available_indexes()) - {"sharded", "process-sharded"}
+    set(repro.available_indexes()) - {"sharded"}
 )
 
 
@@ -129,16 +129,20 @@ class TestSingleQueryEntry:
     ``search()[0]`` byte for byte, never yield a dead id, and validate k
     against the live count — on every registry backend."""
 
-    @pytest.mark.parametrize("name", sorted(repro.available_indexes()))
+    # "process-sharded": the sharded engine over the worker-process pool.
+    @pytest.mark.parametrize(
+        "name", sorted(repro.available_indexes()) + ["process-sharded"]
+    )
     def test_query_equals_search_row_after_deletes(self, name, data, queries):
         dead = np.arange(0, 240)  # heavy deletes: dead ids crowd every window
 
         def build():  # fresh per entry point: some fallbacks consume rng state
-            index = (
-                repro.create_index(name)
-                if name == "exact"
-                else repro.create_index(name, seed=3)
-            )
+            if name == "exact":
+                index = repro.create_index(name)
+            elif name == "process-sharded":
+                index = repro.create_index("sharded", pool_backend="process", seed=3)
+            else:
+                index = repro.create_index(name, seed=3)
             index.fit(data)
             index.delete(dead)
             return index

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.parallel import WorkerPool, leaked_segments
+from repro.parallel.pool import default_start_method
 from repro.queries import Knn
 
 
@@ -52,6 +53,13 @@ class TestLifecycle:
         pool.terminate()
         pool.terminate()
         assert leaked_segments() == ()
+
+
+    def test_start_method_is_the_platform_default(self):
+        pool = WorkerPool(1)
+        assert pool.start_method == default_start_method()
+        with pytest.raises(TypeError, match="mp_context"):
+            WorkerPool(1, mp_context="spawn")
 
 
 class TestQueries:

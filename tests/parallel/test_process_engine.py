@@ -1,5 +1,5 @@
-"""Process-backend engine tests: the registry alias, the exact oracle,
-tombstones across the pipe, dead-worker recovery, clean teardown (no
+"""Process-backend engine tests: the exact oracle, tombstones across the
+pipe, dead-worker recovery, clean teardown (no
 leaked shared-memory segments) and diagnostics.  Byte-identity with the
 serial and thread carriers, fresh and after writes or a refit, is
 ``tests/engine/test_carriers.py``."""
@@ -60,19 +60,6 @@ def _assert_cp_equal(a, b, m=10):
 
 
 class TestByteIdentity:
-    def test_registry_alias(self, dataset, queries):
-        alias = create_index(
-            "process-sharded", num_shards=3, num_workers=2, seed=5
-        ).fit(dataset)
-        explicit = _build(dataset, pool_backend="process")
-        try:
-            assert alias.pool_backend == "process"
-            _assert_knn_equal(alias, explicit, queries)
-            _assert_cp_equal(alias, explicit)
-        finally:
-            alias.close()
-            explicit.close()
-
     def test_exact_backend_matches_single_index(self, dataset, queries):
         """The strongest oracle: process-sharded exact == one exact index."""
         single = create_index("exact").fit(dataset)

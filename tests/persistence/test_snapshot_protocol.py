@@ -489,10 +489,8 @@ class TestUnsupportedBackends:
                 match = f"{cls.__name__} does not implement.*pm-lsh and exact"
                 with pytest.raises(NotImplementedError, match=match):
                     index.save(path)
-                for engine in ("sharded", "process-sharded"):
-                    kwargs = {"pool_backend": "process"} if engine == "sharded" else {}
-                    with pytest.raises(NotImplementedError, match=match):
-                        repro.create_index(engine, backend=name, **kwargs)
+                with pytest.raises(NotImplementedError, match=match):
+                    repro.create_index("sharded", backend=name, pool_backend="process")
                 assert not path.exists()
             finally:
                 getattr(index, "close", lambda: None)()

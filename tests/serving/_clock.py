@@ -16,7 +16,7 @@ The helpers:
   deadline timers synchronously) and then settle, so the batches those
   timers dispatched get scattered;
 * :func:`run_trace` — drive a server with a scripted arrival trace
-  ``(at_s, query, deadline_ms, priority)`` in virtual time and collect
+  ``(at_s, query, deadline_ms)`` in virtual time and collect
   one outcome per request (a ``QueryResult`` or the typed refusal);
 * :class:`RecordingIndex` — an index wrapper that records every batch
   ``run()`` receives, the witness for "a shed request never reaches the
@@ -24,7 +24,9 @@ The helpers:
 * :class:`ImmediateExecutor` — runs executor jobs synchronously on the
   caller (submission order trivially preserved), which keeps a whole
   server single-threaded and therefore bit-for-bit deterministic under
-  the virtual clock.
+  the virtual clock;
+* :class:`GatedExecutor` — holds every job until the test releases it,
+  standing in for an index that is busy.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 from repro.serving import VirtualClock
 
 __all__ = [
+    "GatedExecutor",
     "ImmediateExecutor",
     "RecordingIndex",
     "VirtualClock",
@@ -84,6 +87,33 @@ class ImmediateExecutor(Executor):
         return future
 
 
+class GatedExecutor(Executor):
+    """An executor that holds each job until :meth:`release`.
+
+    Jobs run in submission order, on the releasing (event-loop) thread:
+    between submit and release the served index looks busy, so
+    dispatched batches stay in flight for as long as the test wants.
+    """
+
+    def __init__(self) -> None:
+        self._held: list = []
+
+    def submit(self, fn, *args, **kwargs):
+        future: "concurrent.futures.Future" = concurrent.futures.Future()
+        self._held.append((future, fn, args, kwargs))
+        return future
+
+    def release(self) -> int:
+        """Run every held job now; returns how many ran."""
+        held, self._held = self._held, []
+        for future, fn, args, kwargs in held:
+            try:
+                future.set_result(fn(*args, **kwargs))
+            except BaseException as exc:  # propagate to the awaiting scatter
+                future.set_exception(exc)
+        return len(held)
+
+
 class CostedIndex:
     """Delegating index wrapper that charges *virtual* service time.
 
@@ -123,7 +153,7 @@ class RecordingIndex:
 
     ``batches`` holds a copy of each query matrix the index actually
     received, in execution order — the evidence that shed requests never
-    reached it and that priority lanes dispatched first.
+    reached it and that queues dispatched in the order they opened.
     """
 
     def __init__(self, index) -> None:
@@ -145,14 +175,14 @@ class RecordingIndex:
 async def run_trace(
     server,
     clock: VirtualClock,
-    arrivals: Sequence[Tuple[float, np.ndarray, Optional[float], int]],
+    arrivals: Sequence[Tuple[float, np.ndarray, Optional[float]]],
     spec,
     *,
     drain_s: float = 120.0,
 ) -> List[object]:
     """Drive *server* with a scripted virtual-time arrival trace.
 
-    Each arrival is ``(at_s, query, deadline_ms, priority)``; the clock
+    Each arrival is ``(at_s, query, deadline_ms)``; the clock
     is advanced to each arrival instant (firing any deadline dispatches
     due on the way), the request is submitted, and after the last
     arrival time advances by *drain_s* so every armed timer fires.
@@ -160,15 +190,13 @@ async def run_trace(
     the exception (``DeadlineExceeded`` / ``QueueFull``) it raised.
     """
     tasks = []
-    for at_s, query, deadline_ms, priority in arrivals:
+    for at_s, query, deadline_ms in arrivals:
         if at_s > clock.now():
             clock.advance_to(float(at_s))
         await settle(4)
         tasks.append(
             asyncio.ensure_future(
-                server.submit(
-                    query, spec, deadline_ms=deadline_ms, priority=priority
-                )
+                server.submit(query, spec, deadline_ms=deadline_ms)
             )
         )
         await settle(4)

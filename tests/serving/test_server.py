@@ -270,7 +270,7 @@ class TestStaticBatching:
         assert result.stats["serving_wait_ms"] == pytest.approx(3.0)
         assert knobs == (8, 3.0)
 
-    def test_constructor_takes_the_eleven_serving_knobs(self):
+    def test_constructor_takes_the_nine_serving_knobs(self):
         params = list(inspect.signature(AsyncSearchServer).parameters)
         assert params == [
             "index",
@@ -278,14 +278,39 @@ class TestStaticBatching:
             "max_delay_ms",
             "cache",
             "executor",
-            "latency_capacity",
             "metrics",
             "tracer",
             "slow_log",
             "clock",
             "max_queue_depth",
-            "shed_policy",
         ]
+
+    def test_submit_takes_one_keyword(self):
+        for method in (AsyncSearchServer.submit, AsyncSearchServer.submit_many):
+            params = inspect.signature(method).parameters
+            keywords = [p for p in params.values() if p.kind is p.KEYWORD_ONLY]
+            assert [p.name for p in keywords] == ["deadline_ms"]
+
+
+    @pytest.mark.parametrize("knob", ["shed_policy", "latency_capacity"])
+    def test_removed_admission_knobs_are_not_accepted(self, small_clustered, knob):
+        index = create_index("exact").fit(small_clustered[:50])
+        with pytest.raises(TypeError, match=knob):
+            AsyncSearchServer(index, max_queue_depth=4, **{knob: None})
+
+    def test_submit_refuses_a_priority(self, small_clustered):
+        index = create_index("exact").fit(small_clustered[:50])
+
+        async def serve():
+            async with AsyncSearchServer(index, max_delay_ms=0.0) as server:
+                with pytest.raises(TypeError, match="priority"):
+                    await server.submit(small_clustered[0], Knn(k=2), priority=1)
+                with pytest.raises(TypeError, match="priority"):
+                    await server.submit_many(small_clustered[:2], Knn(k=2), priority=1)
+                return server.stats()
+
+        stats = asyncio.run(serve())
+        assert (stats.requests_submitted, stats.batches_served) == (0, 0)
 
 
 class TestWritePath:

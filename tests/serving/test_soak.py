@@ -12,8 +12,8 @@ Asserted:
 
 * **zero unshed deadline violations** on the well-sized ``8 / 2 ms``
   server — every answer it delivered met its SLO;
-* every shed in any server's log is legitimate (its deadline really had
-  passed), and at least one server did shed;
+* every shed is legitimate (its ``DeadlineExceeded`` reports a deadline
+  that really had passed), and at least one server did shed;
 * the bookkeeping balances: sheds + answers == arrivals.
 
 The whole run is deterministic (virtual clock + synchronous executor),
@@ -33,7 +33,7 @@ import pytest
 
 import repro
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import AsyncSearchServer, ServingRejected
+from repro.serving import AsyncSearchServer, DeadlineExceeded, ServingRejected
 from tests.serving._clock import (
     CostedIndex,
     ImmediateExecutor,
@@ -94,19 +94,19 @@ async def _drive(server, clock, schedule):
 
 
 def _score(outcomes):
-    """In-SLO, over-SLO and shed counts.
+    """In-SLO, over-SLO and shed counts, plus the refusals themselves.
 
     Latency of a delivered answer is its batch wait plus its batch's
     service cost — exactly what the virtual clock charged, recomputed
     from the serving stats the answer carries.
     """
     in_slo = 0
-    shed = 0
     over_slo = 0
+    refusals = []
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
             assert isinstance(outcome, ServingRejected), outcome
-            shed += 1
+            refusals.append(outcome)
             continue
         batch = outcome.stats["serving_batch_size"]
         latency_ms = outcome.stats["serving_wait_ms"] + (
@@ -119,7 +119,8 @@ def _score(outcomes):
     return {
         "in_slo": in_slo,
         "over_slo": over_slo,
-        "shed": shed,
+        "shed": len(refusals),
+        "refusals": refusals,
     }
 
 
@@ -171,11 +172,10 @@ class TestOverloadSoak:
     def test_every_shed_is_legitimate(self, cells):
         total_sheds = 0
         for score in cells.values():
-            server = score["server"]
-            for record in server.admission.shed_log:
-                assert record.deadline < record.now
-                assert record.late_ms > 0.0
-            total_sheds += len(server.admission.shed_log)
+            sheds = [e for e in score["refusals"] if isinstance(e, DeadlineExceeded)]
+            for exc in sheds:
+                assert exc.late_ms > 0.0
+            total_sheds += len(sheds)
         # The over-wide static cell must actually have shed work — the
         # legitimacy loop above is not allowed to be vacuous.
         assert total_sheds > 0
@@ -188,4 +188,5 @@ class TestOverloadSoak:
             assert (
                 score["in_slo"] + score["over_slo"] + score["shed"] == N_REQUESTS
             )
-            assert len(score["server"].admission.shed_log) == stats.requests_shed
+            sheds = [e for e in score["refusals"] if isinstance(e, DeadlineExceeded)]
+            assert len(sheds) == stats.requests_shed

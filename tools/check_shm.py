@@ -35,7 +35,9 @@ def _quick_smoke() -> None:
     data = gaussian_mixture(400, 16, num_clusters=8, cluster_std=0.8, seed=0)
     queries = data[:6] * 1.01
     serial = create_index("sharded", backend="pm-lsh", num_shards=2, num_workers=1, seed=1).fit(data)
-    process = create_index("process-sharded", num_shards=2, num_workers=2, seed=1).fit(data)
+    process = create_index(
+        "sharded", pool_backend="process", num_shards=2, num_workers=2, seed=1
+    ).fit(data)
     try:
         expected = serial.search(queries, 5)
         got = process.search(queries, 5)
@@ -49,7 +51,9 @@ def _quick_smoke() -> None:
         serial.close()
     print("quick smoke: process backend == serial engine on 2 shards / 2 workers")
     try:
-        create_index("process-sharded", backend="qalsh", num_shards=2, num_workers=2)
+        create_index(
+            "sharded", pool_backend="process", backend="qalsh", num_shards=2, num_workers=2
+        )
     except NotImplementedError:
         pass
     else:

@@ -111,7 +111,7 @@ async def _play(
     metrics=None,
     tracer=None,
 ):
-    """One open-loop run; returns (served QPS, ServingStats, results)."""
+    """One open-loop run; returns (served QPS, ``server.stats()``, results)."""
     async with AsyncSearchServer(
         index,
         max_batch=max_batch,
@@ -222,7 +222,8 @@ def test_bench_serving_microbatch(write_result, write_json, benchmark):
             )
         )
         cache_qps[cached] = qps
-        hit_rate = stats.cache_hit_rate if cached == "on" else float("nan")
+        lookups = stats.cache_hits + stats.cache_misses
+        hit_rate = stats.cache_hits / lookups if lookups else float("nan")
         cache_rows.append(
             [cached, qps, stats.latency_p50_ms, stats.latency_p99_ms, hit_rate]
         )

@@ -97,7 +97,6 @@ def build() -> str:
     from repro.core.params import PMLSHParams
     from repro.core.pmlsh import PMLSH
     from repro.engine.sharded import ShardedIndex
-    from repro.engine.stats import EngineStats, LatencyWindow
     from repro.lifecycle.compaction import (
         CompactionPolicy,
         CompactionResult,
@@ -110,7 +109,9 @@ def build() -> str:
         Counter,
         Gauge,
         Histogram,
+        LatencyWindow,
         MetricsRegistry,
+        MetricsSnapshot,
         default_registry,
     )
     from repro.obs.slowlog import SlowQueryLog
@@ -134,7 +135,6 @@ def build() -> str:
     from repro.serving.cache import QueryCache
     from repro.serving.clock import Clock, LoopClock, VirtualClock
     from repro.serving.server import AsyncSearchServer
-    from repro.serving.stats import ServingStats
 
     sections = [
         HEADER,
@@ -189,7 +189,6 @@ def build() -> str:
         _class_section(SampledProjection, ["project", "from_arrays"]),
         "## The sharded serving engine\n",
         _class_section(ShardedIndex, ["stats", "locate", "close"]),
-        _class_section(EngineStats, ["qps", "as_table"]),
         "## The process-parallel worker pool\n",
         _class_section(
             WorkerPool,
@@ -223,8 +222,6 @@ def build() -> str:
             ],
         ),
         _class_section(QueryCache, ["get", "put", "invalidate", "key_for"]),
-        _class_section(ServingStats, ["cache_hit_rate", "as_dict", "as_table"]),
-        _class_section(LatencyWindow, ["record", "percentile", "snapshot", "reset"]),
         "## Admission control\n",
         _class_section(DeadlineExceeded, []),
         _class_section(QueueFull, []),
@@ -236,12 +233,23 @@ def build() -> str:
         "## Observability\n",
         _class_section(
             MetricsRegistry,
-            ["counter", "gauge", "histogram", "scope", "collect", "to_prometheus", "to_json"],
+            [
+                "counter",
+                "gauge",
+                "histogram",
+                "scope",
+                "collect",
+                "snapshot",
+                "to_prometheus",
+                "to_json",
+            ],
         ),
+        _class_section(MetricsSnapshot, ["as_dict", "as_table"]),
         _function_section(default_registry),
         _class_section(Counter, []),
         _class_section(Gauge, []),
         _class_section(Histogram, ["observe", "cumulative_buckets"]),
+        _class_section(LatencyWindow, ["record", "percentile", "snapshot", "reset"]),
         _class_section(Tracer, ["start", "finish", "drain"]),
         _class_section(Trace, ["span", "anchored", "add_span", "span_names", "as_dict"]),
         _function_section(current_trace),

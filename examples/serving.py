@@ -12,9 +12,10 @@ ingest batches run through the epoch-interleaved write path — never in
 the middle of an in-flight batch — and the demo verifies fresh points
 are immediately findable.
 
-At the end it prints both stats layers: the serving snapshot (batch
-occupancy, p50/p99 latency, cache hit rate, flush breakdown) and the
-engine's per-shard table.
+At the end it prints both stats layers, each one ``stats()`` snapshot of
+the metrics registry: the server's series (batch occupancy, p50/p99
+latency, cache hits and misses, flush breakdown) and the engine's
+(lifetime QPS and the per-shard ``engine_shard_*`` series).
 
 Run with:  python examples/serving.py [seed_corpus_size] [requests]
 """
@@ -103,8 +104,8 @@ async def serve(seed_size: int, requests: int) -> None:
         )
         print(f"cache short-circuited {served_from_cache} requests")
         print()
-        print(stats.as_table())
-    print(engine.stats().as_table())
+        print(stats.as_table("Serving stats (async micro-batcher)"))
+    print(engine.stats().as_table(f"Engine stats ({engine.num_shards} shards)"))
     engine.close()
 
 

@@ -99,7 +99,7 @@ from repro.core import (
     solve_parameters,
 )
 from repro.datasets import load_dataset
-from repro.engine import EngineStats, ShardedIndex
+from repro.engine import ShardedIndex
 from repro.lifecycle import (
     CompactionPolicy,
     CompactionResult,
@@ -108,7 +108,6 @@ from repro.lifecycle import (
     compact_index,
 )
 from repro.obs import (
-    LatencyWindow,
     MetricsRegistry,
     SlowQueryLog,
     Trace,
@@ -138,7 +137,6 @@ from repro.serving import (
     DeadlineExceeded,
     QueueFull,
     ServingRejected,
-    ServingStats,
     VirtualClock,
 )
 
@@ -154,13 +152,11 @@ __all__ = [
     "CompactionPolicy",
     "CompactionResult",
     "E2LSH",
-    "EngineStats",
     "ExactKNN",
     "GaussianProjection",
     "Knn",
     "LSBForest",
     "LSHFunction",
-    "LatencyWindow",
     "LinearScan",
     "MetricsRegistry",
     "MultiProbeLSH",
@@ -178,7 +174,6 @@ __all__ = [
     "Replica",
     "SRS",
     "ServingRejected",
-    "ServingStats",
     "ShardedIndex",
     "SlowQueryLog",
     "SnapshotError",

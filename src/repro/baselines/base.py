@@ -44,6 +44,7 @@ from repro.queries import (
     Range,
     RangeResult,
     as_query_spec,
+    checked_budget,
     sort_pairs,
 )
 from repro.utils.rng import RandomState, as_generator
@@ -472,13 +473,20 @@ class ANNIndex(abc.ABC):
         assigning from ``ntotal`` — until a :meth:`compact` renumbers the
         survivors densely.  Returns the deleted ids, sorted and deduplicated.
 
-        Raises ``ValueError`` for out-of-range ids and for ids that are
-        already deleted (a double delete is almost always a caller bug).
+        Raises ``ValueError`` for non-integer ids, out-of-range ids and
+        ids that are already deleted (a double delete is almost always a
+        caller bug).
         Deleting every point is allowed; searches then reject any ``k``
         until new points arrive or the index is re-fitted.
         """
         self._require_built()
-        ids = np.unique(np.asarray(ids, dtype=np.int64).ravel())
+        ids = np.asarray(ids)
+        # A cast would truncate 2.7 to id 2 and delete the wrong point.
+        if ids.size and not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(
+                f"{self.name}: delete ids must be integers, got dtype {ids.dtype}"
+            )
+        ids = np.unique(ids.astype(np.int64).ravel())
         if ids.size == 0:
             return ids
         if ids[0] < 0 or ids[-1] >= self.ntotal:
@@ -686,12 +694,15 @@ class ANNIndex(abc.ABC):
         The base implementation is an exact blocked self-join over the
         dataset; sublinear native paths (PM-LSH's projected-space
         self-join) override :meth:`_closest_pairs`.  ``budget`` caps the
-        number of candidate pairs a native path may verify.
+        number of candidate pairs a native path may verify (it must be
+        >= 1, as for ``Knn`` / ``Range``; a native path still verifies at
+        least m pairs).
         """
         self._require_built()
         m = int(m)
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
+        budget = checked_budget(budget)
         if self.nlive < 2:
             raise ValueError(
                 f"{self.name}: need at least 2 live indexed points, have {self.nlive}"

@@ -63,7 +63,7 @@ class RLSH(ANNIndex):
         params = self.params
         self.projection = GaussianProjection(self.d, params.m, seed=self._rng)
         self.projected = self.projection.project(self.data)
-        self.tree = RTree.build(self.projected, capacity=params.node_capacity, method="str")
+        self.tree = RTree.build(self.projected, capacity=params.node_capacity)
         self.distance_distribution = sample_distance_distribution(
             self.data,
             num_pairs=min(params.radius_sample_pairs, max(1000, 10 * self.n)),

@@ -85,7 +85,7 @@ class SRS(ANNIndex):
     def _fit(self) -> None:
         self.projection = GaussianProjection(self.d, self.m, seed=self._rng)
         self.projected = self.projection.project(self.data)
-        self.tree = RTree.build(self.projected, capacity=self.rtree_capacity, method="str")
+        self.tree = RTree.build(self.projected, capacity=self.rtree_capacity)
 
     def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         query_proj = self.projection.project(q)

@@ -836,7 +836,8 @@ class PMLSH(ANNIndex):
            ``batch_knn`` over the same traversal the query paths use);
         2. ranks the deduplicated candidate pairs by projected distance
            and keeps the ``budget`` best (default ⌈βn⌉ + 16·m — original
-           space verification is O(d) per pair, so the floor is generous);
+           space verification is O(d) per pair, so the floor is generous;
+           never fewer than m);
         3. verifies the survivors in the original space and returns the m
            best by ``(distance, i, j)``.
         """
@@ -845,11 +846,9 @@ class PMLSH(ANNIndex):
         # flat traversal skips them).
         live = self.live_ids() if self._tombstones else None
         n_live = self.nlive
-        budget = (
-            int(budget)
-            if budget is not None
-            else int(np.ceil(self.solved.beta * n_live)) + 16 * m
-        )
+        if budget is None:
+            budget = int(np.ceil(self.solved.beta * n_live)) + 16 * m
+        budget = max(budget, m)  # can't answer m pairs on fewer verified
         # Neighbours per point so the candidate pool comfortably covers the
         # budget cut; every point contributes a few edges, and the n - 1
         # cap keeps the projected kNN well-defined on tiny datasets.

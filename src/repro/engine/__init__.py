@@ -5,8 +5,10 @@ unified index API.
   engine (registered as ``"sharded"`` in the index registry): ``fit``
   stripes rows over the shards, ``add()`` continues the stripe
   round-robin, and ``pool_backend`` picks thread or process fan-out;
-* :mod:`repro.engine.merge` — vectorised per-shard top-k merging;
-* :mod:`repro.engine.stats` — per-shard and engine-level serving stats.
+* :mod:`repro.engine.merge` — vectorised per-shard top-k merging.
+
+``ShardedIndex.stats()`` is the metrics registry's snapshot of the
+engine's ``engine_*`` series (:class:`repro.obs.MetricsSnapshot`).
 """
 
 from repro.engine.merge import (
@@ -15,12 +17,8 @@ from repro.engine.merge import (
     translate_ids,
 )
 from repro.engine.sharded import ShardedIndex
-from repro.engine.stats import EngineStats, LatencyWindow, ShardStats
 
 __all__ = [
-    "EngineStats",
-    "LatencyWindow",
-    "ShardStats",
     "ShardedIndex",
     "merge_shard_range_results",
     "merge_shard_results",

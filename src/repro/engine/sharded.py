@@ -56,9 +56,9 @@ import numpy as np
 
 from repro.baselines.base import ANNIndex, BatchResult
 from repro.engine.merge import merge_shard_range_results, merge_shard_results
-from repro.engine.stats import EngineStats, ShardStats
 from repro.lifecycle.compaction import CompactionResult, dense_id_map
 from repro.lifecycle.tombstones import TombstoneSet
+from repro.obs.metrics import MetricsSnapshot
 from repro.obs.tracing import current_trace
 from repro.parallel.pool import LocalPool, WorkerPool
 from repro.queries import ClosestPairResult, Knn, Range, RangeResult, sort_pairs
@@ -230,7 +230,7 @@ class ShardedIndex(ANNIndex):
 
         Values carry over on a rebind (e.g. when an ``AsyncSearchServer``
         injects its registry into an engine that already served traffic),
-        so the stats view never appears to jump backwards.
+        so ``stats()`` never appears to jump backwards.
         """
         registry = self.metrics
         scope = registry.scope("engine")
@@ -713,8 +713,7 @@ class ShardedIndex(ANNIndex):
         Lifetime counters are written inline by the query paths; the
         derived and sampled values (sizes, QPS, per-shard last-batch
         work) are gauges refreshed here — called by :meth:`stats` and by
-        the serving front-end before an export, so a scrape reflects the
-        same numbers the stats table prints.
+        the serving front-end before an export.
         """
         registry, scope = self.metrics, self._obs_labels
         gauge = lambda name, help: registry.gauge(name, help, scope)  # noqa: E731
@@ -751,51 +750,22 @@ class ShardedIndex(ANNIndex):
             registry.gauge(
                 "engine_shard_tree_nodes", "Tree nodes per query, last batch", labels
             ).set(self._last_shard_tree_nodes[s])
+            registry.gauge(
+                "engine_shard_ntotal", "Stored points on the shard", labels
+            ).set(shard.ntotal)
             registry.gauge("engine_shard_nlive", "Live points on the shard", labels).set(
                 shard.nlive
             )
 
-    def stats(self) -> EngineStats:
-        """Current serving statistics (per-shard table + lifetime QPS).
+    def stats(self) -> MetricsSnapshot:
+        """This engine's counter and gauge series, read off the registry.
 
-        A view over the metrics registry: every counter field is read
-        back from its instrument (gauges refreshed first), so this
-        snapshot and ``registry.to_json()`` can never disagree.
+        Keys are the ``engine_*`` names of docs/observability.md; the
+        per-shard gauges are keyed ``engine_shard_*{shard="s"}``.
         """
         self._require_built()
         self.refresh_metrics()
-        shard_stats = tuple(
-            ShardStats(
-                shard=s,
-                backend=self._backend_name,
-                ntotal=shard.ntotal,
-                repr=repr(shard),
-                search_ms=self._last_shard_ms[s],
-                mean_candidates=self._last_shard_candidates[s],
-                mean_tree_nodes=self._last_shard_tree_nodes[s],
-                nlive=shard.nlive,
-            )
-            for s, shard in enumerate(self._shards)
-        )
-        return EngineStats(
-            num_shards=self.num_shards,
-            num_workers=min(self.num_workers, self.num_shards),
-            pool_backend=self._pool_backend,
-            ntotal=self.ntotal,
-            batches_served=int(self._batches_served.value),
-            queries_served=int(self._queries_served.value),
-            points_added=int(self._points_added.value),
-            search_time_ms=self._search_time_ms.value,
-            last_batch_ms=self._last_batch_ms.value,
-            last_batch_queries=int(self._last_batch_queries.value),
-            range_queries_served=int(self._range_queries_served.value),
-            closest_pair_calls=int(self._closest_pair_calls.value),
-            shards=shard_stats,
-            nlive=self.nlive,
-            tombstones=self.num_tombstones,
-            points_deleted=int(self._points_deleted.value),
-            compactions=int(self._compactions.value),
-        )
+        return self.metrics.snapshot(self._obs_labels)
 
     def __repr__(self) -> str:
         base = (

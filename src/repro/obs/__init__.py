@@ -6,8 +6,9 @@ guide (metric catalog, life-of-a-request span diagram, slow-query
 runbook, Prometheus scrape example).
 
 * :mod:`repro.obs.metrics` — counters/gauges/histograms in a
-  get-or-create :class:`MetricsRegistry`; :class:`LatencyWindow` is the
-  histogram's recent-percentile backend.
+  get-or-create :class:`MetricsRegistry`; :class:`MetricsSnapshot` is
+  the read-only readout of one scope that every ``stats()`` returns;
+  :class:`LatencyWindow` is the histogram's recent-percentile backend.
 * :mod:`repro.obs.tracing` — head-sampled per-query span trees carried
   across threads via :func:`current_trace` / :func:`use_trace`.
 * :mod:`repro.obs.slowlog` — bounded ring of outlier requests with
@@ -24,6 +25,7 @@ from repro.obs.metrics import (
     Histogram,
     LatencyWindow,
     MetricsRegistry,
+    MetricsSnapshot,
     WindowSnapshot,
     default_registry,
 )
@@ -37,6 +39,7 @@ __all__ = [
     "Histogram",
     "LatencyWindow",
     "MetricsRegistry",
+    "MetricsSnapshot",
     "PromSample",
     "SlowQueryLog",
     "SlowQueryRecord",

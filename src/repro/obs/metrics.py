@@ -3,11 +3,11 @@
 One registry is the single source of truth for every number the stack
 publishes: the async serving front-end, the sharded engine, PM-LSH's
 probe, the baselines' overfetch path, the cache and the lifecycle
-subsystem all write into :class:`MetricsRegistry` instruments, and the
-human-facing snapshots (:class:`~repro.serving.stats.ServingStats`,
-:class:`~repro.engine.stats.EngineStats`) are *views over the same
-instruments* — the table a demo prints and the series a scraper reads
-can never disagree.
+subsystem all write into :class:`MetricsRegistry` instruments.  What a
+component's ``stats()`` returns is :meth:`MetricsRegistry.snapshot` of
+its own label scope — a :class:`MetricsSnapshot` read straight off the
+instruments, so the table a demo prints and the series a scraper reads
+are the same numbers under the same names.
 
 Instruments are get-or-create by ``(name, labels)``:
 
@@ -39,7 +39,7 @@ distinct shard threads always write distinct label sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -91,12 +91,12 @@ class LatencyWindow:
     Keeps the most recent ``capacity`` samples (milliseconds) in a fixed
     NumPy buffer — recording is O(1), a percentile readout sorts only the
     filled portion.  Serving layers record every request into one window
-    and surface ``p50`` / ``p99`` in their stats snapshots; an empty
-    window reads as NaN so stats stay printable before the first request.
+    and publish ``p50`` / ``p99`` as gauges; an empty window reads as NaN
+    so stats stay printable before the first request.
 
     :meth:`snapshot` reads count/mean/p50/p90/p99 out of **one** sort;
     prefer it whenever more than one percentile is needed (the serving
-    stats snapshot and the slow-query log both do).
+    gauges and the slow-query log both do).
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -243,7 +243,7 @@ class Histogram(_Instrument):
       to merge across processes;
     * a :class:`LatencyWindow` ring of the most recent samples — exact
       percentiles over the *recent* traffic, which is what the serving
-      stats tables and the slow-query log's rolling-p99 trigger read.
+      latency gauges and the slow-query log's rolling-p99 trigger read.
     """
 
     kind = "histogram"
@@ -300,6 +300,59 @@ class Histogram(_Instrument):
     def snapshot(self) -> WindowSnapshot:
         """One-sort percentile snapshot of the recent window."""
         return self.window.snapshot()
+
+
+class MetricsSnapshot(Mapping[str, float]):
+    """A read-only readout of the counter and gauge series in one scope.
+
+    Built by :meth:`MetricsRegistry.snapshot`.  Keys are metric names; a
+    series carrying labels beyond the scope is keyed in the exposition's
+    syntax, e.g. ``engine_shard_nlive{shard="0"}``.  Values are the
+    instruments' floats at the moment of the snapshot.  Plain names also
+    read as attributes (``stats.requests_served``).
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Mapping[str, float]) -> None:
+        object.__setattr__(self, "_values", dict(values))
+
+    def __getitem__(self, key: str) -> float:
+        return self._values[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getattr__(self, name: str) -> float:
+        if name.startswith("_"):
+            raise AttributeError(name)
+        try:
+            return self._values[name]
+        except KeyError:
+            raise AttributeError(f"no series {name!r} in this snapshot") from None
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("MetricsSnapshot is read-only")
+
+    def __repr__(self) -> str:
+        return f"MetricsSnapshot({self._values!r})"
+
+    def as_dict(self) -> Dict[str, float]:
+        """A plain ``{series: value}`` copy."""
+        return dict(self._values)
+
+    def as_table(self, title: str = "Metrics") -> str:
+        """One row per series, in the registry's sorted order."""
+        from repro.evaluation.tables import format_table
+
+        rows = [
+            [key, int(value) if float(value).is_integer() else value]
+            for key, value in self._values.items()
+        ]
+        return format_table(title, ["Series", "Value"], rows)
 
 
 class MetricsRegistry:
@@ -399,6 +452,23 @@ class MetricsRegistry:
             raise TypeError(f"{name!r} is a histogram; use get() and snapshot()")
         return float(instrument.value)
 
+    def snapshot(self, labels: Dict[str, str] | None = None) -> MetricsSnapshot:
+        """Every counter and gauge whose label set includes *labels*.
+
+        Histograms are left out (read them through :meth:`get`).  Labels
+        outside the scope become part of the key, in exposition syntax.
+        """
+        from repro.obs.export import _render_labels
+
+        scope = set(_freeze_labels(labels))
+        values: Dict[str, float] = {}
+        for instrument in self.collect():
+            if isinstance(instrument, Histogram) or not scope <= set(instrument.labels):
+                continue
+            extra = dict(set(instrument.labels) - scope)
+            values[instrument.name + _render_labels(extra)] = instrument.value
+        return MetricsSnapshot(values)
+
     def total(self, name: str) -> float:
         """Sum of a counter/gauge across every label set (0.0 if absent)."""
         return float(
@@ -423,8 +493,7 @@ class MetricsRegistry:
         Layout: ``{"counters": [...], "gauges": [...], "histograms":
         [...]}``; each series entry carries ``name``, ``labels`` and its
         value(s).  Counter/gauge values are the exact floats the
-        instruments hold — the stats snapshots read the same floats, so
-        the two views compare byte-identical.
+        instruments hold, as in :meth:`snapshot`.
         """
         out: Dict[str, List[Dict]] = {"counters": [], "gauges": [], "histograms": []}
         for instrument in self.collect():

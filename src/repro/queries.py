@@ -67,6 +67,18 @@ class QuerySpec:
         return isinstance(other, QuerySpec) and self.merge_key == other.merge_key
 
 
+def checked_budget(budget) -> int | None:
+    """*budget* as an int, or ``None``; a verification cap below 1 raises.
+
+    The one check behind ``Knn``, ``Range`` and ``closest_pairs``.
+    """
+    if budget is None:
+        return None
+    if int(budget) < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    return int(budget)
+
+
 @dataclass(frozen=True)
 class Knn(QuerySpec):
     """A (c, k)-ANN query: the k approximately-nearest neighbours.
@@ -91,10 +103,7 @@ class Knn(QuerySpec):
         if int(self.k) < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
-        if self.budget is not None:
-            if int(self.budget) < 1:
-                raise ValueError(f"budget must be >= 1, got {self.budget}")
-            object.__setattr__(self, "budget", int(self.budget))
+        object.__setattr__(self, "budget", checked_budget(self.budget))
         if self.c is not None:
             if not float(self.c) > 1.0:
                 raise ValueError(f"approximation ratio c must exceed 1, got {self.c}")
@@ -136,10 +145,7 @@ class Range(QuerySpec):
             if not float(self.c) > 1.0:
                 raise ValueError(f"approximation ratio c must exceed 1, got {self.c}")
             object.__setattr__(self, "c", float(self.c))
-        if self.budget is not None:
-            if int(self.budget) < 1:
-                raise ValueError(f"budget must be >= 1, got {self.budget}")
-            object.__setattr__(self, "budget", int(self.budget))
+        object.__setattr__(self, "budget", checked_budget(self.budget))
 
     @property
     def has_overrides(self) -> bool:

@@ -9,10 +9,7 @@ import numpy as np
 
 @dataclass
 class MBR:
-    """An axis-aligned minimum bounding rectangle ``[lo, hi]`` in R^m.
-
-    Mutable on purpose: insertion paths extend rectangles in place.
-    """
+    """An axis-aligned minimum bounding rectangle ``[lo, hi]`` in R^m."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -28,11 +25,6 @@ class MBR:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_point(cls, point: np.ndarray) -> "MBR":
-        point = np.asarray(point, dtype=np.float64)
-        return cls(point, point)
 
     @classmethod
     def from_points(cls, points: np.ndarray) -> "MBR":
@@ -60,9 +52,6 @@ class MBR:
     def extents(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def volume(self) -> float:
-        return float(np.prod(self.extents()))
-
     def margin(self) -> float:
         """Sum of edge lengths (the R*-tree 'margin' measure)."""
         return float(self.extents().sum())
@@ -71,7 +60,7 @@ class MBR:
         return (self.lo + self.hi) * 0.5
 
     # ------------------------------------------------------------------
-    # predicates and updates
+    # predicates
     # ------------------------------------------------------------------
 
     def contains_point(self, point: np.ndarray) -> bool:
@@ -80,24 +69,6 @@ class MBR:
 
     def intersects(self, other: "MBR") -> bool:
         return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
-
-    def copy(self) -> "MBR":
-        return MBR(self.lo, self.hi)
-
-    def extend_point(self, point: np.ndarray) -> None:
-        point = np.asarray(point, dtype=np.float64)
-        np.minimum(self.lo, point, out=self.lo)
-        np.maximum(self.hi, point, out=self.hi)
-
-    def extend(self, other: "MBR") -> None:
-        np.minimum(self.lo, other.lo, out=self.lo)
-        np.maximum(self.hi, other.hi, out=self.hi)
-
-    def enlargement(self, other: "MBR") -> float:
-        """Volume increase if *other* were merged into this rectangle."""
-        lo = np.minimum(self.lo, other.lo)
-        hi = np.maximum(self.hi, other.hi)
-        return float(np.prod(hi - lo)) - self.volume()
 
     # ------------------------------------------------------------------
     # ball geometry

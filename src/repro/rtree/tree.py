@@ -1,5 +1,5 @@
-"""The R-tree proper: STR bulk load, Guttman quadratic-split insertion,
-ball range queries, and best-first incremental nearest-neighbour search.
+"""The R-tree proper: STR bulk load, ball range queries, and best-first
+incremental nearest-neighbour search.
 
 Like the PM-tree, the R-tree stores *point ids* into one shared ``(n, m)``
 matrix so leaf-level distance evaluations are vectorised gathers.  A
@@ -40,8 +40,7 @@ class RTree:
     points:
         ``(n, m)`` float64 matrix; the tree indexes row numbers.
     capacity:
-        Maximum entries per node (fan-out).  Minimum fill for splits is
-        ``capacity // 2``.
+        Maximum entries per node (fan-out).
     """
 
     def __init__(self, points: np.ndarray, capacity: int = 32) -> None:
@@ -52,7 +51,6 @@ class RTree:
             raise ValueError(f"capacity must be at least 4, got {capacity}")
         self.points = points
         self.capacity = capacity
-        self.min_fill = capacity // 2
         self._root: Optional[_Node] = None
         self._count = 0
         #: point-distance evaluations performed by queries (reset manually)
@@ -65,24 +63,11 @@ class RTree:
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(
-        cls, points: np.ndarray, capacity: int = 32, method: str = "str"
-    ) -> "RTree":
-        """Build an R-tree over every row of *points*.
-
-        ``method='str'`` uses Sort-Tile-Recursive packing (fast, well-shaped
-        nodes); ``method='insert'`` inserts one row at a time through the
-        Guttman path (exercises ChooseLeaf/Split; used by tests).
-        """
+    def build(cls, points: np.ndarray, capacity: int = 32) -> "RTree":
+        """Build an R-tree over every row of *points* by Sort-Tile-Recursive
+        packing (fast, well-shaped nodes)."""
         tree = cls(points, capacity=capacity)
-        ids = np.arange(points.shape[0] if hasattr(points, "shape") else len(points))
-        if method == "str":
-            tree._bulk_load_str(ids)
-        elif method == "insert":
-            for point_id in ids:
-                tree.insert(int(point_id))
-        else:
-            raise ValueError(f"unknown build method {method!r}")
+        tree._bulk_load_str(np.arange(tree.points.shape[0]))
         return tree
 
     def _bulk_load_str(self, ids: np.ndarray) -> None:
@@ -142,122 +127,6 @@ class RTree:
             parent.mbr = MBR.union_of([c.mbr for c in chunk])
             parents.append(parent)
         return parents
-
-    # ------------------------------------------------------------------
-    # insertion (Guttman)
-    # ------------------------------------------------------------------
-
-    def insert(self, point_id: int) -> None:
-        """Insert one row id through ChooseLeaf + quadratic split."""
-        if not 0 <= point_id < self.points.shape[0]:
-            raise IndexError(f"point_id {point_id} out of range")
-        point = self.points[point_id]
-        if self._root is None or (self._root.is_leaf and self._root.mbr is None):
-            root = _Node(is_leaf=True)
-            root.point_ids = [point_id]
-            root.mbr = MBR.from_point(point)
-            self._root = root
-            self._count = 1
-            return
-        split = self._insert_into(self._root, point_id, point)
-        if split is not None:
-            new_root = _Node(is_leaf=False)
-            new_root.children = [self._root, split]
-            new_root.mbr = MBR.union_of([self._root.mbr, split.mbr])
-            self._root = new_root
-        self._count += 1
-
-    def _insert_into(self, node: _Node, point_id: int, point: np.ndarray) -> Optional[_Node]:
-        node.mbr.extend_point(point)
-        if node.is_leaf:
-            node.point_ids.append(point_id)
-            if len(node.point_ids) > self.capacity:
-                return self._split_leaf(node)
-            return None
-        child = self._choose_subtree(node, point)
-        split = self._insert_into(child, point_id, point)
-        if split is not None:
-            node.children.append(split)
-            if len(node.children) > self.capacity:
-                return self._split_inner(node)
-        return None
-
-    def _choose_subtree(self, node: _Node, point: np.ndarray) -> _Node:
-        """Guttman ChooseLeaf: least volume enlargement, ties by volume."""
-        target = MBR.from_point(point)
-        best, best_key = None, None
-        for child in node.children:
-            key = (child.mbr.enlargement(target), child.mbr.volume())
-            if best_key is None or key < best_key:
-                best, best_key = child, key
-        return best
-
-    def _split_leaf(self, node: _Node) -> _Node:
-        ids = node.point_ids
-        rects = [MBR.from_point(self.points[i]) for i in ids]
-        group_a, group_b = self._quadratic_split(rects)
-        right = _Node(is_leaf=True)
-        right.point_ids = [ids[i] for i in group_b]
-        right.mbr = MBR.union_of([rects[i] for i in group_b])
-        node.point_ids = [ids[i] for i in group_a]
-        node.mbr = MBR.union_of([rects[i] for i in group_a])
-        return right
-
-    def _split_inner(self, node: _Node) -> _Node:
-        children = node.children
-        rects = [c.mbr for c in children]
-        group_a, group_b = self._quadratic_split(rects)
-        right = _Node(is_leaf=False)
-        right.children = [children[i] for i in group_b]
-        right.mbr = MBR.union_of([rects[i] for i in group_b])
-        node.children = [children[i] for i in group_a]
-        node.mbr = MBR.union_of([rects[i] for i in group_a])
-        return right
-
-    def _quadratic_split(self, rects: List[MBR]) -> Tuple[List[int], List[int]]:
-        """Guttman's quadratic split over entry rectangles; returns the two
-        index groups, each respecting the minimum fill."""
-        count = len(rects)
-        # PickSeeds: the pair wasting the most volume if grouped together.
-        worst_pair, worst_waste = (0, 1), -np.inf
-        for i in range(count):
-            for j in range(i + 1, count):
-                merged = rects[i].copy()
-                merged.extend(rects[j])
-                waste = merged.volume() - rects[i].volume() - rects[j].volume()
-                if waste > worst_waste:
-                    worst_waste, worst_pair = waste, (i, j)
-        seed_a, seed_b = worst_pair
-        group_a, group_b = [seed_a], [seed_b]
-        mbr_a, mbr_b = rects[seed_a].copy(), rects[seed_b].copy()
-        remaining = [i for i in range(count) if i not in (seed_a, seed_b)]
-        while remaining:
-            # Force-assign when one group must absorb everything left to
-            # reach minimum fill.
-            if len(group_a) + len(remaining) == self.min_fill:
-                group_a.extend(remaining)
-                break
-            if len(group_b) + len(remaining) == self.min_fill:
-                group_b.extend(remaining)
-                break
-            # PickNext: entry with the greatest preference for one group.
-            best_index, best_diff, best_pick = -1, -1.0, 0
-            for position, candidate in enumerate(remaining):
-                delta_a = mbr_a.enlargement(rects[candidate])
-                delta_b = mbr_b.enlargement(rects[candidate])
-                diff = abs(delta_a - delta_b)
-                if diff > best_diff:
-                    best_diff = diff
-                    best_index = position
-                    best_pick = 0 if delta_a < delta_b else 1
-            candidate = remaining.pop(best_index)
-            if best_pick == 0:
-                group_a.append(candidate)
-                mbr_a.extend(rects[candidate])
-            else:
-                group_b.append(candidate)
-                mbr_b.extend(rects[candidate])
-        return group_a, group_b
 
     # ------------------------------------------------------------------
     # queries

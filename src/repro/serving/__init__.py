@@ -18,9 +18,10 @@ production traffic:
   keyed on the spec and the query's bytes, cleared on every write;
 * :mod:`repro.serving.clock` — the injectable :class:`Clock` seam
   (:class:`LoopClock` in production, :class:`VirtualClock` for
-  deterministic time-driven tests);
-* :mod:`repro.serving.stats` — :class:`ServingStats`, the snapshot
-  ``AsyncSearchServer.stats()`` returns.
+  deterministic time-driven tests).
+
+``AsyncSearchServer.stats()`` is the metrics registry's snapshot of the
+server's series (:class:`repro.obs.MetricsSnapshot`).
 
 See ``docs/serving.md`` for the handbook (including the "Overload"
 chapter).
@@ -30,7 +31,6 @@ from repro.serving.admission import DeadlineExceeded, QueueFull, ServingRejected
 from repro.serving.cache import QueryCache
 from repro.serving.clock import Clock, LoopClock, VirtualClock
 from repro.serving.server import AsyncSearchServer, open_loop_arrivals
-from repro.serving.stats import ServingStats
 
 __all__ = [
     "AsyncSearchServer",
@@ -40,7 +40,6 @@ __all__ = [
     "QueryCache",
     "QueueFull",
     "ServingRejected",
-    "ServingStats",
     "VirtualClock",
     "open_loop_arrivals",
 ]

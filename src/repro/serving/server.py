@@ -27,8 +27,8 @@ Life of a request
    keeps accepting arrivals while NumPy works and the index only ever
    sees one caller thread (the ``ANNIndex`` concurrency contract).
 4. **scatter** — row i of the batch answer resolves request i's future;
-   per-request latency lands in a
-   :class:`~repro.engine.stats.LatencyWindow` and serving fields
+   per-request latency lands in the ``request_latency_ms`` histogram
+   of the metrics registry and serving fields
    (``serving_batch_size``, ``serving_wait_ms``) are woven into the
    result stats.
 
@@ -62,14 +62,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.baselines.base import ANNIndex, QueryResult, require_finite
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, default_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import Trace, Tracer, use_trace
 from repro.queries import QuerySpec, as_query_spec
 from repro.serving.admission import DeadlineExceeded, QueueFull, expired
 from repro.serving.cache import QueryCache
 from repro.serving.clock import Clock, LoopClock
-from repro.serving.stats import ServingStats
 
 
 class _PendingRequest:
@@ -221,8 +220,11 @@ class AsyncSearchServer:
         )
         self._owns_executor = executor is None
         self._queues: Dict[tuple, _PendingBatch] = {}
+        #: Scatter tasks not yet finished (``close()`` awaits them).
         self._inflight: set = set()
-        #: Requests in dispatched batches that have not scattered yet.
+        #: Dispatched batches, and the requests in them, whose ``run()``
+        #: has not returned yet.
+        self._inflight_batches = 0
         self._inflight_requests = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._clock: Optional[Clock] = clock
@@ -235,7 +237,7 @@ class AsyncSearchServer:
         # Every serving number lives in the registry: the counters below
         # are the instruments themselves (held directly so the hot path
         # pays one attribute walk, no registry lookups), and ``stats()``
-        # is a view over them — the table and a scrape can't disagree.
+        # is the registry's snapshot of this scope.
         scope = self.metrics_registry.scope("serving")
         self._labels = scope
         counter = lambda name, help: self.metrics_registry.counter(name, help, scope)  # noqa: E731
@@ -569,6 +571,7 @@ class AsyncSearchServer:
         else:
             self._drain_flushes.inc()
         loop = self._loop
+        self._inflight_batches += 1
         self._inflight_requests += len(live)
         queries = np.stack([request.query for request in batch.requests])
         dispatched_at = now
@@ -623,6 +626,7 @@ class AsyncSearchServer:
                     request.future.set_exception(exc)
             return
         finally:
+            self._inflight_batches -= 1
             self._inflight_requests -= len(requests)
         now = self._now()
         waits_ms = [(dispatched_at - request.enqueued_at) * 1e3 for request in requests]
@@ -742,13 +746,13 @@ class AsyncSearchServer:
 
         Counters and the latency histogram are written inline on the hot
         path; everything derived or sampled (queue depth, epoch, cache
-        hit state, occupancy, window percentiles) is refreshed here so a
-        snapshot/scrape and :meth:`stats` read the same numbers.
+        hit state, occupancy, window percentiles) is refreshed here,
+        before :meth:`stats` and :meth:`metrics` read the registry.
         """
         gauge = lambda name, help: self.metrics_registry.gauge(name, help, self._labels)  # noqa: E731
         gauge("queue_depth", "Requests admitted, not yet answered").set(self.queue_depth)
-        gauge("inflight_batches", "Dispatched batches not yet scattered").set(
-            len(self._inflight)
+        gauge("inflight_batches", "Dispatched batches not yet answered").set(
+            self._inflight_batches
         )
         gauge("serving_epoch", "Write epoch of the served index").set(self._epoch)
         gauge("cache_hits", "Cache hits (lifetime)").set(
@@ -771,39 +775,16 @@ class AsyncSearchServer:
         if refresh is not None:
             refresh()
 
-    def stats(self) -> ServingStats:
-        """Current serving statistics snapshot (see :class:`ServingStats`).
+    def stats(self) -> MetricsSnapshot:
+        """This server's counter and gauge series, read off the registry.
 
-        A view over the metrics registry: gauges are refreshed, then
-        every field is read back from its instrument — the snapshot and
-        the registry's exports can never disagree.
+        Keys are the metric names of docs/observability.md (request,
+        batch, flush, cache, write and admission counters; queue depth,
+        in-flight batches, ``serving_epoch``, occupancy and latency
+        gauges); each also reads as an attribute.
         """
         self._refresh_gauges()
-        value = lambda name: self.metrics_registry.value(name, self._labels)  # noqa: E731
-        window = self._latency.snapshot()
-        return ServingStats(
-            requests_submitted=int(self._requests_submitted.value),
-            requests_served=int(self._requests_served.value),
-            batches_served=int(self._batches_served.value),
-            queue_depth=int(value("queue_depth")),
-            inflight_batches=int(value("inflight_batches")),
-            size_flushes=int(self._size_flushes.value),
-            deadline_flushes=int(self._deadline_flushes.value),
-            drain_flushes=int(self._drain_flushes.value),
-            cache_hits=int(value("cache_hits")),
-            cache_misses=int(value("cache_misses")),
-            points_added=int(self._points_added.value),
-            epoch=int(value("serving_epoch")),
-            mean_occupancy=value("mean_occupancy"),
-            latency_p50_ms=window.p50,
-            latency_p99_ms=window.p99,
-            latency_mean_ms=window.mean,
-            points_deleted=int(self._points_deleted.value),
-            compactions=int(self._compactions.value),
-            index_swaps=int(self._index_swaps.value),
-            requests_shed=int(self._requests_shed.value),
-            requests_rejected=int(self._requests_rejected.value),
-        )
+        return self.metrics_registry.snapshot(self._labels)
 
     async def metrics(self, format: str = "prometheus") -> str | Dict:
         """The registry snapshot as an awaitable endpoint.

@@ -17,6 +17,7 @@ from repro import (
     create_index,
 )
 from repro.baselines.base import QueryResult
+from repro.obs import MetricsRegistry
 from repro.queries import as_query_spec, dedupe_pairs, sort_pairs
 
 
@@ -172,6 +173,49 @@ class TestKnnKnobs:
         a = pm_index.run(queries, Knn(k=5))
         b = pm_index.run(queries, Knn(k=5, c=pm_index.params.c))
         np.testing.assert_array_equal(a.ids, b.ids)
+
+
+class TestClosestPairBudget:
+    """``closest_pairs(m, budget=...)`` means the same on every backend."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return np.random.default_rng(8).normal(size=(600, 8))
+
+    @staticmethod
+    def _build(name, points):
+        kwargs = {} if name == "exact" else {"seed": 0}
+        if name == "sharded":
+            kwargs.update(backend="pm-lsh", num_shards=2)
+        return create_index(name, **kwargs).fit(points)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("name", ["pm-lsh", "exact", "e2lsh", "qalsh", "sharded"])
+    def test_budget_below_one_is_refused(self, points, name, budget):
+        index = self._build(name, points)
+        registry = MetricsRegistry()
+        index.metrics = registry
+        try:
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                index.closest_pairs(1, budget=budget)
+        finally:
+            getattr(index, "close", lambda: None)()
+        # Refused at the entry: no self-join or intra-shard work ran first.
+        assert registry.total("engine_closest_pair_calls") == 0
+        assert registry.total("tree_nodes_visited") == 0
+
+    @pytest.mark.parametrize("name", ["pm-lsh", "sharded"])
+    def test_pm_lsh_verifies_at_least_m_pairs(self, points, name):
+        index = self._build(name, points)
+        try:
+            tight = index.closest_pairs(3, budget=1)
+            at_m = index.closest_pairs(3, budget=3)
+        finally:
+            getattr(index, "close", lambda: None)()
+        assert len(tight) == 3
+        assert tight.stats["verified"] >= 3
+        assert tight.pairs.tobytes() == at_m.pairs.tobytes()
+        assert tight.distances.tobytes() == at_m.distances.tobytes()
 
 
 class TestRangeResultContainer:

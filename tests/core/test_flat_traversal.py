@@ -164,12 +164,12 @@ class TestShardedTreeStats:
         engine.fit(dataset)
         engine.search(dataset[:8] + 0.01, 5)
         stats = engine.stats()
-        assert all(shard.mean_tree_nodes > 0 for shard in stats.shards)
-        assert "Tree nodes/query" in stats.as_table()
+        assert all(stats[f'engine_shard_tree_nodes{{shard="{s}"}}'] > 0 for s in range(3))
+        assert 'engine_shard_tree_nodes{shard="2"}' in stats.as_table()
 
     def test_exact_backend_reports_nan(self, dataset):
         engine = ShardedIndex(backend="exact", num_shards=2, num_workers=1)
         engine.fit(dataset[:100])
         engine.search(dataset[:4], 3)
         stats = engine.stats()
-        assert all(np.isnan(shard.mean_tree_nodes) for shard in stats.shards)
+        assert all(np.isnan(stats[f'engine_shard_tree_nodes{{shard="{s}"}}']) for s in range(2))

@@ -12,14 +12,12 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import repro
 from repro import ShardedIndex, create_index
-from repro.engine.stats import EngineStats
+from repro.obs import MetricsSnapshot
 
 
 @pytest.fixture(scope="module")
@@ -202,24 +200,25 @@ class TestStats:
         engine.search(queries[:8], k=5)
         engine.add(small_clustered[:12])
         stats = engine.stats()
-        assert isinstance(stats, EngineStats)
-        assert stats.batches_served == 2
-        assert stats.queries_served == queries.shape[0] + 8
-        assert stats.points_added == 12
-        assert stats.ntotal == engine.ntotal
-        assert stats.qps > 0
-        assert stats.last_batch_queries == 8
-        assert sum(shard.ntotal for shard in stats.shards) == engine.ntotal
+        assert isinstance(stats, MetricsSnapshot)
+        assert stats.engine_batches_served == 2
+        assert stats.engine_queries_served == queries.shape[0] + 8
+        assert stats.engine_points_added == 12
+        assert stats.engine_ntotal == engine.ntotal
+        assert stats.engine_qps > 0
+        assert stats.engine_last_batch_queries == 8
+        assert sum(stats[f'engine_shard_ntotal{{shard="{s}"}}'] for s in range(4)) == (
+            engine.ntotal
+        )
 
     def test_engine_stats_carry_no_router(self, tiny_uniform):
-        """Routing is the fixed round-robin stripe: no stats field,
-        export or table line names a routing policy."""
+        """Routing is the fixed round-robin stripe: no stats series or
+        table line names a routing policy."""
         engine = create_index("sharded", backend="exact", num_shards=2).fit(
             tiny_uniform
         )
         stats = engine.stats()
-        assert "router" not in {f.name for f in dataclasses.fields(EngineStats)}
-        assert not any("router" in key for key in stats.as_dict())
+        assert not any("router" in key for key in stats)
         assert "router" not in stats.as_table()
         assert "router" not in repr(engine)
 
@@ -229,13 +228,28 @@ class TestStats:
         ).fit(small_clustered)
         engine.search(queries, k=5)
         stats = engine.stats()
-        for s, shard_stats in enumerate(stats.shards):
-            assert shard_stats.backend == "pm-lsh"
-            assert shard_stats.ntotal == engine.shards[s].ntotal
-            assert f"ntotal={shard_stats.ntotal}" in shard_stats.repr
-            assert shard_stats.search_ms >= 0.0
-        table = stats.as_table()
-        assert "Shard" in table and "pm-lsh" in table
+        for s, shard in enumerate(engine.shards):
+            ntotal = stats[f'engine_shard_ntotal{{shard="{s}"}}']
+            assert ntotal == shard.ntotal
+            assert f"ntotal={int(ntotal)}" in repr(shard)
+            assert stats[f'engine_shard_search_ms{{shard="{s}"}}'] >= 0.0
+        # The backend is a string, so it lives in the repr, not in a series.
+        assert "'pm-lsh'" in repr(engine)
+
+    def test_stats_table_lists_one_row_per_shard_series(self, small_clustered, queries):
+        engine = create_index("sharded", backend="exact", num_shards=3).fit(
+            small_clustered
+        )
+        engine.search(queries, k=5)
+        stats = engine.stats()
+        lines = stats.as_table("Engine").splitlines()
+        columns = ("search_ms", "candidates", "tree_nodes", "ntotal", "nlive")
+        for column in columns:
+            for s in range(3):
+                key = f'engine_shard_{column}{{shard="{s}"}}'
+                assert key in stats
+                assert sum(line.split()[0] == key for line in lines) == 1
+        assert sum("{shard=" in line for line in lines) == 3 * len(columns)
 
     def test_batch_stats_carry_engine_fields(self, small_clustered, queries):
         engine = create_index(
@@ -303,7 +317,7 @@ class TestValidationAndLifecycle:
         engine.search(tiny_uniform[:3], k=2)
         engine.fit(small_gaussian)
         assert engine.ntotal == small_gaussian.shape[0]
-        assert engine.stats().batches_served == 0  # counters reset on refit
+        assert engine.stats().engine_batches_served == 0  # counters reset on refit
         result = engine.query(small_gaussian[3], k=1)
         assert int(result.ids[0]) == 3
 

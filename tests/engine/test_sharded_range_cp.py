@@ -86,8 +86,8 @@ class TestShardedRangeEquivalence:
         engine = make_engine(2, 1).fit(data)
         engine.range_search(data[:5] + 0.01, RADIUS)
         stats = engine.stats()
-        assert stats.range_queries_served == 5
-        assert stats.queries_served == 5
+        assert stats.engine_range_queries_served == 5
+        assert stats.engine_queries_served == 5
         engine.close()
 
 
@@ -131,7 +131,7 @@ class TestShardedClosestPairEquivalence:
     def test_cp_counter(self, data):
         engine = make_engine(2, 1).fit(data)
         engine.closest_pairs(3)
-        assert engine.stats().closest_pair_calls == 1
+        assert engine.stats().engine_closest_pair_calls == 1
         engine.close()
 
 

@@ -194,9 +194,9 @@ class TestShardedCompact:
         index.delete(np.arange(30))
         index.compact()
         stats = index.stats()
-        assert stats.points_deleted == 30
-        assert stats.compactions == 1
-        assert stats.nlive == 270
+        assert stats.engine_points_deleted == 30
+        assert stats.engine_compactions == 1
+        assert stats.engine_nlive == 270
 
     def test_too_few_live_refuses(self, data):
         index = ShardedIndex(backend="exact", num_shards=3, seed=3).fit(data[:6])

@@ -36,7 +36,21 @@ class TestServerDelete:
                 assert not np.isin(ids, dead).any()
                 stats = server.stats()
                 assert stats.points_deleted == 120
-                assert stats.epoch >= 1
+                assert stats.serving_epoch >= 1
+            return True
+
+        assert run(scenario())
+
+    def test_non_integer_ids_rejected(self, data):
+        async def scenario():
+            index = repro.create_index("exact").fit(data)
+            async with AsyncSearchServer(index, max_batch=4) as server:
+                with pytest.raises(ValueError, match="integers"):
+                    await server.delete(np.array([2.7]))
+                assert index.num_tombstones == 0
+                assert server.stats().points_deleted == 0
+                result = await server.submit(data[2], Knn(k=1))
+                assert result.ids[0] == 2
             return True
 
         assert run(scenario())

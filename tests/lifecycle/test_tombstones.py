@@ -72,6 +72,26 @@ class TestDeleteValidation:
         with pytest.raises(ValueError, match="delete ids must be in"):
             index.delete([-1])
 
+    @pytest.mark.parametrize(
+        "name",
+        ["c2lsh", "e2lsh", "exact", "lsb-forest", "lscan", "multi-probe",
+         "pm-lsh", "qalsh", "r-lsh", "sharded", "srs"],
+    )
+    def test_non_integer_ids_rejected(self, name, tiny_uniform):
+        """A float id is refused, not truncated (2.7 once deleted id 2)."""
+        import repro
+
+        index = repro.create_index(name).fit(tiny_uniform)
+        try:
+            for ids in (np.array([2.7]), [2.0], np.array([True])):
+                with pytest.raises(ValueError, match="integers"):
+                    index.delete(ids)
+            assert index.num_tombstones == 0
+            assert index.delete(np.array([2], dtype=np.uint8)).tolist() == [2]
+            assert index.delete([]).size == 0
+        finally:
+            getattr(index, "close", lambda: None)()
+
     def test_double_delete_rejected(self, index):
         index.delete([3, 4])
         with pytest.raises(ValueError, match="already deleted"):

@@ -5,8 +5,9 @@ Pins the PR's acceptance criteria end to end:
 * at ``sample_rate=1.0`` a served request's span tree covers queue wait,
   batch assembly, per-shard search, tree traversal, verification, merge
   and scatter;
-* ``ServingStats`` / ``EngineStats`` are views over the registry — every
-  field compares **exactly** (same floats) against the JSON export;
+* ``server.stats()`` / ``engine.stats()`` are the registry's snapshot of
+  their scope — exactly the scope's counter and gauge series, with the
+  floats the JSON export reports;
 * the ``metrics()`` endpoint emits grammar-valid Prometheus text with
   the core counters non-zero;
 * the slow-query log and cache counters tick through real serving.
@@ -17,9 +18,10 @@ from __future__ import annotations
 import asyncio
 import math
 
+import numpy as np
 import pytest
 
-from repro import Knn, create_index
+from repro import Knn, Range, create_index
 from repro.obs.export import parse_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
@@ -98,55 +100,62 @@ class TestSpanCoverage:
             assert list(a.ids) == list(b.ids)
 
 
+def _exported_series(payload, labels):
+    """The counter and gauge series of a ``to_json()`` payload whose
+    labels include *labels*, keyed the way the exposition writes them."""
+    scope = set(labels.items())
+    series = {}
+    for entry in payload["counters"] + payload["gauges"]:
+        own = set(entry["labels"].items())
+        if scope <= own:
+            extra = ",".join(f'{name}="{value}"' for name, value in sorted(own - scope))
+            series[entry["name"] + (f"{{{extra}}}" if extra else "")] = entry["value"]
+    return series
+
+
+def _assert_is_the_export(stats, payload, labels):
+    exported = _exported_series(payload, labels)
+    assert set(stats) == set(exported)
+    for key, value in exported.items():
+        assert stats[key] == value or (math.isnan(value) and math.isnan(stats[key])), key
+
+
+#: The serving names ``bench_e2e/worker.py`` reads off ``server.stats()``.
+BENCH_SERVING_NAMES = (
+    "requests_submitted",
+    "requests_served",
+    "batches_served",
+    "size_flushes",
+    "deadline_flushes",
+    "drain_flushes",
+    "cache_hits",
+    "requests_shed",
+    "requests_rejected",
+)
+
+
 class TestStatsRegistryIdentity:
-    """stats() and the JSON export read the same instruments — exact match."""
+    """stats() is the registry's snapshot of one scope: exactly its counter
+    and gauge series, with the values the JSON export reports."""
 
-    def _entry(self, payload, kind, name, labels):
-        for entry in payload[kind]:
-            if entry["name"] == name and entry["labels"] == labels:
-                return entry
-        raise AssertionError(f"no {kind} entry {name!r} with labels {labels!r}")
-
-    def test_serving_stats_match_export(self, sharded_pmlsh, small_clustered):
+    def test_serving_stats_are_the_scope_series(self, sharded_pmlsh, small_clustered):
         registry = MetricsRegistry()
         queries = small_clustered[600:616]
         _, stats, _, payload = _serve(sharded_pmlsh, queries, metrics=registry)
         labels = {"instance": "serving0"}
-        for counter_name, stat_value in [
-            ("requests_submitted", stats.requests_submitted),
-            ("requests_served", stats.requests_served),
-            ("batches_served", stats.batches_served),
-            ("size_flushes", stats.size_flushes),
-            ("deadline_flushes", stats.deadline_flushes),
-            ("drain_flushes", stats.drain_flushes),
-            ("points_added", stats.points_added),
-            ("points_deleted", stats.points_deleted),
-            ("compactions", stats.compactions),
-            ("index_swaps", stats.index_swaps),
-        ]:
-            entry = self._entry(payload, "counters", counter_name, labels)
-            assert float(stat_value) == entry["value"], counter_name
-        for gauge_name, stat_value in [
-            ("queue_depth", stats.queue_depth),
-            ("inflight_batches", stats.inflight_batches),
-            ("serving_epoch", stats.epoch),
-            ("mean_occupancy", stats.mean_occupancy),
-        ]:
-            entry = self._entry(payload, "gauges", gauge_name, labels)
-            assert float(stat_value) == entry["value"], gauge_name
-        hist = self._entry(payload, "histograms", "request_latency_ms", labels)
+        _assert_is_the_export(stats, payload, labels)
+        # Histograms stay out; the latency gauges are read off the window.
+        assert "request_latency_ms" not in stats
+        hist = next(h for h in payload["histograms"] if h["labels"] == labels)
         assert hist["count"] == stats.requests_served
-        for json_key, stat_value in [
-            ("p50", stats.latency_p50_ms),
-            ("p99", stats.latency_p99_ms),
-            ("mean", stats.latency_mean_ms),
+        for json_key, name in [
+            ("p50", "latency_p50_ms"),
+            ("p99", "latency_p99_ms"),
+            ("mean", "latency_mean_ms"),
         ]:
-            exported = hist["window"][json_key]
-            assert exported == float(stat_value) or (
-                math.isnan(exported) and math.isnan(stat_value)
-            )
+            assert hist["window"][json_key] == stats[name]
 
-    def test_engine_stats_match_export(self, small_clustered):
+    def test_engine_stats_are_the_scope_series(self, small_clustered):
         registry = MetricsRegistry()
         engine = create_index("sharded", backend="exact", num_shards=2).fit(
             small_clustered[:300]
@@ -155,54 +164,69 @@ class TestStatsRegistryIdentity:
             engine.metrics = registry
             engine.run(small_clustered[300:310], Knn(k=3))
             stats = engine.stats()
-            payload = registry.to_json()
-            labels = {"instance": "engine0"}
-            for counter_name, stat_value in [
-                ("engine_batches_served", stats.batches_served),
-                ("engine_queries_served", stats.queries_served),
-                ("engine_points_added", stats.points_added),
-                ("engine_search_time_ms", stats.search_time_ms),
-            ]:
-                entry = self._entry(payload, "counters", counter_name, labels)
-                assert float(stat_value) == entry["value"], counter_name
-            for gauge_name, stat_value in [
-                ("engine_ntotal", stats.ntotal),
-                ("engine_nlive", stats.nlive),
-                ("engine_num_shards", stats.num_shards),
-                ("engine_qps", stats.qps),
-                ("engine_last_batch_ms", stats.last_batch_ms),
-            ]:
-                entry = self._entry(payload, "gauges", gauge_name, labels)
-                assert float(stat_value) == entry["value"], gauge_name
-            # per-shard series exist for every shard
-            shard_labels = [
-                entry["labels"]["shard"]
-                for entry in payload["gauges"]
-                if entry["name"] == "engine_shard_search_ms"
-            ]
-            assert sorted(shard_labels) == ["0", "1"]
+            _assert_is_the_export(stats, registry.to_json(), engine._obs_labels)
+            assert stats.engine_queries_served == 10.0
+            assert stats.engine_qps == stats.engine_queries_served / (
+                stats.engine_search_time_ms / 1e3
+            )
+            for s in range(2):
+                assert stats[f'engine_shard_ntotal{{shard="{s}"}}'] == 150.0
         finally:
             engine.close()
 
-    def test_shard_and_engine_as_dict_satellites(self, small_clustered):
-        engine = create_index("sharded", backend="exact", num_shards=2).fit(
-            small_clustered[:200]
-        )
+    @pytest.mark.parametrize("pool_backend", ["thread", "process"])
+    def test_every_value_is_the_export_after_traffic_writes_and_compaction(
+        self, small_clustered, pool_backend
+    ):
+        registry = MetricsRegistry()
+        engine = create_index(
+            "sharded", backend="pm-lsh", num_shards=2, seed=4, pool_backend=pool_backend
+        ).fit(small_clustered[:300])
+        engines = [engine]
+
+        async def run():
+            async with AsyncSearchServer(
+                engine, max_batch=4, max_delay_ms=1.0, cache=32, metrics=registry
+            ) as server:
+                await server.submit_many(small_clustered[300:310], Knn(k=3))
+                await server.submit_many(small_clustered[300:304], Range(r=0.5))
+                await server.submit(small_clustered[300], Knn(k=3))  # a cache hit
+                await server.add(small_clustered[310:330])
+                await server.delete(np.arange(0, 40, 3))
+                await server.compact()
+                engines.append(server.index)
+                await server.submit_many(small_clustered[330:340], Knn(k=3))
+                return server.stats(), server.index.stats(), server._labels
+
         try:
-            engine.run(small_clustered[200:204], Knn(k=2))
-            stats = engine.stats()
-            engine_dict = stats.as_dict()
-            for key in ("last_batch_ms", "last_batch_queries", "last_batch_qps"):
-                assert key in engine_dict
-            assert engine_dict["last_batch_qps"] == float(stats.last_batch_qps)
-            shard_dict = stats.shards[0].as_dict()
-            assert shard_dict["shard"] == 0
-            assert set(shard_dict) == {
-                "shard", "backend", "ntotal", "nlive",
-                "search_ms", "mean_candidates", "mean_tree_nodes", "repr",
-            }
+            serving, engine_stats, serving_labels = asyncio.run(run())
+            payload = registry.to_json()
+            _assert_is_the_export(serving, payload, serving_labels)
+            _assert_is_the_export(engine_stats, payload, engines[-1]._obs_labels)
+            assert serving.compactions == serving.index_swaps == 1.0
+            assert serving.points_deleted == 14.0
+            assert serving.cache_hits >= 1.0
+            assert engine_stats.engine_process_pool == float(pool_backend == "process")
+            assert (engine_stats.engine_pool_workers_alive > 0) == (pool_backend == "process")
         finally:
-            engine.close()
+            for each in engines:
+                each.close()
+
+    def test_bench_reads_its_serving_names_as_attributes(self, small_clustered):
+        index = create_index("exact").fit(small_clustered[:200])
+
+        async def run():
+            async with AsyncSearchServer(index, max_batch=4, cache=8) as server:
+                await server.submit_many(small_clustered[:6], Knn(k=2))
+                return server.stats()
+
+        stats = asyncio.run(run())
+        for name in BENCH_SERVING_NAMES:
+            assert getattr(stats, name) == stats[name], name
+        assert stats.requests_submitted == stats.requests_served == 6.0
+        assert stats.size_flushes + stats.deadline_flushes + stats.drain_flushes == (
+            stats.batches_served
+        )
 
 
 class TestMetricsEndpoint:

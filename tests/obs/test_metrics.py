@@ -15,6 +15,7 @@ from repro.obs.metrics import (
     Histogram,
     LatencyWindow,
     MetricsRegistry,
+    MetricsSnapshot,
     default_registry,
 )
 
@@ -203,6 +204,65 @@ class TestRegistry:
         assert isinstance(registry.get("a"), Counter)
         assert isinstance(registry.get("b"), Gauge)
         assert registry.get("zzz") is None
+
+
+class TestSnapshot:
+    def _registry(self) -> MetricsRegistry:
+        registry = MetricsRegistry()
+        scope = {"instance": "engine0"}
+        registry.counter("engine_batches_served", labels=scope).inc(3)
+        registry.gauge("engine_qps", labels=scope).set(12.5)
+        for shard in ("0", "1"):
+            registry.gauge("engine_shard_nlive", labels={**scope, "shard": shard}).set(
+                10 + int(shard)
+            )
+        registry.histogram("engine_run_ms", labels=scope).observe(1.0)
+        registry.counter("engine_batches_served", labels={"instance": "engine1"}).inc()
+        registry.counter("tree_nodes_visited").inc(99)
+        return registry
+
+    def test_holds_the_scope_counters_and_gauges_only(self):
+        snap = self._registry().snapshot({"instance": "engine0"})
+        assert isinstance(snap, MetricsSnapshot)
+        assert snap.as_dict() == {
+            "engine_batches_served": 3.0,
+            "engine_qps": 12.5,
+            'engine_shard_nlive{shard="0"}': 10.0,
+            'engine_shard_nlive{shard="1"}': 11.0,
+        }
+
+    def test_no_scope_reads_every_series(self):
+        snap = self._registry().snapshot()
+        assert snap["tree_nodes_visited"] == 99.0
+        assert snap['engine_batches_served{instance="engine1"}'] == 1.0
+        assert "engine_run_ms" not in snap and len(snap) == 6
+
+    def test_plain_names_read_as_attributes(self):
+        snap = self._registry().snapshot({"instance": "engine0"})
+        assert snap.engine_qps == snap["engine_qps"] == 12.5
+        with pytest.raises(AttributeError, match="engine_nope"):
+            snap.engine_nope
+        with pytest.raises(KeyError):
+            snap["engine_nope"]
+
+    def test_read_only(self):
+        registry = self._registry()
+        snap = registry.snapshot({"instance": "engine0"})
+        with pytest.raises(AttributeError):
+            snap.engine_qps = 0.0
+        with pytest.raises(TypeError):
+            snap["engine_qps"] = 0.0
+        snap.as_dict()["engine_qps"] = 0.0
+        registry.gauge("engine_qps", labels={"instance": "engine0"}).set(1.0)
+        assert snap.engine_qps == 12.5  # a readout, not a live view
+
+    def test_table_has_one_row_per_series(self):
+        snap = self._registry().snapshot({"instance": "engine0"})
+        lines = snap.as_table("Engine").splitlines()
+        assert lines[0] == "== Engine =="
+        rows = lines[3:]
+        assert [row.split()[0] for row in rows] == list(snap)
+        assert rows[0].split()[1] == "3"  # integral values print as ints
 
 
 class TestExporters:

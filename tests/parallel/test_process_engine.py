@@ -166,9 +166,9 @@ class TestDiagnostics:
         process = _build(dataset, pool_backend="process")
         thread = _build(dataset, pool_backend="thread")
         try:
-            assert process.stats().pool_backend == "process"
-            assert "(process)" in process.stats().as_table()
-            assert thread.stats().pool_backend == "thread"
+            assert process.stats().engine_process_pool == 1.0
+            assert "engine_process_pool" in process.stats().as_table()
+            assert thread.stats().engine_process_pool == 0.0
             assert "process" in repr(process)
         finally:
             process.close()

@@ -1,5 +1,5 @@
 """Property-based tests: the R-tree is exact for range and kNN queries
-regardless of data distribution, build path or capacity."""
+regardless of data distribution or capacity."""
 
 from __future__ import annotations
 
@@ -24,13 +24,12 @@ def point_cloud(draw):
 
 @given(
     point_cloud(),
-    st.sampled_from(["str", "insert"]),
     st.integers(min_value=4, max_value=16),
     st.floats(min_value=0.0, max_value=8.0),
 )
 @settings(max_examples=40, deadline=None)
-def test_range_query_is_exact(points, method, capacity, radius):
-    tree = RTree.build(points, capacity=capacity, method=method)
+def test_range_query_is_exact(points, capacity, radius):
+    tree = RTree.build(points, capacity=capacity)
     tree.check_invariants()
     query = points[0] + 0.3
     got = sorted(pid for pid, _ in tree.range_query(query, radius))
@@ -43,7 +42,7 @@ def test_range_query_is_exact(points, method, capacity, radius):
 @settings(max_examples=40, deadline=None)
 def test_knn_is_exact(points, k):
     k = min(k, points.shape[0])
-    tree = RTree.build(points, capacity=8, method="str")
+    tree = RTree.build(points, capacity=8)
     query = points[-1] * 0.5
     got = tree.knn(query, k)
     assert len(got) == k
@@ -59,7 +58,7 @@ def test_knn_is_exact(points, k):
 )
 @settings(max_examples=40, deadline=None)
 def test_knn_within_returns_closest_in_ball(points, limit, radius):
-    tree = RTree.build(points, capacity=8, method="str")
+    tree = RTree.build(points, capacity=8)
     query = points[0] + 0.1
     got = tree.knn_within(query, k=limit, radius=radius)
     dists = np.sort(np.linalg.norm(points - query, axis=1))
@@ -73,7 +72,7 @@ def test_knn_within_returns_closest_in_ball(points, limit, radius):
 @given(point_cloud())
 @settings(max_examples=25, deadline=None)
 def test_nearest_iter_is_globally_sorted(points):
-    tree = RTree.build(points, capacity=8, method="str")
+    tree = RTree.build(points, capacity=8)
     query = points[0] * 0.25
     dists = [d for _, d in tree.nearest_iter(query)]
     assert len(dists) == points.shape[0]

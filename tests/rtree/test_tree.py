@@ -1,18 +1,16 @@
-"""Unit and property tests for the R-tree."""
+"""Unit tests for the R-tree (properties live in test_properties.py)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.rtree.tree import RTree
 
 
-@pytest.fixture(scope="module", params=["str", "insert"])
-def built_tree(request, projected_points):
-    return RTree.build(projected_points, capacity=16, method=request.param)
+@pytest.fixture(scope="module")
+def built_tree(projected_points):
+    return RTree.build(projected_points, capacity=16)
 
 
 def brute_range(points, query, radius):
@@ -25,9 +23,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RTree(projected_points, capacity=2)
 
-    def test_unknown_method(self, projected_points):
-        with pytest.raises(ValueError):
-            RTree.build(projected_points, method="magic")
+    def test_build_takes_no_method(self, projected_points):
+        """STR packing is the one build: there is no insert path to pick."""
+        with pytest.raises(TypeError, match="method"):
+            RTree.build(projected_points, method="str")
+        assert not hasattr(RTree, "insert")
 
     def test_all_points_indexed(self, built_tree, projected_points):
         assert len(built_tree) == projected_points.shape[0]
@@ -37,11 +37,6 @@ class TestConstruction:
         tree = RTree.build(np.zeros((1, 4)), capacity=4)
         assert len(tree) == 1
         assert tree.range_query(np.zeros(4), 0.1) == [(0, 0.0)]
-
-    def test_insert_out_of_range(self, projected_points):
-        tree = RTree(projected_points, capacity=8)
-        with pytest.raises(IndexError):
-            tree.insert(projected_points.shape[0])
 
 
 class TestRangeQuery:
@@ -134,20 +129,3 @@ class TestCounters:
         assert built_tree.node_accesses == 0
         assert built_tree.distance_computations == 0
 
-
-class TestInsertPath:
-    @given(st.integers(min_value=5, max_value=120), st.integers(min_value=0, max_value=999))
-    @settings(max_examples=20, deadline=None)
-    def test_incremental_inserts_stay_valid(self, count, seed):
-        points = np.random.default_rng(seed).normal(size=(count, 6))
-        tree = RTree.build(points, capacity=4, method="insert")
-        tree.check_invariants()
-        query = points[0]
-        got = {pid for pid, _ in tree.range_query(query, 1.5)}
-        assert got == brute_range(points, query, 1.5)
-
-    def test_duplicate_points(self):
-        points = np.zeros((40, 3))
-        tree = RTree.build(points, capacity=4, method="insert")
-        tree.check_invariants()
-        assert len(tree.range_query(np.zeros(3), 0.0)) == 40

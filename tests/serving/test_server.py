@@ -357,7 +357,7 @@ class TestWritePath:
         for result in results:
             assert int(result.ids[0]) < pre_n
         assert stats.points_added == 50
-        assert stats.epoch == 1
+        assert stats.serving_epoch == 1
 
 
 class TestShutdown:
@@ -436,8 +436,27 @@ class TestValidationAndStats:
         assert stats.latency_p99_ms >= stats.latency_p50_ms
         as_dict = stats.as_dict()
         assert as_dict["mean_occupancy"] == 4.0
-        table = stats.as_table()
-        assert "Serving stats" in table and "Occupancy" in table
+        table = stats.as_table("Serving stats")
+        assert "Serving stats" in table and "mean_occupancy" in table
+
+    def test_inflight_batches_is_zero_once_answered(self, small_clustered):
+        """A batch stops counting as in flight when its answers go out,
+        not when its scatter task's done-callback runs later."""
+        engine = create_index("sharded", backend="exact", num_shards=2).fit(
+            small_clustered[:200]
+        )
+
+        async def serve():
+            async with AsyncSearchServer(engine, max_batch=4) as server:
+                await server.submit(small_clustered[0], Knn(k=2))
+                return server.queue_depth, server.stats()
+
+        try:
+            depth, stats = asyncio.run(serve())
+        finally:
+            engine.close()
+        assert depth == 0
+        assert (stats.queue_depth, stats.inflight_batches) == (0, 0)
 
     def test_stats_fields_are_counters_of_the_static_server(self, exact_index):
         async def serve():
@@ -455,9 +474,12 @@ class TestValidationAndStats:
             "drain_flushes",
             "cache_hits",
             "cache_misses",
-            "cache_hit_rate",
+            "cache_evictions",
+            "cache_invalidations",
+            "cache_stale_puts",
+            "requests_batched",
             "points_added",
-            "epoch",
+            "serving_epoch",
             "mean_occupancy",
             "latency_p50_ms",
             "latency_p99_ms",

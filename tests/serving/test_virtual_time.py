@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 
-import numpy as np
 import pytest
 
 from repro import Knn, create_index
@@ -130,8 +129,8 @@ class TestDeterministicServing:
         records = [record.as_dict() for record in slow_log.records()]
         await server.close()
         waits = [result.stats["serving_wait_ms"] for result in results]
-        # NaN-valued fields (the hit rate: no cache here) would break ==; map
-        # them to None so two runs can be compared for exact equality.
+        # NaN-valued gauges would break ==; map them to None so two runs
+        # can be compared for exact equality.
         flat = {
             key: (None if value != value else value)
             for key, value in stats.as_dict().items()

@@ -34,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.lifecycle.compaction import CompactionResult, dense_id_map
+from repro.lifecycle.compaction import CompactionResult, count_compaction, dense_id_map
 from repro.lifecycle.tombstones import TombstoneSet
 from repro.persistence import SnapshotError, load_index, save_index
 from repro.queries import (
@@ -513,14 +513,17 @@ class ANNIndex(abc.ABC):
         set into auxiliary structures, forward to shards, ...)."""
 
     def compact(self) -> CompactionResult:
-        """Physically drop tombstoned rows and re-fit over the survivors.
+        """Physically drop tombstoned rows, renumbering the survivors.
 
-        Re-fits **in place** over exactly the live rows — reclaiming
-        storage, re-deriving every n-dependent parameter, renumbering ids
-        densely and clearing the tombstone set.  Old global ids translate
-        through the returned result's ``id_map``.  For a non-blocking
-        rebuild into a fresh object (the serving path), use
-        :func:`repro.lifecycle.compact_index` instead.
+        Re-makes the index **in place** over exactly the live rows through
+        the backend's :meth:`_compact` hook, then clears the tombstone
+        set, resets ``fitted_n`` to the live count and bumps the epoch.
+        Ids renumber densely in their old order; old global ids translate
+        through the returned result's ``id_map``.  By default the hook
+        re-fits.  PM-LSH's keeps its hash draw and filters its arrays, so
+        its answers do not change, only their ids.  For a copy that leaves
+        this index untouched (the serving path), use
+        :func:`repro.lifecycle.compact_index`, which runs the same hook.
         """
         self._require_built()
         live = self.live_ids()
@@ -528,13 +531,13 @@ class ANNIndex(abc.ABC):
             raise ValueError(f"{self.name}: cannot compact with zero live points")
         before = self.ntotal
         removed = self.num_tombstones
-        self.fit(self.data[live])
-        self.metrics.counter(
-            "index_compactions", "In-place compactions across all indexes"
-        ).inc()
-        self.metrics.counter(
-            "index_rows_reclaimed", "Dead rows physically dropped by compaction"
-        ).inc(removed)
+        self._built = False
+        self._tombstones = TombstoneSet()
+        self._compact(live)
+        self._built = True
+        self._fitted_n = self.n
+        self._index_epoch += 1
+        count_compaction(self.metrics, removed)
         return CompactionResult(
             id_map=dense_id_map(live, before),
             removed=removed,
@@ -542,6 +545,13 @@ class ANNIndex(abc.ABC):
             after_ntotal=self.ntotal,
             epoch=self.epoch,
         )
+
+    def _compact(self, live: np.ndarray) -> None:
+        """Re-make the index over exactly the rows *live* (sorted global
+        ids), which become ids ``0 .. live.size`` (subclass hook).  The
+        default re-fits over them."""
+        self._set_data(self.data[live])
+        self._fit()
 
     # ------------------------------------------------------------------
     # snapshots (repro.persistence holds the transports)

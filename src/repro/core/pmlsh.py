@@ -64,7 +64,9 @@ never inserts: it appends the projected rows to the flat tree's
 *unindexed tail*, which every query scores with the dense pass it already
 runs over the leaves, and re-clusters the whole matrix (``_build_tree``
 + ``flatten()``) once the tail would outgrow the indexed prefix
-(``_TAIL_FOLD_RATIO``).
+(``_TAIL_FOLD_RATIO``).  For the same reason :meth:`PMLSH.compact` does
+not re-fit: it drops the dead rows from every array and the dead slots
+from the flat tree, keeps the hash draw, and runs the same fold rule.
 """
 
 from __future__ import annotations
@@ -320,8 +322,8 @@ class PMLSH(ANNIndex):
         """Fix a rule-chosen m (``params.m is None``) for this dataset size
         (:func:`~repro.core.params.hash_count_for`) and re-solve (t, β) for
         it.  From here ``params`` holds the int — and so do snapshots and
-        the constructor arguments a compaction clones from — so the index
-        keeps its m through ``add()``, compaction and restores."""
+        the captured constructor arguments — so the index keeps its m
+        through ``add()``, compaction and restores."""
         if self.params.m is not None:
             return
         self.params = replace(self.params, m=hash_count_for(self.n, self.params))
@@ -333,8 +335,8 @@ class PMLSH(ANNIndex):
         """Fix m, project the dataset, bulk-build the PM-tree, estimate F(x)."""
         self._resolve_hash_count()
         params = self.params
-        # A re-fit (compact) lets go of the previous structures first, so
-        # its peak does not hold two indexes' arrays.
+        # A re-fit lets go of the previous structures first, so its peak
+        # does not hold two indexes' arrays.
         self._tree = self._flat = self.projected = self.sqnorm = None
         self.projection = self._make_projection()
         self.projected = self.projection.project(self.data)
@@ -364,10 +366,14 @@ class PMLSH(ANNIndex):
 
         Rows :meth:`add` appended since the last build are in the flat
         tree's tail, not here.  After :meth:`fit` or a fold it is the tree
-        that was just built.  After a snapshot restore it starts out
-        *unmaterialised* (the flat tree is restored directly, and nothing
-        the index does needs the pointer tree) and is rebuilt
-        deterministically from the stored pivots on first access.
+        that was just built.  After a snapshot restore or a
+        :meth:`compact` that did not fold it starts out *unmaterialised*
+        (nothing the index does needs the pointer tree) and is rebuilt
+        deterministically from the stored pivots on first access.  A
+        compaction drops slots from the flat tree without re-clustering,
+        so that rebuild need not have the flat tree's node layout; it
+        answers the same, because matches depend on projected distances
+        only.
         """
         if self._tree is None and self._flat is not None:
             flat = self._flat
@@ -378,8 +384,8 @@ class PMLSH(ANNIndex):
 
     def _build_tree(self, points: np.ndarray, pivots: np.ndarray) -> PMTree:
         """Deterministic bulk build over *points* with fixed *pivots*: the
-        fold of :meth:`_add`, the lazy :attr:`tree` and the legacy restore
-        of :meth:`from_state_arrays`."""
+        fold of :meth:`_fold_if_due`, the lazy :attr:`tree` and the legacy
+        restore of :meth:`from_state_arrays`."""
         params = self.params
         return PMTree.build(
             points,
@@ -399,7 +405,7 @@ class PMLSH(ANNIndex):
         Taken at :meth:`fit` (or restored directly by
         :meth:`from_state_arrays`) and kept across writes: :meth:`add`
         extends its tail in place and :meth:`delete` updates its dead
-        mask; only a fold replaces it.
+        mask; a fold or a compaction replaces it.
         """
         self._require_built()
         return self._flat
@@ -1010,17 +1016,40 @@ class PMLSH(ANNIndex):
         data = np.vstack([self.data, new_points])
         projected = np.vstack([self.projected, self.projection.project(new_points)])
         sqnorm = np.concatenate([self.sqnorm, _row_sqnorms(data[start:])])
-        flat = self._flat
-        indexed = flat.leaf_ids.size
-        if projected.shape[0] - indexed > _TAIL_FOLD_RATIO * indexed:
-            tree = self._build_tree(projected, flat.pivots)
-            flat = tree.flatten()
-            flat.set_tombstones(self._tombstones.ids())
-            self._tree, self._flat = tree, flat
-        else:
-            flat.extend(projected)
+        if not self._fold_if_due(projected):
+            self._flat.extend(projected)
         self.data, self.projected, self.sqnorm = data, projected, sqnorm
         return np.arange(start, data.shape[0], dtype=np.int64)
+
+    def _fold_if_due(self, projected: np.ndarray) -> bool:
+        """The one fold rule, which :meth:`_add` and :meth:`_compact` both
+        run.  If the flat tree over *projected* would hold more than
+        ``_TAIL_FOLD_RATIO`` tail rows per indexed row, build one tree over
+        every row with the same pivots, mask the tombstones and install
+        it.  Returns whether it folded."""
+        indexed = self._flat.leaf_ids.size
+        if not projected.shape[0] - indexed > _TAIL_FOLD_RATIO * indexed:
+            return False
+        tree = self._build_tree(projected, self._flat.pivots)
+        flat = tree.flatten()
+        flat.set_tombstones(self._tombstones.ids())
+        self._tree, self._flat = tree, flat
+        return True
+
+    def _compact(self, live: np.ndarray) -> None:
+        """Drop the dead rows and keep the draw: the projection, the pivots
+        and the F(x) sample stay as they are.  ``data``, ``projected`` and
+        ``sqnorm`` keep the rows *live*; the flat tree drops the other
+        slots (:meth:`FlatPMTree.compacted`) and is not rebuilt; then the
+        fold rule decides about the tail.  No answer changes, only ids:
+        a candidate set is defined by projected distances alone, and the
+        ⌈β·nlive⌉ + k budget and r_min already use the live n."""
+        self._tree = None
+        self.data = self.data[live]
+        self.sqnorm = self.sqnorm[live]
+        self.projected = self.projected[live]
+        self._flat = self._flat.compacted(live, self.projected)
+        self._fold_if_due(self.projected)
 
     # ------------------------------------------------------------------
     # diagnostics

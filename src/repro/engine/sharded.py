@@ -401,15 +401,17 @@ class ShardedIndex(ANNIndex):
         self._points_deleted.inc(int(ids.size))
 
     def compact(self) -> CompactionResult:
-        """Shard-independent compaction: each shard re-fits over its own
-        live rows, no cross-shard data movement.
+        """Shard-independent compaction: each shard compacts its own live
+        rows (its backend's hook — a PM-LSH shard keeps its hash draw and
+        rebuilds no tree), with no cross-shard data movement.
 
         Surviving global ids renumber densely (in their original order);
         each shard keeps exactly its surviving points, so the per-shard
-        rebuilds are independent, and the ``add()`` cursor restarts from
-        the new live count.  If some shard lost *every* point, the engine
-        instead re-stripes the live rows across all shards (a full re-fit)
-        so no shard is left empty.
+        compactions are independent, and the ``add()`` cursor restarts
+        from the new live count.  With no tombstones (a growth-triggered
+        compaction) that renumbering is the identity.  Only if some shard
+        lost *every* point does the engine instead re-stripe the live rows
+        across all shards (a full re-fit), so no shard is left empty.
         """
         self._require_built()
         live = self.live_ids()
@@ -420,9 +422,9 @@ class ShardedIndex(ANNIndex):
             )
         before = self.ntotal
         removed = self.num_tombstones
-        if removed == 0 or any(shard.nlive < 1 for shard in self._shards):
-            # Nothing shard-local to reclaim, or a shard would re-fit
-            # empty: re-stripe the live rows across all shards instead.
+        if any(shard.nlive < 1 for shard in self._shards):
+            # A shard would compact empty: re-stripe the live rows across
+            # all shards instead.
             self.fit(self.data[live])
         else:
             survivors: List[np.ndarray] = []

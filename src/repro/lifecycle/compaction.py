@@ -1,20 +1,29 @@
-"""Compaction: physically reclaim tombstoned rows and re-fit drifted indexes.
+"""Compaction: physically reclaim tombstoned rows, renumbering the survivors.
 
-Tombstone deletes (:mod:`repro.lifecycle.tombstones`) are logical, so two
-things accumulate in a long-lived index: dead rows that still occupy
-memory and consume candidate budget, and n-dependent parameters (the
-⌈βn⌉ + k budget, r_min's target mass, QALSH's derived m/α) that were
-solved for the *fit-time* cardinality while ``add()`` kept growing the
-dataset.  Compaction fixes both at once: re-fit over exactly the live
-rows, renumber ids densely, and reset the tombstone set.
+Tombstone deletes (:mod:`repro.lifecycle.tombstones`) are logical, so dead
+rows keep occupying memory and, on the overfetching baselines, candidate
+work.  Compaction re-makes the index over exactly the live rows,
+renumbers ids densely in their old order, and resets the tombstone set
+and the growth baseline (``fitted_n``).  How the index is re-made is the
+backend's :meth:`~repro.ANNIndex._compact` hook.  The default re-fits,
+which also re-derives n-dependent parameters solved at fit time (QALSH's
+m and α, for example).  PM-LSH solves nothing from n at fit time that a
+query does not re-evaluate, so its hook keeps the hash draw, the pivots
+and the F(x) sample, filters its arrays and drops the dead slots from
+the flat tree without a rebuild.  Its answers stay the same, under the
+new ids.
 
-Two entry points:
+Two entry points, one hook:
 
-* :meth:`repro.ANNIndex.compact` — in place: the index re-fits itself.
-* :func:`compact_index` — into a **fresh object** built from the same
-  constructor parameters, leaving the original untouched; this is what
-  :meth:`repro.serving.AsyncSearchServer.compact` runs on a background
-  thread so the old index keeps answering queries until the swap.
+* :meth:`repro.ANNIndex.compact` — in place.
+* :func:`compact_index` — into a **fresh object**, leaving the original
+  untouched; this is what :meth:`repro.serving.AsyncSearchServer.compact`
+  runs on a background thread so the old index keeps answering queries
+  until the swap.  A backend with the snapshot protocol compacts an
+  independent copy of itself (:func:`~repro.persistence.restore_state`
+  over :func:`~repro.persistence.export_state`, sharing the arrays
+  read-only), so both entry points build the same index.  Any other
+  backend re-fits a clone made from the same constructor parameters.
 
 :class:`CompactionPolicy` decides *when*: tombstone-ratio and
 growth-ratio thresholds, evaluated against any fitted index.
@@ -55,10 +64,15 @@ class CompactionPolicy:
     ``max_tombstone_ratio`` fires when at least that fraction of the
     stored rows is dead (and at least ``min_tombstones`` rows are, so a
     tiny index does not thrash).  ``max_growth_ratio`` fires when
-    ``ntotal`` has grown past that multiple of the fit-time cardinality —
-    the point where n-dependent parameters solved at fit time have
-    drifted enough to be worth a re-fit.  Either threshold can be
-    disabled with ``None``.
+    ``ntotal`` has grown past that multiple of the cardinality at the
+    last fit or compaction — the point where n-dependent parameters a
+    re-fitting backend solved at fit time have drifted enough to be
+    worth one.  PM-LSH solves nothing from n at fit time: m is pinned in
+    its params, and the ⌈β·nlive⌉ + k budget and r_min are evaluated
+    from ``nlive`` per query, so a growth-triggered compaction only
+    drops dead rows and resets the baseline.  ``fit()`` stays the way to
+    draw its projections again.  Either threshold can be disabled with
+    ``None``.
 
     >>> from repro.lifecycle import CompactionPolicy
     >>> policy = CompactionPolicy(max_tombstone_ratio=0.3)
@@ -121,37 +135,64 @@ def dense_id_map(live_ids: np.ndarray, before_ntotal: int) -> np.ndarray:
     return id_map
 
 
+def count_compaction(registry, removed: int) -> None:
+    """Publish one compaction that dropped *removed* rows into *registry*."""
+    registry.counter("index_compactions", "Compactions across all indexes").inc()
+    registry.counter(
+        "index_rows_reclaimed", "Dead rows physically dropped by compaction"
+    ).inc(removed)
+
+
 def compact_index(index) -> Tuple["object", CompactionResult]:
     """Compact *index* into a fresh object; the original is untouched.
 
-    The clone is built from the same constructor parameters (captured at
-    construction time), fitted over exactly the live rows, and its epoch
-    is advanced past the source's so replica shipping stays monotonic.
-    Returns ``(fresh_index, result)``.
+    A backend with the snapshot protocol (PM-LSH, exact) is copied by
+    :func:`~repro.persistence.restore_state` over
+    :func:`~repro.persistence.export_state` — the copy shares the source's
+    arrays read-only — and the copy runs :meth:`~repro.ANNIndex.compact`,
+    so the result answers exactly as ``index.compact()`` would have left
+    *index*.  Any other backend is cloned from the constructor parameters
+    captured at construction and fitted over exactly the live rows.
+    Either way the fresh epoch is past the source's, so replica shipping
+    stays monotonic.  Returns ``(fresh_index, result)``.
 
-    Only reads the source index (``data``, the tombstone set), so it is
-    safe to run on a background thread while the source keeps serving
-    queries — the pattern behind
+    Only reads the source index, so it is safe to run on a background
+    thread while the source keeps serving queries — the pattern behind
     :meth:`repro.serving.AsyncSearchServer.compact`.
     """
+    from repro.persistence import export_state, restore_state
+
     if not index.is_built:
         raise RuntimeError(f"{index.name}: cannot compact an unfitted index")
     live = index.live_ids()
     if live.size == 0:
         raise ValueError(f"{index.name}: cannot compact with zero live points")
-    before = index.ntotal
-    removed = index.num_tombstones
-    fresh = type(index)(**(getattr(index, "_init_kwargs", None) or {}))
-    # The registry binding is not a constructor parameter; carry it over so
-    # the fresh index keeps publishing into the same registry as the source.
-    if getattr(index, "_metrics", None) is not None:
+    try:
+        index.require_snapshot_support()
+    except NotImplementedError:
+        return _refit_clone(index, live)
+    fresh = restore_state(*export_state(index))
+    # The registry binding is not part of the snapshot; carry it over so
+    # the fresh index keeps publishing where the source does.
+    if index._metrics is not None:
+        fresh.metrics = index._metrics
+    return fresh, fresh.compact()
+
+
+def _refit_clone(index, live: np.ndarray) -> Tuple["object", CompactionResult]:
+    """:func:`compact_index` for a backend without the snapshot protocol:
+    a clone from the captured constructor parameters, fitted over the
+    rows *live*."""
+    fresh = type(index)(**(index._init_kwargs or {}))
+    if index._metrics is not None:
         fresh.metrics = index._metrics
     fresh.fit(index.data[live])
     fresh._index_epoch = max(fresh.epoch, index.epoch + 1)
+    count_compaction(fresh.metrics, index.num_tombstones)
     result = CompactionResult(
-        id_map=dense_id_map(live, before),
-        removed=removed,
-        before_ntotal=before,
+        id_map=dense_id_map(live, index.ntotal),
+        removed=index.num_tombstones,
+        before_ntotal=index.ntotal,
         after_ntotal=fresh.ntotal,
         epoch=fresh.epoch,
     )

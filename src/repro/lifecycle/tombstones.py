@@ -4,8 +4,8 @@ Deletes in this library are *logical*: :meth:`repro.ANNIndex.delete`
 marks ids in a :class:`TombstoneSet` and every query path drops dead ids
 at verification time — before any top-k / range cut — so results match
 an index that never held those points.  The physical reclaim happens at
-compaction (:mod:`repro.lifecycle.compaction`), which re-fits over the
-live rows and resets the set.
+compaction (:mod:`repro.lifecycle.compaction`), which re-makes the index
+over the live rows and resets the set.
 
 The set is kept as a sorted, unique ``int64`` array: membership tests
 over candidate id arrays are one vectorised ``np.isin`` per query round,

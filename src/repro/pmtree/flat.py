@@ -17,7 +17,9 @@ leaf_ids.size:]``, and every query scores it with the same dense pass
 that answers a widely covered leaf level.  A match is defined by its
 projected distance alone, so a row answers the same from the tail as
 from a leaf; the owner re-clusters (bulk build + ``flatten()``) when the
-tail has grown enough to matter.
+tail has grown enough to matter.  For the same reason, dropping dead
+points needs no re-clustering: :meth:`FlatPMTree.compacted` filters the
+per-slot arrays and keeps the routing entries.
 
 Traversal is *level-synchronous and batched*: one call answers a whole
 ``(Q, m)`` query block by expanding the entire frontier — every surviving
@@ -66,6 +68,7 @@ dense one.  Dense ⊇ per-pair always, and both ⊆ the true ball
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -498,6 +501,47 @@ class FlatPMTree:
             leaf_alive = np.concatenate([leaf_alive, np.ones(fresh.size, dtype=bool)])
         self.points, self.slot_ids, self.leaf_alive = points, slot_ids, leaf_alive
         self.leaf_points, self.leaf_sqnorm = leaf_points, leaf_sqnorm
+
+    def compacted(self, live: np.ndarray, points: np.ndarray) -> "FlatPMTree":
+        """This snapshot without the points outside *live*, renumbered.
+
+        *live* holds the sorted ids of the points to keep, and *points* is
+        ``self.points[live]``.  Point ``live[j]`` becomes id ``j``.  The
+        map is monotone, so the indexed rows stay the prefix and the tail
+        stays the contiguous suffix.  Nothing is re-clustered:
+        the per-slot arrays keep their kept entries in slot order, and
+        each leaf's span is re-cut from a running count of kept slots, so
+        a leaf may end up empty.  The routing entries are reused as they
+        are, since a radius or ring interval that bounds a set also bounds
+        every subset of it.  Matches depend on projected distances only,
+        so every query gets the answers this snapshot gives with the
+        dropped points tombstoned, under the new ids.  Returns a new
+        snapshot and writes no array of this one.
+        """
+        kept_row = np.zeros(self.slot_ids.size, dtype=bool)
+        kept_row[live] = True
+        new_id = np.cumsum(kept_row) - 1
+        kept_slot = kept_row[self.slot_ids]
+        indexed = self.leaf_ids.size
+        kept_leaf = kept_slot[:indexed]
+        slots = np.flatnonzero(kept_slot)
+        flat = copy.copy(self)
+        flat.points = points
+        flat.pivot_dists = self.pivot_dists[kept_row[:indexed]]
+        # Leaf v's members are slots [span_start, span_end); inner spans
+        # index routing entries and stay as they are.
+        kept_before = np.concatenate([[0], np.cumsum(kept_leaf)])
+        flat.span_start, flat.span_end = self.span_start.copy(), self.span_end.copy()
+        flat.span_start[self.is_leaf] = kept_before[self.span_start[self.is_leaf]]
+        flat.span_end[self.is_leaf] = kept_before[self.span_end[self.is_leaf]]
+        flat.leaf_ids = new_id[self.leaf_ids[kept_leaf]]
+        flat.leaf_pd = self.leaf_pd[kept_leaf]
+        flat.slot_ids = new_id[self.slot_ids[slots]]
+        flat.leaf_points = self.leaf_points[slots]
+        flat.leaf_sqnorm = self.leaf_sqnorm[slots]
+        flat.leaf_ring_cols = [col[kept_leaf] for col in self.leaf_ring_cols]
+        flat.leaf_alive = None
+        return flat
 
     def set_tombstones(self, dead_ids: np.ndarray) -> None:
         """Install the dead-id set; traversals skip those points.

@@ -42,8 +42,8 @@ an ingest, and a cached answer computed before a write is never served
 after it.
 
 Background compaction rides the same machinery from the other side:
-``compact()`` rebuilds the index into a **fresh object** on a separate
-rebuild thread (:func:`repro.lifecycle.compact_index` only reads the
+``compact()`` builds the compacted index as a **fresh object** on a
+separate rebuild thread (:func:`repro.lifecycle.compact_index` only reads the
 source), so the serving executor keeps answering queries against the old
 index the whole time; when the rebuild finishes, :meth:`swap_index`
 drains pending batches, bumps the epoch, invalidates the cache and

@@ -117,7 +117,6 @@ from repro.obs import (
     use_trace,
 )
 from repro.persistence import SnapshotError, load_index, snapshot_epoch
-from repro.pmtree import PMTree
 from repro.queries import (
     ClosestPairResult,
     Knn,
@@ -162,7 +161,6 @@ __all__ = [
     "MultiProbeLSH",
     "PMLSH",
     "PMLSHParams",
-    "PMTree",
     "QALSH",
     "QueryResult",
     "QuerySpec",

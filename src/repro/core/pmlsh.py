@@ -47,14 +47,14 @@ candidate budget and approximation ratio — arrive through the
 
 Traversal
 ---------
-The pointer PM-tree is only ever bulk-built (at ``fit``, at a fold, or
-lazily for validation); every query type — Algorithm 1's
-:meth:`PMLSH.ball_cover_query` included — runs over its *flattened*
-structure-of-arrays snapshot
+The PM-tree is only ever bulk-built (at ``fit``, at a fold, or lazily
+for validation), and the build emits packed arrays; every query type —
+Algorithm 1's :meth:`PMLSH.ball_cover_query` included — runs over the
+structure-of-arrays snapshot that wraps them
 (:class:`~repro.pmtree.flat.FlatPMTree`): one level-synchronous traversal
 answers the whole query batch, pruning with Eq. 5 as vectorised masks.
-The per-query pointer-tree walks that define the same answers live under
-``tests/oracles/`` as the differential contract.
+The per-query walks of a pointer PM-tree that define the same answers
+live under ``tests/oracles/`` as the differential contract.
 
 Writes
 ------
@@ -241,8 +241,8 @@ class PMLSH(ANNIndex):
         #: ‖x‖² per data row: the constant term of the original-space
         #: estimates verification ranks candidates by (8 bytes a row).
         self.sqnorm: Optional[np.ndarray] = None
-        #: the pointer tree behind ``_flat``'s indexed prefix; None after a
-        #: snapshot restore until :attr:`tree` is read.
+        #: the built tree behind ``_flat``'s indexed prefix; None after a
+        #: snapshot restore or a compaction until :attr:`tree` is read.
         self._tree: Optional[PMTree] = None
         #: the flat snapshot every query traverses (see :attr:`flat_tree`).
         self._flat: Optional[FlatPMTree] = None
@@ -361,16 +361,16 @@ class PMLSH(ANNIndex):
 
     @property
     def tree(self) -> Optional[PMTree]:
-        """The pointer PM-tree over the *indexed* rows — the bulk builder's
-        output, for validation and as the reference traversal.
+        """The built :class:`~repro.pmtree.tree.PMTree` over the *indexed*
+        rows — the bulk builder's output, for validation and inspection.
 
         Rows :meth:`add` appended since the last build are in the flat
         tree's tail, not here.  After :meth:`fit` or a fold it is the tree
-        that was just built.  After a snapshot restore or a
-        :meth:`compact` that did not fold it starts out *unmaterialised*
-        (nothing the index does needs the pointer tree) and is rebuilt
-        deterministically from the stored pivots on first access.  A
-        compaction drops slots from the flat tree without re-clustering,
+        that was just built, and the flat tree shares its arrays.  After a
+        snapshot restore or a :meth:`compact` that did not fold it starts
+        out *unmaterialised* (nothing the index does needs it) and is
+        rebuilt deterministically from the stored pivots on first access.
+        A compaction drops slots from the flat tree without re-clustering,
         so that rebuild need not have the flat tree's node layout; it
         answers the same, because matches depend on projected distances
         only.
@@ -628,8 +628,9 @@ class PMLSH(ANNIndex):
           traversal of the flattened tree for all still-active queries —
           each round fetches the fresh annulus (the closest unseen points
           inside the enlarged projected ball), which is the *same*
-          candidate set the pointer tree's ``range_query`` produces,
-          because that set is defined by projected distances alone;
+          candidate set a per-query walk of any PM-tree over these points
+          produces, because that set is defined by projected distances
+          alone;
         * the initial radius r_min — a quantile of the shared F(x) sample,
           identical for every query at fixed (n, β, k) — is solved once,
           and the whole radius ladder is laid out up front;
@@ -638,10 +639,10 @@ class PMLSH(ANNIndex):
           only where a termination test or the final top-k cannot be
           decided from the estimates (:meth:`_flat_probe_block`).
 
-        Results are exactly those of a per-query pointer-tree probe
-        (``tests/oracles/recursive_probe.py``).  The spec's runtime knobs
-        are honoured here: ``budget`` replaces the ⌈βn⌉ + k cap, and ``c``
-        swaps in a re-solved (t, β) pair.
+        Results are exactly those of a per-query probe of the pointer
+        PM-tree oracle (``tests/oracles/recursive_probe.py``).  The spec's
+        runtime knobs are honoured here: ``budget`` replaces the ⌈βn⌉ + k
+        cap, and ``c`` swaps in a re-solved (t, β) pair.
         """
         k = spec.k
         c = spec.c if spec.c is not None else self.params.c
@@ -955,7 +956,7 @@ class PMLSH(ANNIndex):
         """Restore over *arrays* as they are (already contiguous float64,
         so no coercion below copies): the flat tree — rows past its
         ``flat_leaf_ids`` are the unindexed tail — serves at once and the
-        pointer tree stays unbuilt.  No ``projected`` / ``sqnorm`` (every
+        tree stays unmaterialised.  No ``projected`` / ``sqnorm`` (every
         archive) → re-project / recompute; no ``flat_*`` (legacy) → eager
         deterministic tree rebuild; the
         retired parameters (``_RETIRED_PARAMS``) are dropped, any other

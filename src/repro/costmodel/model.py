@@ -13,6 +13,8 @@ Implements §4.2 of the paper:
 
 The models take the *actual built trees* plus empirical distributions, so
 the same code doubles as the Table 2 generator and as a predictive tool.
+The PM-tree model reads the packed arrays a :class:`~repro.pmtree.tree.PMTree`
+build emits (or a :class:`~repro.pmtree.flat.FlatPMTree` over them).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from repro.datasets.distance import DistanceDistribution, MarginalDistribution
+from repro.pmtree.flat import FlatPMTree
 from repro.pmtree.tree import PMTree
 from repro.rtree.tree import RTree
 
@@ -52,31 +55,28 @@ def selectivity_radius(distribution: DistanceDistribution, fraction: float = 0.0
 
 
 def pm_tree_computation_cost(
-    tree: PMTree,
+    tree: PMTree | FlatPMTree,
     distribution: DistanceDistribution,
     radius: float,
 ) -> float:
     """Expected distance computations of ``range(q, radius)`` (Eqs. 6–7).
 
-    Each routing entry e contributes ``N(e)·Pr[e]`` where N(e) is the number
-    of entries in the node e points to.  The root's entries are always
-    examined, so the root contributes its fan-out deterministically.
+    Each routing entry e contributes ``N(e)·Pr[e]``, where N(e) is the
+    size of the node e points to (its entries, or a leaf's members) and
+    ``Pr[e]`` is the sphere factor times one ring factor per pivot.  The
+    root is always examined, so it contributes its own size.  Evaluated
+    over the tree's packed arrays: ``entry_radius``, ``entry_hr_min`` /
+    ``entry_hr_max`` and the children's spans.
     """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    if tree.root is None:
-        return 0.0
-    total = float(_node_size(tree.root))  # root is always accessed
-    for _, entry in tree.iter_entries():
-        probability = float(distribution.cdf(entry.radius + radius))
-        for pivot_index in range(tree.num_pivots):
-            lo, hi = entry.hr[pivot_index]
-            mass = float(distribution.cdf(hi + radius)) - float(
-                distribution.cdf(max(0.0, lo - radius))
-            )
-            probability *= max(0.0, min(1.0, mass))
-        total += _node_size(entry.child) * probability
-    return total
+    sizes = tree.span_end - tree.span_start
+    probability = distribution.cdf(tree.entry_radius + radius)
+    for pivot in range(tree.pivots.shape[0]):
+        lo, hi = tree.entry_hr_min[:, pivot], tree.entry_hr_max[:, pivot]
+        mass = distribution.cdf(hi + radius) - distribution.cdf(np.maximum(0.0, lo - radius))
+        probability = probability * np.clip(mass, 0.0, 1.0)
+    return float(sizes[0]) + float(np.sum(sizes[tree.entry_child] * probability))
 
 
 def r_tree_computation_cost(
@@ -106,10 +106,6 @@ def r_tree_computation_cost(
     return total
 
 
-def _node_size(node) -> int:
-    return len(node.ids) if node.is_leaf else len(node.entries)
-
-
 @dataclass(frozen=True)
 class CostComparison:
     """One Table 2 cell pair plus the derived reduction percentage."""
@@ -129,7 +125,7 @@ class CostComparison:
 
 def compare_trees(
     dataset: str,
-    pm_tree: PMTree,
+    pm_tree: PMTree | FlatPMTree,
     r_tree: RTree,
     distribution: DistanceDistribution,
     marginals: MarginalDistribution,

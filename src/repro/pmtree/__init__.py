@@ -10,25 +10,21 @@ PM-LSH adopts it over the R-tree (§4.1–4.2 of the paper).
 
 Public surface:
 
-* :class:`~repro.pmtree.tree.PMTree` — bulk build, range query
-  with early termination, best-first kNN, distance-computation counters.
-* :class:`~repro.pmtree.flat.FlatPMTree` — ``PMTree.flatten()``'s
-  structure-of-arrays snapshot: batched, level-synchronous traversal
-  (the serving hot path; identical results and counters to the pointer
-  tree) plus the unindexed tail that appended rows join.
+* :class:`~repro.pmtree.tree.PMTree` — the bulk build, emitting the
+  packed breadth-first arrays directly (no node graph).
+* :class:`~repro.pmtree.flat.FlatPMTree` — ``PMTree.flatten()``: the one
+  traversal over those arrays — batched, level-synchronous, with the
+  unindexed tail that appended rows join — and the distance counters.
 * :func:`~repro.pmtree.pivots.select_pivots` — pivot selection strategies.
-* :func:`~repro.pmtree.validate.check_invariants` — structural validator.
 """
 
 from repro.pmtree.flat import FlatPMTree, TraversalStats
 from repro.pmtree.pivots import select_pivots
 from repro.pmtree.tree import PMTree
-from repro.pmtree.validate import check_invariants
 
 __all__ = [
     "FlatPMTree",
     "PMTree",
     "TraversalStats",
-    "check_invariants",
     "select_pivots",
 ]

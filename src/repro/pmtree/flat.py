@@ -1,14 +1,12 @@
-"""Flat structure-of-arrays PM-tree: the vectorized batched hot path.
+"""Flat structure-of-arrays PM-tree: the one traversal, batched.
 
-The pointer :class:`~repro.pmtree.tree.PMTree` is the *bulk builder* —
-the clustering and the structural validator operate on it — but
-walking it one Python node at a time is the dominant cost of Algorithm
-1/2 queries.  ``PMTree.flatten()`` packs the finished tree into this
-module's :class:`FlatPMTree`: every routing entry's fields (routing-object
+:meth:`~repro.pmtree.tree.PMTree.build` emits the tree as arrays in
+breadth-first order, and ``PMTree.flatten()`` wraps them in this module's
+:class:`FlatPMTree`: every routing entry's fields (routing-object
 coordinates, covering radius, parent distance, hyper-ring intervals,
-child pointer) live in contiguous NumPy arrays, nodes are numbered in
-breadth-first order so each depth level is one contiguous id range, and
-leaf membership is two flat arrays sliced per leaf.
+child node) live in contiguous NumPy arrays, each depth level is one
+contiguous node-id range, and leaf membership is two flat arrays sliced
+per leaf.
 
 The tree indexes a *prefix* of its point matrix.  Rows appended later
 (:meth:`FlatPMTree.extend`) form an unindexed **tail**: point ids are
@@ -25,45 +23,43 @@ Traversal is *level-synchronous and batched*: one call answers a whole
 ``(Q, m)`` query block by expanding the entire frontier — every surviving
 ``(query, node)`` pair — one level per step.  The Eq. 5 pruning battery
 (parent-distance test, hyper-ring tests, sphere test) is applied to the
-whole frontier as array masks, so the per-node Python recursion of the
-pointer tree disappears; candidate ids and distances accumulate into
-buffers shared across the queries of the batch.
+whole frontier as array masks, with no per-node Python recursion;
+candidate ids and distances accumulate into buffers shared across the
+queries of the batch.
 
 The mask and distance arithmetic lives in :mod:`repro.kernels`.  An
-uncapped traversal visits exactly the nodes the pointer tree's
-``range_query`` visits and computes exactly the same distances with the
+uncapped traversal visits exactly the nodes a per-query recursive walk
+of the same tree visits and computes exactly the same distances with the
 same float64 kernels, so results — and the node-access /
-distance-computation counters — are identical to the pointer tree's
-(``tests/pmtree/test_flatten.py`` asserts both).  That is one of two ways
-the leaf level is answered: when the leaves the inner levels reached
-already hold a large share of the indexed points — Algorithm 2's first
-round at the default β always does — gathering and filtering member by
-member is pure overhead, and the leaf level instead scores the whole
-reached slot range as blocked GEMMs (see ``FlatPMTree._dense_leaves``).
-Those scores come from a float32 copy of the slot rows (``leaf_points``)
-and are estimates of the squared distance with a proven error
-bound; the exact kernel runs — over the float64 ``points`` — only where
-a score is too close to a boundary to decide: ``radius``, ``lower``, or
-the L-th place of the limit cut (:meth:`FlatPMTree._cut`, the one
-canonical cut every chunk of matches goes through).  So every decision
-is the exact kernel's, and most matches never get an exact distance:
-``batch_range(sort=False)`` returns the match *set* and no distances,
-``sort=True`` computes them for the output rows only.  Results are the
-same either way and only the counters (``dist_comps``, ``rescored``)
-say which side ran.  The dense side emits every member of the slot
-range whose exact distance is within ``radius``; the per-pair side
-emits those that also pass the Eq. 5 filters.  In exact arithmetic the
-filters are implied by the distance test; in floating point each
-differences two separately rounded distances, so every filter test
-carries a relative ulp slack (:func:`~repro.kernels.fast.filter_slack`)
-that covers that rounding — copies of an indexed point pass at
-``radius`` 0.  What the slack does not cover is the pivot-distance
-matrix's own error: ``PMTree`` derives it by the norm expansion, which
-loses digits far from the origin, where a member within a few ulps of a
-ring boundary can still be dropped by the per-pair side and kept by the
-dense one.  Dense ⊇ per-pair always, and both ⊆ the true ball
-(``tests/pmtree/test_dense_pass.py`` pins the chain; docs/kernels.md,
-"The one exception").
+distance-computation counters — are identical to the walk's
+(``tests/pmtree/test_flatten.py`` asserts both against the pointer-tree
+oracle in ``tests/oracles/``).  That is one of two ways the leaf level
+is answered: when the leaves the inner levels reached already hold a
+large share of the indexed points — Algorithm 2's first round at the
+default β always does — gathering and filtering member by member is pure
+overhead, and the leaf level instead scores the whole reached slot range
+as blocked GEMMs (see ``FlatPMTree._dense_leaves``).  Those scores come
+from a float32 copy of the slot rows (``leaf_points``) and are estimates
+of the squared distance with a proven error bound; the exact kernel
+runs — over the float64 ``points`` — only where a score is too close to
+a boundary to decide: ``radius``, ``lower``, or the L-th place of the
+limit cut (:meth:`FlatPMTree._cut`, the one canonical cut every chunk of
+matches goes through).  So every decision is the exact kernel's, and
+most matches never get an exact distance: ``batch_range(sort=False)``
+returns the match *set* and no distances, ``sort=True`` computes them
+for the output rows only.  Results are the same either way and only the
+counters (``dist_comps``, ``rescored``) say which side ran.  The dense
+side emits every member of the slot range whose exact distance is
+within ``radius``; the per-pair side emits those that also pass the
+Eq. 5 filters.  In exact arithmetic the filters are implied by the
+distance test; in floating point each differences two separately
+rounded distances — query to pivot or routing object, and the stored
+point-to-pivot or parent distance, all computed by differences — so
+every filter test carries a relative ulp slack
+(:func:`~repro.kernels.fast.filter_slack`) that covers that rounding:
+copies of an indexed point pass at ``radius`` 0, at any distance from
+the origin.  Both routes return the true ball
+(``tests/pmtree/test_dense_pass.py``).
 """
 
 from __future__ import annotations
@@ -270,7 +266,7 @@ class FlatPMTree:
         # (the constant term of the dense scores): the one copy the dense
         # pass streams.  Nothing exact reads it — every distance is
         # computed from the float64 ``points[slot_ids[…]]``, so distances
-        # are bit-identical to the pointer tree's.
+        # are bit-identical to a per-pair walk's.
         self.leaf_points, self.leaf_sqnorm = _score_rows(points, self.slot_ids)
         #: one contiguous per-pivot column, so the staged ring filter reads
         #: sequential memory per pivot (only built when the filter can run).
@@ -282,8 +278,8 @@ class FlatPMTree:
             if use_rings and self.num_pivots
             else []
         )
-        #: aggregate counters mirroring ``PMTree.distance_computations`` /
-        #: ``PMTree.node_accesses`` (summed over batches since last reset)
+        #: aggregate counters: the ``TraversalStats`` of every batch
+        #: since the last reset, summed
         self.distance_computations = 0
         self.node_accesses = 0
         #: per-slot liveness mask (parallel to ``slot_ids``), or None
@@ -296,94 +292,20 @@ class FlatPMTree:
     # construction
     # ------------------------------------------------------------------
 
+    #: The keyword arguments of ``__init__``: what a built
+    #: :class:`~repro.pmtree.tree.PMTree` holds.
+    FIELDS = (
+        "points", "pivots", "pivot_dists", "use_rings", "use_parent_filter",
+        "is_leaf", "span_start", "span_end", "levels", "entry_center",
+        "entry_radius", "entry_pd", "entry_hr_min", "entry_hr_max",
+        "entry_child", "leaf_ids", "leaf_pd",
+    )
+
     @classmethod
     def from_tree(cls, tree) -> "FlatPMTree":
-        """Pack a built :class:`~repro.pmtree.tree.PMTree` into flat arrays."""
-        if tree.root is None:
-            raise ValueError("cannot flatten an empty PM-tree")
-        # Breadth-first node layout: depth levels become contiguous ranges.
-        bfs_levels: List[list] = [[tree.root]]
-        while True:
-            nxt = [
-                entry.child
-                for node in bfs_levels[-1]
-                if not node.is_leaf
-                for entry in node.entries
-            ]
-            if not nxt:
-                break
-            bfs_levels.append(nxt)
-        bfs = [node for level in bfs_levels for node in level]
-        node_index = {id(node): i for i, node in enumerate(bfs)}
-        levels: List[Tuple[int, int]] = []
-        lo = 0
-        for level in bfs_levels:
-            levels.append((lo, lo + len(level)))
-            lo += len(level)
-
-        num_nodes = len(bfs)
-        m = tree.points.shape[1]
-        s = tree.num_pivots
-        is_leaf = np.asarray([node.is_leaf for node in bfs], dtype=bool)
-        span_start = np.zeros(num_nodes, dtype=np.int64)
-        span_end = np.zeros(num_nodes, dtype=np.int64)
-
-        centers: List[np.ndarray] = []
-        radii: List[float] = []
-        pds: List[float] = []
-        hr_mins: List[np.ndarray] = []
-        hr_maxs: List[np.ndarray] = []
-        children: List[int] = []
-        leaf_ids: List[int] = []
-        leaf_pd: List[float] = []
-        entry_cursor = 0
-        leaf_cursor = 0
-        for v, node in enumerate(bfs):
-            if node.is_leaf:
-                span_start[v] = leaf_cursor
-                leaf_ids.extend(node.ids)
-                leaf_pd.extend(node.parent_distances)
-                leaf_cursor += len(node.ids)
-                span_end[v] = leaf_cursor
-            else:
-                span_start[v] = entry_cursor
-                for entry in node.entries:
-                    centers.append(entry.center)
-                    radii.append(entry.radius)
-                    pds.append(entry.parent_distance)
-                    hr_mins.append(entry.hr[:, 0])
-                    hr_maxs.append(entry.hr[:, 1])
-                    children.append(node_index[id(entry.child)])
-                entry_cursor += len(node.entries)
-                span_end[v] = entry_cursor
-
-        if centers:
-            entry_center = np.ascontiguousarray(np.stack(centers))
-            entry_hr_min = np.ascontiguousarray(np.stack(hr_mins))
-            entry_hr_max = np.ascontiguousarray(np.stack(hr_maxs))
-        else:  # single-leaf tree
-            entry_center = np.empty((0, m), dtype=np.float64)
-            entry_hr_min = np.empty((0, s), dtype=np.float64)
-            entry_hr_max = np.empty((0, s), dtype=np.float64)
-        return cls(
-            points=tree.points,
-            pivots=tree.pivots,
-            pivot_dists=tree.pivot_dists,
-            use_rings=tree.use_rings,
-            use_parent_filter=tree.use_parent_filter,
-            is_leaf=is_leaf,
-            span_start=span_start,
-            span_end=span_end,
-            levels=levels,
-            entry_center=entry_center,
-            entry_radius=np.asarray(radii, dtype=np.float64),
-            entry_pd=np.asarray(pds, dtype=np.float64),
-            entry_hr_min=entry_hr_min,
-            entry_hr_max=entry_hr_max,
-            entry_child=np.asarray(children, dtype=np.int64),
-            leaf_ids=np.asarray(leaf_ids, dtype=np.int64),
-            leaf_pd=np.asarray(leaf_pd, dtype=np.float64),
-        )
+        """Wrap a built :class:`~repro.pmtree.tree.PMTree`'s arrays
+        (shared, not copied): the build already laid them out."""
+        return cls(**{name: getattr(tree, name) for name in cls.FIELDS})
 
     # ------------------------------------------------------------------
     # persistence
@@ -430,7 +352,7 @@ class FlatPMTree:
         use_parent_filter: bool,
     ) -> "FlatPMTree":
         """Rebuild a snapshot from :meth:`to_arrays` output (or an open
-        ``.npz`` archive holding those keys) — no pointer tree involved.
+        ``.npz`` archive holding those keys) — no tree is built.
 
         *points* must be the same projected matrix the snapshot was taken
         over (same values, same order) — rows past the stored ``leaf_ids``
@@ -562,8 +484,8 @@ class FlatPMTree:
     # ------------------------------------------------------------------
 
     def query_pivot_distances(self, queries: np.ndarray) -> np.ndarray:
-        """(Q, s) distances query → global pivots, with the same float64
-        kernel the pointer tree uses per query."""
+        """(Q, s) distances query → global pivots, by differences like the
+        build's point → pivot distances."""
         if not self.num_pivots:
             return np.empty((queries.shape[0], 0), dtype=np.float64)
         diff = self.pivots[None, :, :] - queries[:, None, :]
@@ -582,12 +504,11 @@ class FlatPMTree:
         Returns CSR-style ``(lims, ids, dists, stats)``: query i's matches
         are ``ids[lims[i]:lims[i+1]]`` with their projected distances,
         sorted by ``(distance, id)``.  The result set per query is exactly
-        the recursive ``PMTree.range_query(q, radius)`` set of a tree over
-        every row of ``points``, indexed or tail.
+        the ball of *radius* over every row of ``points``, indexed or
+        tail.
 
         ``limits`` (per-query) keeps only each query's *closest* ``limits[i]``
-        matches — the capped candidate fetch of Algorithm 2, equal to the
-        pointer tree's ``knn_within(q, k=limit, radius)`` set, with ties at
+        matches — the capped candidate fetch of Algorithm 2 — with ties at
         the cut resolved canonically by ``(distance, id)``.  ``lower``
         drops matches with distance ≤ lower: the radius-enlarging loop
         fetches each round's *fresh annulus*, because every point inside

@@ -188,10 +188,10 @@ class RTree:
 
         Best-first over MINDIST with a shrinking admission bound: once k
         candidates are held, subtrees are pruned against the current k-th
-        best distance instead of the full radius.  The R-tree twin of
-        :meth:`repro.pmtree.tree.PMTree.knn_within` — but note the R-tree
-        has no per-point prefilter at the leaves, so every member of an
-        opened leaf costs a distance computation (the gap Table 2 predicts).
+        best distance instead of the full radius.  Unlike the PM-tree, the
+        R-tree has no per-point prefilter at the leaves, so every member of
+        an opened leaf costs a distance computation (the gap Table 2
+        predicts).
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")

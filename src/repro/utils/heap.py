@@ -19,46 +19,28 @@ class BoundedMaxHeap:
     Internally a max-heap of size ≤ k implemented by negating keys on a
     ``heapq`` min-heap.  ``bound`` is the current k-th smallest key (or
     ``inf`` until the heap is full), which callers use to prune work.
-
-    With ``canonical_values=True`` (values must be negatable numbers,
-    e.g. int point ids) ties at the k-th key are resolved by *smallest
-    value* instead of arrival order: the retained set is the k smallest
-    ``(key, value)`` pairs lexicographically — the same canonical cut the
-    flat PM-tree traversal and the exact brute-force oracle use, which is
-    what makes capped fetches identical across backends even on exact
-    distance ties.
+    Ties at the k-th key keep the incumbent.
     """
 
-    __slots__ = ("k", "_heap", "_counter", "_canonical")
+    __slots__ = ("k", "_heap", "_counter")
 
-    def __init__(self, k: int, canonical_values: bool = False) -> None:
+    def __init__(self, k: int) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self.k = k
-        self._heap: List[Tuple[float, Any, Any]] = []
-        # The middle tuple element breaks heap-comparison ties: a monotone
-        # counter by default (values never get compared; they may be
-        # un-orderable), or the negated value in canonical mode (so the
-        # root is the largest (key, value) pair).
+        self._heap: List[Tuple[float, int, Any]] = []
+        # The middle tuple element breaks heap-comparison ties, so values
+        # never get compared (they may be un-orderable).
         self._counter = 0
-        self._canonical = canonical_values
 
     def push(self, key: float, value: Any) -> bool:
         """Offer an item; returns True if it was retained."""
-        if self._canonical:
-            entry = (-key, -value, value)
-        else:
-            self._counter += 1
-            entry = (-key, self._counter, value)
+        self._counter += 1
+        entry = (-key, self._counter, value)
         if len(self._heap) < self.k:
             heapq.heappush(self._heap, entry)
             return True
-        root = self._heap[0]
-        if self._canonical:
-            retain = entry > root  # (key, value) smaller than the current worst
-        else:
-            retain = -root[0] > key  # strictly smaller key; ties keep the incumbent
-        if retain:
+        if -self._heap[0][0] > key:  # strictly smaller key
             heapq.heapreplace(self._heap, entry)
             return True
         return False

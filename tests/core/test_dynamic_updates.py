@@ -23,9 +23,9 @@ from repro.core.pmlsh import PMLSH
 from repro.pmtree import flat as flat_module
 from repro.pmtree.flat import FlatPMTree
 from repro.pmtree.tree import PMTree
-from repro.pmtree.validate import check_invariants
 from repro.queries import Knn, Range
 from tests.oracles import recursive_probe
+from tests.oracles.invariants import check_invariants
 
 SPLIT = 500  # rows fitted; the rest arrive through add()
 

@@ -11,7 +11,7 @@ import pytest
 from repro.core.hashing import GaussianProjection
 from repro.core.params import PMLSHParams
 from repro.core.pmlsh import PMLSH
-from repro.pmtree.validate import check_invariants
+from tests.oracles.invariants import check_invariants
 
 
 @pytest.fixture(scope="module")

@@ -25,6 +25,7 @@ from repro.datasets.synthetic import gaussian_mixture
 from repro.pmtree import flat as flat_module
 from repro.pmtree.tree import PMTree
 from repro.rtree.tree import RTree
+from tests.oracles.pointer_tree import PointerPMTree, computation_cost
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +79,7 @@ class TestCostModels:
         radius = selectivity_radius(distribution, 0.08)
         pm_cost = pm_tree_computation_cost(pm, distribution, radius)
         rt_cost = r_tree_computation_cost(rt, marginals, radius)
-        total_entries_pm = sum(
-            len(node.ids) if node.is_leaf else len(node.entries)
-            for _, node in pm.iter_nodes()
-        )
+        total_entries_pm = int((pm.span_end - pm.span_start).sum())
         assert 0 < pm_cost <= total_entries_pm
         assert 0 < rt_cost
 
@@ -108,14 +106,27 @@ class TestCostModels:
         points, distribution, _, pm, _ = setup
         radius = selectivity_radius(distribution, 0.08)
         predicted = pm_tree_computation_cost(pm, distribution, radius)
-        pm.reset_counters()
         rng = np.random.default_rng(3)
-        trials = 20
-        for _ in range(trials):
-            query = points[rng.integers(0, len(points))]
-            pm.range_query(query, radius)
-        measured = pm.distance_computations / trials
+        queries = points[rng.integers(0, len(points), size=20)]
+        with mock.patch.object(flat_module, "_DENSE_COVERAGE", math.inf):
+            measured = float(pm.flatten().batch_range(queries, radius)[3].dist_comps.mean())
         assert predicted == pytest.approx(measured, rel=1.0)
+
+    @pytest.mark.parametrize("num_pivots, capacity", [(5, 16), (0, 8), (3, 200)])
+    def test_vectorised_model_equals_the_per_entry_loop(self, setup, num_pivots, capacity):
+        """Eqs. 6–7 over the packed arrays against the same sum, entry by
+        entry, over the pointer tree one seed builds: to 1e-12 relative,
+        at several radii, on the tree and on its flat snapshot."""
+        points, distribution, _, _, _ = setup
+        kwargs = dict(num_pivots=num_pivots, capacity=capacity, seed=2)
+        tree = PMTree.build(points, **kwargs)
+        oracle = PointerPMTree.build(points, **kwargs)
+        for fraction in (0.0, 0.01, 0.08, 0.5):
+            radius = selectivity_radius(distribution, fraction) if fraction else 0.0
+            want = computation_cost(oracle, distribution, radius)
+            for built in (tree, tree.flatten()):
+                got = pm_tree_computation_cost(built, distribution, radius)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_negative_radius_rejected(self, setup):
         _, distribution, marginals, pm, rt = setup

@@ -129,13 +129,7 @@ class TestSpaceAndTime:
     def test_tree_stores_each_point_once(self):
         data = gaussian_mixture(700, 16, num_clusters=5, seed=6)
         index = PMLSH(params=PMLSHParams(node_capacity=32), seed=0).fit(data)
-        leaf_ids = [
-            pid
-            for _, node in index.tree.iter_nodes()
-            if node.is_leaf
-            for pid in node.ids
-        ]
-        assert sorted(leaf_ids) == list(range(data.shape[0]))
+        assert sorted(index.tree.leaf_ids.tolist()) == list(range(data.shape[0]))
 
     def test_candidates_scale_with_beta_n(self):
         small = gaussian_mixture(400, 16, num_clusters=5, seed=7)

@@ -35,6 +35,7 @@ from repro import PMLSH, PMLSHParams
 from repro.pmtree.tree import PMTree
 from repro.queries import Knn, Range
 from tests.oracles import recursive_probe, reference_kernels
+from tests.oracles.pointer_tree import PointerPMTree
 
 
 def _dataset():
@@ -137,9 +138,7 @@ def banded_index(draw):
     fitted = draw(st.sampled_from([n, n - n // 4]))  # the rest arrives by add()
     params = PMLSHParams(
         node_capacity=draw(st.sampled_from([8, 32])),
-        # Pivot distances come from the norm expansion with no error bound
-        # (ROADMAP, correctness): offset data is indexed without pivots.
-        num_pivots=0 if offset else draw(st.sampled_from([0, 3])),
+        num_pivots=draw(st.sampled_from([0, 3])),
         radius_shrink=draw(st.sampled_from([1.0, 0.05])),  # 0.05: many rounds
     )
     index = PMLSH(params=params, seed=seed).fit(data[:fitted])
@@ -236,8 +235,8 @@ def capped_tree():
     rng = np.random.default_rng(5)
     points = rng.normal(size=(3000, 6))
     points[100:140] = points[100]  # 40 exact duplicates
-    tree = PMTree.build(points, num_pivots=3, capacity=16, seed=4)
-    flat = tree.flatten()
+    tree = PointerPMTree.build(points, num_pivots=3, capacity=16, seed=4)
+    flat = PMTree.build(points, num_pivots=3, capacity=16, seed=4).flatten()
     dead = np.arange(200, 420, dtype=np.int64)
     flat.set_tombstones(dead)
     queries = np.vstack([points[100][None, :], points[:31] + 0.05])  # 32 rows

@@ -17,6 +17,7 @@ import pytest
 
 from repro import PMLSH, PMLSHParams, ShardedIndex, compact_index
 from repro.pmtree.tree import PMTree
+from tests.oracles.invariants import check_invariants
 
 N = 900
 TAIL = 450
@@ -38,11 +39,9 @@ def _queries(data: np.ndarray) -> np.ndarray:
 
 def _tombstoned(offset: float = 0.0, dead_share: float = 0.3) -> PMLSH:
     """Fitted on N rows, TAIL rows left in the unindexed tail, and
-    *dead_share* of the indexed rows plus a few tail rows deleted.  Far
-    from the origin the pivot rings are unsound (docs/kernels.md, "The
-    one exception"), so offset data is indexed without pivots."""
+    *dead_share* of the indexed rows plus a few tail rows deleted."""
     data = _data(offset)
-    params = PMLSHParams(node_capacity=16, num_pivots=0 if offset else 3)
+    params = PMLSHParams(node_capacity=16, num_pivots=3)
     index = PMLSH(params=params, seed=4).fit(data[:N])
     index.add(data[N:])
     assert index.flat_tree.leaf_ids.size == N  # the tail stayed a tail
@@ -136,19 +135,8 @@ def test_compaction_runs_the_fold_rule():
 def test_every_live_slot_stays_inside_its_leaf_entry():
     index = _tombstoned()
     index.compact()
-    flat = index.flat_tree
-    assert flat.leaf_alive is None
-    np.testing.assert_array_equal(np.sort(flat.leaf_ids), np.arange(flat.leaf_ids.size))
-    for entry, child in enumerate(flat.entry_child):
-        if not flat.is_leaf[child]:
-            continue
-        members = flat.leaf_ids[flat.span_start[child] : flat.span_end[child]]
-        points = flat.points[members]
-        dists = np.linalg.norm(points - flat.entry_center[entry], axis=1)
-        assert np.all(dists <= flat.entry_radius[entry] * (1 + 1e-12))
-        rings = flat.pivot_dists[members]
-        assert np.all(rings >= flat.entry_hr_min[entry] * (1 - 1e-12))
-        assert np.all(rings <= flat.entry_hr_max[entry] * (1 + 1e-12))
+    assert index.flat_tree.leaf_alive is None
+    check_invariants(index.flat_tree)
 
 
 def test_a_compacted_index_keeps_growing_and_compacting():

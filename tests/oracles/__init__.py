@@ -1,10 +1,13 @@
 """Reference twins of the product's hot paths — test-only oracles.
 
 ``kernels_reference`` defines every :mod:`repro.kernels.fast` kernel the
-obvious way; ``recursive_probe`` answers PM-LSH's three query types by
-per-query pointer-tree walks.  The product ships one implementation and
-keeps no switch, so index-level identity is checked by swapping the
-reference functions onto the kernel set for the duration of a test.
+obvious way; ``pointer_tree`` is the PM-tree as a node graph (its build,
+breadth-first packing, recursive walks and per-entry cost model) and
+``invariants`` checks a packed tree's structure; ``recursive_probe``
+answers PM-LSH's three query types by per-query pointer-tree walks.  The
+product ships one implementation and keeps no switch, so index-level
+identity is checked by swapping the reference functions onto the kernel
+set for the duration of a test.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 These are the recursive traversals ``PMLSH`` used to ship next to the
 flat level-synchronous path: Algorithm 2's radius-enlarging probe, the
 (r, c)-ball range probe and the closest-pair join, each walking the
-pointer :class:`~repro.pmtree.tree.PMTree` (or brute force) one query at
-a time.  The candidate sets are defined by projected distances alone, not
+pointer tree of :mod:`tests.oracles.pointer_tree` (or brute force) one
+query at a time.  The candidate sets are defined by projected distances alone, not
 by tree shape — nor by whether a row is in the tree or in the flat
 snapshot's unindexed tail — so the product's batched flat path must
 answer with the same bytes — ids, distances and per-query stats.
@@ -20,27 +20,23 @@ import numpy as np
 from repro.baselines.base import BatchResult, QueryResult
 from repro.core.radius import range_candidate_budget
 from repro.datasets.distance import chunked_knn, point_to_points_distances
-from repro.pmtree.tree import PMTree
 from repro.queries import Knn, Range, RangeResult
+from tests.oracles.pointer_tree import PointerPMTree
 
 
 def _dead_set(index):
     return index.tombstones.as_set() if index.tombstones else None
 
 
-def full_tree(index) -> PMTree:
-    """A pointer tree over *every* row: ``index.tree`` itself, or — when
-    ``add`` left rows in the tail — a bulk build over the indexed rows
-    and the tail together, with the index's pivots."""
-    tree = index.tree
-    if len(tree) == index.ntotal:
-        return tree
-    return PMTree.build(
+def full_tree(index) -> PointerPMTree:
+    """A pointer tree over *every* row — the indexed rows and the tail
+    together — with the index's pivots."""
+    return PointerPMTree.build(
         index.projected,
         capacity=index.params.node_capacity,
         use_rings=index.params.use_rings,
         use_parent_filter=index.params.use_parent_filter,
-        pivots=tree.pivots,
+        pivots=index.flat_tree.pivots,
         seed=0,
     )
 

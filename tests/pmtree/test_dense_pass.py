@@ -63,13 +63,7 @@ def scenario(draw):
     offset = draw(st.sampled_from([0.0, 1e6, 1e8]))  # worst cancellation
     points += offset
     capacity = draw(st.sampled_from([4, 16, 1024]))  # 1024: a single leaf
-    # The pointer tree derives its pivot-distance matrix from the
-    # ‖a‖² − 2a·b + ‖b‖² expansion with no error bound, so far from the
-    # origin the hyper-ring tests (inner levels included) drop true
-    # matches — found while writing this test; ROADMAP, correctness item.
-    # Offset data is therefore indexed without pivots: parent distances
-    # and covering radii come from differences and stay sound.
-    num_pivots = 0 if offset else draw(st.integers(min_value=0, max_value=3))
+    num_pivots = draw(st.integers(min_value=0, max_value=3))
     # The tree indexes a prefix; the rest arrives as add() delivers it.
     indexed = draw(st.sampled_from([n, n - 1, n // 2 + 1]))
     tree = PMTree.build(
@@ -87,9 +81,7 @@ def scenario(draw):
         queries[0] = points[n // 3]  # sits on the duplicate block
     # Radius and lower bound are *computed distances* of real members to
     # the last (off-sample, so radius > 0) query: one point exactly on
-    # each boundary.  A zero radius has its own test below — there the
-    # traversal's Eq. 5 filters, which difference separately rounded
-    # distances, can drop an exact duplicate that the dense pass keeps.
+    # each boundary.  A zero radius has its own test below.
     ranked = np.sort(_exact_distances(points, queries[-1]))
     radius = float(ranked[draw(st.sampled_from([1, n // 10, n // 2, n - 1]))])
     lower = draw(st.sampled_from([None, float(ranked[draw(st.integers(0, n // 12))])]))
@@ -253,17 +245,18 @@ def _matches(result, i: int) -> set:
     return set(zip(dists[lims[i] : lims[i + 1]].tolist(), ids[lims[i] : lims[i + 1]].tolist()))
 
 
-def test_filter_boundary_dense_keeps_what_the_filters_drop():
-    """The one place the two routes may differ (docs/kernels.md): a radius
-    of zero with queries that are copies of indexed points.  The Eq. 5
-    filters difference separately rounded distances — pivot distances
-    from the norm expansion, 50 away from the origin — and drop exact
-    duplicates; the dense pass does not run them on leaf members.  What
-    must hold at any radius: per-pair ⊆ dense ⊆ the true ball, with the
-    exact kernel's distances on both."""
+@pytest.mark.parametrize("offset", [0.0, 50.0, 1e6, 1e8])
+def test_copies_of_indexed_points_match_on_both_routes_with_pivots_on(offset):
+    """A radius of zero (or a few ulps) with queries that are copies of
+    indexed points, five pivots, data up to 10⁸ from the origin: the Eq. 5
+    filters difference separately rounded distances, every one of them
+    computed by differences, so with their ulp slack the per-pair route
+    keeps every copy — per-pair ≡ dense ≡ the true ball, with the exact
+    kernel's distances on both.  (Pivot distances from the norm
+    expansion kept 0 of 264 copies at +50 and the dense route 195.)"""
     for seed in range(6):
         rng = np.random.default_rng(seed)
-        points = rng.normal(size=(600, 8)) + 50.0
+        points = rng.normal(size=(600, 8)) + offset
         points[100:104] = points[100]
         flat = PMTree.build(points, num_pivots=5, capacity=16, seed=seed).flatten()
         queries = points[96:128].copy()
@@ -274,7 +267,7 @@ def test_filter_boundary_dense_keeps_what_the_filters_drop():
                 dense = flat.batch_range(queries, radius)
             for i, query in enumerate(queries):
                 ball = set(_oracle(points, None, query, radius, None, None))
-                assert _matches(walked, i) <= _matches(dense, i) <= ball, (seed, radius, i)
+                assert _matches(walked, i) == _matches(dense, i) == ball, (seed, radius, i)
 
 
 def test_shipped_constant_takes_both_sides():

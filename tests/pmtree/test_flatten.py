@@ -1,10 +1,12 @@
-"""Flatten round-trip and flat-vs-recursive traversal equivalence.
+"""The array build against the pointer-tree oracle, node by node, and
+the flat traversal against the oracle's recursive walk.
 
 Two families of guarantees:
 
-* ``flatten()`` is a faithful snapshot — every routing entry (radius,
-  parent distance, hyper-rings, child), every leaf membership and every
-  parent distance of the pointer tree reappears in the packed arrays;
+* the build is the pointer tree laid out breadth-first — every routing
+  entry (radius, parent distance, hyper-rings, child), every leaf
+  membership and every parent distance of the oracle's node graph,
+  built from the same seed, reappears in the packed arrays;
 * the batched level-synchronous traversal is *observationally identical*
   to the recursive one: same result sets with the same floats, and the
   same node-access / distance-computation counters on plain range
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.pmtree import flat as flat_module
 from repro.pmtree.tree import PMTree
+from tests.oracles.pointer_tree import PointerPMTree, bfs_levels
 
 
 @st.composite
@@ -42,18 +45,12 @@ def point_cloud(draw):
 
 def _walk_pairs(tree):
     """(pointer node, BFS id) pairs in the flat tree's breadth-first order."""
-    flat_order = [tree.root]
-    frontier = [tree.root]
-    while frontier:
-        nxt = [
-            entry.child
-            for node in frontier
-            if not node.is_leaf
-            for entry in node.entries
-        ]
-        flat_order.extend(nxt)
-        frontier = nxt
-    return list(enumerate(flat_order))
+    return list(enumerate(node for level in bfs_levels(tree) for node in level))
+
+
+def _both(points, **kwargs):
+    """The oracle's pointer tree and the product's flat tree, one seed."""
+    return PointerPMTree.build(points, **kwargs), PMTree.build(points, **kwargs).flatten()
 
 
 @given(
@@ -62,10 +59,9 @@ def _walk_pairs(tree):
     st.integers(min_value=4, max_value=16),
 )
 @settings(max_examples=30, deadline=None)
-def test_flatten_round_trips_the_pointer_tree(points, num_pivots, capacity):
+def test_build_lays_out_the_pointer_tree(points, num_pivots, capacity):
     num_pivots = min(num_pivots, points.shape[0])
-    tree = PMTree.build(points, num_pivots=num_pivots, capacity=capacity, seed=0)
-    flat = tree.flatten()
+    tree, flat = _both(points, num_pivots=num_pivots, capacity=capacity, seed=0)
     assert len(flat) == len(tree)
     assert flat.height == tree.height()
     pairs = _walk_pairs(tree)
@@ -113,8 +109,7 @@ def test_flat_range_matches_recursive_results_and_counters(
     on the traversal side of the leaf-level choice, which is the side that
     mirrors the pointer tree's work (the dense side: next test)."""
     num_pivots = min(num_pivots, points.shape[0])
-    tree = PMTree.build(points, num_pivots=num_pivots, capacity=8, seed=1)
-    flat = tree.flatten()
+    tree, flat = _both(points, num_pivots=num_pivots, capacity=8, seed=1)
     queries = np.stack([points[0] + 0.25, points[-1] * 0.5, points[0] - 1.0])
     tree.reset_counters()
     flat.reset_counters()
@@ -150,8 +145,7 @@ def test_dense_range_matches_recursive_results_and_charges_live_members(
     same frontier counters as the traversal side, and ``dist_comps`` =
     the inner levels' centre distances + every live member streamed."""
     num_pivots = min(num_pivots, points.shape[0])
-    tree = PMTree.build(points, num_pivots=num_pivots, capacity=8, seed=1)
-    flat = tree.flatten()
+    tree, flat = _both(points, num_pivots=num_pivots, capacity=8, seed=1)
     dead = np.arange(0, points.shape[0], 7, dtype=np.int64)
     flat.set_tombstones(dead)
     queries = np.stack([points[0] + 0.25, points[-1] * 0.5, points[0] - 1.0])
@@ -183,8 +177,7 @@ class TestCappedAndAnnulusFetch:
     def built(self):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(600, 6))
-        tree = PMTree.build(points, num_pivots=3, capacity=16, seed=4)
-        return points, tree, tree.flatten()
+        return (points, *_both(points, num_pivots=3, capacity=16, seed=4))
 
     def test_limits_keep_the_closest_prefix(self, built):
         points, tree, flat = built
@@ -225,11 +218,6 @@ class TestCappedAndAnnulusFetch:
             order = np.lexsort((np.arange(points.shape[0]), truth[i]))[:9]
             np.testing.assert_array_equal(ids[i], order)
             np.testing.assert_array_equal(dists[i], truth[i][order])
-
-    def test_flatten_empty_tree_rejected(self):
-        tree = PMTree(np.zeros((1, 3)), num_pivots=0)
-        with pytest.raises(ValueError):
-            tree.flatten()
 
     def test_flatten_single_leaf_root(self):
         points = np.random.default_rng(0).normal(size=(5, 3))

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pmtree.tree import PMTree
-from repro.pmtree.validate import check_invariants
+from tests.oracles.invariants import check_invariants
+from tests.oracles.pointer_tree import PointerPMTree
 
 
 @st.composite
@@ -56,10 +57,10 @@ def test_range_query_is_exact(points, num_pivots, capacity, radius):
     tree = PMTree.build(points, num_pivots=num_pivots, capacity=capacity, seed=0)
     check_invariants(tree)
     query = points[0] + 0.25
-    got = sorted(pid for pid, _ in tree.range_query(query, radius))
+    _, ids, _, _ = tree.flatten().batch_range(query[None, :], radius)
     dists = np.linalg.norm(points - query, axis=1)
     expected = sorted(int(i) for i in np.flatnonzero(dists <= radius))
-    assert got == expected
+    assert sorted(ids.tolist()) == expected
 
 
 @given(point_cloud(), st.integers(min_value=1, max_value=15))
@@ -69,14 +70,10 @@ def test_knn_is_exact(points, k):
     tree = PMTree.build(points, num_pivots=2 if len(points) >= 2 else 0,
                         capacity=8, seed=1)
     query = points[-1] + 0.1
-    got = tree.knn(query, k)
-    assert len(got) == k
+    _, got_dists = tree.flatten().batch_knn(query[None, :], k)
     dists = np.linalg.norm(points - query, axis=1)
-    kth = np.sort(dists)[k - 1]
     # Distance multiset must match (ids may differ on ties).
-    got_dists = np.array([d for _, d in got])
-    np.testing.assert_allclose(got_dists, np.sort(dists)[:k], rtol=1e-9, atol=1e-9)
-    assert got_dists.max() <= kth + 1e-9
+    np.testing.assert_allclose(got_dists[0], np.sort(dists)[:k], rtol=1e-9, atol=1e-9)
 
 
 @given(
@@ -88,12 +85,13 @@ def test_knn_is_exact(points, k):
 def test_limited_range_returns_closest_prefix(points, limit, radius):
     tree = PMTree.build(points, num_pivots=min(3, len(points)), capacity=8, seed=2)
     query = points[0] * 0.5
-    got = tree.range_query(query, radius, limit=limit)
+    lims, _, got_dists, _ = tree.flatten().batch_range(
+        query[None, :], radius, limits=np.array([limit])
+    )
     dists = np.sort(np.linalg.norm(points - query, axis=1))
     in_ball = dists[dists <= radius]
     expected_count = min(limit, in_ball.size)
-    assert len(got) == expected_count
-    got_dists = np.array([d for _, d in got])
+    assert lims[1] == expected_count
     np.testing.assert_allclose(got_dists, in_ball[:expected_count], rtol=1e-9, atol=1e-9)
 
 
@@ -127,10 +125,9 @@ def test_grown_flat_tree_answers_like_a_bulk_build_over_every_row(
     n = points.shape[0]
     assert len(flat) == n and flat.leaf_ids.size == indexed
     assert flat.num_live == n - len(dead)
-    oracle = PMTree.build(points, capacity=capacity, pivots=tree.pivots, seed=0)
-    # Offsets no drawn radius lands on: at a distance *equal* to the radius
-    # the Eq. 5 filters of two differently shaped trees may disagree
-    # (docs/kernels.md, "The one exception").
+    oracle = PointerPMTree.build(points, capacity=capacity, pivots=tree.pivots, seed=0)
+    # Offsets no drawn radius lands on, so no point sits exactly on the
+    # ball's boundary.
     queries = np.stack([points[0] + 0.2537, points[-1] * 0.4871, points[0] - 1.0193])
     dead_set = set(dead)
     lims, ids, dists, stats = flat.batch_range(queries, radius)

@@ -72,19 +72,13 @@ def operating_point(n: int):
 
 
 def build(n: int, capacity: int, seed: int, shift: float = 0.0):
-    """A PM-tree over projected clustered data, plus 64 held-out queries.
-
-    Shifted data is indexed without pivots: the pivot-distance matrix
-    comes from the norm expansion with no error bound, so far from the
-    origin the ring filters themselves drop true matches (ROADMAP,
-    correctness) — a traversal fault, not the dense pass's."""
+    """A flat PM-tree over projected clustered data, plus 64 held-out queries."""
     points = gaussian_mixture(
         n + 64, 64, num_clusters=256, cluster_std=0.3, center_box=2.0, seed=seed
     )
     projected = GaussianProjection(64, operating_point(n)[0], seed=seed).project(points) + shift
     data, queries = np.ascontiguousarray(projected[:n]), projected[n:]
-    tree = PMTree.build(data, num_pivots=0 if shift else 5, capacity=capacity, seed=seed)
-    return tree, tree.flatten(), queries
+    return PMTree.build(data, num_pivots=5, capacity=capacity, seed=seed).flatten(), queries
 
 
 def capped_ball(flat, block, radius: float, limits) -> List[np.ndarray]:
@@ -174,12 +168,12 @@ def cells(sizes, capacities, quantiles, row_counts, repeats, min_seconds, seed) 
     for n in sizes:
         for capacity in capacities:
             budget = int(math.ceil(operating_point(n)[1] * n)) + K
-            tree, flat, queries = build(n, capacity, seed)
+            flat, queries = build(n, capacity, seed)
             distribution = sample_distance_distribution(flat.points, num_pairs=20000, seed=seed)
             measured = []
             for quantile in quantiles:
                 radius = quantile_radius(flat, queries, quantile)
-                predicted = pm_tree_computation_cost(tree, distribution, radius)
+                predicted = pm_tree_computation_cost(flat, distribution, radius)
                 for rows in row_counts:
                     block = queries[:rows]
                     limits = np.full(rows, budget, dtype=np.int64)
@@ -205,8 +199,8 @@ def cells(sizes, capacities, quantiles, row_counts, repeats, min_seconds, seed) 
                         "predicted_dc": predicted,
                     })
             # The same cells far from the origin (one tree at a time in memory).
-            del tree, flat
-            _, far, far_queries = build(n, capacity, seed, shift=FAR)
+            del flat
+            far, far_queries = build(n, capacity, seed, shift=FAR)
             for cell in measured:
                 radius = quantile_radius(far, far_queries, cell["quantile"])
                 limits = np.full(cell["rows"], budget, dtype=np.int64)

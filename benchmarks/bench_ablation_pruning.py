@@ -7,17 +7,18 @@ Not a paper table, but the design-choice study DESIGN.md calls out:
   identical, distance computations must drop when each filter is enabled;
 * pivot selection policies (maxsep vs random): ring tightness.
 
-Distance computations are the per-pair ``dist_comps`` of
-``FlatPMTree.batch_range`` with the dense leaf pass switched off: the
-side of the traversal where the Eq. 5 filters decide which members get
-a distance, so the one where switching a filter off shows.
+Distance computations are the ``distance_computations`` of the
+pointer-tree oracle's recursive ``range_query``
+(``tests/oracles/pointer_tree.py``, built from the same points, seed and
+flags as ``PMTree.build``, so the same tree): the per-pair walk, where
+the Eq. 5 filters decide which leaf members get a distance, so the one
+where switching a filter off shows.  The product's flat traversal scores
+every member of a reached leaf instead.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from unittest import mock
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from conftest import bench_seed  # noqa: I001 (script-mode sys.path bootstrap)
 
 from repro.core.hashing import GaussianProjection
 from repro.evaluation.tables import format_table
-from repro.pmtree import PMTree
-from repro.pmtree import flat as flat_module
+from tests.oracles.pointer_tree import PointerPMTree
 
 
 def _query_workload(projected, radius, trials=15, seed=bench_seed(4)):
@@ -37,12 +37,11 @@ def _query_workload(projected, radius, trials=15, seed=bench_seed(4)):
 
 
 def _per_pair_range(tree, queries, radius):
-    """Per-query sorted match ids and mean ``dist_comps`` of one per-pair
-    ``batch_range`` over *queries*."""
-    with mock.patch.object(flat_module, "_DENSE_COVERAGE", math.inf):
-        lims, ids, _, stats = tree.flatten().batch_range(queries, radius)
-    answers = [sorted(ids[lo:hi].tolist()) for lo, hi in zip(lims[:-1], lims[1:])]
-    return answers, float(stats.dist_comps.mean())
+    """Per-query sorted match ids and mean distance computations of the
+    pointer tree's per-pair range walk over *queries*."""
+    tree.reset_counters()
+    answers = [sorted(pid for pid, _ in tree.range_query(q, radius)) for q in queries]
+    return answers, tree.distance_computations / len(queries)
 
 
 def test_ablation_pruning_filters(cache, write_result, benchmark):
@@ -63,7 +62,7 @@ def test_ablation_pruning_filters(cache, write_result, benchmark):
         baseline_results = None
         for rings in (True, False):
             for parent in (True, False):
-                tree = PMTree.build(
+                tree = PointerPMTree.build(
                     projected, num_pivots=5, capacity=64,
                     use_rings=rings, use_parent_filter=parent, seed=bench_seed(5),
                 )
@@ -83,8 +82,10 @@ def test_ablation_pruning_filters(cache, write_result, benchmark):
         rows,
         note=(
             "Rings and the parent filter must not change results, only cost.  "
-            "One batched per-pair traversal over all queries; time per query "
-            "is its wall time divided by the query count."
+            "Counts and times are the pointer-tree oracle's per-query recursive "
+            "walk (Eq. 5 filters on every entry and leaf member), not the "
+            "product's batched flat traversal; time per query is the walks' "
+            "wall time divided by the query count."
         ),
     )
     write_result("ablation_pruning", table)
@@ -108,7 +109,7 @@ def test_ablation_pivot_selection(cache, write_result, benchmark):
     def run_pivot_comparison():
         rows.clear()
         for method in ("maxsep", "random", "variance"):
-            tree = PMTree.build(
+            tree = PointerPMTree.build(
                 projected, num_pivots=5, capacity=64, pivot_method=method, seed=bench_seed(7)
             )
             _, costs[method] = _per_pair_range(tree, queries, radius)

@@ -9,16 +9,15 @@ shape to check is `PM-tree CC < R-tree CC` on every dataset.
 
 An empirical pair of columns measures the live distance-computation
 counters on the same range queries, validating the model against reality
-(the in-text claim accompanying Table 2): for the PM-tree, the per-pair
-``dist_comps`` of ``FlatPMTree.batch_range`` with the dense leaf pass
-switched off — one distance per point or routing object the Eq. 5
-filters leave, which is what Eq. 7 counts.
+(the in-text claim accompanying Table 2): for the PM-tree, the
+``distance_computations`` of the pointer-tree oracle's recursive
+``range_query`` (``tests/oracles/pointer_tree.py``, built from the same
+points, seed and flags, so the same tree) — one distance per point or
+routing object the Eq. 5 filters leave, which is what Eq. 7 counts.  The
+product's flat traversal scores every member of a reached leaf instead.
 """
 
 from __future__ import annotations
-
-import math
-from unittest import mock
 
 import numpy as np
 
@@ -33,8 +32,8 @@ from repro.datasets import MarginalDistribution, sample_distance_distribution
 from repro.datasets.registry import available_datasets
 from repro.evaluation.tables import format_table
 from repro.pmtree import PMTree
-from repro.pmtree import flat as flat_module
 from repro.rtree import RTree
+from tests.oracles.pointer_tree import PointerPMTree
 
 
 #: Paper's Table 2 settings.
@@ -54,11 +53,14 @@ def _build_setup(cache, name):
     projection = GaussianProjection(workload.d, M_PROJECTIONS, seed=bench_seed(3))
     projected = projection.project(workload.data)
     pm_tree = PMTree.build(projected, num_pivots=5, capacity=NODE_CAPACITY, seed=bench_seed(4))
+    walked = PointerPMTree.build(
+        projected, num_pivots=5, capacity=NODE_CAPACITY, seed=bench_seed(4)
+    )
     r_tree = RTree.build(projected, capacity=NODE_CAPACITY)
     distribution = sample_distance_distribution(projected, num_pairs=30_000, seed=bench_seed(5))
     marginals = MarginalDistribution.from_points(projected)
     radius = selectivity_radius(distribution, SELECTIVITY)
-    return projected, pm_tree, r_tree, distribution, marginals, radius
+    return projected, pm_tree, walked, r_tree, distribution, marginals, radius
 
 
 def test_table2_costmodel(cache, write_result, benchmark):
@@ -68,7 +70,8 @@ def test_table2_costmodel(cache, write_result, benchmark):
 
     def evaluate_models():
         rows.clear()
-        for name, (projected, pm_tree, r_tree, distribution, marginals, radius) in setups.items():
+        for name, setup in setups.items():
+            projected, pm_tree, walked, r_tree, distribution, marginals, radius = setup
             comparison = compare_trees(
                 name, pm_tree, r_tree, distribution, marginals, radius
             )
@@ -79,11 +82,11 @@ def test_table2_costmodel(cache, write_result, benchmark):
                 [projected[rng.integers(0, projected.shape[0])] for _ in range(trials)]
             )
             r_tree.reset_counters()
+            walked.reset_counters()
             for query in queries:
                 r_tree.range_query(query, radius)
-            with mock.patch.object(flat_module, "_DENSE_COVERAGE", math.inf):
-                stats = pm_tree.flatten().batch_range(queries, radius)[3]
-            measured_pm = float(stats.dist_comps.sum()) / trials
+                walked.range_query(query, radius)
+            measured_pm = walked.distance_computations / trials
             measured_rt = r_tree.distance_computations / trials
             all_reductions[name] = comparison.reduction
             rows.append(
@@ -112,7 +115,7 @@ def test_table2_costmodel(cache, write_result, benchmark):
             "Model columns: Eqs. 6-7 vs Eq. 9 at ~8% selectivity, capacity "
             f"{NODE_CAPACITY}, m={M_PROJECTIONS}.  Measured columns: live "
             "distance-computation counters on the same range queries (PM-tree: "
-            "the flat traversal's per-pair side)."
+            "the pointer-tree oracle's per-pair walk)."
         ),
     )
     write_result("table2_costmodel", table)

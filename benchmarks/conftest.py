@@ -33,11 +33,14 @@ from pathlib import Path
 from typing import Callable, Dict, Optional
 
 # Script mode (`python benchmarks/bench_X.py`): make `repro` importable
-# exactly as under `PYTHONPATH=src` before anything pulls it in.  Bench
-# modules import conftest *first* so this runs ahead of their own imports.
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if _SRC.is_dir() and str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+# exactly as under `PYTHONPATH=src` before anything pulls it in, and the
+# repo root too, for the paper benches' per-pair counts from the
+# pointer-tree oracle (`tests.oracles`).  Bench modules import conftest
+# *first* so this runs ahead of their own imports.
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT):
+    if _path.is_dir() and str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

@@ -79,6 +79,12 @@ def leaf_prune(
     the ring filter (``∀i |d(q, p_i) − d(o, p_i)| ≤ r``) narrows the
     survivor set one pivot at a time.  Each test carries the
     :func:`filter_slack` of *dim*.
+
+    No product path calls it: the PM-tree scores its reached leaves in one
+    dense pass, and per-member counts come from the pointer-tree oracle.
+    It stays in :data:`~repro.kernels.KERNEL_NAMES` because the frozen
+    end-to-end benchmark reports a call count for every name on its own
+    list, pinned to that tuple by its tests (docs/kernels.md).
     """
     u = filter_slack(dim)
     if use_parent_filter and rep_pd is not None:

@@ -5,61 +5,50 @@ breadth-first order, and ``PMTree.flatten()`` wraps them in this module's
 :class:`FlatPMTree`: every routing entry's fields (routing-object
 coordinates, covering radius, parent distance, hyper-ring intervals,
 child node) live in contiguous NumPy arrays, each depth level is one
-contiguous node-id range, and leaf membership is two flat arrays sliced
-per leaf.
+contiguous node-id range, and leaf membership is one flat array
+(``leaf_ids``) sliced per leaf.
 
 The tree indexes a *prefix* of its point matrix.  Rows appended later
 (:meth:`FlatPMTree.extend`) form an unindexed **tail**: point ids are
 append-only, so the tail is always the contiguous suffix ``points[
 leaf_ids.size:]``, and every query scores it with the same dense pass
-that answers a widely covered leaf level.  A match is defined by its
-projected distance alone, so a row answers the same from the tail as
-from a leaf; the owner re-clusters (bulk build + ``flatten()``) when the
-tail has grown enough to matter.  For the same reason, dropping dead
-points needs no re-clustering: :meth:`FlatPMTree.compacted` filters the
-per-slot arrays and keeps the routing entries.
+that answers the leaf level.  A match is defined by its projected
+distance alone, so a row answers the same from the tail as from a leaf;
+the owner re-clusters (bulk build + ``flatten()``) when the tail has
+grown enough to matter.  For the same reason, dropping dead points needs
+no re-clustering: :meth:`FlatPMTree.compacted` filters the per-slot
+arrays and keeps the routing entries.
 
 Traversal is *level-synchronous and batched*: one call answers a whole
 ``(Q, m)`` query block by expanding the entire frontier — every surviving
 ``(query, node)`` pair — one level per step.  The Eq. 5 pruning battery
 (parent-distance test, hyper-ring tests, sphere test) is applied to the
-whole frontier as array masks, with no per-node Python recursion;
-candidate ids and distances accumulate into buffers shared across the
-queries of the batch.
+inner levels' routing entries as array masks, with no per-node Python
+recursion, and visits exactly the nodes a per-query recursive walk of
+the same tree visits (``tests/pmtree/test_flatten.py`` asserts it
+against the pointer-tree oracle in ``tests/oracles/``).  The mask and
+distance arithmetic lives in :mod:`repro.kernels`.
 
-The mask and distance arithmetic lives in :mod:`repro.kernels`.  An
-uncapped traversal visits exactly the nodes a per-query recursive walk
-of the same tree visits and computes exactly the same distances with the
-same float64 kernels, so results — and the node-access /
-distance-computation counters — are identical to the walk's
-(``tests/pmtree/test_flatten.py`` asserts both against the pointer-tree
-oracle in ``tests/oracles/``).  That is one of two ways the leaf level
-is answered: when the leaves the inner levels reached already hold a
-large share of the indexed points — Algorithm 2's first round at the
-default β always does — gathering and filtering member by member is pure
-overhead, and the leaf level instead scores the whole reached slot range
-as blocked GEMMs (see ``FlatPMTree._dense_leaves``).  Those scores come
-from a float32 copy of the slot rows (``leaf_points``) and are estimates
-of the squared distance with a proven error bound; the exact kernel
-runs — over the float64 ``points`` — only where a score is too close to
-a boundary to decide: ``radius``, ``lower``, or the L-th place of the
-limit cut (:meth:`FlatPMTree._cut`, the one canonical cut every chunk of
-matches goes through).  So every decision is the exact kernel's, and
-most matches never get an exact distance: ``batch_range(sort=False)``
-returns the match *set* and no distances, ``sort=True`` computes them
-for the output rows only.  Results are the same either way and only the
-counters (``dist_comps``, ``rescored``) say which side ran.  The dense
-side emits every member of the slot range whose exact distance is
-within ``radius``; the per-pair side emits those that also pass the
-Eq. 5 filters.  In exact arithmetic the filters are implied by the
-distance test; in floating point each differences two separately
-rounded distances — query to pivot or routing object, and the stored
-point-to-pivot or parent distance, all computed by differences — so
-every filter test carries a relative ulp slack
-(:func:`~repro.kernels.fast.filter_slack`) that covers that rounding:
-copies of an indexed point pass at ``radius`` 0, at any distance from
-the origin.  Both routes return the true ball
-(``tests/pmtree/test_dense_pass.py``).
+The leaf level has one route: the leaves the inner levels reached, as
+runs of adjacent slots, are scored for the whole block as blocked GEMMs
+(:meth:`FlatPMTree._dense_leaves`) — over a view of the slot range the
+runs span when they fill at least half of it, over a gather of just
+their rows when they do not.  Those scores come from a float32 copy of
+the slot rows (``leaf_points``) and are estimates of the squared
+distance with a proven error bound; the exact kernel runs — over the
+float64 ``points`` — only where a score is too close to a boundary to
+decide: ``radius``, ``lower``, or the L-th place of the limit cut
+(:meth:`FlatPMTree._cut`, the one canonical cut every chunk of matches
+goes through).  So every decision is the exact kernel's, and most
+matches never get an exact distance: ``batch_range(sort=False)`` returns
+the match *set* and no distances, ``sort=True`` computes them for the
+output rows only.  The leaf members get no Eq. 5 filter of their own: in
+exact arithmetic the filters are implied by the distance test, so the
+pass emits every member of the scored slots whose exact distance is
+within ``radius`` — the true ball (``tests/pmtree/test_dense_pass.py``),
+since the inner filters, each carrying a relative ulp slack
+(:func:`~repro.kernels.fast.filter_slack`) for the rounding of the two
+distances it differences, never prune a subtree holding a match.
 """
 
 from __future__ import annotations
@@ -83,14 +72,13 @@ class TraversalStats:
     ``level_visits`` is a ``(height,)`` array of (query, node) frontier
     pairs expanded per depth level, summed over the batch.
 
-    Both leaf-level strategies count the same frontier: ``nodes`` and
-    ``level_visits`` are the inner nodes plus the leaves the inner levels
-    reached, whichever way their members are then scored.  ``dist_comps``
-    charges what was scored — on the traversal side the members that
-    survive the Eq. 5 filters, on the dense side (see
-    ``_DENSE_COVERAGE``) every live member of the slot range the pass
-    streams, once per query; the live rows of the unindexed tail are
-    charged to every query the same way.
+    ``nodes`` and ``level_visits`` count the inner nodes plus the leaves
+    the inner levels reached — the frontier a recursive walk visits.
+    ``dist_comps`` charges what was scored: a centre distance per
+    routing entry left by the inner filters, and every live slot the
+    leaf pass scores, once per query row of the pass (the slots of
+    leaves any row of the block reached, and the live rows of the
+    unindexed tail).
     """
 
     nodes: np.ndarray
@@ -109,10 +97,9 @@ class _Matches:
     what its one canonical cut needs to decide on them.
 
     Per chunk: query row, point id, a squared-distance ``key`` (the dense
-    pass's estimate, or ``fl(d²)`` of an exact distance) and the exact
-    projected distance where one was computed (NaN otherwise; ``None``
-    for a chunk with none).  Per query: ``tol`` bounds ``|key − d²|``
-    over all its chunks (0 while every chunk is exact), and ``rescored``
+    pass's estimate) and the exact projected distance where one was
+    computed (NaN otherwise; ``None`` for a chunk with none).  Per query:
+    ``tol`` bounds ``|key − d²|`` over all its chunks, and ``rescored``
     counts its decision re-scores.
     """
 
@@ -139,20 +126,12 @@ class _Matches:
         return np.concatenate(self.keys), np.concatenate(exact)
 
 
-#: The leaf level scores the whole reached slot range as blocked GEMMs,
-#: instead of gathering per (query, member) pair, when the reached leaves
-#: hold at least this share of ``(rows + _DENSE_LOAD_ROWS) × slots``.
-#: Streaming a slot costs far less than gathering a pair, but the exact
-#: re-score of the survivors is common to both sides and the Eq. 5 parent
-#: filter already drops most pairs cheaply, so the measured break-even
-#: sits at 2–3 % coverage for wide blocks.  ``tools/crossover.py`` → the
+#: The leaf pass scores a view of the slot range its runs span when they
+#: fill at least this share of it, and a gather of just their rows below:
+#: a gather copies each row once before the GEMM reads it, which pays off
+#: only when it skips more than it copies.  ``tools/crossover.py`` → the
 #: table in docs/tuning.md; not a knob.
-_DENSE_COVERAGE = 0.02
-
-#: Reading the slot range once is memory-bound and shared by a row block:
-#: it costs what scoring ~10 more query rows would, which is why a
-#: one-row call breaks even at ~22 % coverage and a 32-row call at ~3 %.
-_DENSE_LOAD_ROWS = 10.0
+_VIEW_FILL = 0.5
 
 #: Bytes of scores per dense block: 2^20 float32 (rows × columns) entries.
 _DENSE_BLOCK_BYTES = 1 << 22
@@ -208,7 +187,8 @@ class FlatPMTree:
     are breadth-first, the root is node 0, and ``levels[d]`` is the
     ``[lo, hi)`` node-id range of depth d.  For an inner node ``v``,
     ``span[v]`` slices the ``entry_*`` arrays; for a leaf it slices
-    ``leaf_ids`` / ``leaf_pd``.
+    ``leaf_ids`` (and the per-slot arrays).  Leaf spans follow node-id
+    order.
 
     The snapshot *references* its point matrix rather than copying it.
     ``leaf_ids`` is a permutation of the indexed prefix ``0 ..
@@ -224,7 +204,6 @@ class FlatPMTree:
         *,
         points: np.ndarray,
         pivots: np.ndarray,
-        pivot_dists: np.ndarray,
         use_rings: bool,
         use_parent_filter: bool,
         is_leaf: np.ndarray,
@@ -238,11 +217,9 @@ class FlatPMTree:
         entry_hr_max: np.ndarray,
         entry_child: np.ndarray,
         leaf_ids: np.ndarray,
-        leaf_pd: np.ndarray,
     ) -> None:
         self.points = points
         self.pivots = pivots
-        self.pivot_dists = pivot_dists
         self.num_pivots = int(pivots.shape[0])
         self.use_rings = use_rings
         self.use_parent_filter = use_parent_filter
@@ -257,7 +234,6 @@ class FlatPMTree:
         self.entry_hr_max = entry_hr_max
         self.entry_child = entry_child
         self.leaf_ids = leaf_ids
-        self.leaf_pd = leaf_pd
         #: point id per slot: the leaf members in traversal order, then the
         #: unindexed tail rows (``leaf_ids`` itself while there is no tail).
         tail = np.arange(leaf_ids.size, points.shape[0], dtype=np.int64)
@@ -268,16 +244,6 @@ class FlatPMTree:
         # computed from the float64 ``points[slot_ids[…]]``, so distances
         # are bit-identical to a per-pair walk's.
         self.leaf_points, self.leaf_sqnorm = _score_rows(points, self.slot_ids)
-        #: one contiguous per-pivot column, so the staged ring filter reads
-        #: sequential memory per pivot (only built when the filter can run).
-        self.leaf_ring_cols = (
-            [
-                np.ascontiguousarray(pivot_dists[leaf_ids, pivot])
-                for pivot in range(self.num_pivots)
-            ]
-            if use_rings and self.num_pivots
-            else []
-        )
         #: aggregate counters: the ``TraversalStats`` of every batch
         #: since the last reset, summed
         self.distance_computations = 0
@@ -295,10 +261,9 @@ class FlatPMTree:
     #: The keyword arguments of ``__init__``: what a built
     #: :class:`~repro.pmtree.tree.PMTree` holds.
     FIELDS = (
-        "points", "pivots", "pivot_dists", "use_rings", "use_parent_filter",
-        "is_leaf", "span_start", "span_end", "levels", "entry_center",
-        "entry_radius", "entry_pd", "entry_hr_min", "entry_hr_max",
-        "entry_child", "leaf_ids", "leaf_pd",
+        "points", "pivots", "use_rings", "use_parent_filter", "is_leaf",
+        "span_start", "span_end", "levels", "entry_center", "entry_radius",
+        "entry_pd", "entry_hr_min", "entry_hr_max", "entry_child", "leaf_ids",
     )
 
     @classmethod
@@ -319,8 +284,7 @@ class FlatPMTree:
         """Pure-array form of the snapshot for ``.npz`` persistence.
 
         Everything structural — node layout, routing-entry fields, leaf
-        membership — plus the pivot-distance matrix, keyed with the
-        ``flat_`` prefix so they coexist with an index's own archive
+        membership — keyed with the ``flat_`` prefix so they coexist with an index's own archive
         entries.  The point matrix itself is *not* included: the owner
         re-derives it (PM-LSH re-projects the dataset with the stored
         directions) and passes it to :meth:`from_arrays`.
@@ -337,8 +301,6 @@ class FlatPMTree:
             "flat_entry_hr_max": self.entry_hr_max,
             "flat_entry_child": self.entry_child,
             "flat_leaf_ids": self.leaf_ids,
-            "flat_leaf_pd": self.leaf_pd,
-            "flat_pivot_dists": self.pivot_dists,
         }
 
     @classmethod
@@ -356,13 +318,13 @@ class FlatPMTree:
 
         *points* must be the same projected matrix the snapshot was taken
         over (same values, same order) — rows past the stored ``leaf_ids``
-        are the unindexed tail; the stored pivot-distance matrix
-        keeps the ring filters bit-identical to the saved tree's.
+        are the unindexed tail.  Older archives also hold the points'
+        pivot distances and leaf parent distances, which no query reads
+        any more: they are ignored.
         """
         return cls(
             points=np.ascontiguousarray(np.asarray(points, dtype=np.float64)),
             pivots=np.asarray(pivots, dtype=np.float64),
-            pivot_dists=np.asarray(arrays["flat_pivot_dists"], dtype=np.float64),
             use_rings=bool(use_rings),
             use_parent_filter=bool(use_parent_filter),
             is_leaf=np.asarray(arrays["flat_is_leaf"], dtype=bool),
@@ -379,7 +341,6 @@ class FlatPMTree:
             entry_hr_max=np.asarray(arrays["flat_entry_hr_max"], dtype=np.float64),
             entry_child=np.asarray(arrays["flat_entry_child"], dtype=np.int64),
             leaf_ids=np.asarray(arrays["flat_leaf_ids"], dtype=np.int64),
-            leaf_pd=np.asarray(arrays["flat_leaf_pd"], dtype=np.float64),
         )
 
     # ------------------------------------------------------------------
@@ -449,7 +410,6 @@ class FlatPMTree:
         slots = np.flatnonzero(kept_slot)
         flat = copy.copy(self)
         flat.points = points
-        flat.pivot_dists = self.pivot_dists[kept_row[:indexed]]
         # Leaf v's members are slots [span_start, span_end); inner spans
         # index routing entries and stay as they are.
         kept_before = np.concatenate([[0], np.cumsum(kept_leaf)])
@@ -457,11 +417,9 @@ class FlatPMTree:
         flat.span_start[self.is_leaf] = kept_before[self.span_start[self.is_leaf]]
         flat.span_end[self.is_leaf] = kept_before[self.span_end[self.is_leaf]]
         flat.leaf_ids = new_id[self.leaf_ids[kept_leaf]]
-        flat.leaf_pd = self.leaf_pd[kept_leaf]
         flat.slot_ids = new_id[self.slot_ids[slots]]
         flat.leaf_points = self.leaf_points[slots]
         flat.leaf_sqnorm = self.leaf_sqnorm[slots]
-        flat.leaf_ring_cols = [col[kept_leaf] for col in self.leaf_ring_cols]
         flat.leaf_alive = None
         return flat
 
@@ -521,16 +479,13 @@ class FlatPMTree:
         One traversal serves the whole batch: the frontier holds every
         live ``(query, node)`` pair and advances one tree level per step,
         applying the Eq. 5 parent-distance / ring / sphere tests as masks
-        over the packed entry arrays (:mod:`repro.kernels`).  The leaf
-        level then takes one of two routes to the same matches, chosen
-        from how much of ``rows × slots`` the reached leaves cover
-        (``_DENSE_COVERAGE``): member-by-member Eq. 5 filters and gathered
-        distances when the ball is small, one dense scoring pass over the
-        reached slot range when it is not (:meth:`_dense_leaves`).  The
-        unindexed tail, if any, always takes the dense pass — the leaf
-        level's own when that runs up to the last leaf slot (the tail's
-        slots follow on), one more otherwise — and its matches are pooled
-        with the tree's before the one limit cut (:meth:`_cut`).
+        over the packed entry arrays (:mod:`repro.kernels`).  The leaves
+        the block reached are then scored in one dense pass
+        (:meth:`_expand_leaves`, :meth:`_dense_leaves`).  The unindexed
+        tail, if any, is scored by that same pass when the reached slots
+        run up to the last leaf slot (the tail's slots follow on), by one
+        more otherwise, and its matches are pooled with the tree's before
+        the one limit cut (:meth:`_cut`).
         """
         kernel = _kernels.active()
         queries = np.ascontiguousarray(np.atleast_2d(queries))
@@ -564,17 +519,15 @@ class FlatPMTree:
             nodes += np.bincount(frontier_q, minlength=num_queries)
             leaf_mask = self.is_leaf[frontier_node]
 
-            # ---- leaf rows: filter members, verify projected distance ----
+            # ---- leaf rows: score the reached slots ----
             if np.any(leaf_mask):
                 self._expand_leaves(
                     queries,
-                    query_rings,
                     radius,
                     lower,
                     limits,
                     frontier_q[leaf_mask],
                     frontier_node[leaf_mask],
-                    frontier_pd[leaf_mask],
                     dist_comps,
                     owes_tail,
                     matches,
@@ -599,7 +552,7 @@ class FlatPMTree:
         if owes_tail.any():  # no node to prune the tail by: every query scores it
             self._dense_leaves(
                 queries, radius, lower, limits, np.flatnonzero(owes_tail),
-                self.leaf_ids.size, self.slot_ids.size,
+                slice(self.leaf_ids.size, self.slot_ids.size),
                 dist_comps, matches, kernel,
             )
 
@@ -612,78 +565,48 @@ class FlatPMTree:
     def _expand_leaves(
         self,
         queries: np.ndarray,
-        query_rings: Optional[np.ndarray],
         radius: float,
         lower: Optional[float],
         limits: Optional[np.ndarray],
         lq: np.ndarray,
         lnode: np.ndarray,
-        lpd: np.ndarray,
         dist_comps: np.ndarray,
         owes_tail: np.ndarray,
         matches: _Matches,
         kernel,
     ) -> None:
-        starts = self.span_start[lnode]
-        ends = self.span_end[lnode]
-        counts = ends - starts
-        pairs = int(counts.sum())
-        if pairs == 0:
+        """The leaves of frontier pairs ``(lq, lnode)``, for every query row
+        among *lq*: their slot spans, sorted (leaf spans follow node-id
+        order) and merged where adjacent into runs, scored by one
+        :meth:`_dense_leaves` pass — over a view of ``[first run, last
+        run)`` when the runs fill at least ``_VIEW_FILL`` of it, over the
+        gathered runs otherwise."""
+        reached = np.zeros(self.num_nodes, dtype=bool)
+        reached[lnode] = True
+        leaves = np.flatnonzero(reached)
+        starts, ends = self.span_start[leaves], self.span_end[leaves]
+        nonempty = ends > starts  # a compacted snapshot may hold empty leaves
+        starts, ends = starts[nonempty], ends[nonempty]
+        if starts.size == 0:
             return
+        head = np.flatnonzero(np.concatenate([[True], starts[1:] != ends[:-1]]))
+        run_lo = starts[head]
+        run_hi = ends[np.concatenate([head[1:], [starts.size]]) - 1]
         # The frontier is query-major: distinct queries are its run heads.
-        # Breadth-first packing makes one level's leaves a contiguous slot
-        # range, so [slot_lo, slot_hi) holds every reached member and no
-        # member of a leaf on another level.
         rows_q = lq[np.flatnonzero(np.diff(lq, prepend=-1))]
-        slot_lo, slot_hi = int(starts.min()), int(ends.max())
-        streamed = (rows_q.size + _DENSE_LOAD_ROWS) * (slot_hi - slot_lo)
-        if pairs >= _DENSE_COVERAGE * streamed:
-            if slot_hi == self.leaf_ids.size:
-                # The tail's slots follow the last leaf slot: one pass (one
-                # pre-cut, one pool per row) scores both.
-                slot_hi = self.slot_ids.size
-                owes_tail[rows_q] = False
-            self._dense_leaves(
-                queries, radius, lower, limits, rows_q, slot_lo, slot_hi,
-                dist_comps, matches, kernel,
-            )
-            return
-        member = _concat_ranges(starts, counts)
-        rep_q = np.repeat(lq, counts)
-        rep_pd = np.repeat(lpd, counts) if self.use_parent_filter else None
-        # Tombstoned members drop out first, before any filter or distance
-        # computation — dead points never consume dist_comps or limits, so
-        # the traversal behaves as if the tree never held them.
-        if self.leaf_alive is not None:
-            alive = self.leaf_alive[member]
-            member, rep_q = member[alive], rep_q[alive]
-            if rep_pd is not None:
-                rep_pd = rep_pd[alive]
-            if member.size == 0:
-                return
-        # Eq. 5 parent-distance + ring filters (fused in the kernel).
-        keep = kernel.leaf_prune(
-            member=member,
-            rep_q=rep_q,
-            rep_pd=rep_pd,
-            leaf_pd=self.leaf_pd,
-            ring_cols=self.leaf_ring_cols,
-            query_rings=query_rings,
-            radius=radius,
-            use_parent_filter=self.use_parent_filter,
-            dim=queries.shape[1],
+        if run_hi[-1] == self.leaf_ids.size < self.slot_ids.size:
+            # The tail's slots follow the last leaf slot: one pass (one
+            # pre-cut, one pool per row) scores both.
+            run_hi[-1] = self.slot_ids.size
+            owes_tail[rows_q] = False
+        runs = run_hi - run_lo
+        if int(runs.sum()) >= _VIEW_FILL * int(run_hi[-1] - run_lo[0]):
+            slots = slice(int(run_lo[0]), int(run_hi[-1]))
+        else:
+            slots = _concat_ranges(run_lo, runs)
+        self._dense_leaves(
+            queries, radius, lower, limits, rows_q, slots, dist_comps, matches, kernel,
         )
-        if not np.any(keep):
-            return
-        surv_q = rep_q[keep]
-        ids = self.leaf_ids[member[keep]]
-        dists = kernel.pair_distances(self.points[ids], queries[surv_q])
-        dist_comps += np.bincount(surv_q, minlength=dist_comps.size)
-        inside = dists <= radius
-        if lower is not None:
-            inside &= dists > lower
-        dists = dists[inside]
-        matches.add(surv_q[inside], ids[inside], dists * dists, dists)
 
     def _dense_leaves(
         self,
@@ -692,18 +615,18 @@ class FlatPMTree:
         lower: Optional[float],
         limits: Optional[np.ndarray],
         rows_q: np.ndarray,
-        slot_lo: int,
-        slot_hi: int,
+        slots,
         dist_comps: np.ndarray,
         matches: _Matches,
         kernel,
     ) -> None:
-        """Slots ``[slot_lo, slot_hi)`` — a leaf level's reached range, or the
-        unindexed tail — as blocked float32 GEMMs over ``leaf_points``.
+        """The slots *slots* — a ``slice`` (a view of the reached range, or
+        the unindexed tail) or an index array (the reached runs, gathered)
+        — as blocked float32 GEMMs over ``leaf_points``.
 
-        Produces the matches the per-pair path produces, for the queries
-        *rows_q*, and computes an exact distance only where a decision
-        needs one.  A score ``s = ‖p‖² − 2·q·p`` per (query, slot) — the
+        Produces every match among those slots for the queries *rows_q*,
+        and computes an exact distance only where a decision needs one.
+        A score ``s = ‖p‖² − 2·q·p`` per (query, slot) — the
         squared distance less the row constant ``‖q‖²``, from the float32
         slot copy — is within ``tol`` of the exact kernel's d²
         (``expansion_tol`` at float32's eps: ``|s + ‖q‖² − d²| ≤ (m + 5)·
@@ -713,22 +636,19 @@ class FlatPMTree:
         ``tol`` inside ``radius²`` (and outside ``lower²``) is a match, one
         scoring more than ``tol`` beyond is not, and only the slots in
         between are re-scored with ``pair_distances`` over the float64
-        ``points`` and put to the per-pair side's ``≤ radius`` / ``> lower``
-        tests.  Then, when a query holds more than its limit L, the one
-        canonical cut (:meth:`_cut`) keeps what scores more than 2·tol
+        ``points`` and put to the exact ``≤ radius`` / ``> lower`` tests.
+        Then, when a query holds more than its limit L, the one canonical
+        cut (:meth:`_cut`) keeps what scores more than 2·tol
         below the L-th score and re-scores only the band around it.  What
         is emitted is decided by the exact kernel alone; the scores only
         choose what it must see.  Data far from the origin inflates
         ``tol`` until every slot is in a band — slower, never different.
-
-        The Eq. 5 member filters are *not* run here: they are implied by
-        the distance test up to their ulp slack (module docstring), so
-        this route keeps every match the other does.
         """
-        points = self.leaf_points[slot_lo:slot_hi]
-        sqnorm = self.leaf_sqnorm[slot_lo:slot_hi]
-        alive = None if self.leaf_alive is None else self.leaf_alive[slot_lo:slot_hi]
-        span = slot_hi - slot_lo
+        points = self.leaf_points[slots]
+        sqnorm = self.leaf_sqnorm[slots]
+        slot_ids = self.slot_ids[slots]
+        alive = None if self.leaf_alive is None else self.leaf_alive[slots]
+        span = slot_ids.size
         dist_comps[rows_q] += span if alive is None else int(alive.sum())
         block = queries[rows_q]
         q_sqnorm = np.einsum("ij,ij->i", block, block)
@@ -766,11 +686,11 @@ class FlatPMTree:
             if alive is not None:
                 hit &= alive[lo:hi]
             for i in range(num_rows):
-                slots = np.flatnonzero(hit[i])  # ascending leaf slot
-                if slots.size:
-                    hit_scores[i].append(scores[i, slots])
-                    slots += lo
-                    hit_slots[i].append(slots)
+                cols = np.flatnonzero(hit[i])  # ascending place among *slots*
+                if cols.size:
+                    hit_scores[i].append(scores[i, cols])
+                    cols += lo
+                    hit_slots[i].append(cols)
         # One pool over every row, so the exact re-scores and the limit cut
         # run once per call.  A row over its limit first drops what that
         # cut certainly drops — keys more than 2·tol above its L-th key
@@ -785,7 +705,7 @@ class FlatPMTree:
         for i in range(num_rows):
             if not hit_slots[i]:
                 continue
-            slots = np.concatenate(hit_slots[i])
+            cols = np.concatenate(hit_slots[i])
             score = np.concatenate(hit_scores[i]).astype(np.float64)
             band = score > inner[i]
             if ceil is not None:
@@ -796,15 +716,15 @@ class FlatPMTree:
                 listed = score <= above
                 if not (band.any() and np.any(band & listed)):
                     listed = np.flatnonzero(listed)
-                    slots, score, band = slots.take(listed), score.take(listed), band.take(listed)
-            pool_rows.append(np.full(slots.size, i, dtype=np.int64))
-            pool_slots.append(slots)
+                    cols, score, band = cols.take(listed), score.take(listed), band.take(listed)
+            pool_rows.append(np.full(cols.size, i, dtype=np.int64))
+            pool_slots.append(cols)
             pool_score.append(score)
             pool_band.append(band)
         if not pool_rows:
             return
         owner = np.concatenate(pool_rows)
-        ids = self.slot_ids.take(slot_lo + np.concatenate(pool_slots))
+        ids = slot_ids.take(np.concatenate(pool_slots))
         score = np.concatenate(pool_score)
         exact = None
         settle = np.flatnonzero(np.concatenate(pool_band))
@@ -860,20 +780,16 @@ class FlatPMTree:
         distances — computed here (into ``exact``, NaN where unknown,
         ``None`` for none known) only when the band holds more rows than
         places left — and the
-        ``budget_cut`` kernel.  A group whose distances are all exact
-        (``tol`` 0: per-pair chunks only) is one band as a whole, so the
-        kernel settles every such group in one call.
+        ``budget_cut`` kernel.
         """
         counts = np.diff(lims)
         capped = np.flatnonzero(counts > limits)
         keep = np.ones(ids.size, dtype=bool)
-        whole = capped[tol[capped] == 0.0]
-        bands = [_concat_ranges(lims[whole], counts[whole])]
-        keep[bands[0]] = False
-        owners = [group_rows[whole]]
-        sizes = [counts[whole]]
-        places = [limits[whole]]
-        for g in capped[tol[capped] > 0.0]:
+        bands: List[np.ndarray] = []
+        owners: List[np.ndarray] = []
+        sizes: List[np.ndarray] = []
+        places: List[np.ndarray] = []
+        for g in capped:
             lo, hi = int(lims[g]), int(lims[g + 1])
             below, above = limit_band(keys[lo:hi], float(tol[g]), int(limits[g]))
             listed = np.less_equal(keys[lo:hi], above, out=keep[lo:hi])
@@ -886,9 +802,9 @@ class FlatPMTree:
                 sizes.append(np.array([near.size]))
                 places.append(np.array([room]))
             # else: as many places as rows in the band, nothing to decide
-        sizes = np.concatenate(sizes).astype(np.int64)
-        if sizes.size == 0:
+        if not sizes:
             return keep, exact
+        sizes = np.concatenate(sizes).astype(np.int64)
         band = np.concatenate(bands)
         owner = np.repeat(np.concatenate(owners).astype(np.int64), sizes)
         if exact is None:

@@ -4,9 +4,11 @@ Indexing model
 --------------
 The tree indexes *row ids* of one fixed ``(n, m)`` float64 matrix (for
 PM-LSH this is the projected dataset).  A ``(n, s)`` matrix of distances
-from every point to the ``s`` global pivots is computed once, by
-differences like every other distance here; hyper-ring construction and
-leaf-level ring filtering are numpy gathers against it.
+from every point to the ``s`` global pivots is computed once per build,
+by differences like every other distance here, and the leaves'
+hyper-rings are reduced from it.  No query reads it, so the built tree
+does not keep it, nor the members' distances to their leaf's centre,
+which only give the leaves their covering radii.
 
 There is one way to build it — :meth:`PMTree.build`'s bulk clustering —
 and no way to grow it: PM-LSH appends new rows to the flat snapshot's
@@ -56,14 +58,13 @@ class PMTree:
     The fields are those :class:`~repro.pmtree.flat.FlatPMTree` takes
     (node ids are breadth-first, the root is node 0, ``levels[d]`` is the
     ``[lo, hi)`` node-id range of depth d; ``span`` slices the ``entry_*``
-    arrays for an inner node and ``leaf_ids`` / ``leaf_pd`` for a leaf),
+    arrays for an inner node and ``leaf_ids`` for a leaf),
     plus the pivot selection it was built with.  Make one with
     :meth:`build`.
     """
 
     points: np.ndarray
     pivots: np.ndarray
-    pivot_dists: np.ndarray
     use_rings: bool
     use_parent_filter: bool
     is_leaf: np.ndarray
@@ -77,7 +78,6 @@ class PMTree:
     entry_hr_max: np.ndarray
     entry_child: np.ndarray
     leaf_ids: np.ndarray
-    leaf_pd: np.ndarray
     pivot_method: str
 
     @classmethod
@@ -117,15 +117,13 @@ class PMTree:
             pivots = pivots.copy()
         else:
             pivots = select_pivots(points, num_pivots, method=pivot_method, seed=rng)
-        pivot_dists = _pivot_distances(points, pivots)
         return cls(
             points=points,
             pivots=pivots,
-            pivot_dists=pivot_dists,
             use_rings=use_rings,
             use_parent_filter=use_parent_filter,
             pivot_method=pivot_method,
-            **_layout(points, pivot_dists, capacity, rng),
+            **_layout(points, pivots, capacity, rng),
         )
 
     @property
@@ -148,10 +146,10 @@ class PMTree:
 # ----------------------------------------------------------------------
 
 
-def _layout(points: np.ndarray, pivot_dists: np.ndarray, capacity: int, rng) -> dict:
+def _layout(points: np.ndarray, pivots: np.ndarray, capacity: int, rng) -> dict:
     """The tree's node and entry arrays (the module docstring's steps)."""
     n, m = points.shape
-    s = pivot_dists.shape[1]
+    s = pivots.shape[0]
     if n <= capacity:  # one leaf: the root has no routing object
         return dict(
             is_leaf=np.ones(1, dtype=bool),
@@ -165,7 +163,6 @@ def _layout(points: np.ndarray, pivot_dists: np.ndarray, capacity: int, rng) -> 
             entry_hr_max=np.empty((0, s), dtype=np.float64),
             entry_child=np.empty(0, dtype=np.int64),
             leaf_ids=np.arange(n, dtype=np.int64),
-            leaf_pd=np.zeros(n, dtype=np.float64),
         )
     groups = _balanced_leaf_groups(points, np.arange(n, dtype=np.int64), capacity, rng)
     leaf_ids = np.concatenate(groups)
@@ -175,7 +172,7 @@ def _layout(points: np.ndarray, pivot_dists: np.ndarray, capacity: int, rng) -> 
     centers = [np.stack([_one_center(points[group], rng) for group in groups])]
     leaf_pd = _distances_to_owners(points, leaf_ids, centers[0], leaf_bounds)
     radii = [np.maximum.reduceat(leaf_pd, leaf_bounds[:-1])]
-    rings = pivot_dists[leaf_ids]
+    rings = _pivot_distances(points, pivots)[leaf_ids]
     hr_min, hr_max = _ring_bounds(rings, rings, leaf_bounds[:-1])
     hr_mins, hr_maxs = [hr_min], [hr_max]
     # Entry levels bottom-up (level 0 routes to the leaves): packing level
@@ -231,7 +228,6 @@ def _layout(points: np.ndarray, pivot_dists: np.ndarray, capacity: int, rng) -> 
         entry_hr_max=np.concatenate(hr_maxs[::-1]),
         entry_child=np.arange(1, num_nodes, dtype=np.int64),
         leaf_ids=leaf_ids,
-        leaf_pd=leaf_pd,
     )
 
 

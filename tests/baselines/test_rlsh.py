@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from repro.baselines.exact import ExactKNN
 from repro.baselines.rlsh import RLSH
 from repro.core.params import PMLSHParams
 from repro.core.pmlsh import PMLSH
-from repro.pmtree import flat as flat_module
+from tests.oracles import recursive_probe
 
 
 @pytest.fixture(scope="module")
@@ -44,25 +42,28 @@ class TestRLSH:
         rl = RLSH(seed=11).fit(small_clustered[:200])
         np.testing.assert_allclose(pm.projected, rl.projected)
 
-    def test_pm_tree_does_fewer_distance_computations(self, small_clustered, monkeypatch):
+    def test_pm_tree_does_fewer_distance_computations(self, small_clustered):
         """The Table 2 claim, measured on live queries: at identical
         parameters and collection semantics, the PM-tree needs fewer
-        distance computations than the R-tree — counted on the flat
-        traversal's per-pair side, where the Eq. 5 filters pick the
-        members that get one (the dense leaf pass charges every member
-        it streams)."""
-        monkeypatch.setattr(flat_module, "_DENSE_COVERAGE", math.inf)
+        distance computations than the R-tree — counted on the pointer
+        PM-tree oracle over the index's points, pivots and flags, whose
+        per-query probe walks each round's capped ball best-first as the
+        R-tree does, with the Eq. 5 filters picking the leaf members that
+        get a distance (the product's leaf pass charges every member it
+        scores)."""
         params = PMLSHParams(node_capacity=32)
         pm = PMLSH(params=params, seed=5).fit(small_clustered)
         rl = RLSH(params=params, seed=5).fit(small_clustered)
-        pm.flat_tree.reset_counters()
+        walked = recursive_probe.full_tree(pm)
         rl.tree.reset_counters()
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            q = small_clustered[rng.integers(0, small_clustered.shape[0])] + 0.01
-            pm.query(q, 10)
+        queries = np.stack(
+            [small_clustered[rng.integers(0, small_clustered.shape[0])] + 0.01 for _ in range(10)]
+        )
+        recursive_probe.knn(pm, queries, 10, tree=walked)
+        for q in queries:
             rl.query(q, 10)
-        assert 0 < pm.flat_tree.distance_computations < rl.tree.distance_computations
+        assert 0 < walked.distance_computations < rl.tree.distance_computations
 
     def test_stats(self, index, small_clustered):
         result = index.query(small_clustered[3], k=5)

@@ -20,7 +20,6 @@ from repro import kernels
 from repro.core import pmlsh as pmlsh_module
 from repro.core.params import PMLSHParams
 from repro.core.pmlsh import PMLSH
-from repro.pmtree import flat as flat_module
 from repro.pmtree.flat import FlatPMTree
 from repro.pmtree.tree import PMTree
 from repro.queries import Knn, Range
@@ -85,19 +84,14 @@ class TestTailIdentity:
         _assert_same_bytes(got, folded.run(queries, Knn(10)), ("ids", "distances"))
         _assert_same_bytes(got, recursive_probe.knn(tail, queries, 10), ("ids", "distances"))
 
-    def test_range_per_pair_route(self, trio):
-        """Leaves filtered pair by pair (what a small ball over a large
-        tree takes; pinned here), the tail scored densely all the same."""
+    def test_range_small_ball(self, trio):
+        """A range query: the tail's rows answer beside the leaves'."""
         tail, folded, queries = trio
         spec = Range(r=4.0)
-        kernels.reset_kernel_calls()
-        with mock.patch.object(flat_module, "_DENSE_COVERAGE", math.inf):
-            got = tail.run(queries, spec)
-            want = folded.run(queries, spec)
-        assert kernels.kernel_calls()[("fast", "leaf_prune")] > 0
+        got = tail.run(queries, spec)
         assert np.diff(got.lims).min() >= 5
         fields = ("lims", "ids", "distances")
-        _assert_same_bytes(got, want, fields)
+        _assert_same_bytes(got, folded.run(queries, spec), fields)
         _assert_same_bytes(got, recursive_probe.range_search(tail, queries, spec), fields)
 
     def test_multi_round_annulus(self, grown_data, trio):

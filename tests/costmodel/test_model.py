@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import math
-from unittest import mock
-
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -22,7 +19,6 @@ from repro.datasets.distance import (
     sample_distance_distribution,
 )
 from repro.datasets.synthetic import gaussian_mixture
-from repro.pmtree import flat as flat_module
 from repro.pmtree.tree import PMTree
 from repro.rtree.tree import RTree
 from tests.oracles.pointer_tree import PointerPMTree, computation_cost
@@ -102,14 +98,17 @@ class TestCostModels:
 
     def test_model_tracks_measured_cost(self, setup):
         """The PM-tree model should predict the measured distance
-        computations within a small factor (it is a model, not an oracle)."""
+        computations within a small factor (it is a model, not an oracle):
+        measured on the per-pair walk of the pointer tree one seed builds
+        — Eq. 5 filters on every entry and leaf member, what Eq. 7 counts."""
         points, distribution, _, pm, _ = setup
         radius = selectivity_radius(distribution, 0.08)
         predicted = pm_tree_computation_cost(pm, distribution, radius)
         rng = np.random.default_rng(3)
         queries = points[rng.integers(0, len(points), size=20)]
-        with mock.patch.object(flat_module, "_DENSE_COVERAGE", math.inf):
-            measured = float(pm.flatten().batch_range(queries, radius)[3].dist_comps.mean())
+        measured = _per_pair_dist_comps(
+            PointerPMTree.build(points, num_pivots=5, capacity=16, seed=1), queries, radius
+        )
         assert predicted == pytest.approx(measured, rel=1.0)
 
     @pytest.mark.parametrize("num_pivots, capacity", [(5, 16), (0, 8), (3, 200)])
@@ -142,17 +141,24 @@ class TestCostModels:
         assert comparison.reduction == 0.0
 
 
+def _per_pair_dist_comps(tree: PointerPMTree, queries: np.ndarray, radius: float) -> float:
+    """Mean distance computations of the pointer tree's range walk."""
+    tree.reset_counters()
+    for query in queries:
+        tree.range_query(query, radius)
+    return tree.distance_computations / len(queries)
+
+
 @pytest.mark.parametrize("capacity", [16, 128])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_model_tracks_flat_traversal_counter_in_the_knn_regime(capacity, seed):
-    """Eq. 7 against ``tree_dist_comps`` as PM-LSH reports it (the flat
-    traversal's per-pair side), on clustered projected data at the ball
-    Algorithm 2 opens with — the one holding ~10 % of the points: within
-    2×.  (For much smaller balls in 128-member leaves the model counts
-    every member of a reached leaf while the traversal's member filters
-    skip most of them, and it over-predicts 3–7× — docs/tuning.md has the
-    table — which is one reason the leaf-level switch reads the call's own
-    frontier instead of this estimate.)"""
+def test_model_tracks_the_per_pair_counter_in_the_knn_regime(capacity, seed):
+    """Eq. 7 against the per-pair walk's distance computations (the
+    pointer tree one seed builds: Eq. 5 filters on every leaf member), on
+    clustered projected data at the ball Algorithm 2 opens with — the one
+    holding ~10 % of the points: within 2×.  (For much smaller balls in
+    128-member leaves the model counts every member of a reached leaf
+    while the member filters skip most of them, and it over-predicts
+    3–7×.)"""
     raw = gaussian_mixture(4032, 64, num_clusters=32, cluster_std=0.3, center_box=2.0, seed=seed)
     projected = GaussianProjection(64, 15, seed=seed).project(raw)
     points, queries = np.ascontiguousarray(projected[:4000]), projected[4000:]
@@ -160,7 +166,7 @@ def test_model_tracks_flat_traversal_counter_in_the_knn_regime(capacity, seed):
     tree = PMTree.build(points, num_pivots=5, capacity=capacity, seed=1)
     diff = points[None, :, :] - queries[:16, None, :]
     radius = float(np.median(np.quantile(np.sqrt(np.einsum("qnm,qnm->qn", diff, diff)), 0.1, axis=1)))
-    with mock.patch.object(flat_module, "_DENSE_COVERAGE", math.inf):
-        observed = float(tree.flatten().batch_range(queries, radius)[3].dist_comps.mean())
+    walked = PointerPMTree.build(points, num_pivots=5, capacity=capacity, seed=1)
+    observed = _per_pair_dist_comps(walked, queries, radius)
     predicted = pm_tree_computation_cost(tree, distribution, radius)
     assert 0.5 <= predicted / observed <= 2.0

@@ -14,16 +14,13 @@ rows), tombstones, unindexed tail rows, multi-round ladders — and holds
 every answer to the per-query pointer-tree probes of
 ``tests/oracles/recursive_probe.py``: ids, distances and stats.
 
-The last part pins the one choice the traversal makes from its input:
-a capped ``batch_range`` scores its leaf level pair by pair or as one
-dense pass over the reached slot range.  Both sides must return the
-pointer tree's capped set — with tombstones and planted distance ties —
-and charge ``dist_comps`` for what they scored.
+The last part pins a capped ``batch_range`` — its leaf level scored in
+one dense pass over the reached slots — to the pointer tree's capped set,
+with tombstones and planted distance ties, and its ``dist_comps`` to
+what that pass scored.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -224,7 +221,7 @@ def test_far_from_the_origin_every_candidate_is_rescored(shrink):
 
 
 # ----------------------------------------------------------------------
-# Both sides of the per-pair / dense-pass choice
+# The capped leaf pass against the pointer tree
 # ----------------------------------------------------------------------
 
 
@@ -251,10 +248,19 @@ def _oracle_capped(tree, dead, query, radius, limit):
 
 @pytest.mark.parametrize("rows", [1, 32], ids=["one-row", "32-row"])
 def test_capped_batch_range_matches_pointer_tree(capped_tree, rows, monkeypatch):
+    """Same floats, ids and tie order as the pointer tree's capped walk;
+    every live slot the leaf pass scored charged once per query row; and
+    the cap applied after the ball, so the uncapped call charges the same."""
     tree, flat, dead, queries = capped_tree
-    # Pinned to the per-pair side of the leaf-level choice (the dense
-    # side: next test).
-    monkeypatch.setattr(flat_module, "_DENSE_COVERAGE", math.inf)
+    charged = []
+    real_dense = flat_module.FlatPMTree._dense_leaves
+
+    def spying_dense(self, queries, radius, lower, limits, rows_q, slots, dist_comps, *rest):
+        before = dist_comps.copy()
+        real_dense(self, queries, radius, lower, limits, rows_q, slots, dist_comps, *rest)
+        charged.append((rows_q, int(self.leaf_alive[slots].sum()), dist_comps - before))
+
+    monkeypatch.setattr(flat_module.FlatPMTree, "_dense_leaves", spying_dense)
     block = queries[:rows]
     radius, limit = 2.5, 25
     lims, ids, dists, stats = flat.batch_range(
@@ -267,39 +273,9 @@ def test_capped_batch_range_matches_pointer_tree(capped_tree, rows, monkeypatch)
         assert not dead & set(ids[lims[i] : lims[i + 1]].tolist())
     # Row 0 sits on the duplicate block: the cut keeps the smallest ids.
     np.testing.assert_array_equal(ids[: lims[1]][:25], np.arange(100, 125))
-    # The cap is applied after the ball is computed: the work counters
-    # equal the uncapped traversal's (and so the pointer tree's —
-    # tests/pmtree/test_flatten.py).
-    full_ball = flat.batch_range(block, radius)[3]
-    np.testing.assert_array_equal(stats.dist_comps, full_ball.dist_comps)
-
-
-@pytest.mark.parametrize("rows", [1, 32], ids=["one-row", "32-row"])
-def test_capped_dense_pass_matches_pointer_tree(capped_tree, rows, monkeypatch):
-    """The other side of the leaf-level choice: same answers, and every
-    live member of the streamed slot range charged once per query."""
-    tree, flat, dead, queries = capped_tree
-    monkeypatch.setattr(flat_module, "_DENSE_COVERAGE", 0.0)
-    charged = []
-    real_dense = flat_module.FlatPMTree._dense_leaves
-
-    def spying_dense(self, queries, radius, lower, limits, rows_q, lo, hi, dist_comps, *rest):
-        before = dist_comps.copy()
-        real_dense(self, queries, radius, lower, limits, rows_q, lo, hi, dist_comps, *rest)
-        charged.append((rows_q, int(self.leaf_alive[lo:hi].sum()), dist_comps - before))
-
-    monkeypatch.setattr(flat_module.FlatPMTree, "_dense_leaves", spying_dense)
-    block = queries[:rows]
-    radius, limit = 2.5, 25
-    lims, ids, dists, _ = flat.batch_range(
-        block, radius, limits=np.full(rows, limit, dtype=np.int64)
-    )
-    for i, query in enumerate(block):
-        expected = _oracle_capped(tree, dead, query, radius, limit)
-        got = list(zip(dists[lims[i] : lims[i + 1]], ids[lims[i] : lims[i + 1]]))
-        assert got == expected
-    np.testing.assert_array_equal(ids[: lims[1]][:25], np.arange(100, 125))
     (rows_q, live, delta), = charged
     assert 0 < live <= flat.num_live
     np.testing.assert_array_equal(delta[rows_q], live)
     assert int(delta.sum()) == live * rows_q.size
+    full_ball = flat.batch_range(block, radius)[3]
+    np.testing.assert_array_equal(stats.dist_comps, full_ball.dist_comps)

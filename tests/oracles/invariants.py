@@ -11,8 +11,8 @@ and asserts what makes every pruning test *safe*:
 * the inner spans partition the routing entries, the leaf spans the
   indexed slots, and ``leaf_ids`` is a permutation of the indexed rows;
 * every slot lies inside the covering radius and the hyper-rings of
-  every routing entry above it, and every stored parent distance is
-  the distance it names — up to the filters' ulp slack
+  every routing entry above it, and every routing entry's stored parent
+  distance is the distance it names — up to the filters' ulp slack
   (:func:`~repro.kernels.fast.filter_slack`).
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.fast import filter_slack
+from repro.pmtree.tree import _pivot_distances
 
 
 def _distances(rows: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -69,21 +70,17 @@ def check_invariants(tree) -> None:
 
     slack = filter_slack(tree.points.shape[1])
     points = tree.points[tree.leaf_ids]
-    # Parent distances: a leaf member's to its leaf's routing object, an
-    # entry's to its node's; 0 under the root.
-    for rows, owners, stored, what in (
-        (points, slot_leaf, tree.leaf_pd, "leaf member"),
-        (tree.entry_center, entry_node, tree.entry_pd, "routing entry"),
-    ):
-        above = parent_entry[owners]
-        actual = np.zeros(stored.size)
-        has = above >= 0
-        actual[has] = _distances(rows[has], tree.entry_center[above[has]])
-        assert _within(stored, actual, slack) and _within(actual, stored, slack), (
-            f"a stored {what} parent distance diverges from the actual distance"
-        )
+    # Parent distances: an entry's to its node's routing object; 0 under
+    # the root.
+    above = parent_entry[entry_node]
+    actual = np.zeros(num_entries)
+    has = above >= 0
+    actual[has] = _distances(tree.entry_center[has], tree.entry_center[above[has]])
+    assert _within(tree.entry_pd, actual, slack) and _within(actual, tree.entry_pd, slack), (
+        "a stored parent distance diverges from the actual distance"
+    )
     # Every slot against every entry on its path to the root.
-    rings = tree.pivot_dists[tree.leaf_ids]
+    rings = _pivot_distances(points, tree.pivots)
     entry = parent_entry[slot_leaf]
     while np.any(entry >= 0):
         on = np.flatnonzero(entry >= 0)

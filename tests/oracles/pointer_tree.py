@@ -8,9 +8,13 @@ one node object at a time, with the recursive ``range_query`` /
 
 * :func:`pack` lays the graph out breadth-first into a ``FlatPMTree``, so
   the array builder's output can be compared with it byte for byte;
-* a flat traversal pinned to its per-pair side (``_DENSE_COVERAGE`` =
-  ∞) must return the walks' matches with the same floats and charge the
-  same ``node_accesses`` / ``distance_computations``;
+* the flat traversal must return the walks' matches with the same
+  floats and visit the same nodes (``node_accesses``);
+* the walks keep the paper's per-pair semantics — Eq. 5 filters on
+  every leaf member too — so their ``distance_computations`` are what
+  Table 2's measured columns, the pruning ablation and the cost-model
+  checks count (the product scores reached leaves densely and charges
+  every member it scores);
 * :func:`computation_cost` is the §4.2 cost model as a per-entry loop,
   the reference for the vectorised ``repro.costmodel``.
 
@@ -483,12 +487,10 @@ def pack(tree: PointerPMTree) -> FlatPMTree:
     span_end = np.zeros(len(bfs), dtype=np.int64)
     entries: List[RoutingEntry] = []
     leaf_ids: List[int] = []
-    leaf_pd: List[float] = []
     for v, node in enumerate(bfs):
         if node.is_leaf:
             span_start[v] = len(leaf_ids)
             leaf_ids.extend(node.ids)
-            leaf_pd.extend(node.parent_distances)
             span_end[v] = len(leaf_ids)
         else:
             span_start[v] = len(entries)
@@ -505,7 +507,6 @@ def pack(tree: PointerPMTree) -> FlatPMTree:
     return FlatPMTree(
         points=tree.points,
         pivots=tree.pivots,
-        pivot_dists=tree.pivot_dists,
         use_rings=tree.use_rings,
         use_parent_filter=tree.use_parent_filter,
         is_leaf=np.asarray([node.is_leaf for node in bfs], dtype=bool),
@@ -519,7 +520,6 @@ def pack(tree: PointerPMTree) -> FlatPMTree:
         entry_hr_max=entry_hr_max,
         entry_child=np.asarray([node_index[id(e.child)] for e in entries], dtype=np.int64),
         leaf_ids=np.asarray(leaf_ids, dtype=np.int64),
-        leaf_pd=np.asarray(leaf_pd, dtype=np.float64),
     )
 
 

@@ -83,8 +83,12 @@ def _probe(index, tree, q, projected_query, k, budget, initial_radius, c, t) -> 
     )
 
 
-def knn(index, queries: np.ndarray, spec: Knn | int) -> BatchResult:
-    """``index.run(queries, Knn(...))`` by per-query pointer-tree probes."""
+def knn(
+    index, queries: np.ndarray, spec: Knn | int, tree: PointerPMTree | None = None
+) -> BatchResult:
+    """``index.run(queries, Knn(...))`` by per-query pointer-tree probes
+    (of *tree*, which must be :func:`full_tree` of *index*: pass one to
+    read its counters afterwards)."""
     spec = spec if isinstance(spec, Knn) else Knn(k=int(spec))
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     k = spec.k
@@ -94,7 +98,7 @@ def knn(index, queries: np.ndarray, spec: Knn | int) -> BatchResult:
     budget = max(budget, k)
     initial_radius = index._initial_radius(k, solved)
     projected = np.atleast_2d(index.projection.project(queries))
-    tree = full_tree(index)
+    tree = full_tree(index) if tree is None else tree
     return BatchResult.from_queries(
         [
             _probe(index, tree, q, pq, k, budget, initial_radius, c, solved.t)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.pmtree import tree as tree_module
 from repro.pmtree.flat import FlatPMTree
-from repro.pmtree.tree import PMTree
+from repro.pmtree.tree import PMTree, _pivot_distances
 from tests.oracles.invariants import check_invariants
 from tests.oracles.pointer_tree import PointerPMTree, pack
 
@@ -100,14 +100,17 @@ def test_rejects_bad_input():
 
 @pytest.mark.parametrize("offset", [0.0, 50.0, 1e6, 1e8])
 def test_pivot_distances_come_from_differences(offset):
-    """The norm expansion was off by 0.09 at +1e6 and by 14 at +1e8;
-    by differences every entry is the distance to an ulp."""
+    """The build's point → pivot distances, which its hyper-rings are
+    reduced from: the norm expansion was off by 0.09 at +1e6 and by 14 at
+    +1e8; by differences every entry is the distance to an ulp."""
     rng = np.random.default_rng(2)
     points = rng.normal(size=(500, 8)) + offset
     tree = PMTree.build(points, num_pivots=5, capacity=16, seed=2)
     diff = points[:, None, :] - tree.pivots[None, :, :]
     exact = np.sqrt(np.einsum("nsm,nsm->ns", diff, diff))
-    np.testing.assert_allclose(tree.pivot_dists, exact, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(
+        _pivot_distances(points, tree.pivots), exact, rtol=1e-14, atol=0
+    )
 
 
 @pytest.mark.parametrize("n, m", [(3000, 7), (9000, 24)])

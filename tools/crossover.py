@@ -1,12 +1,12 @@
-"""Where the PM-tree's leaf level should stop gathering and start streaming.
+"""How the PM-tree's leaf pass reads the reached leaves: a view or a gather.
 
-``FlatPMTree.batch_range`` answers its leaf level one of two ways: the
-per-pair traversal (Eq. 5 member filters, then a gathered distance per
-survivor) or the dense pass (blocked GEMM scores over the reached slot
-range, exact re-scores only in the error bands).  Both return the same
-matches; ``repro.pmtree.flat._DENSE_COVERAGE`` and ``_DENSE_LOAD_ROWS``
-decide which from the share of ``rows × slots`` the reached leaves hold.
-This script is where those two numbers come from::
+``FlatPMTree.batch_range`` scores the leaves its inner levels reached in
+one dense pass per call (blocked GEMM scores, exact re-scores only in the
+error bands).  Their slot spans, merged where adjacent, form runs; the
+pass scores a *view* of the slot range from the first run to the last
+when the runs fill at least ``repro.pmtree.flat._VIEW_FILL`` of it, and
+a *gather* of just the runs' rows below.  Both return the same matches.
+This script is where that one number is checked::
 
     PYTHONPATH=src python tools/crossover.py                 # the docs/tuning.md table
     PYTHONPATH=src python tools/crossover.py --quick --check # CI: identity only, seconds
@@ -14,22 +14,21 @@ This script is where those two numbers come from::
 Every cell builds a PM-tree over a Gaussian projection of a clustered
 dataset (256 tight clusters, so that small balls reach few leaves), at
 the m and β a default PM-LSH index over n points runs at
-(``repro.core.params.hash_count_for``), picks the radius whose ball holds the given quantile of the
-points, and runs the same capped query block (``limits`` = ⌈βn⌉ + k,
-``sort=False``, the way PM-LSH calls it) with the rule forced to "never"
-and to "always".  ``sort=False`` returns no distances, so identity is
-checked on what it does return: ``lims``, each query's id set, and the
-exact projected distances of those ids (computed here, with the
-traversal's own reduction).  Each cell is run a second time with the
-data and queries shifted 10⁸ from the origin, where the dense pass's
-error band swallows every slot and every decision falls to the exact
-kernel.  Then it reports the coverage, both wall times, which side the
-shipped rule takes and — beside the observed traversal-side distance
-computations — what ``repro.costmodel.pm_tree_computation_cost``
-predicts for them.
+(``repro.core.params.hash_count_for``), picks the radius whose ball
+holds the given quantile of the points, and runs the same capped query
+block (``limits`` = ⌈βn⌉ + k, ``sort=False``, the way PM-LSH calls it)
+with the rule forced to "view" and to "gather".  ``sort=False`` returns
+no distances, so identity is checked on what it does return: ``lims``
+and each query's id set, held to the brute-force capped ball (exact
+projected distances computed here, with the traversal's own reduction).
+Each cell is run a second time with the data and queries shifted 10⁸
+from the origin, where the pass's error band swallows every slot and
+every decision falls to the exact kernel.  Then it reports how many runs
+the reached leaves form and what share of their range they fill, both
+wall times and which input the shipped rule takes.
 
 ``--check`` exits non-zero unless every cell was identical on both data
-placements and the shipped rule takes the faster side wherever the two
+placements and the shipped rule takes the faster input wherever the two
 differ by more than ``--margin`` (``--quick`` times nothing worth
 judging: identity is its gate).
 """
@@ -45,7 +44,8 @@ from typing import Iterator, List
 
 # One BLAS thread, as bench_e2e pins it: on a shared host OpenBLAS's thread
 # hand-off stalls small GEMMs for a scheduler tick (16 ms on a 32 x 5k block
-# here), which would be charged to the dense side.  Before numpy loads.
+# here), which would be charged to whichever input was timed.  Before
+# numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
@@ -53,8 +53,6 @@ import numpy as np  # noqa: E402
 from repro.core.estimation import solve_parameters  # noqa: E402
 from repro.core.hashing import GaussianProjection  # noqa: E402
 from repro.core.params import PMLSHParams, hash_count_for  # noqa: E402
-from repro.costmodel import pm_tree_computation_cost  # noqa: E402
-from repro.datasets.distance import sample_distance_distribution  # noqa: E402
 from repro.datasets.synthetic import gaussian_mixture  # noqa: E402
 from repro.pmtree import flat as flat_module  # noqa: E402
 from repro.pmtree.tree import PMTree  # noqa: E402
@@ -62,6 +60,8 @@ from repro.pmtree.tree import PMTree  # noqa: E402
 K = 10
 #: Where every dense score is inside its error band.
 FAR = 1e8
+#: ``_VIEW_FILL`` values that force each input.
+FORCE = {"view": 0.0, "gather": math.inf}
 
 
 def operating_point(n: int):
@@ -104,12 +104,12 @@ def same_sets(result, expected) -> bool:
     )
 
 
-def both_sides_exact(flat, block, radius: float, limits) -> bool:
-    """One untimed call per side, each held to the brute-force capped ball."""
+def both_inputs_exact(flat, block, radius: float, limits) -> bool:
+    """One untimed call per input, each held to the brute-force capped ball."""
     expected = capped_ball(flat, block, radius, limits)
     return all(
-        same_sets(run_side(flat, coverage, block, radius, limits, 1, 0.0)[0], expected)
-        for coverage in (math.inf, 0.0)
+        same_sets(run_input(flat, side, block, radius, limits, 1, 0.0)[0], expected)
+        for side in FORCE
     )
 
 
@@ -122,12 +122,12 @@ def quantile_radius(flat, queries: np.ndarray, quantile: float) -> float:
     return float(np.median(per_query))
 
 
-def run_side(flat, coverage: float, block, radius, limits, repeats: int, min_seconds: float):
-    """``batch_range`` with the rule pinned (0 = always dense, inf =
-    never); best wall time of at least *repeats* calls and *min_seconds*
-    of them — a 0.2 ms call needs hundreds of tries for a steady minimum."""
-    saved = flat_module._DENSE_COVERAGE
-    flat_module._DENSE_COVERAGE = coverage
+def run_input(flat, side: str, block, radius, limits, repeats: int, min_seconds: float):
+    """``batch_range`` with the rule pinned to *side*; best wall time of at
+    least *repeats* calls and *min_seconds* of them — a 0.2 ms call needs
+    hundreds of tries for a steady minimum."""
+    saved = flat_module._VIEW_FILL
+    flat_module._VIEW_FILL = FORCE[side]
     try:
         best, spent, calls = math.inf, 0.0, 0
         while calls < repeats or spent < min_seconds:
@@ -136,32 +136,33 @@ def run_side(flat, coverage: float, block, radius, limits, repeats: int, min_sec
             elapsed = time.perf_counter() - start
             best, spent, calls = min(best, elapsed), spent + elapsed, calls + 1
     finally:
-        flat_module._DENSE_COVERAGE = saved
+        flat_module._VIEW_FILL = saved
     return out, best
 
 
 def shipped_choice(flat, block, radius, limits):
-    """One call under the shipped rule: the coverage ``_expand_leaves``
-    decided on and whether it took the dense side."""
-    seen = {"coverage": 0.0, "dense": False}
-    expand, dense = flat._expand_leaves, flat._dense_leaves
+    """The runs the reached leaves form (the slots a forced gather scores),
+    the share of their range they fill, and the input the shipped rule
+    took — ``"none"`` when the block reached no leaf."""
+    slots = []
+    dense = flat._dense_leaves
 
-    def spy_expand(queries, rings, radius_, lower, limits_, lq, lnode, *rest):
-        starts, ends = flat.span_start[lnode], flat.span_end[lnode]
-        slots = int(ends.max() - starts.min())
-        seen["coverage"] = int((ends - starts).sum()) / (np.unique(lq).size * slots)
-        return expand(queries, rings, radius_, lower, limits_, lq, lnode, *rest)
-
-    def spy_dense(*args):
-        seen["dense"] = True
+    def spy(*args):
+        slots.append(args[5])
         return dense(*args)
 
-    flat._expand_leaves, flat._dense_leaves = spy_expand, spy_dense
+    flat._dense_leaves = spy
     try:
         flat.batch_range(block, radius, limits=limits, sort=False)
+        run_input(flat, "gather", block, radius, limits, 1, 0.0)
     finally:
-        del flat._expand_leaves, flat._dense_leaves
-    return seen["coverage"], seen["dense"]
+        del flat._dense_leaves
+    if not slots:
+        return 0, 0.0, "none"
+    shipped, runs = slots
+    fill = runs.size / (int(runs[-1]) + 1 - int(runs[0]))
+    takes = "view" if isinstance(shipped, slice) else "gather"
+    return 1 + int(np.count_nonzero(np.diff(runs) != 1)), fill, takes
 
 
 def cells(sizes, capacities, quantiles, row_counts, repeats, min_seconds, seed) -> Iterator[dict]:
@@ -169,34 +170,33 @@ def cells(sizes, capacities, quantiles, row_counts, repeats, min_seconds, seed) 
         for capacity in capacities:
             budget = int(math.ceil(operating_point(n)[1] * n)) + K
             flat, queries = build(n, capacity, seed)
-            distribution = sample_distance_distribution(flat.points, num_pairs=20000, seed=seed)
             measured = []
             for quantile in quantiles:
                 radius = quantile_radius(flat, queries, quantile)
-                predicted = pm_tree_computation_cost(flat, distribution, radius)
                 for rows in row_counts:
                     block = queries[:rows]
                     limits = np.full(rows, budget, dtype=np.int64)
-                    coverage, picks_dense = shipped_choice(flat, block, radius, limits)
-                    slow, traversal_s = run_side(
-                        flat, math.inf, block, radius, limits, repeats, min_seconds
+                    runs, fill, takes = shipped_choice(flat, block, radius, limits)
+                    viewed, view_s = run_input(
+                        flat, "view", block, radius, limits, repeats, min_seconds
                     )
-                    fast, dense_s = run_side(flat, 0.0, block, radius, limits, repeats, min_seconds)
+                    gathered, gather_s = run_input(
+                        flat, "gather", block, radius, limits, repeats, min_seconds
+                    )
                     expected = capped_ball(flat, block, radius, limits)
                     measured.append({
                         "n": n,
                         "capacity": capacity,
                         "quantile": quantile,
                         "rows": rows,
-                        "coverage": coverage,
-                        "picks_dense": picks_dense,
-                        "traversal_ms": traversal_s / rows * 1e3,
-                        "dense_ms": dense_s / rows * 1e3,
-                        "identical": slow[0].tobytes() == fast[0].tobytes()
-                        and same_sets(slow, expected)
-                        and same_sets(fast, expected),
-                        "observed_dc": float(slow[3].dist_comps.mean()),
-                        "predicted_dc": predicted,
+                        "runs": runs,
+                        "fill": fill,
+                        "takes": takes,
+                        "view_ms": view_s / rows * 1e3,
+                        "gather_ms": gather_s / rows * 1e3,
+                        "identical": viewed[0].tobytes() == gathered[0].tobytes()
+                        and same_sets(viewed, expected)
+                        and same_sets(gathered, expected),
                     })
             # The same cells far from the origin (one tree at a time in memory).
             del flat
@@ -204,7 +204,7 @@ def cells(sizes, capacities, quantiles, row_counts, repeats, min_seconds, seed) 
             for cell in measured:
                 radius = quantile_radius(far, far_queries, cell["quantile"])
                 limits = np.full(cell["rows"], budget, dtype=np.int64)
-                cell["identical_far"] = both_sides_exact(
+                cell["identical_far"] = both_inputs_exact(
                     far, far_queries[: cell["rows"]], radius, limits
                 )
                 yield cell
@@ -212,19 +212,18 @@ def cells(sizes, capacities, quantiles, row_counts, repeats, min_seconds, seed) 
 
 
 HEADER = (
-    "| n | cap | rows | ball | coverage | traversal ms/q | dense ms/q | dense/trav "
-    "| rule takes | dist comps obs. | predicted | pred/obs |\n"
-    "| ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: | --- | ---: | ---: | ---: |"
+    "| n | cap | rows | ball | runs | fill | view ms/q | gather ms/q | gather/view "
+    "| rule takes |\n"
+    "| ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: | --- |"
 )
 
 
 def row(cell: dict) -> str:
     return (
         f"| {cell['n']} | {cell['capacity']} | {cell['rows']} | {cell['quantile']:.2%} "
-        f"| {cell['coverage']:.3f} | {cell['traversal_ms']:.3f} | {cell['dense_ms']:.3f} "
-        f"| {cell['dense_ms'] / cell['traversal_ms']:.2f} "
-        f"| {'dense' if cell['picks_dense'] else 'traversal'} | {cell['observed_dc']:.0f} "
-        f"| {cell['predicted_dc']:.0f} | {cell['predicted_dc'] / max(cell['observed_dc'], 1.0):.2f} |"
+        f"| {cell['runs']} | {cell['fill']:.3f} | {cell['view_ms']:.3f} "
+        f"| {cell['gather_ms']:.3f} | {cell['gather_ms'] / cell['view_ms']:.2f} "
+        f"| {cell['takes']} |"
     )
 
 
@@ -239,9 +238,7 @@ def main(argv: List[str] | None = None) -> int:
     repeats, min_seconds = (3, 0.0) if args.quick else (5, 0.1)
     failures: List[str] = []
     print(
-        f"_DENSE_COVERAGE = {flat_module._DENSE_COVERAGE}, "
-        f"_DENSE_LOAD_ROWS = {flat_module._DENSE_LOAD_ROWS}, "
-        "(m, β) per n: "
+        f"_VIEW_FILL = {flat_module._VIEW_FILL}, (m, β) per n: "
         + ", ".join(f"{n}: ({m}, {beta:.3f})" for n in sizes for m, beta in [operating_point(n)])
     )
     print(HEADER)
@@ -250,16 +247,16 @@ def main(argv: List[str] | None = None) -> int:
         print(row(cell), flush=True)
         label = "n={n} cap={capacity} rows={rows} ball={quantile}".format(**cell)
         if not cell["identical"]:
-            failures.append(f"{label}: dense and traversal results differ")
+            failures.append(f"{label}: view and gather results differ")
         if not cell["identical_far"]:
-            failures.append(f"{label}: far from the origin, a side misses the capped ball")
+            failures.append(f"{label}: far from the origin, an input misses the capped ball")
         if args.quick:
             continue
-        ratio = cell["dense_ms"] / cell["traversal_ms"]
-        if cell["picks_dense"] and ratio > 1.0 + args.margin:
-            failures.append(f"{label}: takes dense, traversal is {ratio:.2f}x faster")
-        if not cell["picks_dense"] and ratio < 1.0 / (1.0 + args.margin):
-            failures.append(f"{label}: takes traversal, dense is {1 / ratio:.2f}x faster")
+        ratio = cell["gather_ms"] / cell["view_ms"]
+        if cell["takes"] == "view" and ratio < 1.0 / (1.0 + args.margin):
+            failures.append(f"{label}: takes view, gather is {1 / ratio:.2f}x faster")
+        if cell["takes"] == "gather" and ratio > 1.0 + args.margin:
+            failures.append(f"{label}: takes gather, view is {ratio:.2f}x faster")
     for failure in failures:
         print("FAIL", failure, file=sys.stderr)
     return 1 if (args.check and failures) else 0

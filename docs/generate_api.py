@@ -93,7 +93,7 @@ def build() -> str:
     import repro
     from repro import kernels
     from repro.baselines.base import ANNIndex, BatchResult, QueryResult
-    from repro.core.hashing import GaussianProjection, SampledProjection
+    from repro.core.hashing import GaussianProjection
     from repro.core.params import PMLSHParams
     from repro.core.pmlsh import PMLSH
     from repro.engine.sharded import ShardedIndex
@@ -184,9 +184,8 @@ def build() -> str:
         _function_section(kernels.kernel_calls),
         _function_section(kernels.reset_kernel_calls),
         _class_section(kernels.KernelSet, []),
-        "## Hash families\n",
+        "## Hashing\n",
         _class_section(GaussianProjection, ["project"]),
-        _class_section(SampledProjection, ["project", "from_arrays"]),
         "## The sharded serving engine\n",
         _class_section(ShardedIndex, ["stats", "locate", "close"]),
         "## The process-parallel worker pool\n",

@@ -18,7 +18,7 @@ import numpy as np
 from repro.baselines.base import ANNIndex, QueryResult
 from repro.core.estimation import solve_parameters
 from repro.core.hashing import GaussianProjection
-from repro.core.params import PMLSHParams
+from repro.core.params import RADIUS_SAMPLE_PAIRS, PMLSHParams
 from repro.core.radius import select_initial_radius
 from repro.datasets.distance import point_to_points_distances, sample_distance_distribution
 from repro.registry import register_index
@@ -66,7 +66,7 @@ class RLSH(ANNIndex):
         self.tree = RTree.build(self.projected, capacity=params.node_capacity)
         self.distance_distribution = sample_distance_distribution(
             self.data,
-            num_pairs=min(params.radius_sample_pairs, max(1000, 10 * self.n)),
+            num_pairs=min(RADIUS_SAMPLE_PAIRS, max(1000, 10 * self.n)),
             seed=self._rng,
         )
 

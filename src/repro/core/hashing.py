@@ -1,24 +1,14 @@
 """p-stable locality-sensitive hashing in Euclidean space.
 
-Three flavours; the first two match §2.2 and §3.2 of the paper:
+Two flavours, matching §2.2 and §3.2 of the paper:
 
 * :class:`GaussianProjection` — the *unbucketed* family ``h*(o) = a·o``
-  (Eq. 3) with ``a ~ N(0, I)``.  PM-LSH, SRS and QALSH work directly on
-  these real-valued projections; stacking m of them maps the dataset into
-  the m-dimensional projected space.
+  (Eq. 3) with ``a ~ N(0, I)``.  PM-LSH, R-LSH, SRS and QALSH work
+  directly on these real-valued projections; stacking m of them maps the
+  dataset into the m-dimensional projected space.
 * :class:`LSHFunction` — the classic bucketed form
   ``h(o) = ⌊(a·o + b)/w⌋`` (Eq. 1) used by E2LSH and Multi-Probe, with
   ``b ~ U[0, w)``.
-* :class:`SampledProjection` — FastLSH-style *structured* projections:
-  each hash function reads only ``s ≈ √d`` sampled coordinates, cutting
-  per-point hashing from O(d·m) toward O(√d·m) while keeping the
-  projected-distance distribution calibrated (weights are rescaled by
-  ``√(d/s)`` so ``E[h(o)²] = ‖o‖²`` still holds).  Selectable in PM-LSH
-  via ``PMLSHParams(hash_family="sampled")`` and used by ``fit()``,
-  ``add()`` and the serving cache's quantized keys alike.  The flop
-  saving only becomes wall-clock through the kernel's chunked gather
-  (a naive gather is memory-bound); at moderate d the dense BLAS GEMM
-  remains competitive (see ``docs/kernels.md``).
 
 :func:`collision_probability` evaluates Eq. 2 — the probability that two
 points at distance τ share a bucket of width w — in closed form.
@@ -75,97 +65,6 @@ class GaussianProjection:
                 f"points have dimension {points.shape[1]}, expected {self.dim}"
             )
         projected = points @ self.directions.T
-        return projected[0] if single else projected
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.project(points)
-
-
-class SampledProjection:
-    """A bank of ``m`` sampled structured projections (FastLSH-style).
-
-    Function i reads only the ``s`` coordinates ``sample_idx[i]`` (drawn
-    without replacement) with Gaussian weights scaled by ``√(d/s)``:
-    ``h*_i(o) = √(d/s) · Σ_j w_ij · o[idx_ij]``.  The rescaling keeps
-    ``E[h*_i(o)²] = ‖o‖²`` over the coordinate sample, so the χ²(m)
-    projected-distance machinery PM-LSH calibrates (t, β) with remains a
-    faithful approximation while hashing costs O(s·m) per point instead
-    of O(d·m).  ``sample_size`` defaults to ``⌈√d⌉``.
-
-    Projection dispatches through :mod:`repro.kernels`, whose two
-    backends are differential-tested to produce bit-identical floats —
-    and both single-point and batched calls reduce each ``(point, i)``
-    output independently, so serving-cache keys quantize identically
-    either way.
-    """
-
-    def __init__(
-        self,
-        dim: int,
-        m: int,
-        sample_size: int | None = None,
-        seed: RandomState = None,
-    ) -> None:
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        if m <= 0:
-            raise ValueError(f"m must be positive, got {m}")
-        if sample_size is None:
-            sample_size = int(np.ceil(np.sqrt(dim)))
-        sample_size = min(int(sample_size), dim)
-        if sample_size <= 0:
-            raise ValueError(f"sample_size must be positive, got {sample_size}")
-        rng = as_generator(seed)
-        self.dim = dim
-        self.m = m
-        self.sample_size = sample_size
-        # (m, s): per-function coordinate sample, without replacement.
-        self.sample_idx = np.stack(
-            [rng.choice(dim, size=sample_size, replace=False) for _ in range(m)]
-        ).astype(np.int64)
-        self.weights = rng.normal(0.0, 1.0, size=(m, sample_size)) * np.sqrt(
-            dim / sample_size
-        )
-
-    @classmethod
-    def from_arrays(
-        cls, sample_idx: np.ndarray, weights: np.ndarray, dim: int
-    ) -> "SampledProjection":
-        """Rebuild a sampled bank from stored arrays (persisted indexes).
-
-        Restoring the exact ``sample_idx``/``weights`` — never a dense
-        equivalent matrix — is what keeps reloaded projections
-        bit-identical to the ones computed at fit time.
-        """
-        sample_idx = np.asarray(sample_idx, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if sample_idx.ndim != 2 or sample_idx.shape != weights.shape:
-            raise ValueError(
-                f"sample_idx/weights must be matching 2-D arrays, got "
-                f"{sample_idx.shape} and {weights.shape}"
-            )
-        bank = cls.__new__(cls)
-        bank.dim = int(dim)
-        bank.m, bank.sample_size = sample_idx.shape
-        bank.sample_idx = sample_idx.copy()
-        bank.weights = weights.copy()
-        return bank
-
-    def project(self, points: np.ndarray) -> np.ndarray:
-        """Map ``(n, dim)`` points (or one ``(dim,)`` point) into R^m."""
-        from repro import kernels
-
-        points = np.asarray(points, dtype=np.float64)
-        single = points.ndim == 1
-        if single:
-            points = points[None, :]
-        if points.shape[1] != self.dim:
-            raise ValueError(
-                f"points have dimension {points.shape[1]}, expected {self.dim}"
-            )
-        projected = kernels.active().sampled_project(
-            points, self.sample_idx, self.weights
-        )
         return projected[0] if single else projected
 
     def __call__(self, points: np.ndarray) -> np.ndarray:

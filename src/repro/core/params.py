@@ -21,6 +21,12 @@ HASH_COUNT_RANGE = (15, 19)
 #: 3852 (m = 18 at 60k) kept it on all four.
 BUDGET_FLOOR = 3800
 
+#: Pairs in the sample of original-space distances F(x) that r_min is
+#: chosen from (§4.5), for PM-LSH and R-LSH alike; a fit draws
+#: ``min(RADIUS_SAMPLE_PAIRS, max(1000, 10·n))`` of them.  Not a
+#: parameter: a snapshot stores the sample itself.
+RADIUS_SAMPLE_PAIRS = 50_000
+
 
 @dataclass(frozen=True)
 class PMLSHParams:
@@ -31,6 +37,10 @@ class PMLSHParams:
     number of hash functions m: ``None`` (default) lets ``fit`` pick it from
     the dataset size by :func:`hash_count_for` (15, the paper's value, up
     to 45k points; 19 from 68k).  An explicit m is honoured exactly.
+
+    The m hash functions are always the paper's dense Gaussian
+    projection (Eq. 3), which Lemma 2's χ²(m) estimate, Eq. 10's (t, β)
+    and Theorem 1 rest on.
     """
 
     #: Hash functions (projected dimensions).  ``None`` resolves at
@@ -43,7 +53,6 @@ class PMLSHParams:
     beta_multiplier: float = 2.0
     node_capacity: int = 128
     radius_shrink: float = 0.95
-    radius_sample_pairs: int = 50_000
     pivot_method: str = "maxsep"
     use_rings: bool = True
     use_parent_filter: bool = True
@@ -55,16 +64,6 @@ class PMLSHParams:
     #: holding the probing budget at its m = 15 level (Fig. 6), which this
     #: knob enables.  ``None`` (default) keeps the solved β.
     beta_override: float | None = None
-    #: Hash family behind the m projections: ``"dense"`` (default) is the
-    #: paper's Eq. 3 Gaussian GEMM; ``"sampled"`` is the FastLSH-style
-    #: structured family (each function reads ~√d sampled coordinates),
-    #: cutting hashing cost for ``fit``/``add``/cache keys at a small,
-    #: calibrated approximation cost.  See
-    #: :class:`repro.core.hashing.SampledProjection`.
-    hash_family: str = "dense"
-    #: Coordinates read per sampled hash function; ``None`` (default)
-    #: resolves to ``⌈√d⌉`` at fit time.  Ignored by the dense family.
-    hash_sample_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.m is not None and self.m <= 0:
@@ -88,12 +87,6 @@ class PMLSHParams:
         if self.beta_override is not None and not 0.0 < self.beta_override < 1.0:
             raise ValueError(
                 f"beta_override must be in (0, 1), got {self.beta_override}"
-            )
-        if self.hash_family not in ("dense", "sampled"):
-            raise ValueError(f"unknown hash_family {self.hash_family!r}")
-        if self.hash_sample_size is not None and self.hash_sample_size <= 0:
-            raise ValueError(
-                f"hash_sample_size must be positive, got {self.hash_sample_size}"
             )
 
 

@@ -72,7 +72,7 @@ from the flat tree, keeps the hash draw, and runs the same fold rule.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -80,8 +80,13 @@ import numpy as np
 from repro import kernels
 from repro.baselines.base import ANNIndex, BatchResult, QueryResult, aggregate_stats
 from repro.core.estimation import SolvedParameters, solve_parameters
-from repro.core.hashing import GaussianProjection, SampledProjection
-from repro.core.params import HASH_COUNT_RANGE, PMLSHParams, hash_count_for
+from repro.core.hashing import GaussianProjection
+from repro.core.params import (
+    HASH_COUNT_RANGE,
+    RADIUS_SAMPLE_PAIRS,
+    PMLSHParams,
+    hash_count_for,
+)
 from repro.core.radius import (
     radius_schedule,
     range_candidate_budget,
@@ -94,6 +99,7 @@ from repro.datasets.distance import (
 )
 from repro.kernels.fast import closest_mask, expansion_tol, limit_band, sq_distance_estimates
 from repro.obs.tracing import current_trace
+from repro.persistence import SnapshotError
 from repro.pmtree.flat import FlatPMTree
 from repro.pmtree.tree import PMTree
 from repro.queries import (
@@ -236,7 +242,7 @@ class PMLSH(ANNIndex):
         super().__init__()
         self.params = params or PMLSHParams()
         self._rng = as_generator(seed)
-        self.projection: Optional[GaussianProjection | SampledProjection] = None
+        self.projection: Optional[GaussianProjection] = None
         self.projected: Optional[np.ndarray] = None
         #: ‖x‖² per data row: the constant term of the original-space
         #: estimates verification ranks candidates by (8 bytes a row).
@@ -302,22 +308,6 @@ class PMLSH(ANNIndex):
     # construction
     # ------------------------------------------------------------------
 
-    def _make_projection(self):
-        """The hash bank ``params.hash_family`` selects: the paper's dense
-        Gaussian GEMM, or the FastLSH-style sampled structured family
-        (each function reads ~√d coordinates — cheaper ``fit``/``add``
-        projections and cheaper serving-cache keys, same χ²(m)
-        calibration)."""
-        params = self.params
-        if params.hash_family == "sampled":
-            return SampledProjection(
-                self.d,
-                params.m,
-                sample_size=params.hash_sample_size,
-                seed=self._rng,
-            )
-        return GaussianProjection(self.d, params.m, seed=self._rng)
-
     def _resolve_hash_count(self) -> None:
         """Fix a rule-chosen m (``params.m is None``) for this dataset size
         (:func:`~repro.core.params.hash_count_for`) and re-solve (t, β) for
@@ -338,7 +328,7 @@ class PMLSH(ANNIndex):
         # A re-fit lets go of the previous structures first, so its peak
         # does not hold two indexes' arrays.
         self._tree = self._flat = self.projected = self.sqnorm = None
-        self.projection = self._make_projection()
+        self.projection = GaussianProjection(self.d, params.m, seed=self._rng)
         self.projected = self.projection.project(self.data)
         self.sqnorm = _row_sqnorms(self.data)
         self._tree = PMTree.build(
@@ -355,7 +345,7 @@ class PMLSH(ANNIndex):
         # statistic being ≈ 1 is what licenses reusing it for every query.
         self.distance_distribution = sample_distance_distribution(
             self.data,
-            num_pairs=min(params.radius_sample_pairs, max(1000, 10 * self.n)),
+            num_pairs=min(RADIUS_SAMPLE_PAIRS, max(1000, 10 * self.n)),
             seed=self._rng,
         )
 
@@ -868,12 +858,11 @@ class PMLSH(ANNIndex):
         block = self._flat_query_block()
         for start in range(0, n_live, block):
             stop = min(start + block, n_live)
-            flat.reset_counters()
-            block_ids, block_dists = flat.batch_knn(source[start:stop], per_point + 1)
+            block_ids, block_dists, work = flat.batch_knn(source[start:stop], per_point + 1)
             id_blocks.append(block_ids)
             dist_blocks.append(block_dists)
-            nodes += flat.node_accesses
-            dist_comps += flat.distance_computations
+            nodes += int(work.nodes.sum())
+            dist_comps += int(work.dist_comps.sum())
         neighbor_ids = np.concatenate(id_blocks)
         neighbor_dists = np.concatenate(dist_blocks)
         self._c_tree_nodes.inc(nodes)
@@ -919,32 +908,26 @@ class PMLSH(ANNIndex):
     #: data the row norms, so archives leave them out; shared memory carries
     #: them (workers attach with no numeric work).
     _rederivable_arrays = ("projected", "sqnorm")
-    #: ``PMLSHParams`` fields older archives carry: the traversal selector,
-    #: and the insert path's build/split choices (an archive whose tree
-    #: was grown by inserts restores as the flat arrays it stored).
-    _RETIRED_PARAMS = ("traversal", "build_method", "split_promotion", "split_partition")
+    #: ``PMLSHParams`` fields older archives carry: the traversal selector;
+    #: the insert path's build/split choices (an archive whose tree was
+    #: grown by inserts restores as the flat arrays it stored); the hash
+    #: family switch and its sample size (an archive of the sampled family
+    #: is refused, a dense one loads); and the F(x) sample size (the
+    #: sample itself is stored).
+    _RETIRED_PARAMS = ("traversal", "build_method", "split_promotion", "split_partition", "hash_family", "hash_sample_size", "radius_sample_pairs")
 
     def state_arrays(self):
         """The index as arrays: dataset, projected points, row norms, hash
-        functions (dense ``directions``, or the sampled family's exact
-        ``hash_sample_idx``/``hash_weights`` — never densified), pivots,
-        the F(x) sample behind r_min and the flat tree
-        (:meth:`FlatPMTree.to_arrays`: the matrices queries prune against,
-        so a restore traverses bit-identically); the parameter bundle is
-        the JSON state."""
+        ``directions``, pivots, the F(x) sample behind r_min and the flat
+        tree (:meth:`FlatPMTree.to_arrays`: the matrices queries prune
+        against, so a restore traverses bit-identically); the parameter
+        bundle is the JSON state."""
         flat = self.flat_tree
-        if isinstance(self.projection, SampledProjection):
-            hash_arrays = {
-                "hash_sample_idx": self.projection.sample_idx,
-                "hash_weights": self.projection.weights,
-            }
-        else:
-            hash_arrays = {"directions": self.projection.directions}
         arrays = {
             "data": self.data,
             "projected": self.projected,
             "sqnorm": self.sqnorm,
-            **hash_arrays,
+            "directions": self.projection.directions,
             "pivots": flat.pivots,
             "distance_samples": self.distance_distribution.samples,
             **flat.to_arrays(),
@@ -958,21 +941,27 @@ class PMLSH(ANNIndex):
         ``flat_leaf_ids`` are the unindexed tail — serves at once and the
         tree stays unmaterialised.  No ``projected`` / ``sqnorm`` (every
         archive) → re-project / recompute; no ``flat_*`` (legacy) → eager
-        deterministic tree rebuild; the
-        retired parameters (``_RETIRED_PARAMS``) are dropped, any other
-        unknown key still raises.
+        deterministic tree rebuild.  The retired parameters
+        (``_RETIRED_PARAMS``) are dropped; any other key ``PMLSHParams``
+        does not have, and an archive of the retired sampled hash family,
+        raise :class:`~repro.persistence.SnapshotError`.
         """
-        params = PMLSHParams(
-            **{k: v for k, v in params.items() if k not in cls._RETIRED_PARAMS}
-        )
+        if "hash_sample_idx" in arrays:
+            raise SnapshotError(
+                "the archive's hash functions are the sampled projection family, "
+                "which this library retired: re-fit the index from its data"
+            )
+        known = {field.name for field in fields(PMLSHParams)}
+        unknown = sorted(set(params) - known - set(cls._RETIRED_PARAMS))
+        if unknown:
+            raise SnapshotError(
+                f"unknown PM-LSH parameter {', '.join(map(repr, unknown))} — the "
+                "archive was written by a newer release or edited by hand"
+            )
+        params = PMLSHParams(**{k: v for k, v in params.items() if k in known})
         index = cls(params=params, seed=0)
         index._set_data(arrays["data"])
-        if "hash_sample_idx" in arrays:
-            index.projection = SampledProjection.from_arrays(
-                arrays["hash_sample_idx"], arrays["hash_weights"], dim=index.d
-            )
-        else:
-            index.projection = GaussianProjection.from_directions(arrays["directions"])
+        index.projection = GaussianProjection.from_directions(arrays["directions"])
         index.projected = (
             np.asarray(arrays["projected"], dtype=np.float64)
             if "projected" in arrays

@@ -2,9 +2,10 @@
 
 The hottest inner loops — the Eq. 5 frontier masks and leaf distance
 verification of :class:`~repro.pmtree.flat.FlatPMTree`, the pooled
-candidate cuts, batched baseline verification and the sampled hash
-projections — live in :mod:`repro.kernels.fast` as small
-array-in/array-out functions.  :func:`active` hands callers the one
+candidate cuts and batched baseline verification — live in
+:mod:`repro.kernels.fast` as small array-in/array-out functions
+(``leaf_prune`` and ``sampled_project`` have no product caller; the
+frozen end-to-end benchmark still lists them).  :func:`active` hands callers the one
 kernel set; every call through it increments a per-``(backend, kernel)``
 counter (:func:`kernel_calls`) that is also exported through the
 observability registry as ``kernel_calls``.

@@ -393,6 +393,12 @@ def sampled_project(
     operands contract row by row, so chunking cannot change a bit, and
     keeping the gathered tensor cache-sized roughly halves the cost of
     the big-n projection versus one monolithic gather.
+
+    No product path calls it: PM-LSH hashes with the dense Gaussian
+    projection only (docs/kernels.md, "One hash family").  It stays in
+    :data:`~repro.kernels.KERNEL_NAMES` because the frozen end-to-end
+    benchmark reports a call count for every name on its own list,
+    pinned to that tuple by its tests.
     """
     points = np.atleast_2d(points)
     n = points.shape[0]

@@ -183,6 +183,10 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class FlatPMTree:
     """Read-only structure-of-arrays snapshot of a built PM-tree.
 
+    A query writes nothing on it — every reader of an index shares one
+    snapshot, so :meth:`batch_range` and :meth:`batch_knn` hand their
+    work back as :class:`TraversalStats` instead of keeping counters.
+
     Construct via :meth:`from_tree` (or ``PMTree.flatten()``).  Node ids
     are breadth-first, the root is node 0, and ``levels[d]`` is the
     ``[lo, hi)`` node-id range of depth d.  For an inner node ``v``,
@@ -244,10 +248,6 @@ class FlatPMTree:
         # computed from the float64 ``points[slot_ids[…]]``, so distances
         # are bit-identical to a per-pair walk's.
         self.leaf_points, self.leaf_sqnorm = _score_rows(points, self.slot_ids)
-        #: aggregate counters: the ``TraversalStats`` of every batch
-        #: since the last reset, summed
-        self.distance_computations = 0
-        self.node_accesses = 0
         #: per-slot liveness mask (parallel to ``slot_ids``), or None
         #: when no point is tombstoned.  Installed by :meth:`set_tombstones`;
         #: dead members drop out of every traversal before any distance
@@ -433,10 +433,6 @@ class FlatPMTree:
         dead = np.asarray(dead_ids, dtype=np.int64)
         self.leaf_alive = None if dead.size == 0 else ~np.isin(self.slot_ids, dead)
 
-    def reset_counters(self) -> None:
-        self.distance_computations = 0
-        self.node_accesses = 0
-
     # ------------------------------------------------------------------
     # batched traversal
     # ------------------------------------------------------------------
@@ -557,8 +553,6 @@ class FlatPMTree:
             )
 
         lims, ids, dists = self._assemble(queries, matches, limits, sort, kernel)
-        self.node_accesses += int(nodes.sum())
-        self.distance_computations += int(dist_comps.sum())
         stats = TraversalStats(nodes, dist_comps, level_visits, matches.rescored)
         return lims, ids, dists, stats
 
@@ -936,7 +930,9 @@ class FlatPMTree:
     # batched exact kNN in the indexed (projected) space
     # ------------------------------------------------------------------
 
-    def batch_knn(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    def batch_knn(
+        self, queries: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray, TraversalStats]:
         """Exact k nearest indexed points per query row, via the tree.
 
         Radius-doubling over :meth:`batch_range` with a limit of k: start
@@ -947,6 +943,10 @@ class FlatPMTree:
         at the k-th) get an exact distance.  This is the traversal behind
         PM-LSH's closest-pair self-join (each point's projected
         neighbourhood).
+
+        Returns ``(ids, dists, stats)``: ``(Q, k)`` ids and projected
+        distances, and the :class:`TraversalStats` of every round summed
+        per query (``level_visits`` over the batch).
         """
         queries = np.ascontiguousarray(np.atleast_2d(queries))
         num_queries = queries.shape[0]
@@ -955,12 +955,20 @@ class FlatPMTree:
             raise ValueError(f"k must be in [1, {n}], got {k}")
         out_ids = np.empty((num_queries, k), dtype=np.int64)
         out_dists = np.empty((num_queries, k), dtype=np.float64)
+        nodes, dist_comps, rescored = (
+            np.zeros(num_queries, dtype=np.int64) for _ in range(3)
+        )
+        level_visits = np.zeros(self.height, dtype=np.int64)
         active = np.arange(num_queries, dtype=np.int64)
         radius = self._knn_seed_radius(k)
         while active.size:
-            lims, ids, dists, _ = self.batch_range(
+            lims, ids, dists, stats = self.batch_range(
                 queries[active], radius, limits=np.full(active.size, k)
             )
+            nodes[active] += stats.nodes
+            dist_comps[active] += stats.dist_comps
+            rescored[active] += stats.rescored
+            level_visits += stats.level_visits
             done = np.diff(lims) >= k
             if np.any(done):
                 take = _concat_ranges(
@@ -971,7 +979,8 @@ class FlatPMTree:
                 out_dists[rows] = dists[take].reshape(-1, k)
             active = active[~done]
             radius *= 2.0
-        return out_ids, out_dists
+        stats = TraversalStats(nodes, dist_comps, level_visits, rescored)
+        return out_ids, out_dists, stats
 
     def _knn_seed_radius(self, k: int) -> float:
         """Initial probe radius: scale the root covering radius by the

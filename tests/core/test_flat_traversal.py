@@ -131,6 +131,30 @@ class TestClosestPairEquivalence:
         np.testing.assert_array_equal(a.distances, b.distances)
         assert a.stats["tree_nodes"] > 0
 
+    def test_tree_work_is_the_sum_of_the_traversals_it_ran(self, dataset, monkeypatch):
+        """CP publishes what ``batch_knn`` handed back, block by block —
+        nothing read off the shared flat tree, which a concurrent search
+        could write between two reads."""
+        index = PMLSH(params=PMLSHParams(node_capacity=32), seed=3).fit(dataset)
+        monkeypatch.setattr(index, "_flat_query_block", lambda: 128)  # several blocks
+        flat, handed_back = index.flat_tree, []
+        real = flat.batch_knn
+
+        def spy(queries, k):
+            ids, dists, work = real(queries, k)
+            handed_back.append(work)
+            return ids, dists, work
+
+        monkeypatch.setattr(flat, "batch_knn", spy)
+        result = index.closest_pairs(12)
+        assert len(handed_back) == -(-index.nlive // 128)
+        nodes = sum(int(work.nodes.sum()) for work in handed_back)
+        dist_comps = sum(int(work.dist_comps.sum()) for work in handed_back)
+        assert nodes > 0 and dist_comps > 0
+        assert result.stats["tree_nodes"] == nodes / index.nlive
+        assert result.stats["tree_dist_comps"] == dist_comps / index.nlive
+        assert not hasattr(flat, "node_accesses")  # a query writes nothing on it
+
     def test_planted_duplicates_recovered(self, dataset):
         data = np.vstack([dataset, dataset[:6]])  # six distance-0 pairs
         index = PMLSH(params=PMLSHParams(node_capacity=32), seed=5).fit(data)

@@ -11,6 +11,7 @@ import pytest
 from repro.core.hashing import GaussianProjection
 from repro.core.params import PMLSHParams
 from repro.core.pmlsh import PMLSH
+from repro.persistence import SnapshotError
 from tests.oracles.invariants import check_invariants
 
 
@@ -128,8 +129,9 @@ class TestFlatTreePersistence:
         self, index, small_clustered, tmp_path
     ):
         """Archives written while ``PMLSHParams`` had a ``traversal``
-        field, or the insert path's three, carry them in ``params_json``;
-        loading drops them — and only them."""
+        field, the insert path's three, the hash family's two or the F(x)
+        sample size carry them in ``params_json``; loading drops them —
+        and only them: any other key is a ``SnapshotError`` naming it."""
         import json
 
         path = str(tmp_path / "current.npz")
@@ -142,6 +144,9 @@ class TestFlatTreePersistence:
             ("build_method", True),
             ("split_promotion", True),
             ("split_partition", True),
+            ("hash_family", True),
+            ("hash_sample_size", True),
+            ("radius_sample_pairs", True),
             ("no_such_knob", False),
         ):
             doctored = json.dumps({**params, extra: "flat"}).encode("utf-8")
@@ -149,7 +154,7 @@ class TestFlatTreePersistence:
             old_path = str(tmp_path / f"with_{extra}.npz")
             np.savez_compressed(old_path, **arrays)
             if not loads:
-                with pytest.raises(TypeError):
+                with pytest.raises(SnapshotError, match="'no_such_knob'"):
                     PMLSH.load(old_path)
                 continue
             q = small_clustered[3] + 0.01

@@ -20,6 +20,7 @@ import numpy as np
 from repro.baselines.base import BatchResult, QueryResult
 from repro.core.radius import range_candidate_budget
 from repro.datasets.distance import chunked_knn, point_to_points_distances
+from repro.pmtree.flat import TraversalStats
 from repro.queries import Knn, Range, RangeResult
 from tests.oracles.pointer_tree import PointerPMTree
 
@@ -154,7 +155,9 @@ def closest_pairs(index, m: int, budget: int | None = None):
 
     def brute_knn(block: np.ndarray, k: int):
         ids, dists = chunked_knn(block, index.projected[live], k)
-        return live[ids], dists
+        none = np.zeros(block.shape[0], dtype=np.int64)  # no tree work
+        work = TraversalStats(none, none, np.zeros(0, dtype=np.int64), none)
+        return live[ids], dists, work
 
     with mock.patch.object(index.flat_tree, "batch_knn", brute_knn):
         return index.closest_pairs(m, budget=budget)

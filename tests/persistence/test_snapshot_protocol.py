@@ -35,9 +35,11 @@ from repro.queries import Knn, Range
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 BACKENDS = {
-    "pm-lsh dense": lambda: PMLSH(params=PMLSHParams(node_capacity=32), seed=11),
-    "pm-lsh sampled": lambda: PMLSH(
-        params=PMLSHParams(node_capacity=32, hash_family="sampled"), seed=11
+    "pm-lsh": lambda: PMLSH(params=PMLSHParams(node_capacity=32), seed=11),
+    # No pivots and an explicit m: zero-width ring arrays, and a parameter
+    # bundle that differs from the defaults in what it stores.
+    "pm-lsh no pivots": lambda: PMLSH(
+        params=PMLSHParams(node_capacity=32, num_pivots=0, m=8), seed=11
     ),
     "exact": ExactKNN,
 }
@@ -123,8 +125,8 @@ def assert_answers_identically(restored, index, queries):
 
 
 class TestRoundTrip:
-    """transport ∈ {file, shm, raw, replica} × backend ∈ {pm-lsh dense,
-    pm-lsh sampled, exact}."""
+    """transport ∈ {file, shm, raw, replica} × backend ∈ {pm-lsh,
+    pm-lsh no pivots, exact}."""
 
     def test_fresh_index(self, ship, index, queries):
         assert_answers_identically(ship(index), index, queries)
@@ -274,14 +276,16 @@ class TestCompatibility:
                 if key == "params_json":  # minus the retired parameters, nothing else
                     was, now = (json.loads(bytes(a[key]).decode("utf-8")) for a in (old, new))
                     assert set(was) - set(now) == {
-                        "build_method", "split_promotion", "split_partition"
+                        "build_method", "split_promotion", "split_partition",
+                        "hash_family", "hash_sample_size", "radius_sample_pairs",
                     }
                     assert now == {k: was[k] for k in now}
                     continue
                 np.testing.assert_array_equal(new[key], old[key], err_msg=key)
 
     def test_key_sets_per_backend(self, index, tmp_path):
-        """Today's names exactly; ``projected`` is re-derived, not stored."""
+        """Today's names exactly; ``projected`` is re-derived, not stored,
+        and a pivot-less index writes the same names, with empty rings."""
         path = tmp_path / "keys.npz"
         index.save(path)
         lifecycle = {"registry_name", "format_version", "index_epoch", "fitted_n",
@@ -291,10 +295,15 @@ class TestCompatibility:
         expected = {"data"} | lifecycle
         if isinstance(index, PMLSH):
             expected = dense
-            if index.params.hash_family == "sampled":
-                expected = dense - {"directions"} | {"hash_sample_idx", "hash_weights"}
         with np.load(path) as archive:
             assert set(archive.files) == expected
+            if isinstance(index, PMLSH):
+                s = index.params.num_pivots
+                assert archive["pivots"].shape == (s, index.params.m)
+                assert archive["flat_entry_hr_min"].shape[1] == s
+                assert archive["flat_entry_hr_max"].shape[1] == s
+                stored = json.loads(bytes(archive["params_json"]).decode("utf-8"))
+                assert stored["m"] == index.params.m and stored["num_pivots"] == s
 
 
 class TestFileTransport:
@@ -392,6 +401,31 @@ def _drop_pivots(path):
     np.savez_compressed(path, **entries)
 
 
+def _with_params(entries, **changes):
+    params = json.loads(bytes(entries["params_json"]).decode("utf-8"))
+    encoded = json.dumps({**params, **changes}).encode("utf-8")
+    return {**entries, "params_json": np.frombuffer(encoded, dtype=np.uint8)}
+
+
+def _future_knob(path):
+    """A parameter this library does not know, as a newer release might write."""
+    np.savez_compressed(path, **_with_params(_entries(path), future_knob=1))
+
+
+def _sampled_family(path):
+    """The archive the retired sampled hash family wrote: its per-function
+    coordinate sample and weights in place of the dense directions."""
+    entries = _with_params(_entries(path), hash_family="sampled", hash_sample_size=None)
+    m, d = entries.pop("directions").shape
+    s = int(np.ceil(np.sqrt(d)))
+    rng = np.random.default_rng(0)
+    entries["hash_sample_idx"] = np.stack(
+        [rng.choice(d, size=s, replace=False) for _ in range(m)]
+    ).astype(np.int64)
+    entries["hash_weights"] = rng.normal(size=(m, s)) * np.sqrt(d / s)
+    np.savez_compressed(path, **entries)
+
+
 class TestBadArchives:
     """Every reader fails typed: ``SnapshotError`` naming path and cause."""
 
@@ -421,7 +455,13 @@ class TestBadArchives:
         assert str(path) in str(caught.value)
 
     @pytest.mark.parametrize(
-        "damage, cause", [(_flip_byte_in_data, "cannot load"), (_drop_pivots, "array 'pivots'")]
+        "damage, cause",
+        [
+            (_flip_byte_in_data, "cannot load"),
+            (_drop_pivots, "array 'pivots'"),
+            (_future_knob, "unknown PM-LSH parameter 'future_knob'"),
+            (_sampled_family, "sampled projection family, which this library retired"),
+        ],
     )
     @pytest.mark.parametrize("reader", [load_index, PMLSH.load])
     def test_visible_on_restore(self, path, damage, cause, reader):
@@ -445,20 +485,20 @@ class TestBadArchives:
                 self.index = index
 
         path = tmp_path / "index.npz"
-        primary = ExactKNN().fit(data)
+        primary = PMLSH(seed=2).fit(data)
         primary.save(path)
         server = Server()
         replica = Replica(server=server)
         assert replica.refresh(path) is True
         before = (replica.index, replica.epoch, replica.refreshes, server.index)
-        for damage in (_truncate, _garbage, _newer):
+        primary.delete([7])  # every archive below is newer, so the replica tries it
+        for damage in (_truncate, _garbage, _newer, _future_knob, _sampled_family):
             primary.save(path)
             damage(path)
             with pytest.raises(SnapshotError):
                 replica.refresh(path)
             after = (replica.index, replica.epoch, replica.refreshes, server.index)
             assert all(a is b or a == b for a, b in zip(after, before))
-        primary.delete([7])
         primary.save(path)  # a good, newer archive at the same path
         assert replica.refresh(path) is True
         assert replica.refreshes == 2 and replica.epoch == primary.epoch

@@ -70,7 +70,7 @@ def test_knn_is_exact(points, k):
     tree = PMTree.build(points, num_pivots=2 if len(points) >= 2 else 0,
                         capacity=8, seed=1)
     query = points[-1] + 0.1
-    _, got_dists = tree.flatten().batch_knn(query[None, :], k)
+    _, got_dists, _ = tree.flatten().batch_knn(query[None, :], k)
     dists = np.linalg.norm(points - query, axis=1)
     # Distance multiset must match (ids may differ on ties).
     np.testing.assert_allclose(got_dists[0], np.sort(dists)[:k], rtol=1e-9, atol=1e-9)
@@ -145,7 +145,7 @@ def test_grown_flat_tree_answers_like_a_bulk_build_over_every_row(
     live = np.setdiff1d(np.arange(n), dead)
     if live.size:
         k = min(live.size, 5)
-        got_ids, got_dists = flat.batch_knn(queries, k)
+        got_ids, got_dists, _ = flat.batch_knn(queries, k)
         for i, query in enumerate(queries):
             diff = points[live] - query  # the traversal's own reduction
             exact = np.sqrt(np.einsum("ij,ij->i", diff, diff))

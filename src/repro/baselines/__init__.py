@@ -23,9 +23,9 @@ treats them uniformly:
 Each baseline has one kNN path.  C2LSH, E2LSH, LSB-Forest and QALSH
 answer a whole query matrix in one vectorised ``_run_knn`` (C2LSH and
 QALSH share their round loop through
-:class:`~repro.baselines.base.CollisionCountingLSH`); the others answer
-row by row through ``_query_one``.  ``tests/oracles/baseline_loops.py``
-keeps per-query references for the four batch paths.
+:class:`~repro.baselines.base.CollisionCountingLSH`), Exact and LScan by
+the exact scan of :mod:`repro.datasets.distance`; the others row by row
+through ``_query_one``.  ``tests/oracles/`` keeps their references.
 """
 
 from repro.baselines.base import ANNIndex, BatchResult, QueryResult

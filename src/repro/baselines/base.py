@@ -34,6 +34,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro import kernels
+from repro.datasets.distance import chunked_closest_pairs, chunked_range
 from repro.lifecycle.compaction import CompactionResult, count_compaction, dense_id_map
 from repro.lifecycle.tombstones import TombstoneSet
 from repro.persistence import SnapshotError, load_index, save_index
@@ -45,7 +46,6 @@ from repro.queries import (
     RangeResult,
     as_query_spec,
     checked_budget,
-    sort_pairs,
 )
 from repro.utils.rng import RandomState, as_generator
 
@@ -286,13 +286,6 @@ class ANNIndex(abc.ABC):
 
         wrapper._captures_init_kwargs = True
         cls.__init__ = wrapper
-
-    #: Cap on the entries of one block × n × d difference tensor inside the
-    #: brute-force range / closest-pair fallbacks (~32 MB of float64).
-    _FALLBACK_BLOCK_ENTRIES = 4_000_000
-
-    def _fallback_block_rows(self) -> int:
-        return max(1, self._FALLBACK_BLOCK_ENTRIES // max(1, self.n * self.d))
 
     def __init__(self) -> None:
         self.data: Optional[np.ndarray] = None
@@ -804,100 +797,36 @@ class ANNIndex(abc.ABC):
         per_query = tuple({"candidates": float(count)} for count in counts)
         return topk_batch(rep_q, ids, dists, k, per_query)
 
+    def _alive_rows(self) -> Optional[np.ndarray]:
+        """Boolean mask over the stored rows, True where live; ``None``
+        without tombstones (the exact scan's ``alive``)."""
+        return self._tombstones.alive_mask(self.ntotal) if self._tombstones else None
+
     def _run_range(self, queries: np.ndarray, spec: Range) -> RangeResult:
-        """Exact fallback: blocked brute-force scan of the whole dataset.
+        """Exact fallback: the blocked exact scan of the live rows
+        (:func:`~repro.datasets.distance.chunked_range`).
 
         Ignores the spec's ``c``/``budget`` knobs — an exact answer
-        trivially satisfies any (r, c) contract.  Matches are sorted by
-        ``(distance, id)`` per query.  Distances come from the row-wise
-        kernel, whose floats are independent of how the dataset is
-        partitioned — the property behind sharded/single byte-equality.
-        Tombstoned rows are masked *after* the distance computation, so
-        the surviving floats are bit-identical to a tombstone-free index.
+        trivially satisfies any (r, c) contract.  Every distance comes
+        from differences of its own row, so the floats do not depend on
+        how the dataset is partitioned (sharded answers equal single ones
+        byte for byte) or on the tombstones.
         """
-        from repro.datasets.distance import pairwise_distances_rowwise
-
-        block_rows = self._fallback_block_rows()
-        alive = (
-            self._tombstones.alive_mask(self.ntotal) if self._tombstones else None
+        result = chunked_range(queries, self.data, spec.r, alive=self._alive_rows())
+        per_query = tuple(
+            {"candidates": float(self.nlive), "returned": float(count)}
+            for count in result.counts
         )
-        lims = [0]
-        id_chunks: List[np.ndarray] = []
-        dist_chunks: List[np.ndarray] = []
-        per_query: List[Dict[str, float]] = []
-        for start in range(0, queries.shape[0], block_rows):
-            block = queries[start : start + block_rows]
-            dists = pairwise_distances_rowwise(block, self.data)
-            for row in range(block.shape[0]):
-                within = dists[row] <= spec.r
-                if alive is not None:
-                    within &= alive
-                inside = np.flatnonzero(within)
-                row_dists = dists[row][inside]
-                order = np.lexsort((inside, row_dists))
-                id_chunks.append(inside[order].astype(np.int64))
-                dist_chunks.append(row_dists[order])
-                lims.append(lims[-1] + inside.size)
-                per_query.append(
-                    {"candidates": float(self.nlive), "returned": float(inside.size)}
-                )
-        return RangeResult(
-            lims=np.asarray(lims, dtype=np.int64),
-            ids=np.concatenate(id_chunks) if id_chunks else np.empty(0, dtype=np.int64),
-            distances=(
-                np.concatenate(dist_chunks)
-                if dist_chunks
-                else np.empty(0, dtype=np.float64)
-            ),
-            stats=aggregate_stats(tuple(per_query)),
-            per_query_stats=tuple(per_query),
-        )
+        return replace(result, stats=aggregate_stats(per_query), per_query_stats=per_query)
 
     def _closest_pairs(self, m: int, budget: int | None = None) -> ClosestPairResult:
-        """Exact fallback: blocked brute-force self-join (upper triangle).
-
-        ``budget`` is ignored — every pair is examined.  Keeps a running
-        top-m across blocks so memory stays bounded; the row-wise distance
-        kernel keeps the floats partition-independent.  With tombstones,
-        the join runs over the gathered live submatrix and the dense pair
-        ids map back through the (monotonic) live-id array — so the result
-        is byte-identical to an index fitted on the live rows alone.
-        """
-        from repro.datasets.distance import pairwise_distances_rowwise
-
-        live = self.live_ids() if self._tombstones else None
-        data = self.data if live is None else self.data[live]
-        n = data.shape[0]
-        block_rows = self._fallback_block_rows()
-        best_pairs = np.empty((0, 2), dtype=np.int64)
-        best_dists = np.empty(0, dtype=np.float64)
-        for start in range(0, n, block_rows):
-            stop = min(start + block_rows, n)
-            dists = pairwise_distances_rowwise(data[start:stop], data)
-            rows, cols = np.nonzero(
-                np.arange(n)[None, :] > np.arange(start, stop)[:, None]
-            )
-            flat = dists[rows, cols]
-            # Per-block pre-cut: only pairs at or below the block's m-th
-            # smallest distance can affect the running top-m.  Keeping ALL
-            # ties at that value (not an arbitrary argpartition subset)
-            # preserves the deterministic (distance, i, j) boundary cut.
-            if flat.size > m:
-                kth = np.partition(flat, m - 1)[m - 1]
-                keep = flat <= kth
-                rows, cols, flat = rows[keep], cols[keep], flat[keep]
-            block_pairs = np.column_stack([rows + start, cols]).astype(np.int64)
-            best_pairs = np.concatenate([best_pairs, block_pairs])
-            best_dists = np.concatenate([best_dists, flat])
-            best_pairs, best_dists = sort_pairs(best_pairs, best_dists, m)
-        if live is not None and best_pairs.size:
-            best_pairs = live[best_pairs]
-        pair_count = n * (n - 1) // 2
-        return ClosestPairResult(
-            pairs=best_pairs,
-            distances=best_dists,
-            stats={"candidate_pairs": float(pair_count), "verified": float(pair_count)},
-        )
+        """Exact fallback: the blocked exact self-join over the live rows
+        (:func:`~repro.datasets.distance.chunked_closest_pairs`); ``budget``
+        is ignored and every pair counts as verified."""
+        result = chunked_closest_pairs(self.data, m, alive=self._alive_rows())
+        pair_count = float(self.nlive * (self.nlive - 1) // 2)
+        result.stats.update(candidate_pairs=pair_count, verified=pair_count)
+        return result
 
     # ------------------------------------------------------------------
     # validation helpers

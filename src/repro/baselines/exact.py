@@ -14,11 +14,10 @@ from repro.registry import register_index
 class ExactKNN(ANNIndex):
     """Exact k nearest neighbours by blocked brute force.
 
-    Not a competitor in the paper's tables; the harness uses it to compute
-    the exact kNN sets that recall (Eq. 12) and overall ratio (Eq. 11)
-    are defined against.  Its inherited range / closest-pair fallbacks are
-    likewise exact, so it doubles as the ground-truth reference for every
-    query type.
+    Not a competitor in the paper's tables: its kNN, range and
+    closest-pair answers all come from the one exact scan of
+    :mod:`repro.datasets.distance`, which also computes the ground truth
+    that recall (Eq. 12) and overall ratio (Eq. 11) are defined against.
     """
 
     name = "Exact"
@@ -30,22 +29,11 @@ class ExactKNN(ANNIndex):
         pass  # brute force needs no structures beyond the data itself
 
     def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
-        """Vectorised multi-query path (blocked brute force over the batch).
-
-        With tombstones, the scan runs over the gathered live submatrix and
-        dense neighbour ids map back through the (monotonic, sorted) live-id
-        array — distances and tie order are byte-identical to an index that
-        was fitted on the live rows alone.
-        """
-        if self._tombstones:
-            live = self.live_ids()
-            ids, dists = chunked_knn(queries, self.data[live], spec.k)
-            ids = live[ids]
-            candidates = float(live.size)
-        else:
-            ids, dists = chunked_knn(queries, self.data, spec.k)
-            candidates = float(self.n)
-        per_query = tuple({"candidates": candidates} for _ in range(ids.shape[0]))
+        """The blocked exact scan over the batch, tombstoned rows masked in
+        place: ids are global, and distances and tie order are
+        byte-identical to an index fitted on the live rows alone."""
+        ids, dists = chunked_knn(queries, self.data, spec.k, alive=self._alive_rows())
+        per_query = tuple({"candidates": float(self.nlive)} for _ in range(ids.shape[0]))
         return BatchResult(
             ids=ids,
             distances=dists,

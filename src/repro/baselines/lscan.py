@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import ANNIndex, QueryResult
-from repro.datasets.distance import point_to_points_distances
+from repro.baselines.base import ANNIndex, BatchResult, aggregate_stats
+from repro.datasets.distance import chunked_knn
+from repro.queries import Knn
 from repro.registry import register_index
 from repro.utils.rng import RandomState, as_generator
 
@@ -38,28 +39,30 @@ class LinearScan(ANNIndex):
         self.portion = float(portion)
         self._rng = as_generator(seed)
         self._subset: np.ndarray | None = None
+        self._points: np.ndarray | None = None
 
     def _fit(self) -> None:
         size = max(1, int(round(self.portion * self.n)))
         self._subset = np.sort(self._rng.choice(self.n, size=size, replace=False))
+        self._points = self.data[self._subset]
 
-    def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
-        subset = self._subset
-        if self._tombstones:
-            subset = subset[~self._tombstones.contains(subset)]
-            if subset.size == 0:
-                return QueryResult(
-                    ids=np.empty(0, dtype=np.int64),
-                    distances=np.empty(0, dtype=np.float64),
-                    stats={"candidates": 0.0},
-                )
-        dists = point_to_points_distances(q, self.data[subset])
-        k_eff = min(k, subset.size)
-        part = np.argpartition(dists, k_eff - 1)[:k_eff]
-        order = np.argsort(dists[part], kind="stable")
-        chosen = part[order]
-        return QueryResult(
-            ids=subset[chosen],
-            distances=dists[chosen],
-            stats={"candidates": float(subset.size)},
+    def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
+        """The exact kNN scan over the stored subset, its tombstoned rows
+        masked; the subset is sorted, so the canonical ``(distance, id)``
+        order of the scan's row numbers is that of the global ids.  Fewer
+        live subset rows than k pad with ``-1`` / inf."""
+        alive = ~self._tombstones.contains(self._subset)
+        scanned = int(np.count_nonzero(alive))
+        k = min(spec.k, scanned)
+        ids = np.full((queries.shape[0], spec.k), -1, dtype=np.int64)
+        dists = np.full((queries.shape[0], spec.k), np.inf, dtype=np.float64)
+        if k:
+            rows, near = chunked_knn(queries, self._points, k, alive=alive)
+            ids[:, :k], dists[:, :k] = self._subset[rows], near
+        per_query = tuple({"candidates": float(scanned)} for _ in range(queries.shape[0]))
+        return BatchResult(
+            ids=ids,
+            distances=dists,
+            stats=aggregate_stats(per_query),
+            per_query_stats=per_query,
         )

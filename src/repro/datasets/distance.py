@@ -10,11 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kernels.fast import expansion_tol, group_topk, verify_distances
+from repro.queries import ClosestPairResult, RangeResult, sort_pairs
 from repro.utils.rng import RandomState, as_generator
-
-#: Chunk size (rows) for blocked brute-force distance computation; keeps the
-#: temporary (chunk × n) matrix small enough to stay cache- and RAM-friendly.
-_CHUNK_ROWS = 256
 
 
 def point_to_points_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -52,60 +49,74 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
     return np.sqrt(sq)
 
 
-def pairwise_distances_rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense Euclidean distance matrix via explicit difference tensors.
+#: Bytes of float64 scores in one block of the exact scan: a block holds
+#: ``_SCAN_BYTES // (8·n)`` query rows (at least one) against all n points.
+_SCAN_BYTES = 1 << 25
 
-    Slower than the GEMM expansion in :func:`pairwise_distances` for large
-    inputs, but **bitwise reproducible across row subsets**: every (i, j)
-    entry is reduced from ``a[i] - b[j]`` alone, so distances computed
-    against any subset of *b*'s rows equal the full-matrix floats exactly.
-    The exact range / closest-pair reference paths use this so sharded
-    (per-subset) answers match the single-index answers byte for byte.
-    Callers must block: the temporary holds ``len(a) × len(b) × d`` floats.
+#: A threshold clamped to it never admits the +inf scores of masked rows.
+_FINITE_MAX = np.finfo(np.float64).max
+
+
+def _scan(queries, points, alive, *, self_join=False):
+    """The one exact scan: yield ``(start, block, scores, q_sq, scale)``
+    per block of query rows.
+
+    One GEMM scores ``scores[i, j] = ‖p_j‖² − 2·q_i·p_j``, an estimate of
+    ``d² − ‖q_i‖²`` within ``expansion_tol(d, scale[i])``, where
+    ``scale[i] = max‖p‖² + ‖q_i‖²`` (the max over every row).  Rows of
+    *points* that *alive* marks False score +inf in place.  With
+    *self_join* the queries are *points* itself and block rows ``start..``
+    score the columns ``start..`` only (column c is point ``start + c``),
+    the pairs ``j ≤ i`` and dead query rows at +inf: the upper triangle.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    sq = np.einsum("ij,ij->i", points, points)
+    max_sq = float(sq.max())
+    step = max(1, _SCAN_BYTES // (8 * points.shape[0]))
+    for start in range(0, queries.shape[0], step):
+        block = queries[start : start + step]
+        first = start if self_join else 0
+        scores = block @ points[first:].T
+        scores *= -2.0
+        scores += sq[first:]
+        if self_join:
+            q_sq = sq[start : start + step]
+            scores[:, : len(block)][np.tri(len(block), dtype=bool)] = np.inf
+            if alive is not None:
+                scores[~alive[start : start + step]] = np.inf
+        else:
+            q_sq = np.einsum("ij,ij->i", block, block)
+        if alive is not None:
+            scores[:, ~alive[first:]] = np.inf
+        yield start, block, scores, q_sq, max_sq + q_sq
 
 
 def chunked_knn(
-    queries: np.ndarray, points: np.ndarray, k: int
+    queries: np.ndarray, points: np.ndarray, k: int, *, alive: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k nearest neighbours for each query row, by blocked brute force.
+    """Exact k nearest neighbours for each query row, by the exact scan.
 
     Returns ``(ids, distances)`` with shapes ``(q, k)``, each row sorted by
-    ``(distance, id)`` — the canonical tie order of every index.  This is
-    the ground-truth oracle of the evaluation harness and the ``exact``
-    backend, so its answers equal a difference-based brute force
-    (``‖p − q‖`` per row, as :func:`point_to_points_distances`) byte for
-    byte at any offset from the origin.
+    ``(distance, id)`` — the canonical tie order of every index — equal
+    byte for byte to a difference-based brute force (``‖p − q‖`` per row,
+    as :func:`point_to_points_distances`) at any offset from the origin.
+    Rows of *points* that the boolean mask *alive* marks False are left
+    out; ids are row numbers of *points*.
 
-    It follows the band contract (docs/kernels.md): a GEMM scores each
-    block as ``‖p‖² − 2·q·p``, an estimate of ``d² − ‖q‖²`` within
-    :func:`~repro.kernels.fast.expansion_tol`; every point scoring within
-    2·tol of a row's k-th score, or below it, gets its distance from
-    differences; the canonical ``(distance, id)`` cut runs on those.  Near
-    the origin that is about k rows per query; far from it the band
-    widens (slower, never different).
+    The band contract (docs/kernels.md): every point scoring within 2·tol
+    of a row's k-th score, or below it, gets its distance from
+    differences, and the ``(distance, id)`` cut runs on those — about k
+    rows per query near the origin, more far from it (slower, never
+    different).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    sq_points = np.einsum("ij,ij->i", points, points)
-    max_sq = float(sq_points.max())
+    nlive = points.shape[0] if alive is None else int(np.count_nonzero(alive))
+    if not 1 <= k <= nlive:
+        raise ValueError(f"k must be in [1, {nlive}], got {k}")
     all_ids = np.empty((queries.shape[0], k), dtype=np.int64)
     all_dists = np.empty((queries.shape[0], k), dtype=np.float64)
-    for start in range(0, queries.shape[0], _CHUNK_ROWS):
-        block = queries[start : start + _CHUNK_ROWS]
-        scores = block @ points.T
-        scores *= -2.0
-        scores += sq_points
-        tol = expansion_tol(points.shape[1], max_sq + np.einsum("ij,ij->i", block, block))
+    for start, block, scores, _, scale in _scan(queries, points, alive):
+        tol = expansion_tol(points.shape[1], scale)
         kth = np.partition(scores, k - 1, axis=1)[:, k - 1]
         rows, ids = np.nonzero(scores <= (kth + 2.0 * tol)[:, None])
         dists = verify_distances(points, ids, block, rows)
@@ -113,6 +124,73 @@ def chunked_knn(
         all_ids[start : start + block.shape[0]] = block_ids.reshape(-1, k)
         all_dists[start : start + block.shape[0]] = block_d.reshape(-1, k)
     return all_ids, all_dists
+
+
+def chunked_range(
+    queries: np.ndarray, points: np.ndarray, r: float, *, alive: np.ndarray | None = None
+) -> RangeResult:
+    """Every point within distance *r* of each query row, by the exact scan.
+
+    Each query's matches are sorted by ``(distance, id)``.  Every point
+    scoring within tol of ``r² − ‖q‖²`` (tol at scale ``+ r²``), or below
+    it, gets its distance from differences and matches at ``≤ r``: every
+    match is verified, most non-matches never are.  *alive* as for
+    :func:`chunked_knn`.
+    """
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    points = np.asarray(points, dtype=np.float64)
+    r = float(r)
+    found = []
+    for start, block, scores, q_sq, scale in _scan(queries, points, alive):
+        tol = expansion_tol(points.shape[1], scale + r * r)
+        limit = np.minimum(r * r - q_sq + tol, _FINITE_MAX)
+        rows, ids = np.nonzero(scores <= limit[:, None])
+        dists = verify_distances(points, ids, block, rows)
+        inside = dists <= r
+        found.append((rows[inside] + start, ids[inside], dists[inside]))
+    rows, ids, dists = (np.concatenate(part) for part in zip(*found))
+    order = np.lexsort((ids, dists, rows))
+    lims = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=queries.shape[0]))])
+    return RangeResult(lims=lims, ids=ids[order], distances=dists[order])
+
+
+def chunked_closest_pairs(
+    points: np.ndarray, m: int, *, alive: np.ndarray | None = None
+) -> ClosestPairResult:
+    """The m closest pairs ``(i, j)``, ``i < j``, by the exact self-join scan.
+
+    Pairs are sorted by ``(distance, i, j)``; a running top m is kept
+    across blocks.  A pair gets its distance from differences only when
+    its estimate of d² is within tol of the running m-th distance squared
+    or below it — until m pairs are held, within 2·tol of its block's
+    m-th smallest estimate or below it: any other pair has m pairs
+    strictly closer.  *alive* as for :func:`chunked_knn`.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    nlive = points.shape[0] if alive is None else int(np.count_nonzero(alive))
+    if not 1 <= m <= nlive * (nlive - 1) // 2:
+        raise ValueError(f"m must be in [1, {nlive * (nlive - 1) // 2}], got {m}")
+    best_pairs = np.empty((0, 2), dtype=np.int64)
+    best_dists = np.empty(0, dtype=np.float64)
+    for start, block, scores, q_sq, scale in _scan(points, points, alive, self_join=True):
+        scores += q_sq[:, None]  # now an estimate of d² itself
+        if best_dists.size == m:
+            # The running m-th distance squared is a threshold: it joins tol's scale.
+            bound = float(best_dists[-1]) ** 2
+            tol = expansion_tol(points.shape[1], float(scale.max()) + bound)
+            limit = bound + tol
+        else:  # until m pairs are held: the band of the block's own m-th estimate
+            tol = expansion_tol(points.shape[1], float(scale.max()))
+            kth = np.partition(scores, m - 1, axis=None)[m - 1] if scores.size > m else np.inf
+            limit = float(kth) + 2.0 * tol
+        rows, cols = np.nonzero(scores <= min(limit, _FINITE_MAX))
+        cols += start
+        best_pairs, best_dists = sort_pairs(
+            np.concatenate([best_pairs, np.column_stack([rows + start, cols])]),
+            np.concatenate([best_dists, verify_distances(points, cols, block, rows)]),
+            m,
+        )
+    return ClosestPairResult(pairs=best_pairs, distances=best_dists)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datasets.distance import chunked_knn
-from repro.queries import ClosestPairResult, RangeResult
+from repro.baselines.base import require_finite
+from repro.datasets.distance import chunked_closest_pairs, chunked_knn, chunked_range
+from repro.queries import ClosestPairResult, Range, RangeResult
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,9 @@ class GroundTruth:
 
 
 def compute_ground_truth(data: np.ndarray, queries: np.ndarray, k_max: int) -> GroundTruth:
-    """Exact k_max-NN of every query by blocked brute force."""
+    """Exact k_max-NN of every query by the blocked exact scan."""
+    require_finite(np.asarray(data, dtype=np.float64), "data")
+    require_finite(np.asarray(queries, dtype=np.float64), "queries")
     ids, distances = chunked_knn(queries, data, k_max)
     return GroundTruth(ids=ids, distances=distances)
 
@@ -56,19 +59,16 @@ def compute_ground_truth(data: np.ndarray, queries: np.ndarray, k_max: int) -> G
 def compute_range_ground_truth(
     data: np.ndarray, queries: np.ndarray, radius: float
 ) -> RangeResult:
-    """The exact ball population B(q, radius) of every query (ragged CSR).
-
-    Delegates to the exact index's brute-force range path, so the result
-    carries the same ``(distance, id)`` ordering every backend is
-    measured against.
-    """
-    from repro.baselines.exact import ExactKNN
-
-    return ExactKNN().fit(data).range_search(queries, radius)
+    """The exact ball population B(q, radius) of every query (ragged CSR),
+    each query's matches sorted by ``(distance, id)``."""
+    require_finite(np.asarray(data, dtype=np.float64), "data")
+    require_finite(np.asarray(queries, dtype=np.float64), "queries")
+    return chunked_range(queries, data, Range(r=radius).r)
 
 
 def compute_closest_pairs_ground_truth(data: np.ndarray, m: int) -> ClosestPairResult:
-    """The exact m closest pairs of *data* by blocked self-join."""
-    from repro.baselines.exact import ExactKNN
-
-    return ExactKNN().fit(data).closest_pairs(m)
+    """The exact m closest pairs of *data* (all of them when it holds
+    fewer), by the blocked self-join."""
+    data = np.asarray(data, dtype=np.float64)
+    require_finite(data, "data")
+    return chunked_closest_pairs(data, min(int(m), len(data) * (len(data) - 1) // 2))

@@ -15,7 +15,7 @@ import pytest
 
 from repro import Knn, Range, create_index
 from repro.obs.tracing import Trace, use_trace
-from repro.parallel.shm import leaked_segments
+from tests.parallel._leaks import own_leaked_segments
 
 NUM_SHARDS = 3
 CARRIERS = {
@@ -64,7 +64,7 @@ def engines(request):
     yield request.param, built
     for engine in built.values():
         engine.close()
-    assert leaked_segments() == ()
+    assert own_leaked_segments() == ()
 
 
 def _knn(engine):

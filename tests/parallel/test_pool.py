@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.parallel import WorkerPool, leaked_segments
+from repro.parallel import WorkerPool
+from tests.parallel._leaks import own_leaked_segments
 from repro.parallel.pool import default_start_method
 from repro.queries import Knn
 
@@ -21,7 +22,7 @@ def pool():
     built = WorkerPool(2).start()
     yield built
     built.close()
-    assert leaked_segments() == ()
+    assert own_leaked_segments() == ()
 
 
 class TestLifecycle:
@@ -34,7 +35,7 @@ class TestLifecycle:
         pool.publish(0, index)
         pool.close()
         pool.close()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
     def test_start_is_idempotent(self, pool):
         assert pool.start() is pool
@@ -52,7 +53,7 @@ class TestLifecycle:
         pool.publish(1, index)
         pool.terminate()
         pool.terminate()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
 
     def test_start_method_is_the_platform_default(self):
@@ -214,7 +215,7 @@ class TestRecovery:
                 with pytest.raises(RuntimeError, match="died mid-request"):
                     pool.run("knn", payload, shards)
             assert not pool.running
-            assert leaked_segments() == ()
+            assert own_leaked_segments() == ()
             with pytest.raises(RuntimeError, match="not running"):
                 pool.run("knn", payload)
             got = pool.run("knn", payload, shards)
@@ -224,7 +225,7 @@ class TestRecovery:
             assert pool._c_restarts.value == 1.0
         finally:
             pool.close()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
 
 class TestMetrics:
@@ -244,4 +245,4 @@ class TestMetrics:
             assert registry.value("pool_workers", labels) == 2.0
         finally:
             pool.close()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()

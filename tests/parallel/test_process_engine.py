@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import create_index
-from repro.parallel.shm import leaked_segments
+from tests.parallel._leaks import own_leaked_segments
 
 
 @pytest.fixture()
@@ -101,7 +101,7 @@ class TestRecovery:
         finally:
             process.close()
             thread.close()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
     def test_worker_killed_before_a_republish_is_respawned(self, dataset, queries):
         """The dead pipe is met by ``attach``, not ``run``: the new worker
@@ -121,7 +121,7 @@ class TestRecovery:
         finally:
             process.close()
             thread.close()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
 
 class TestTeardown:
@@ -130,13 +130,13 @@ class TestTeardown:
         process.search(dataset[:3], 2)
         process.close()
         process.close()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
     def test_del_terminates_pool(self, dataset):
         process = _build(dataset, pool_backend="process")
         process.search(dataset[:3], 2)
         process.__del__()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
     def test_close_with_in_flight_server_batches(self, dataset, queries):
         """Drain an async server over the process backend, then shut
@@ -158,7 +158,7 @@ class TestTeardown:
                 np.testing.assert_array_equal(result.ids, reference.ids[i])
         finally:
             process.close()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
 
 class TestDiagnostics:
@@ -211,4 +211,4 @@ class TestDiagnostics:
             )
         finally:
             process.close()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import secrets
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from repro.parallel.shm import (
     leaked_segments,
     publish_arrays,
 )
+from tests.parallel._leaks import own_leaked_segments
 
 
 @pytest.fixture()
@@ -139,7 +144,7 @@ class TestLifetime:
         segment = publish_arrays(sample_arrays)
         segment.close()
         segment.close()  # second close must be a no-op
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
     def test_attacher_close_does_not_unlink(self, sample_arrays):
         segment = publish_arrays(sample_arrays)
@@ -152,10 +157,24 @@ class TestLifetime:
             again.close()
         finally:
             segment.close()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
     def test_no_leaks_after_close(self, sample_arrays):
         segment = publish_arrays(sample_arrays)
-        assert any(segment.name in name for name in leaked_segments())
+        assert segment.name in own_leaked_segments()
         segment.close()
-        assert all(segment.name not in name for name in leaked_segments())
+        assert segment.name not in own_leaked_segments()
+
+    def test_leak_check_ignores_other_processes_segments(self):
+        """A segment published under another pid — here one whose digits
+        start with this pid's — is another suite's: the scoped check
+        skips it, the host-wide scan still reports it."""
+        name = f"{SEGMENT_PREFIX}-{os.getpid()}0-{secrets.token_hex(4)}"
+        other = shared_memory.SharedMemory(name=name, create=True, size=8)
+        try:
+            assert name in leaked_segments()
+            assert name not in own_leaked_segments()
+        finally:
+            other.close()
+            other.unlink()
+        assert name not in leaked_segments()

@@ -21,7 +21,8 @@ import pytest
 import repro
 from repro import ExactKNN, PMLSH, PMLSHParams, Replica, SnapshotError, load_index
 from repro.core.radius import range_candidate_budget
-from repro.parallel import WorkerPool, attach_segment, leaked_segments, publish_arrays
+from repro.parallel import WorkerPool, attach_segment, publish_arrays
+from tests.parallel._leaks import own_leaked_segments
 from repro.persistence import (
     FORMAT_VERSION,
     export_state,
@@ -102,7 +103,7 @@ def ship(request, tmp_path):
     yield ship
     for handle in opened:
         handle.close()
-    assert leaked_segments() == ()
+    assert own_leaked_segments() == ()
 
 
 def assert_answers_identically(restored, index, queries):
@@ -539,7 +540,7 @@ class TestUnsupportedBackends:
             finally:
                 getattr(index, "close", lambda: None)()
         assert multiprocessing.active_children() == []
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()
 
     def test_publish_of_unsupported_backend_starts_no_worker(self, data):
         pool = WorkerPool(2)
@@ -568,8 +569,8 @@ class TestUnsupportedBackends:
         try:
             with pytest.raises(RuntimeError, match="missing required array"):
                 pool.publish(0, index)
-            assert leaked_segments() == ()
+            assert own_leaked_segments() == ()
             assert pool.ping() == [0]
         finally:
             pool.close()
-        assert leaked_segments() == ()
+        assert own_leaked_segments() == ()

@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PMLSH, Knn, PMLSHParams, Range, create_index, kernels
-from repro.parallel.shm import leaked_segments
+from tests.parallel._leaks import own_leaked_segments
 from repro.pmtree import flat as flat_module
 from repro.pmtree.tree import PMTree
 
@@ -486,4 +486,4 @@ def test_sharded_thread_gather_equals_process_default():
     finally:
         process.close()
         thread.close()
-    assert leaked_segments() == ()
+    assert own_leaked_segments() == ()

@@ -178,7 +178,7 @@ def build() -> str:
         "## PM-LSH\n",
         _class_section(PMLSH, ["flat_tree", "state_arrays", "from_state_arrays"]),
         _class_section(PMLSHParams, []),
-        _class_section(FlatPMTree, ["batch_range", "batch_knn"]),
+        _class_section(FlatPMTree, ["batch_range"]),
         "## Kernels\n",
         _function_section(kernels.active),
         _function_section(kernels.kernel_calls),

@@ -696,7 +696,8 @@ class ANNIndex(abc.ABC):
 
         The base implementation is an exact blocked self-join over the
         dataset; sublinear native paths (PM-LSH's projected-space
-        self-join) override :meth:`_closest_pairs`.  ``budget`` caps the
+        self-join, a heuristic with exact distances but no success
+        probability) override :meth:`_closest_pairs`.  ``budget`` caps the
         number of candidate pairs a native path may verify (it must be
         >= 1, as for ``Knn`` / ``Range``; a native path still verifies at
         least m pairs).

@@ -40,7 +40,8 @@ workloads: :meth:`PMLSH._run_range` routes (r, c)-ball range queries
 through a single projected range probe at radius t·c·r, and
 :meth:`PMLSH._closest_pairs` finds approximate closest pairs by a
 projected-space self-join (candidate pairs ranked by Lemma 2's distance
-estimate, verified in the original space).  Per-query runtime knobs —
+estimate, verified in the original space) — a heuristic, with exact
+distances but no success probability.  Per-query runtime knobs —
 candidate budget and approximation ratio — arrive through the
 :class:`~repro.queries.QuerySpec` layer; a per-call ``c`` re-solves the
 (t, β) pair through a small cache.
@@ -48,11 +49,14 @@ candidate budget and approximation ratio — arrive through the
 Traversal
 ---------
 The PM-tree is only ever bulk-built (at ``fit``, at a fold, or lazily
-for validation), and the build emits packed arrays; every query type —
-Algorithm 1's :meth:`PMLSH.ball_cover_query` included — runs over the
+for validation), and the build emits packed arrays; kNN, range and
+Algorithm 1's :meth:`PMLSH.ball_cover_query` run over the
 structure-of-arrays snapshot that wraps them
 (:class:`~repro.pmtree.flat.FlatPMTree`): one level-synchronous traversal
 answers the whole query batch, pruning with Eq. 5 as vectorised masks.
+The closest-pair join asks the exact scan instead: each point's projected
+neighbourhood is an exact kNN, and a radius-doubling search for it
+through the tree visited nearly every node.
 The per-query walks of a pointer PM-tree that define the same answers
 live under ``tests/oracles/`` as the differential contract.
 
@@ -94,6 +98,7 @@ from repro.core.radius import (
 )
 from repro.datasets.distance import (
     DistanceDistribution,
+    chunked_knn,
     point_to_points_distances,
     sample_distance_distribution,
 )
@@ -209,6 +214,18 @@ class PMLSH(ANNIndex):
         Tunables; see :class:`~repro.core.params.PMLSHParams`.
     seed:
         Controls projection directions, pivot selection and the F(x) sample.
+
+    Closest pairs
+    -------------
+    ``closest_pairs(m, budget=...)`` is a projected-space self-join and a
+    heuristic.  It guarantees that every reported distance is the exact
+    original-space distance and that m pairs come back, sorted by
+    ``(distance, i, j)``.  It has no termination test and no success
+    probability: the neighbours taken per point (``max(4, ⌈2·budget/n⌉)``)
+    and the verification budget (default ``⌈βn⌉ + 16·m``) are rules of
+    thumb.  Against the exact pairs its recall@100 measured 0.03–0.11
+    (ROADMAP finding (iii): 20k rows of the benchmark's d = 32 and d = 64
+    data, three index seeds).
 
     Examples
     --------
@@ -828,20 +845,27 @@ class PMLSH(ANNIndex):
         original distance, so genuinely close pairs are close in R^m with
         high probability.  The join:
 
-        1. computes each point's nearest projected neighbours — a batched
-           exact kNN *through the flat PM-tree* (radius-doubling
-           ``batch_knn`` over the same traversal the query paths use);
+        1. takes each live point's ``per_point + 1`` nearest projected
+           neighbours (the self match is dropped) from one exact scan of the
+           projected rows (:func:`~repro.datasets.distance.chunked_knn`,
+           ties by ``(distance, id)``; the PM-tree is not consulted: an
+           exact kNN through it visited nearly every node);
         2. ranks the deduplicated candidate pairs by projected distance
            and keeps the ``budget`` best (default ⌈βn⌉ + 16·m — original
            space verification is O(d) per pair, so the floor is generous;
            never fewer than m);
         3. verifies the survivors in the original space and returns the m
            best by ``(distance, i, j)``.
+
+        What it guarantees: every reported distance is the exact original
+        space distance of its pair, and m pairs come back, sorted by
+        ``(distance, i, j)``.  What it does not: it is a heuristic — there
+        is no termination test and no success probability, and
+        ``per_point`` and the budget are rules of thumb, not derived from a
+        bound.  A pair that is in neither point's projected neighbourhood
+        is never verified; ROADMAP finding (iii) measured recall@100 of
+        0.03–0.11 against the exact pairs.
         """
-        # The self-join runs over the live points only: tombstoned rows
-        # neither seed neighbourhoods nor appear as neighbours (the masked
-        # flat traversal skips them).
-        live = self.live_ids() if self._tombstones else None
         n_live = self.nlive
         if budget is None:
             budget = int(np.ceil(self.solved.beta * n_live)) + 16 * m
@@ -850,28 +874,15 @@ class PMLSH(ANNIndex):
         # budget cut; every point contributes a few edges, and the n - 1
         # cap keeps the projected kNN well-defined on tiny datasets.
         per_point = min(n_live - 1, max(4, int(np.ceil(2.0 * budget / n_live))))
-        source = self.projected if live is None else self.projected[live]
-        flat = self.flat_tree
-        nodes = dist_comps = 0
-        id_blocks: List[np.ndarray] = []
-        dist_blocks: List[np.ndarray] = []
-        block = self._flat_query_block()
-        for start in range(0, n_live, block):
-            stop = min(start + block, n_live)
-            block_ids, block_dists, work = flat.batch_knn(source[start:stop], per_point + 1)
-            id_blocks.append(block_ids)
-            dist_blocks.append(block_dists)
-            nodes += int(work.nodes.sum())
-            dist_comps += int(work.dist_comps.sum())
-        neighbor_ids = np.concatenate(id_blocks)
-        neighbor_dists = np.concatenate(dist_blocks)
-        self._c_tree_nodes.inc(nodes)
-        row_src = (
-            np.arange(n_live, dtype=np.int64) if live is None else live
+        # Tombstoned rows neither seed neighbourhoods nor appear as
+        # neighbours; tail rows are rows like any other.
+        live = self.live_ids()
+        neighbor_ids, proj_dists = chunked_knn(
+            self.projected[live], self.projected, per_point + 1, alive=self._alive_rows()
         )
-        rows = np.repeat(row_src, per_point + 1)
+        rows = np.repeat(live, per_point + 1)
         cols = neighbor_ids.ravel()
-        proj_dists = neighbor_dists.ravel()
+        proj_dists = proj_dists.ravel()
         keep = rows != cols  # drop the self match
         rows, cols, proj_dists = rows[keep], cols[keep], proj_dists[keep]
         pairs = np.column_stack([np.minimum(rows, cols), np.maximum(rows, cols)])
@@ -884,8 +895,9 @@ class PMLSH(ANNIndex):
         # Both the lexsort above and dedupe_pairs preserve ascending
         # projected distance, so the budget cut is a plain prefix.
         pairs = pairs[:budget]
-        diff = self.data[pairs[:, 0]] - self.data[pairs[:, 1]]
-        true_dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        true_dists = kernels.active().verify_distances(
+            self.data, pairs[:, 0], self.data, pairs[:, 1]
+        )
         best_pairs, best_dists = sort_pairs(pairs, true_dists, m)
         return ClosestPairResult(
             pairs=best_pairs,
@@ -895,8 +907,6 @@ class PMLSH(ANNIndex):
                 "verified": float(pairs.shape[0]),
                 "budget": float(budget),
                 "neighbors_per_point": float(per_point),
-                "tree_nodes": nodes / n_live,
-                "tree_dist_comps": dist_comps / n_live,
             },
         )
 

@@ -184,8 +184,8 @@ class FlatPMTree:
     """Read-only structure-of-arrays snapshot of a built PM-tree.
 
     A query writes nothing on it — every reader of an index shares one
-    snapshot, so :meth:`batch_range` and :meth:`batch_knn` hand their
-    work back as :class:`TraversalStats` instead of keeping counters.
+    snapshot, so :meth:`batch_range` hands its work back as
+    :class:`TraversalStats` instead of keeping counters.
 
     Construct via :meth:`from_tree` (or ``PMTree.flatten()``).  Node ids
     are breadth-first, the root is node 0, and ``levels[d]`` is the
@@ -925,71 +925,3 @@ class FlatPMTree:
             exact[unknown] = kernel.pair_distances(self.points[ids[unknown]], queries[q[unknown]])
         order = np.lexsort((ids, exact, q))
         return lims, ids[order], exact[order]
-
-    # ------------------------------------------------------------------
-    # batched exact kNN in the indexed (projected) space
-    # ------------------------------------------------------------------
-
-    def batch_knn(
-        self, queries: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray, TraversalStats]:
-        """Exact k nearest indexed points per query row, via the tree.
-
-        Radius-doubling over :meth:`batch_range` with a limit of k: start
-        from a density guess, re-probe the queries whose ball holds fewer
-        than k points at twice the radius; a finished query's limit cut
-        is its k best by ``(distance, id)`` — the same canonical tie order
-        as the exact brute-force oracle — and only those k (and the band
-        at the k-th) get an exact distance.  This is the traversal behind
-        PM-LSH's closest-pair self-join (each point's projected
-        neighbourhood).
-
-        Returns ``(ids, dists, stats)``: ``(Q, k)`` ids and projected
-        distances, and the :class:`TraversalStats` of every round summed
-        per query (``level_visits`` over the batch).
-        """
-        queries = np.ascontiguousarray(np.atleast_2d(queries))
-        num_queries = queries.shape[0]
-        n = self.num_live  # dead members never match, so k must fit the live set
-        if not 1 <= k <= n:
-            raise ValueError(f"k must be in [1, {n}], got {k}")
-        out_ids = np.empty((num_queries, k), dtype=np.int64)
-        out_dists = np.empty((num_queries, k), dtype=np.float64)
-        nodes, dist_comps, rescored = (
-            np.zeros(num_queries, dtype=np.int64) for _ in range(3)
-        )
-        level_visits = np.zeros(self.height, dtype=np.int64)
-        active = np.arange(num_queries, dtype=np.int64)
-        radius = self._knn_seed_radius(k)
-        while active.size:
-            lims, ids, dists, stats = self.batch_range(
-                queries[active], radius, limits=np.full(active.size, k)
-            )
-            nodes[active] += stats.nodes
-            dist_comps[active] += stats.dist_comps
-            rescored[active] += stats.rescored
-            level_visits += stats.level_visits
-            done = np.diff(lims) >= k
-            if np.any(done):
-                take = _concat_ranges(
-                    lims[:-1][done], np.full(int(done.sum()), k, dtype=np.int64)
-                )
-                rows = active[done]
-                out_ids[rows] = ids[take].reshape(-1, k)
-                out_dists[rows] = dists[take].reshape(-1, k)
-            active = active[~done]
-            radius *= 2.0
-        stats = TraversalStats(nodes, dist_comps, level_visits, rescored)
-        return out_ids, out_dists, stats
-
-    def _knn_seed_radius(self, k: int) -> float:
-        """Initial probe radius: scale the root covering radius by the
-        expected k-ball volume fraction (doubling corrects any undershoot)."""
-        if self.entry_radius.size == 0:
-            return 1.0
-        cover = float(self.entry_radius.max())
-        if cover <= 0.0:
-            return float(np.finfo(np.float64).tiny) * 1e10
-        m = self.points.shape[1]
-        fraction = (k / max(1, len(self))) ** (1.0 / max(1, m))
-        return max(cover * fraction, cover * 1e-6)

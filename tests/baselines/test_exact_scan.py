@@ -89,6 +89,9 @@ def test_k_nlive_and_m_every_pair(tombstoned):
         index.delete(np.arange(0, data.shape[0], 7))
     nlive = index.nlive
     assert_matches_oracle(index, queries, nlive, 1e9, nlive * (nlive - 1) // 2)
+    for k in (0, nlive + 1):  # k is held to the live rows, not the stored ones
+        with pytest.raises(ValueError, match=rf"k must be in \[1, {nlive}\]"):
+            distance.chunked_knn(queries, data, k, alive=index._alive_rows())
 
 
 def test_one_dimension():

@@ -177,8 +177,6 @@ class TestTailBookkeeping:
         live = index.live_ids()
         got = index.search(small_clustered[:3], index.nlive)
         assert all(sorted(row.tolist()) == live.tolist() for row in got.ids)
-        ids, _, _ = index.flat_tree.batch_knn(index.projected[:3], index.nlive)
-        assert all(sorted(row.tolist()) == live.tolist() for row in ids)
         with pytest.raises(ValueError):
             index.search(small_clustered[:3], index.nlive + 1)
 

@@ -4,7 +4,9 @@ one exact scan in :mod:`repro.datasets.distance`.
 Every distance here is reduced from ``a[i] − b[j]`` alone, over the whole
 ``block × n × d`` tensor, with no norm-expansion estimate deciding
 anything: kNN, range and closest pairs are the plain brute force the
-scan's bands must reproduce byte for byte.  ``range_fallback`` and
+scan's bands must reproduce byte for byte.  ``knn_rows`` is that kNN
+over any two matrices (PM-LSH's closest-pair oracle takes its projected
+neighbourhoods from it), ``range_fallback`` and
 ``closest_pairs_fallback`` are the index fallbacks as they were before
 the scan (``ANNIndex._run_range`` / ``_closest_pairs``), ``knn_fallback``
 the same brute force for kNN, and ``lscan_query`` LScan's former
@@ -48,19 +50,29 @@ def _alive(index):
     return index._tombstones.alive_mask(index.ntotal) if index._tombstones else None
 
 
+def knn_rows(queries: np.ndarray, points: np.ndarray, k: int, alive=None):
+    """``(ids, distances)``, both ``(q, k)``: each query row's k nearest
+    rows of *points* by ``(distance, id)``, leaving out the rows the
+    boolean mask *alive* marks False — the brute force the scan's
+    ``chunked_knn`` must equal."""
+    live = np.arange(points.shape[0]) if alive is None else np.flatnonzero(alive)
+    ids = np.empty((queries.shape[0], k), dtype=np.int64)
+    dists = np.empty((queries.shape[0], k), dtype=np.float64)
+    block_rows = max(1, BLOCK_ENTRIES // max(1, points.size))
+    for start in range(0, queries.shape[0], block_rows):
+        block = pairwise_distances_rowwise(queries[start : start + block_rows], points[live])
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1]
+        for row, (row_dists, bound) in enumerate(zip(block, kth)):
+            near = np.flatnonzero(row_dists <= bound)  # holds all k best
+            best = near[np.lexsort((near, row_dists[near]))][:k]
+            ids[start + row] = live[best]
+            dists[start + row] = row_dists[best]
+    return ids, dists
+
+
 def knn_fallback(index, queries: np.ndarray, spec) -> BatchResult:
     """k nearest live rows per query by ``(distance, id)``; candidates = nlive."""
-    alive = _alive(index)
-    live = np.flatnonzero(alive) if alive is not None else np.arange(index.n)
-    ids = np.empty((queries.shape[0], spec.k), dtype=np.int64)
-    dists = np.empty((queries.shape[0], spec.k), dtype=np.float64)
-    block_rows = _block_rows(index)
-    for start in range(0, queries.shape[0], block_rows):
-        block = pairwise_distances_rowwise(queries[start : start + block_rows], index.data)
-        for row, row_dists in enumerate(block):
-            order = live[np.lexsort((live, row_dists[live]))][: spec.k]
-            ids[start + row] = order
-            dists[start + row] = row_dists[order]
+    ids, dists = knn_rows(queries, index.data, spec.k, _alive(index))
     per_query = tuple({"candidates": float(index.nlive)} for _ in range(queries.shape[0]))
     return BatchResult(
         ids=ids, distances=dists, stats=aggregate_stats(per_query), per_query_stats=per_query

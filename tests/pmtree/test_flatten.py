@@ -164,42 +164,6 @@ class TestCappedAndAnnulusFetch:
             assert annulus == ball_outer - ball_inner
             assert np.all(dists_o[lims_o[i] : lims_o[i + 1]] > inner)
 
-    def test_batch_knn_hands_back_the_sum_of_its_rounds(self, built, monkeypatch):
-        """Each query's work is summed over the rounds it took part in."""
-        points, _, flat = built
-        queries = np.vstack([points[:3], points[:3] + 5.0])  # far rows take more rounds
-        rounds = []
-        real = flat.batch_range
-
-        def spy(block, radius, **kwargs):
-            out = real(block, radius, **kwargs)
-            rounds.append((block, out[3]))
-            return out
-
-        monkeypatch.setattr(flat, "batch_range", spy)
-        _, _, work = flat.batch_knn(queries, 9)
-        assert len(rounds) > 1
-        for i, query in enumerate(queries):
-            took = [(stats, np.flatnonzero((block == query).all(axis=1))[0])
-                    for block, stats in rounds if (block == query).all(axis=1).any()]
-            assert work.nodes[i] == sum(stats.nodes[row] for stats, row in took)
-            assert work.dist_comps[i] == sum(stats.dist_comps[row] for stats, row in took)
-            assert work.rescored[i] == sum(stats.rescored[row] for stats, row in took)
-        np.testing.assert_array_equal(
-            work.level_visits, sum(stats.level_visits for _, stats in rounds)
-        )
-
-    def test_batch_knn_is_exact_with_canonical_ties(self, built):
-        points, _, flat = built
-        queries = points[10:16] * 0.9
-        ids, dists, _ = flat.batch_knn(queries, 9)
-        diff = points[None, :, :] - queries[:, None, :]
-        truth = np.sqrt(np.einsum("qij,qij->qi", diff, diff))
-        for i in range(queries.shape[0]):
-            order = np.lexsort((np.arange(points.shape[0]), truth[i]))[:9]
-            np.testing.assert_array_equal(ids[i], order)
-            np.testing.assert_array_equal(dists[i], truth[i][order])
-
     def test_flatten_single_leaf_root(self):
         points = np.random.default_rng(0).normal(size=(5, 3))
         tree = PMTree.build(points, num_pivots=2, capacity=8, seed=0)

@@ -1,5 +1,5 @@
-"""Property-based tests: the PM-tree is exact for range and kNN queries
-regardless of data distribution, capacity or pivot count — and so is its
+"""Property-based tests: the PM-tree is exact for range queries, capped or
+not, regardless of data distribution, capacity or pivot count — and so is its
 flat snapshot however many of the rows arrived later, through ``extend``
 steps into the unindexed tail, dead rows included."""
 
@@ -63,19 +63,6 @@ def test_range_query_is_exact(points, num_pivots, capacity, radius):
     assert sorted(ids.tolist()) == expected
 
 
-@given(point_cloud(), st.integers(min_value=1, max_value=15))
-@settings(max_examples=40, deadline=None)
-def test_knn_is_exact(points, k):
-    k = min(k, points.shape[0])
-    tree = PMTree.build(points, num_pivots=2 if len(points) >= 2 else 0,
-                        capacity=8, seed=1)
-    query = points[-1] + 0.1
-    _, got_dists, _ = tree.flatten().batch_knn(query[None, :], k)
-    dists = np.linalg.norm(points - query, axis=1)
-    # Distance multiset must match (ids may differ on ties).
-    np.testing.assert_allclose(got_dists[0], np.sort(dists)[:k], rtol=1e-9, atol=1e-9)
-
-
 @given(
     point_cloud(),
     st.integers(min_value=1, max_value=30),
@@ -106,8 +93,8 @@ def test_limited_range_returns_closest_prefix(points, limit, radius):
 def test_grown_flat_tree_answers_like_a_bulk_build_over_every_row(
     case, num_pivots, capacity, radius, limit
 ):
-    """``flatten()`` of a tree over a prefix, then ``extend`` steps: range,
-    capped range and kNN are those of one pointer tree bulk-built over all
+    """``flatten()`` of a tree over a prefix, then ``extend`` steps: range
+    and capped range are those of one pointer tree bulk-built over all
     the rows with the same pivots — same ids, same floats, same
     ``(distance, id)`` order at the cut — and the tail is counted wherever
     the leaves are."""
@@ -142,15 +129,3 @@ def test_grown_flat_tree_answers_like_a_bulk_build_over_every_row(
     # Every live tail row is scored once per query, on top of the tree's work.
     tail_live = (n - indexed) - sum(1 for pid in dead if pid >= indexed)
     assert np.all(stats.dist_comps >= tail_live)
-    live = np.setdiff1d(np.arange(n), dead)
-    if live.size:
-        k = min(live.size, 5)
-        got_ids, got_dists, _ = flat.batch_knn(queries, k)
-        for i, query in enumerate(queries):
-            diff = points[live] - query  # the traversal's own reduction
-            exact = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            best = np.lexsort((live, exact))[:k]
-            assert got_ids[i].tolist() == live[best].tolist()
-            assert got_dists[i].tolist() == exact[best].tolist()
-        with np.testing.assert_raises(ValueError):
-            flat.batch_knn(queries, live.size + 1)

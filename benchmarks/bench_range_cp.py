@@ -1,13 +1,10 @@
-"""Range-query and closest-pair bench — the VLDBJ extension's workloads (arXiv:2107.05537).
+"""Range-query bench — the VLDBJ extension's (r, c)-ball workload (arXiv:2107.05537).
 
-For a fixed clustered workload the bench:
-
-* sweeps ball radii chosen as quantiles of the pairwise-distance
-  distribution, comparing PM-LSH's native (r, c)-ball path against the
-  exact brute-force reference on recall, candidates scanned and QPS;
-* times ``closest_pairs(m)`` for PM-LSH's projected-space self-join vs
-  the exact self-join, recording the rank-wise distance ratio and the
-  exact-pair overlap.
+For a fixed clustered workload the bench sweeps ball radii chosen as
+quantiles of the pairwise-distance distribution, comparing PM-LSH's
+native (r, c)-ball path against the exact brute-force reference on
+recall, candidates scanned and QPS.  (Closest pairs are the exact
+self-join on every backend, so there is no PM-LSH path to time here.)
 
 Writes the paper-style table to ``results/range_cp.txt``.  Scale with
 ``REPRO_BENCH_N`` / ``REPRO_BENCH_QUERIES`` (see conftest).
@@ -24,16 +21,12 @@ from conftest import bench_n, bench_queries, bench_seed  # noqa: I001 (script-mo
 from repro import create_index
 from repro.datasets.distance import sample_distance_distribution
 from repro.datasets.synthetic import gaussian_mixture
-from repro.evaluation.ground_truth import (
-    compute_closest_pairs_ground_truth,
-    compute_range_ground_truth,
-)
-from repro.evaluation.harness import evaluate_closest_pairs, run_range_query_set
+from repro.evaluation.ground_truth import compute_range_ground_truth
+from repro.evaluation.harness import run_range_query_set
 from repro.evaluation.tables import format_table
 
 
 DIM = 64
-CP_M = 10
 #: Ball radii as quantiles of F(x): selective, moderate, dense.
 RADIUS_QUANTILES = [0.01, 0.05, 0.15]
 
@@ -78,27 +71,13 @@ def test_bench_range_cp(write_result, benchmark):
                 ]
             )
 
-    cp_truth = compute_closest_pairs_ground_truth(data, CP_M)
-    cp_rows = []
-    for label, index in (("Exact", exact), ("PM-LSH", pm)):
-        outcome = evaluate_closest_pairs(index, CP_M, cp_truth)
-        cp_rows.append(
-            [label, CP_M, outcome.time_ms, outcome.ratio, outcome.overlap]
-        )
-
     range_table = format_table(
         "(r, c)-ball range queries: recall / candidates / QPS vs exact",
         ["Index", "Radius", "F-quant", "Ball size", "Recall", "Precision", "Cand/query", "QPS"],
         rows,
         note=f"n={n}, Q={num_queries}, d={DIM}, c=1.5 (PM-LSH native path)",
     )
-    cp_table = format_table(
-        f"Closest-pair search (m={CP_M}): time / ratio / overlap vs exact",
-        ["Index", "m", "Time (ms)", "Ratio", "Overlap"],
-        cp_rows,
-        note="PM-LSH = projected-space self-join; Exact = O(n^2) self-join",
-    )
-    write_result("range_cp", range_table + "\n\n" + cp_table)
+    write_result("range_cp", range_table)
 
     benchmark.pedantic(
         lambda: pm.range_search(queries, distribution.quantile(0.05)),
@@ -115,8 +94,6 @@ def test_bench_range_cp(write_result, benchmark):
     assert all(
         row[6] < n for row in pm_rows if row[2] <= 0.05
     ), "PM-LSH scanned every point on a selective ball"
-    cp_pm = cp_rows[1]
-    assert cp_pm[3] <= 1.5, "PM-LSH closest-pair ratio collapsed"
 
 
 if __name__ == "__main__":

@@ -85,8 +85,8 @@ def main() -> None:
     print(f"budget-capped search: {knobbed.stats['candidates']:.0f} "
           f"candidates/query (default {batch.stats['candidates']:.0f})")
 
-    # 9. Closest-pair search: the m tightest pairs of the indexed set via
-    #    PM-LSH's projected-space self-join.
+    # 9. Closest-pair search: the m tightest pairs of the indexed set, by
+    #    the exact self-join (the same on every backend).
     pairs = index.closest_pairs(3)
     print("closest pairs:", [(i, j, round(d, 4)) for i, j, d in pairs])
 

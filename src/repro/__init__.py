@@ -13,11 +13,12 @@ version's workloads.  The package provides:
 * a polymorphic query model (:mod:`repro.queries`): ``run(queries, spec)``
   answers kNN (:class:`Knn`) and ragged (r, c)-ball range queries
   (:class:`Range`) with per-query runtime knobs, and
-  ``closest_pairs(m)`` answers closest-pair search — on every backend;
+  ``closest_pairs(m)`` answers closest-pair search by the exact
+  self-join — on every backend;
 * a sharded parallel query engine (:mod:`repro.engine`) that partitions
-  any registered backend across shards and serves kNN / range /
-  closest-pair through a thread pool or, with ``pool_backend="process"``,
-  shared-memory worker processes —
+  any registered backend across shards and serves kNN / range through a
+  thread pool or, with ``pool_backend="process"``, shared-memory worker
+  processes (closest pairs are the exact self-join in the parent) —
   ``create_index("sharded", backend="pm-lsh", ...)``;
 * an async serving front-end (:mod:`repro.serving`):
   :class:`AsyncSearchServer` coalesces concurrent requests into batches

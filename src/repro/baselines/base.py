@@ -18,9 +18,9 @@ approximation ratio ``c``).  ``search(queries, k)`` is sugar for
 ``run(queries, Knn(k))``, ``range_search(queries, r)`` for
 ``run(queries, Range(r))``, and ``closest_pairs(m)`` answers closest-pair
 search over the indexed set.  Every index answers every query type: the
-base class supplies exact brute-force fallbacks for range and
-closest-pair search, and algorithms with a native sublinear path
-(PM-LSH) override them.
+base class supplies an exact range fallback, which algorithms with a
+native sublinear path (PM-LSH) override, and the one closest-pair
+answer, the exact self-join.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.queries import (
     Range,
     RangeResult,
     as_query_spec,
-    checked_budget,
 )
 from repro.utils.rng import RandomState, as_generator
 
@@ -237,8 +236,8 @@ class ANNIndex(abc.ABC):
     ``self.data``) and exactly one kNN path: :meth:`_query_one` (one
     validated vector; the default :meth:`_run_knn` loops it over the
     rows) or :meth:`_run_knn` (a vectorised batch path).  They may
-    override :meth:`_run_range` / :meth:`_closest_pairs` with native
-    sublinear paths (the defaults are exact brute force), and
+    override :meth:`_run_range` with a native sublinear path (the default
+    is the exact scan), and
     :meth:`_add` with an incremental update path (the default re-fits
     over the concatenated dataset).
     """
@@ -691,28 +690,20 @@ class ANNIndex(abc.ABC):
         """
         return self.run(queries, Range(r=r, c=c, budget=budget))
 
-    def closest_pairs(self, m: int = 1, *, budget: int | None = None) -> ClosestPairResult:
-        """The m closest pairs of indexed points, sorted by ``(distance, i, j)``.
-
-        The base implementation is an exact blocked self-join over the
-        dataset; sublinear native paths (PM-LSH's projected-space
-        self-join, a heuristic with exact distances but no success
-        probability) override :meth:`_closest_pairs`.  ``budget`` caps the
-        number of candidate pairs a native path may verify (it must be
-        >= 1, as for ``Knn`` / ``Range``; a native path still verifies at
-        least m pairs).
-        """
+    def closest_pairs(self, m: int = 1) -> ClosestPairResult:
+        """The m closest pairs of live indexed points, sorted by
+        ``(distance, i, j)``: the exact blocked self-join on every backend
+        (:meth:`_closest_pairs`)."""
         self._require_built()
         m = int(m)
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        budget = checked_budget(budget)
         if self.nlive < 2:
             raise ValueError(
                 f"{self.name}: need at least 2 live indexed points, have {self.nlive}"
             )
         max_pairs = self.nlive * (self.nlive - 1) // 2
-        return self._closest_pairs(min(m, max_pairs), budget=budget)
+        return self._closest_pairs(min(m, max_pairs))
 
     def _tombstone_overfetch(self, k: int) -> int:
         """Upper bound on tombstoned ids that can appear in one query's
@@ -820,10 +811,10 @@ class ANNIndex(abc.ABC):
         )
         return replace(result, stats=aggregate_stats(per_query), per_query_stats=per_query)
 
-    def _closest_pairs(self, m: int, budget: int | None = None) -> ClosestPairResult:
-        """Exact fallback: the blocked exact self-join over the live rows
-        (:func:`~repro.datasets.distance.chunked_closest_pairs`); ``budget``
-        is ignored and every pair counts as verified."""
+    def _closest_pairs(self, m: int) -> ClosestPairResult:
+        """The blocked exact self-join over the live rows
+        (:func:`~repro.datasets.distance.chunked_closest_pairs`); every
+        pair counts as verified."""
         result = chunked_closest_pairs(self.data, m, alive=self._alive_rows())
         pair_count = float(self.nlive * (self.nlive - 1) // 2)
         result.stats.update(candidate_pairs=pair_count, verified=pair_count)

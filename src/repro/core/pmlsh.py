@@ -35,13 +35,12 @@ distances, ties and stats are those of verifying every candidate;
 ``stats["rescored"]`` and the ``candidates_rescored`` counter say how
 many exact re-scores the bands cost.
 
-Beyond (c, k)-ANN the same machinery answers the VLDBJ extension's other
-workloads: :meth:`PMLSH._run_range` routes (r, c)-ball range queries
-through a single projected range probe at radius t·c·r, and
-:meth:`PMLSH._closest_pairs` finds approximate closest pairs by a
-projected-space self-join (candidate pairs ranked by Lemma 2's distance
-estimate, verified in the original space) — a heuristic, with exact
-distances but no success probability.  Per-query runtime knobs —
+Beyond (c, k)-ANN the same machinery answers the VLDBJ extension's
+(r, c)-ball range queries: :meth:`PMLSH._run_range` routes them through a
+single projected range probe at radius t·c·r.  Closest pairs are the
+exact blocked self-join every index inherits
+(:meth:`~repro.baselines.base.ANNIndex.closest_pairs`): a projected
+self-join lost to it on both time and recall.  Per-query runtime knobs —
 candidate budget and approximation ratio — arrive through the
 :class:`~repro.queries.QuerySpec` layer; a per-call ``c`` re-solves the
 (t, β) pair through a small cache.
@@ -54,9 +53,6 @@ Algorithm 1's :meth:`PMLSH.ball_cover_query` run over the
 structure-of-arrays snapshot that wraps them
 (:class:`~repro.pmtree.flat.FlatPMTree`): one level-synchronous traversal
 answers the whole query batch, pruning with Eq. 5 as vectorised masks.
-The closest-pair join asks the exact scan instead: each point's projected
-neighbourhood is an exact kNN, and a radius-doubling search for it
-through the tree visited nearly every node.
 The per-query walks of a pointer PM-tree that define the same answers
 live under ``tests/oracles/`` as the differential contract.
 
@@ -98,7 +94,6 @@ from repro.core.radius import (
 )
 from repro.datasets.distance import (
     DistanceDistribution,
-    chunked_knn,
     point_to_points_distances,
     sample_distance_distribution,
 )
@@ -107,14 +102,7 @@ from repro.obs.tracing import current_trace
 from repro.persistence import SnapshotError
 from repro.pmtree.flat import FlatPMTree
 from repro.pmtree.tree import PMTree
-from repro.queries import (
-    ClosestPairResult,
-    Knn,
-    Range,
-    RangeResult,
-    dedupe_pairs,
-    sort_pairs,
-)
+from repro.queries import Knn, Range, RangeResult
 from repro.registry import register_index
 from repro.utils.rng import RandomState, as_generator
 
@@ -214,18 +202,6 @@ class PMLSH(ANNIndex):
         Tunables; see :class:`~repro.core.params.PMLSHParams`.
     seed:
         Controls projection directions, pivot selection and the F(x) sample.
-
-    Closest pairs
-    -------------
-    ``closest_pairs(m, budget=...)`` is a projected-space self-join and a
-    heuristic.  It guarantees that every reported distance is the exact
-    original-space distance and that m pairs come back, sorted by
-    ``(distance, i, j)``.  It has no termination test and no success
-    probability: the neighbours taken per point (``max(4, ⌈2·budget/n⌉)``)
-    and the verification budget (default ``⌈βn⌉ + 16·m``) are rules of
-    thumb.  Against the exact pairs its recall@100 measured 0.03–0.11
-    (ROADMAP finding (iii): 20k rows of the benchmark's d = 32 and d = 64
-    data, three index seeds).
 
     Examples
     --------
@@ -833,82 +809,6 @@ class PMLSH(ANNIndex):
                 )
             )
         return results
-
-    # ------------------------------------------------------------------
-    # closest-pair search (projected-space self-join)
-    # ------------------------------------------------------------------
-
-    def _closest_pairs(self, m: int, budget: int | None = None) -> ClosestPairResult:
-        """Approximate m closest pairs via a projected-space self-join.
-
-        Lemma 2 makes the projected distance an unbiased estimator of the
-        original distance, so genuinely close pairs are close in R^m with
-        high probability.  The join:
-
-        1. takes each live point's ``per_point + 1`` nearest projected
-           neighbours (the self match is dropped) from one exact scan of the
-           projected rows (:func:`~repro.datasets.distance.chunked_knn`,
-           ties by ``(distance, id)``; the PM-tree is not consulted: an
-           exact kNN through it visited nearly every node);
-        2. ranks the deduplicated candidate pairs by projected distance
-           and keeps the ``budget`` best (default ⌈βn⌉ + 16·m — original
-           space verification is O(d) per pair, so the floor is generous;
-           never fewer than m);
-        3. verifies the survivors in the original space and returns the m
-           best by ``(distance, i, j)``.
-
-        What it guarantees: every reported distance is the exact original
-        space distance of its pair, and m pairs come back, sorted by
-        ``(distance, i, j)``.  What it does not: it is a heuristic — there
-        is no termination test and no success probability, and
-        ``per_point`` and the budget are rules of thumb, not derived from a
-        bound.  A pair that is in neither point's projected neighbourhood
-        is never verified; ROADMAP finding (iii) measured recall@100 of
-        0.03–0.11 against the exact pairs.
-        """
-        n_live = self.nlive
-        if budget is None:
-            budget = int(np.ceil(self.solved.beta * n_live)) + 16 * m
-        budget = max(budget, m)  # can't answer m pairs on fewer verified
-        # Neighbours per point so the candidate pool comfortably covers the
-        # budget cut; every point contributes a few edges, and the n - 1
-        # cap keeps the projected kNN well-defined on tiny datasets.
-        per_point = min(n_live - 1, max(4, int(np.ceil(2.0 * budget / n_live))))
-        # Tombstoned rows neither seed neighbourhoods nor appear as
-        # neighbours; tail rows are rows like any other.
-        live = self.live_ids()
-        neighbor_ids, proj_dists = chunked_knn(
-            self.projected[live], self.projected, per_point + 1, alive=self._alive_rows()
-        )
-        rows = np.repeat(live, per_point + 1)
-        cols = neighbor_ids.ravel()
-        proj_dists = proj_dists.ravel()
-        keep = rows != cols  # drop the self match
-        rows, cols, proj_dists = rows[keep], cols[keep], proj_dists[keep]
-        pairs = np.column_stack([np.minimum(rows, cols), np.maximum(rows, cols)])
-        # Rank by the projected estimate BEFORE deduplication so the kept
-        # occurrence of each pair is also its best-ranked one.
-        order = np.lexsort((pairs[:, 1], pairs[:, 0], proj_dists))
-        pairs, proj_dists = pairs[order], proj_dists[order]
-        pairs, proj_dists = dedupe_pairs(pairs, proj_dists)
-        candidate_count = pairs.shape[0]
-        # Both the lexsort above and dedupe_pairs preserve ascending
-        # projected distance, so the budget cut is a plain prefix.
-        pairs = pairs[:budget]
-        true_dists = kernels.active().verify_distances(
-            self.data, pairs[:, 0], self.data, pairs[:, 1]
-        )
-        best_pairs, best_dists = sort_pairs(pairs, true_dists, m)
-        return ClosestPairResult(
-            pairs=best_pairs,
-            distances=best_dists,
-            stats={
-                "candidate_pairs": float(candidate_count),
-                "verified": float(pairs.shape[0]),
-                "budget": float(budget),
-                "neighbors_per_point": float(per_point),
-            },
-        )
 
     # ------------------------------------------------------------------
     # snapshots

@@ -23,15 +23,17 @@ at construction; which carrier it is changes nothing the engine does:
   (``add``/``delete``/``compact``) re-publish the affected shards under
   a bumped epoch and workers re-attach — see :doc:`docs/parallelism`.
 
-All three query types fan out:
+Two query types fan out:
 
 * **kNN** — per-shard top-k merged by ``(distance, global id)``;
 * **range** — per-shard ragged :class:`~repro.queries.RangeResult`s
-  concatenated and re-sorted per query (no k cut, every match survives);
-* **closest pair** — intra-shard CP on every shard, then a cross-shard
-  boundary sweep: with δ the m-th best intra-shard pair distance, every
-  cross-shard pair closer than δ is recovered by range-querying each
-  later shard with the earlier shard's points at radius δ.
+  concatenated and re-sorted per query (no k cut, every match survives).
+
+Closest pairs do not: the parent answers them by the one exact self-join
+over its global ``data`` and tombstones, as every index does.  An
+intra-shard join plus a cross-shard sweep was measured no faster than
+that one scan over exact shards and about three times slower over
+PM-LSH shards.
 
 The engine is itself an :class:`ANNIndex`, registered as ``"sharded"``:
 
@@ -61,7 +63,7 @@ from repro.lifecycle.tombstones import TombstoneSet
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.tracing import current_trace
 from repro.parallel.pool import LocalPool, WorkerPool
-from repro.queries import ClosestPairResult, Knn, Range, RangeResult, sort_pairs
+from repro.queries import ClosestPairResult, Knn, Range, RangeResult
 from repro.registry import get_index_class, register_index
 from repro.utils.rng import RandomState, spawn_generators
 
@@ -341,11 +343,6 @@ class ShardedIndex(ANNIndex):
     def shard_sizes(self) -> Tuple[int, ...]:
         return tuple(shard.ntotal for shard in self._shards)
 
-    @property
-    def shard_live_sizes(self) -> Tuple[int, ...]:
-        """Per-shard live counts."""
-        return tuple(shard.nlive for shard in self._shards)
-
     # ------------------------------------------------------------------
     # dynamic growth
     # ------------------------------------------------------------------
@@ -609,101 +606,10 @@ class ShardedIndex(ANNIndex):
         self._range_queries_served.inc(queries.shape[0])
         return merged
 
-    def _closest_pairs(self, m: int, budget: int | None = None) -> ClosestPairResult:
-        """Distributed closest-pair: intra-shard CP + cross-shard sweep.
-
-        1. Every shard answers its own m closest pairs (parallel fan-out);
-           translated to global ids these are the intra-shard candidates.
-        2. Let δ be the m-th best intra-shard distance.  Any global
-           top-m pair not seen yet must *cross* shards and be closer than
-           δ, so for every shard pair (s, t), s < t, shard t is
-           range-queried with shard s's points at radius δ — recovering
-           exactly the cross-shard pairs within δ.
-        3. Intra and cross candidates merge by ``(distance, i, j)``.
-
-        With exact shards every step is exact, so the result equals the
-        single-index answer; with LSH shards both stages inherit the
-        backend's approximation guarantee.  When the shards together hold
-        fewer than m intra pairs (tiny shards), the engine falls back to
-        the exact self-join over the global dataset.
-        """
+    def _closest_pairs(self, m: int) -> ClosestPairResult:
+        """The exact self-join over the global live rows, counted."""
         self._closest_pair_calls.inc()
-
-        intra_results, _ = self._fan_out("cp", {"m": m, "budget": budget})
-        # (an empty shard answer is a (0, 2) / (0,) pair of arrays: it concatenates away)
-        intra_pairs = np.concatenate(
-            [
-                np.sort(self._id_maps[s][result.pairs], axis=1)
-                for s, result in enumerate(intra_results)
-            ]
-        )
-        intra_dists = np.concatenate([result.distances for result in intra_results])
-        intra_pairs, intra_dists = sort_pairs(intra_pairs, intra_dists)
-        if intra_dists.size < m:
-            # Not enough intra-shard pairs to bound the sweep radius; the
-            # exact global self-join is the only correct answer.
-            result = super()._closest_pairs(m, budget=budget)
-            result.stats["cross_shard_fallback"] = 1.0
-            return result
-        delta = float(intra_dists[m - 1])
-        # Range(r) needs r > 0; the tiny floor keeps distance-0 duplicate
-        # pairs discoverable without admitting anything else.
-        sweep_radius = max(delta, float(np.finfo(np.float64).tiny))
-
-        # One sweep job per TARGET shard (all earlier shards' points against
-        # it), so the jobs parallelise like any other round while each
-        # shard object still serves exactly one querying thread — the same
-        # concurrency contract as the kNN/range fan-outs.  Source points are
-        # each earlier shard's LIVE rows only (the target shard filters its
-        # own tombstones inside range_search); the (source, local ids)
-        # bookkeeping stays in the parent.
-        sources = [
-            (s, src_local, shard.data[src_local])
-            for s, shard in enumerate(self._shards)
-            for src_local in (shard.live_ids(),)
-            if src_local.size
-        ]
-        sweep_sources = {
-            t: [source for source in sources if source[0] < t]
-            for t in range(1, self.num_shards)
-            if self._shards[t].nlive
-        }
-        payload = {
-            "targets": {
-                t: [points for _, _, points in blocks]
-                for t, blocks in sweep_sources.items()
-            },
-            "radius": sweep_radius,
-            "budget": budget,
-        }
-        swept, _ = self._fan_out("sweep", payload)
-
-        cross_pairs: List[np.ndarray] = []
-        cross_dists: List[np.ndarray] = []
-        verified = 0
-        for t, blocks in sweep_sources.items():
-            for (s, src_local, _), hits in zip(blocks, swept[t]):
-                verified += int(hits.lims[-1])
-                gid_s = np.repeat(self._id_maps[s][src_local], hits.counts)
-                gid_t = self._id_maps[t][hits.ids]
-                if gid_s.size == 0:
-                    continue
-                pairs = np.column_stack(
-                    [np.minimum(gid_s, gid_t), np.maximum(gid_s, gid_t)]
-                )
-                cross_pairs.append(pairs)
-                cross_dists.append(hits.distances)
-
-        all_pairs = np.concatenate([intra_pairs] + cross_pairs)
-        all_dists = np.concatenate([intra_dists] + cross_dists)
-        best_pairs, best_dists = sort_pairs(all_pairs, all_dists, m)
-        stats = {
-            "intra_pairs": float(intra_dists.size),
-            "cross_pairs": float(sum(p.shape[0] for p in cross_pairs)),
-            "sweep_radius": delta,
-            "verified": float(intra_dists.size + verified),
-        }
-        return ClosestPairResult(pairs=best_pairs, distances=best_dists, stats=stats)
+        return super()._closest_pairs(m)
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -252,7 +252,6 @@ def evaluate_closest_pairs(
     m: int,
     ground_truth: ClosestPairResult,
     dataset_name: str = "",
-    budget: int | None = None,
 ) -> ClosestPairEvalResult:
     """Time one ``closest_pairs(m)`` call and score it against the exact pairs.
 
@@ -266,7 +265,7 @@ def evaluate_closest_pairs(
             f"ground truth holds {len(ground_truth)} pairs, need at least {m}"
         )
     start = time.perf_counter()
-    result = index.closest_pairs(m, budget=budget)
+    result = index.closest_pairs(m)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     exact_set = {tuple(pair) for pair in ground_truth.pairs[:m].tolist()}
     found_set = {tuple(pair) for pair in result.pairs.tolist()}

@@ -4,8 +4,8 @@
 round and hands it to a carrier; this package is everything behind that
 seam:
 
-* :mod:`repro.parallel.jobs` — the one ``kind → job`` table (k clamping,
-  empty-shard blocks, pair-count caps, sweep targets): what a shard does
+* :mod:`repro.parallel.jobs` — the one ``kind → job`` table (kNN with
+  its k clamp and empty-shard blocks, range): what a shard does
   for a round, whoever carries it there;
 * :mod:`repro.parallel.pool` — the carriers.  :class:`LocalPool` runs
   the jobs on the engine's own shard objects (inline or on threads);

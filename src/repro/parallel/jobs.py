@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from repro.baselines.base import ANNIndex, BatchResult
-from repro.queries import ClosestPairResult, Knn, Range, RangeResult
+from repro.queries import Knn, Range, RangeResult
 
 
 def shard_knn(
@@ -47,47 +47,11 @@ def shard_range(
     return shard.run(queries, spec)
 
 
-def shard_closest_pairs(
-    shard: ANNIndex, shard_id: int, *, m: int, budget: int | None
-) -> ClosestPairResult:
-    """One shard's intra-shard closest pairs, capped at its pair count."""
-    if shard.nlive < 2:  # fewer than two live points: no pairs
-        return ClosestPairResult(
-            pairs=np.empty((0, 2), dtype=np.int64),
-            distances=np.empty(0, dtype=np.float64),
-        )
-    shard_max = shard.nlive * (shard.nlive - 1) // 2
-    return shard.closest_pairs(min(m, shard_max), budget=budget)
-
-
-def shard_sweep(
-    shard: ANNIndex,
-    shard_id: int,
-    *,
-    targets: Mapping[int, Sequence[np.ndarray]],
-    radius: float,
-    budget: int | None,
-) -> List[RangeResult]:
-    """The cross-shard boundary sweep against one TARGET shard.
-
-    ``targets[shard_id]`` is the list of point blocks to sweep against
-    this shard — each earlier shard's live rows; the shard answers a
-    range query at the sweep radius for every block, in block order.  A
-    shard the table does not name is not a target and answers ``[]``.
-    """
-    return [
-        shard.range_search(points, radius, budget=budget)
-        for points in targets.get(shard_id, ())
-    ]
-
-
 #: Every kind of round the engine fans out.  A payload's keys are the
 #: job's keyword arguments.
 JOBS = {
     "knn": shard_knn,
     "range": shard_range,
-    "cp": shard_closest_pairs,
-    "sweep": shard_sweep,
 }
 
 

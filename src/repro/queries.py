@@ -70,7 +70,7 @@ class QuerySpec:
 def checked_budget(budget) -> int | None:
     """*budget* as an int, or ``None``; a verification cap below 1 raises.
 
-    The one check behind ``Knn``, ``Range`` and ``closest_pairs``.
+    The one check behind ``Knn`` and ``Range``.
     """
     if budget is None:
         return None
@@ -306,23 +306,14 @@ def sort_pairs(
     """Order candidate pairs by ``(distance, i, j)`` and keep the best m."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     distances = np.asarray(distances, dtype=np.float64)
+    if m is not None and distances.size > m:
+        # Only pairs tied with or below the m-th distance can be kept: sort those.
+        keep = np.flatnonzero(distances <= np.partition(distances, m - 1)[m - 1])
+        pairs, distances = pairs[keep], distances[keep]
     order = np.lexsort((pairs[:, 1], pairs[:, 0], distances))
     if m is not None:
         order = order[:m]
     return pairs[order], distances[order]
-
-
-def dedupe_pairs(
-    pairs: np.ndarray, distances: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Drop duplicate ``(i, j)`` rows, keeping the first occurrence."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    distances = np.asarray(distances, dtype=np.float64)
-    if pairs.shape[0] == 0:
-        return pairs, distances
-    _, unique_rows = np.unique(pairs, axis=0, return_index=True)
-    keep = np.sort(unique_rows)
-    return pairs[keep], distances[keep]
 
 
 __all__ = [
@@ -332,6 +323,5 @@ __all__ = [
     "Range",
     "RangeResult",
     "as_query_spec",
-    "dedupe_pairs",
     "sort_pairs",
 ]

@@ -1,8 +1,9 @@
 """The one exact scan against the difference-tensor oracle.
 
-Exact kNN, range and closest pairs — and LScan's kNN — answer through
-the blocked GEMM scan of :mod:`repro.datasets.distance`, which computes
-exact distances only inside the band contract's error bands.
+Exact kNN, range and closest pairs — and LScan's kNN, and every
+backend's closest pairs — answer through the blocked GEMM scan of
+:mod:`repro.datasets.distance`, which computes exact distances only
+inside the band contract's error bands.
 ``tests/oracles/exact_fallbacks.py`` answers the same calls by full
 difference tensors; every cell here holds the two byte for byte: ids,
 distances, CSR offsets and stats, far from the origin, under tombstones,
@@ -11,12 +12,16 @@ with ties planted at the k-th, the r and the m-th boundary.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro import PMLSH, create_index
 from repro.baselines.exact import ExactKNN
 from repro.baselines.lscan import LinearScan
 from repro.datasets import distance
+from repro.datasets.synthetic import gaussian_mixture
 from repro.evaluation.ground_truth import (
     compute_closest_pairs_ground_truth,
     compute_ground_truth,
@@ -78,6 +83,61 @@ def test_scan_equals_difference_tensors(offset, tombstoned):
     # copies per row: 450 zero-distance pairs); r is an exact distance.
     assert_matches_oracle(index, queries, 7, tied_radius(data, queries, 10), 200)
     assert_matches_oracle(index, queries, 1, tied_radius(data, queries, 40), 500)
+
+
+def sharded(backend, carrier):
+    pool = dict(pool_backend="process", num_workers=2) if carrier == "process" else {}
+    return lambda: create_index("sharded", backend=backend, num_shards=3, seed=2, **pool)
+
+
+CP_ROUTES = {
+    "pm-lsh": lambda: PMLSH(seed=2),
+    **{
+        f"sharded-{backend}-{carrier}": sharded(backend, carrier)
+        for backend in ("pm-lsh", "exact")
+        for carrier in ("thread", "process")
+    },
+}
+
+
+def cp_cell(make, state: str, offset: float):
+    """2300 rows, 23 of them stored twice (distance-0 ties), all fitted;
+    or 1100 fitted, 900 added (unindexed PM-LSH tail rows), every 7th
+    deleted, and optionally compacted and grown by 300.  Every route
+    ends holding the same rows under the same ids."""
+    base = gaussian_mixture(2277, 12, num_clusters=50, seed=2)
+    picks = np.random.default_rng(2).choice(2277, size=23, replace=False)
+    data = np.vstack([base, base[picks]]) + offset
+    index = make().fit(data if state == "all-live" else data[:1100])
+    if state != "all-live":
+        index.search(data[:2], 1)  # a process carrier publishes before the writes
+        index.add(data[1100:2000])
+        index.delete(np.arange(0, 2000, 7))
+    if state == "compacted-then-grown":
+        index.compact()
+        index.add(data[2000:])
+    return index
+
+
+@functools.cache
+def cp_oracle(state: str, offset: float) -> dict:
+    index = cp_cell(ExactKNN, state, offset)
+    with reference_exact(index):
+        return {m: index.closest_pairs(m) for m in (1, 10, 50)}
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+@pytest.mark.parametrize("state", ["all-live", "tail", "compacted-then-grown"])
+@pytest.mark.parametrize("route", list(CP_ROUTES))
+def test_closest_pairs_on_every_route(route, state, offset):
+    index = cp_cell(CP_ROUTES[route], state, offset)
+    try:
+        if route == "pm-lsh" and state == "tail":
+            assert index.flat_tree.leaf_ids.size == 1100  # the tail is not folded
+        for m, pairs in cp_oracle(state, offset).items():
+            assert_same(index.closest_pairs(m), pairs)
+    finally:
+        getattr(index, "close", lambda: None)()
 
 
 @pytest.mark.parametrize("tombstoned", [False, True], ids=["all-live", "every-7th-deleted"])

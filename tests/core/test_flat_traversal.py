@@ -2,11 +2,10 @@
 
 ``PMLSH`` answers kNN and range queries through the flattened
 structure-of-arrays traversal; ``tests/oracles/recursive_probe.py``
-answers the same queries by per-query pointer-tree walks, and the
-closest-pair self-join by difference-tensor neighbourhoods.  Every query
-type — the kNN adaptive-radius loop, the (r, c)-ball range probe, the
-closest-pair self-join — must agree byte for byte, including per-query
-stats, runtime-knob overrides, and after dynamic growth.
+answers the same queries by per-query pointer-tree walks.  Both — the
+kNN adaptive-radius loop and the (r, c)-ball range probe — must agree
+byte for byte, including per-query stats, runtime-knob overrides, and
+after dynamic growth.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 
 from repro import PMLSH, PMLSHParams, ShardedIndex
 from repro.datasets.synthetic import gaussian_mixture
-from repro.obs import MetricsRegistry
 from repro.queries import Knn, Range
 from tests.oracles import recursive_probe
 
@@ -123,38 +121,6 @@ class TestRangeEquivalence:
             np.testing.assert_array_equal(a.lims, b.lims)
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.distances, b.distances)
-
-
-class TestClosestPairEquivalence:
-    def test_closest_pairs_identical(self, index):
-        a = index.closest_pairs(12)
-        b = recursive_probe.closest_pairs(index, 12)
-        np.testing.assert_array_equal(a.pairs, b.pairs)
-        np.testing.assert_array_equal(a.distances, b.distances)
-        assert a.stats == b.stats
-
-    def test_closest_pairs_do_no_tree_work(self, dataset):
-        """The join's neighbourhoods come from the exact scan: its stats
-        carry no ``tree_*`` key and ``tree_nodes_visited`` stays still."""
-        registry = MetricsRegistry()
-        index = PMLSH(params=PMLSHParams(node_capacity=32), seed=3).fit(dataset)
-        index.metrics = registry
-        index.search(dataset[:4] + 0.01, 5)
-        before = registry.total("tree_nodes_visited")
-        assert before > 0  # the counter is live: kNN traverses
-        result = index.closest_pairs(12)
-        assert not [key for key in result.stats if key.startswith("tree_")]
-        assert registry.total("tree_nodes_visited") == before
-
-    def test_planted_duplicates_recovered(self, dataset):
-        data = np.vstack([dataset, dataset[:6]])  # six distance-0 pairs
-        index = PMLSH(params=PMLSHParams(node_capacity=32), seed=5).fit(data)
-        result = index.closest_pairs(6)
-        np.testing.assert_array_equal(result.distances, np.zeros(6))
-        expected = np.column_stack(
-            [np.arange(6), dataset.shape[0] + np.arange(6)]
-        )
-        np.testing.assert_array_equal(result.pairs, expected)
 
 
 class TestDynamicGrowth:

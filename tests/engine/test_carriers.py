@@ -1,9 +1,9 @@
 """The carrier matrix: one engine, three ways to carry a round.
 
-{serial, thread, process} × {kNN, range, closest pairs, the CP
-cross-shard fallback} × {fresh, after interleaved writes, with added
-rows still in the shards' unindexed tails, after a refit}: the bytes of every answer and the keys of every stats dict must
-not depend on the carrier.  Plus the two things that *are* carrier
+{serial, thread, process} × {kNN, range, closest pairs} × {fresh, after
+interleaved writes, with added rows still in the shards' unindexed
+tails, after a refit}: the bytes of every answer and the keys of every
+stats dict must not depend on the carrier.  Plus the two things that *are* carrier
 specific — the span tree a sampled trace shows, and that an in-process
 carrier runs the objects sitting in ``engine._shards`` at call time.
 """
@@ -79,23 +79,11 @@ def _range(engine):
 
 def _closest_pairs(engine):
     result = engine.closest_pairs(10)
-    assert "cross_shard_fallback" not in result.stats
-    return (result.pairs, result.distances), result.stats
-
-
-def _cp_fallback(engine):
-    """Ask for more pairs than the shards hold between them: the engine
-    must fall back to the global self-join — after the intra round ran."""
-    intra = sum(n * (n - 1) // 2 for n in engine.shard_live_sizes)
-    result = engine.closest_pairs(intra + 1)
-    assert result.stats["cross_shard_fallback"] == 1.0
     return (result.pairs, result.distances), result.stats
 
 
 @pytest.mark.parametrize(
-    "ask",
-    [_knn, _range, _closest_pairs, _cp_fallback],
-    ids=["knn", "range", "cp", "cp_fallback"],
+    "ask", [_knn, _range, _closest_pairs], ids=["knn", "range", "cp"]
 )
 @pytest.mark.parametrize("carrier", ["thread", "process"])
 def test_answers_do_not_depend_on_the_carrier(engines, carrier, ask):
@@ -133,8 +121,7 @@ def test_the_state_is_the_one_the_cell_claims(engines):
                 assert ids[row].tolist() == gids[row][best].tolist()
         elif state == "refit":
             assert ids.max() < 120
-        pairs = engine.closest_pairs(10)  # the planted pair: only the sweep sees it
-        assert pairs.distances[0] == 0.0 and pairs.stats["cross_pairs"] >= 1.0
+        assert engine.closest_pairs(10).distances[0] == 0.0  # the planted pair
     labels = built["process"]._obs_labels
     reattaches = built["process"].metrics.value("pool_reattaches", labels)
     assert (reattaches > 0.0) == (state != "fresh")

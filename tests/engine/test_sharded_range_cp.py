@@ -1,8 +1,9 @@
 """Sharded range / closest-pair equivalence with the single-index path.
 
-With exact shards every stage of the distributed pipeline is exact, so
-the merged answers must be **byte-identical** to one exact index over the
-full dataset — including under exact distance ties (duplicate points),
+With exact shards every stage of the distributed range pipeline is
+exact, and closest pairs are the exact self-join over the engine's global
+rows, so the answers must be **byte-identical** to one exact index over
+the full dataset — including under exact distance ties (duplicate points),
 which the deterministic ``(distance, id)`` / ``(distance, i, j)``
 orderings resolve identically on both paths.
 """
@@ -105,24 +106,12 @@ class TestShardedClosestPairEquivalence:
 
     def test_tied_zero_distance_pairs(self, tied_data):
         """Duplicate triples create zero-distance pairs whose members live
-        on different shards; the cross-shard sweep must recover them and
-        order the ties by (i, j) exactly like the single index."""
+        on different shards; the engine orders the ties by (i, j) exactly
+        like the single index."""
         single = ExactKNN().fit(tied_data)
         truth = single.closest_pairs(20)
         assert float(truth.distances[0]) == 0.0  # the planting worked
         engine = make_engine(3, 2).fit(tied_data)
-        merged = engine.closest_pairs(20)
-        np.testing.assert_array_equal(merged.pairs, truth.pairs)
-        np.testing.assert_array_equal(merged.distances, truth.distances)
-        engine.close()
-
-    def test_fallback_when_shards_too_small(self, data):
-        """More shards than intra pairs per shard: the engine's exact
-        global fallback still answers correctly."""
-        tiny = data[:8]
-        single = ExactKNN().fit(tiny)
-        engine = make_engine(4, 1).fit(tiny)
-        truth = single.closest_pairs(20)
         merged = engine.closest_pairs(20)
         np.testing.assert_array_equal(merged.pairs, truth.pairs)
         np.testing.assert_array_equal(merged.distances, truth.distances)
@@ -136,7 +125,7 @@ class TestShardedClosestPairEquivalence:
 
 
 class TestShardedPMLSHRangeCP:
-    """With LSH shards the engine inherits the approximate guarantees."""
+    """With LSH shards the engine inherits the approximate range guarantee."""
 
     def test_pmlsh_sharded_range_recall(self, data, single):
         from repro.evaluation.metrics import range_recall
@@ -156,17 +145,6 @@ class TestShardedPMLSHRangeCP:
             np.all(merged[i].distances <= 1.5 * RADIUS + 1e-9)
             for i in range(len(merged))
         )
-        engine.close()
-
-    def test_pmlsh_sharded_cp_quality(self, data, single):
-        truth = single.closest_pairs(5)
-        engine = ShardedIndex(
-            backend="pm-lsh", num_shards=3, num_workers=2, seed=5
-        ).fit(data)
-        merged = engine.closest_pairs(5)
-        ratios = merged.distances / truth.distances
-        assert np.all(ratios >= 1.0 - 1e-12)
-        assert float(np.mean(ratios)) <= 1.3
         engine.close()
 
 

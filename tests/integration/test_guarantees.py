@@ -186,18 +186,13 @@ class TestRangeQueryGuarantee:
 
 
 class TestClosestPairGuarantee:
-    """The projected self-join verifies a vanishing fraction of the n²/2
-    pairs yet lands within a small factor of the exact closest pairs."""
+    """PM-LSH's closest pairs are the exact self-join's, byte for byte."""
 
-    def test_quality_vs_verified_pairs(self):
+    def test_pairs_equal_the_exact_index(self):
         data = gaussian_mixture(1000, 32, num_clusters=10, cluster_std=0.8, seed=7)
         index = PMLSH(params=PMLSHParams(node_capacity=32), seed=8).fit(data)
-        exact = ExactKNN().fit(data)
-        m = 10
-        truth = exact.closest_pairs(m)
-        result = index.closest_pairs(m)
-        ratios = result.distances / truth.distances
-        assert np.all(ratios >= 1.0 - 1e-12)
-        assert float(np.mean(ratios)) <= 1.25
-        total_pairs = data.shape[0] * (data.shape[0] - 1) / 2
-        assert result.stats["verified"] < 0.01 * total_pairs
+        truth = ExactKNN().fit(data).closest_pairs(10)
+        result = index.closest_pairs(10)
+        assert result.pairs.tobytes() == truth.pairs.tobytes()
+        assert result.distances.tobytes() == truth.distances.tobytes()
+        assert result.stats == truth.stats

@@ -5,8 +5,7 @@ Every distance here is reduced from ``a[i] − b[j]`` alone, over the whole
 ``block × n × d`` tensor, with no norm-expansion estimate deciding
 anything: kNN, range and closest pairs are the plain brute force the
 scan's bands must reproduce byte for byte.  ``knn_rows`` is that kNN
-over any two matrices (PM-LSH's closest-pair oracle takes its projected
-neighbourhoods from it), ``range_fallback`` and
+over any two matrices, ``range_fallback`` and
 ``closest_pairs_fallback`` are the index fallbacks as they were before
 the scan (``ANNIndex._run_range`` / ``_closest_pairs``), ``knn_fallback``
 the same brute force for kNN, and ``lscan_query`` LScan's former
@@ -109,7 +108,7 @@ def range_fallback(index, queries: np.ndarray, spec) -> RangeResult:
     )
 
 
-def closest_pairs_fallback(index, m: int, budget=None) -> ClosestPairResult:
+def closest_pairs_fallback(index, m: int) -> ClosestPairResult:
     """The m closest live pairs by ``(distance, i, j)``: a self-join over
     the gathered live rows, ids mapped back; every pair counts as
     verified."""
@@ -164,6 +163,6 @@ def reference_exact(index):
     ), mock.patch.object(
         index, "_run_range", lambda queries, spec: range_fallback(index, queries, spec)
     ), mock.patch.object(
-        index, "_closest_pairs", lambda m, budget=None: closest_pairs_fallback(index, m)
+        index, "_closest_pairs", lambda m: closest_pairs_fallback(index, m)
     ):
         yield index

@@ -1,11 +1,11 @@
-"""Per-query oracles for PM-LSH's three query types.
+"""Per-query oracles for PM-LSH's kNN and range queries.
 
 Algorithm 2's radius-enlarging probe and the (r, c)-ball range probe are
 the recursive traversals ``PMLSH`` used to ship next to the flat
 level-synchronous path, each walking the pointer tree of
-:mod:`tests.oracles.pointer_tree` one query at a time; the closest-pair
-join is written out pair by pair over neighbourhoods taken from
-difference tensors.  The candidate sets are defined by projected
+:mod:`tests.oracles.pointer_tree` one query at a time.  (PM-LSH's closest
+pairs are the exact self-join, whose oracle is
+:mod:`tests.oracles.exact_fallbacks`.)  The candidate sets are defined by projected
 distances alone, not by tree shape — nor by whether a row is in the tree
 or in the flat snapshot's unindexed tail — so the product's batched path
 must answer with the same bytes — ids, distances and stats.
@@ -13,15 +13,14 @@ must answer with the same bytes — ids, distances and stats.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
 from repro.baselines.base import BatchResult, QueryResult
 from repro.core.radius import range_candidate_budget
 from repro.datasets.distance import point_to_points_distances
-from repro.queries import ClosestPairResult, Knn, Range, RangeResult, sort_pairs
-from tests.oracles.exact_fallbacks import knn_rows
+from repro.queries import Knn, Range, RangeResult
 from tests.oracles.pointer_tree import PointerPMTree
 
 
@@ -147,40 +146,3 @@ def range_search(index, queries: np.ndarray, spec: Range) -> RangeResult:
         )
     return RangeResult.from_queries(results)
 
-
-def closest_pairs(index, m: int, budget: int | None = None) -> ClosestPairResult:
-    """``index.closest_pairs(m, budget=budget)`` written out pair by pair:
-    every live point's ``per_point + 1`` nearest projected neighbours by
-    difference tensors (:func:`~tests.oracles.exact_fallbacks.knn_rows`),
-    each unordered pair once at its least projected distance, the ``budget``
-    best by ``(projected distance, i, j)`` verified by differences in the
-    original space, and the m best of those."""
-    n_live = index.nlive
-    m = min(int(m), n_live * (n_live - 1) // 2)
-    if budget is None:
-        budget = int(np.ceil(index.solved.beta * n_live)) + 16 * m
-    budget = max(budget, m)
-    per_point = min(n_live - 1, max(4, int(np.ceil(2.0 * budget / n_live))))
-    live = index.live_ids()
-    alive = index.tombstones.alive_mask(index.ntotal) if index.tombstones else None
-    ids, dists = knn_rows(index.projected[live], index.projected, per_point + 1, alive)
-    projected: Dict[Tuple[int, int], float] = {}
-    for i, row_ids, row_dists in zip(live.tolist(), ids.tolist(), dists.tolist()):
-        for j, dist in zip(row_ids, row_dists):
-            pair = (min(i, j), max(i, j))
-            if i != j and dist < projected.get(pair, np.inf):
-                projected[pair] = dist
-    ranked = sorted(projected, key=lambda pair: (projected[pair], *pair))
-    verified = np.asarray(ranked[:budget], dtype=np.int64).reshape(-1, 2)
-    diff = index.data[verified[:, 0]] - index.data[verified[:, 1]]
-    pairs, distances = sort_pairs(verified, np.sqrt(np.einsum("ij,ij->i", diff, diff)), m)
-    return ClosestPairResult(
-        pairs=pairs,
-        distances=distances,
-        stats={
-            "candidate_pairs": float(len(projected)),
-            "verified": float(verified.shape[0]),
-            "budget": float(budget),
-            "neighbors_per_point": float(per_point),
-        },
-    )

@@ -435,24 +435,13 @@ def test_range_is_identical_by_view_and_by_gather(index_and_queries):
         assert gathered.stats["candidates"] == viewed.stats["candidates"]
 
 
-def test_closest_pairs_are_identical_by_view_and_by_gather(index_and_queries):
-    index, _ = index_and_queries
-    with _gather():
-        gathered = index.closest_pairs(15)
-    with _view():
-        viewed = index.closest_pairs(15)
-    assert gathered.pairs.tobytes() == viewed.pairs.tobytes()
-    assert gathered.distances.tobytes() == viewed.distances.tobytes()
-
-
 def test_no_query_type_calls_the_member_filter_kernel(index_and_queries):
-    """The leaf level has one route: kNN, ``Range``, closest pairs and
-    the ball-cover query never run ``leaf_prune``."""
+    """The leaf level has one route: kNN, ``Range`` and the ball-cover
+    query never run ``leaf_prune``."""
     index, queries = index_and_queries
     kernels.reset_kernel_calls()
     index.run(queries, Knn(10))
     index.run(queries, Range(3.0))
-    index.closest_pairs(15)
     index.ball_cover_query(index.data[7] + 0.01, 1.0)
     calls = kernels.kernel_calls()
     assert calls.get(("fast", "leaf_prune"), 0) == 0

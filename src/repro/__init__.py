@@ -33,8 +33,10 @@ version's workloads.  The package provides:
   (:class:`Tracer`) covering serving → engine → tree, and a bounded
   slow-query log (:class:`SlowQueryLog`);
 * an index lifecycle subsystem (:mod:`repro.lifecycle`): tombstone
-  deletes (``index.delete(ids)``) filtered at verification time so
-  results match an index that never held the dead points, background
+  deletes (``index.delete(ids)``), which every backend drops where it
+  gathers candidates — before any verification, candidate budget or
+  stopping test — so results match an index that never held the dead
+  points, background
   compaction (:class:`CompactionPolicy`, ``index.compact()``,
   :func:`compact_index`) and epoch-stamped replica snapshots
   (:class:`Replica`, :func:`snapshot_epoch`);

@@ -252,13 +252,6 @@ class ANNIndex(abc.ABC):
     _honours_knn_overrides: bool = False
     _honours_range_overrides: bool = False
 
-    #: Whether :meth:`_run_knn` drops tombstoned ids itself (the exact
-    #: oracle scans live rows only; PM-LSH masks dead leaf members; the
-    #: sharded engine forwards to filtering shards).  When False,
-    #: :meth:`run` over-fetches ``k + #dead`` and strips dead ids before
-    #: the final k cut — correct for any backend, at extra candidate cost.
-    _knn_filters_tombstones: bool = False
-
     #: Constructor kwargs captured by ``__init_subclass__`` (used by
     #: :func:`repro.lifecycle.compaction.compact_index` to clone the
     #: index into a fresh object with identical parameters).
@@ -630,28 +623,8 @@ class ANNIndex(abc.ABC):
         self._require_built()
         if isinstance(spec, Knn):
             queries = self._validate_queries(queries, spec.k)
+            result = self._run_knn(queries, spec)
             dead = self.num_tombstones
-            if dead and not self._knn_filters_tombstones:
-                # Generic tombstone path: over-fetch so that even if every
-                # dead id that can reach the result window lands in it there
-                # are still k live ids behind it, then strip and re-cut.
-                # Exactness of the final k is inherited from the backend's
-                # own ordering.  ``_tombstone_overfetch`` bounds how many
-                # dead ids can actually surface (never more than the full
-                # tombstone count).
-                bound = min(dead, max(0, int(self._tombstone_overfetch(spec.k))))
-                wide = replace(spec, k=min(self.ntotal, spec.k + bound))
-                self.metrics.counter(
-                    "overfetch_queries",
-                    "Queries widened by the generic tombstone overfetch path",
-                ).inc(queries.shape[0])
-                self.metrics.counter(
-                    "overfetch_extra_k",
-                    "Extra result slots fetched to cover tombstones",
-                ).inc(queries.shape[0] * (wide.k - spec.k))
-                result = self._strip_dead(self._run_knn(queries, wide), spec.k)
-            else:
-                result = self._run_knn(queries, spec)
             if dead:
                 result.stats["tombstones"] = float(dead)
                 result.stats["nlive"] = float(self.nlive)
@@ -705,43 +678,6 @@ class ANNIndex(abc.ABC):
         max_pairs = self.nlive * (self.nlive - 1) // 2
         return self._closest_pairs(min(m, max_pairs))
 
-    def _tombstone_overfetch(self, k: int) -> int:
-        """Upper bound on tombstoned ids that can appear in one query's
-        result window (the generic tombstone path widens ``k`` by this).
-
-        The default — the full tombstone count — is always safe but
-        overfetches wildly when deletes are spread over many buckets a
-        single query never probes together.  Bucketed backends override
-        it with a structural bound (e.g. E2LSH: the sum over tables of
-        the worst per-bucket dead count), shrinking the widened window
-        while keeping the stripped-and-recut results byte-identical.
-        """
-        return self.num_tombstones
-
-    def _strip_dead(self, batch: BatchResult, k: int) -> BatchResult:
-        """Drop tombstoned ids from an over-fetched *batch*, re-cut to *k*.
-
-        Vectorised row compaction: surviving entries slide left within
-        their row (backend order preserved), rows re-pad with ``-1``/inf.
-        """
-        ids, dists = batch.ids, batch.distances
-        num_queries = ids.shape[0]
-        alive = (ids >= 0) & ~self._tombstones.contains(ids)
-        counts = alive.sum(axis=1)
-        rows = np.repeat(np.arange(num_queries), counts)
-        pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        keep = pos < k
-        out_ids = np.full((num_queries, k), -1, dtype=np.int64)
-        out_dists = np.full((num_queries, k), np.inf, dtype=np.float64)
-        out_ids[rows[keep], pos[keep]] = ids[alive][keep]
-        out_dists[rows[keep], pos[keep]] = dists[alive][keep]
-        return BatchResult(
-            ids=out_ids,
-            distances=out_dists,
-            stats=dict(batch.stats),
-            per_query_stats=batch.per_query_stats,
-        )
-
     # -- subclass hooks -------------------------------------------------
 
     def _run_knn(self, queries: np.ndarray, spec: Knn) -> BatchResult:
@@ -753,7 +689,8 @@ class ANNIndex(abc.ABC):
 
     def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         """k nearest neighbours of one validated ``(d,)`` float64 vector,
-        tombstones ignored (:meth:`run` over-fetches and strips them)."""
+        over the live rows: a dead id is skipped where the candidates are
+        gathered, before it is verified or counted."""
         raise NotImplementedError(
             f"{type(self).__name__} implements neither _query_one nor _run_knn"
         )
@@ -764,8 +701,8 @@ class ANNIndex(abc.ABC):
         """Degenerate miss (no probe found anything): ``4k`` random ids
         from the backend's shared generator ``self._rng``, so the contract
         (k results when nlive ≥ k) holds.  Drawn from the *live* ids under
-        tombstones, so a bucketed overfetch bound stays structural; without
-        tombstones the draw is bit-identical to sampling ``range(n)``."""
+        tombstones, like every other candidate; without tombstones the draw
+        is bit-identical to sampling ``range(n)``."""
         if self._tombstones:
             live = self.live_ids()
             return self._rng.choice(live, size=min(live.size, 4 * k), replace=False)
@@ -773,14 +710,17 @@ class ANNIndex(abc.ABC):
 
     def _verify_pooled(self, queries: np.ndarray, k: int, candidates_of) -> BatchResult:
         """kNN over per-query candidate sets: ``candidates_of(q)`` gives
-        each row's distinct ids (an empty set takes
-        :meth:`_fallback_candidates`, drawn in row order), and every
+        each row's distinct ids, dead ids are dropped (a row left with none
+        takes :meth:`_fallback_candidates`, drawn in row order), and every
         (query, candidate) pair is verified by one gathered kernel call
         before :func:`topk_batch`'s canonical cut.  Per-query stats:
         ``candidates``."""
+        alive = self._alive_rows()
         blocks = []
         for q in queries:
             ids = candidates_of(q)
+            if alive is not None:
+                ids = ids[alive[ids]]
             blocks.append(ids if ids.size else self._fallback_candidates(k))
         counts = np.asarray([block.size for block in blocks], dtype=np.int64)
         ids = np.concatenate(blocks).astype(np.int64, copy=False)
@@ -868,7 +808,7 @@ class CollisionCountingLSH(ANNIndex):
 
     Round r counts, for every still-active query, in how many of the m
     hash functions each point collides with it at the ladder's r-th
-    radius.  Points reaching ``collision_threshold`` are verified once,
+    radius.  Live points reaching ``collision_threshold`` are verified once,
     in the original space, by one gathered kernel call per round.  A
     query stops once k verified points lie within the round's stop
     distance or ``⌈β·n⌉ + k`` points are verified (64 rounds at most),
@@ -954,6 +894,7 @@ class CollisionCountingLSH(ANNIndex):
         kernel = kernels.active()
         count = self._round_counter(queries[rows])
         seen = np.zeros((rows.size, self.n), dtype=bool)
+        seen[:, self._tombstones.ids()] = True  # dead ids are never verified
         active = np.ones(rows.size, dtype=bool)
         pool_q = np.empty(0, dtype=np.int64)
         pool_ids = np.empty(0, dtype=np.int64)

@@ -57,7 +57,6 @@ class E2LSH(ANNIndex):
         self._rng = as_generator(seed)
         self._functions: List[LSHFunction] = []
         self._tables: List[Dict[tuple, List[int]]] = []
-        self._overfetch_cache: Tuple[int, int] | None = None
 
     def _fit(self) -> None:
         self._functions = [
@@ -117,20 +116,3 @@ class E2LSH(ANNIndex):
             for function, table in zip(self._functions, self._tables)
         ]
         return np.unique(np.fromiter(chain.from_iterable(buckets), dtype=np.int64))
-
-    def _tombstone_overfetch(self, k: int) -> int:
-        """Dead ids reachable by any single query: at most the worst
-        bucket's dead count, summed over tables (one probed bucket per
-        table; the random fallback is live-only).  Cached per write-epoch
-        — the bucketize GEMM over the dead rows runs once per delete
-        batch, not once per query."""
-        if self._overfetch_cache is not None and self._overfetch_cache[0] == self.epoch:
-            return self._overfetch_cache[1]
-        dead = self._tombstones.ids()
-        bound = 0
-        for function in self._functions:
-            buckets = np.atleast_2d(function.bucketize(self.data[dead]))
-            _, counts = np.unique(buckets, axis=0, return_counts=True)
-            bound += int(counts.max()) if counts.size else 0
-        self._overfetch_cache = (self.epoch, bound)
-        return bound

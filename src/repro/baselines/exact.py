@@ -22,9 +22,6 @@ class ExactKNN(ANNIndex):
 
     name = "Exact"
 
-    #: Scans live rows only, so tombstones never reach the result window.
-    _knn_filters_tombstones = True
-
     def _fit(self) -> None:
         pass  # brute force needs no structures beyond the data itself
 

@@ -24,9 +24,6 @@ class LinearScan(ANNIndex):
 
     name = "LScan"
 
-    #: The scan subset is intersected with the live set before scanning.
-    _knn_filters_tombstones = True
-
     def __init__(
         self,
         *,

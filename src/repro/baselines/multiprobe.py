@@ -80,7 +80,6 @@ class MultiProbeLSH(ANNIndex):
         self._rng = as_generator(seed)
         self._functions: List[LSHFunction] = []
         self._tables: List[Dict[tuple, List[int]]] = []
-        self._overfetch_cache: Tuple[int, int] | None = None
 
     def _calibrated_width(self) -> float:
         """Projection-scale-aware bucket width: ``width_scale`` times the
@@ -182,7 +181,7 @@ class MultiProbeLSH(ANNIndex):
 
     def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         max_candidates = max(k, int(self.max_candidates_fraction * self.n))
-        seen: set = set()
+        seen = self._tombstones.as_set()  # a dead id is skipped, never counted
         candidates: List[int] = []
         for function, table in zip(self._functions, self._tables):
             if len(candidates) >= max_candidates:
@@ -204,20 +203,3 @@ class MultiProbeLSH(ANNIndex):
             distances=dists[order],
             stats={"candidates": float(ids.size)},
         )
-
-    def _tombstone_overfetch(self, k: int) -> int:
-        """Dead ids reachable by one query: per table, the ``num_probes``
-        worst dead-bucket counts (one probed bucket each), summed over
-        tables.  Cached per write-epoch, like E2LSH's bound."""
-        if self._overfetch_cache is not None and self._overfetch_cache[0] == self.epoch:
-            return self._overfetch_cache[1]
-        dead = self._tombstones.ids()
-        bound = 0
-        for function in self._functions:
-            buckets = np.atleast_2d(function.bucketize(self.data[dead]))
-            _, counts = np.unique(buckets, axis=0, return_counts=True)
-            if counts.size:
-                worst = np.sort(counts)[::-1][: self.num_probes]
-                bound += int(worst.sum())
-        self._overfetch_cache = (self.epoch, bound)
-        return bound

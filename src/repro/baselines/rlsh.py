@@ -73,14 +73,15 @@ class RLSH(ANNIndex):
     def _query_one(self, q: np.ndarray, k: int) -> QueryResult:
         params = self.params
         query_proj = self.projection.project(q)
-        budget = int(np.ceil(self.solved.beta * self.n)) + k
+        budget = int(np.ceil(self.solved.beta * self.nlive)) + k
         r = select_initial_radius(
             self.distance_distribution,
-            n=self.n,
+            n=self.nlive,
             beta=self.solved.beta,
             k=k,
             shrink=params.radius_shrink,
         )
+        dead = self._tombstones.as_set()
         seen: Set[int] = set()
         collected: List[Tuple[int, float]] = []
         rounds = 0
@@ -88,7 +89,9 @@ class RLSH(ANNIndex):
             rounds += 1
             if sum(1 for _, dist in collected if dist <= params.c * r) >= k:
                 break
-            matches = self.tree.range_query(query_proj, self.solved.t * r, limit=budget)
+            matches = self.tree.knn_within(
+                query_proj, k=budget, radius=self.solved.t * r, exclude=dead
+            )
             fresh = [pid for pid, _ in matches if pid not in seen]
             if fresh:
                 ids = np.asarray(fresh, dtype=np.int64)

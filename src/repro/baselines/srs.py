@@ -92,7 +92,10 @@ class SRS(ANNIndex):
         budget = max(k, int(np.ceil(self.max_fraction * self.n)))
         best = BoundedMaxHeap(k)
         verified = 0
+        dead = self._tombstones.as_set()
         for point_id, projected_dist in self.tree.nearest_iter(query_proj):
+            if point_id in dead:
+                continue  # skipped before verification: no budget, no stop test
             true_dist = float(np.linalg.norm(self.data[point_id] - q))
             best.push(true_dist, point_id)
             verified += 1

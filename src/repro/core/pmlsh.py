@@ -221,10 +221,6 @@ class PMLSH(ANNIndex):
     name = "PM-LSH"
     _honours_knn_overrides = True
     _honours_range_overrides = True
-    #: Tombstones are dropped inside the probe itself: the flat traversal
-    #: masks dead leaf members, so dead points never consume candidate
-    #: budget or reach a result.
-    _knn_filters_tombstones = True
 
     def __init__(
         self,
@@ -434,7 +430,7 @@ class PMLSH(ANNIndex):
         budget = self.candidate_budget(1)
         # The closest `budget` collisions inside the projected ball, like
         # every other probe: the flat tree masks tombstones itself, and
-        # over-fetching by len(exclude) leaves `budget` after dropping them.
+        # widening the limit by len(exclude) leaves `budget` after dropping them.
         skip = np.fromiter(exclude or (), dtype=np.int64)
         _, ids, _, _ = self.flat_tree.batch_range(
             np.atleast_2d(self.projection.project(q)),

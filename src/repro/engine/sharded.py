@@ -129,10 +129,6 @@ class ShardedIndex(ANNIndex):
 
     name = "ShardedIndex"
 
-    #: Deletes forward to the owning shards, which filter their own
-    #: tombstones (natively or by over-fetch) before the engine merge.
-    _knn_filters_tombstones = True
-
     def __init__(
         self,
         *,
@@ -257,7 +253,7 @@ class ShardedIndex(ANNIndex):
                 fresh.value = old.value
             setattr(self, attr, fresh)
         # Shards publish into the same registry (PM-LSH's probe counters,
-        # the baselines' overfetch path) regardless of backend.
+        # the delete and compaction counters) regardless of backend.
         for shard in getattr(self, "_shards", ()):  # may precede first fit
             shard.metrics = registry
         if self.worker_pool is not None:

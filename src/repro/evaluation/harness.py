@@ -1,16 +1,15 @@
 """Run an ANN index over a query workload and aggregate §6's three metrics:
 average query time (ms), overall ratio, and recall — plus the VLDBJ
-extension's workloads: range queries (recall against the exact ball,
-precision over the admitted c·r slack) and closest-pair search (rank-wise
-distance ratio).
+extension's range queries (recall against the exact ball, precision over
+the admitted c·r slack).
 
 Indexes can be supplied as instances or constructed by registry name
 through :func:`evaluate_algorithm`, and kNN workloads can be driven either
 through the per-query ``query()`` loop (the paper's protocol — every
 query timed individually) or through the batched ``search()`` entry
 point (``batch=True`` — one timed call, amortised per-query latency).
-Range and closest-pair evaluation (:func:`run_range_query_set`,
-:func:`evaluate_closest_pairs`) always use the batched entry points.
+Range evaluation (:func:`run_range_query_set`) always uses the batched
+entry point.
 """
 
 from __future__ import annotations
@@ -27,13 +26,12 @@ from repro.evaluation.ground_truth import (
     compute_ground_truth,
 )
 from repro.evaluation.metrics import (
-    closest_pair_ratio,
     overall_ratio,
     range_precision,
     range_recall,
     recall,
 )
-from repro.queries import ClosestPairResult, RangeResult
+from repro.queries import RangeResult
 from repro.registry import create_index
 
 
@@ -179,26 +177,6 @@ class RangeAlgorithmResult:
         )
 
 
-@dataclass(frozen=True)
-class ClosestPairEvalResult:
-    """Outcome of one (algorithm, m) closest-pair evaluation."""
-
-    algorithm: str
-    dataset: str
-    m: int
-    time_ms: float
-    ratio: float
-    overlap: float  # fraction of the exact pair set recovered
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    def as_row(self) -> str:
-        return (
-            f"{self.algorithm:<12} {self.dataset:<8} m={self.m:<4} "
-            f"time={self.time_ms:8.2f}ms ratio={self.ratio:.4f} "
-            f"overlap={self.overlap:.4f}"
-        )
-
-
 def run_range_query_set(
     index: ANNIndex,
     queries: np.ndarray,
@@ -243,44 +221,6 @@ def run_range_query_set(
         recall=float(recalls.mean()),
         precision=float(precisions.mean()),
         mean_returned=float(result.counts.mean()),
-        extra=extra,
-    )
-
-
-def evaluate_closest_pairs(
-    index: ANNIndex,
-    m: int,
-    ground_truth: ClosestPairResult,
-    dataset_name: str = "",
-) -> ClosestPairEvalResult:
-    """Time one ``closest_pairs(m)`` call and score it against the exact pairs.
-
-    ``ratio`` is the rank-wise distance ratio (1.0 = perfect); ``overlap``
-    the fraction of the exact pair set the algorithm recovered.
-    """
-    if not index.is_built:
-        raise RuntimeError(f"{index.name}: fit the index before evaluation")
-    if len(ground_truth) < m:
-        raise ValueError(
-            f"ground truth holds {len(ground_truth)} pairs, need at least {m}"
-        )
-    start = time.perf_counter()
-    result = index.closest_pairs(m)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    exact_set = {tuple(pair) for pair in ground_truth.pairs[:m].tolist()}
-    found_set = {tuple(pair) for pair in result.pairs.tolist()}
-    overlap = len(exact_set & found_set) / len(exact_set) if exact_set else 1.0
-    ratio = closest_pair_ratio(result.distances, ground_truth.distances[:m], m=m)
-    extra: Dict[str, float] = {"ntotal": float(index.ntotal)}
-    if "verified" in result.stats:
-        extra["verified"] = float(result.stats["verified"])
-    return ClosestPairEvalResult(
-        algorithm=index.name,
-        dataset=dataset_name,
-        m=int(m),
-        time_ms=elapsed_ms,
-        ratio=ratio,
-        overlap=overlap,
         extra=extra,
     )
 

@@ -6,8 +6,6 @@
 * **recall** — |R ∩ R*| / |R*|.
 * **range recall** — the same set recall for (r, c)-ball range queries,
   measured against the exact ball B(q, r); an empty exact ball scores 1.
-* **closest-pair ratio** — the rank-wise distance ratio of the returned
-  pairs against the exact m closest pairs (the CP analogue of Eq. 11).
 """
 
 from __future__ import annotations
@@ -92,16 +90,3 @@ def range_precision(
         return 1.0
     return float(np.mean(result_distances <= r))
 
-
-def closest_pair_ratio(
-    result_distances: np.ndarray, exact_distances: np.ndarray, m: int | None = None
-) -> float:
-    """Rank-wise distance ratio of returned pairs vs the exact m closest.
-
-    The CP analogue of Eq. 11: mean over ranks i of
-    ``d(pair_i) / d(pair*_i)``; 1.0 is perfect.  Zero-distance exact
-    pairs (duplicates) score 1.0 when matched by a zero-distance result
-    and ∞ otherwise; missing ranks take the query's worst observed ratio
-    (same conventions as :func:`overall_ratio`).
-    """
-    return overall_ratio(result_distances, exact_distances, k=m)

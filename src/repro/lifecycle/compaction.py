@@ -1,8 +1,8 @@
 """Compaction: physically reclaim tombstoned rows, renumbering the survivors.
 
 Tombstone deletes (:mod:`repro.lifecycle.tombstones`) are logical, so dead
-rows keep occupying memory and, on the overfetching baselines, candidate
-work.  Compaction re-makes the index over exactly the live rows,
+rows keep occupying memory, and every query still pays to skip them where
+it gathers candidates.  Compaction re-makes the index over exactly the live rows,
 renumbers ids densely in their old order, and resets the tombstone set
 and the growth baseline (``fitted_n``).  How the index is re-made is the
 backend's :meth:`~repro.ANNIndex._compact` hook.  The default re-fits,

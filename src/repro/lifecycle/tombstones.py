@@ -2,8 +2,9 @@
 
 Deletes in this library are *logical*: :meth:`repro.ANNIndex.delete`
 marks ids in a :class:`TombstoneSet` and every query path drops dead ids
-at verification time — before any top-k / range cut — so results match
-an index that never held those points.  The physical reclaim happens at
+where it gathers candidates — before any verification, candidate budget,
+stopping test or top-k / range cut — so results match an index that
+never held those points.  The physical reclaim happens at
 compaction (:mod:`repro.lifecycle.compaction`), which re-makes the index
 over the live rows and resets the set.
 

@@ -2,8 +2,8 @@
 
 One registry is the single source of truth for every number the stack
 publishes: the async serving front-end, the sharded engine, PM-LSH's
-probe, the baselines' overfetch path, the cache and the lifecycle
-subsystem all write into :class:`MetricsRegistry` instruments.  What a
+probe, the cache and the lifecycle subsystem all write into
+:class:`MetricsRegistry` instruments.  What a
 component's ``stats()`` returns is :meth:`MetricsRegistry.snapshot` of
 its own label scope — a :class:`MetricsSnapshot` read straight off the
 instruments, so the table a demo prints and the series a scraper reads

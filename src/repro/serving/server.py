@@ -280,7 +280,7 @@ class AsyncSearchServer:
                 "cache_stale_puts", "Answers dropped for being computed pre-write"
             )
         # The served index publishes into the same registry (covers the
-        # sharded engine, PM-LSH's probe counters, the overfetch path).
+        # sharded engine, PM-LSH's probe counters, the lifecycle counters).
         if hasattr(index, "metrics"):
             index.metrics = self.metrics_registry
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import rlsh
 from repro.baselines.exact import ExactKNN
 from repro.baselines.rlsh import RLSH
 from repro.core.params import PMLSHParams
@@ -69,3 +70,22 @@ class TestRLSH:
         result = index.query(small_clustered[3], k=5)
         assert result.stats["rounds"] >= 1
         assert result.stats["candidates"] > 0
+
+    def test_budget_and_initial_radius_are_sized_on_the_live_rows(
+        self, small_clustered, monkeypatch
+    ):
+        """As in PM-LSH, ⌈β·n⌉ + k and the r_min solve count the rows that
+        can still be candidates: nlive, not every row the index holds."""
+        index = RLSH(params=PMLSHParams(node_capacity=32), seed=0).fit(small_clustered)
+        index.delete(np.arange(0, index.n, 2))
+        sizes, limits = [], []
+        solve, fetch = rlsh.select_initial_radius, index.tree.knn_within
+        monkeypatch.setattr(
+            rlsh, "select_initial_radius", lambda f, n, **kw: sizes.append(n) or solve(f, n=n, **kw)
+        )
+        monkeypatch.setattr(
+            index.tree, "knn_within", lambda q, k, **kw: limits.append(k) or fetch(q, k, **kw)
+        )
+        index.query(small_clustered[1] + 0.01, k=10)
+        assert sizes == [index.nlive] == [small_clustered.shape[0] // 2]
+        assert set(limits) == {int(np.ceil(index.solved.beta * index.nlive)) + 10}

@@ -159,23 +159,3 @@ class TestRangeHarness:
         with pytest.raises(RuntimeError):
             run_range_query_set(LinearScan(), small_clustered[:2], self.RADIUS, truth)
 
-
-class TestClosestPairHarness:
-    def test_exact_scores_perfectly(self, small_clustered):
-        from repro.evaluation.ground_truth import compute_closest_pairs_ground_truth
-        from repro.evaluation.harness import evaluate_closest_pairs
-
-        truth = compute_closest_pairs_ground_truth(small_clustered, 5)
-        index = ExactKNN().fit(small_clustered)
-        result = evaluate_closest_pairs(index, 5, truth)
-        assert result.ratio == pytest.approx(1.0)
-        assert result.overlap == pytest.approx(1.0)
-        assert result.time_ms > 0.0
-
-    def test_ground_truth_too_small_rejected(self, small_clustered):
-        from repro.evaluation.ground_truth import compute_closest_pairs_ground_truth
-        from repro.evaluation.harness import evaluate_closest_pairs
-
-        truth = compute_closest_pairs_ground_truth(small_clustered, 2)
-        with pytest.raises(ValueError):
-            evaluate_closest_pairs(ExactKNN().fit(small_clustered), 5, truth)

@@ -123,23 +123,3 @@ class TestRangePrecision:
 
         assert range_precision(np.array([]), r=1.0) == 1.0
 
-
-class TestClosestPairRatio:
-    def test_perfect(self):
-        from repro.evaluation.metrics import closest_pair_ratio
-
-        exact = np.array([1.0, 2.0, 3.0])
-        assert closest_pair_ratio(exact, exact) == pytest.approx(1.0)
-
-    def test_worse_pairs_score_above_one(self):
-        from repro.evaluation.metrics import closest_pair_ratio
-
-        exact = np.array([1.0, 2.0])
-        assert closest_pair_ratio(exact * 1.2, exact, m=2) == pytest.approx(1.2)
-
-    def test_missing_ranks_take_worst(self):
-        from repro.evaluation.metrics import closest_pair_ratio
-
-        exact = np.array([1.0, 1.0, 1.0])
-        got = np.array([1.5])
-        assert closest_pair_ratio(got, exact, m=3) == pytest.approx(1.5)

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro import ExactKNN, LinearScan, PMLSH, PMLSHParams, Range, ShardedIndex
+from repro import ExactKNN, LinearScan, PMLSH, PMLSHParams, Range, ShardedIndex, kernels
+from repro.baselines import multiprobe, rlsh, srs
 from repro.core.radius import range_candidate_budget
+from repro.datasets import distance
 from tests.oracles import recursive_probe
 
 GENERIC_BACKENDS = sorted(
@@ -48,6 +50,39 @@ def live_ids(dead_ids):
 @pytest.fixture(scope="module")
 def queries(data):
     return data[:12] + 0.01
+
+
+@pytest.fixture()
+def verified(monkeypatch):
+    """Record what every verification entry point is handed: the rows
+    gathered by the kernel set's ``verify_distances`` (LSH baselines,
+    PM-LSH), by the exact scan's (Exact, LScan) and by
+    ``point_to_points_distances`` (Multi-Probe, R-LSH), and the
+    differences SRS takes ``np.linalg.norm`` of."""
+    rows, diffs = [], []
+
+    def gathered(verify):
+        def record(data, ids, queries, rep_q):
+            rows.append(data[ids])
+            return verify(data, ids, queries, rep_q)
+
+        return record
+
+    def pointwise(distances):
+        return lambda q, points: rows.append(points) or distances(q, points)
+
+    kernel = kernels.active()
+    monkeypatch.setattr(kernel, "verify_distances", gathered(kernel.verify_distances))
+    monkeypatch.setattr(distance, "verify_distances", gathered(distance.verify_distances))
+    for module in (multiprobe, rlsh):
+        monkeypatch.setattr(
+            module, "point_to_points_distances", pointwise(module.point_to_points_distances)
+        )
+    norm = np.linalg.norm
+    monkeypatch.setattr(
+        srs.np.linalg, "norm", lambda x, *a, **kw: diffs.append(x) or norm(x, *a, **kw)
+    )
+    return rows, diffs
 
 
 def assert_knn_identical(batch, reference, live_ids):
@@ -113,15 +148,70 @@ class TestScanBackends:
         np.testing.assert_array_equal(got.ids, live_ids[want.ids])
         np.testing.assert_allclose(got.distances, want.distances, rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("name", GENERIC_BACKENDS)
+    @pytest.mark.parametrize("name", sorted(repro.available_indexes()))
     def test_generic_backends_never_return_dead_ids(
-        self, name, data, dead_ids, queries
+        self, name, data, dead_ids, queries, verified
     ):
+        """One tombstone rule: every backend drops dead ids where it
+        gathers candidates, so no dead row ever reaches a distance
+        computation — it takes no slot of a candidate budget, a stopping
+        test or a result."""
         index = make_backend(name).fit(data)
         index.delete(dead_ids)
-        batch = index.search(queries, k=10)
+        try:
+            batch = index.search(queries, k=10)
+        finally:
+            if hasattr(index, "close"):
+                index.close()
         returned = batch.ids[batch.ids >= 0]
         assert not np.isin(returned, dead_ids).any(), f"{name} leaked dead ids"
+        rows, diffs = verified
+        assert rows or diffs, f"{name} verified nothing"
+        dead_rows = {row.tobytes() for row in data[dead_ids]}
+        dead_diffs = {diff.tobytes() for q in queries for diff in data[dead_ids] - q}
+        assert not any(row.tobytes() in dead_rows for block in rows for row in block)
+        assert not any(np.asarray(diff).tobytes() in dead_diffs for diff in diffs)
+
+    # "process-sharded": the sharded engine over the worker-process pool.
+    @pytest.mark.parametrize(
+        "name", sorted(repro.available_indexes()) + ["process-sharded"]
+    )
+    def test_candidates_are_counted_on_the_live_rows(self, name, data, queries):
+        """With 270 of 300 rows dead, no backend reports more verified
+        candidates for a query than there are live rows: a dead id takes
+        no slot of a candidate count, however wide the backend's budget."""
+        if name == "process-sharded":
+            index = repro.create_index("sharded", pool_backend="process", seed=3)
+        else:
+            index = make_backend(name)
+        index.fit(data)
+        index.delete(np.arange(0, 270))
+        try:
+            batch = index.search(queries, k=10)
+        finally:
+            if hasattr(index, "close"):
+                index.close()
+        assert batch.stats["nlive"] == 30.0
+        counts = [stats["candidates"] for stats in batch.per_query_stats]
+        assert len(counts) == len(queries)
+        assert 0 < min(counts) and max(counts) <= 30, f"{name} counted dead ids"
+
+    @pytest.mark.parametrize("dead", ["spread", "all-but-ten"])
+    def test_e2lsh_answers_like_a_fit_on_the_live_rows(self, dead, data, dead_ids, queries):
+        """E2LSH's hash functions do not depend on the data, so dropping
+        dead ids from the probed buckets (and drawing a miss's fallback
+        from the live ids) reproduces the index fit on the live rows alone
+        byte for byte — ids mapped back, distances and stats included."""
+        dead = dead_ids if dead == "spread" else np.arange(10, data.shape[0])
+        live = np.setdiff1d(np.arange(data.shape[0]), dead)
+        index = make_backend("e2lsh").fit(data)
+        index.delete(dead)
+        reference = make_backend("e2lsh").fit(data[live])
+        got = index.search(queries, k=10)
+        want = reference.search(queries, k=10)
+        np.testing.assert_array_equal(got.distances, want.distances)
+        np.testing.assert_array_equal(got.ids, np.where(want.ids >= 0, live[want.ids], -1))
+        assert got.per_query_stats == want.per_query_stats
 
 
 class TestSingleQueryEntry:
@@ -265,21 +355,3 @@ class TestPMLSHNative:
         assert want < range_candidate_budget(
             index.distance_distribution, index.ntotal, index.solved.beta, index.params.c * r
         )
-
-
-class TestKnnOverfetchPath:
-    """The generic overfetch path (`_strip_dead`) must re-cut to exactly
-    k live rows and preserve padding semantics."""
-
-    def test_strip_dead_recut(self, data, queries):
-        # QALSH goes through the generic path (_knn_filters_tombstones is False)
-        index = repro.create_index("qalsh", seed=3).fit(data)
-        assert not type(index)._knn_filters_tombstones
-        index.delete(np.arange(40))
-        batch = index.search(queries, k=10)
-        assert batch.ids.shape == (len(queries), 10)
-        rows_full = (batch.ids >= 0).all(axis=1)
-        assert rows_full.any()  # overfetch found at least k live for most rows
-        # padding (if any) sits at the row tail with inf distance
-        pad = batch.ids < 0
-        assert np.isinf(batch.distances[pad]).all()

@@ -11,13 +11,16 @@ the two byte for byte — ids, distances and stats:
 * ``c2lsh_query`` recounts grid-cell collisions per round over the sorted
   projections, and ``e2lsh_query`` unions the query's buckets.
 
-E2LSH and LSB-Forest draw from the index's shared generator through
-``index._fallback_candidates`` when a query finds nothing, so a loop over
-the rows consumes it in the same order as the batch path.
+Each loop drops tombstoned ids where it gathers candidates, as the
+product does: the collision counters start with the dead ids marked
+verified, and the bucket and cursor walks treat them as already seen (a
+cursor step onto a dead entry still counts toward the walk).  E2LSH and
+LSB-Forest draw from the index's shared generator through
+``index._fallback_candidates`` when a query finds no live candidate, so a
+loop over the rows consumes it in the same order as the batch path.
 
 :func:`run` answers ``index.run(queries, spec)`` with the index's
-``_run_knn`` swapped for a loop over the matching reference, so the
-tombstone over-fetch and strip around it stay the product's.
+``_run_knn`` swapped for a loop over the matching reference.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def qalsh_query(index: QALSH, q: np.ndarray, k: int, trees=None) -> QueryResult:
     query_proj = index.projection.project(q)  # (m,)
     collisions = np.zeros(index.n, dtype=np.int32)
     verified: List[Tuple[int, float]] = []
-    verified_mask = np.zeros(index.n, dtype=bool)
+    verified_mask = ~index.tombstones.alive_mask(index.n)
     budget = int(math.ceil(index.beta * index.n)) + k
     radius = max(index._projection_spread / 16.0, 1e-12)
     cursors = [tree.cursor(float(query_proj[i])) for i, tree in enumerate(trees)]
@@ -153,7 +156,7 @@ def _count_collisions(index: C2LSH, query_shifted: np.ndarray, cell_width: float
 def c2lsh_query(index: C2LSH, q: np.ndarray, k: int) -> QueryResult:
     query_shifted = (index._query_directions @ q) + index._offsets  # (m,)
     verified: List[Tuple[int, float]] = []
-    verified_mask = np.zeros(index.n, dtype=bool)
+    verified_mask = ~index.tombstones.alive_mask(index.n)
     budget = int(math.ceil(index.beta * index.n)) + k
     scale = 1.0  # radius multiplier R = 1, c, c², ... in spread units
     rounds = 0
@@ -178,7 +181,7 @@ def c2lsh_query(index: C2LSH, q: np.ndarray, k: int) -> QueryResult:
 
 def e2lsh_query(index: E2LSH, q: np.ndarray, k: int) -> QueryResult:
     candidate_ids: List[int] = []
-    seen = set()
+    seen = index.tombstones.as_set()
     for function, table in zip(index._functions, index._tables):
         for point_id in table.get(function.compound_key(q), []):
             if point_id not in seen:
@@ -209,7 +212,7 @@ def lsb_query(index: LSBForest, q: np.ndarray, k: int, trees=None) -> QueryResul
     trees = lsb_trees(index) if trees is None else trees
     budget = max(k, int(math.ceil(index.budget_fraction * index.n)))
     per_tree = max(k, budget // index.num_trees)
-    seen: set = set()
+    seen = index.tombstones.as_set()
     candidates: List[int] = []
     for tree_index, tree in enumerate(trees):
         z_query = index._query_zvalue(tree_index, q)

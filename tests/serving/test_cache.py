@@ -290,7 +290,10 @@ class TestServerCacheIntegration:
                 await asyncio.sleep(0)  # queued, not dispatched
                 await server.add(q[None, :])  # drains it at the old epoch
                 before = await pending
-                after = await server.submit(q, Knn(k=1))
+                pending = asyncio.ensure_future(server.submit(q, Knn(k=1)))
+                await asyncio.sleep(0)  # queued behind the 10 s deadline
+                server.flush()  # dispatched now, not when the deadline fires
+                after = await pending
                 return before, after, server.stats()
 
         before, after, stats = asyncio.run(serve())
